@@ -2,7 +2,8 @@
 
 The format is deliberately strict: unknown keys, unknown sweep axes, bad
 types and out-of-range values are hard errors carrying the line number, so
-a typo in a physics parameter cannot silently run with a default.  Every
+a typo in a physics parameter cannot silently run with a default.  So is a
+run whose propagation would not fit in physical memory.  Every
 omitted key is filled from the scenario's defaults at parse time, and
 `canonical_text` emits the fully resolved form; parse(canonical_text(cfg))
 round-trips to an equal config.
@@ -19,6 +20,8 @@ Example::
     steps = 9
 """
 
+import math
+import os
 from dataclasses import dataclass, field, replace
 
 from . import presets
@@ -82,7 +85,6 @@ class ExperimentConfig:
     dt_ns: float = 2e-4
     t_long_ns: float = 40.0
     dt_long_ns: float = 0.005
-    substeps: int = 0           # 0 -> automatic
     snapshot_stride: int = 0    # 0 -> store no snapshots
     observables: tuple = ("populations", "n_photon")
     resolution_nm: float = 5.0
@@ -161,6 +163,27 @@ def default_sweeps(scenario: str, design: str) -> tuple:
     return ()
 
 
+def _propagation_log2_bytes(cfg: ExperimentConfig) -> float:
+    """log2 of the peak bytes of a run's largest propagation.
+
+    d = (n_max + 1) 2^N is the largest Hilbert dimension the scenario
+    propagates.  expm of a lossy run's d^2 x d^2 Liouvillian peaked at about
+    8 such complex matrices; a lossless run at 13-14 d x d ones, counted as
+    16.  A logarithm, so that an absurd atom count cannot overflow.
+    """
+    n_atoms, n_photons = {
+        "fig2_single_atom": (1, cfg.n_photons),
+        "fig3_two_atom": (2, 2),
+        "fig4_correlations": (2, 2),
+        "fig5_position_map": (2, 1),
+    }.get(cfg.scenario, (cfg.n_atoms, cfg.n_photons))
+    n_max = cfg.n_max if cfg.n_max > 0 else n_photons + 1
+    log2_dim = math.log2(n_max + 1) + n_atoms
+    if cfg.resolved_kappa_mhz > 0 or cfg.resolved_gamma_mhz > 0:
+        return math.log2(8 * 16) + 4 * log2_dim
+    return math.log2(16 * 16) + 2 * log2_dim
+
+
 _BOOL_WORDS = {"true": True, "false": False}
 
 
@@ -219,8 +242,8 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
-_INT_KEYS = {"n_atoms", "n_photons", "n_max", "substeps", "snapshot_stride",
-             "seed", "workers"}
+_INT_KEYS = {"n_atoms", "n_photons", "n_max", "snapshot_stride", "seed",
+             "workers"}
 _FLOAT_KEYS = {"g_ghz", "alpha", "q_factor", "kappa_mhz", "gamma_mhz",
                "lambda_nm", "detuning_ghz", "t_end_ns", "dt_ns", "t_long_ns",
                "dt_long_ns", "resolution_nm"}
@@ -430,7 +453,6 @@ def parse_config(text: str) -> ExperimentConfig:
     check(cfg.dt_ns > 0, "dt_ns", f"must be > 0, got {cfg.dt_ns}")
     check(cfg.t_long_ns > 0, "t_long_ns", f"must be > 0, got {cfg.t_long_ns}")
     check(cfg.dt_long_ns > 0, "dt_long_ns", f"must be > 0, got {cfg.dt_long_ns}")
-    check(cfg.substeps >= 0, "substeps", f"must be >= 0, got {cfg.substeps}")
     check(cfg.snapshot_stride >= 0, "snapshot_stride",
           f"must be >= 0, got {cfg.snapshot_stride}")
     check(0.5 <= cfg.resolution_nm <= 5.0, "resolution_nm",
@@ -439,6 +461,14 @@ def parse_config(text: str) -> ExperimentConfig:
     if cfg.scenario == "fig5_position_map":
         check(cfg.design in ("D1", "D3"), "design",
               "fig5_position_map needs a synthetic map (designs D1 or D3)")
+
+    if not errors and hasattr(os, "sysconf"):
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        need = _propagation_log2_bytes(cfg)
+        gb = 2.0**need / 1e9 if need < 1000 else math.inf
+        check(need <= math.log2(memory), "n_atoms",
+              f"propagation needs about {gb:.3g} GB at peak, more than the "
+              f"{memory / 1e9:.3g} GB of physical memory")
 
     if errors:
         raise ConfigError(errors)
@@ -471,7 +501,7 @@ def canonical_text(cfg: ExperimentConfig) -> str:
         "dissipator_form": cfg.dissipator_form, "lossless": cfg.lossless,
         "t_end_ns": cfg.t_end_ns, "dt_ns": cfg.dt_ns,
         "t_long_ns": cfg.t_long_ns, "dt_long_ns": cfg.dt_long_ns,
-        "substeps": cfg.substeps, "snapshot_stride": cfg.snapshot_stride,
+        "snapshot_stride": cfg.snapshot_stride,
         "observables": cfg.observables, "resolution_nm": cfg.resolution_nm,
         "seed": cfg.seed, "workers": cfg.workers, "output_dir": cfg.output_dir,
     }

@@ -184,7 +184,7 @@ def liouvillian_matrix(gen: LindbladGenerator) -> np.ndarray:
 
     vec() is row-major (C-order) flattening, for which
     vec(A rho B) = (A kron B^T) vec(rho).  Agreement with lindblad_rhs is
-    checked by tests; the integrator uses this matrix for speed.
+    checked by tests; lossy runs exponentiate it into their step propagator.
     """
     dim = gen.dim
     eye = np.eye(dim)

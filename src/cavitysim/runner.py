@@ -87,7 +87,6 @@ def _integrate_cfg(cfg, gen, rho0, times, projections=None, track=None):
         gen,
         rho0,
         times,
-        substeps=cfg.substeps if cfg.substeps > 0 else None,
         snapshot_stride=cfg.snapshot_stride if cfg.snapshot_stride > 0 else None,
         track=track if track is not None else cfg.observables,
         projections=projections,

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,12 +94,26 @@ def test_run_exit_code_on_config_error(tmp_path):
 
 
 def test_run_exit_code_on_runtime_failure(tmp_path):
-    # forced steps far beyond the RK4 stability limit blow the state up
-    broken = _write(
-        tmp_path,
-        'scenario = "custom"\nt_end_ns = 50.0\ndt_ns = 1.0\nsubsteps = 1\n',
-    )
-    assert main(["run", broken, "--output-dir", str(tmp_path / "x")]) == 2
+    # a window shorter than one collective period has too few extrema to
+    # measure the W-state frequency from
+    short = _write(tmp_path, 'scenario = "n_atom_wstate"\nt_end_ns = 0.004\n')
+    assert main(["run", short, "--output-dir", str(tmp_path / "x")]) == 2
+
+
+def test_validate_rejects_over_memory_config(tmp_path, capsys):
+    # lossy N = 7 would take expm of a 147456^2 Liouvillian; the estimate
+    # rejects it before any array is allocated
+    big = _write(tmp_path, 'scenario = "custom"\nn_atoms = 7\n', name="big.cfg")
+    tracemalloc.start()
+    try:
+        assert main(["validate", big]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert "GB at peak" in capsys.readouterr().err
+    ok = _write(tmp_path, 'scenario = "custom"\nn_atoms = 4\n', name="ok.cfg")
+    assert main(["validate", ok]) == 0
 
 
 def test_workers_must_be_positive(tmp_path):

@@ -160,7 +160,7 @@ def test_canonical_round_trip(scenario):
 def test_round_trip_preserves_overrides():
     src = (
         'scenario = "fig3_two_atom"\nalpha = 0.62\ngamma_mhz = 5.5\n'
-        'lossless = true\nsubsteps = 7\nobservables = ["populations"]\n'
+        'lossless = true\nobservables = ["populations"]\n'
     )
     cfg = parse_config(src)
     assert parse_config(canonical_text(cfg)) == cfg

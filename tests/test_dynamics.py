@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cavitysim import analytic, dynamics as dyn, fockspace as fs, model
 from cavitysim.fockspace import HilbertLayout
@@ -16,12 +17,12 @@ def _gen(n_max, couplings, kappa=0.0, gamma=0.0, omega_0=0.0):
     return lay, model.build_generator(lay, p)
 
 
-def _single_atom_run(kappa=0.0, gamma=0.0, t_end=None, n_points=301, substeps=None):
+def _single_atom_run(kappa=0.0, gamma=0.0, t_end=None, n_points=301):
     lay, gen = _gen(2, (G,), kappa=kappa, gamma=gamma)
     rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
     t_end = t_end if t_end is not None else 3 * np.pi / G
     ts = np.linspace(0.0, t_end, n_points)
-    return lay, dyn.integrate(gen, rho0, ts, substeps=substeps)
+    return lay, dyn.integrate(gen, rho0, ts)
 
 
 def test_closed_jaynes_cummings_thirty_periods():
@@ -51,12 +52,14 @@ def test_times_must_increase():
 
 
 def test_trace_drift_gate_raises():
-    lay, gen = _gen(1, (G,), kappa=0.19, gamma=0.04)
+    # the literal dissipator does not preserve the trace; propagated exactly,
+    # its drift must trip the gate at the default tolerance
+    lay = HilbertLayout(n_max=1, n_atoms=1)
+    p = SystemParams(omega_c=0.0, omega_0=0.0, kappa=0.19, gamma=0.0, couplings=(G,))
+    gen = model.build_generator(lay, p, dissipator_form=model.DISSIPATOR_LITERAL)
     rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
-    # steps far beyond the RK4 stability limit blow the state up; the gate
-    # must catch it and report the failure time instead of emitting garbage
     with pytest.raises(dyn.IntegrationError):
-        dyn.integrate(gen, rho0, np.linspace(0.0, 50.0, 51), substeps=1)
+        dyn.integrate(gen, rho0, np.linspace(0.0, 50.0, 51))
 
 
 def test_rabi_frequency_measures_g_over_pi():
@@ -140,14 +143,57 @@ def test_unequal_coupling_population_amplitude_ratio():
     assert abs(np.argmax(p_ge) - np.argmax(p_eg)) <= 1
 
 
-def test_integrator_is_fourth_order():
-    # halving the step must shrink the error against the sin^2 oracle by >= 8x
-    errs = {}
-    for sub in (4, 8):
-        lay, traj = _single_atom_run(n_points=101, substeps=sub)
-        expected = np.sin(G * traj.times) ** 2
-        errs[sub] = np.max(np.abs(traj.series("pop_0e") - expected))
-    assert errs[4] / errs[8] >= 8.0
+def test_propagator_is_exact():
+    # a coarse grid over 3 periods still meets the sin^2 oracle to roundoff
+    lay, traj = _single_atom_run(n_points=101)
+    expected = np.sin(G * traj.times) ** 2
+    assert np.max(np.abs(traj.series("pop_0e") - expected)) < 1e-12
+
+
+def test_non_uniform_grid_matches_oracle():
+    # two uniform pieces with different steps: one propagator per step length
+    lay, gen = _gen(2, (G,))
+    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
+    period = np.pi / G
+    ts = np.concatenate([
+        np.linspace(0.0, period, 41),
+        np.linspace(period, 3 * period, 31)[1:],
+    ])
+    traj = dyn.integrate(gen, rho0, ts)
+    expected = np.sin(G * ts) ** 2
+    assert np.max(np.abs(traj.series("pop_0e") - expected)) < 1e-12
+
+
+def test_one_propagator_per_distinct_step(monkeypatch):
+    calls = []
+
+    def counting_expm(m):
+        calls.append(m.shape)
+        return expm(m)
+
+    monkeypatch.setattr(dyn, "expm", counting_expm)
+    lay, gen = _gen(2, (G,), kappa=0.19)
+    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
+    # 40 ns at 5 ps: linspace steps scatter by ~7e-15 ns
+    dyn.integrate(gen, rho0, np.linspace(0.0, 40.0, 8001), track=())
+    assert calls == [(36, 36)]
+    calls.clear()
+    ts = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.0, 2.0, 5)[1:]])
+    dyn.integrate(gen, rho0, ts, track=())
+    assert calls == [(36, 36)] * 2
+
+
+def test_lossless_run_never_builds_the_liouvillian(monkeypatch):
+    def forbidden(gen):
+        raise AssertionError("liouvillian_matrix called on a lossless run")
+
+    monkeypatch.setattr(dyn, "liouvillian_matrix", forbidden)
+    lay, traj = _single_atom_run(n_points=51)
+    assert traj.series("pop_0e")[-1] == pytest.approx(
+        np.sin(G * traj.times[-1]) ** 2, abs=1e-12
+    )
+    with pytest.raises(AssertionError):
+        _single_atom_run(kappa=0.19, n_points=51)
 
 
 def test_closed_system_conserves_excitation_number():
