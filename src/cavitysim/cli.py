@@ -1,10 +1,14 @@
 """Command-line experiment runner.
 
-    cavitysim run <config-file> [--seed N] [--workers N] [--output-dir DIR]
+    cavitysim run <config-file> [--workers N] [--output-dir DIR]
     cavitysim validate <config-file>
     cavitysim scenarios
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/tolerance failure.
+A config file is TOML (see cavitysim.config).  Its errors are all listed,
+except that a TOML syntax error stops the parse and is reported alone.
+
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime/tolerance
+failure.
 The default output root is ./runs, overridable with $CAVITYSIM_OUTPUT_ROOT.
 """
 
@@ -22,8 +26,17 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, such as an unknown option, exit with the configuration
+    error code rather than argparse's 2, which here means a failed run."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cavitysim",
         description="Cavity QED entanglement scenarios: run, validate, list.",
     )
@@ -32,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a scenario from a config file")
     run_p.add_argument("config", help="path to the config file")
-    run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--workers", type=int, default=None, help="override worker count")
     run_p.add_argument(
         "--output-dir", default=None,
@@ -78,8 +90,6 @@ def main(argv=None) -> int:
         print(f"OK: {cfg.scenario} (design {cfg.design})")
         return EXIT_OK
 
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     if args.workers is not None:
         if args.workers < 1:
             print("error: --workers must be >= 1", file=sys.stderr)

@@ -1,11 +1,15 @@
-"""Experiment configuration: a small line-oriented `key = value` format.
+"""Experiment configuration, read from a TOML file.
 
-The format is deliberately strict: unknown keys, unknown sweep axes, bad
-types and out-of-range values are hard errors carrying the line number, so
-a typo in a physics parameter cannot silently run with a default.  So is a
-run whose propagation would not fit in physical memory.  Every
-omitted key is filled from the scenario's defaults at parse time, and
-`canonical_text` emits the fully resolved form; parse(canonical_text(cfg))
+A config is TOML limited to top-level `key = value` pairs plus optional
+`[sweep.<axis>]` tables, parsed with the stdlib `tomllib`.  On top of TOML
+the checks are deliberately strict: unknown keys, sections, sweep axes and
+sweep keys, bad types and out-of-range values are hard errors carrying the
+line number, so a typo in a physics parameter cannot silently run with a
+default.  So is a run whose propagation would not fit in physical memory.
+All such problems are reported together; a TOML syntax error stops the
+parse, so syntax errors are reported one at a time.  Every omitted key is
+filled from the scenario's defaults at parse time, and `canonical_text`
+emits the fully resolved form as valid TOML; parse(canonical_text(cfg))
 round-trips to an equal config.
 
 Example::
@@ -20,12 +24,15 @@ Example::
     steps = 9
 """
 
+import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+import re
+import tomllib
+from dataclasses import dataclass, replace
 
 from . import presets
-from .model import DISSIPATOR_FORMS, DISSIPATOR_TRACE_PRESERVING, FRAME_ROTATING, FRAMES
+from .model import DISSIPATOR_FORMS, DISSIPATOR_TRACE_PRESERVING
 
 SCENARIOS = (
     "fig2_single_atom",
@@ -38,6 +45,7 @@ SCENARIOS = (
 
 OBSERVABLE_CHOICES = ("populations", "n_photon", "entropies", "concurrence")
 SWEEP_AXES = ("delta_x_nm", "delta_y_nm", "alpha")
+SWEEP_KEYS = ("min", "max", "steps")
 
 
 class ConfigError(ValueError):
@@ -69,7 +77,7 @@ class ExperimentConfig:
     design: str = "D1"
     n_atoms: int = 1
     n_photons: int = 1
-    n_max: int = 0              # 0 -> n_photons + 1 (one guard level)
+    n_max: int = 0              # 0 -> one guard level above the photons
     g_ghz: float = 0.0          # 0 -> design preset
     alpha: float = 1.0
     couplings_ghz: tuple = ()   # explicit per-atom list; overrides g/alpha
@@ -78,7 +86,6 @@ class ExperimentConfig:
     gamma_mhz: float = presets.GAMMA_RB87_D2_MHZ
     lambda_nm: float = presets.LAMBDA_NM
     detuning_ghz: float = 0.0
-    frame: str = FRAME_ROTATING
     dissipator_form: str = DISSIPATOR_TRACE_PRESERVING
     lossless: bool = False
     t_end_ns: float = 0.3
@@ -88,7 +95,6 @@ class ExperimentConfig:
     snapshot_stride: int = 0    # 0 -> store no snapshots
     observables: tuple = ("populations", "n_photon")
     resolution_nm: float = 5.0
-    seed: int = 1234
     workers: int = 1
     output_dir: str = ""
     sweeps: tuple = ()          # of SweepAxis, sorted by name
@@ -99,9 +105,13 @@ class ExperimentConfig:
                 return ax
         return None
 
+    def n_max_for(self, n_photons: int) -> int:
+        """Photon truncation of a run that starts with n_photons photons."""
+        return self.n_max if self.n_max > 0 else n_photons + 1
+
     @property
     def resolved_n_max(self) -> int:
-        return self.n_max if self.n_max > 0 else self.n_photons + 1
+        return self.n_max_for(self.n_photons)
 
     @property
     def resolved_kappa_mhz(self) -> float:
@@ -163,6 +173,22 @@ def default_sweeps(scenario: str, design: str) -> tuple:
     return ()
 
 
+# (atoms, largest photon number) of each scenario's largest propagation,
+# where the scenario fixes them; None takes the config's value.  fig3 and
+# fig4 always add two-photon runs.
+_PROPAGATED = {
+    "fig2_single_atom": (1, None),
+    "fig3_two_atom": (2, 2),
+    "fig4_correlations": (2, 2),
+    "fig5_position_map": (2, 1),
+}
+
+
+def _propagated(cfg: ExperimentConfig) -> tuple:
+    n_atoms, n_photons = _PROPAGATED.get(cfg.scenario, (cfg.n_atoms, None))
+    return n_atoms, cfg.n_photons if n_photons is None else n_photons
+
+
 def _propagation_log2_bytes(cfg: ExperimentConfig) -> float:
     """log2 of the peak bytes of a run's largest propagation.
 
@@ -171,188 +197,118 @@ def _propagation_log2_bytes(cfg: ExperimentConfig) -> float:
     8 such complex matrices; a lossless run at 13-14 d x d ones, counted as
     16.  A logarithm, so that an absurd atom count cannot overflow.
     """
-    n_atoms, n_photons = {
-        "fig2_single_atom": (1, cfg.n_photons),
-        "fig3_two_atom": (2, 2),
-        "fig4_correlations": (2, 2),
-        "fig5_position_map": (2, 1),
-    }.get(cfg.scenario, (cfg.n_atoms, cfg.n_photons))
-    n_max = cfg.n_max if cfg.n_max > 0 else n_photons + 1
-    log2_dim = math.log2(n_max + 1) + n_atoms
+    n_atoms, n_photons = _propagated(cfg)
+    log2_dim = math.log2(cfg.n_max_for(n_photons) + 1) + n_atoms
     if cfg.resolved_kappa_mhz > 0 or cfg.resolved_gamma_mhz > 0:
         return math.log2(8 * 16) + 4 * log2_dim
     return math.log2(16 * 16) + 2 * log2_dim
 
 
-_BOOL_WORDS = {"true": True, "false": False}
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _parse_value(raw: str, line_no: int, errors: list):
-    raw = raw.strip()
-    if not raw:
-        errors.append(f"line {line_no}: missing value")
-        return None
-    if raw.startswith('"'):
-        if not (raw.endswith('"') and len(raw) >= 2):
-            errors.append(f"line {line_no}: unterminated string {raw!r}")
-            return None
-        return raw[1:-1]
-    if raw in _BOOL_WORDS:
-        return _BOOL_WORDS[raw]
-    if raw.startswith("["):
-        if not raw.endswith("]"):
-            errors.append(f"line {line_no}: unterminated list {raw!r}")
-            return None
-        body = raw[1:-1].strip()
-        if not body:
-            return ()
-        items = []
-        for part in body.split(","):
-            part = part.strip()
-            if part.startswith('"') and part.endswith('"') and len(part) >= 2:
-                items.append(part[1:-1])
-                continue
-            try:
-                items.append(float(part))
-            except ValueError:
-                errors.append(
-                    f"line {line_no}: list item {part!r} is neither a number "
-                    "nor a quoted string"
-                )
-                return None
-        return tuple(items)
-    try:
-        if any(c in raw for c in ".eE") and not raw.lstrip("+-").isdigit():
-            return float(raw)
-        return int(raw)
-    except ValueError:
-        errors.append(f"line {line_no}: cannot parse value {raw!r}")
-        return None
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out)
+def _is_str_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
 
-_INT_KEYS = {"n_atoms", "n_photons", "n_max", "snapshot_stride", "seed",
-             "workers"}
-_FLOAT_KEYS = {"g_ghz", "alpha", "q_factor", "kappa_mhz", "gamma_mhz",
-               "lambda_nm", "detuning_ghz", "t_end_ns", "dt_ns", "t_long_ns",
-               "dt_long_ns", "resolution_nm"}
-_STR_KEYS = {"scenario", "design", "frame", "dissipator_form", "output_dir"}
-_BOOL_KEYS = {"lossless"}
-_LIST_KEYS = {"couplings_ghz", "observables"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS | _LIST_KEYS
+_INT = (_is_int, "an integer")
+_FLOAT = (_is_number, "a number")
+_STR = (lambda v: isinstance(v, str), "a quoted string")
+
+# key -> (type test, what the error says was expected)
+_KEY_TYPES = {
+    **dict.fromkeys(("n_atoms", "n_photons", "n_max", "snapshot_stride",
+                     "workers"), _INT),
+    **dict.fromkeys(("g_ghz", "alpha", "q_factor", "kappa_mhz", "gamma_mhz",
+                     "lambda_nm", "detuning_ghz", "t_end_ns", "dt_ns",
+                     "t_long_ns", "dt_long_ns", "resolution_nm"), _FLOAT),
+    **dict.fromkeys(("scenario", "design", "dissipator_form", "output_dir"), _STR),
+    "lossless": (lambda v: isinstance(v, bool), "true or false"),
+    "couplings_ghz": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                      "a [list] of numbers"),
+    "observables": (lambda v: isinstance(v, str) or _is_str_list(v),
+                    "a [list] of strings"),
+}
+
+# A table header `[a.b]` or `[[a.b]]` (group 1) or the key of a `key = value`
+# line (group 2).
+_HEADER_OR_KEY = re.compile(r'\s*(?:\[\[?([^\[\]]+)\]|([\w."\s-]+?)\s*=)')
+
+
+def _dotted(name: str) -> tuple:
+    return tuple(part.strip().strip('"') for part in name.split("."))
+
+
+def _key_lines(text: str) -> dict:
+    """Line of each table header and key, by its dotted path, e.g.
+    ("g_ghz",) or ("sweep", "alpha", "steps").  Only locates errors."""
+    lines, table = {}, ()
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        m = _HEADER_OR_KEY.match(line)
+        if m and m[1] is not None:
+            table = _dotted(m[1])
+            lines.setdefault(table, line_no)
+        elif m:
+            lines.setdefault(table + _dotted(m[2]), line_no)
+    return lines
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate; raises ConfigError listing every problem."""
+    try:
+        doc = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        m = re.search(r"at line (\d+)", str(exc))
+        line_no = m[1] if m else len(text.splitlines())
+        raise ConfigError([f"line {line_no}: {exc}"]) from None
+    lines = _key_lines(text)
     errors: list = []
+
+    def at(*path):
+        return f"line {lines.get(path, 0)}"
+
     scalars: dict = {}
-    scalar_lines: dict = {}
     sweeps: dict = {}
-    section = None  # None = top level, else sweep axis name
-
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw_line).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                errors.append(f"line {line_no}: malformed section header {line!r}")
-                section = None
-                continue
-            name = line[1:-1].strip()
-            if not name.startswith("sweep."):
-                errors.append(
-                    f"line {line_no}: unknown section {name!r} (only [sweep.<axis>])"
-                )
-                section = None
-                continue
-            axis = name[len("sweep."):]
-            if axis not in SWEEP_AXES:
-                errors.append(
-                    f"line {line_no}: unknown sweep axis {axis!r}; "
-                    f"valid axes: {', '.join(SWEEP_AXES)}"
-                )
-                section = None
-                continue
-            section = axis
-            sweeps.setdefault(axis, {})
-            continue
-        if "=" not in line:
-            errors.append(f"line {line_no}: expected key = value, got {line!r}")
-            continue
-        key, _, raw_val = line.partition("=")
-        key = key.strip()
-        value = _parse_value(raw_val, line_no, errors)
-        if value is None:
-            continue
-        if section is not None:
-            if key not in ("min", "max", "steps"):
-                errors.append(
-                    f"line {line_no}: unknown sweep key {key!r} (min/max/steps)"
-                )
-                continue
-            sweeps[section][key] = (value, line_no)
+    for key, value in doc.items():
+        if key == "sweep" and isinstance(value, dict):
+            for axis, fields in value.items():
+                if axis not in SWEEP_AXES or not isinstance(fields, dict):
+                    errors.append(
+                        f"{at('sweep', axis)}: unknown sweep axis {axis!r}; "
+                        f"valid axes: {', '.join(SWEEP_AXES)}"
+                    )
+                    continue
+                for k in [k for k in fields if k not in SWEEP_KEYS]:
+                    errors.append(
+                        f"{at('sweep', axis, k)}: unknown sweep key {k!r} (min/max/steps)"
+                    )
+                sweeps[axis] = fields
+        elif isinstance(value, dict):
+            errors.append(f"{at(key)}: unknown section {key!r} (only [sweep.<axis>])")
+        elif key not in _KEY_TYPES:
+            errors.append(f"{at(key)}: unknown key {key!r}")
+        elif not _KEY_TYPES[key][0](value):
+            errors.append(f"{at(key)}: {key}: expected {_KEY_TYPES[key][1]}, got {value!r}")
+        elif _KEY_TYPES[key] is _FLOAT:
+            scalars[key] = float(value)
+        elif key == "couplings_ghz":
+            scalars[key] = tuple(float(g) for g in value)
+        elif key == "observables":
+            scalars[key] = (value,) if isinstance(value, str) else tuple(value)
         else:
-            if key not in _ALL_KEYS:
-                errors.append(f"line {line_no}: unknown key {key!r}")
-                continue
-            if key in scalars:
-                errors.append(f"line {line_no}: duplicate key {key!r}")
-                continue
             scalars[key] = value
-            scalar_lines[key] = line_no
-
-    def type_error(key, expected):
-        errors.append(
-            f"line {scalar_lines[key]}: {key}: expected {expected}, "
-            f"got {scalars[key]!r}"
-        )
-
-    # type checks / coercions
-    for key in list(scalars):
-        v = scalars[key]
-        if key in _INT_KEYS:
-            if isinstance(v, bool) or not isinstance(v, int):
-                type_error(key, "an integer")
-                scalars.pop(key)
-        elif key in _FLOAT_KEYS:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                type_error(key, "a number")
-                scalars.pop(key)
-            else:
-                scalars[key] = float(v)
-        elif key in _STR_KEYS:
-            if not isinstance(v, str):
-                type_error(key, "a quoted string")
-                scalars.pop(key)
-        elif key in _BOOL_KEYS:
-            if not isinstance(v, bool):
-                type_error(key, "true or false")
-                scalars.pop(key)
-        elif key in _LIST_KEYS:
-            if isinstance(v, str):
-                scalars[key] = (v,)
-            elif not isinstance(v, tuple):
-                type_error(key, "a [list]")
-                scalars.pop(key)
 
     scenario = scalars.get("scenario")
     if scenario is None:
         errors.append("line 0: missing required key 'scenario'")
     elif scenario not in SCENARIOS:
         errors.append(
-            f"line {scalar_lines['scenario']}: scenario: unknown scenario "
+            f"{at('scenario')}: scenario: unknown scenario "
             f"{scenario!r}; valid: {', '.join(SCENARIOS)}"
         )
         scenario = None
@@ -361,25 +317,19 @@ def parse_config(text: str) -> ExperimentConfig:
 
     merged = dict(SCENARIO_DEFAULTS[scenario])
     merged.update({k: v for k, v in scalars.items() if k != "scenario"})
-
-    if "observables" in merged:
-        obs = tuple(str(o) for o in merged["observables"])
-        bad = [o for o in obs if o not in OBSERVABLE_CHOICES]
-        if bad:
-            errors.append(
-                f"line {scalar_lines.get('observables', 0)}: observables: "
-                f"unknown entries {bad}; valid: {', '.join(OBSERVABLE_CHOICES)}"
-            )
-        merged["observables"] = obs
-    if "couplings_ghz" in merged:
-        merged["couplings_ghz"] = tuple(float(x) for x in merged["couplings_ghz"])
-
     cfg = ExperimentConfig(scenario=scenario, **merged)
+
+    bad = [o for o in cfg.observables if o not in OBSERVABLE_CHOICES]
+    if bad:
+        errors.append(
+            f"{at('observables')}: observables: unknown entries {bad}; "
+            f"valid: {', '.join(OBSERVABLE_CHOICES)}"
+        )
 
     # design / preset resolution
     if cfg.design not in presets.DESIGNS:
         errors.append(
-            f"line {scalar_lines.get('design', 0)}: design: unknown design "
+            f"{at('design')}: design: unknown design "
             f"{cfg.design!r}; valid: {', '.join(presets.DESIGNS)}"
         )
     else:
@@ -391,49 +341,46 @@ def parse_config(text: str) -> ExperimentConfig:
 
     # sweep assembly
     axes = []
-    for axis, fields_seen in sweeps.items():
-        missing = [k for k in ("min", "max", "steps") if k not in fields_seen]
+    for axis, fields in sweeps.items():
+        missing = [k for k in SWEEP_KEYS if k not in fields]
         if missing:
-            errors.append(f"sweep.{axis}: missing {', '.join(missing)}")
+            errors.append(f"{at('sweep', axis)}: sweep.{axis}: missing {', '.join(missing)}")
             continue
-        mn, ln_mn = fields_seen["min"]
-        mx, ln_mx = fields_seen["max"]
-        st, ln_st = fields_seen["steps"]
-        if isinstance(st, bool) or not isinstance(st, int):
-            errors.append(f"line {ln_st}: sweep.{axis}.steps: expected an integer")
+        mn, mx, st = (fields[k] for k in SWEEP_KEYS)
+        if not _is_int(st):
+            errors.append(f"{at('sweep', axis, 'steps')}: sweep.{axis}.steps: "
+                          "expected an integer")
             continue
         if st < 1:
-            errors.append(f"line {ln_st}: sweep.{axis}.steps: must be >= 1, got {st}")
+            errors.append(f"{at('sweep', axis, 'steps')}: sweep.{axis}.steps: "
+                          f"must be >= 1, got {st}")
             continue
-        try:
-            mn, mx = float(mn), float(mx)
-        except (TypeError, ValueError):
-            errors.append(f"sweep.{axis}: min/max must be numbers")
+        if not (_is_number(mn) and _is_number(mx)):
+            errors.append(f"{at('sweep', axis)}: sweep.{axis}: min/max must be numbers")
             continue
+        mn, mx = float(mn), float(mx)
         if mx < mn:
-            errors.append(f"line {ln_mx}: sweep.{axis}.max: {mx} is below min {mn}")
+            errors.append(f"{at('sweep', axis, 'max')}: sweep.{axis}.max: "
+                          f"{mx} is below min {mn}")
             continue
         axes.append(SweepAxis(axis, mn, mx, st))
-    if not axes:
-        axes = list(default_sweeps(scenario, cfg.design))
-    else:
-        names = {ax.name for ax in axes}
-        for ax in default_sweeps(scenario, cfg.design):
-            if ax.name not in names:
-                axes.append(ax)
+    names = {ax.name for ax in axes}
+    axes += [ax for ax in default_sweeps(scenario, cfg.design) if ax.name not in names]
     cfg = replace(cfg, sweeps=tuple(sorted(axes, key=lambda ax: ax.name)))
 
     # range validation (name the key)
     def check(cond, key, reason):
         if not cond:
-            errors.append(f"line {scalar_lines.get(key, 0)}: {key}: {reason}")
+            errors.append(f"{at(key)}: {key}: {reason}")
 
+    _, n_photons = _propagated(cfg)
     check(cfg.n_atoms >= 1, "n_atoms", f"must be >= 1, got {cfg.n_atoms}")
     check(cfg.n_photons >= 0, "n_photons", f"must be >= 0, got {cfg.n_photons}")
     check(cfg.n_max >= 0, "n_max", f"must be >= 0 (0 = auto), got {cfg.n_max}")
     if cfg.n_max > 0:
-        check(cfg.n_max >= cfg.n_photons, "n_max",
-              f"must retain the initial {cfg.n_photons} photons")
+        check(cfg.n_max >= n_photons, "n_max",
+              f"must retain the {n_photons} photons that {scenario} "
+              f"propagates, got {cfg.n_max}")
     check(cfg.g_ghz > 0, "g_ghz", f"must be > 0, got {cfg.g_ghz}")
     check(cfg.alpha >= 0, "alpha", f"must be >= 0, got {cfg.alpha}")
     if cfg.couplings_ghz:
@@ -446,7 +393,6 @@ def parse_config(text: str) -> ExperimentConfig:
         check(False, "kappa_mhz", f"must be >= 0, got {cfg.kappa_mhz}")
     check(cfg.gamma_mhz >= 0, "gamma_mhz", f"must be >= 0, got {cfg.gamma_mhz}")
     check(cfg.lambda_nm > 0, "lambda_nm", f"must be > 0, got {cfg.lambda_nm}")
-    check(cfg.frame in FRAMES, "frame", f"must be one of {FRAMES}")
     check(cfg.dissipator_form in DISSIPATOR_FORMS, "dissipator_form",
           f"must be one of {DISSIPATOR_FORMS}")
     check(cfg.t_end_ns > 0, "t_end_ns", f"must be > 0, got {cfg.t_end_ns}")
@@ -479,7 +425,9 @@ def _format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, str):
-        return f'"{v}"'
+        # json escapes quotes, backslashes and control characters the way a
+        # TOML basic string does, except DEL
+        return json.dumps(v, ensure_ascii=False).replace("\x7f", "\\u007f")
     if isinstance(v, tuple):
         return "[" + ", ".join(_format_value(x) for x in v) + "]"
     if isinstance(v, float):
@@ -488,7 +436,7 @@ def _format_value(v) -> str:
 
 
 def canonical_text(cfg: ExperimentConfig) -> str:
-    """Fully resolved config as text; parse(canonical_text(cfg)) == cfg."""
+    """Fully resolved config as TOML; parse(canonical_text(cfg)) == cfg."""
     lines = []
     pairs = {
         "scenario": cfg.scenario, "design": cfg.design,
@@ -497,13 +445,13 @@ def canonical_text(cfg: ExperimentConfig) -> str:
         "couplings_ghz": cfg.couplings_ghz,
         "q_factor": cfg.q_factor, "kappa_mhz": cfg.kappa_mhz,
         "gamma_mhz": cfg.gamma_mhz, "lambda_nm": cfg.lambda_nm,
-        "detuning_ghz": cfg.detuning_ghz, "frame": cfg.frame,
+        "detuning_ghz": cfg.detuning_ghz,
         "dissipator_form": cfg.dissipator_form, "lossless": cfg.lossless,
         "t_end_ns": cfg.t_end_ns, "dt_ns": cfg.dt_ns,
         "t_long_ns": cfg.t_long_ns, "dt_long_ns": cfg.dt_long_ns,
         "snapshot_stride": cfg.snapshot_stride,
         "observables": cfg.observables, "resolution_nm": cfg.resolution_nm,
-        "seed": cfg.seed, "workers": cfg.workers, "output_dir": cfg.output_dir,
+        "workers": cfg.workers, "output_dir": cfg.output_dir,
     }
     for key in sorted(pairs):
         if key == "couplings_ghz" and not pairs[key]:

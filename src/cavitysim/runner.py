@@ -1,15 +1,15 @@
 """Scenario runner: builds systems from a config, integrates, writes CSVs.
 
 Output contract (per run directory):
-  config.txt    -- canonical config with execution-only fields normalized
+  config.txt    -- canonical config (TOML), execution-only fields normalized
   traj_*.csv    -- one per trajectory (schema cavitysim-trajectory-v1)
   map.csv       -- fig5 only: one row per sweep point
   alpha_map.csv -- fig4 only: peak correlations vs coupling ratio
   summary.csv   -- name,value rows of derived scalars
-  manifest.json -- tool version, scenario, seed, config hash
+  manifest.json -- tool version, scenario, config hash
 
-The same config and seed produce byte-identical files, regardless of the
-worker count: sweep points are computed independently and aggregated by
+The same config produces byte-identical files, regardless of the worker
+count: sweep points are computed independently and aggregated by
 index, floats are written with repr(), and nothing records wall time.
 """
 
@@ -52,23 +52,16 @@ def physics_canonical_text(cfg: ExperimentConfig) -> str:
     return canonical_text(replace(cfg, workers=1, output_dir=""))
 
 
-def system_for(cfg: ExperimentConfig, couplings_ghz, n_photons: int | None = None,
-               lossless: bool | None = None):
+def system_for(cfg: ExperimentConfig, couplings_ghz, n_photons: int | None = None):
     """(layout, generator) for the given per-atom couplings (ordinary GHz)."""
     n_ph = cfg.n_photons if n_photons is None else n_photons
-    n_max = cfg.n_max if cfg.n_max > 0 else max(n_ph + 1, 1)
-    layout = fs.HilbertLayout(n_max=n_max, n_atoms=len(couplings_ghz))
-    drop_losses = cfg.lossless if lossless is None else lossless
-    kappa = 0.0 if drop_losses else mhz_to_angular(cfg.resolved_kappa_mhz)
-    gamma = 0.0 if drop_losses else mhz_to_angular(cfg.resolved_gamma_mhz)
-    delta = ghz_to_angular(cfg.detuning_ghz)
+    layout = fs.HilbertLayout(n_max=cfg.n_max_for(n_ph), n_atoms=len(couplings_ghz))
     params = SystemParams(
         omega_c=0.0,
-        omega_0=delta,
-        kappa=kappa,
-        gamma=gamma,
+        omega_0=ghz_to_angular(cfg.detuning_ghz),
+        kappa=mhz_to_angular(cfg.resolved_kappa_mhz),
+        gamma=mhz_to_angular(cfg.resolved_gamma_mhz),
         couplings=tuple(ghz_to_angular(g) for g in couplings_ghz),
-        frame=cfg.frame,
     )
     gen = build_generator(layout, params, dissipator_form=cfg.dissipator_form)
     return layout, gen
@@ -382,7 +375,6 @@ def run_scenario(cfg: ExperimentConfig, output_dir: str | None = None) -> RunRep
         "tool": "cavitysim",
         "version": __version__,
         "scenario": cfg.scenario,
-        "seed": cfg.seed,
         "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),
         "n_trajectories": len(traj_files),
     }

@@ -60,6 +60,8 @@ def test_run_writes_contracted_outputs(tmp_path, capsys):
     assert names == ["config.txt", "manifest.json", "summary.csv", "traj_custom.csv"]
     with open(os.path.join(out_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
+    assert sorted(manifest) == [
+        "config_sha256", "n_trajectories", "scenario", "tool", "version"]
     assert manifest["tool"] == "cavitysim"
     assert manifest["scenario"] == "custom"
     assert len(manifest["config_sha256"]) == 64
@@ -114,6 +116,14 @@ def test_validate_rejects_over_memory_config(tmp_path, capsys):
     assert "GB at peak" in capsys.readouterr().err
     ok = _write(tmp_path, 'scenario = "custom"\nn_atoms = 4\n', name="ok.cfg")
     assert main(["validate", ok]) == 0
+
+
+def test_removed_seed_option_is_a_usage_error(tmp_path):
+    cfg_path = _write(tmp_path, TINY_CUSTOM)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", cfg_path, "--seed", "1", "--output-dir", str(tmp_path / "x")])
+    assert exc.value.code == 1
+    assert not os.path.exists(tmp_path / "x")
 
 
 def test_workers_must_be_positive(tmp_path):

@@ -1,6 +1,11 @@
+import tomllib
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cavitysim import presets
+from cavitysim.cli import main
 from cavitysim.config import (
     ConfigError,
     SweepAxis,
@@ -21,7 +26,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.g_ghz == 9.0
     assert cfg.q_factor == 1.3e7
     assert cfg.detuning_ghz == 0.0                      # resonant
-    assert cfg.frame == "rotating_at_cavity"
     assert cfg.resolved_n_max == cfg.n_photons + 1      # one guard level
     assert cfg.resolved_kappa_mhz == pytest.approx(29.5653, rel=1e-4)
     assert cfg.resolved_gamma_mhz == presets.GAMMA_RB87_D2_MHZ
@@ -55,23 +59,39 @@ def test_missing_scenario():
 
 def test_duplicate_key_rejected():
     errors = _errors('scenario = "custom"\ng_ghz = 9.0\ng_ghz = 8.0\n')
-    assert any("duplicate key 'g_ghz'" in e for e in errors)
+    assert len(errors) == 1 and errors[0].startswith("line 3: ")
+
+
+@pytest.mark.parametrize("key", ["frame = \"lab\"", "seed = 5"])
+def test_removed_keys_are_unknown(key, tmp_path):
+    errors = _errors(f'scenario = "custom"\n{key}\n')
+    name = key.split()[0]
+    assert errors == [f"line 2: unknown key {name!r}"]
+    path = tmp_path / "cfg.toml"
+    path.write_text(f'scenario = "custom"\n{key}\n')
+    assert main(["validate", str(path)]) == 1
 
 
 def test_type_errors_name_the_key():
-    errors = _errors('scenario = "custom"\nworkers = 1.5\nlossless = 7\nframe = 3\n')
-    joined = "\n".join(errors)
-    assert "workers: expected an integer" in joined
-    assert "lossless: expected true or false" in joined
-    assert "frame: expected a quoted string" in joined
+    errors = _errors('scenario = "custom"\nworkers = 1.5\nlossless = 7\ndesign = 3\n')
+    assert errors == [
+        "line 2: workers: expected an integer, got 1.5",
+        "line 3: lossless: expected true or false, got 7",
+        "line 4: design: expected a quoted string, got 3",
+    ]
 
 
 def test_malformed_values():
-    errors = _errors('scenario = "custom"\ng_ghz = \nalpha = [1.0,\nt_end_ns = "x\n')
-    joined = "\n".join(errors)
-    assert "missing value" in joined
-    assert "unterminated list" in joined
-    assert "unterminated string" in joined
+    # tomllib stops at the first syntax error, so each config holds one
+    for text in (
+        'scenario = "custom"\ng_ghz = \n',                   # missing value
+        'scenario = "custom"\nalpha = [1.0,\n',               # unterminated list
+        'scenario = "custom"\nt_end_ns = "x\nalpha = 1.0\n',  # unterminated string
+        'scenario = "custom"\n[sweep.alpha\n',                # malformed header
+        'scenario = "custom"\ng_ghz 9.0\n',                   # no "="
+    ):
+        errors = _errors(text)
+        assert len(errors) == 1 and errors[0].startswith("line 2: "), (text, errors)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -150,11 +170,12 @@ def test_single_step_sweep_axis():
     "fig5_position_map", "n_atom_wstate", "custom",
 ])
 def test_canonical_round_trip(scenario):
-    cfg = parse_config(f'scenario = "{scenario}"\nseed = 99\n')
+    cfg = parse_config(f'scenario = "{scenario}"\nworkers = 3\n')
     text = canonical_text(cfg)
     assert parse_config(text) == cfg
-    # canonical text is itself canonical
+    # canonical text is itself canonical, and plain TOML for outside tools
     assert canonical_text(parse_config(text)) == text
+    assert tomllib.loads(text)["scenario"] == scenario
 
 
 def test_round_trip_preserves_overrides():
@@ -164,3 +185,38 @@ def test_round_trip_preserves_overrides():
     )
     cfg = parse_config(src)
     assert parse_config(canonical_text(cfg)) == cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+@example("C:\\runs\\new")
+@example('say "hi"')
+@example("tab\tline\nbreak\x7f")
+@example("\U00010000")
+def test_round_trip_any_output_dir(output_dir):
+    cfg = replace(parse_config('scenario = "custom"\n'), output_dir=output_dir)
+    assert parse_config(canonical_text(cfg)) == cfg
+
+
+def test_key_locations_in_sweep_tables():
+    errors = _errors(
+        'scenario = "fig5_position_map"\n\n[sweep.delta_x_nm]\nmin = 0.0\n'
+        'max = 1.0\nsteps = 0\nstep = 2\n[sweep.beta]\nmin = 0\n'
+    )
+    assert errors == [
+        "line 7: unknown sweep key 'step' (min/max/steps)",
+        "line 8: unknown sweep axis 'beta'; valid axes: delta_x_nm, delta_y_nm, alpha",
+        "line 6: sweep.delta_x_nm.steps: must be >= 1, got 0",
+    ]
+
+
+@pytest.mark.parametrize("scenario", ["fig3_two_atom", "fig4_correlations"])
+def test_two_photon_scenarios_need_n_max_2(scenario, tmp_path):
+    # both scenarios add two-photon runs whatever n_photons says
+    errors = _errors(f'scenario = "{scenario}"\nn_max = 1\n')
+    assert len(errors) == 1 and errors[0].startswith("line 2: n_max: ")
+    path = tmp_path / "cfg.toml"
+    path.write_text(f'scenario = "{scenario}"\nn_max = 1\n')
+    assert main(["validate", str(path)]) == 1
+    path.write_text(f'scenario = "{scenario}"\nn_max = 2\n')
+    assert main(["validate", str(path)]) == 0
