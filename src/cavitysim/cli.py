@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a scenario from a config file")
     run_p.add_argument("config", help="path to the config file")
-    run_p.add_argument("--workers", type=int, default=None, help="override worker count")
+    run_p.add_argument("--workers", type=int, default=None, help="accepted and ignored")
     run_p.add_argument(
         "--output-dir", default=None,
         help=f"override the output directory (default: ${ENV_OUTPUT_ROOT}/<scenario>)",

@@ -95,7 +95,7 @@ class ExperimentConfig:
     snapshot_stride: int = 0    # 0 -> store no snapshots
     observables: tuple = ("populations", "n_photon")
     resolution_nm: float = 5.0
-    workers: int = 1
+    workers: int = 1            # accepted and ignored
     output_dir: str = ""
     sweeps: tuple = ()          # of SweepAxis, sorted by name
 

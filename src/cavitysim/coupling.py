@@ -24,7 +24,7 @@ prediction; tests treat it accordingly.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -70,10 +70,16 @@ class FieldMap:
             raise ValueError(f"grid spacing must be positive, got {self.spacing_nm}")
         if np.any(self.de < 0) or np.any(self.total < 0):
             raise ValueError("densities must be non-negative")
-        if float(self.total.sum()) <= 0:
+        if self.total_sum <= 0:
             raise ValueError("total energy density integrates to zero")
         if self.lambda_nm <= 0:
             raise ValueError(f"lambda must be positive, got {self.lambda_nm}")
+
+    @cached_property
+    def total_sum(self) -> float:
+        """Sum of the total energy density over the grid (J/m^3), computed
+        once: the map's arrays are not modified after construction."""
+        return float(self.total.sum())
 
     @property
     def shape(self) -> tuple:
@@ -141,7 +147,7 @@ def global_mode_volume(fmap: FieldMap, refractive_index: float | None = None) ->
     peak = float(fmap.de.max())
     if peak <= 0:
         raise ValueError("D.E density is identically zero")
-    v_m3 = float(fmap.total.sum()) * fmap.cell_volume_m3() / peak
+    v_m3 = fmap.total_sum * fmap.cell_volume_m3() / peak
     return _volume_in_units(v_m3, fmap.lambda_nm, refractive_index)
 
 
@@ -157,7 +163,7 @@ def local_mode_volume(
         raise ZeroLocalDensityError(
             f"D.E vanishes at {tuple(r_nm)} nm; local mode volume is unbounded"
         )
-    v_m3 = float(fmap.total.sum()) * fmap.cell_volume_m3() / local
+    v_m3 = fmap.total_sum * fmap.cell_volume_m3() / local
     return _volume_in_units(v_m3, fmap.lambda_nm, refractive_index)
 
 

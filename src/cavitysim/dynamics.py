@@ -9,6 +9,12 @@ propagator is built per distinct step of the output grid, so a uniform
 grid costs one expm.  Trace is never renormalized: trace drift is a
 quality metric and the run fails if it exceeds `trace_tol`.
 
+Propagation is a sequential loop, but observables are not evaluated per
+step: the states are written into a chunk buffer of about CHUNK_BYTES,
+shape (c, d, d), and each full chunk is evaluated at once (the stacked
+diagnostics of `entanglement`).  The trace gate checks the whole chunk
+before anything is recorded and still names the first offending time.
+
 Time is in ns throughout; rates are angular (rad/ns).
 """
 
@@ -26,6 +32,16 @@ from .fockspace import HilbertLayout
 from .model import LindbladGenerator, liouvillian_matrix
 
 TRAJECTORY_SCHEMA = "cavitysim-trajectory-v1"
+
+# Size of the buffer of states that integrate() evaluates together.
+CHUNK_BYTES = 2**20
+# Rows that write_trajectory_csv converts to text together.
+CSV_BLOCK_ROWS = 1024
+
+
+def chunk_states(dim: int) -> int:
+    """Number of d x d complex states that fit in CHUNK_BYTES (at least 1)."""
+    return max(1, CHUNK_BYTES // (16 * dim * dim))
 
 
 class TooFewExtremaError(ValueError):
@@ -167,7 +183,12 @@ def integrate(
     atom) with sector normalization unless entropy_norm_dims overrides the
     per-letter values; concurrence is computed for the atom pairs given (all
     pairs by default).  No trace renormalization is applied; the run raises
-    IntegrationError if |tr rho - 1| exceeds trace_tol at any output time.
+    IntegrationError if |tr rho - 1| exceeds trace_tol at any output time,
+    naming the first such time.
+
+    States are evaluated a chunk of chunk_states(d) at a time; the chunk
+    size changes neither the observables nor the snapshots, which are
+    copied from each chunk at times[::snapshot_stride].
     """
     layout = gen.layout
     dim = layout.dim
@@ -213,43 +234,6 @@ def integrate(
     )
     obs = {name: np.empty(n_out) for name in column_order}
 
-    diag_idx = np.arange(dim) * (dim + 1)
-    nph_diag = np.real(np.diag(fs.number_operator(layout)))
-
-    store_every = snapshot_stride if snapshot_stride and snapshot_stride > 0 else 0
-    snap_list = []
-    snap_idx = []
-
-    vec = rho0.reshape(-1).astype(complex)
-
-    def record(k: int):
-        rho = vec.reshape(dim, dim)
-        diag = np.real(vec[diag_idx])
-        tr = float(diag.sum())
-        if not np.isfinite(tr) or abs(tr - 1.0) > trace_tol:
-            raise IntegrationError(
-                f"trace deviation {tr - 1.0:.3e} at t={times[k]:.6g} ns "
-                f"exceeds tolerance {trace_tol:g}"
-            )
-        if want_pops:
-            for name, val in zip(labels, diag):
-                obs[name][k] = val
-        if want_nph:
-            obs["n_photon"][k] = float(nph_diag @ diag)
-        for p in entropy_factors:
-            sub = ent.partial_trace(rho, layout, (p,))
-            obs[f"S_{subsystem_letter(p)}"][k] = ent.entropy_normalized(
-                sub, norm_dims[p]
-            )
-        for i, j in pairs:
-            sub = ent.partial_trace(rho, layout, (i, j))
-            obs[f"C_{subsystem_letter(i)}{subsystem_letter(j)}"][k] = ent.concurrence(sub)
-        for name, ket in projections.items():
-            obs[name][k] = float(np.real(ket.conj() @ rho @ ket))
-        if store_every and k % store_every == 0:
-            snap_list.append(rho.copy())
-            snap_idx.append(k)
-
     lossy = bool(gen.collapse_ops)
     if n_out > 1:
         steps = np.diff(times)
@@ -260,24 +244,75 @@ def integrate(
         # Liouvillian takes seconds already at N = 4.
         generator = liouvillian_matrix(gen) if lossy else -1j * gen.hamiltonian
         props = [expm(generator * dt) for dt in lengths]
+        props_dag = [u.conj().T for u in props]
 
-    record(0)
-    for k in range(1, n_out):
-        prop = props[step_class[k - 1]]
-        if lossy:
-            vec = prop @ vec
-        else:
-            vec = (prop @ vec.reshape(dim, dim) @ prop.conj().T).reshape(-1)
-        record(k)
+    diag_idx = np.arange(dim) * (dim + 1)
+    nph_diag = np.real(np.diag(fs.number_operator(layout)))
+    kets = np.array(list(projections.values()), dtype=complex).reshape(-1, dim)
 
-    snapshots = np.array(snap_list) if snap_list else None
-    indices = np.array(snap_idx, dtype=int) if snap_idx else None
+    snap_idx = snapshots = None
+    if snapshot_stride and snapshot_stride > 0:
+        snap_idx = np.arange(0, n_out, snapshot_stride)
+        snapshots = np.empty((snap_idx.size, dim, dim), dtype=complex)
+
+    def evaluate(chunk: np.ndarray, k0: int):
+        """Gate and record the states at output indices k0 .. k0 + len(chunk)."""
+        ks = slice(k0, k0 + len(chunk))
+        diag = np.real(chunk.reshape(len(chunk), -1)[:, diag_idx])
+        tr = diag.sum(axis=1)
+        bad = np.flatnonzero(~np.isfinite(tr) | (np.abs(tr - 1.0) > trace_tol))
+        if bad.size:
+            k = k0 + bad[0]
+            raise IntegrationError(
+                f"trace deviation {tr[bad[0]] - 1.0:.3e} at t={times[k]:.6g} ns "
+                f"exceeds tolerance {trace_tol:g}"
+            )
+        if want_pops:
+            for name, column in zip(labels, diag.T):
+                obs[name][ks] = column
+        if want_nph:
+            obs["n_photon"][ks] = diag @ nph_diag
+        for p in entropy_factors:
+            sub = ent.partial_trace_stack(chunk, layout, (p,))
+            obs[f"S_{subsystem_letter(p)}"][ks] = ent.entropy_normalized_stack(
+                sub, norm_dims[p]
+            )
+        for i, j in pairs:
+            sub = ent.partial_trace_stack(chunk, layout, (i, j))
+            obs[f"C_{subsystem_letter(i)}{subsystem_letter(j)}"][ks] = (
+                ent.concurrence_stack(sub)
+            )
+        if kets.size:
+            values = np.real(np.sum((kets.conj() @ chunk) * kets, axis=-1))
+            for name, column in zip(projections, values.T):
+                obs[name][ks] = column
+        if snapshots is not None:
+            inside = (snap_idx >= k0) & (snap_idx < ks.stop)
+            snapshots[inside] = chunk[snap_idx[inside] - k0]
+
+    # A buffer of fixed size, not the whole (T, d, d) stack: memory must not
+    # grow with the output grid.
+    buf = np.empty((min(n_out, chunk_states(dim)), dim, dim), dtype=complex)
+    rho = rho0
+    k0 = 0
+    for k in range(n_out):
+        if k:
+            c = step_class[k - 1]
+            if lossy:
+                rho = (props[c] @ rho.reshape(-1)).reshape(dim, dim)
+            else:
+                rho = props[c] @ rho @ props_dag[c]
+        buf[k - k0] = rho
+        if k - k0 + 1 == len(buf) or k == n_out - 1:
+            evaluate(buf[: k - k0 + 1], k0)
+            k0 = k + 1
+
     return Trajectory(
         layout=layout,
         times=times,
         observables=obs,
         snapshots=snapshots,
-        snapshot_indices=indices,
+        snapshot_indices=snap_idx,
         column_order=column_order,
     )
 
@@ -401,10 +436,13 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
     cols = traj.column_order
     fh.write(f"# schema: {TRAJECTORY_SCHEMA}\n")
     fh.write(",".join(["time_ns"] + cols) + "\n")
-    for k, t in enumerate(traj.times):
-        row = [repr(float(t))]
-        row += [repr(float(traj.observables[c][k])) for c in cols]
-        fh.write(",".join(row) + "\n")
+    arrays = [traj.times] + [traj.observables[c] for c in cols]
+    # Columns become Python floats a block of rows at a time: whole-column
+    # lists of a long trajectory would cost megabytes of peak memory.
+    for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
+        columns = [a[start:start + CSV_BLOCK_ROWS].tolist() for a in arrays]
+        for row in zip(*columns):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:

@@ -23,8 +23,9 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def partial_trace(rho: np.ndarray, layout: HilbertLayout, keep) -> np.ndarray:
-    """Reduced density matrix on the kept factors (in the order given).
+def partial_trace_stack(rhos: np.ndarray, layout: HilbertLayout, keep) -> np.ndarray:
+    """Reduced density matrices on the kept factors (in the order given) of a
+    stack of states, shape (n, d, d) -> (n, d_keep, d_keep).
 
     keep is a sequence of factor positions (0 = photon, i = atom i).
     """
@@ -39,9 +40,12 @@ def partial_trace(rho: np.ndarray, layout: HilbertLayout, keep) -> np.ndarray:
             f"keep {keep} outside valid factor positions 0..{n_factors - 1}"
         )
     dims = layout.factor_dims()
-    if rho.shape != (layout.dim, layout.dim):
-        raise ValueError(f"rho shape {rho.shape} does not match layout dim {layout.dim}")
+    if rhos.ndim != 3 or rhos.shape[1:] != (layout.dim, layout.dim):
+        raise ValueError(
+            f"rho stack shape {rhos.shape} does not match layout dim {layout.dim}"
+        )
 
+    # index letters: "z" is the stack, the factors take a, b, ...
     letters = string.ascii_lowercase
     ket = list(letters[:n_factors])
     bra = list(ket)
@@ -52,37 +56,58 @@ def partial_trace(rho: np.ndarray, layout: HilbertLayout, keep) -> np.ndarray:
         nxt += 1
         out_ket.append(ket[p])
         out_bra.append(bra[p])
-    spec = "".join(ket) + "".join(bra) + "->" + "".join(out_ket) + "".join(out_bra)
-    reduced = np.einsum(spec, rho.reshape(dims + dims))
+    spec = (
+        "z" + "".join(ket) + "".join(bra)
+        + "->z" + "".join(out_ket) + "".join(out_bra)
+    )
+    reduced = np.einsum(spec, rhos.reshape((len(rhos),) + dims + dims))
     d_keep = int(np.prod([dims[p] for p in keep]))
-    return reduced.reshape(d_keep, d_keep)
+    return reduced.reshape(len(rhos), d_keep, d_keep)
 
 
-def _clamped_spectrum(rho: np.ndarray) -> np.ndarray:
-    evals = np.linalg.eigvalsh(rho)
-    if evals[0] < -EIGENVALUE_CLAMP_TOL:
+def partial_trace(rho: np.ndarray, layout: HilbertLayout, keep) -> np.ndarray:
+    """Reduced density matrix of one state; see partial_trace_stack."""
+    if rho.shape != (layout.dim, layout.dim):
+        raise ValueError(f"rho shape {rho.shape} does not match layout dim {layout.dim}")
+    return partial_trace_stack(rho[None], layout, keep)[0]
+
+
+def _check_min_eigenvalues(evals: np.ndarray) -> None:
+    """Raise on the first state of a stack whose smallest eigenvalue is
+    below -EIGENVALUE_CLAMP_TOL (evals ascending along the last axis)."""
+    bad = np.flatnonzero(evals[:, 0] < -EIGENVALUE_CLAMP_TOL)
+    if bad.size:
         raise ValueError(
-            f"density matrix eigenvalue {evals[0]:.3e} below -{EIGENVALUE_CLAMP_TOL:g}; "
-            "input is not (numerically) positive semidefinite"
+            f"density matrix eigenvalue {evals[bad[0], 0]:.3e} below "
+            f"-{EIGENVALUE_CLAMP_TOL:g}; input is not positive semidefinite"
         )
-    return np.clip(evals, 0.0, 1.0)
 
 
-def entropy_normalized(rho_sub: np.ndarray, norm_dim: int) -> float:
-    """Von Neumann entropy -sum(l ln l) / ln(norm_dim), in [0, 1].
+def entropy_normalized_stack(rho_subs: np.ndarray, norm_dim: int) -> np.ndarray:
+    """Von Neumann entropies -sum(l ln l) / ln(norm_dim), in [0, 1], of a
+    stack of states, shape (n, k, k) -> (n,).
 
     Eigenvalues are clamped to [0, 1] (0 ln 0 := 0); see module notes on the
     clamping tolerance.
     """
     if norm_dim < 2:
         raise ValueError(f"norm_dim must be >= 2, got {norm_dim}")
-    evals = _clamped_spectrum(rho_sub)
-    pos = evals[evals > 0.0]
-    return float(-np.sum(pos * np.log(pos)) / np.log(norm_dim))
+    evals = np.linalg.eigvalsh(rho_subs)
+    _check_min_eigenvalues(evals)
+    evals = np.clip(evals, 0.0, 1.0)
+    # 1 ln 1 = 0 stands in for the clamped zeros
+    safe = np.where(evals > 0.0, evals, 1.0)
+    return -np.sum(safe * np.log(safe), axis=-1) / np.log(norm_dim)
 
 
-def concurrence(rho_two_qubit: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def entropy_normalized(rho_sub: np.ndarray, norm_dim: int) -> float:
+    """Normalized von Neumann entropy of one state; see entropy_normalized_stack."""
+    return float(entropy_normalized_stack(rho_sub[None], norm_dim)[0])
+
+
+def concurrence_stack(rhos: np.ndarray) -> np.ndarray:
+    """Wootters concurrences of a stack of two-qubit density matrices,
+    shape (n, 4, 4) -> (n,).
 
     With rho_tilde = (sy x sy) rho* (sy x sy), the lambda_i are the ordered
     square roots of the eigenvalues of rho @ rho_tilde (equivalently the
@@ -93,22 +118,30 @@ def concurrence(rho_two_qubit: np.ndarray) -> float:
     eigenvalues, singular values of the near-singular B keep full absolute
     accuracy, which pure states (rank-1 B) need.
     """
+    rhos = np.asarray(rhos)
+    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
+        raise ValueError(
+            f"concurrence needs 4x4 two-qubit states, got {rhos.shape[1:]}"
+        )
+    herm_dev = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2))
+    bad = np.flatnonzero(herm_dev > 1e-8)
+    if bad.size:
+        raise ValueError(f"input not Hermitian (deviation {herm_dev[bad[0]]:.3e})")
+    evals_rho, vecs = np.linalg.eigh(rhos)
+    _check_min_eigenvalues(evals_rho)
+    roots = np.sqrt(np.clip(evals_rho, 0.0, None))
+    sqrt_rho = (vecs * roots[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    b = sqrt_rho @ _SY_SY @ sqrt_rho.conj()
+    lam = np.linalg.svd(b, compute_uv=False)
+    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+
+
+def concurrence(rho_two_qubit: np.ndarray) -> float:
+    """Wootters concurrence of one two-qubit state; see concurrence_stack."""
     rho = np.asarray(rho_two_qubit)
     if rho.shape != (4, 4):
         raise ValueError(f"concurrence needs a 4x4 two-qubit state, got {rho.shape}")
-    herm_dev = np.max(np.abs(rho - rho.conj().T))
-    if herm_dev > 1e-8:
-        raise ValueError(f"input not Hermitian (deviation {herm_dev:.3e})")
-    evals_rho, vecs = np.linalg.eigh(rho)
-    if evals_rho[0] < -EIGENVALUE_CLAMP_TOL:
-        raise ValueError(
-            f"density matrix eigenvalue {evals_rho[0]:.3e} below "
-            f"-{EIGENVALUE_CLAMP_TOL:g}; input is not positive semidefinite"
-        )
-    sqrt_rho = (vecs * np.sqrt(np.clip(evals_rho, 0.0, None))) @ vecs.conj().T
-    b = sqrt_rho @ _SY_SY @ sqrt_rho.conj()
-    lam = np.linalg.svd(b, compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(concurrence_stack(rho[None])[0])
 
 
 def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:

@@ -8,15 +8,16 @@ Output contract (per run directory):
   summary.csv   -- name,value rows of derived scalars
   manifest.json -- tool version, scenario, config hash
 
-The same config produces byte-identical files, regardless of the worker
-count: sweep points are computed independently and aggregated by
-index, floats are written with repr(), and nothing records wall time.
+The same config produces byte-identical files: sweep points are computed
+in order, floats are written with repr(), and nothing records wall time.
+The `workers` field is accepted and ignored; each trajectory evaluates its
+observables over stacks of states, so there is nothing left to spread over
+threads.
 """
 
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -237,23 +238,10 @@ def _run_fig5(cfg: ExperimentConfig):
     points = [(i, j, float(dx), float(dy))
               for i, dx in enumerate(dxs) for j, dy in enumerate(dys)]
 
-    results: list = [None] * len(points)
-
-    def work(k):
-        i, j, dx, dy = points[k]
-        alpha, traj = _fig5_point(cfg, fmap, r1, dx, dy)
-        results[k] = (i, j, dx, dy, alpha, traj)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(work, range(len(points))))
-    else:
-        for k in range(len(points)):
-            work(k)
-
     runs = {}
     rows = []
-    for i, j, dx, dy, alpha, traj in results:
+    for i, j, dx, dy in points:
+        alpha, traj = _fig5_point(cfg, fmap, r1, dx, dy)
         runs[f"dx{i:02d}_dy{j:02d}"] = traj
         rows.append(
             {

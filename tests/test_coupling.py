@@ -281,3 +281,12 @@ def test_map_design_targets_consistent_with_formula():
     assert g == pytest.approx(TWO_PI * 9e9, rel=1e-12)
     with pytest.raises(ValueError):
         cp.map_design_targets("D9")
+
+
+def test_total_sum_is_cached_and_exact(d1_map):
+    assert d1_map.total_sum == float(d1_map.total.sum())
+    assert "total_sum" in vars(d1_map)  # computed once, then kept
+    r = (-presets.LATTICE_NM, 0.0, 0.0)
+    local = cp.interpolate_density(d1_map, d1_map.de, r)
+    expected = float(d1_map.total.sum()) * d1_map.cell_volume_m3() / local
+    assert cp.local_mode_volume(d1_map, r).m3 == expected

@@ -280,3 +280,72 @@ def test_validate_density_matrix_rejects_bad_inputs():
         dyn.validate_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError):
         dyn.validate_density_matrix(np.diag([1.5, -0.5]))
+
+
+def test_chunk_holds_about_one_mebibyte():
+    assert dyn.chunk_states(12) == 2**20 // (16 * 144)
+    assert dyn.chunk_states(4096) == 1
+
+
+def _two_atom_observables_run(**kwargs):
+    lay, gen = _gen(2, (G, 0.6 * G), kappa=0.19, gamma=0.04)
+    gv = analytic.CouplingVector((G, 0.6 * G))
+    chi0, chi1 = analytic.single_excitation_states(lay, gv)
+    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "gg"))
+    return dyn.integrate(
+        gen, rho0, np.linspace(0.0, 0.3, 62),
+        track=("populations", "n_photon", "entropies", "concurrence"),
+        projections={"P_chi0": chi0, "P_chi1": chi1},
+        **kwargs,
+    )
+
+
+def test_chunked_run_equals_one_chunk(monkeypatch):
+    one = _two_atom_observables_run(snapshot_stride=3)
+    assert dyn.chunk_states(12) >= 62  # the reference fits one chunk
+    # 7 states per chunk: 62 outputs span 9 chunks, the last one partial,
+    # and the snapshot stride 3 does not divide the chunk size
+    monkeypatch.setattr(dyn, "CHUNK_BYTES", 7 * 16 * 12 * 12)
+    assert dyn.chunk_states(12) == 7
+    many = _two_atom_observables_run(snapshot_stride=3)
+    assert many.column_order == one.column_order
+    for name in one.column_order:
+        assert np.array_equal(many.series(name), one.series(name)), name
+    assert np.array_equal(many.snapshot_indices, np.arange(0, 62, 3))
+    assert np.array_equal(many.snapshot_indices, one.snapshot_indices)
+    assert np.array_equal(many.snapshots, one.snapshots)
+
+
+def test_trace_gate_names_first_time_in_a_later_chunk(monkeypatch):
+    # the literal dissipator's trace deviation first exceeds 0.5 at t = 13 ns
+    lay = HilbertLayout(n_max=1, n_atoms=1)
+    p = SystemParams(omega_c=0.0, omega_0=0.0, kappa=0.19, gamma=0.0, couplings=(G,))
+    gen = model.build_generator(lay, p, dissipator_form=model.DISSIPATOR_LITERAL)
+    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
+    ts = np.linspace(0.0, 50.0, 51)
+    with pytest.raises(dyn.IntegrationError) as one:
+        dyn.integrate(gen, rho0, ts, trace_tol=0.5)
+    assert "at t=13 ns" in str(one.value)
+    # 5 states per chunk: t = 13 ns is the fourth state of the third chunk
+    monkeypatch.setattr(dyn, "CHUNK_BYTES", 5 * 16 * lay.dim**2)
+    with pytest.raises(dyn.IntegrationError) as chunked:
+        dyn.integrate(gen, rho0, ts, trace_tol=0.5)
+    assert str(chunked.value) == str(one.value)
+
+
+def _per_cell_csv(traj):
+    """The per-cell CSV writer the column-wise one replaced, as a reference."""
+    lines = [f"# schema: {dyn.TRAJECTORY_SCHEMA}",
+             ",".join(["time_ns"] + traj.column_order)]
+    for k, t in enumerate(traj.times):
+        row = [repr(float(t))]
+        row += [repr(float(traj.observables[c][k])) for c in traj.column_order]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_matches_per_cell_reference(monkeypatch):
+    traj = _two_atom_observables_run()
+    assert dyn.trajectory_csv_text(traj) == _per_cell_csv(traj)
+    monkeypatch.setattr(dyn, "CSV_BLOCK_ROWS", 5)  # 62 rows: 13 blocks
+    assert dyn.trajectory_csv_text(traj) == _per_cell_csv(traj)

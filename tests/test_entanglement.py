@@ -228,3 +228,67 @@ def test_peak_concurrence_matches_closed_form(alpha):
 def test_splitting_and_fidelity_bounds(alpha):
     assert 0.0 < ent.splitting_magnitude(alpha) < 1.0
     assert 1 / np.sqrt(2) < ent.entanglement_fidelity_alpha(alpha) < 1.0
+
+
+def _stack_of_states(dim, rng, count=12):
+    """Pure, rank-deficient mixed and full-rank states of one dimension."""
+    states = [dyn.pure_state_density(random_pure_state(dim, rng)) for _ in range(4)]
+    states += [random_density_matrix(dim, rng, rank=r)
+               for r in rng.integers(2, max(3, dim), size=count - 8)]
+    states += [random_density_matrix(dim, rng) for _ in range(4)]
+    return np.array(states)
+
+
+@pytest.mark.parametrize("n_max,n_atoms", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)])
+def test_stacked_diagnostics_match_scalar_loop(n_max, n_atoms, rng):
+    lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
+    rhos = _stack_of_states(lay.dim, rng)
+    keeps = [(p,) for p in range(n_atoms + 1)]
+    keeps += [(1, 2), (2, 1), (0, 1)] if n_atoms >= 2 else []
+    for keep in keeps:
+        subs = ent.partial_trace_stack(rhos, lay, keep)
+        loop = np.array([ent.partial_trace(r, lay, keep) for r in rhos])
+        assert subs.shape == loop.shape
+        assert np.max(np.abs(subs - loop)) <= 1e-14
+        if len(keep) == 1:
+            stacked = ent.entropy_normalized_stack(subs, 2)
+            loop = [ent.entropy_normalized(s, 2) for s in subs]
+            assert np.max(np.abs(stacked - loop)) <= 1e-14
+        elif 0 not in keep:
+            stacked = ent.concurrence_stack(subs)
+            loop = [ent.concurrence(s) for s in subs]
+            assert np.max(np.abs(stacked - loop)) <= 1e-14
+
+
+def _raised(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_stacked_diagnostics_raise_the_scalar_errors(rng):
+    lay = HilbertLayout(n_max=1, n_atoms=2)
+    rhos = _stack_of_states(lay.dim, rng)
+    for keep in [(1, 1), (3,), ()]:
+        assert _raised(ent.partial_trace_stack, rhos, lay, keep) == _raised(
+            ent.partial_trace, rhos[0], lay, keep
+        )
+
+    negative = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+    nonherm = np.eye(4) / 4 + 1e-4 * np.array([[0, 1, 0, 0]] + [[0] * 4] * 3)
+    two_qubit = _stack_of_states(4, rng)
+    for bad in (negative, nonherm):
+        stack = two_qubit.copy()
+        stack[5] = bad
+        assert _raised(ent.concurrence_stack, stack) == _raised(ent.concurrence, bad)
+
+    qubit = np.array([ent.partial_trace(r, lay, (1,)) for r in rhos])
+    bad = np.diag([1.2, -0.2]).astype(complex)
+    stack = qubit.copy()
+    stack[7] = bad
+    assert _raised(ent.entropy_normalized_stack, stack, 2) == _raised(
+        ent.entropy_normalized, bad, 2
+    )
+    assert _raised(ent.entropy_normalized_stack, qubit, 1) == _raised(
+        ent.entropy_normalized, qubit[0], 1
+    )

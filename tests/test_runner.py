@@ -1,9 +1,13 @@
+import ast
+import filecmp
+import inspect
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cavitysim import dynamics as dyn, fockspace as fs, model
+from cavitysim import dynamics as dyn, fockspace as fs, model, runner
 from cavitysim.config import parse_config
 from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
@@ -93,3 +97,27 @@ def test_rabi_frequency_fft_cross_check():
     f_extrema = dyn.rabi_frequency(traj, "pop_0e")
     assert f_extrema == pytest.approx(f_fft, rel=0.01)
     assert f_extrema == pytest.approx(g / np.pi, rel=1e-4)
+
+
+def test_fig5_workers_is_a_no_op(tmp_path):
+    cfg = parse_config(
+        'scenario = "fig5_position_map"\ndesign = "D3"\n'
+        "[sweep.delta_x_nm]\nmin = 0.0\nmax = 53.0\nsteps = 2\n"
+        "[sweep.delta_y_nm]\nmin = 0.0\nmax = 20.0\nsteps = 2\n"
+    )
+    out1, out4 = str(tmp_path / "w1"), str(tmp_path / "w4")
+    run_scenario(replace(cfg, workers=1), output_dir=out1)
+    run_scenario(replace(cfg, workers=4), output_dir=out4)
+    files = sorted(os.listdir(out1))
+    assert sorted(os.listdir(out4)) == files
+    assert len(files) == 4 + 4  # four trajectories, map, summary, config, manifest
+    match, mismatch, errors = filecmp.cmpfiles(out1, out4, files, shallow=False)
+    assert not mismatch and not errors
+
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(runner))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert not any(name.startswith("concurrent") for name in imported)
