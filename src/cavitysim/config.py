@@ -5,7 +5,8 @@ A config is TOML limited to top-level `key = value` pairs plus optional
 the checks are deliberately strict: unknown keys, sections, sweep axes and
 sweep keys, bad types and out-of-range values are hard errors carrying the
 line number, so a typo in a physics parameter cannot silently run with a
-default.  So is a run whose propagation would not fit in physical memory.
+default.  So is a run whose propagation, or whose synthetic field map,
+would not fit in physical memory.
 All such problems are reported together; a TOML syntax error stops the
 parse, so syntax errors are reported one at a time.  Every omitted key is
 filled from the scenario's defaults at parse time, and `canonical_text`
@@ -31,7 +32,7 @@ import re
 import tomllib
 from dataclasses import dataclass, replace
 
-from . import presets
+from . import coupling, presets
 from .model import DISSIPATOR_FORMS, DISSIPATOR_TRACE_PRESERVING
 
 SCENARIOS = (
@@ -202,6 +203,13 @@ def _propagation_log2_bytes(cfg: ExperimentConfig) -> float:
     if cfg.resolved_kappa_mhz > 0 or cfg.resolved_gamma_mhz > 0:
         return math.log2(8 * 16) + 4 * log2_dim
     return math.log2(16 * 16) + 2 * log2_dim
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the OS does not report it."""
+    if not hasattr(os, "sysconf"):
+        return None
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _is_int(v) -> bool:
@@ -408,13 +416,18 @@ def parse_config(text: str) -> ExperimentConfig:
         check(cfg.design in ("D1", "D3"), "design",
               "fig5_position_map needs a synthetic map (designs D1 or D3)")
 
-    if not errors and hasattr(os, "sysconf"):
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = _physical_memory()
+    if not errors and memory:
         need = _propagation_log2_bytes(cfg)
         gb = 2.0**need / 1e9 if need < 1000 else math.inf
         check(need <= math.log2(memory), "n_atoms",
               f"propagation needs about {gb:.3g} GB at peak, more than the "
               f"{memory / 1e9:.3g} GB of physical memory")
+        if cfg.scenario == "fig5_position_map":
+            map_bytes = coupling.synth_peak_bytes(cfg.resolution_nm)
+            check(map_bytes <= memory, "resolution_nm",
+                  f"the synthetic field map needs about {map_bytes / 1e9:.3g} GB "
+                  f"at peak, more than the {memory / 1e9:.3g} GB of physical memory")
 
     if errors:
         raise ConfigError(errors)

@@ -33,6 +33,9 @@ from . import presets
 from .units import EPSILON_0, HBAR, SPEED_OF_LIGHT, TWO_PI
 
 SYNTH_RESOLUTION_RANGE = (0.5, 5.0)  # nm
+# Peak bytes per grid node while synth_fieldmap builds a map.  Traced at
+# 2.13 float64 arrays (de, total and FieldMap's sign check); rounded up to 3.
+SYNTH_PEAK_BYTES_PER_NODE = 24
 
 
 class FieldMapFormatError(ValueError):
@@ -427,6 +430,7 @@ def map_design_targets(design: str) -> MapDesignTargets:
 _HALF_X = 1600.0
 _HALF_Y = 270.0
 _HALF_Z = 170.0
+_HALF_EXTENTS = (_HALF_X, _HALF_Y, _HALF_Z)
 _FINE = 0.5  # nm; 1-D quadrature step used during shape calibration
 
 # D1 profile geometry (y plateau band and z slab, nm)
@@ -571,36 +575,56 @@ def _d3_density(xs, ys, zs):
         standing = (1.0 - _D3_BETA) + _D3_BETA * np.cos(np.pi * x / a) ** 2
         return standing * np.exp(-0.5 * (x / _D3_SXE) ** 2)
 
+    # Built in place: u holds the first lobe, and one temporary takes the
+    # second lobe and then the background.  The sum is bg + (lobe1 + lobe2)
+    # bit for bit, since floating-point addition commutes.
+    shape = (xs.size, ys.size, zs.size)
+    u = np.empty(shape)
+    tmp = np.empty(shape)
+    ly_prof = np.exp(-0.5 * (ys / ly) ** 2)[None, :, None]
+    lz = np.exp(-0.5 * (zs / _D3_LOBE_LZ) ** 2)[None, None, :]
+    for out, sx_center in ((u, -a), (tmp, a)):
+        lx_prof = (1.0 - p) * np.exp(-0.5 * ((xs - sx_center) / lx) ** 2)
+        np.multiply(lx_prof[:, None, None] * ly_prof, lz, out=out)
+    u += tmp
     xb_a = float(xb(np.array([a]))[0])
-    bg = (
+    np.multiply(
         (p / xb_a)
         * xb(xs)[:, None, None]
-        * _flat_top(ys, _D3_YB_HALF, _D3_YB_TAIL)[None, :, None]
-        * _flat_top(zs, _D3_ZB_HALF, _D3_ZB_TAIL)[None, None, :]
+        * _flat_top(ys, _D3_YB_HALF, _D3_YB_TAIL)[None, :, None],
+        _flat_top(zs, _D3_ZB_HALF, _D3_ZB_TAIL)[None, None, :],
+        out=tmp,
     )
-    lz = np.exp(-0.5 * (zs / _D3_LOBE_LZ) ** 2)
-    lobes = np.zeros_like(bg)
-    for sx_center in (-a, a):
-        lobes += (
-            (1.0 - p)
-            * np.exp(-0.5 * ((xs - sx_center) / lx) ** 2)[:, None, None]
-            * np.exp(-0.5 * (ys / ly) ** 2)[None, :, None]
-            * lz[None, None, :]
-        )
-    u = bg + lobes
+    u += tmp
     # Tip-surface hot spots: flat-topped boxes carrying the global maximum,
     # placed off the z = 0 sweep plane.  max() keeps probe points clean.
+    # Each ridge is exactly 0.0 (and u >= 0) outside the index box where
+    # all three factors are non-zero, so it is applied on that box only.
     hx, hy, hz = _D3_RIDGE_HALF
+    fz = _flat_top(zs - _D3_RIDGE_Z, hz, _D3_RIDGE_SIGMA)
     for cx in (-a, a):
+        fx = ratio_m * _flat_top(xs - cx, hx, _D3_RIDGE_SIGMA)
         for cy in (-_D3_RIDGE_Y, _D3_RIDGE_Y):
+            fy = _flat_top(ys - cy, hy, _D3_RIDGE_SIGMA)
+            box = tuple(_support(f) for f in (fx, fy, fz))
             ridge = (
-                ratio_m
-                * _flat_top(xs - cx, hx, _D3_RIDGE_SIGMA)[:, None, None]
-                * _flat_top(ys - cy, hy, _D3_RIDGE_SIGMA)[None, :, None]
-                * _flat_top(zs - _D3_RIDGE_Z, hz, _D3_RIDGE_SIGMA)[None, None, :]
+                fx[box[0], None, None] * fy[None, box[1], None] * fz[None, None, box[2]]
             )
-            np.maximum(u, ridge, out=u)
+            np.maximum(u[box], ridge, out=u[box])
     return u
+
+
+def _support(f: np.ndarray) -> slice:
+    """Smallest index range holding every non-zero entry of a 1-D profile."""
+    nz = np.flatnonzero(f)
+    return slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
+
+
+def synth_peak_bytes(resolution_nm: float) -> int:
+    """Estimated peak bytes of synth_fieldmap at this resolution (either
+    design), from the grid it would build; allocates no grid."""
+    nodes = math.prod(_axis_ticks(h, resolution_nm).size for h in _HALF_EXTENTS)
+    return SYNTH_PEAK_BYTES_PER_NODE * nodes
 
 
 def synth_fieldmap(design: str, resolution_nm: float = 5.0) -> FieldMap:
@@ -612,15 +636,18 @@ def synth_fieldmap(design: str, resolution_nm: float = 5.0) -> FieldMap:
     the calibration targets to well under the generator tolerance used in
     tests.  Total energy density is taken as twice the electric part
     (equipartition).
+
+    The map is built in place: the density grid is scaled into `de`, and
+    each of D3's tip ridges is applied only on its support, the index box
+    where it is non-zero.  The build peaks at about two grid arrays
+    (`synth_peak_bytes`).
     """
     lo, hi = SYNTH_RESOLUTION_RANGE
     if not lo <= resolution_nm <= hi:
         raise ValueError(
             f"resolution must be in [{lo}, {hi}] nm, got {resolution_nm}"
         )
-    xs = _axis_ticks(_HALF_X, resolution_nm)
-    ys = _axis_ticks(_HALF_Y, resolution_nm)
-    zs = _axis_ticks(_HALF_Z, resolution_nm)
+    xs, ys, zs = (_axis_ticks(h, resolution_nm) for h in _HALF_EXTENTS)
     if design == "D1":
         u = _d1_density(xs, ys, zs)
     elif design == "D3":
@@ -631,10 +658,10 @@ def synth_fieldmap(design: str, resolution_nm: float = 5.0) -> FieldMap:
     omega_c = TWO_PI * SPEED_OF_LIGHT / (presets.LAMBDA_NM * 1e-9)
     cell = resolution_nm**3 * 1e-27
     scale = HBAR * omega_c / (2.0 * float(u.sum()) * cell)
-    de = scale * u
+    u *= scale
     return FieldMap(
-        de=de,
-        total=2.0 * de,
+        de=u,
+        total=2.0 * u,
         spacing_nm=(resolution_nm,) * 3,
         origin_nm=(float(xs[0]), float(ys[0]), float(zs[0])),
         lambda_nm=presets.LAMBDA_NM,

@@ -207,7 +207,7 @@ def integrate(
     want_pops = "populations" in track
     want_nph = "n_photon" in track
 
-    n_exc = int(round(float(np.real(np.trace(fs.excitation_number(layout) @ rho0)))))
+    n_exc = int(round(float(fs.excitation_number_diagonal(layout) @ np.real(np.diag(rho0)))))
     entropy_factors = list(range(layout.n_atoms + 1)) if "entropies" in track else []
     norm_dims = {}
     for p in entropy_factors:
@@ -247,7 +247,7 @@ def integrate(
         props_dag = [u.conj().T for u in props]
 
     diag_idx = np.arange(dim) * (dim + 1)
-    nph_diag = np.real(np.diag(fs.number_operator(layout)))
+    nph_diag = fs.photon_number_diagonal(layout).astype(float)
     kets = np.array(list(projections.values()), dtype=complex).reshape(-1, dim)
 
     snap_idx = snapshots = None

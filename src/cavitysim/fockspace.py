@@ -126,10 +126,25 @@ def creation(layout: HilbertLayout) -> np.ndarray:
     return annihilation(layout).conj().T
 
 
+def photon_number_diagonal(layout: HilbertLayout) -> np.ndarray:
+    """Photon number of each basis state (the diagonal of a^dag a).
+
+    The photon index is the major one, so it is the basis index shifted
+    past the N atom bits."""
+    return np.arange(layout.dim) >> layout.n_atoms
+
+
+def excitation_number_diagonal(layout: HilbertLayout) -> np.ndarray:
+    """Excitations of each basis state: photons plus excited atoms, the
+    diagonal of a^dag a + sum_i sigma_i^dag sigma_i."""
+    atoms = np.arange(layout.dim) & (2**layout.n_atoms - 1)
+    excited = sum((atoms >> i) & 1 for i in range(layout.n_atoms))
+    return photon_number_diagonal(layout) + excited
+
+
 def number_operator(layout: HilbertLayout) -> np.ndarray:
     """a^dag a embedded on the full space."""
-    a = photon_annihilation_block(layout.n_max)
-    return _embed(layout, {0: a.conj().T @ a})
+    return np.diag(photon_number_diagonal(layout).astype(complex))
 
 
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # sigma|e> = |g>
@@ -155,10 +170,7 @@ def atom_sigma_z(layout: HilbertLayout, i: int) -> np.ndarray:
 
 def excitation_number(layout: HilbertLayout) -> np.ndarray:
     """Total excitation operator a^dag a + sum_i sigma_i^dag sigma_i."""
-    n_ex = number_operator(layout)
-    for i in range(1, layout.n_atoms + 1):
-        n_ex = n_ex + _embed(layout, {i: SIGMA_MINUS.conj().T @ SIGMA_MINUS})
-    return n_ex
+    return np.diag(excitation_number_diagonal(layout).astype(complex))
 
 
 def basis_state(layout: HilbertLayout, n_photons: int, pattern) -> np.ndarray:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cavitysim import config
 from cavitysim.cli import main
 from cavitysim.config import parse_config
 from cavitysim.runner import run_scenario
@@ -115,6 +116,25 @@ def test_validate_rejects_over_memory_config(tmp_path, capsys):
     assert peak < 10e6
     assert "GB at peak" in capsys.readouterr().err
     ok = _write(tmp_path, 'scenario = "custom"\nn_atoms = 4\n', name="ok.cfg")
+    assert main(["validate", ok]) == 0
+
+
+def test_validate_rejects_field_map_over_memory(tmp_path, capsys, monkeypatch):
+    # a fixed 8 GB host: at 0.5 nm the map grid has 6401 x 1081 x 681 nodes
+    monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 10**9)
+    fine = _write(tmp_path, 'scenario = "fig5_position_map"\nresolution_nm = 0.5\n',
+                  name="fine.cfg")
+    tracemalloc.start()
+    try:
+        assert main(["validate", fine]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    err = capsys.readouterr().err
+    assert "line 2: resolution_nm:" in err and "field map" in err
+    ok = _write(tmp_path, 'scenario = "fig5_position_map"\nresolution_nm = 5.0\n',
+                name="ok.cfg")
     assert main(["validate", ok]) == 0
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,3 +291,76 @@ def test_total_sum_is_cached_and_exact(d1_map):
     local = cp.interpolate_density(d1_map, d1_map.de, r)
     expected = float(d1_map.total.sum()) * d1_map.cell_volume_m3() / local
     assert cp.local_mode_volume(d1_map, r).m3 == expected
+
+
+def _d3_density_reference(xs, ys, zs):
+    """The full-grid D3 construction the in-place one must reproduce bit for bit."""
+    p, lx, ly, ratio_m = cp._d3_shape()
+    a = presets.LATTICE_NM
+
+    def xb(x):
+        standing = (1.0 - cp._D3_BETA) + cp._D3_BETA * np.cos(np.pi * x / a) ** 2
+        return standing * np.exp(-0.5 * (x / cp._D3_SXE) ** 2)
+
+    xb_a = float(xb(np.array([a]))[0])
+    bg = (
+        (p / xb_a)
+        * xb(xs)[:, None, None]
+        * cp._flat_top(ys, cp._D3_YB_HALF, cp._D3_YB_TAIL)[None, :, None]
+        * cp._flat_top(zs, cp._D3_ZB_HALF, cp._D3_ZB_TAIL)[None, None, :]
+    )
+    lz = np.exp(-0.5 * (zs / cp._D3_LOBE_LZ) ** 2)
+    lobes = np.zeros_like(bg)
+    for sx_center in (-a, a):
+        lobes += (
+            (1.0 - p)
+            * np.exp(-0.5 * ((xs - sx_center) / lx) ** 2)[:, None, None]
+            * np.exp(-0.5 * (ys / ly) ** 2)[None, :, None]
+            * lz[None, None, :]
+        )
+    u = bg + lobes
+    hx, hy, hz = cp._D3_RIDGE_HALF
+    for cx in (-a, a):
+        for cy in (-cp._D3_RIDGE_Y, cp._D3_RIDGE_Y):
+            ridge = (
+                ratio_m
+                * cp._flat_top(xs - cx, hx, cp._D3_RIDGE_SIGMA)[:, None, None]
+                * cp._flat_top(ys - cy, hy, cp._D3_RIDGE_SIGMA)[None, :, None]
+                * cp._flat_top(zs - cp._D3_RIDGE_Z, hz, cp._D3_RIDGE_SIGMA)[None, None, :]
+            )
+            np.maximum(u, ridge, out=u)
+    return u
+
+
+@pytest.mark.parametrize("resolution", [5.0, 4.0])
+@pytest.mark.parametrize("design", ["D1", "D3"])
+def test_synth_fieldmap_matches_full_grid_reference(design, resolution):
+    xs, ys, zs = (cp._axis_ticks(h, resolution) for h in cp._HALF_EXTENTS)
+    density = _d3_density_reference if design == "D3" else cp._d1_density
+    u = density(xs, ys, zs)
+    omega_c = TWO_PI * SPEED_OF_LIGHT / (presets.LAMBDA_NM * 1e-9)
+    cell = resolution**3 * 1e-27
+    scale = HBAR * omega_c / (2.0 * float(u.sum()) * cell)
+    de = scale * u
+    fmap = cp.synth_fieldmap(design, resolution)
+    assert np.array_equal(fmap.de.view(np.uint64), de.view(np.uint64))
+    assert np.array_equal(fmap.total.view(np.uint64), (2.0 * de).view(np.uint64))
+
+
+def test_ridge_support_is_the_nonzero_range():
+    # outside this range a ridge is exactly 0.0, so it may be skipped there
+    f = np.array([0.0, 0.0, 5e-324, 1.0, 0.0, 2.0, 0.0])
+    assert cp._support(f) == slice(2, 6)
+    assert cp._support(np.zeros(4)) == slice(0, 0)
+
+
+def test_synth_fieldmap_peaks_near_two_grid_arrays():
+    cp.synth_fieldmap("D3", 5.0)  # solve the cached shape constants first
+    tracemalloc.start()
+    try:
+        fmap = cp.synth_fieldmap("D3", 5.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * fmap.de.nbytes
+    assert peak <= cp.synth_peak_bytes(5.0)

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from cavitysim import fockspace as fs
 from cavitysim.fockspace import HilbertLayout
 
-from conftest import embed_oracle
+from conftest import embed_oracle, kron_chain
 
 
 def test_layout_dimensions():
@@ -174,6 +174,29 @@ def test_excitation_number_diagonal():
             v = fs.basis_state(lay, n, pattern)
             expected = n + pattern.count("e")
             assert v.conj() @ n_ex @ v == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_number_diagonals_match_kron_operators(n_max, n_atoms):
+    lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
+    a = fs.photon_annihilation_block(n_max)
+    eye2 = np.eye(2, dtype=complex)
+    excited = np.diag([0.0, 1.0]).astype(complex)
+    nph = kron_chain([a.conj().T @ a] + [eye2] * n_atoms)
+    n_ex = nph + sum(
+        kron_chain([np.eye(n_max + 1)] + [excited if j == i else eye2 for j in range(n_atoms)])
+        for i in range(n_atoms)
+    )
+    # the kron-built a^dag a holds sqrt(2) * sqrt(2), an ulp above 2
+    for diagonal, op in ((fs.photon_number_diagonal(lay), nph),
+                         (fs.excitation_number_diagonal(lay), n_ex)):
+        assert np.array_equal(diagonal, np.round(np.diag(op).real))
+        assert np.max(np.abs(diagonal - np.diag(op))) <= 1e-15
+        assert np.count_nonzero(op - np.diag(np.diag(op))) == 0
+    assert np.array_equal(fs.number_operator(lay), np.diag(fs.photon_number_diagonal(lay)))
+    assert np.array_equal(fs.excitation_number(lay),
+                          np.diag(fs.excitation_number_diagonal(lay)))
 
 
 def test_basis_labels():
