@@ -4,10 +4,11 @@
 Usage: python scripts/run_all_figures.py [output_root]
 
 Writes one directory per scenario under output_root (default ./runs) and
-prints each scenario's summary scalars.  All six take about 2-3 s together:
-1.9 s with OMP_NUM_THREADS=1 and 2.8 s with two BLAS threads, measured on a
-2-core host (Python 3.11.7, numpy 2.4.6, scipy 1.17.1); fig3 and fig4 are the
-ones slowed by the second BLAS thread.
+prints each scenario's summary scalars.  All six take about 1 s together:
+0.9 s of run time with OMP_NUM_THREADS=1 and 1.3 s with two BLAS threads
+(1.4 s and 1.8 s for the whole process), measured on a 2-core host
+(Python 3.11.7, numpy 2.4.6, scipy 1.17.1); fig3 and fig4 are the ones
+slowed by the second BLAS thread.
 """
 
 import sys

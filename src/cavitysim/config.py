@@ -194,15 +194,26 @@ def _propagation_log2_bytes(cfg: ExperimentConfig) -> float:
     """log2 of the peak bytes of a run's largest propagation.
 
     d = (n_max + 1) 2^N is the largest Hilbert dimension the scenario
-    propagates.  expm of a lossy run's d^2 x d^2 Liouvillian peaked at about
-    8 such complex matrices; a lossless run at 13-14 d x d ones, counted as
-    16.  A logarithm, so that an absurd atom count cannot overflow.
+    propagates; a run from |n_photons, g..g> never leaves the d' basis
+    states with at most n_photons excitations.  The operators and snapshots
+    stay on the full space: a lossless run peaked at 5.3 d x d complex
+    matrices for N = 7-9, still counted as 16, and a lossy one at 12.1-14.0
+    (one more per collapse operator), counted as 16 + N.  A lossy run adds
+    expm of its d'^2 x d'^2 Liouvillian, which peaked at 8.6-9.0 such
+    matrices (d' = 23, 32), counted as 10.  A logarithm, so that an absurd
+    atom count cannot overflow.
     """
     n_atoms, n_photons = _propagated(cfg)
-    log2_dim = math.log2(cfg.n_max_for(n_photons) + 1) + n_atoms
-    if cfg.resolved_kappa_mhz > 0 or cfg.resolved_gamma_mhz > 0:
-        return math.log2(8 * 16) + 4 * log2_dim
-    return math.log2(16 * 16) + 2 * log2_dim
+    lossy = cfg.resolved_kappa_mhz > 0 or cfg.resolved_gamma_mhz > 0
+    matrices = 16 + n_atoms if lossy else 16
+    full = math.log2(16 * matrices) + 2 * (
+        math.log2(cfg.n_max_for(n_photons) + 1) + n_atoms
+    )
+    if not lossy or full > 64:  # past 2^64 bytes no machine has the memory
+        return full
+    kept = sum(math.comb(n_atoms, j) * (n_photons - j + 1)
+               for j in range(min(n_atoms, n_photons) + 1))
+    return math.log2(10 * 16 * kept**4 + 2**full)
 
 
 def _physical_memory() -> int | None:

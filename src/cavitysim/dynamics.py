@@ -1,19 +1,25 @@
 """Master-equation propagation and derived time-series quantities.
 
-Every generator here is time-independent, so the state at the next output
-time is one exact product with a propagator for that output step: with no
-collapse operators, rho <- U rho U^dag with U = expm(-i H dt) on the d x d
-Hamiltonian; otherwise vec(rho) <- P vec(rho) with P = expm(L dt) on the
-d^2 x d^2 Liouvillian (scipy's expm, Al-Mohy & Higham 2009).  One
+Every generator here is time-independent and undriven: H and each L^dag L
+conserve the excitation number e (photons plus excited atoms), and each
+jump lowers it by one.  A state that is block-diagonal in e therefore stays
+so, on the basis states whose e is at most the largest one it starts with,
+and integrate() propagates it on those alone (d' of the d basis states):
+with no collapse operators, rho <- U rho U^dag with U = expm(-i H dt) on
+d' x d'; otherwise vec(rho) <- P vec(rho) with P = expm(L dt) on the
+d'^2 x d'^2 Liouvillian (scipy's expm, Al-Mohy & Higham 2009).  One
 propagator is built per distinct step of the output grid, so a uniform
 grid costs one expm.  Trace is never renormalized: trace drift is a
 quality metric and the run fails if it exceeds `trace_tol`.
 
 Propagation is a sequential loop, but observables are not evaluated per
 step: the states are written into a chunk buffer of about CHUNK_BYTES,
-shape (c, d, d), and each full chunk is evaluated at once (the stacked
-diagnostics of `entanglement`).  The trace gate checks the whole chunk
-before anything is recorded and still names the first offending time.
+shape (c, d', d'), and each full chunk is evaluated at once.  The block
+structure makes each single-factor reduced state diagonal and each atom
+pair's an X-state, so entropies and concurrence come from marginal
+populations and one coherence per pair, with no eigensolver.  The trace
+gate checks the whole chunk before anything is recorded and still names
+the first offending time.  Snapshots are embedded back into d x d.
 
 Time is in ns throughout; rates are angular (rad/ns).
 """
@@ -186,9 +192,13 @@ def integrate(
     IntegrationError if |tr rho - 1| exceeds trace_tol at any output time,
     naming the first such time.
 
-    States are evaluated a chunk of chunk_states(d) at a time; the chunk
-    size changes neither the observables nor the snapshots, which are
-    copied from each chunk at times[::snapshot_stride].
+    rho0 must be block-diagonal in excitation number (ValueError otherwise),
+    as every basis state and every state inside one excitation sector is.
+    The run then propagates only the d' basis states up to rho0's largest
+    excitation number; populations of the others are exactly 0.  States
+    are evaluated a chunk of chunk_states(d') at a time; the chunk size
+    changes neither the observables nor the snapshots, which are copied
+    from each chunk at times[::snapshot_stride] into full d x d matrices.
     """
     layout = gen.layout
     dim = layout.dim
@@ -201,13 +211,24 @@ def integrate(
     validate_density_matrix(rho0)
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 has shape {rho0.shape}, layout dimension is {dim}")
+    exc = fs.excitation_number_diagonal(layout)
+    if np.any(rho0[exc[:, None] != exc]):
+        raise ValueError(
+            "rho0 has coherences between excitation sectors; integrate needs "
+            "a state that is block-diagonal in excitation number"
+        )
+    # Every state rho0 can reach lives on the basis states up to its top
+    # excitation number (no drive; H and each L^dag L conserve it, each jump
+    # lowers it by one), so the propagation runs on those alone.
+    kept = np.flatnonzero(exc <= exc[np.any(rho0 != 0, axis=1)].max())
+    d_sub = kept.size
 
     n_out = times.size
     labels = population_labels(layout)
     want_pops = "populations" in track
     want_nph = "n_photon" in track
 
-    n_exc = int(round(float(fs.excitation_number_diagonal(layout) @ np.real(np.diag(rho0)))))
+    n_exc = int(round(float(exc @ np.real(np.diag(rho0)))))
     entropy_factors = list(range(layout.n_atoms + 1)) if "entropies" in track else []
     norm_dims = {}
     for p in entropy_factors:
@@ -232,7 +253,8 @@ def integrate(
         + [f"C_{subsystem_letter(i)}{subsystem_letter(j)}" for i, j in pairs]
         + list(projections)
     )
-    obs = {name: np.empty(n_out) for name in column_order}
+    # Populations outside the kept states stay exactly 0.
+    obs = {name: np.zeros(n_out) for name in column_order}
 
     lossy = bool(gen.collapse_ops)
     if n_out > 1:
@@ -240,20 +262,40 @@ def integrate(
         bins = np.round((steps - steps[0]) / (1e-12 * (times[-1] - times[0])))
         _, step_class = np.unique(bins, return_inverse=True)
         lengths = np.bincount(step_class, weights=steps) / np.bincount(step_class)
-        # Without loss the d x d unitary suffices; expm of the d^2 x d^2
-        # Liouvillian takes seconds already at N = 4.
-        generator = liouvillian_matrix(gen) if lossy else -1j * gen.hamiltonian
+        # Without loss the d' x d' unitary suffices; with it, expm runs on
+        # the d'^2 x d'^2 Liouvillian.
+        generator = (
+            liouvillian_matrix(gen, kept) if lossy
+            else -1j * gen.hamiltonian[np.ix_(kept, kept)]
+        )
         props = [expm(generator * dt) for dt in lengths]
         props_dag = [u.conj().T for u in props]
 
-    diag_idx = np.arange(dim) * (dim + 1)
-    nph_diag = fs.photon_number_diagonal(layout).astype(float)
-    kets = np.array(list(projections.values()), dtype=complex).reshape(-1, dim)
+    diag_idx = np.arange(d_sub) * (d_sub + 1)
+    nph_diag = fs.photon_number_diagonal(layout)[kept].astype(float)
+    kets = np.array(list(projections.values()), dtype=complex).reshape(-1, dim)[:, kept]
+
+    # Every state stays block-diagonal in excitation number, so the reduced
+    # state of one factor is diagonal, and that of an atom pair has only the
+    # coherence rho[ge, eg] off the diagonal: both follow from marginal
+    # populations, summed from the kept diagonal by 0/1 matrices, and the
+    # pair's coherence from the elements |.. g_i .. e_j ..><.. e_i .. g_j ..|.
+    # Those kept states pair up in basis order, since swapping the two atoms'
+    # bits moves every basis index by the same offset.
+    entropy_maps = [
+        np.eye(layout.factor_dims()[p])[fs.factor_index(layout, kept, (p,))]
+        for p in entropy_factors
+    ]
+    pair_maps = []
+    for pair in pairs:
+        index = fs.factor_index(layout, kept, pair)
+        pair_maps.append((np.eye(4)[index], np.flatnonzero(index == 1),
+                          np.flatnonzero(index == 2)))
 
     snap_idx = snapshots = None
     if snapshot_stride and snapshot_stride > 0:
         snap_idx = np.arange(0, n_out, snapshot_stride)
-        snapshots = np.empty((snap_idx.size, dim, dim), dtype=complex)
+        snapshots = np.zeros((snap_idx.size, dim, dim), dtype=complex)
 
     def evaluate(chunk: np.ndarray, k0: int):
         """Gate and record the states at output indices k0 .. k0 + len(chunk)."""
@@ -268,38 +310,40 @@ def integrate(
                 f"exceeds tolerance {trace_tol:g}"
             )
         if want_pops:
-            for name, column in zip(labels, diag.T):
-                obs[name][ks] = column
+            for k, column in zip(kept, diag.T):
+                obs[labels[k]][ks] = column
         if want_nph:
             obs["n_photon"][ks] = diag @ nph_diag
-        for p in entropy_factors:
-            sub = ent.partial_trace_stack(chunk, layout, (p,))
-            obs[f"S_{subsystem_letter(p)}"][ks] = ent.entropy_normalized_stack(
-                sub, norm_dims[p]
+        for p, m in zip(entropy_factors, entropy_maps):
+            obs[f"S_{subsystem_letter(p)}"][ks] = ent.spectrum_entropy_stack(
+                diag @ m, norm_dims[p]
             )
-        for i, j in pairs:
-            sub = ent.partial_trace_stack(chunk, layout, (i, j))
+        for (i, j), (m, ge, eg) in zip(pairs, pair_maps):
             obs[f"C_{subsystem_letter(i)}{subsystem_letter(j)}"][ks] = (
-                ent.concurrence_stack(sub)
+                ent.x_state_concurrence_stack(
+                    diag @ m,
+                    chunk[:, ge, eg].sum(axis=1),
+                    chunk[:, eg, ge].sum(axis=1),
+                )
             )
         if kets.size:
             values = np.real(np.sum((kets.conj() @ chunk) * kets, axis=-1))
             for name, column in zip(projections, values.T):
                 obs[name][ks] = column
         if snapshots is not None:
-            inside = (snap_idx >= k0) & (snap_idx < ks.stop)
-            snapshots[inside] = chunk[snap_idx[inside] - k0]
+            inside = np.flatnonzero((snap_idx >= k0) & (snap_idx < ks.stop))
+            snapshots[np.ix_(inside, kept, kept)] = chunk[snap_idx[inside] - k0]
 
     # A buffer of fixed size, not the whole (T, d, d) stack: memory must not
     # grow with the output grid.
-    buf = np.empty((min(n_out, chunk_states(dim)), dim, dim), dtype=complex)
-    rho = rho0
+    buf = np.empty((min(n_out, chunk_states(d_sub)), d_sub, d_sub), dtype=complex)
+    rho = rho0[np.ix_(kept, kept)]
     k0 = 0
     for k in range(n_out):
         if k:
             c = step_class[k - 1]
             if lossy:
-                rho = (props[c] @ rho.reshape(-1)).reshape(dim, dim)
+                rho = (props[c] @ rho.reshape(-1)).reshape(d_sub, d_sub)
             else:
                 rho = props[c] @ rho @ props_dag[c]
         buf[k - k0] = rho

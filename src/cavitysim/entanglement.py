@@ -72,28 +72,34 @@ def partial_trace(rho: np.ndarray, layout: HilbertLayout, keep) -> np.ndarray:
     return partial_trace_stack(rho[None], layout, keep)[0]
 
 
-def _check_min_eigenvalues(evals: np.ndarray) -> None:
+def _check_min_eigenvalues(min_evals: np.ndarray) -> None:
     """Raise on the first state of a stack whose smallest eigenvalue is
-    below -EIGENVALUE_CLAMP_TOL (evals ascending along the last axis)."""
-    bad = np.flatnonzero(evals[:, 0] < -EIGENVALUE_CLAMP_TOL)
+    below -EIGENVALUE_CLAMP_TOL (min_evals holds one value per state)."""
+    bad = np.flatnonzero(min_evals < -EIGENVALUE_CLAMP_TOL)
     if bad.size:
         raise ValueError(
-            f"density matrix eigenvalue {evals[bad[0], 0]:.3e} below "
+            f"density matrix eigenvalue {min_evals[bad[0]]:.3e} below "
             f"-{EIGENVALUE_CLAMP_TOL:g}; input is not positive semidefinite"
         )
 
 
 def entropy_normalized_stack(rho_subs: np.ndarray, norm_dim: int) -> np.ndarray:
     """Von Neumann entropies -sum(l ln l) / ln(norm_dim), in [0, 1], of a
-    stack of states, shape (n, k, k) -> (n,).
+    stack of states, shape (n, k, k) -> (n,)."""
+    return spectrum_entropy_stack(np.linalg.eigvalsh(rho_subs), norm_dim)
+
+
+def spectrum_entropy_stack(evals: np.ndarray, norm_dim: int) -> np.ndarray:
+    """Normalized von Neumann entropies of states with the given spectra,
+    shape (n, k) -> (n,).  The spectrum of a diagonal state is its
+    populations, so its entropy needs no eigensolver.
 
     Eigenvalues are clamped to [0, 1] (0 ln 0 := 0); see module notes on the
     clamping tolerance.
     """
     if norm_dim < 2:
         raise ValueError(f"norm_dim must be >= 2, got {norm_dim}")
-    evals = np.linalg.eigvalsh(rho_subs)
-    _check_min_eigenvalues(evals)
+    _check_min_eigenvalues(evals.min(axis=-1))
     evals = np.clip(evals, 0.0, 1.0)
     # 1 ln 1 = 0 stands in for the clamped zeros
     safe = np.where(evals > 0.0, evals, 1.0)
@@ -128,12 +134,39 @@ def concurrence_stack(rhos: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ValueError(f"input not Hermitian (deviation {herm_dev[bad[0]]:.3e})")
     evals_rho, vecs = np.linalg.eigh(rhos)
-    _check_min_eigenvalues(evals_rho)
+    _check_min_eigenvalues(evals_rho[:, 0])
     roots = np.sqrt(np.clip(evals_rho, 0.0, None))
     sqrt_rho = (vecs * roots[:, None, :]) @ vecs.conj().swapaxes(1, 2)
     b = sqrt_rho @ _SY_SY @ sqrt_rho.conj()
     lam = np.linalg.svd(b, compute_uv=False)
     return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+
+
+def x_state_concurrence_stack(
+    pops: np.ndarray, upper: np.ndarray, lower: np.ndarray
+) -> np.ndarray:
+    """Wootters concurrences of a stack of two-qubit states whose only
+    off-diagonal elements are upper = rho[ge, eg] and lower = rho[eg, ge],
+    shape (n, 4), (n,), (n,) -> (n,); pops are the diagonals in gg, ge, eg,
+    ee order.
+
+    A pair of atoms reduced from a state that is block-diagonal in
+    excitation number has this form, with C = 2 max(0, |rho_eg,ge| -
+    sqrt(p_gg p_ee)).  The checks of concurrence_stack stay: the two
+    coherences must be conjugates within 1e-8, and the smallest eigenvalue,
+    min(p_gg, p_ee, (p_ge + p_eg)/2 - hypot((p_ge - p_eg)/2, |rho_eg,ge|)),
+    must not fall below -EIGENVALUE_CLAMP_TOL.
+    """
+    herm_dev = np.abs(upper - lower.conj())
+    bad = np.flatnonzero(herm_dev > 1e-8)
+    if bad.size:
+        raise ValueError(f"input not Hermitian (deviation {herm_dev[bad[0]]:.3e})")
+    coherence = np.abs(lower)
+    p_gg, p_ge, p_eg, p_ee = pops.T
+    mixed = 0.5 * (p_ge + p_eg) - np.hypot(0.5 * (p_ge - p_eg), coherence)
+    _check_min_eigenvalues(np.minimum(np.minimum(p_gg, p_ee), mixed))
+    corners = np.sqrt(np.clip(p_gg, 0.0, None) * np.clip(p_ee, 0.0, None))
+    return 2.0 * np.maximum(0.0, coherence - corners)
 
 
 def concurrence(rho_two_qubit: np.ndarray) -> float:
@@ -172,11 +205,3 @@ def trajectory_splitting(pop_atom1, pop_atom2) -> float:
     if a1 + a2 <= 0:
         raise ValueError("population series carry no excitation")
     return abs(a1 - a2) / (a1 + a2)
-
-
-def entanglement_fidelity_alpha(alpha: float) -> float:
-    """Overlap of the peak entangled state with the symmetric Bell state:
-    (1 + a) / sqrt(2 (1 + a^2)).  Unity only at equal coupling."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return (1.0 + alpha) / np.sqrt(2.0 * (1.0 + alpha**2))

@@ -142,6 +142,23 @@ def excitation_number_diagonal(layout: HilbertLayout) -> np.ndarray:
     return photon_number_diagonal(layout) + excited
 
 
+def factor_index(layout: HilbertLayout, basis, factors) -> np.ndarray:
+    """Index of each basis state in `basis` within the product basis of the
+    given factors (0 = photon, i = atom i), the first factor most
+    significant: the basis order of `entanglement.partial_trace_stack`."""
+    basis = np.asarray(basis)
+    dims = layout.factor_dims()
+    out = np.zeros_like(basis)
+    for p in factors:
+        if p == 0:
+            digit = basis >> layout.n_atoms
+        else:
+            _check_atom_index(layout, p)
+            digit = (basis >> (layout.n_atoms - p)) & 1
+        out = out * dims[p] + digit
+    return out
+
+
 def number_operator(layout: HilbertLayout) -> np.ndarray:
     """a^dag a embedded on the full space."""
     return np.diag(photon_number_diagonal(layout).astype(complex))

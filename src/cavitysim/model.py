@@ -179,16 +179,24 @@ def lindblad_rhs(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def liouvillian_matrix(gen: LindbladGenerator) -> np.ndarray:
+def liouvillian_matrix(gen: LindbladGenerator, keep=None) -> np.ndarray:
     """Dense superoperator L with vec(d rho/dt) = L @ vec(rho).
 
     vec() is row-major (C-order) flattening, for which
     vec(A rho B) = (A kron B^T) vec(rho).  Agreement with lindblad_rhs is
-    checked by tests; lossy runs exponentiate it into their step propagator.
+    checked by tests.
+
+    keep, if given, lists the basis states of a subspace whose operators the
+    generator maps into themselves (such as all states up to an excitation
+    number), and L is built for rho on that subspace only.  Each operator
+    is restricted after any product of them: the literal form's L L^dag on
+    the subspace is not the product of the restricted L and L^dag.  Lossy
+    runs exponentiate this matrix into their step propagator.
     """
-    dim = gen.dim
-    eye = np.eye(dim)
-    h = gen.hamiltonian
+    keep = np.arange(gen.dim) if keep is None else np.asarray(keep)
+    block = np.ix_(keep, keep)
+    eye = np.eye(keep.size)
+    h = gen.hamiltonian[block]
     liou = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for rate, L in gen.collapse_ops:
         Ld = L.conj().T
@@ -196,6 +204,7 @@ def liouvillian_matrix(gen: LindbladGenerator) -> np.ndarray:
             anti = Ld @ L
         else:
             anti = L @ Ld
+        L, Ld, anti = L[block], Ld[block], anti[block]
         liou += rate * (
             np.kron(L, Ld.T)
             - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))

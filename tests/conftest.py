@@ -24,6 +24,22 @@ def random_density_matrix(dim: int, rng, rank: int | None = None) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def random_block_diagonal_state(layout: HilbertLayout, rng, top: int) -> np.ndarray:
+    """Random full-rank mixed state on the basis states with at most `top`
+    excitations, block-diagonal in excitation number (random sector weights
+    and a random mixed state inside each sector)."""
+    exc = np.array([
+        int(label.split(",")[0]) + label.count("e")
+        for label in (layout.basis_label(k) for k in range(layout.dim))
+    ])
+    rho = np.zeros((layout.dim, layout.dim), dtype=complex)
+    weights = rng.dirichlet(np.ones(top + 1))
+    for n, w in enumerate(weights):
+        idx = np.flatnonzero(exc == n)
+        rho[np.ix_(idx, idx)] = w * random_density_matrix(idx.size, rng)
+    return rho
+
+
 def kron_chain(factors) -> np.ndarray:
     out = np.array([[1.0 + 0.0j]])
     for f in factors:

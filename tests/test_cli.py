@@ -10,6 +10,7 @@ from cavitysim import config
 from cavitysim.cli import main
 from cavitysim.config import parse_config
 from cavitysim.runner import run_scenario
+from cavitysim.units import ghz_to_angular, mhz_to_angular
 
 TINY_CUSTOM = (
     'scenario = "custom"\n'
@@ -104,9 +105,11 @@ def test_run_exit_code_on_runtime_failure(tmp_path):
 
 
 def test_validate_rejects_over_memory_config(tmp_path, capsys):
-    # lossy N = 7 would take expm of a 147456^2 Liouvillian; the estimate
+    # lossy N = 7 from 7 photons keeps the 576 states with <= 7 excitations
+    # and would take expm of a 331776^2 Liouvillian (~18 TB); the estimate
     # rejects it before any array is allocated
-    big = _write(tmp_path, 'scenario = "custom"\nn_atoms = 7\n', name="big.cfg")
+    big = _write(tmp_path, 'scenario = "custom"\nn_atoms = 7\nn_photons = 7\n',
+                 name="big.cfg")
     tracemalloc.start()
     try:
         assert main(["validate", big]) == 1
@@ -117,6 +120,34 @@ def test_validate_rejects_over_memory_config(tmp_path, capsys):
     assert "GB at peak" in capsys.readouterr().err
     ok = _write(tmp_path, 'scenario = "custom"\nn_atoms = 4\n', name="ok.cfg")
     assert main(["validate", ok]) == 0
+
+
+def test_lossy_five_atom_wstate_validates_and_runs(tmp_path, monkeypatch):
+    # a fixed 8 GB host: the full-space 9216^2 Liouvillian needed ~11 GB, the
+    # 49^2 one on the 7 states with at most one excitation needs kilobytes
+    monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 10**9)
+    path = _write(tmp_path, 'scenario = "n_atom_wstate"\nn_atoms = 5\n')
+    assert main(["validate", path]) == 0
+    out = tmp_path / "run"
+    assert main(["run", path, "--output-dir", str(out)]) == 0
+
+    cfg = parse_config((tmp_path / "cfg.txt").read_text())
+    assert cfg.resolved_kappa_mhz > 0 and cfg.resolved_gamma_mhz > 0
+    data = np.genfromtxt(out / "traj_wstate.csv", delimiter=",", names=True,
+                         skip_header=1)
+    assert cfg.resolved_couplings_ghz() == (cfg.g_ghz,) * 5
+    t = data["time_ns"]
+    g = ghz_to_angular(cfg.g_ghz) * np.sqrt(5)  # collective coupling
+    kappa = mhz_to_angular(cfg.resolved_kappa_mhz)
+    gamma = mhz_to_angular(cfg.resolved_gamma_mhz)
+    decay = np.exp(-(kappa + gamma) * t / 2)
+    # sin^2(g sqrt(N) t) e^{-(kappa+gamma) t/2} drops the frequency shift
+    # from the unequal decay of |1,g..g> and |0,W>: 6.7e-7 measured
+    assert np.max(np.abs(data["P_chi1"] - np.sin(g * t) ** 2 * decay)) < 2e-6
+    # the no-jump two-level form keeps it: 1.3e-14 measured
+    omega = np.sqrt(g**2 - ((kappa - gamma) / 4) ** 2)
+    exact = (g / omega * np.sin(omega * t)) ** 2 * decay
+    assert np.max(np.abs(data["P_chi1"] - exact)) < 1e-12
 
 
 def test_validate_rejects_field_map_over_memory(tmp_path, capsys, monkeypatch):

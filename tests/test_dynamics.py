@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cavitysim import analytic, dynamics as dyn, fockspace as fs, model
+from cavitysim import analytic, dynamics as dyn, entanglement as ent, fockspace as fs, model
 from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
 from cavitysim.units import ghz_to_angular
+
+from conftest import random_block_diagonal_state
 
 G = ghz_to_angular(9.0)
 
@@ -174,17 +176,18 @@ def test_one_propagator_per_distinct_step(monkeypatch):
     monkeypatch.setattr(dyn, "expm", counting_expm)
     lay, gen = _gen(2, (G,), kappa=0.19)
     rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
-    # 40 ns at 5 ps: linspace steps scatter by ~7e-15 ns
+    # 40 ns at 5 ps: linspace steps scatter by ~7e-15 ns.  One photon keeps
+    # |0g>, |0e>, |1g> of the d = 6 space: a 9 x 9 Liouvillian.
     dyn.integrate(gen, rho0, np.linspace(0.0, 40.0, 8001), track=())
-    assert calls == [(36, 36)]
+    assert calls == [(9, 9)]
     calls.clear()
     ts = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.0, 2.0, 5)[1:]])
     dyn.integrate(gen, rho0, ts, track=())
-    assert calls == [(36, 36)] * 2
+    assert calls == [(9, 9)] * 2
 
 
 def test_lossless_run_never_builds_the_liouvillian(monkeypatch):
-    def forbidden(gen):
+    def forbidden(gen, keep=None):
         raise AssertionError("liouvillian_matrix called on a lossless run")
 
     monkeypatch.setattr(dyn, "liouvillian_matrix", forbidden)
@@ -194,6 +197,63 @@ def test_lossless_run_never_builds_the_liouvillian(monkeypatch):
     )
     with pytest.raises(AssertionError):
         _single_atom_run(kappa=0.19, n_points=51)
+
+
+@pytest.mark.parametrize("form", model.DISSIPATOR_FORMS)
+def test_lossy_three_atoms_match_dense_full_space_reference(form, rng):
+    # a mixed start with up to two excitations: integrate keeps 12 of the
+    # d = 24 states, the reference propagates all of them
+    lay = HilbertLayout(n_max=2, n_atoms=3)
+    p = SystemParams(omega_c=0.0, omega_0=0.2 * G, kappa=4.0, gamma=1.5,
+                     couplings=(G, 0.6 * G, 1.3 * G))
+    gen = model.build_generator(lay, p, dissipator_form=form)
+    rho0 = random_block_diagonal_state(lay, rng, top=2)
+    _, chi1 = analytic.single_excitation_states(lay, analytic.CouplingVector(p.couplings))
+    ts = np.linspace(0.0, 0.4, 41)
+    norm_dims = {"A": 3, "B": 2, "C": 2, "D": 2}
+    traj = dyn.integrate(
+        gen, rho0, ts, snapshot_stride=1,
+        track=("populations", "n_photon", "entropies", "concurrence"),
+        projections={"P_chi1": chi1}, entropy_norm_dims=norm_dims,
+        trace_tol=np.inf,
+    )
+
+    step = expm(model.liouvillian_matrix(gen) * (ts[1] - ts[0]))
+    states = [rho0]
+    for _ in ts[1:]:
+        states.append((step @ states[-1].reshape(-1)).reshape(lay.dim, lay.dim))
+    states = np.array(states)
+    if form == model.DISSIPATOR_LITERAL:  # the run is not trace-preserving
+        assert abs(np.trace(states[-1]).real - 1.0) > 0.1
+    assert np.max(np.abs(traj.snapshots - states)) < 1e-12
+
+    pops = np.real(np.diagonal(states, axis1=1, axis2=2))
+    expected = {name: pops[:, k] for k, name in enumerate(dyn.population_labels(lay))}
+    expected["n_photon"] = pops @ fs.photon_number_diagonal(lay)
+    for f in range(4):
+        reduced = ent.partial_trace_stack(states, lay, (f,))
+        letter = dyn.subsystem_letter(f)
+        expected[f"S_{letter}"] = ent.entropy_normalized_stack(reduced, norm_dims[letter])
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        reduced = ent.partial_trace_stack(states, lay, (i, j))
+        name = f"C_{dyn.subsystem_letter(i)}{dyn.subsystem_letter(j)}"
+        expected[name] = ent.concurrence_stack(reduced)
+    expected["P_chi1"] = np.real(chi1.conj() @ states @ chi1)
+    assert sorted(expected) == sorted(traj.column_order)
+    for name, values in expected.items():
+        assert np.max(np.abs(traj.series(name) - values)) < 1e-12, name
+
+
+def test_rho0_with_coherence_between_excitation_sectors_is_rejected():
+    lay, gen = _gen(2, (G,))
+    ts = np.linspace(0.0, 0.1, 11)
+    across = (fs.basis_state(lay, 0, "g") + fs.basis_state(lay, 1, "g")) / np.sqrt(2)
+    with pytest.raises(ValueError, match="excitation"):
+        dyn.integrate(gen, dyn.pure_state_density(across), ts)
+    # coherence inside one sector (|0e> and |1g> both hold one excitation)
+    within = (fs.basis_state(lay, 0, "e") + fs.basis_state(lay, 1, "g")) / np.sqrt(2)
+    traj = dyn.integrate(gen, dyn.pure_state_density(within), ts)
+    assert np.max(np.abs(traj.series("pop_0g"))) == 0.0
 
 
 def test_closed_system_conserves_excitation_number():
@@ -302,11 +362,13 @@ def _two_atom_observables_run(**kwargs):
 
 def test_chunked_run_equals_one_chunk(monkeypatch):
     one = _two_atom_observables_run(snapshot_stride=3)
-    assert dyn.chunk_states(12) >= 62  # the reference fits one chunk
+    # one photon from |0gg>: the chunk holds 4 x 4 states on |0gg>, |0ge>,
+    # |0eg>, |1gg> of the d = 12 space
+    assert dyn.chunk_states(4) >= 62  # the reference fits one chunk
     # 7 states per chunk: 62 outputs span 9 chunks, the last one partial,
     # and the snapshot stride 3 does not divide the chunk size
-    monkeypatch.setattr(dyn, "CHUNK_BYTES", 7 * 16 * 12 * 12)
-    assert dyn.chunk_states(12) == 7
+    monkeypatch.setattr(dyn, "CHUNK_BYTES", 7 * 16 * 4 * 4)
+    assert dyn.chunk_states(4) == 7
     many = _two_atom_observables_run(snapshot_stride=3)
     assert many.column_order == one.column_order
     for name in one.column_order:
@@ -327,7 +389,9 @@ def test_trace_gate_names_first_time_in_a_later_chunk(monkeypatch):
         dyn.integrate(gen, rho0, ts, trace_tol=0.5)
     assert "at t=13 ns" in str(one.value)
     # 5 states per chunk: t = 13 ns is the fourth state of the third chunk
-    monkeypatch.setattr(dyn, "CHUNK_BYTES", 5 * 16 * lay.dim**2)
+    # (the chunk holds 3 x 3 states on |0g>, |0e>, |1g>)
+    monkeypatch.setattr(dyn, "CHUNK_BYTES", 5 * 16 * 3**2)
+    assert dyn.chunk_states(3) == 5
     with pytest.raises(dyn.IntegrationError) as chunked:
         dyn.integrate(gen, rho0, ts, trace_tol=0.5)
     assert str(chunked.value) == str(one.value)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavitysim import analytic, dynamics as dyn, entanglement as ent, fockspace as fs, model
+from cavitysim import runner
+from cavitysim.config import parse_config
 from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
 from cavitysim.units import ghz_to_angular
@@ -10,6 +12,7 @@ from cavitysim.units import ghz_to_angular
 from conftest import (
     concurrence_sqrtm_oracle,
     partial_trace_oracle,
+    random_block_diagonal_state,
     random_density_matrix,
     random_pure_state,
 )
@@ -191,7 +194,8 @@ def test_splitting_matches_trajectory_measurement():
     [(1.0, 1.0), (0.7, 1.7 / np.sqrt(2.98)), (0.0, 1 / np.sqrt(2))],
 )
 def test_entanglement_fidelity_alpha(alpha, expected):
-    assert ent.entanglement_fidelity_alpha(alpha) == pytest.approx(expected, abs=1e-12)
+    fidelity = analytic.peak_entanglement_metrics(alpha).fidelity
+    assert fidelity == pytest.approx(expected, abs=1e-12)
 
 
 def test_state_fidelity_basics(rng):
@@ -227,7 +231,7 @@ def test_peak_concurrence_matches_closed_form(alpha):
 @given(st.floats(min_value=0.05, max_value=0.95))
 def test_splitting_and_fidelity_bounds(alpha):
     assert 0.0 < ent.splitting_magnitude(alpha) < 1.0
-    assert 1 / np.sqrt(2) < ent.entanglement_fidelity_alpha(alpha) < 1.0
+    assert 1 / np.sqrt(2) < analytic.peak_entanglement_metrics(alpha).fidelity < 1.0
 
 
 def _stack_of_states(dim, rng, count=12):
@@ -292,3 +296,98 @@ def test_stacked_diagnostics_raise_the_scalar_errors(rng):
     assert _raised(ent.entropy_normalized_stack, qubit, 1) == _raised(
         ent.entropy_normalized, qubit[0], 1
     )
+
+
+def _check_against_stacked_oracles(traj, norm_dims) -> int:
+    """Compare every entropy and concurrence column of a trajectory, whose
+    snapshots hold every state, with the stacked partial-trace diagnostics;
+    return the number of columns compared."""
+    assert np.array_equal(traj.snapshot_indices, np.arange(traj.times.size))
+    checked = 0
+    for name in traj.column_order:
+        factors = tuple(ord(c) - ord("A") for c in name[2:])
+        if name.startswith("S_"):
+            reduced = ent.partial_trace_stack(traj.snapshots, traj.layout, factors)
+            expected = ent.entropy_normalized_stack(reduced, norm_dims[factors[0]])
+        elif name.startswith("C_"):
+            reduced = ent.partial_trace_stack(traj.snapshots, traj.layout, factors)
+            expected = ent.concurrence_stack(reduced)
+        else:
+            continue
+        assert np.max(np.abs(traj.series(name) - expected)) < 1e-12, name
+        checked += 1
+    return checked
+
+
+def test_closed_forms_match_stacked_oracles_on_fig5_d3_states():
+    cfg = parse_config(
+        'scenario = "fig5_position_map"\ndesign = "D3"\nsnapshot_stride = 1\n'
+    )
+    runs, _, _ = runner._run_fig5(cfg)
+    assert len(runs) == 81
+    for traj in runs.values():
+        norm_dims = {p: dyn.sector_norm_dim(traj.layout, (p,), 1) for p in range(3)}
+        assert _check_against_stacked_oracles(traj, norm_dims) == 4  # S_A..S_C, C_BC
+
+
+def test_closed_forms_match_stacked_oracles_on_lossy_two_photon_fig3_states():
+    cfg = parse_config(
+        'scenario = "fig3_two_atom"\nsnapshot_stride = 1\n'
+        'observables = ["populations", "entropies", "concurrence"]\n'
+    )
+    assert cfg.resolved_kappa_mhz > 0 and cfg.resolved_gamma_mhz > 0
+    runs = runner._two_atom_runs(cfg)
+    for name in ("two_photon_equal", "two_photon_ratio"):
+        traj = runs[name]
+        norm_dims = {p: dyn.sector_norm_dim(traj.layout, (p,), 2) for p in range(3)}
+        assert _check_against_stacked_oracles(traj, norm_dims) == 4
+
+
+@pytest.mark.parametrize("n_max,n_atoms,top", [(2, 2, 1), (3, 2, 2), (2, 3, 2), (1, 4, 3)])
+def test_closed_forms_match_stacked_oracles_on_random_block_diagonal_states(
+    n_max, n_atoms, top, rng
+):
+    lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
+    p = SystemParams(omega_c=0.0, omega_0=0.2 * G, kappa=4.0, gamma=1.5,
+                     couplings=tuple(G * rng.uniform(0.3, 1.3, n_atoms)))
+    gen = model.build_generator(lay, p)
+    norm_dims = {f: lay.factor_dims()[f] for f in range(n_atoms + 1)}
+    for _ in range(3):
+        rho0 = random_block_diagonal_state(lay, rng, top)
+        traj = dyn.integrate(
+            gen, rho0, np.linspace(0.0, 0.05, 11), snapshot_stride=1,
+            track=("entropies", "concurrence"),
+            entropy_norm_dims={dyn.subsystem_letter(f): d for f, d in norm_dims.items()},
+        )
+        n_pairs = n_atoms * (n_atoms - 1) // 2
+        assert _check_against_stacked_oracles(traj, norm_dims) == n_atoms + 1 + n_pairs
+
+
+def test_closed_form_diagnostics_keep_their_checks():
+    # eigenvalue floor on a diagonal state's populations
+    assert ent.spectrum_entropy_stack(np.array([[0.5, 0.5 + 1e-9, -1e-9]]), 2)[0] == (
+        pytest.approx(1.0, abs=1e-8)
+    )
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        ent.spectrum_entropy_stack(np.array([[0.5, 0.5 + 1e-6, -1e-6]]), 2)
+    with pytest.raises(ValueError):
+        ent.spectrum_entropy_stack(np.array([[0.5, 0.5]]), 1)
+
+    bell = np.array([[0.0, 0.5, 0.5, 0.0]])
+    half = np.array([0.5 + 0.0j])
+    assert ent.x_state_concurrence_stack(bell, half, half)[0] == pytest.approx(1.0, abs=1e-15)
+    none = np.zeros(1, dtype=complex)
+    # eigenvalue floor: a negative corner population, and a coherence larger
+    # than sqrt(p_ge p_eg) (eigenvalue 0.5 - hypot(0.25, 0.5) < 0)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        ent.x_state_concurrence_stack(np.array([[-1e-6, 0.5, 0.5, 1e-6]]), none, none)
+    big = np.array([0.5 + 0.0j])
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        ent.x_state_concurrence_stack(np.array([[0.0, 0.25, 0.75, 0.0]]), big, big)
+    # Hermiticity: rho[eg, ge] must be the conjugate of rho[ge, eg]; both are read
+    z = np.array([0.3j])
+    assert ent.x_state_concurrence_stack(bell, z, z.conj())[0] == pytest.approx(0.6)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ent.x_state_concurrence_stack(bell, z, z)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ent.x_state_concurrence_stack(bell, z, z.conj() + 1e-7)

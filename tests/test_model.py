@@ -140,6 +140,24 @@ def test_liouvillian_matches_rhs(rng):
         assert np.max(np.abs(direct - via_matrix)) < 1e-12
 
 
+@pytest.mark.parametrize("form", model.DISSIPATOR_FORMS)
+def test_liouvillian_on_kept_states_restricts_the_full_one(form):
+    lay = HilbertLayout(n_max=2, n_atoms=2)
+    p = _params(couplings=(G, 0.5 * G), kappa=0.2, gamma=0.04, omega_0=0.8)
+    gen = model.build_generator(lay, p, dissipator_form=form)
+    kept = np.flatnonzero(fs.excitation_number_diagonal(lay) <= 1)
+    inside = (kept[:, None] * lay.dim + kept).ravel()  # vec index of |k><l|
+    outside = np.setdiff1d(np.arange(lay.dim**2), inside)
+    full = model.liouvillian_matrix(gen)
+    # operators on the kept states are mapped into themselves ...
+    assert not np.any(full[np.ix_(outside, inside)])
+    # ... by the full generator's block; for the literal form this needs
+    # L L^dag taken before the restriction (a a^dag on the kept |1gg> passes
+    # through |2gg>, which is not kept)
+    sub = model.liouvillian_matrix(gen, kept)
+    assert np.max(np.abs(sub - full[np.ix_(inside, inside)])) == 0.0
+
+
 def test_literal_dissipator_breaks_trace_conservation():
     # the as-printed anticommutator {L L^dag, rho} gives d(tr)/dt = gamma (p_e - p_g)
     lay = HilbertLayout(n_max=1, n_atoms=1)
