@@ -19,7 +19,7 @@ from dataclasses import replace
 from . import __version__
 from .config import SCENARIOS, ConfigError, parse_config
 from .dynamics import IntegrationError
-from .runner import ENV_OUTPUT_ROOT, SCENARIO_NOTES, run_scenario
+from .runner import ENV_OUTPUT_ROOT, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -78,8 +78,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "scenarios":
-        for name in SCENARIOS:
-            print(f"{name:20s} {SCENARIO_NOTES[name]}")
+        for name, scenario in SCENARIOS.items():
+            print(f"{name:20s} {scenario.note}")
         return EXIT_OK
 
     cfg = _load_config(args.config)
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
 
     try:
         report = run_scenario(cfg, output_dir=args.output_dir)
-    except (IntegrationError, ValueError, ArithmeticError) as exc:
+    except (IntegrationError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

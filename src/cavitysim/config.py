@@ -5,13 +5,16 @@ A config is TOML limited to top-level `key = value` pairs plus optional
 the checks are deliberately strict: unknown keys, sections, sweep axes and
 sweep keys, bad types and out-of-range values are hard errors carrying the
 line number, so a typo in a physics parameter cannot silently run with a
-default.  So is a run whose propagation, or whose synthetic field map,
-would not fit in physical memory.
+default.  So is a run that would not fit in physical memory: its largest
+propagation plus the output columns and snapshots it holds until its files
+are written, or fig5's synthetic field map.
 All such problems are reported together; a TOML syntax error stops the
 parse, so syntax errors are reported one at a time.  Every omitted key is
 filled from the scenario's defaults at parse time, and `canonical_text`
 emits the fully resolved form as valid TOML; parse(canonical_text(cfg))
-round-trips to an equal config.
+round-trips to an equal config.  `SCENARIOS` holds what is known about
+each scenario: its `cavitysim scenarios` note, its defaults, the size of
+its largest propagation and the grid of its sweep points.
 
 Example::
 
@@ -31,18 +34,10 @@ import os
 import re
 import tomllib
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import coupling, presets
 from .model import DISSIPATOR_FORMS, DISSIPATOR_TRACE_PRESERVING
-
-SCENARIOS = (
-    "fig2_single_atom",
-    "fig3_two_atom",
-    "fig4_correlations",
-    "fig5_position_map",
-    "n_atom_wstate",
-    "custom",
-)
 
 OBSERVABLE_CHOICES = ("populations", "n_photon", "entropies", "concurrence")
 SWEEP_AXES = ("delta_x_nm", "delta_y_nm", "alpha")
@@ -138,28 +133,50 @@ class ExperimentConfig:
         return tuple(out)
 
 
-# Scenario-specific defaults applied before user keys are read.
-SCENARIO_DEFAULTS = {
-    "fig2_single_atom": dict(
-        n_atoms=1, n_photons=1, t_end_ns=0.1, dt_ns=5e-5,
-        t_long_ns=40.0, dt_long_ns=0.005,
+class Scenario(NamedTuple):
+    note: str                 # the line `cavitysim scenarios` prints
+    defaults: dict            # applied before the config's own keys
+    # (atoms, largest photon number) of the scenario's largest propagation,
+    # where it fixes them; None takes the config's value
+    propagated: tuple = (None, None)
+    # (c, steps) of the grid each sweep point runs: `steps` steps up to
+    # t_end = c pi / (g sqrt(1 + alpha^2)), alpha being the point's ratio
+    sweep_grid: tuple = ()
+
+
+SCENARIOS = {
+    "fig2_single_atom": Scenario(
+        "single atom, one photon: Rabi cycles and envelope lifetime",
+        dict(n_atoms=1, n_photons=1, t_end_ns=0.1, dt_ns=5e-5,
+             t_long_ns=40.0, dt_long_ns=0.005),
+        propagated=(1, None),
     ),
-    "fig3_two_atom": dict(
-        n_atoms=2, n_photons=1, alpha=0.7, t_end_ns=0.3, dt_ns=2e-4,
+    "fig3_two_atom": Scenario(
+        "two atoms, equal/ratio coupling, one- and two-photon dynamics",
+        dict(n_atoms=2, n_photons=1, alpha=0.7, t_end_ns=0.3, dt_ns=2e-4),
+        propagated=(2, 2),  # it always adds two-photon runs
     ),
-    "fig4_correlations": dict(
-        n_atoms=2, n_photons=1, alpha=0.7, t_end_ns=0.3, dt_ns=2e-4,
-        observables=("populations", "n_photon", "entropies", "concurrence"),
+    "fig4_correlations": Scenario(
+        "entropies and concurrence for the two-atom runs + alpha sweep",
+        dict(n_atoms=2, n_photons=1, alpha=0.7, t_end_ns=0.3, dt_ns=2e-4,
+             observables=("populations", "n_photon", "entropies", "concurrence")),
+        propagated=(2, 2),
+        sweep_grid=(1.2, 300),
     ),
-    "fig5_position_map": dict(
-        n_atoms=2, n_photons=1, lossless=True,
-        observables=("populations", "n_photon", "entropies", "concurrence"),
+    "fig5_position_map": Scenario(
+        "entanglement vs trap displacement on a synthetic field map",
+        dict(n_atoms=2, n_photons=1, lossless=True,
+             observables=("populations", "n_photon", "entropies", "concurrence")),
+        propagated=(2, 1),
+        sweep_grid=(1.1, 240),
     ),
-    "n_atom_wstate": dict(
-        n_atoms=3, n_photons=1, t_end_ns=0.12, dt_ns=1e-4,
+    "n_atom_wstate": Scenario(
+        "N equally coupled atoms generating the shared-excitation state",
+        dict(n_atoms=3, n_photons=1, t_end_ns=0.12, dt_ns=1e-4),
     ),
-    "custom": dict(),
+    "custom": Scenario("direct parameter run without scenario presets", {}),
 }
+
 
 # Default sweep axes where a scenario needs them and the config omits them.
 def default_sweeps(scenario: str, design: str) -> tuple:
@@ -174,46 +191,67 @@ def default_sweeps(scenario: str, design: str) -> tuple:
     return ()
 
 
-# (atoms, largest photon number) of each scenario's largest propagation,
-# where the scenario fixes them; None takes the config's value.  fig3 and
-# fig4 always add two-photon runs.
-_PROPAGATED = {
-    "fig2_single_atom": (1, None),
-    "fig3_two_atom": (2, 2),
-    "fig4_correlations": (2, 2),
-    "fig5_position_map": (2, 1),
-}
-
-
 def _propagated(cfg: ExperimentConfig) -> tuple:
-    n_atoms, n_photons = _PROPAGATED.get(cfg.scenario, (cfg.n_atoms, None))
-    return n_atoms, cfg.n_photons if n_photons is None else n_photons
+    n_atoms, n_photons = SCENARIOS[cfg.scenario].propagated
+    return (cfg.n_atoms if n_atoms is None else n_atoms,
+            cfg.n_photons if n_photons is None else n_photons)
 
 
-def _propagation_log2_bytes(cfg: ExperimentConfig) -> float:
-    """log2 of the peak bytes of a run's largest propagation.
+def _log2_sum(logs) -> float:
+    """log2 of the sum of 2^x over logs, without forming 2^x."""
+    top = max(logs)
+    if math.isinf(top):
+        return top
+    return top + math.log2(sum(2.0 ** (x - top) for x in logs))
 
-    d = (n_max + 1) 2^N is the largest Hilbert dimension the scenario
-    propagates; a run from |n_photons, g..g> never leaves the d' basis
-    states with at most n_photons excitations.  The operators and snapshots
-    stay on the full space: a lossless run peaked at 5.3 d x d complex
-    matrices for N = 7-9, still counted as 16, and a lossy one at 12.1-14.0
-    (one more per collapse operator), counted as 16 + N.  A lossy run adds
-    expm of its d'^2 x d'^2 Liouvillian, which peaked at 8.6-9.0 such
-    matrices (d' = 23, 32), counted as 10.  A logarithm, so that an absurd
-    atom count cannot overflow.
+
+def _peak_log2_bytes(cfg: ExperimentConfig) -> tuple:
+    """(log2 of a run's peak bytes, the key path of its largest part).
+
+    Propagation: d = (n_max + 1) 2^N is the largest Hilbert dimension the
+    scenario propagates; a run from |n_photons, g..g> never leaves the d'
+    basis states with at most n_photons excitations.  The operators stay on
+    the full space: a lossless run peaked at 5.3 d x d complex matrices for
+    N = 7-9, still counted as 16, and a lossy one at 12.1-14.0 (one more
+    per collapse operator), counted as 16 + N.  A lossy run adds expm of
+    its d'^2 x d'^2 Liouvillian, which peaked at 8.6-9.0 such matrices
+    (d' = 23, 32), counted as 10.
+
+    Stored until the files are written, at the same d: each kept trajectory
+    has at most t_end/dt + 2 outputs and 8 bytes per output in each column
+    (the time, populations of all d states, the photon number, N + 1
+    entropies, the atom pairs, three projections, and 8 for the grid's
+    steps), and with snapshot_stride s > 0 at most outputs/s + 1 complex
+    d x d snapshots.  Logarithms, so that an absurd atom count or grid
+    cannot overflow.
     """
     n_atoms, n_photons = _propagated(cfg)
+    log2_dim = math.log2(cfg.n_max_for(n_photons) + 1) + n_atoms
     lossy = cfg.resolved_kappa_mhz > 0 or cfg.resolved_gamma_mhz > 0
-    matrices = 16 + n_atoms if lossy else 16
-    full = math.log2(16 * matrices) + 2 * (
-        math.log2(cfg.n_max_for(n_photons) + 1) + n_atoms
-    )
-    if not lossy or full > 64:  # past 2^64 bytes no machine has the memory
-        return full
-    kept = sum(math.comb(n_atoms, j) * (n_photons - j + 1)
-               for j in range(min(n_atoms, n_photons) + 1))
-    return math.log2(10 * 16 * kept**4 + 2**full)
+    propagation = math.log2(16 * (16 + n_atoms if lossy else 16)) + 2 * log2_dim
+    if lossy and propagation <= 64:  # past 2^64 bytes no machine has the memory
+        kept = sum(math.comb(n_atoms, j) * (n_photons - j + 1)
+                   for j in range(min(n_atoms, n_photons) + 1))
+        propagation = _log2_sum([propagation, math.log2(10 * 16 * kept**4)])
+    parts = [(propagation, ("n_atoms",))]
+
+    # (trajectories kept, outputs of each, the key that sizes them)
+    if cfg.scenario == "fig5_position_map":  # keeps every sweep point
+        dx, dy = cfg.sweep("delta_x_nm"), cfg.sweep("delta_y_nm")
+        grids = [(dx.steps * dy.steps, SCENARIOS[cfg.scenario].sweep_grid[1] + 2,
+                  ("sweep", max(dx, dy, key=lambda ax: ax.steps).name, "steps"))]
+    else:
+        runs = 4 if cfg.scenario in ("fig3_two_atom", "fig4_correlations") else 1
+        grids = [(runs, cfg.t_end_ns / cfg.dt_ns + 2, ("dt_ns",))]
+    if cfg.scenario == "fig2_single_atom":
+        grids.append((1, cfg.t_long_ns / cfg.dt_long_ns + 2, ("dt_long_ns",)))
+    log2_cols = _log2_sum([log2_dim, math.log2((n_atoms + 1) * (n_atoms + 2) // 2 + 12)])
+    for runs, outputs, key in grids:
+        parts.append((math.log2(runs * outputs) + 3 + log2_cols, key))
+        if cfg.snapshot_stride > 0:
+            snaps = runs * (outputs / cfg.snapshot_stride + 1)
+            parts.append((math.log2(snaps) + 4 + 2 * log2_dim, ("snapshot_stride",)))
+    return _log2_sum([log2 for log2, _ in parts]), max(parts)[1]
 
 
 def _physical_memory() -> int | None:
@@ -334,7 +372,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if errors and scenario is None:
         raise ConfigError(errors)
 
-    merged = dict(SCENARIO_DEFAULTS[scenario])
+    merged = dict(SCENARIOS[scenario].defaults)
     merged.update({k: v for k, v in scalars.items() if k != "scenario"})
     cfg = ExperimentConfig(scenario=scenario, **merged)
 
@@ -420,8 +458,9 @@ def parse_config(text: str) -> ExperimentConfig:
     check(cfg.dt_long_ns > 0, "dt_long_ns", f"must be > 0, got {cfg.dt_long_ns}")
     check(cfg.snapshot_stride >= 0, "snapshot_stride",
           f"must be >= 0, got {cfg.snapshot_stride}")
-    check(0.5 <= cfg.resolution_nm <= 5.0, "resolution_nm",
-          f"must be in [0.5, 5], got {cfg.resolution_nm}")
+    lo, hi = coupling.SYNTH_RESOLUTION_RANGE
+    check(lo <= cfg.resolution_nm <= hi, "resolution_nm",
+          f"must be in [{lo:g}, {hi:g}], got {cfg.resolution_nm}")
     check(cfg.workers >= 1, "workers", f"must be >= 1, got {cfg.workers}")
     if cfg.scenario == "fig5_position_map":
         check(cfg.design in ("D1", "D3"), "design",
@@ -429,11 +468,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
     memory = _physical_memory()
     if not errors and memory:
-        need = _propagation_log2_bytes(cfg)
+        need, key = _peak_log2_bytes(cfg)
         gb = 2.0**need / 1e9 if need < 1000 else math.inf
-        check(need <= math.log2(memory), "n_atoms",
-              f"propagation needs about {gb:.3g} GB at peak, more than the "
-              f"{memory / 1e9:.3g} GB of physical memory")
+        if need > math.log2(memory):
+            errors.append(
+                f"{at(*key)}: {'.'.join(key)}: the run needs about {gb:.3g} GB at "
+                f"peak, more than the {memory / 1e9:.3g} GB of physical memory")
         if cfg.scenario == "fig5_position_map":
             map_bytes = coupling.synth_peak_bytes(cfg.resolution_nm)
             check(map_bytes <= memory, "resolution_nm",

@@ -173,8 +173,6 @@ def integrate(
     snapshot_stride: int | None = 1,
     track: tuple = ("populations", "n_photon"),
     projections: dict | None = None,
-    concurrence_pairs: tuple | None = None,
-    entropy_norm_dims: dict | None = None,
     trace_tol: float = 1e-9,
 ) -> Trajectory:
     """Propagate rho0 exactly over an increasing time grid and record observables.
@@ -186,9 +184,8 @@ def integrate(
     track may contain "populations", "n_photon", "entropies", "concurrence".
     projections maps extra column names to kets whose population <v|rho|v>
     is recorded.  Entropies are computed per single factor (photon and each
-    atom) with sector normalization unless entropy_norm_dims overrides the
-    per-letter values; concurrence is computed for the atom pairs given (all
-    pairs by default).  No trace renormalization is applied; the run raises
+    atom), normalized by sector_norm_dim; concurrence is computed for every
+    atom pair.  No trace renormalization is applied; the run raises
     IntegrationError if |tr rho - 1| exceeds trace_tol at any output time,
     naming the first such time.
 
@@ -230,20 +227,11 @@ def integrate(
 
     n_exc = int(round(float(exc @ np.real(np.diag(rho0)))))
     entropy_factors = list(range(layout.n_atoms + 1)) if "entropies" in track else []
-    norm_dims = {}
-    for p in entropy_factors:
-        letter = subsystem_letter(p)
-        if entropy_norm_dims and letter in entropy_norm_dims:
-            norm_dims[p] = entropy_norm_dims[letter]
-        else:
-            norm_dims[p] = sector_norm_dim(layout, (p,), n_exc)
-
-    if "concurrence" not in track:
-        pairs = ()
-    elif concurrence_pairs is None:
-        pairs = tuple(itertools.combinations(range(1, layout.n_atoms + 1), 2))
-    else:
-        pairs = tuple(concurrence_pairs)
+    norm_dims = {p: sector_norm_dim(layout, (p,), n_exc) for p in entropy_factors}
+    pairs = (
+        tuple(itertools.combinations(range(1, layout.n_atoms + 1), 2))
+        if "concurrence" in track else ()
+    )
 
     projections = dict(projections or {})
     column_order = (

@@ -1,4 +1,9 @@
-"""Scenario runner: builds systems from a config, integrates, writes CSVs.
+"""Scenario runner: runs a config's scenario and writes its CSVs.
+
+Every trajectory of every scenario comes from trajectory(): the config's
+cavity and atoms with the given couplings, started in |n, g..g> and
+propagated over a uniform grid.  fig4's alpha sweep and fig5's points run
+on a grid scaled to their first exchange (the scenario's `sweep_grid`).
 
 Output contract (per run directory):
   config.txt    -- canonical config (TOML), execution-only fields normalized
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import __version__, analytic, coupling, dynamics as dyn, entanglement as ent
 from . import fockspace as fs, presets
-from .config import ExperimentConfig, canonical_text
+from .config import SCENARIOS, ExperimentConfig, canonical_text
 from .model import SystemParams, build_generator
 from .units import ghz_to_angular, mhz_to_angular
 
@@ -53,10 +58,20 @@ def physics_canonical_text(cfg: ExperimentConfig) -> str:
     return canonical_text(replace(cfg, workers=1, output_dir=""))
 
 
-def system_for(cfg: ExperimentConfig, couplings_ghz, n_photons: int | None = None):
-    """(layout, generator) for the given per-atom couplings (ordinary GHz)."""
-    n_ph = cfg.n_photons if n_photons is None else n_photons
-    layout = fs.HilbertLayout(n_max=cfg.n_max_for(n_ph), n_atoms=len(couplings_ghz))
+def time_grid(t_end_ns: float, dt_ns: float) -> np.ndarray:
+    n = max(1, round(t_end_ns / dt_ns))
+    return np.linspace(0.0, t_end_ns, n + 1)
+
+
+def trajectory(cfg: ExperimentConfig, couplings_ghz, n_photons: int, times,
+               projections=None, track=None) -> dyn.Trajectory:
+    """Propagate |n_photons, g..g> with the config's cavity and atoms.
+
+    couplings_ghz holds one coupling (ordinary GHz) per atom.  projections,
+    when given, maps the run's HilbertLayout to {column name: ket}; track
+    defaults to the config's observables.
+    """
+    layout = fs.HilbertLayout(n_max=cfg.n_max_for(n_photons), n_atoms=len(couplings_ghz))
     params = SystemParams(
         omega_c=0.0,
         omega_0=ghz_to_angular(cfg.detuning_ghz),
@@ -65,27 +80,24 @@ def system_for(cfg: ExperimentConfig, couplings_ghz, n_photons: int | None = Non
         couplings=tuple(ghz_to_angular(g) for g in couplings_ghz),
     )
     gen = build_generator(layout, params, dissipator_form=cfg.dissipator_form)
-    return layout, gen
-
-
-def time_grid(t_end_ns: float, dt_ns: float) -> np.ndarray:
-    n = max(1, round(t_end_ns / dt_ns))
-    return np.linspace(0.0, t_end_ns, n + 1)
-
-
-def _integrate_cfg(cfg, gen, rho0, times, projections=None, track=None):
-    # The literal dissipator form exists for comparison and does not preserve
-    # the trace, so the drift gate must not kill such runs.
-    trace_tol = float("inf") if cfg.dissipator_form == "literal" else 1e-9
+    rho0 = dyn.pure_state_density(fs.basis_state(layout, n_photons, "g" * layout.n_atoms))
     return dyn.integrate(
-        gen,
-        rho0,
-        times,
+        gen, rho0, times,
         snapshot_stride=cfg.snapshot_stride if cfg.snapshot_stride > 0 else None,
-        track=track if track is not None else cfg.observables,
-        projections=projections,
-        trace_tol=trace_tol,
+        track=cfg.observables if track is None else track,
+        projections=projections(layout) if projections else None,
+        # The literal dissipator form exists for comparison and does not
+        # preserve the trace, so the drift gate must not kill such runs.
+        trace_tol=float("inf") if cfg.dissipator_form == "literal" else 1e-9,
     )
+
+
+def _sweep_grid(cfg: ExperimentConfig, alpha: float) -> np.ndarray:
+    """Grid of one fig4/fig5 sweep point, scaled to its first exchange."""
+    c, steps = SCENARIOS[cfg.scenario].sweep_grid
+    omega = ghz_to_angular(cfg.g_ghz) * np.sqrt(1.0 + alpha**2)
+    t_end = c * np.pi / omega
+    return time_grid(t_end, t_end / steps)
 
 
 # ----------------------------------------------------------------------
@@ -95,11 +107,8 @@ def _integrate_cfg(cfg, gen, rho0, times, projections=None, track=None):
 
 def _run_fig2(cfg: ExperimentConfig):
     g = cfg.resolved_couplings_ghz()[:1]
-    layout, gen = system_for(cfg, g)
-    rho0 = dyn.pure_state_density(fs.basis_state(layout, cfg.n_photons, "g"))
-
-    short = _integrate_cfg(cfg, gen, rho0, time_grid(cfg.t_end_ns, cfg.dt_ns))
-    long = _integrate_cfg(cfg, gen, rho0, time_grid(cfg.t_long_ns, cfg.dt_long_ns))
+    short = trajectory(cfg, g, cfg.n_photons, time_grid(cfg.t_end_ns, cfg.dt_ns))
+    long = trajectory(cfg, g, cfg.n_photons, time_grid(cfg.t_long_ns, cfg.dt_long_ns))
 
     g_ang = ghz_to_angular(g[0])
     kappa_ang = mhz_to_angular(cfg.resolved_kappa_mhz)
@@ -121,42 +130,37 @@ def _run_fig2(cfg: ExperimentConfig):
     return {"short": short, "long": long}, summary, {}
 
 
-def _two_atom_runs(cfg: ExperimentConfig):
-    """The four standard two-atom variants: photon number x coupling ratio."""
+def _two_atom_runs(cfg: ExperimentConfig, extra=()):
+    """The four standard two-atom variants: photon number x coupling ratio,
+    tracking the config's observables and `extra`."""
     g1 = cfg.resolved_couplings_ghz()[0]
-    variants = {
-        "one_photon_equal": (1, (g1, g1)),
-        "one_photon_ratio": (1, (g1, cfg.alpha * g1)),
-        "two_photon_equal": (2, (g1, g1)),
-        "two_photon_ratio": (2, (g1, cfg.alpha * g1)),
-    }
-    runs = {}
-    for name, (n_ph, gs) in variants.items():
-        layout, gen = system_for(cfg, gs, n_photons=n_ph)
-        rho0 = dyn.pure_state_density(fs.basis_state(layout, n_ph, "gg"))
+    track = cfg.observables + tuple(o for o in extra if o not in cfg.observables)
+    times = time_grid(cfg.t_end_ns, cfg.dt_ns)
+
+    def run(n_photons, gs):
         gv = analytic.CouplingVector(tuple(ghz_to_angular(x) for x in gs))
-        proj = {}
-        if n_ph == 1:
+
+        def states(layout):
+            if n_photons == 2:
+                chis = analytic.two_photon_states(layout, *gv.g)
+                return {f"P_chi{k}": chi for k, chi in enumerate(chis)}
             chi0, chi1 = analytic.single_excitation_states(layout, gv)
-            proj["P_chi0"] = chi0
-            proj["P_chi1"] = chi1
-            proj["P_psi_plus"] = analytic.symmetric_bell_state(layout)
-        else:
-            states = analytic.two_photon_states(
-                layout, ghz_to_angular(gs[0]), ghz_to_angular(gs[1])
-            )
-            for k, chi in enumerate(states):
-                proj[f"P_chi{k}"] = chi
-        times = time_grid(cfg.t_end_ns, cfg.dt_ns)
-        runs[name] = _integrate_cfg(cfg, gen, rho0, times, projections=proj)
-    return runs
+            return {"P_chi0": chi0, "P_chi1": chi1,
+                    "P_psi_plus": analytic.symmetric_bell_state(layout)}
+
+        return trajectory(cfg, gs, n_photons, times, projections=states, track=track)
+
+    equal, ratio = (g1, g1), (g1, cfg.alpha * g1)
+    return {
+        "one_photon_equal": run(1, equal),
+        "one_photon_ratio": run(1, ratio),
+        "two_photon_equal": run(2, equal),
+        "two_photon_ratio": run(2, ratio),
+    }
 
 
 def _run_fig3(cfg: ExperimentConfig):
-    track = tuple(cfg.observables)
-    if "concurrence" not in track:
-        cfg = replace(cfg, observables=track + ("concurrence",))
-    runs = _two_atom_runs(cfg)
+    runs = _two_atom_runs(cfg, extra=("concurrence",))
     ratio = runs["one_photon_ratio"]
     equal = runs["one_photon_equal"]
     metrics = analytic.peak_entanglement_metrics(cfg.alpha)
@@ -176,12 +180,8 @@ def _run_fig3(cfg: ExperimentConfig):
 
 
 def _run_fig4(cfg: ExperimentConfig):
-    need = tuple(cfg.observables)
-    for extra in ("entropies", "concurrence"):
-        if extra not in need:
-            need = need + (extra,)
-    cfg = replace(cfg, observables=need)
-    runs = _two_atom_runs(cfg)
+    extra = ("entropies", "concurrence")
+    runs = _two_atom_runs(cfg, extra)
 
     equal = runs["one_photon_equal"]
     g_ang = ghz_to_angular(cfg.g_ghz)
@@ -192,23 +192,13 @@ def _run_fig4(cfg: ExperimentConfig):
         "s_b_extrema_5_periods": dyn.count_extrema(equal.series("S_B")[window]),
     }
 
-    axis = cfg.sweep("alpha")
     rows = []
-    for alpha in axis.values():
-        gs = (cfg.g_ghz, float(alpha) * cfg.g_ghz)
-        if gs[0] == 0 and gs[1] == 0:
-            continue
-        layout, gen = system_for(cfg, gs, n_photons=1)
-        rho0 = dyn.pure_state_density(fs.basis_state(layout, 1, "gg"))
-        omega = ghz_to_angular(cfg.g_ghz) * np.sqrt(1.0 + float(alpha) ** 2)
-        t_end = 1.2 * np.pi / omega
-        times = time_grid(t_end, t_end / 300)
-        traj = _integrate_cfg(
-            cfg, gen, rho0, times, track=("populations", "entropies", "concurrence")
-        )
+    for alpha in map(float, cfg.sweep("alpha").values()):
+        traj = trajectory(cfg, (cfg.g_ghz, alpha * cfg.g_ghz), 1, _sweep_grid(cfg, alpha),
+                          track=("populations",) + extra)
         rows.append(
             {
-                "alpha": float(alpha),
+                "alpha": alpha,
                 "peak_S_B": float(np.max(traj.series("S_B"))),
                 "peak_S_C": float(np.max(traj.series("S_C"))),
                 "peak_C_BC": float(np.max(traj.series("C_BC"))),
@@ -217,41 +207,26 @@ def _run_fig4(cfg: ExperimentConfig):
     return runs, summary, {"alpha_map.csv": rows}
 
 
-def _fig5_point(cfg, fmap, r1, dx, dy):
-    alpha = coupling.coupling_ratio(fmap, r1, (presets.LATTICE_NM + dx, dy, 0.0))
-    gs = (cfg.g_ghz, alpha * cfg.g_ghz)
-    layout, gen = system_for(cfg, gs, n_photons=1)
-    rho0 = dyn.pure_state_density(fs.basis_state(layout, 1, "gg"))
-    omega = ghz_to_angular(cfg.g_ghz) * np.sqrt(1.0 + alpha**2)
-    t_end = 1.1 * np.pi / omega
-    times = time_grid(t_end, t_end / 240)
-    traj = _integrate_cfg(cfg, gen, rho0, times)
-    return alpha, traj
-
-
 def _run_fig5(cfg: ExperimentConfig):
     fmap = coupling.synth_fieldmap(cfg.design, cfg.resolution_nm)
-    a = presets.LATTICE_NM
-    r1 = (-a, 0.0, 0.0)
-    dxs = cfg.sweep("delta_x_nm").values()
-    dys = cfg.sweep("delta_y_nm").values()
-    points = [(i, j, float(dx), float(dy))
-              for i, dx in enumerate(dxs) for j, dy in enumerate(dys)]
-
+    r1 = (-presets.LATTICE_NM, 0.0, 0.0)
     runs = {}
     rows = []
-    for i, j, dx, dy in points:
-        alpha, traj = _fig5_point(cfg, fmap, r1, dx, dy)
-        runs[f"dx{i:02d}_dy{j:02d}"] = traj
-        rows.append(
-            {
-                "delta_x_nm": dx,
-                "delta_y_nm": dy,
-                "alpha": alpha,
-                "peak_S_C": float(np.max(traj.series("S_C"))),
-                "peak_C_BC": float(np.max(traj.series("C_BC"))),
-            }
-        )
+    for i, dx in enumerate(map(float, cfg.sweep("delta_x_nm").values())):
+        for j, dy in enumerate(map(float, cfg.sweep("delta_y_nm").values())):
+            alpha = coupling.coupling_ratio(fmap, r1, (presets.LATTICE_NM + dx, dy, 0.0))
+            traj = trajectory(cfg, (cfg.g_ghz, alpha * cfg.g_ghz), 1,
+                              _sweep_grid(cfg, alpha))
+            runs[f"dx{i:02d}_dy{j:02d}"] = traj
+            rows.append(
+                {
+                    "delta_x_nm": dx,
+                    "delta_y_nm": dy,
+                    "alpha": alpha,
+                    "peak_S_C": float(np.max(traj.series("S_C"))),
+                    "peak_C_BC": float(np.max(traj.series("C_BC"))),
+                }
+            )
     peak_c = np.array([r["peak_C_BC"] for r in rows])
     alphas = np.array([r["alpha"] for r in rows])
     x_axis = [r for r in rows if r["delta_y_nm"] == 0.0] or rows
@@ -273,16 +248,14 @@ def _run_fig5(cfg: ExperimentConfig):
 
 def _run_wstate(cfg: ExperimentConfig):
     gs = cfg.resolved_couplings_ghz()
-    layout, gen = system_for(cfg, gs)
-    rho0 = dyn.pure_state_density(
-        fs.basis_state(layout, cfg.n_photons, "g" * cfg.n_atoms)
-    )
     gv = analytic.CouplingVector(tuple(ghz_to_angular(g) for g in gs))
-    chi0, chi1 = analytic.single_excitation_states(layout, gv)
-    times = time_grid(cfg.t_end_ns, cfg.dt_ns)
-    traj = _integrate_cfg(
-        cfg, gen, rho0, times, projections={"P_chi0": chi0, "P_chi1": chi1}
-    )
+
+    def states(layout):
+        chi0, chi1 = analytic.single_excitation_states(layout, gv)
+        return {"P_chi0": chi0, "P_chi1": chi1}
+
+    traj = trajectory(cfg, gs, cfg.n_photons, time_grid(cfg.t_end_ns, cfg.dt_ns),
+                      projections=states)
     freq = dyn.rabi_frequency(traj, "P_chi1")
     summary = {
         "collective_frequency_ghz": freq,
@@ -295,13 +268,8 @@ def _run_wstate(cfg: ExperimentConfig):
 
 
 def _run_custom(cfg: ExperimentConfig):
-    gs = cfg.resolved_couplings_ghz()
-    layout, gen = system_for(cfg, gs)
-    rho0 = dyn.pure_state_density(
-        fs.basis_state(layout, cfg.n_photons, "g" * cfg.n_atoms)
-    )
-    times = time_grid(cfg.t_end_ns, cfg.dt_ns)
-    traj = _integrate_cfg(cfg, gen, rho0, times)
+    traj = trajectory(cfg, cfg.resolved_couplings_ghz(), cfg.n_photons,
+                      time_grid(cfg.t_end_ns, cfg.dt_ns))
     return {"custom": traj}, {}, {}
 
 
@@ -312,15 +280,6 @@ _SCENARIO_FUNCS = {
     "fig5_position_map": _run_fig5,
     "n_atom_wstate": _run_wstate,
     "custom": _run_custom,
-}
-
-SCENARIO_NOTES = {
-    "fig2_single_atom": "single atom, one photon: Rabi cycles and envelope lifetime",
-    "fig3_two_atom": "two atoms, equal/ratio coupling, one- and two-photon dynamics",
-    "fig4_correlations": "entropies and concurrence for the two-atom runs + alpha sweep",
-    "fig5_position_map": "entanglement vs trap displacement on a synthetic field map",
-    "n_atom_wstate": "N equally coupled atoms generating the shared-excitation state",
-    "custom": "direct parameter run without scenario presets",
 }
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cavitysim import config
+from cavitysim import cli, config
 from cavitysim.cli import main
 from cavitysim.config import parse_config
 from cavitysim.runner import run_scenario
@@ -120,6 +120,41 @@ def test_validate_rejects_over_memory_config(tmp_path, capsys):
     assert "GB at peak" in capsys.readouterr().err
     ok = _write(tmp_path, 'scenario = "custom"\nn_atoms = 4\n', name="ok.cfg")
     assert main(["validate", ok]) == 0
+
+
+@pytest.mark.parametrize("text,key", [
+    # 1001 snapshots of 768 x 768 complex: 9.4 GB
+    ('scenario = "custom"\nn_atoms = 8\nlossless = true\nt_end_ns = 0.1\n'
+     "dt_ns = 1e-4\nsnapshot_stride = 1\n", "line 6: snapshot_stride:"),
+    # 1e10 outputs: the time column alone is 80 GB
+    ('scenario = "custom"\nt_end_ns = 1.0\ndt_ns = 1e-10\n', "line 3: dt_ns:"),
+    ('scenario = "fig2_single_atom"\ndt_long_ns = 1e-9\n', "line 2: dt_long_ns:"),
+    ('scenario = "fig5_position_map"\n[sweep.delta_x_nm]\nmin = 0.0\nmax = 53.0\n'
+     "steps = 100000\n", "line 5: sweep.delta_x_nm.steps:"),
+], ids=["snapshots", "time_grid", "fig2_long_grid", "fig5_sweep_points"])
+def test_validate_counts_output_grid_and_snapshots(text, key, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 10**9)
+    path = _write(tmp_path, text)
+    tracemalloc.start()
+    try:
+        assert main(["validate", path]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    err = capsys.readouterr().err
+    assert key in err and "GB at peak" in err
+    for scenario in config.SCENARIOS:
+        assert main(["validate", _write(tmp_path, f'scenario = "{scenario}"\n')]) == 0
+
+
+def test_memory_error_during_run_exits_2(tmp_path, monkeypatch, capsys):
+    def exhausted(cfg, output_dir=None):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(cli, "run_scenario", exhausted)
+    assert main(["run", _write(tmp_path, TINY_CUSTOM)]) == 2
+    assert "cannot allocate" in capsys.readouterr().err
 
 
 def test_lossy_five_atom_wstate_validates_and_runs(tmp_path, monkeypatch):

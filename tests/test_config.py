@@ -37,9 +37,18 @@ def test_design_presets_feed_defaults():
     assert cfg.q_factor == 1.2e7
 
 
-def test_negative_rate_is_a_named_range_error():
+def test_negative_rate_is_a_named_range_error(tmp_path):
     errors = _errors('scenario = "fig2_single_atom"\nkappa_mhz = -3\n')
     assert any("kappa_mhz" in e and "line 2" in e for e in errors)
+    # the synthetic-map resolution range comes from coupling
+    for resolution in ("0.4", "5.5"):
+        text = f'scenario = "fig5_position_map"\nresolution_nm = {resolution}\n'
+        assert _errors(text) == [
+            f"line 2: resolution_nm: must be in [0.5, 5], got {resolution}"
+        ]
+        path = tmp_path / "cfg.toml"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
 
 
 def test_unknown_key_is_hard_error():

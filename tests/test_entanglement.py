@@ -351,14 +351,15 @@ def test_closed_forms_match_stacked_oracles_on_random_block_diagonal_states(
     p = SystemParams(omega_c=0.0, omega_0=0.2 * G, kappa=4.0, gamma=1.5,
                      couplings=tuple(G * rng.uniform(0.3, 1.3, n_atoms)))
     gen = model.build_generator(lay, p)
-    norm_dims = {f: lay.factor_dims()[f] for f in range(n_atoms + 1)}
+    exc = fs.excitation_number_diagonal(lay)
     for _ in range(3):
         rho0 = random_block_diagonal_state(lay, rng, top)
         traj = dyn.integrate(
             gen, rho0, np.linspace(0.0, 0.05, 11), snapshot_stride=1,
             track=("entropies", "concurrence"),
-            entropy_norm_dims={dyn.subsystem_letter(f): d for f, d in norm_dims.items()},
         )
+        n_exc = round(float(exc @ np.real(np.diag(rho0))))
+        norm_dims = {f: dyn.sector_norm_dim(lay, (f,), n_exc) for f in range(n_atoms + 1)}
         n_pairs = n_atoms * (n_atoms - 1) // 2
         assert _check_against_stacked_oracles(traj, norm_dims) == n_atoms + 1 + n_pairs
 

@@ -121,3 +121,53 @@ def test_fig5_workers_is_a_no_op(tmp_path):
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
     assert not any(name.startswith("concurrent") for name in imported)
+
+
+SMALL_CONFIGS = {
+    "fig2_single_atom": "t_long_ns = 2.0\ndt_long_ns = 0.01\n",
+    "fig3_two_atom": "t_end_ns = 0.12\n",
+    "fig4_correlations": "t_end_ns = 0.05\n[sweep.alpha]\nmin = 0.0\nmax = 1.0\nsteps = 3\n",
+    "fig5_position_map": (
+        "[sweep.delta_x_nm]\nmin = 0.0\nmax = 53.0\nsteps = 2\n"
+        "[sweep.delta_y_nm]\nmin = 0.0\nmax = 20.0\nsteps = 2\n"
+    ),
+    "n_atom_wstate": "",
+    "custom": "n_atoms = 2\nt_end_ns = 0.05\n",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SMALL_CONFIGS))
+def test_every_trajectory_comes_from_the_one_path(scenario, monkeypatch):
+    produced = []
+    real = runner.trajectory
+
+    def counting(cfg, couplings_ghz, n_photons, times, **kwargs):
+        traj = real(cfg, couplings_ghz, n_photons, times, **kwargs)
+        start = fs.basis_state(traj.layout, n_photons, "g" * len(couplings_ghz))
+        label = dyn.population_labels(traj.layout)[int(np.argmax(start))]
+        assert traj.series(label)[0] == 1.0
+        produced.append(traj)
+        return traj
+
+    monkeypatch.setattr(runner, "trajectory", counting)
+    cfg = parse_config(f'scenario = "{scenario}"\n' + SMALL_CONFIGS[scenario])
+    runs, _, tables = runner._SCENARIO_FUNCS[scenario](cfg)
+    assert all(any(t is p for p in produced) for t in runs.values())
+    sweep = {"fig4_correlations": 3, "fig5_position_map": 4}.get(scenario, 0)
+    assert sum(len(rows) for rows in tables.values()) == sweep
+    kept = 0 if scenario == "fig5_position_map" else len(runs)
+    assert len(produced) == kept + sweep
+
+
+def test_only_trajectory_builds_and_integrates():
+    # the generator, rho0 and the integrate call appear in one function only
+    tree = ast.parse(inspect.getsource(runner))
+    users = {
+        func.name
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and (getattr(node, "id", None) or getattr(node, "attr", None))
+        in ("build_generator", "integrate", "pure_state_density", "basis_state")
+    }
+    assert users == {"trajectory"}
