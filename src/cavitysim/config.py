@@ -7,7 +7,8 @@ sweep keys, bad types and out-of-range values are hard errors carrying the
 line number, so a typo in a physics parameter cannot silently run with a
 default.  So is a run that would not fit in physical memory: its largest
 propagation plus the output columns and snapshots it holds until its files
-are written, or fig5's synthetic field map.
+are written.  fig5 reads its synthetic field map only at the nodes around
+each probe point, so its `resolution_nm` sets no memory need.
 All such problems are reported together; a TOML syntax error stops the
 parse, so syntax errors are reported one at a time.  Every omitted key is
 filled from the scenario's defaults at parse time, and `canonical_text`
@@ -458,13 +459,13 @@ def parse_config(text: str) -> ExperimentConfig:
     check(cfg.dt_long_ns > 0, "dt_long_ns", f"must be > 0, got {cfg.dt_long_ns}")
     check(cfg.snapshot_stride >= 0, "snapshot_stride",
           f"must be >= 0, got {cfg.snapshot_stride}")
-    lo, hi = coupling.SYNTH_RESOLUTION_RANGE
-    check(lo <= cfg.resolution_nm <= hi, "resolution_nm",
-          f"must be in [{lo:g}, {hi:g}], got {cfg.resolution_nm}")
     check(cfg.workers >= 1, "workers", f"must be >= 1, got {cfg.workers}")
-    if cfg.scenario == "fig5_position_map":
+    if cfg.scenario == "fig5_position_map":  # the only scenario with a field map
         check(cfg.design in ("D1", "D3"), "design",
               "fig5_position_map needs a synthetic map (designs D1 or D3)")
+        lo, hi = coupling.SYNTH_RESOLUTION_RANGE
+        check(lo <= cfg.resolution_nm <= hi, "resolution_nm",
+              f"must be in [{lo:g}, {hi:g}], got {cfg.resolution_nm}")
 
     memory = _physical_memory()
     if not errors and memory:
@@ -474,11 +475,6 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(
                 f"{at(*key)}: {'.'.join(key)}: the run needs about {gb:.3g} GB at "
                 f"peak, more than the {memory / 1e9:.3g} GB of physical memory")
-        if cfg.scenario == "fig5_position_map":
-            map_bytes = coupling.synth_peak_bytes(cfg.resolution_nm)
-            check(map_bytes <= memory, "resolution_nm",
-                  f"the synthetic field map needs about {map_bytes / 1e9:.3g} GB "
-                  f"at peak, more than the {memory / 1e9:.3g} GB of physical memory")
 
     if errors:
         raise ConfigError(errors)

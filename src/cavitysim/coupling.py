@@ -19,7 +19,9 @@ for the two nanobeam designs: an analytic standing-wave/envelope profile
 whose shape parameters are solved so that the published scalar targets
 (global mode volume, trap-site coupling, and the coupling-ratio extremes
 under displacement) are reproduced.  The generator is calibration, not
-prediction; tests treat it accordingly.
+prediction; tests treat it accordingly.  A coupling ratio needs only
+densities at two points, so `synth_density_at` computes the 8 nodes around
+a point instead of the whole map, and the runs build no map at all.
 """
 
 import math
@@ -33,9 +35,6 @@ from . import presets
 from .units import EPSILON_0, HBAR, SPEED_OF_LIGHT, TWO_PI
 
 SYNTH_RESOLUTION_RANGE = (0.5, 5.0)  # nm
-# Peak bytes per grid node while synth_fieldmap builds a map.  Traced at
-# 2.13 float64 arrays (de, total and FieldMap's sign check); rounded up to 3.
-SYNTH_PEAK_BYTES_PER_NODE = 24
 
 
 class FieldMapFormatError(ValueError):
@@ -97,39 +96,36 @@ class FieldMap:
         dx, dy, dz = self.spacing_nm
         return dx * dy * dz * 1e-27
 
-    def axis_nm(self, axis: int) -> np.ndarray:
-        return self.origin_nm[axis] + self.spacing_nm[axis] * np.arange(self.shape[axis])
 
-    def contains(self, r_nm) -> bool:
-        for ax in range(3):
-            lo = self.origin_nm[ax]
-            hi = lo + self.spacing_nm[ax] * (self.shape[ax] - 1)
-            if not lo <= r_nm[ax] <= hi:
-                return False
-        return True
+def _grid_cell(origin_nm, spacing_nm, shape, r_nm) -> tuple:
+    """(lower node indices, fractions) of the grid cell holding a point (nm);
+    a point on the grid's upper face lies in the last cell."""
+    cell = []
+    for lo, d, n, r in zip(origin_nm, spacing_nm, shape, r_nm):
+        if not lo <= r <= lo + d * (n - 1):
+            raise ValueError(f"point {tuple(r_nm)} nm lies outside the map grid")
+        f = (r - lo) / d
+        i = min(math.floor(f), n - 2)
+        cell.append((i, f - i))
+    return tuple(zip(*cell))
+
+
+def _trilinear(block: np.ndarray, frac) -> float:
+    """Trilinear interpolation inside one 2 x 2 x 2 block of nodes."""
+    out = 0.0
+    for corner in range(8):
+        bits = tuple((corner >> ax) & 1 for ax in range(3))
+        w = 1.0
+        for f, bit in zip(frac, bits):
+            w *= f if bit else 1.0 - f
+        out += w * float(block[bits])
+    return out
 
 
 def interpolate_density(fmap: FieldMap, array: np.ndarray, r_nm) -> float:
     """Trilinear interpolation of one of the map's arrays at a point (nm)."""
-    if not fmap.contains(r_nm):
-        raise ValueError(f"point {tuple(r_nm)} nm lies outside the map grid")
-    idx = []
-    frac = []
-    for ax in range(3):
-        f = (r_nm[ax] - fmap.origin_nm[ax]) / fmap.spacing_nm[ax]
-        i = min(int(math.floor(f)), fmap.shape[ax] - 2)
-        idx.append(i)
-        frac.append(f - i)
-    out = 0.0
-    for corner in range(8):
-        w = 1.0
-        pos = []
-        for ax in range(3):
-            bit = (corner >> ax) & 1
-            w *= frac[ax] if bit else (1.0 - frac[ax])
-            pos.append(idx[ax] + bit)
-        out += w * float(array[pos[0], pos[1], pos[2]])
-    return out
+    (i, j, k), frac = _grid_cell(fmap.origin_nm, fmap.spacing_nm, fmap.shape, r_nm)
+    return _trilinear(array[i:i + 2, j:j + 2, k:k + 2], frac)
 
 
 @dataclass(frozen=True)
@@ -620,11 +616,23 @@ def _support(f: np.ndarray) -> slice:
     return slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
 
 
-def synth_peak_bytes(resolution_nm: float) -> int:
-    """Estimated peak bytes of synth_fieldmap at this resolution (either
-    design), from the grid it would build; allocates no grid."""
-    nodes = math.prod(_axis_ticks(h, resolution_nm).size for h in _HALF_EXTENTS)
-    return SYNTH_PEAK_BYTES_PER_NODE * nodes
+def _synth_axes(resolution_nm: float) -> tuple:
+    """x, y and z node coordinates (nm) of a synthetic map's grid."""
+    lo, hi = SYNTH_RESOLUTION_RANGE
+    if not lo <= resolution_nm <= hi:
+        raise ValueError(
+            f"resolution must be in [{lo}, {hi}] nm, got {resolution_nm}"
+        )
+    return tuple(_axis_ticks(h, resolution_nm) for h in _HALF_EXTENTS)
+
+
+def _synth_density(design: str, xs, ys, zs) -> np.ndarray:
+    """Unnormalized D.E of a design on the grid spanned by xs, ys and zs."""
+    if design == "D1":
+        return _d1_density(xs, ys, zs)
+    if design == "D3":
+        return _d3_density(xs, ys, zs)
+    raise ValueError(f"synthetic maps exist for designs D1 and D3, got {design!r}")
 
 
 def synth_fieldmap(design: str, resolution_nm: float = 5.0) -> FieldMap:
@@ -639,21 +647,12 @@ def synth_fieldmap(design: str, resolution_nm: float = 5.0) -> FieldMap:
 
     The map is built in place: the density grid is scaled into `de`, and
     each of D3's tip ridges is applied only on its support, the index box
-    where it is non-zero.  The build peaks at about two grid arrays
-    (`synth_peak_bytes`).
+    where it is non-zero.  The build peaks at about two grid arrays.  Runs
+    need only ratios of densities and read them with `synth_density_at`;
+    the full map serves the mode-volume calibration and as its oracle.
     """
-    lo, hi = SYNTH_RESOLUTION_RANGE
-    if not lo <= resolution_nm <= hi:
-        raise ValueError(
-            f"resolution must be in [{lo}, {hi}] nm, got {resolution_nm}"
-        )
-    xs, ys, zs = (_axis_ticks(h, resolution_nm) for h in _HALF_EXTENTS)
-    if design == "D1":
-        u = _d1_density(xs, ys, zs)
-    elif design == "D3":
-        u = _d3_density(xs, ys, zs)
-    else:
-        raise ValueError(f"synthetic maps exist for designs D1 and D3, got {design!r}")
+    xs, ys, zs = _synth_axes(resolution_nm)
+    u = _synth_density(design, xs, ys, zs)
     # Normalize so the map holds one photon's worth of energy.
     omega_c = TWO_PI * SPEED_OF_LIGHT / (presets.LAMBDA_NM * 1e-9)
     cell = resolution_nm**3 * 1e-27
@@ -666,6 +665,19 @@ def synth_fieldmap(design: str, resolution_nm: float = 5.0) -> FieldMap:
         origin_nm=(float(xs[0]), float(ys[0]), float(zs[0])),
         lambda_nm=presets.LAMBDA_NM,
     )
+
+
+def synth_density_at(design: str, resolution_nm: float, r_nm) -> float:
+    """Unnormalized D.E of synth_fieldmap(design, resolution_nm) at a point
+    (nm), interpolated from the 8 nodes of its cell, the only ones computed.
+    Normalization and total energy cancel in a coupling ratio, so
+    sqrt(synth_density_at(r2) / synth_density_at(r1)) = coupling_ratio(r1, r2).
+    """
+    axes = _synth_axes(resolution_nm)
+    origin = tuple(float(ax[0]) for ax in axes)
+    idx, frac = _grid_cell(origin, (resolution_nm,) * 3, [ax.size for ax in axes], r_nm)
+    block = _synth_density(design, *(ax[i:i + 2] for ax, i in zip(axes, idx)))
+    return _trilinear(block, frac)
 
 
 def gaussian_standing_wave_map(

@@ -122,10 +122,6 @@ def annihilation(layout: HilbertLayout) -> np.ndarray:
     return _embed(layout, {0: photon_annihilation_block(layout.n_max)})
 
 
-def creation(layout: HilbertLayout) -> np.ndarray:
-    return annihilation(layout).conj().T
-
-
 def photon_number_diagonal(layout: HilbertLayout) -> np.ndarray:
     """Photon number of each basis state (the diagonal of a^dag a).
 

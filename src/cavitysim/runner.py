@@ -22,6 +22,7 @@ threads.
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -208,13 +209,16 @@ def _run_fig4(cfg: ExperimentConfig):
 
 
 def _run_fig5(cfg: ExperimentConfig):
-    fmap = coupling.synth_fieldmap(cfg.design, cfg.resolution_nm)
-    r1 = (-presets.LATTICE_NM, 0.0, 0.0)
+    def density(r_nm):
+        return coupling.synth_density_at(cfg.design, cfg.resolution_nm, r_nm)
+
+    # alpha = sqrt(V(r1) / V(r2)); the map's normalization and total energy cancel
+    de_r1 = density((-presets.LATTICE_NM, 0.0, 0.0))
     runs = {}
     rows = []
     for i, dx in enumerate(map(float, cfg.sweep("delta_x_nm").values())):
         for j, dy in enumerate(map(float, cfg.sweep("delta_y_nm").values())):
-            alpha = coupling.coupling_ratio(fmap, r1, (presets.LATTICE_NM + dx, dy, 0.0))
+            alpha = math.sqrt(density((presets.LATTICE_NM + dx, dy, 0.0)) / de_r1)
             traj = trajectory(cfg, (cfg.g_ghz, alpha * cfg.g_ghz), 1,
                               _sweep_grid(cfg, alpha))
             runs[f"dx{i:02d}_dy{j:02d}"] = traj

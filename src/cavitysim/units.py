@@ -7,8 +7,7 @@ Ordinary frequencies (Hz, MHz, GHz) appear only at configuration boundaries;
 the factor of 2*pi is applied exactly once, in these helpers.
 
 The field-map / coupling module works in SI units (m, J/m^3, rad/s) because
-its formulas involve physical constants; :func:`rad_per_s_to_rad_per_ns`
-bridges the two.
+its formulas involve physical constants.
 """
 
 import math
@@ -29,16 +28,3 @@ def ghz_to_angular(f_ghz: float) -> float:
 def mhz_to_angular(f_mhz: float) -> float:
     """Ordinary frequency in MHz -> angular frequency in rad/ns."""
     return TWO_PI * f_mhz * 1e-3
-
-
-def angular_to_ghz(w_rad_per_ns: float) -> float:
-    """Angular frequency in rad/ns -> ordinary frequency in GHz."""
-    return w_rad_per_ns / TWO_PI
-
-
-def rad_per_s_to_rad_per_ns(w_rad_per_s: float) -> float:
-    return w_rad_per_s * 1e-9
-
-
-def rad_per_ns_to_rad_per_s(w_rad_per_ns: float) -> float:
-    return w_rad_per_ns * 1e9

@@ -51,6 +51,15 @@ def test_negative_rate_is_a_named_range_error(tmp_path):
         assert main(["validate", str(path)]) == 1
 
 
+def test_resolution_is_range_checked_only_for_fig5(tmp_path):
+    # no other scenario reads the synthetic map, so its resolution is free
+    text = 'scenario = "custom"\nresolution_nm = 0.4\n'
+    assert parse_config(text).resolution_nm == 0.4
+    path = tmp_path / "cfg.toml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 0
+
+
 def test_unknown_key_is_hard_error():
     errors = _errors('scenario = "fig2_single_atom"\ngg_ghz = 9.0\n')
     assert any("unknown key 'gg_ghz'" in e for e in errors)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cavitysim import coupling as cp, presets
+from cavitysim.config import default_sweeps
 from cavitysim.units import EPSILON_0, HBAR, SPEED_OF_LIGHT, TWO_PI
 
 
@@ -363,4 +364,30 @@ def test_synth_fieldmap_peaks_near_two_grid_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * fmap.de.nbytes
-    assert peak <= cp.synth_peak_bytes(5.0)
+
+
+@pytest.mark.parametrize("resolution", [5.0, 4.0])
+@pytest.mark.parametrize("design", ["D1", "D3"])
+def test_synth_density_at_gives_the_full_map_coupling_ratio(design, resolution):
+    fmap = cp.synth_fieldmap(design, resolution)
+    # positive on the whole grid, so a ratio of densities is always defined
+    assert fmap.de.min() > 0
+    a = presets.LATTICE_NM
+    r1 = (-a, 0.0, 0.0)
+    dx, dy = default_sweeps("fig5_position_map", design)
+    points = [(a + x, y, 0.0) for x in dx.values() for y in dy.values()]
+    corner = tuple(o + resolution * (n - 1) for o, n in zip(fmap.origin_nm, fmap.shape))
+    points += [
+        (10 * resolution, -3 * resolution, 2 * resolution),  # on a node
+        (10 * resolution, -13.7, 21.1),                      # on a cell face
+        corner,  # the grid's upper corner, interpolated in the last cell
+    ]
+    de_r1 = cp.synth_density_at(design, resolution, r1)
+    for r in points:
+        alpha = math.sqrt(cp.synth_density_at(design, resolution, r) / de_r1)
+        assert abs(alpha - cp.coupling_ratio(fmap, r1, r)) <= 4.4e-16, r
+
+
+def test_synth_density_at_rejects_a_point_outside_the_grid():
+    with pytest.raises(ValueError, match=r"point \(0\.0, 0\.0, 175\.0\) nm lies outside"):
+        cp.synth_density_at("D1", 5.0, (0.0, 0.0, 175.0))
