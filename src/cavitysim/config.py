@@ -3,25 +3,27 @@
 A config is TOML limited to top-level `key = value` pairs plus optional
 `[sweep.<axis>]` tables, parsed with the stdlib `tomllib`.  On top of TOML
 the checks are deliberately strict: unknown keys, sections, sweep axes and
-sweep keys, bad types and out-of-range values are hard errors carrying the
-line number, so a typo in a physics parameter cannot silently run with a
-default.  So is a run that would not fit in physical memory: its largest
-propagation plus the output columns and snapshots it holds until its files
-are written.  fig5 reads its synthetic field map only at the nodes around
-each probe point, so its `resolution_nm` sets no memory need.
+sweep keys, sweep tables of an axis the scenario does not run (it runs those
+of `default_sweeps`), bad types and out-of-range values are hard errors
+carrying the line number, so a typo in a physics parameter cannot silently
+run with a default.  So is a run that would not fit in physical memory: its
+largest propagation plus the output columns and snapshots it holds until
+its files are written.  fig5 reads its synthetic field map only at the
+nodes around each probe point, so its `resolution_nm` sets no memory need.
 All such problems are reported together; a TOML syntax error stops the
 parse, so syntax errors are reported one at a time.  Every omitted key is
 filled from the scenario's defaults at parse time, and `canonical_text`
 emits the fully resolved form as valid TOML; parse(canonical_text(cfg))
-round-trips to an equal config.  `SCENARIOS` holds what is known about
-each scenario: its `cavitysim scenarios` note, its defaults, the size of
-its largest propagation and the grid of its sweep points.
+round-trips to an equal config.  The fields of `ExperimentConfig` are the
+one list of keys: each key's type test and its line in `canonical_text`
+follow from them.  `SCENARIOS` holds what is known about each scenario: its
+`cavitysim scenarios` note, its defaults, the size of its largest
+propagation and the grid of its sweep points.
 
 Example::
 
-    scenario = "fig3_two_atom"
-    design = "D1"
-    alpha = 0.7
+    scenario = "fig5_position_map"
+    design = "D3"
 
     [sweep.delta_x_nm]
     min = 0.0
@@ -34,7 +36,7 @@ import math
 import os
 import re
 import tomllib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 from . import coupling, presets
@@ -179,7 +181,8 @@ SCENARIOS = {
 }
 
 
-# Default sweep axes where a scenario needs them and the config omits them.
+# The sweep axes a scenario runs, each with the grid it takes where the
+# config has no table for it; a table of any other axis is an error.
 def default_sweeps(scenario: str, design: str) -> tuple:
     if scenario == "fig5_position_map":
         dy_max = presets.TIP_GAP_NM if design == "D3" else presets.HOLE_RADIUS_NM
@@ -274,19 +277,18 @@ def _is_str_list(v) -> bool:
     return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
 
-_INT = (_is_int, "an integer")
+# (type test, what the error says was expected) of each field annotation
 _FLOAT = (_is_number, "a number")
-_STR = (lambda v: isinstance(v, str), "a quoted string")
-
-# key -> (type test, what the error says was expected)
+_TYPE_TESTS = {
+    int: (_is_int, "an integer"),
+    float: _FLOAT,
+    str: (lambda v: isinstance(v, str), "a quoted string"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+}
+# key -> (type test, expected): scalar keys by their ExperimentConfig
+# annotation, the two list-valued keys by hand
 _KEY_TYPES = {
-    **dict.fromkeys(("n_atoms", "n_photons", "n_max", "snapshot_stride",
-                     "workers"), _INT),
-    **dict.fromkeys(("g_ghz", "alpha", "q_factor", "kappa_mhz", "gamma_mhz",
-                     "lambda_nm", "detuning_ghz", "t_end_ns", "dt_ns",
-                     "t_long_ns", "dt_long_ns", "resolution_nm"), _FLOAT),
-    **dict.fromkeys(("scenario", "design", "dissipator_form", "output_dir"), _STR),
-    "lossless": (lambda v: isinstance(v, bool), "true or false"),
+    **{f.name: _TYPE_TESTS[f.type] for f in fields(ExperimentConfig) if f.type in _TYPE_TESTS},
     "couplings_ghz": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
                       "a [list] of numbers"),
     "observables": (lambda v: isinstance(v, str) or _is_str_list(v),
@@ -334,18 +336,18 @@ def parse_config(text: str) -> ExperimentConfig:
     sweeps: dict = {}
     for key, value in doc.items():
         if key == "sweep" and isinstance(value, dict):
-            for axis, fields in value.items():
-                if axis not in SWEEP_AXES or not isinstance(fields, dict):
+            for axis, table in value.items():
+                if axis not in SWEEP_AXES or not isinstance(table, dict):
                     errors.append(
                         f"{at('sweep', axis)}: unknown sweep axis {axis!r}; "
                         f"valid axes: {', '.join(SWEEP_AXES)}"
                     )
                     continue
-                for k in [k for k in fields if k not in SWEEP_KEYS]:
+                for k in [k for k in table if k not in SWEEP_KEYS]:
                     errors.append(
                         f"{at('sweep', axis, k)}: unknown sweep key {k!r} (min/max/steps)"
                     )
-                sweeps[axis] = fields
+                sweeps[axis] = table
         elif isinstance(value, dict):
             errors.append(f"{at(key)}: unknown section {key!r} (only [sweep.<axis>])")
         elif key not in _KEY_TYPES:
@@ -397,14 +399,20 @@ def parse_config(text: str) -> ExperimentConfig:
         if cfg.q_factor <= 0:
             cfg = replace(cfg, q_factor=d.q_factor)
 
-    # sweep assembly
+    # sweep assembly, on the axes the scenario runs
+    defaults = default_sweeps(scenario, cfg.design)
+    scenario_axes = [ax.name for ax in defaults]
     axes = []
-    for axis, fields in sweeps.items():
-        missing = [k for k in SWEEP_KEYS if k not in fields]
+    for axis, table in sweeps.items():
+        if axis not in scenario_axes:
+            errors.append(f"{at('sweep', axis)}: sweep.{axis}: {scenario} runs no {axis} "
+                          f"sweep; its axes: {', '.join(scenario_axes) or 'none'}")
+            continue
+        missing = [k for k in SWEEP_KEYS if k not in table]
         if missing:
             errors.append(f"{at('sweep', axis)}: sweep.{axis}: missing {', '.join(missing)}")
             continue
-        mn, mx, st = (fields[k] for k in SWEEP_KEYS)
+        mn, mx, st = (table[k] for k in SWEEP_KEYS)
         if not _is_int(st):
             errors.append(f"{at('sweep', axis, 'steps')}: sweep.{axis}.steps: "
                           "expected an integer")
@@ -423,7 +431,7 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         axes.append(SweepAxis(axis, mn, mx, st))
     names = {ax.name for ax in axes}
-    axes += [ax for ax in default_sweeps(scenario, cfg.design) if ax.name not in names]
+    axes += [ax for ax in defaults if ax.name not in names]
     cfg = replace(cfg, sweeps=tuple(sorted(axes, key=lambda ax: ax.name)))
 
     # range validation (name the key)
@@ -498,27 +506,13 @@ def _format_value(v) -> str:
 def canonical_text(cfg: ExperimentConfig) -> str:
     """Fully resolved config as TOML; parse(canonical_text(cfg)) == cfg."""
     lines = []
-    pairs = {
-        "scenario": cfg.scenario, "design": cfg.design,
-        "n_atoms": cfg.n_atoms, "n_photons": cfg.n_photons, "n_max": cfg.n_max,
-        "g_ghz": cfg.g_ghz, "alpha": cfg.alpha,
-        "couplings_ghz": cfg.couplings_ghz,
-        "q_factor": cfg.q_factor, "kappa_mhz": cfg.kappa_mhz,
-        "gamma_mhz": cfg.gamma_mhz, "lambda_nm": cfg.lambda_nm,
-        "detuning_ghz": cfg.detuning_ghz,
-        "dissipator_form": cfg.dissipator_form, "lossless": cfg.lossless,
-        "t_end_ns": cfg.t_end_ns, "dt_ns": cfg.dt_ns,
-        "t_long_ns": cfg.t_long_ns, "dt_long_ns": cfg.dt_long_ns,
-        "snapshot_stride": cfg.snapshot_stride,
-        "observables": cfg.observables, "resolution_nm": cfg.resolution_nm,
-        "workers": cfg.workers, "output_dir": cfg.output_dir,
-    }
-    for key in sorted(pairs):
-        if key == "couplings_ghz" and not pairs[key]:
-            continue
-        if key == "kappa_mhz" and cfg.kappa_mhz < 0:
+    for f in sorted(fields(cfg), key=lambda f: f.name):
+        value = getattr(cfg, f.name)
+        if f.name == "sweeps" or (f.name == "couplings_ghz" and not value):
+            continue  # sweeps follow as tables
+        if f.name == "kappa_mhz" and value < 0:
             continue  # sentinel for "derive from q_factor"
-        lines.append(f"{key} = {_format_value(pairs[key])}")
+        lines.append(f"{f.name} = {_format_value(value)}")
     for ax in cfg.sweeps:
         lines.append("")
         lines.append(f"[sweep.{ax.name}]")

@@ -460,6 +460,28 @@ def _trapz_fine(f, half_extent):
     return float(np.trapezoid(f(x), x)), x
 
 
+def _standing_x(x, beta, sx):
+    """x factor of D1 and of D3's background: a standing wave of contrast
+    beta under a Gaussian envelope of width sx."""
+    standing = (1.0 - beta) + beta * np.cos(np.pi * x / presets.LATTICE_NM) ** 2
+    return standing * np.exp(-0.5 * (x / sx) ** 2)
+
+
+def _d1_y_profile(y, c, ratio_m):
+    """D1 y factor: rises from 1 to ratio_m toward the plateau band."""
+    s = np.minimum(_s8(y, c) / _s8(_D1_Y_SAT, c), 1.0)
+    return (1.0 + (ratio_m - 1.0) * s) * _flat_top(y, _D1_Y_FLAT_END, _D1_Y_TAIL)
+
+
+def _d3_xb(x):
+    """D3 x factor of the background pedestal."""
+    return _standing_x(x, _D3_BETA, _D3_SXE)
+
+
+# The D3 background's x factor at the trap site, where it is scaled to 1.
+_D3_XB_TRAP = float(_d3_xb(np.array([presets.LATTICE_NM]))[0])
+
+
 @lru_cache(maxsize=None)
 def _d1_shape():
     """Solve the D1 profile constants against the design targets.
@@ -474,28 +496,21 @@ def _d1_shape():
     dx_probe = tgt.alpha_x[0]
     dy_probe = tgt.alpha_y[0]
 
-    def y_profile(y, c):
-        s = np.minimum(_s8(y, c) / _s8(_D1_Y_SAT, c), 1.0)
-        return (1.0 + (ratio_m - 1.0) * s) * _flat_top(y, _D1_Y_FLAT_END, _D1_Y_TAIL)
-
-    c_y = brentq(lambda c: y_profile(dy_probe, c) - t_ay, 20.0, _D1_Y_SAT - 1.0)
-
-    def x_profile(x, beta, sx):
-        standing = (1.0 - beta) + beta * np.cos(np.pi * x / a) ** 2
-        return standing * np.exp(-0.5 * (x / sx) ** 2)
+    c_y = brentq(lambda c: _d1_y_profile(dy_probe, c, ratio_m) - t_ay,
+                 20.0, _D1_Y_SAT - 1.0)
 
     def beta_for(sx):
         def f(beta):
-            return x_profile(a + dx_probe, beta, sx) / x_profile(a, beta, sx) - t_ax
+            return _standing_x(a + dx_probe, beta, sx) / _standing_x(a, beta, sx) - t_ax
         return brentq(f, 1e-9, 0.999)
 
-    iy, _ = _trapz_fine(lambda y: y_profile(y, c_y), _HALF_Y)
+    iy, _ = _trapz_fine(lambda y: _d1_y_profile(y, c_y, ratio_m), _HALF_Y)
     iz, _ = _trapz_fine(lambda z: _flat_top(z, _D1_Z_HALF, _D1_Z_TAIL), _HALF_Z)
     v_trap_nm3 = tgt.v_trap_m3 * 1e27
 
     def volume_gap(sx):
         beta = beta_for(sx)
-        ix, _ = _trapz_fine(lambda x: x_profile(x, beta, sx), _HALF_X)
+        ix, _ = _trapz_fine(lambda x: _standing_x(x, beta, sx), _HALF_X)
         return 2.0 * ix * iy * iz - v_trap_nm3
 
     sx = brentq(volume_gap, 420.0, 3000.0, xtol=1e-6)
@@ -514,12 +529,7 @@ def _d3_shape():
     dx_probe = tgt.alpha_x[0]
     dy_probe = tgt.alpha_y[0]
 
-    def xb(x):
-        standing = (1.0 - _D3_BETA) + _D3_BETA * np.cos(np.pi * x / a) ** 2
-        return standing * np.exp(-0.5 * (x / _D3_SXE) ** 2)
-
-    xb_a = float(xb(np.array([a]))[0])
-    xb_ratio = float(xb(np.array([a + dx_probe]))[0]) / xb_a
+    xb_ratio = float(_d3_xb(np.array([a + dx_probe]))[0]) / _D3_XB_TRAP
 
     def lobe_widths(p):
         rx = (t_ax - p * xb_ratio) / (1.0 - p)
@@ -530,14 +540,14 @@ def _d3_shape():
         ly = dy_probe / math.sqrt(-2.0 * math.log(ry))
         return lx, ly
 
-    ixb, _ = _trapz_fine(xb, _HALF_X)
+    ixb, _ = _trapz_fine(_d3_xb, _HALF_X)
     iyb, _ = _trapz_fine(lambda y: _flat_top(y, _D3_YB_HALF, _D3_YB_TAIL), _HALF_Y)
     izb, _ = _trapz_fine(lambda z: _flat_top(z, _D3_ZB_HALF, _D3_ZB_TAIL), _HALF_Z)
     v_trap_nm3 = tgt.v_trap_m3 * 1e27
 
     def volume_gap(p):
         lx, ly = lobe_widths(p)
-        ib = p * (ixb / xb_a) * iyb * izb
+        ib = p * (ixb / _D3_XB_TRAP) * iyb * izb
         ilx, _ = _trapz_fine(lambda x: np.exp(-0.5 * ((x - a) / lx) ** 2), _HALF_X)
         ily, _ = _trapz_fine(lambda y: np.exp(-0.5 * (y / ly) ** 2), _HALF_Y)
         ilz, _ = _trapz_fine(lambda z: np.exp(-0.5 * (z / _D3_LOBE_LZ) ** 2), _HALF_Z)
@@ -551,12 +561,8 @@ def _d3_shape():
 
 def _d1_density(xs, ys, zs):
     c_y, ratio_m, beta, sx = _d1_shape()
-    a = presets.LATTICE_NM
-    x_prof = ((1.0 - beta) + beta * np.cos(np.pi * xs / a) ** 2) * np.exp(
-        -0.5 * (xs / sx) ** 2
-    )
-    s = np.minimum(_s8(ys, c_y) / _s8(_D1_Y_SAT, c_y), 1.0)
-    y_prof = (1.0 + (ratio_m - 1.0) * s) * _flat_top(ys, _D1_Y_FLAT_END, _D1_Y_TAIL)
+    x_prof = _standing_x(xs, beta, sx)
+    y_prof = _d1_y_profile(ys, c_y, ratio_m)
     z_prof = _flat_top(zs, _D1_Z_HALF, _D1_Z_TAIL)
     return (
         x_prof[:, None, None] * y_prof[None, :, None] * z_prof[None, None, :]
@@ -566,11 +572,6 @@ def _d1_density(xs, ys, zs):
 def _d3_density(xs, ys, zs):
     p, lx, ly, ratio_m = _d3_shape()
     a = presets.LATTICE_NM
-
-    def xb(x):
-        standing = (1.0 - _D3_BETA) + _D3_BETA * np.cos(np.pi * x / a) ** 2
-        return standing * np.exp(-0.5 * (x / _D3_SXE) ** 2)
-
     # Built in place: u holds the first lobe, and one temporary takes the
     # second lobe and then the background.  The sum is bg + (lobe1 + lobe2)
     # bit for bit, since floating-point addition commutes.
@@ -583,10 +584,9 @@ def _d3_density(xs, ys, zs):
         lx_prof = (1.0 - p) * np.exp(-0.5 * ((xs - sx_center) / lx) ** 2)
         np.multiply(lx_prof[:, None, None] * ly_prof, lz, out=out)
     u += tmp
-    xb_a = float(xb(np.array([a]))[0])
     np.multiply(
-        (p / xb_a)
-        * xb(xs)[:, None, None]
+        (p / _D3_XB_TRAP)
+        * _d3_xb(xs)[:, None, None]
         * _flat_top(ys, _D3_YB_HALF, _D3_YB_TAIL)[None, :, None],
         _flat_top(zs, _D3_ZB_HALF, _D3_ZB_TAIL)[None, None, :],
         out=tmp,

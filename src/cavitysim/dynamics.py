@@ -26,7 +26,6 @@ Time is in ns throughout; rates are angular (rad/ns).
 
 import io
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,41 +128,23 @@ def subsystem_letter(factor: int) -> str:
     return chr(ord("A") + factor)
 
 
-def sector_effective_dim(layout: HilbertLayout, factor_positions, n_exc: int) -> int:
-    """Number of subsystem basis states reachable with at most n_exc excitations."""
-    positions = tuple(factor_positions)
-    dim = 1
-    if 0 in positions:
-        dim *= min(layout.n_max, n_exc) + 1
-        n_atoms = len(positions) - 1
-    else:
-        n_atoms = len(positions)
-    atom_states = sum(
-        math.comb(n_atoms, j) for j in range(0, min(n_atoms, n_exc) + 1)
-    )
-    return dim * atom_states
-
-
 def sector_norm_dim(layout: HilbertLayout, keep, n_exc: int) -> int:
     """Entropy normalization dimension for one partition block.
 
-    min(effective dim of kept factors, effective dim of the complement),
-    restricted to the excitation-preserved sector, floored at 2.  For a
-    single photon shared with any number of atoms this gives 2, which makes
-    the photon entropy reach 1 at maximal photon-atom entanglement even
-    though the truncated photon factor is larger.
+    Counted on the basis states with at most n_exc excitations: the number
+    of distinct states their kept factors take, and likewise for the
+    complement; the smaller of the two, floored at 2.  For a single photon
+    shared with any number of atoms this gives 2, which makes the photon
+    entropy reach 1 at maximal photon-atom entanglement even though the
+    truncated photon factor is larger.
     """
     keep = tuple(keep)
-    complement = tuple(
-        p for p in range(layout.n_atoms + 1) if p not in keep
-    )
-    return max(
-        2,
-        min(
-            sector_effective_dim(layout, keep, n_exc),
-            sector_effective_dim(layout, complement, n_exc),
-        ),
-    )
+    complement = tuple(p for p in range(layout.n_atoms + 1) if p not in keep)
+    sector = np.flatnonzero(fs.excitation_number_diagonal(layout) <= n_exc)
+    return max(2, min(
+        np.unique(fs.factor_index(layout, sector, side)).size
+        for side in (keep, complement)
+    ))
 
 
 def integrate(

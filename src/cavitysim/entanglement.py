@@ -13,8 +13,6 @@ import numpy as np
 
 from .fockspace import HilbertLayout
 
-PHOTON = 0
-
 # Slightly negative eigenvalues are expected from the integrator; anything
 # below this is a hard error signaling a misconfigured run.
 EIGENVALUE_CLAMP_TOL = 1e-8

@@ -1,5 +1,5 @@
 import tomllib
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +8,7 @@ from cavitysim import presets
 from cavitysim.cli import main
 from cavitysim.config import (
     ConfigError,
+    ExperimentConfig,
     SweepAxis,
     canonical_text,
     parse_config,
@@ -196,13 +197,31 @@ def test_canonical_round_trip(scenario):
     assert tomllib.loads(text)["scenario"] == scenario
 
 
+# A value off the ExperimentConfig default for every field, so that a key
+# missing from the type table or the canonical text breaks the round trip.
+EVERY_FIELD = (
+    'scenario = "fig4_correlations"\ndesign = "D2"\nn_atoms = 3\nn_photons = 2\n'
+    'n_max = 3\ng_ghz = 7.5\nalpha = 0.62\ncouplings_ghz = [1.0, 2.5, 3]\n'
+    'q_factor = 2e6\nkappa_mhz = 12.5\ngamma_mhz = 5.5\nlambda_nm = 800.0\n'
+    'detuning_ghz = 0.25\ndissipator_form = "literal"\nlossless = true\n'
+    't_end_ns = 0.2\ndt_ns = 1e-4\nt_long_ns = 20.0\ndt_long_ns = 0.01\n'
+    'snapshot_stride = 5\nobservables = ["populations"]\nresolution_nm = 4.0\n'
+    'workers = 2\noutput_dir = "runs/every field"\n'
+    '[sweep.alpha]\nmin = 0.5\nmax = 1.5\nsteps = 3\n'
+)
+
+
 def test_round_trip_preserves_overrides():
-    src = (
+    for src in (
         'scenario = "fig3_two_atom"\nalpha = 0.62\ngamma_mhz = 5.5\n'
-        'lossless = true\nobservables = ["populations"]\n'
-    )
-    cfg = parse_config(src)
-    assert parse_config(canonical_text(cfg)) == cfg
+        'lossless = true\nobservables = ["populations"]\n',
+        EVERY_FIELD,
+    ):
+        cfg = parse_config(src)
+        assert parse_config(canonical_text(cfg)) == cfg
+    # the last input, EVERY_FIELD, leaves no field at its default
+    assert all(getattr(cfg, f.name) != f.default
+               for f in fields(ExperimentConfig) if f.default is not MISSING)
 
 
 @settings(max_examples=200, deadline=None)
@@ -226,6 +245,20 @@ def test_key_locations_in_sweep_tables():
         "line 8: unknown sweep axis 'beta'; valid axes: delta_x_nm, delta_y_nm, alpha",
         "line 6: sweep.delta_x_nm.steps: must be >= 1, got 0",
     ]
+
+
+@pytest.mark.parametrize("scenario, axis", [
+    ("custom", "alpha"), ("fig5_position_map", "alpha"),
+    ("fig4_correlations", "delta_x_nm"), ("fig2_single_atom", "delta_y_nm"),
+])
+def test_sweep_table_of_an_axis_the_scenario_does_not_run(scenario, axis, tmp_path):
+    text = f'scenario = "{scenario}"\n\n[sweep.{axis}]\nmin = 0.0\nmax = 1.0\nsteps = 2\n'
+    errors = _errors(text)
+    assert len(errors) == 1
+    assert errors[0].startswith(f"line 3: sweep.{axis}: {scenario} runs no {axis} sweep")
+    path = tmp_path / "cfg.toml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
 
 
 @pytest.mark.parametrize("scenario", ["fig3_two_atom", "fig4_correlations"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -295,6 +297,29 @@ def test_sector_norm_dims():
     assert dyn.sector_norm_dim(lay, (1, 2), 1) == 2
     lay3 = HilbertLayout(n_max=2, n_atoms=3)
     assert dyn.sector_norm_dim(lay3, (1, 2, 3), 1) == 2
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_sector_norm_dim_matches_reduced_projector_rank(n_max, n_atoms):
+    # oracle: reduce the projector onto the basis states with at most n_exc
+    # excitations to each side of the cut; the rank of that reduced state
+    # counts the states the side takes in the sector (1 for an empty side)
+    lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
+    factors = range(n_atoms + 1)
+    exc = fs.excitation_number_diagonal(lay)
+    for n_exc in range(4):
+        proj = np.diag((exc <= n_exc).astype(complex))[None]
+        for k in range(1, n_atoms + 2):
+            for keep in itertools.combinations(factors, k):
+                rest = tuple(p for p in factors if p not in keep)
+                ranks = [
+                    np.linalg.matrix_rank(ent.partial_trace_stack(proj, lay, side)[0])
+                    if side else 1
+                    for side in (keep, rest)
+                ]
+                assert dyn.sector_norm_dim(lay, keep, n_exc) == max(2, min(ranks)), (
+                    keep, n_exc)
 
 
 def test_count_extrema():
