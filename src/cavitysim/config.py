@@ -39,10 +39,12 @@ import tomllib
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
+import numpy as np
+
 from . import coupling, presets
+from .dynamics import TRACKABLE
 from .model import DISSIPATOR_FORMS, DISSIPATOR_TRACE_PRESERVING
 
-OBSERVABLE_CHOICES = ("populations", "n_photon", "entropies", "concurrence")
 SWEEP_AXES = ("delta_x_nm", "delta_y_nm", "alpha")
 SWEEP_KEYS = ("min", "max", "steps")
 
@@ -63,8 +65,6 @@ class SweepAxis:
     steps: int
 
     def values(self):
-        import numpy as np
-
         if self.steps == 1:
             return np.array([self.min])
         return np.linspace(self.min, self.max, self.steps)
@@ -201,14 +201,6 @@ def _propagated(cfg: ExperimentConfig) -> tuple:
             cfg.n_photons if n_photons is None else n_photons)
 
 
-def _log2_sum(logs) -> float:
-    """log2 of the sum of 2^x over logs, without forming 2^x."""
-    top = max(logs)
-    if math.isinf(top):
-        return top
-    return top + math.log2(sum(2.0 ** (x - top) for x in logs))
-
-
 def _peak_log2_bytes(cfg: ExperimentConfig) -> tuple:
     """(log2 of a run's peak bytes, the key path of its largest part).
 
@@ -236,7 +228,7 @@ def _peak_log2_bytes(cfg: ExperimentConfig) -> tuple:
     if lossy and propagation <= 64:  # past 2^64 bytes no machine has the memory
         kept = sum(math.comb(n_atoms, j) * (n_photons - j + 1)
                    for j in range(min(n_atoms, n_photons) + 1))
-        propagation = _log2_sum([propagation, math.log2(10 * 16 * kept**4)])
+        propagation = np.logaddexp2.reduce([propagation, math.log2(10 * 16 * kept**4)])
     parts = [(propagation, ("n_atoms",))]
 
     # (trajectories kept, outputs of each, the key that sizes them)
@@ -249,13 +241,14 @@ def _peak_log2_bytes(cfg: ExperimentConfig) -> tuple:
         grids = [(runs, cfg.t_end_ns / cfg.dt_ns + 2, ("dt_ns",))]
     if cfg.scenario == "fig2_single_atom":
         grids.append((1, cfg.t_long_ns / cfg.dt_long_ns + 2, ("dt_long_ns",)))
-    log2_cols = _log2_sum([log2_dim, math.log2((n_atoms + 1) * (n_atoms + 2) // 2 + 12)])
+    log2_cols = np.logaddexp2.reduce(
+        [log2_dim, math.log2((n_atoms + 1) * (n_atoms + 2) // 2 + 12)])
     for runs, outputs, key in grids:
         parts.append((math.log2(runs * outputs) + 3 + log2_cols, key))
         if cfg.snapshot_stride > 0:
             snaps = runs * (outputs / cfg.snapshot_stride + 1)
             parts.append((math.log2(snaps) + 4 + 2 * log2_dim, ("snapshot_stride",)))
-    return _log2_sum([log2 for log2, _ in parts]), max(parts)[1]
+    return np.logaddexp2.reduce([log2 for log2, _ in parts]), max(parts)[1]
 
 
 def _physical_memory() -> int | None:
@@ -379,11 +372,11 @@ def parse_config(text: str) -> ExperimentConfig:
     merged.update({k: v for k, v in scalars.items() if k != "scenario"})
     cfg = ExperimentConfig(scenario=scenario, **merged)
 
-    bad = [o for o in cfg.observables if o not in OBSERVABLE_CHOICES]
+    bad = [o for o in cfg.observables if o not in TRACKABLE]
     if bad:
         errors.append(
             f"{at('observables')}: observables: unknown entries {bad}; "
-            f"valid: {', '.join(OBSERVABLE_CHOICES)}"
+            f"valid: {', '.join(TRACKABLE)}"
         )
 
     # design / preset resolution
@@ -463,11 +456,12 @@ def parse_config(text: str) -> ExperimentConfig:
           f"must be one of {DISSIPATOR_FORMS}")
     check(cfg.t_end_ns > 0, "t_end_ns", f"must be > 0, got {cfg.t_end_ns}")
     check(cfg.dt_ns > 0, "dt_ns", f"must be > 0, got {cfg.dt_ns}")
-    check(cfg.t_long_ns > 0, "t_long_ns", f"must be > 0, got {cfg.t_long_ns}")
-    check(cfg.dt_long_ns > 0, "dt_long_ns", f"must be > 0, got {cfg.dt_long_ns}")
     check(cfg.snapshot_stride >= 0, "snapshot_stride",
           f"must be >= 0, got {cfg.snapshot_stride}")
     check(cfg.workers >= 1, "workers", f"must be >= 1, got {cfg.workers}")
+    if cfg.scenario == "fig2_single_atom":  # the only scenario with a long run
+        check(cfg.t_long_ns > 0, "t_long_ns", f"must be > 0, got {cfg.t_long_ns}")
+        check(cfg.dt_long_ns > 0, "dt_long_ns", f"must be > 0, got {cfg.dt_long_ns}")
     if cfg.scenario == "fig5_position_map":  # the only scenario with a field map
         check(cfg.design in ("D1", "D3"), "design",
               "fig5_position_map needs a synthetic map (designs D1 or D3)")

@@ -38,6 +38,9 @@ from .model import LindbladGenerator, liouvillian_matrix
 
 TRAJECTORY_SCHEMA = "cavitysim-trajectory-v1"
 
+# The observables integrate() can track.
+TRACKABLE = ("populations", "n_photon", "entropies", "concurrence")
+
 # Size of the buffer of states that integrate() evaluates together.
 CHUNK_BYTES = 2**20
 # Rows that write_trajectory_csv converts to text together.
@@ -162,7 +165,7 @@ def integrate(
     built for their mean: a linspace grid, whose steps scatter by a few
     ulp, builds one.
 
-    track may contain "populations", "n_photon", "entropies", "concurrence".
+    track may contain any of TRACKABLE (ValueError on any other entry).
     projections maps extra column names to kets whose population <v|rho|v>
     is recorded.  Entropies are computed per single factor (photon and each
     atom), normalized by sector_norm_dim; concurrence is computed for every
@@ -178,6 +181,11 @@ def integrate(
     changes neither the observables nor the snapshots, which are copied
     from each chunk at times[::snapshot_stride] into full d x d matrices.
     """
+    unknown = [t for t in track if t not in TRACKABLE]
+    if unknown:
+        raise ValueError(
+            f"track has unknown entries {unknown}; valid: {', '.join(TRACKABLE)}"
+        )
     layout = gen.layout
     dim = layout.dim
     times = np.asarray(times, dtype=float)

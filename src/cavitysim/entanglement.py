@@ -21,9 +21,10 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def partial_trace_stack(rhos: np.ndarray, layout: HilbertLayout, keep) -> np.ndarray:
-    """Reduced density matrices on the kept factors (in the order given) of a
-    stack of states, shape (n, d, d) -> (n, d_keep, d_keep).
+def partial_trace(rho: np.ndarray, layout: HilbertLayout, keep) -> np.ndarray:
+    """Reduced density matrix on the kept factors (in the order given) of one
+    state (d, d) -> (d_keep, d_keep), or of a stack (n, d, d) -> (n, d_keep,
+    d_keep).
 
     keep is a sequence of factor positions (0 = photon, i = atom i).
     """
@@ -38,12 +39,10 @@ def partial_trace_stack(rhos: np.ndarray, layout: HilbertLayout, keep) -> np.nda
             f"keep {keep} outside valid factor positions 0..{n_factors - 1}"
         )
     dims = layout.factor_dims()
-    if rhos.ndim != 3 or rhos.shape[1:] != (layout.dim, layout.dim):
-        raise ValueError(
-            f"rho stack shape {rhos.shape} does not match layout dim {layout.dim}"
-        )
+    if rho.shape[-2:] != (layout.dim, layout.dim):
+        raise ValueError(f"rho shape {rho.shape} does not match layout dim {layout.dim}")
 
-    # index letters: "z" is the stack, the factors take a, b, ...
+    # index letters: the factors take a, b, ...; "..." is the stack
     letters = string.ascii_lowercase
     ket = list(letters[:n_factors])
     bra = list(ket)
@@ -55,24 +54,18 @@ def partial_trace_stack(rhos: np.ndarray, layout: HilbertLayout, keep) -> np.nda
         out_ket.append(ket[p])
         out_bra.append(bra[p])
     spec = (
-        "z" + "".join(ket) + "".join(bra)
-        + "->z" + "".join(out_ket) + "".join(out_bra)
+        "..." + "".join(ket) + "".join(bra)
+        + "->..." + "".join(out_ket) + "".join(out_bra)
     )
-    reduced = np.einsum(spec, rhos.reshape((len(rhos),) + dims + dims))
+    reduced = np.einsum(spec, rho.reshape(rho.shape[:-2] + dims + dims))
     d_keep = int(np.prod([dims[p] for p in keep]))
-    return reduced.reshape(len(rhos), d_keep, d_keep)
+    return reduced.reshape(rho.shape[:-2] + (d_keep, d_keep))
 
 
-def partial_trace(rho: np.ndarray, layout: HilbertLayout, keep) -> np.ndarray:
-    """Reduced density matrix of one state; see partial_trace_stack."""
-    if rho.shape != (layout.dim, layout.dim):
-        raise ValueError(f"rho shape {rho.shape} does not match layout dim {layout.dim}")
-    return partial_trace_stack(rho[None], layout, keep)[0]
-
-
-def _check_min_eigenvalues(min_evals: np.ndarray) -> None:
-    """Raise on the first state of a stack whose smallest eigenvalue is
-    below -EIGENVALUE_CLAMP_TOL (min_evals holds one value per state)."""
+def _check_min_eigenvalues(min_evals) -> None:
+    """Raise on the first state whose smallest eigenvalue is below
+    -EIGENVALUE_CLAMP_TOL (min_evals holds one value per state)."""
+    min_evals = np.atleast_1d(min_evals)
     bad = np.flatnonzero(min_evals < -EIGENVALUE_CLAMP_TOL)
     if bad.size:
         raise ValueError(
@@ -81,10 +74,10 @@ def _check_min_eigenvalues(min_evals: np.ndarray) -> None:
         )
 
 
-def entropy_normalized_stack(rho_subs: np.ndarray, norm_dim: int) -> np.ndarray:
-    """Von Neumann entropies -sum(l ln l) / ln(norm_dim), in [0, 1], of a
-    stack of states, shape (n, k, k) -> (n,)."""
-    return spectrum_entropy_stack(np.linalg.eigvalsh(rho_subs), norm_dim)
+def entropy_normalized(rho_sub: np.ndarray, norm_dim: int) -> float | np.ndarray:
+    """Von Neumann entropy -sum(l ln l) / ln(norm_dim), in [0, 1], of one
+    state (k, k) -> float, or of a stack (n, k, k) -> (n,)."""
+    return spectrum_entropy_stack(np.linalg.eigvalsh(rho_sub), norm_dim)
 
 
 def spectrum_entropy_stack(evals: np.ndarray, norm_dim: int) -> np.ndarray:
@@ -104,14 +97,9 @@ def spectrum_entropy_stack(evals: np.ndarray, norm_dim: int) -> np.ndarray:
     return -np.sum(safe * np.log(safe), axis=-1) / np.log(norm_dim)
 
 
-def entropy_normalized(rho_sub: np.ndarray, norm_dim: int) -> float:
-    """Normalized von Neumann entropy of one state; see entropy_normalized_stack."""
-    return float(entropy_normalized_stack(rho_sub[None], norm_dim)[0])
-
-
-def concurrence_stack(rhos: np.ndarray) -> np.ndarray:
-    """Wootters concurrences of a stack of two-qubit density matrices,
-    shape (n, 4, 4) -> (n,).
+def concurrence(rho: np.ndarray) -> float | np.ndarray:
+    """Wootters concurrence of one two-qubit density matrix (4, 4) -> float,
+    or of a stack (n, 4, 4) -> (n,).
 
     With rho_tilde = (sy x sy) rho* (sy x sy), the lambda_i are the ordered
     square roots of the eigenvalues of rho @ rho_tilde (equivalently the
@@ -122,22 +110,22 @@ def concurrence_stack(rhos: np.ndarray) -> np.ndarray:
     eigenvalues, singular values of the near-singular B keep full absolute
     accuracy, which pure states (rank-1 B) need.
     """
-    rhos = np.asarray(rhos)
-    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
-        raise ValueError(
-            f"concurrence needs 4x4 two-qubit states, got {rhos.shape[1:]}"
-        )
-    herm_dev = np.max(np.abs(rhos - rhos.conj().swapaxes(1, 2)), axis=(1, 2))
+    rho = np.asarray(rho)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"concurrence needs 4x4 two-qubit states, got {rho.shape}")
+    herm_dev = np.atleast_1d(
+        np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    )
     bad = np.flatnonzero(herm_dev > 1e-8)
     if bad.size:
         raise ValueError(f"input not Hermitian (deviation {herm_dev[bad[0]]:.3e})")
-    evals_rho, vecs = np.linalg.eigh(rhos)
-    _check_min_eigenvalues(evals_rho[:, 0])
+    evals_rho, vecs = np.linalg.eigh(rho)
+    _check_min_eigenvalues(evals_rho[..., 0])
     roots = np.sqrt(np.clip(evals_rho, 0.0, None))
-    sqrt_rho = (vecs * roots[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    sqrt_rho = (vecs * roots[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     b = sqrt_rho @ _SY_SY @ sqrt_rho.conj()
     lam = np.linalg.svd(b, compute_uv=False)
-    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def x_state_concurrence_stack(
@@ -150,7 +138,7 @@ def x_state_concurrence_stack(
 
     A pair of atoms reduced from a state that is block-diagonal in
     excitation number has this form, with C = 2 max(0, |rho_eg,ge| -
-    sqrt(p_gg p_ee)).  The checks of concurrence_stack stay: the two
+    sqrt(p_gg p_ee)).  The checks of concurrence stay: the two
     coherences must be conjugates within 1e-8, and the smallest eigenvalue,
     min(p_gg, p_ee, (p_ge + p_eg)/2 - hypot((p_ge - p_eg)/2, |rho_eg,ge|)),
     must not fall below -EIGENVALUE_CLAMP_TOL.
@@ -165,14 +153,6 @@ def x_state_concurrence_stack(
     _check_min_eigenvalues(np.minimum(np.minimum(p_gg, p_ee), mixed))
     corners = np.sqrt(np.clip(p_gg, 0.0, None) * np.clip(p_ee, 0.0, None))
     return 2.0 * np.maximum(0.0, coherence - corners)
-
-
-def concurrence(rho_two_qubit: np.ndarray) -> float:
-    """Wootters concurrence of one two-qubit state; see concurrence_stack."""
-    rho = np.asarray(rho_two_qubit)
-    if rho.shape != (4, 4):
-        raise ValueError(f"concurrence needs a 4x4 two-qubit state, got {rho.shape}")
-    return float(concurrence_stack(rho[None])[0])
 
 
 def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:

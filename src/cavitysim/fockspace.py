@@ -141,7 +141,7 @@ def excitation_number_diagonal(layout: HilbertLayout) -> np.ndarray:
 def factor_index(layout: HilbertLayout, basis, factors) -> np.ndarray:
     """Index of each basis state in `basis` within the product basis of the
     given factors (0 = photon, i = atom i), the first factor most
-    significant: the basis order of `entanglement.partial_trace_stack`."""
+    significant: the basis order of `entanglement.partial_trace`."""
     basis = np.asarray(basis)
     dims = layout.factor_dims()
     out = np.zeros_like(basis)

@@ -11,8 +11,9 @@ small-dimension validation.
 The dissipator is built in the standard trace-preserving form
     kappa (a rho a^dag - 1/2 {a^dag a, rho}) + gamma sum_i (...)
 A `literal` variant with the anticommutators transposed ({a a^dag, rho}) is
-exposed for comparison; it does not preserve the trace and is rejected by
-the integrator's trace-drift check if run for any significant time.
+exposed for comparison; it does not preserve the trace, so `integrate`'s
+trace-drift gate rejects it at the default tolerance, and
+`runner.trajectory` lifts the gate (trace_tol = inf) for it.
 """
 
 from dataclasses import dataclass

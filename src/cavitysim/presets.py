@@ -1,4 +1,4 @@
-"""Versioned physical defaults for the nanobeam designs and the Rb emitter.
+"""Physical defaults for the nanobeam designs and the Rb emitter.
 
 Every scenario preset draws its numbers from here so there is exactly one
 place to audit.  Comments state what each value is physically; values that
@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 
 from .units import SPEED_OF_LIGHT
-
-PRESETS_VERSION = 1
 
 # Cavity operating wavelength (nm); resonant with the Rb-87 D2 transition.
 LAMBDA_NM = 780.0

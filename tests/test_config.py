@@ -59,6 +59,13 @@ def test_resolution_is_range_checked_only_for_fig5(tmp_path):
     path = tmp_path / "cfg.toml"
     path.write_text(text)
     assert main(["validate", str(path)]) == 0
+    # likewise only fig2_single_atom reads the long run's grid
+    for line in ("t_long_ns = -1.0", "dt_long_ns = 0.0"):
+        key, value = line.split(" = ")
+        for scenario, code in (("custom", 0), ("fig2_single_atom", 1)):
+            path.write_text(f'scenario = "{scenario}"\n{line}\n')
+            assert main(["validate", str(path)]) == code
+        assert _errors(path.read_text()) == [f"line 2: {key}: must be > 0, got {value}"]
 
 
 def test_unknown_key_is_hard_error():

@@ -55,6 +55,17 @@ def test_times_must_increase():
         dyn.integrate(gen, rho0, np.array([]))
 
 
+def test_unknown_track_entries_are_rejected():
+    lay, gen = _gen(1, (G,))
+    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
+    with pytest.raises(ValueError) as info:
+        dyn.integrate(gen, rho0, np.linspace(0.0, 0.1, 3),
+                      track=("entropies", "entropy", "concurence"))
+    msg = str(info.value)
+    assert "['entropy', 'concurence']" in msg
+    assert f"valid: {', '.join(dyn.TRACKABLE)}" in msg
+
+
 def test_trace_drift_gate_raises():
     # the literal dissipator does not preserve the trace; propagated exactly,
     # its drift must trip the gate at the default tolerance
@@ -232,14 +243,14 @@ def test_lossy_three_atoms_match_dense_full_space_reference(form, rng):
     expected["n_photon"] = pops @ fs.photon_number_diagonal(lay)
     n_exc = round(float(fs.excitation_number_diagonal(lay) @ np.real(np.diag(rho0))))
     for f in range(4):
-        reduced = ent.partial_trace_stack(states, lay, (f,))
-        expected[f"S_{dyn.subsystem_letter(f)}"] = ent.entropy_normalized_stack(
+        reduced = ent.partial_trace(states, lay, (f,))
+        expected[f"S_{dyn.subsystem_letter(f)}"] = ent.entropy_normalized(
             reduced, dyn.sector_norm_dim(lay, (f,), n_exc)
         )
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        reduced = ent.partial_trace_stack(states, lay, (i, j))
+        reduced = ent.partial_trace(states, lay, (i, j))
         name = f"C_{dyn.subsystem_letter(i)}{dyn.subsystem_letter(j)}"
-        expected[name] = ent.concurrence_stack(reduced)
+        expected[name] = ent.concurrence(reduced)
     expected["P_chi1"] = np.real(chi1.conj() @ states @ chi1)
     assert sorted(expected) == sorted(traj.column_order)
     for name, values in expected.items():
@@ -314,7 +325,7 @@ def test_sector_norm_dim_matches_reduced_projector_rank(n_max, n_atoms):
             for keep in itertools.combinations(factors, k):
                 rest = tuple(p for p in factors if p not in keep)
                 ranks = [
-                    np.linalg.matrix_rank(ent.partial_trace_stack(proj, lay, side)[0])
+                    np.linalg.matrix_rank(ent.partial_trace(proj, lay, side)[0])
                     if side else 1
                     for side in (keep, rest)
                 ]

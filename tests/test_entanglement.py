@@ -250,16 +250,16 @@ def test_stacked_diagnostics_match_scalar_loop(n_max, n_atoms, rng):
     keeps = [(p,) for p in range(n_atoms + 1)]
     keeps += [(1, 2), (2, 1), (0, 1)] if n_atoms >= 2 else []
     for keep in keeps:
-        subs = ent.partial_trace_stack(rhos, lay, keep)
+        subs = ent.partial_trace(rhos, lay, keep)
         loop = np.array([ent.partial_trace(r, lay, keep) for r in rhos])
         assert subs.shape == loop.shape
         assert np.max(np.abs(subs - loop)) <= 1e-14
         if len(keep) == 1:
-            stacked = ent.entropy_normalized_stack(subs, 2)
+            stacked = ent.entropy_normalized(subs, 2)
             loop = [ent.entropy_normalized(s, 2) for s in subs]
             assert np.max(np.abs(stacked - loop)) <= 1e-14
         elif 0 not in keep:
-            stacked = ent.concurrence_stack(subs)
+            stacked = ent.concurrence(subs)
             loop = [ent.concurrence(s) for s in subs]
             assert np.max(np.abs(stacked - loop)) <= 1e-14
 
@@ -274,7 +274,7 @@ def test_stacked_diagnostics_raise_the_scalar_errors(rng):
     lay = HilbertLayout(n_max=1, n_atoms=2)
     rhos = _stack_of_states(lay.dim, rng)
     for keep in [(1, 1), (3,), ()]:
-        assert _raised(ent.partial_trace_stack, rhos, lay, keep) == _raised(
+        assert _raised(ent.partial_trace, rhos, lay, keep) == _raised(
             ent.partial_trace, rhos[0], lay, keep
         )
 
@@ -284,16 +284,16 @@ def test_stacked_diagnostics_raise_the_scalar_errors(rng):
     for bad in (negative, nonherm):
         stack = two_qubit.copy()
         stack[5] = bad
-        assert _raised(ent.concurrence_stack, stack) == _raised(ent.concurrence, bad)
+        assert _raised(ent.concurrence, stack) == _raised(ent.concurrence, bad)
 
     qubit = np.array([ent.partial_trace(r, lay, (1,)) for r in rhos])
     bad = np.diag([1.2, -0.2]).astype(complex)
     stack = qubit.copy()
     stack[7] = bad
-    assert _raised(ent.entropy_normalized_stack, stack, 2) == _raised(
+    assert _raised(ent.entropy_normalized, stack, 2) == _raised(
         ent.entropy_normalized, bad, 2
     )
-    assert _raised(ent.entropy_normalized_stack, qubit, 1) == _raised(
+    assert _raised(ent.entropy_normalized, qubit, 1) == _raised(
         ent.entropy_normalized, qubit[0], 1
     )
 
@@ -307,11 +307,11 @@ def _check_against_stacked_oracles(traj, norm_dims) -> int:
     for name in traj.column_order:
         factors = tuple(ord(c) - ord("A") for c in name[2:])
         if name.startswith("S_"):
-            reduced = ent.partial_trace_stack(traj.snapshots, traj.layout, factors)
-            expected = ent.entropy_normalized_stack(reduced, norm_dims[factors[0]])
+            reduced = ent.partial_trace(traj.snapshots, traj.layout, factors)
+            expected = ent.entropy_normalized(reduced, norm_dims[factors[0]])
         elif name.startswith("C_"):
-            reduced = ent.partial_trace_stack(traj.snapshots, traj.layout, factors)
-            expected = ent.concurrence_stack(reduced)
+            reduced = ent.partial_trace(traj.snapshots, traj.layout, factors)
+            expected = ent.concurrence(reduced)
         else:
             continue
         assert np.max(np.abs(traj.series(name) - expected)) < 1e-12, name
