@@ -1,4 +1,4 @@
-"""Experiment configuration, read from a TOML file.
+"""Experiment configuration, read from a TOML file, and what each scenario runs.
 
 A config is TOML limited to top-level `key = value` pairs plus optional
 `[sweep.<axis>]` tables, parsed with the stdlib `tomllib`.  On top of TOML
@@ -6,19 +6,17 @@ the checks are deliberately strict: unknown keys, sections, sweep axes and
 sweep keys, sweep tables of an axis the scenario does not run (it runs those
 of `default_sweeps`), bad types and out-of-range values are hard errors
 carrying the line number, so a typo in a physics parameter cannot silently
-run with a default.  So is a run that would not fit in physical memory: its
-largest propagation plus the output columns and snapshots it holds until
-its files are written.  fig5 reads its synthetic field map only at the
-nodes around each probe point, so its `resolution_nm` sets no memory need.
+run with a default.  So is a run that would not fit in physical memory.
 All such problems are reported together; a TOML syntax error stops the
 parse, so syntax errors are reported one at a time.  Every omitted key is
 filled from the scenario's defaults at parse time, and `canonical_text`
 emits the fully resolved form as valid TOML; parse(canonical_text(cfg))
 round-trips to an equal config.  The fields of `ExperimentConfig` are the
 one list of keys: each key's type test and its line in `canonical_text`
-follow from them.  `SCENARIOS` holds what is known about each scenario: its
-`cavitysim scenarios` note, its defaults, the size of its largest
-propagation and the grid of its sweep points.
+follow from them.  `SCENARIOS` holds each scenario's `cavitysim scenarios`
+note, its defaults and its plan: the runs it makes and the summary drawn
+from them, built from the config alone with no map read.  The runner
+executes the plan, and the memory gate sums it.
 
 Example::
 
@@ -31,19 +29,21 @@ Example::
     steps = 9
 """
 
+import functools
+import itertools
 import json
 import math
 import os
 import re
 import tomllib
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import coupling, presets
-from .dynamics import TRACKABLE
+from . import analytic, coupling, dynamics as dyn, entanglement as ent, presets
 from .model import DISSIPATOR_FORMS, DISSIPATOR_TRACE_PRESERVING
+from .units import ghz_to_angular, mhz_to_angular
 
 SWEEP_AXES = ("delta_x_nm", "delta_y_nm", "alpha")
 SWEEP_KEYS = ("min", "max", "steps")
@@ -65,8 +65,6 @@ class SweepAxis:
     steps: int
 
     def values(self):
-        if self.steps == 1:
-            return np.array([self.min])
         return np.linspace(self.min, self.max, self.steps)
 
 
@@ -91,7 +89,6 @@ class ExperimentConfig:
     dt_ns: float = 2e-4
     t_long_ns: float = 40.0
     dt_long_ns: float = 0.005
-    snapshot_stride: int = 0    # 0 -> store no snapshots
     observables: tuple = ("populations", "n_photon")
     resolution_nm: float = 5.0
     workers: int = 1            # accepted and ignored
@@ -136,48 +133,251 @@ class ExperimentConfig:
         return tuple(out)
 
 
+class Run(NamedTuple):
+    """One trajectory: n_atoms atoms with couplings_ghz(), started in
+    |n_photons, g..g> and recorded on the uniform grid of about dt_ns steps
+    up to t_end_ns; `key` is the config key that sizes that grid."""
+
+    name: str | None            # written as traj_<name>.csv; None keeps nothing
+    n_atoms: int
+    couplings_ghz: Callable     # () -> one coupling per atom, resolved at run time
+    n_photons: int
+    t_end_ns: float
+    dt_ns: float
+    track: tuple
+    projections: Callable | None = None  # (layout, run) -> {column: ket}
+    key: tuple = ("dt_ns",)
+
+    def times(self) -> np.ndarray:
+        n = max(1, round(self.t_end_ns / self.dt_ns))
+        return np.linspace(0.0, self.t_end_ns, n + 1)
+
+
+class Sweep(NamedTuple):
+    """A run per point of the product of `axes`: two atoms at (g, alpha g)
+    from one photon, alpha = alpha_rule(point) taken at run time, over
+    `steps` steps up to c pi / (g sqrt(1 + alpha^2)), grid = (c, steps).
+    Each point adds a row to `table`: its axis values, alpha and the
+    maximum of each `peaks` column."""
+
+    axes: tuple                 # of SweepAxis
+    alpha_rule: Callable        # {axis name: value} -> alpha
+    grid: tuple
+    track: tuple
+    peaks: tuple
+    table: str
+    name: Callable | None = None  # axis indices -> kept trajectory's name
+    n_photons = 1
+
+    def run(self, cfg: ExperimentConfig, alpha: float, name: str | None = None) -> Run:
+        c, steps = self.grid
+        t_end = c * np.pi / (ghz_to_angular(cfg.g_ghz) * np.sqrt(1.0 + alpha**2))
+        return Run(name, 2, lambda: (cfg.g_ghz, alpha * cfg.g_ghz), self.n_photons, t_end,
+                   t_end / steps, self.track,
+                   key=("sweep", max(self.axes, key=lambda a: a.steps).name, "steps"))
+
+
+class Plan(NamedTuple):
+    runs: tuple                 # of Run: the fixed runs, each kept
+    summarize: Callable         # (cfg, kept trajectories by name, table rows) -> dict
+    sweep: Sweep | None = None
+
+    def schedule(self, cfg: ExperimentConfig):
+        """(point, run) of every run in order: the fixed runs with point
+        None, then the sweep's, point mapping each axis and alpha to its
+        value."""
+        for run in self.runs:
+            yield None, run
+        if self.sweep:
+            axes = self.sweep.axes
+            for combo in itertools.product(*(enumerate(map(float, ax.values())) for ax in axes)):
+                point = {ax.name: v for ax, (_, v) in zip(axes, combo)}
+                point["alpha"] = alpha = self.sweep.alpha_rule(point)
+                name = self.sweep.name and self.sweep.name(*(i for i, _ in combo))
+                yield point, self.sweep.run(cfg, alpha, name)
+
+
+def _angular(run: Run) -> tuple:
+    return tuple(ghz_to_angular(g) for g in run.couplings_ghz())
+
+
+def _chi_states(layout, run: Run) -> dict:
+    """P_chi0 and P_chi1: |1, g..g> and the collective atomic excitation."""
+    chi0, chi1 = analytic.single_excitation_states(
+        layout, analytic.CouplingVector(_angular(run)))
+    return {"P_chi0": chi0, "P_chi1": chi1}
+
+
+def _two_atom_states(layout, run: Run) -> dict:
+    if run.n_photons == 2:
+        chis = analytic.two_photon_states(layout, *_angular(run))
+        return {f"P_chi{k}": chi for k, chi in enumerate(chis)}
+    return _chi_states(layout, run) | {"P_psi_plus": analytic.symmetric_bell_state(layout)}
+
+
+def _leading(cfg: ExperimentConfig, *ratios) -> tuple:
+    """Atom 1's coupling, then that coupling times each ratio."""
+    g1 = cfg.resolved_couplings_ghz()[0]
+    return (g1,) + tuple(r * g1 for r in ratios)
+
+
+def _fig2_plan(cfg: ExperimentConfig) -> Plan:
+    g = functools.partial(_leading, cfg)
+    return Plan((
+        Run("short", 1, g, cfg.n_photons, cfg.t_end_ns, cfg.dt_ns, cfg.observables),
+        Run("long", 1, g, cfg.n_photons, cfg.t_long_ns, cfg.dt_long_ns, cfg.observables,
+            key=("dt_long_ns",)),
+    ), _fig2_summary)
+
+
+def _fig2_summary(cfg, runs, rows) -> dict:
+    g = cfg.resolved_couplings_ghz()[0]
+    kappa_ang = mhz_to_angular(cfg.resolved_kappa_mhz)
+    gamma_ang = mhz_to_angular(cfg.resolved_gamma_mhz)
+    summary = {
+        "rabi_frequency_ghz": dyn.rabi_frequency(runs["short"], "pop_0e"),
+        "rabi_frequency_expected_ghz": ghz_to_angular(g) / np.pi,
+        "kappa_mhz": cfg.resolved_kappa_mhz,
+        "gamma_mhz": cfg.resolved_gamma_mhz,
+    }
+    if kappa_ang + gamma_ang > 0:
+        fit = dyn.envelope_lifetime(runs["long"], "pop_0e")
+        summary["tau_r_ns"] = fit.tau_ns
+        summary["tau_r_expected_ns"] = 2.0 / (kappa_ang + gamma_ang)
+        summary["tau_fit_log_rms"] = fit.log_rms_residual
+        summary["cooperativity"] = coupling.cooperativity(
+            g * 1e9, cfg.resolved_kappa_mhz * 1e6, cfg.resolved_gamma_mhz * 1e6)
+    return summary
+
+
+def _two_atom_runs(cfg: ExperimentConfig, extra) -> tuple:
+    """The four standard two-atom runs, photon number x coupling ratio, each
+    tracking the config's observables and `extra`."""
+    track = cfg.observables + tuple(o for o in extra if o not in cfg.observables)
+    return tuple(
+        Run(f"{photons}_photon_{kind}", 2, functools.partial(_leading, cfg, ratio), n,
+            cfg.t_end_ns, cfg.dt_ns, track, _two_atom_states)
+        for n, photons in ((1, "one"), (2, "two"))
+        for kind, ratio in (("equal", 1.0), ("ratio", cfg.alpha))
+    )
+
+
+def _fig3_plan(cfg: ExperimentConfig) -> Plan:
+    return Plan(_two_atom_runs(cfg, ("concurrence",)), _fig3_summary)
+
+
+def _fig3_summary(cfg, runs, rows) -> dict:
+    ratio = runs["one_photon_ratio"]
+    metrics = analytic.peak_entanglement_metrics(cfg.alpha)
+    return {
+        "collective_frequency_ghz": dyn.rabi_frequency(runs["one_photon_equal"], "P_chi1"),
+        "collective_frequency_expected_ghz": np.sqrt(2.0) * 2.0 * cfg.g_ghz,
+        "splitting_measured": ent.trajectory_splitting(ratio.series("pop_0eg"),
+                                                        ratio.series("pop_0ge")),
+        "splitting_expected": ent.splitting_magnitude(cfg.alpha),
+        "fidelity_peak": float(np.sqrt(np.max(ratio.series("P_psi_plus")))),
+        "fidelity_expected": metrics.fidelity,
+        "concurrence_peak": float(np.max(ratio.series("C_BC"))),
+        "concurrence_expected": metrics.concurrence,
+    }
+
+
+def _fig4_plan(cfg: ExperimentConfig) -> Plan:
+    extra = ("entropies", "concurrence")
+    sweep = Sweep((cfg.sweep("alpha"),), lambda point: point["alpha"], (1.2, 300),
+                  ("populations",) + extra, ("S_B", "S_C", "C_BC"), "alpha_map.csv")
+    return Plan(_two_atom_runs(cfg, extra), _fig4_summary, sweep)
+
+
+def _fig4_summary(cfg, runs, rows) -> dict:
+    equal = runs["one_photon_equal"]
+    period = np.pi / (np.sqrt(2.0) * ghz_to_angular(cfg.g_ghz))
+    window = equal.times <= 5.0 * period + 1e-12
+    return {
+        "s_a_extrema_5_periods": dyn.count_extrema(equal.series("S_A")[window]),
+        "s_b_extrema_5_periods": dyn.count_extrema(equal.series("S_B")[window]),
+    }
+
+
+def _fig5_plan(cfg: ExperimentConfig) -> Plan:
+    density = functools.partial(coupling.synth_density_at, cfg.design, cfg.resolution_nm)
+    de_r1 = functools.cache(lambda: density((-presets.LATTICE_NM, 0.0, 0.0)))
+
+    def alpha(point):
+        # alpha = sqrt(V(r1) / V(r2)); the map's normalization and total energy cancel
+        r2 = (presets.LATTICE_NM + point["delta_x_nm"], point["delta_y_nm"], 0.0)
+        return math.sqrt(density(r2) / de_r1())
+
+    sweep = Sweep((cfg.sweep("delta_x_nm"), cfg.sweep("delta_y_nm")), alpha, (1.1, 240),
+                  cfg.observables, ("S_C", "C_BC"), "map.csv", "dx{:02d}_dy{:02d}".format)
+    return Plan((), _fig5_summary, sweep)
+
+
+def _fig5_summary(cfg, runs, rows) -> dict:
+    peak_c = np.array([r["peak_C_BC"] for r in rows])
+    alphas = np.array([r["alpha"] for r in rows])
+    x_axis = [r for r in rows if r["delta_y_nm"] == 0.0] or rows
+    y_axis = [r for r in rows if r["delta_x_nm"] == 0.0] or rows
+    return {
+        "alpha_min": float(alphas.min()),
+        "alpha_max": float(alphas.max()),
+        "min_peak_concurrence": float(peak_c.min()),
+        "max_reduction_pct": float((1.0 - peak_c.min()) * 100.0),
+        "reduction_x_axis_pct": float((1.0 - min(r["peak_C_BC"] for r in x_axis)) * 100.0),
+        "reduction_y_axis_pct": float((1.0 - min(r["peak_C_BC"] for r in y_axis)) * 100.0),
+    }
+
+
+def _wstate_plan(cfg: ExperimentConfig) -> Plan:
+    return Plan((Run("wstate", cfg.n_atoms, cfg.resolved_couplings_ghz, cfg.n_photons,
+                     cfg.t_end_ns, cfg.dt_ns, cfg.observables, _chi_states),), _wstate_summary)
+
+
+def _wstate_summary(cfg, runs, rows) -> dict:
+    gs = cfg.resolved_couplings_ghz()
+    traj = runs["wstate"]
+    freq = dyn.rabi_frequency(traj, "P_chi1")
+    return {
+        "collective_frequency_ghz": freq,
+        "collective_frequency_expected_ghz": analytic.CouplingVector(
+            tuple(ghz_to_angular(g) for g in gs)).g_norm / np.pi,
+        "enhancement_over_single_atom": freq / (2.0 * gs[0]),
+        "peak_p_chi1": float(np.max(traj.series("P_chi1"))),
+        "w_fidelity_peak": float(np.sqrt(np.max(traj.series("P_chi1")))),
+    }
+
+
+def _custom_plan(cfg: ExperimentConfig) -> Plan:
+    return Plan((Run("custom", cfg.n_atoms, cfg.resolved_couplings_ghz, cfg.n_photons,
+                     cfg.t_end_ns, cfg.dt_ns, cfg.observables),), lambda cfg, runs, rows: {})
+
+
 class Scenario(NamedTuple):
     note: str                 # the line `cavitysim scenarios` prints
     defaults: dict            # applied before the config's own keys
-    # (atoms, largest photon number) of the scenario's largest propagation,
-    # where it fixes them; None takes the config's value
-    propagated: tuple = (None, None)
-    # (c, steps) of the grid each sweep point runs: `steps` steps up to
-    # t_end = c pi / (g sqrt(1 + alpha^2)), alpha being the point's ratio
-    sweep_grid: tuple = ()
+    plan: Callable            # cfg -> Plan
 
 
 SCENARIOS = {
     "fig2_single_atom": Scenario(
         "single atom, one photon: Rabi cycles and envelope lifetime",
         dict(n_atoms=1, n_photons=1, t_end_ns=0.1, dt_ns=5e-5,
-             t_long_ns=40.0, dt_long_ns=0.005),
-        propagated=(1, None),
-    ),
+             t_long_ns=40.0, dt_long_ns=0.005), _fig2_plan),
     "fig3_two_atom": Scenario(
         "two atoms, equal/ratio coupling, one- and two-photon dynamics",
-        dict(n_atoms=2, n_photons=1, alpha=0.7, t_end_ns=0.3, dt_ns=2e-4),
-        propagated=(2, 2),  # it always adds two-photon runs
-    ),
+        dict(n_atoms=2, n_photons=1, alpha=0.7, t_end_ns=0.3, dt_ns=2e-4), _fig3_plan),
     "fig4_correlations": Scenario(
         "entropies and concurrence for the two-atom runs + alpha sweep",
         dict(n_atoms=2, n_photons=1, alpha=0.7, t_end_ns=0.3, dt_ns=2e-4,
-             observables=("populations", "n_photon", "entropies", "concurrence")),
-        propagated=(2, 2),
-        sweep_grid=(1.2, 300),
-    ),
+             observables=("populations", "n_photon", "entropies", "concurrence")), _fig4_plan),
     "fig5_position_map": Scenario(
         "entanglement vs trap displacement on a synthetic field map",
         dict(n_atoms=2, n_photons=1, lossless=True,
-             observables=("populations", "n_photon", "entropies", "concurrence")),
-        propagated=(2, 1),
-        sweep_grid=(1.1, 240),
-    ),
+             observables=("populations", "n_photon", "entropies", "concurrence")), _fig5_plan),
     "n_atom_wstate": Scenario(
         "N equally coupled atoms generating the shared-excitation state",
-        dict(n_atoms=3, n_photons=1, t_end_ns=0.12, dt_ns=1e-4),
-    ),
-    "custom": Scenario("direct parameter run without scenario presets", {}),
+        dict(n_atoms=3, n_photons=1, t_end_ns=0.12, dt_ns=1e-4), _wstate_plan),
+    "custom": Scenario("direct parameter run without scenario presets", {}, _custom_plan),
 }
 
 
@@ -195,59 +395,59 @@ def default_sweeps(scenario: str, design: str) -> tuple:
     return ()
 
 
-def _propagated(cfg: ExperimentConfig) -> tuple:
-    n_atoms, n_photons = SCENARIOS[cfg.scenario].propagated
-    return (cfg.n_atoms if n_atoms is None else n_atoms,
-            cfg.n_photons if n_photons is None else n_photons)
+def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
+    """(log2 of the plan's peak bytes, the key path of its largest part).
 
+    Runs run one at a time: the peak is the most working memory of any run
+    plus all that the runs hold until the files are written.  Each run
+    counts at its own Hilbert dimension d = (n_max + 1) 2^N and its d' basis
+    states with at most as many excitations as it starts with, the ones
+    integrate propagates.  A sweep counts one point's run, and its point
+    count (the product of its axes' steps) times what a point holds.
 
-def _peak_log2_bytes(cfg: ExperimentConfig) -> tuple:
-    """(log2 of a run's peak bytes, the key path of its largest part).
+    Working memory: full-space operators, measured at 5.3 d x d complex
+    matrices lossless (N = 7-9) and 12.1-14.0 lossy, counted as 16 and
+    16 + N (one more per collapse operator); for a lossy run expm of the
+    d'^2 x d'^2 Liouvillian, measured at 8.6-9.0 such matrices (d' = 23,
+    32), counted as 10; integrate's buffer of chunk_states(d') d' x d'
+    states; and one CSV_BLOCK_ROWS block of the columns as Python floats,
+    32 bytes each with the list's pointer.
 
-    Propagation: d = (n_max + 1) 2^N is the largest Hilbert dimension the
-    scenario propagates; a run from |n_photons, g..g> never leaves the d'
-    basis states with at most n_photons excitations.  The operators stay on
-    the full space: a lossless run peaked at 5.3 d x d complex matrices for
-    N = 7-9, still counted as 16, and a lossy one at 12.1-14.0 (one more
-    per collapse operator), counted as 16 + N.  A lossy run adds expm of
-    its d'^2 x d'^2 Liouvillian, which peaked at 8.6-9.0 such matrices
-    (d' = 23, 32), counted as 10.
-
-    Stored until the files are written, at the same d: each kept trajectory
-    has at most t_end/dt + 2 outputs and 8 bytes per output in each column
-    (the time, populations of all d states, the photon number, N + 1
-    entropies, the atom pairs, three projections, and 8 for the grid's
-    steps), and with snapshot_stride s > 0 at most outputs/s + 1 complex
-    d x d snapshots.  Logarithms, so that an absurd atom count or grid
+    Held: 8 bytes per output (at most t_end/dt + 2) in each column of each
+    kept trajectory (the time, populations of all d states, the photon
+    number, N + 1 entropies, the atom pairs, three projections, and 8 for
+    the grid's steps), and per sweep point a table row, a dict of Python
+    floats measured at 288 bytes for 4 and 5 values, counted as 64 bytes
+    per value plus 64.  Logarithms, so that an absurd atom count or grid
     cannot overflow.
     """
-    n_atoms, n_photons = _propagated(cfg)
-    log2_dim = math.log2(cfg.n_max_for(n_photons) + 1) + n_atoms
     lossy = cfg.resolved_kappa_mhz > 0 or cfg.resolved_gamma_mhz > 0
-    propagation = math.log2(16 * (16 + n_atoms if lossy else 16)) + 2 * log2_dim
-    if lossy and propagation <= 64:  # past 2^64 bytes no machine has the memory
-        kept = sum(math.comb(n_atoms, j) * (n_photons - j + 1)
-                   for j in range(min(n_atoms, n_photons) + 1))
-        propagation = np.logaddexp2.reduce([propagation, math.log2(10 * 16 * kept**4)])
-    parts = [(propagation, ("n_atoms",))]
-
-    # (trajectories kept, outputs of each, the key that sizes them)
-    if cfg.scenario == "fig5_position_map":  # keeps every sweep point
-        dx, dy = cfg.sweep("delta_x_nm"), cfg.sweep("delta_y_nm")
-        grids = [(dx.steps * dy.steps, SCENARIOS[cfg.scenario].sweep_grid[1] + 2,
-                  ("sweep", max(dx, dy, key=lambda ax: ax.steps).name, "steps"))]
-    else:
-        runs = 4 if cfg.scenario in ("fig3_two_atom", "fig4_correlations") else 1
-        grids = [(runs, cfg.t_end_ns / cfg.dt_ns + 2, ("dt_ns",))]
-    if cfg.scenario == "fig2_single_atom":
-        grids.append((1, cfg.t_long_ns / cfg.dt_long_ns + 2, ("dt_long_ns",)))
-    log2_cols = np.logaddexp2.reduce(
-        [log2_dim, math.log2((n_atoms + 1) * (n_atoms + 2) // 2 + 12)])
-    for runs, outputs, key in grids:
-        parts.append((math.log2(runs * outputs) + 3 + log2_cols, key))
-        if cfg.snapshot_stride > 0:
-            snaps = runs * (outputs / cfg.snapshot_stride + 1)
-            parts.append((math.log2(snaps) + 4 + 2 * log2_dim, ("snapshot_stride",)))
+    runs = [(0.0, run) for run in plan.runs]  # (log2 of the copies held or None, run)
+    held = []
+    if plan.sweep:
+        log2_points = sum(math.log2(ax.steps) for ax in plan.sweep.axes)
+        point = plan.sweep.run(cfg, 0.0)  # sized alike at any alpha
+        runs.append((log2_points if plan.sweep.name else None, point))
+        row = 64 * (len(plan.sweep.axes) + 2 + len(plan.sweep.peaks))
+        held.append((log2_points + math.log2(row), point.key))
+    working = []
+    for log2_copies, run in runs:
+        n_atoms, n_photons = run.n_atoms, run.n_photons
+        log2_dim = math.log2(cfg.n_max_for(n_photons) + 1) + n_atoms
+        log2_cols = np.logaddexp2(log2_dim, math.log2((n_atoms + 1) * (n_atoms + 2) // 2 + 12))
+        outputs = run.t_end_ns / run.dt_ns + 2
+        propagation = math.log2(16 * (16 + n_atoms if lossy else 16)) + 2 * log2_dim
+        work = [propagation, math.log2(32 * dyn.CSV_BLOCK_ROWS) + log2_cols]
+        if propagation <= 64:  # past 2^64 bytes no machine has the memory
+            kept = sum(math.comb(n_atoms, j) * (n_photons - j + 1)
+                       for j in range(min(n_atoms, n_photons) + 1))
+            work.append(math.log2(min(outputs, dyn.chunk_states(kept)) * 16 * kept**2))
+            if lossy:
+                work.append(math.log2(10 * 16 * kept**4))
+        working.append((np.logaddexp2.reduce(work), ("n_atoms",)))
+        if log2_copies is not None:
+            held.append((log2_copies + math.log2(outputs) + 3 + log2_cols, run.key))
+    parts = [max(working)] + held
     return np.logaddexp2.reduce([log2 for log2, _ in parts]), max(parts)[1]
 
 
@@ -372,11 +572,11 @@ def parse_config(text: str) -> ExperimentConfig:
     merged.update({k: v for k, v in scalars.items() if k != "scenario"})
     cfg = ExperimentConfig(scenario=scenario, **merged)
 
-    bad = [o for o in cfg.observables if o not in TRACKABLE]
+    bad = [o for o in cfg.observables if o not in dyn.TRACKABLE]
     if bad:
         errors.append(
             f"{at('observables')}: observables: unknown entries {bad}; "
-            f"valid: {', '.join(TRACKABLE)}"
+            f"valid: {', '.join(dyn.TRACKABLE)}"
         )
 
     # design / preset resolution
@@ -419,8 +619,7 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         mn, mx = float(mn), float(mx)
         if mx < mn:
-            errors.append(f"{at('sweep', axis, 'max')}: sweep.{axis}.max: "
-                          f"{mx} is below min {mn}")
+            errors.append(f"{at('sweep', axis, 'max')}: sweep.{axis}.max: {mx} is below min {mn}")
             continue
         axes.append(SweepAxis(axis, mn, mx, st))
     names = {ax.name for ax in axes}
@@ -432,14 +631,13 @@ def parse_config(text: str) -> ExperimentConfig:
         if not cond:
             errors.append(f"{at(key)}: {key}: {reason}")
 
-    _, n_photons = _propagated(cfg)
+    plan = SCENARIOS[scenario].plan(cfg)
+    n_photons = max([run.n_photons for run in plan.runs] + [Sweep.n_photons] * bool(plan.sweep))
     check(cfg.n_atoms >= 1, "n_atoms", f"must be >= 1, got {cfg.n_atoms}")
     check(cfg.n_photons >= 0, "n_photons", f"must be >= 0, got {cfg.n_photons}")
     check(cfg.n_max >= 0, "n_max", f"must be >= 0 (0 = auto), got {cfg.n_max}")
-    if cfg.n_max > 0:
-        check(cfg.n_max >= n_photons, "n_max",
-              f"must retain the {n_photons} photons that {scenario} "
-              f"propagates, got {cfg.n_max}")
+    check(cfg.n_max <= 0 or cfg.n_max >= n_photons, "n_max",
+          f"must retain the {n_photons} photons that {scenario} propagates, got {cfg.n_max}")
     check(cfg.g_ghz > 0, "g_ghz", f"must be > 0, got {cfg.g_ghz}")
     check(cfg.alpha >= 0, "alpha", f"must be >= 0, got {cfg.alpha}")
     if cfg.couplings_ghz:
@@ -448,16 +646,14 @@ def parse_config(text: str) -> ExperimentConfig:
         check(all(g >= 0 for g in cfg.couplings_ghz), "couplings_ghz",
               "entries must be >= 0")
     check(cfg.q_factor > 0, "q_factor", f"must be > 0, got {cfg.q_factor}")
-    if cfg.kappa_mhz < 0 and "kappa_mhz" in scalars:
-        check(False, "kappa_mhz", f"must be >= 0, got {cfg.kappa_mhz}")
+    check(cfg.kappa_mhz >= 0 or "kappa_mhz" not in scalars, "kappa_mhz",
+          f"must be >= 0, got {cfg.kappa_mhz}")
     check(cfg.gamma_mhz >= 0, "gamma_mhz", f"must be >= 0, got {cfg.gamma_mhz}")
     check(cfg.lambda_nm > 0, "lambda_nm", f"must be > 0, got {cfg.lambda_nm}")
     check(cfg.dissipator_form in DISSIPATOR_FORMS, "dissipator_form",
           f"must be one of {DISSIPATOR_FORMS}")
     check(cfg.t_end_ns > 0, "t_end_ns", f"must be > 0, got {cfg.t_end_ns}")
     check(cfg.dt_ns > 0, "dt_ns", f"must be > 0, got {cfg.dt_ns}")
-    check(cfg.snapshot_stride >= 0, "snapshot_stride",
-          f"must be >= 0, got {cfg.snapshot_stride}")
     check(cfg.workers >= 1, "workers", f"must be >= 1, got {cfg.workers}")
     if cfg.scenario == "fig2_single_atom":  # the only scenario with a long run
         check(cfg.t_long_ns > 0, "t_long_ns", f"must be > 0, got {cfg.t_long_ns}")
@@ -471,7 +667,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     memory = _physical_memory()
     if not errors and memory:
-        need, key = _peak_log2_bytes(cfg)
+        need, key = _log2_peak_bytes(cfg, plan)
         gb = 2.0**need / 1e9 if need < 1000 else math.inf
         if need > math.log2(memory):
             errors.append(

@@ -112,11 +112,6 @@ class Trajectory:
             )
         return self.observables[name]
 
-    def snapshot_at(self, index: int) -> np.ndarray:
-        if self.snapshots is None:
-            raise ValueError("trajectory stored no snapshots")
-        return self.snapshots[index]
-
 
 def population_labels(layout: HilbertLayout) -> list:
     """CSV column names for bare-state populations, in basis-index order."""
@@ -154,7 +149,7 @@ def integrate(
     gen: LindbladGenerator,
     rho0: np.ndarray,
     times,
-    snapshot_stride: int | None = 1,
+    snapshot_stride: int | None = None,
     track: tuple = ("populations", "n_photon"),
     projections: dict | None = None,
     trace_tol: float = 1e-9,

@@ -8,6 +8,8 @@ sqrtm-based concurrence) so agreement is meaningful.
 import numpy as np
 import pytest
 
+from cavitysim import runner
+from cavitysim.config import SCENARIOS
 from cavitysim.fockspace import HilbertLayout
 
 
@@ -38,6 +40,14 @@ def random_block_diagonal_state(layout: HilbertLayout, rng, top: int) -> np.ndar
         idx = np.flatnonzero(exc == n)
         rho[np.ix_(idx, idx)] = w * random_density_matrix(idx.size, rng)
     return rho
+
+
+def plan_trajectories(cfg, snapshot_stride: int) -> list:
+    """(run, trajectory) of every run of the config's plan in order, each
+    storing every snapshot_stride-th state."""
+    plan = SCENARIOS[cfg.scenario].plan(cfg)
+    return [(run, runner.trajectory(cfg, run, snapshot_stride))
+            for _, run in plan.schedule(cfg)]
 
 
 def kron_chain(factors) -> np.ndarray:

@@ -20,6 +20,8 @@ from cavitysim.model import SystemParams
 from cavitysim.runner import run_scenario
 from cavitysim.units import ghz_to_angular, mhz_to_angular
 
+from conftest import plan_trajectories
+
 G = ghz_to_angular(9.0)                      # D1 coupling, rad/ns
 KAPPA = mhz_to_angular(29.5653)              # from Q = 1.3e7 at 780 nm
 GAMMA = mhz_to_angular(presets.GAMMA_RB87_D2_MHZ)
@@ -230,26 +232,21 @@ def test_criterion_11_robustness_maps():
 
 
 def test_criterion_12_conservation_suite():
-    from cavitysim.runner import _SCENARIO_FUNCS
-    from cavitysim.config import ExperimentConfig
-    from dataclasses import replace
-
     configs = [
-        parse_config('scenario = "fig2_single_atom"\nsnapshot_stride = 40\n'),
-        parse_config('scenario = "fig3_two_atom"\nsnapshot_stride = 25\n'),
-        parse_config('scenario = "fig4_correlations"\nsnapshot_stride = 25\n'),
-        parse_config(
-            'scenario = "fig5_position_map"\nsnapshot_stride = 30\n'
+        (parse_config('scenario = "fig2_single_atom"\n'), 40),
+        (parse_config('scenario = "fig3_two_atom"\n'), 25),
+        (parse_config('scenario = "fig4_correlations"\n'), 25),
+        (parse_config(
+            'scenario = "fig5_position_map"\n'
             "[sweep.delta_x_nm]\nmin = 0.0\nmax = 53.0\nsteps = 3\n"
             "[sweep.delta_y_nm]\nmin = 0.0\nmax = 53.0\nsteps = 3\n"
-        ),
-        parse_config('scenario = "n_atom_wstate"\nsnapshot_stride = 25\n'),
+        ), 30),
+        (parse_config('scenario = "n_atom_wstate"\n'), 25),
     ]
     checked = 0
     worst = {"trace": 0.0, "herm": 0.0, "neg": 0.0, "pop": 0.0}
-    for cfg in configs:
-        runs, _, _ = _SCENARIO_FUNCS[cfg.scenario](cfg)
-        for traj in runs.values():
+    for cfg, stride in configs:
+        for _, traj in plan_trajectories(cfg, stride):
             for name in dyn.population_labels(traj.layout):
                 series = traj.observables.get(name)
                 if series is not None:
@@ -266,9 +263,8 @@ def test_criterion_12_conservation_suite():
                 checked += 1
 
     # closed-system excitation conservation on the lossless wstate variant
-    cfg = parse_config('scenario = "n_atom_wstate"\nlossless = true\nsnapshot_stride = 10\n')
-    runs, _, _ = _SCENARIO_FUNCS[cfg.scenario](cfg)
-    traj = runs["wstate"]
+    cfg = parse_config('scenario = "n_atom_wstate"\nlossless = true\n')
+    [(_, traj)] = plan_trajectories(cfg, 10)
     n_ex = fs.excitation_number(traj.layout)
     vals = np.array([np.trace(n_ex @ s).real for s in traj.snapshots])
     exc_drift = float(np.max(np.abs(vals - vals[0])))

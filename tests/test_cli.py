@@ -123,15 +123,14 @@ def test_validate_rejects_over_memory_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text,key", [
-    # 1001 snapshots of 768 x 768 complex: 9.4 GB
-    ('scenario = "custom"\nn_atoms = 8\nlossless = true\nt_end_ns = 0.1\n'
-     "dt_ns = 1e-4\nsnapshot_stride = 1\n", "line 6: snapshot_stride:"),
     # 1e10 outputs: the time column alone is 80 GB
     ('scenario = "custom"\nt_end_ns = 1.0\ndt_ns = 1e-10\n', "line 3: dt_ns:"),
     ('scenario = "fig2_single_atom"\ndt_long_ns = 1e-9\n', "line 2: dt_long_ns:"),
     ('scenario = "fig5_position_map"\n[sweep.delta_x_nm]\nmin = 0.0\nmax = 53.0\n'
      "steps = 100000\n", "line 5: sweep.delta_x_nm.steps:"),
-], ids=["snapshots", "time_grid", "fig2_long_grid", "fig5_sweep_points"])
+    # the plan holds no coupling per atom before the gate has sized it
+    ('scenario = "n_atom_wstate"\nn_atoms = 10000000000\n', "line 2: n_atoms:"),
+], ids=["output_grid", "fig2_long_grid", "fig5_sweep_points", "wstate_atom_count"])
 def test_validate_counts_output_grid_and_snapshots(text, key, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 10**9)
     path = _write(tmp_path, text)

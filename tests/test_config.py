@@ -88,7 +88,7 @@ def test_duplicate_key_rejected():
     assert len(errors) == 1 and errors[0].startswith("line 3: ")
 
 
-@pytest.mark.parametrize("key", ["frame = \"lab\"", "seed = 5"])
+@pytest.mark.parametrize("key", ["frame = \"lab\"", "seed = 5", "snapshot_stride = 1"])
 def test_removed_keys_are_unknown(key, tmp_path):
     errors = _errors(f'scenario = "custom"\n{key}\n')
     name = key.split()[0]
@@ -212,7 +212,7 @@ EVERY_FIELD = (
     'q_factor = 2e6\nkappa_mhz = 12.5\ngamma_mhz = 5.5\nlambda_nm = 800.0\n'
     'detuning_ghz = 0.25\ndissipator_form = "literal"\nlossless = true\n'
     't_end_ns = 0.2\ndt_ns = 1e-4\nt_long_ns = 20.0\ndt_long_ns = 0.01\n'
-    'snapshot_stride = 5\nobservables = ["populations"]\nresolution_nm = 4.0\n'
+    'observables = ["populations"]\nresolution_nm = 4.0\n'
     'workers = 2\noutput_dir = "runs/every field"\n'
     '[sweep.alpha]\nmin = 0.5\nmax = 1.5\nsteps = 3\n'
 )

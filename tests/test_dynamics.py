@@ -21,12 +21,12 @@ def _gen(n_max, couplings, kappa=0.0, gamma=0.0, omega_0=0.0):
     return lay, model.build_generator(lay, p)
 
 
-def _single_atom_run(kappa=0.0, gamma=0.0, t_end=None, n_points=301):
+def _single_atom_run(kappa=0.0, gamma=0.0, t_end=None, n_points=301, snapshot_stride=None):
     lay, gen = _gen(2, (G,), kappa=kappa, gamma=gamma)
     rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
     t_end = t_end if t_end is not None else 3 * np.pi / G
     ts = np.linspace(0.0, t_end, n_points)
-    return lay, dyn.integrate(gen, rho0, ts)
+    return lay, dyn.integrate(gen, rho0, ts, snapshot_stride=snapshot_stride)
 
 
 def test_closed_jaynes_cummings_thirty_periods():
@@ -40,10 +40,10 @@ def test_closed_jaynes_cummings_thirty_periods():
 def test_zero_length_evolution_returns_initial_state():
     lay, gen = _gen(1, (G,))
     rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
-    traj = dyn.integrate(gen, rho0, np.array([0.0]))
+    traj = dyn.integrate(gen, rho0, np.array([0.0]), snapshot_stride=1)
     assert traj.times.shape == (1,)
     assert traj.series("pop_1g")[0] == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(traj.snapshot_at(0), rho0)
+    assert np.allclose(traj.snapshots[0], rho0)
 
 
 def test_times_must_increase():
@@ -282,7 +282,7 @@ def test_closed_system_conserves_excitation_number():
 def test_snapshots_remain_valid_states():
     kappa, gamma = 0.19, 0.04
     lay, traj = _single_atom_run(kappa=kappa, gamma=gamma,
-                                 t_end=2.0, n_points=801)
+                                 t_end=2.0, n_points=801, snapshot_stride=1)
     assert traj.snapshots is not None
     for snap in traj.snapshots[:: max(1, len(traj.snapshots) // 50)]:
         dyn.validate_density_matrix(snap, trace_tol=1e-9, herm_tol=1e-10,

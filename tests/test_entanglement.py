@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavitysim import analytic, dynamics as dyn, entanglement as ent, fockspace as fs, model
-from cavitysim import runner
 from cavitysim.config import parse_config
 from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
@@ -12,6 +11,7 @@ from cavitysim.units import ghz_to_angular
 from conftest import (
     concurrence_sqrtm_oracle,
     partial_trace_oracle,
+    plan_trajectories,
     random_block_diagonal_state,
     random_density_matrix,
     random_pure_state,
@@ -320,23 +320,21 @@ def _check_against_stacked_oracles(traj, norm_dims) -> int:
 
 
 def test_closed_forms_match_stacked_oracles_on_fig5_d3_states():
-    cfg = parse_config(
-        'scenario = "fig5_position_map"\ndesign = "D3"\nsnapshot_stride = 1\n'
-    )
-    runs, _, _ = runner._run_fig5(cfg)
+    cfg = parse_config('scenario = "fig5_position_map"\ndesign = "D3"\n')
+    runs = plan_trajectories(cfg, 1)
     assert len(runs) == 81
-    for traj in runs.values():
+    for _, traj in runs:
         norm_dims = {p: dyn.sector_norm_dim(traj.layout, (p,), 1) for p in range(3)}
         assert _check_against_stacked_oracles(traj, norm_dims) == 4  # S_A..S_C, C_BC
 
 
 def test_closed_forms_match_stacked_oracles_on_lossy_two_photon_fig3_states():
     cfg = parse_config(
-        'scenario = "fig3_two_atom"\nsnapshot_stride = 1\n'
+        'scenario = "fig3_two_atom"\n'
         'observables = ["populations", "entropies", "concurrence"]\n'
     )
     assert cfg.resolved_kappa_mhz > 0 and cfg.resolved_gamma_mhz > 0
-    runs = runner._two_atom_runs(cfg)
+    runs = {run.name: traj for run, traj in plan_trajectories(cfg, 1)}
     for name in ("two_photon_equal", "two_photon_ratio"):
         traj = runs[name]
         norm_dims = {p: dyn.sector_norm_dim(traj.layout, (p,), 2) for p in range(3)}

@@ -2,17 +2,19 @@ import ast
 import filecmp
 import inspect
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from cavitysim import dynamics as dyn, fockspace as fs, model, runner
-from cavitysim.config import parse_config
+from cavitysim import config, dynamics as dyn, fockspace as fs, model, runner
+from cavitysim.config import SCENARIOS, parse_config
 from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
 from cavitysim.runner import run_scenario
-from cavitysim.units import ghz_to_angular
+from cavitysim.units import ghz_to_angular, mhz_to_angular
 
 
 def test_fig2_summary_reproduces_design_figures(tmp_path):
@@ -124,14 +126,15 @@ def test_fig5_workers_is_a_no_op(tmp_path):
 
 
 SMALL_CONFIGS = {
-    "fig2_single_atom": "t_long_ns = 2.0\ndt_long_ns = 0.01\n",
-    "fig3_two_atom": "t_end_ns = 0.12\n",
-    "fig4_correlations": "t_end_ns = 0.05\n[sweep.alpha]\nmin = 0.0\nmax = 1.0\nsteps = 3\n",
+    "fig2_single_atom": "dt_ns = 2e-4\nt_long_ns = 2.0\ndt_long_ns = 0.01\n",
+    "fig3_two_atom": "t_end_ns = 0.12\ndt_ns = 5e-4\n",
+    "fig4_correlations": "t_end_ns = 0.05\ndt_ns = 5e-4\n"
+                         "[sweep.alpha]\nmin = 0.0\nmax = 1.0\nsteps = 3\n",
     "fig5_position_map": (
         "[sweep.delta_x_nm]\nmin = 0.0\nmax = 53.0\nsteps = 2\n"
         "[sweep.delta_y_nm]\nmin = 0.0\nmax = 20.0\nsteps = 2\n"
     ),
-    "n_atom_wstate": "",
+    "n_atom_wstate": "t_end_ns = 0.06\ndt_ns = 2e-4\n",
     "custom": "n_atoms = 2\nt_end_ns = 0.05\n",
 }
 
@@ -141,9 +144,9 @@ def test_every_trajectory_comes_from_the_one_path(scenario, monkeypatch):
     produced = []
     real = runner.trajectory
 
-    def counting(cfg, couplings_ghz, n_photons, times, **kwargs):
-        traj = real(cfg, couplings_ghz, n_photons, times, **kwargs)
-        start = fs.basis_state(traj.layout, n_photons, "g" * len(couplings_ghz))
+    def counting(cfg, run, *args, **kwargs):
+        traj = real(cfg, run, *args, **kwargs)
+        start = fs.basis_state(traj.layout, run.n_photons, "g" * run.n_atoms)
         label = dyn.population_labels(traj.layout)[int(np.argmax(start))]
         assert traj.series(label)[0] == 1.0
         produced.append(traj)
@@ -151,7 +154,7 @@ def test_every_trajectory_comes_from_the_one_path(scenario, monkeypatch):
 
     monkeypatch.setattr(runner, "trajectory", counting)
     cfg = parse_config(f'scenario = "{scenario}"\n' + SMALL_CONFIGS[scenario])
-    runs, _, tables = runner._SCENARIO_FUNCS[scenario](cfg)
+    runs, _, tables = runner.run_plan(cfg)
     assert all(any(t is p for p in produced) for t in runs.values())
     sweep = {"fig4_correlations": 3, "fig5_position_map": 4}.get(scenario, 0)
     assert sum(len(rows) for rows in tables.values()) == sweep
@@ -171,3 +174,59 @@ def test_only_trajectory_builds_and_integrates():
         in ("build_generator", "integrate", "pure_state_density", "basis_state")
     }
     assert users == {"trajectory"}
+
+
+@pytest.mark.parametrize("scenario", sorted(SMALL_CONFIGS))
+def test_traced_peak_is_within_the_memory_estimate(scenario, tmp_path):
+    cfg = parse_config(f'scenario = "{scenario}"\n' + SMALL_CONFIGS[scenario])
+    need, _ = config._log2_peak_bytes(cfg, SCENARIOS[scenario].plan(cfg))
+    tracemalloc.start()
+    try:
+        run_scenario(cfg, output_dir=str(tmp_path / "out"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0**need
+
+
+NO_JUMP_CONFIGS = {
+    "lossy_fig2": 'scenario = "fig2_single_atom"\nt_long_ns = 2.0\ndt_long_ns = 0.01\n'
+                  "kappa_mhz = 3000.0\n",
+    "detuned_fig3": 'scenario = "fig3_two_atom"\nt_end_ns = 0.12\ndetuning_ghz = 4.0\n',
+    "fig5_2x2": 'scenario = "fig5_position_map"\n' + SMALL_CONFIGS["fig5_position_map"],
+    "detuned_wstate_n4": 'scenario = "n_atom_wstate"\nn_atoms = 4\ndetuning_ghz = -3.0\n'
+                         "couplings_ghz = [9.0, 4.0, 6.5, 11.0]\n",
+    "lossy_custom_n3": 'scenario = "custom"\nn_atoms = 3\ncouplings_ghz = [9.0, 2.0, 5.0]\n'
+                       "kappa_mhz = 40000.0\ngamma_mhz = 15000.0\nt_end_ns = 0.1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_JUMP_CONFIGS))
+def test_one_photon_runs_match_the_no_jump_oracle(name):
+    # From |1, g..g> every jump lands in the stationary |0, g..g>, so
+    # rho(t) = |psi><psi| + (1 - |psi|^2) |0, g..g><0, g..g| exactly, with
+    # psi(t) = expm(-i H_eff t) psi0 on the one-excitation block and
+    # H_eff = H - (i/2)(kappa a^dag a + gamma sum sigma^dag sigma)
+    # (Dalibard, Castin & Molmer, PRL 68, 580 (1992)).  expm at each time,
+    # not eig: H_eff can be defective at an exceptional point.
+    cfg = parse_config(NO_JUMP_CONFIGS[name])
+    kappa = mhz_to_angular(cfg.resolved_kappa_mhz)
+    gamma = mhz_to_angular(cfg.resolved_gamma_mhz)
+    plan = SCENARIOS[cfg.scenario].plan(cfg)
+    runs = [run for _, run in plan.schedule(cfg) if run.n_photons == 1]
+    assert len(runs) == {"detuned_fig3": 2, "fig5_2x2": 4}.get(name, len(plan.runs))
+    for run in runs:
+        traj = runner.trajectory(cfg, run)
+        n = run.n_atoms
+        h_eff = np.diag([-0.5j * kappa] + [ghz_to_angular(cfg.detuning_ghz) - 0.5j * gamma] * n)
+        h_eff[0, 1:] = h_eff[1:, 0] = [ghz_to_angular(g) for g in run.couplings_ghz()]
+        ground = "g" * n
+        block = [(1, ground)] + [(0, ground[:i] + "e" + ground[i + 1:]) for i in range(n)]
+        index = [int(np.argmax(fs.basis_state(traj.layout, *s))) for s in block]
+        psi = np.array([expm(-1j * h_eff * t)[:, 0] for t in traj.times])
+        expected = np.zeros((traj.times.size, traj.layout.dim))
+        expected[:, index] = np.abs(psi) ** 2
+        expected[:, int(np.argmax(fs.basis_state(traj.layout, 0, ground)))] = (
+            1.0 - np.sum(np.abs(psi) ** 2, axis=1))
+        pops = np.array([traj.series(p) for p in dyn.population_labels(traj.layout)]).T
+        assert np.max(np.abs(pops - expected)) < 1e-12, run.name
