@@ -4,11 +4,12 @@
 Usage: python scripts/run_all_figures.py [output_root]
 
 Writes one directory per scenario under output_root (default ./runs) and
-prints each scenario's summary scalars.  All six take about 1 s together:
-0.9 s of run time with OMP_NUM_THREADS=1 and 1.3 s with two BLAS threads
-(1.4 s and 1.8 s for the whole process), measured on a 2-core host
-(Python 3.11.7, numpy 2.4.6, scipy 1.17.1); fig3 and fig4 are the ones
-slowed by the second BLAS thread.
+prints each scenario's summary scalars.  Medians of 7 on a noisy 2-core
+host (Python 3.11.7, numpy 2.4.6): 1.8 s of run time with OMP_NUM_THREADS=1
+and 1.9 s with two BLAS threads, half of it in the two fig5 maps (0.65 s
+each); the whole process takes 2.0 and 2.2 s, of which about 0.2 s is
+start-up.  While the package still imported scipy, start-up took 0.7 s
+and the whole process 2.6 and 2.9 s on the same host in the same hour.
 """
 
 import sys

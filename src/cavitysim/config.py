@@ -6,16 +6,18 @@ the checks are deliberately strict: unknown keys, sections, sweep axes and
 sweep keys, sweep tables of an axis the scenario does not run (it runs those
 of `default_sweeps`), bad types and out-of-range values are hard errors
 carrying the line number, so a typo in a physics parameter cannot silently
-run with a default.  So is a run that would not fit in physical memory.
-All such problems are reported together; a TOML syntax error stops the
+run with a default.  So is a run that would not fit in physical memory,
+and an `observables` list without a column the plan's summary or sweep
+reads.  All such problems are reported together; a TOML syntax error stops the
 parse, so syntax errors are reported one at a time.  Every omitted key is
 filled from the scenario's defaults at parse time, and `canonical_text`
 emits the fully resolved form as valid TOML; parse(canonical_text(cfg))
 round-trips to an equal config.  The fields of `ExperimentConfig` are the
 one list of keys: each key's type test and its line in `canonical_text`
 follow from them.  `SCENARIOS` holds each scenario's `cavitysim scenarios`
-note, its defaults and its plan: the runs it makes and the summary drawn
-from them, built from the config alone with no map read.  The runner
+note, its defaults and its plan: the runs it makes, the summary drawn
+from them and the columns that summary reads, built from the config alone
+with no map read.  The runner
 executes the plan, and the memory gate sums it.
 
 Example::
@@ -42,6 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analytic, coupling, dynamics as dyn, entanglement as ent, presets
+from .fockspace import HilbertLayout
 from .model import DISSIPATOR_FORMS, DISSIPATOR_TRACE_PRESERVING
 from .units import ghz_to_angular, mhz_to_angular
 
@@ -181,6 +184,7 @@ class Plan(NamedTuple):
     runs: tuple                 # of Run: the fixed runs, each kept
     summarize: Callable         # (cfg, kept trajectories by name, table rows) -> dict
     sweep: Sweep | None = None
+    reads: dict = {}            # run name -> the columns summarize reads from it
 
     def schedule(self, cfg: ExperimentConfig):
         """(point, run) of every run in order: the fixed runs with point
@@ -227,7 +231,7 @@ def _fig2_plan(cfg: ExperimentConfig) -> Plan:
         Run("short", 1, g, cfg.n_photons, cfg.t_end_ns, cfg.dt_ns, cfg.observables),
         Run("long", 1, g, cfg.n_photons, cfg.t_long_ns, cfg.dt_long_ns, cfg.observables,
             key=("dt_long_ns",)),
-    ), _fig2_summary)
+    ), _fig2_summary, reads={"short": ("pop_0e",), "long": ("pop_0e",)})
 
 
 def _fig2_summary(cfg, runs, rows) -> dict:
@@ -263,7 +267,10 @@ def _two_atom_runs(cfg: ExperimentConfig, extra) -> tuple:
 
 
 def _fig3_plan(cfg: ExperimentConfig) -> Plan:
-    return Plan(_two_atom_runs(cfg, ("concurrence",)), _fig3_summary)
+    return Plan(_two_atom_runs(cfg, ("concurrence",)), _fig3_summary, reads={
+        "one_photon_equal": ("P_chi1",),
+        "one_photon_ratio": ("pop_0eg", "pop_0ge", "P_psi_plus", "C_BC"),
+    })
 
 
 def _fig3_summary(cfg, runs, rows) -> dict:
@@ -286,7 +293,8 @@ def _fig4_plan(cfg: ExperimentConfig) -> Plan:
     extra = ("entropies", "concurrence")
     sweep = Sweep((cfg.sweep("alpha"),), lambda point: point["alpha"], (1.2, 300),
                   ("populations",) + extra, ("S_B", "S_C", "C_BC"), "alpha_map.csv")
-    return Plan(_two_atom_runs(cfg, extra), _fig4_summary, sweep)
+    return Plan(_two_atom_runs(cfg, extra), _fig4_summary, sweep,
+                {"one_photon_equal": ("S_A", "S_B")})
 
 
 def _fig4_summary(cfg, runs, rows) -> dict:
@@ -330,7 +338,8 @@ def _fig5_summary(cfg, runs, rows) -> dict:
 
 def _wstate_plan(cfg: ExperimentConfig) -> Plan:
     return Plan((Run("wstate", cfg.n_atoms, cfg.resolved_couplings_ghz, cfg.n_photons,
-                     cfg.t_end_ns, cfg.dt_ns, cfg.observables, _chi_states),), _wstate_summary)
+                     cfg.t_end_ns, cfg.dt_ns, cfg.observables, _chi_states),), _wstate_summary,
+                reads={"wstate": ("P_chi1",)})
 
 
 def _wstate_summary(cfg, runs, rows) -> dict:
@@ -408,8 +417,8 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     Working memory: full-space operators, measured at 5.3 d x d complex
     matrices lossless (N = 7-9) and 12.1-14.0 lossy, counted as 16 and
     16 + N (one more per collapse operator); for a lossy run expm of the
-    d'^2 x d'^2 Liouvillian, measured at 8.6-9.0 such matrices (d' = 23,
-    32), counted as 10; integrate's buffer of chunk_states(d') d' x d'
+    d'^2 x d'^2 Liouvillian, measured at 9.0 such matrices (d' = 23, 30),
+    counted as 10; integrate's buffer of chunk_states(d') d' x d'
     states; and one CSV_BLOCK_ROWS block of the columns as Python floats,
     32 bytes each with the list's pointer.
 
@@ -673,6 +682,23 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(
                 f"{at(*key)}: {'.'.join(key)}: the run needs about {gb:.3g} GB at "
                 f"peak, more than the {memory / 1e9:.3g} GB of physical memory")
+
+    if not errors:
+        # Each column the summary or the sweep's table reads must be recorded.
+        runs = {run.name: run for run in plan.runs}
+        reads = [(f"run {name!r}", runs[name], columns) for name, columns in plan.reads.items()]
+        if plan.sweep:
+            reads.append(("every sweep point", plan.sweep.run(cfg, 0.0), plan.sweep.peaks))
+        for name, run, columns in reads:
+            layout = HilbertLayout(cfg.n_max_for(run.n_photons), run.n_atoms)
+            # The observable behind each column it can record; the other
+            # columns are projections, which a run always records.
+            source = {c: o for o in dyn.TRACKABLE for c in dyn.tracked_columns(layout, (o,))}
+            for column in columns:
+                if column in source and source[column] not in run.track:
+                    errors.append(
+                        f"{at('observables')}: observables: {scenario} reads column "
+                        f"{column!r} of {name}, which needs {source[column]!r} in this list")
 
     if errors:
         raise ConfigError(errors)

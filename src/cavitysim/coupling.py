@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import presets
 from .units import EPSILON_0, HBAR, SPEED_OF_LIGHT, TWO_PI
@@ -450,6 +449,54 @@ _D3_RIDGE_HALF = (6.0, 3.0, 3.0)
 _D3_RIDGE_SIGMA = 2.0
 
 
+def brentq(f, a: float, b: float, xtol: float = 2e-12,
+           rtol: float = 4 * np.finfo(float).eps, maxiter: int = 100) -> float:
+    """A root of f in [a, b], whose ends must bracket one, by Brent's method
+    (Algorithms for Minimization Without Derivatives, 1973).  Each step and
+    each default follows the common C `brentq`, so the calibration constants
+    come out the same to the bit (the tests compare the two).  ValueError if
+    f(a) and f(b) have the same sign, RuntimeError if maxiter steps do not
+    converge."""
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
+
+
 def _s8(y, c):
     y8 = np.abs(y) ** 8
     return y8 / (y8 + c**8)
@@ -679,36 +726,3 @@ def synth_density_at(design: str, resolution_nm: float, r_nm) -> float:
     block = _synth_density(design, *(ax[i:i + 2] for ax, i in zip(axes, idx)))
     return _trilinear(block, frac)
 
-
-def gaussian_standing_wave_map(
-    period_nm: float = 262.0,
-    sigma_nm: tuple = (180.0, 90.0, 60.0),
-    half_extents_nm: tuple = (720.0, 400.0, 280.0),
-    resolution_nm: float = 2.0,
-) -> tuple:
-    """Separable test map cos^2(2 pi x / period) x Gaussian envelopes, plus
-    its closed-form mode volume (product of analytic 1-D integrals).
-
-    Used to validate the grid quadrature: for an infinite domain
-    integral cos^2(k x) exp(-x^2/2s^2) dx = sqrt(2 pi) s (1 + exp(-2 k^2 s^2)) / 2.
-    Returns (FieldMap, exact_volume_m3).
-    """
-    sx, sy, sz = sigma_nm
-    k = TWO_PI / period_nm
-    xs = _axis_ticks(half_extents_nm[0], resolution_nm)
-    ys = _axis_ticks(half_extents_nm[1], resolution_nm)
-    zs = _axis_ticks(half_extents_nm[2], resolution_nm)
-    x_prof = np.cos(k * xs) ** 2 * np.exp(-0.5 * (xs / sx) ** 2)
-    y_prof = np.exp(-0.5 * (ys / sy) ** 2)
-    z_prof = np.exp(-0.5 * (zs / sz) ** 2)
-    de = x_prof[:, None, None] * y_prof[None, :, None] * z_prof[None, None, :]
-    fmap = FieldMap(
-        de=de,
-        total=de.copy(),
-        spacing_nm=(resolution_nm,) * 3,
-        origin_nm=(float(xs[0]), float(ys[0]), float(zs[0])),
-        lambda_nm=presets.LAMBDA_NM,
-    )
-    ix = math.sqrt(TWO_PI) * sx * (1.0 + math.exp(-2.0 * k**2 * sx**2)) / 2.0
-    exact_m3 = ix * math.sqrt(TWO_PI) * sy * math.sqrt(TWO_PI) * sz * 1e-27
-    return fmap, exact_m3

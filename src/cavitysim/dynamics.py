@@ -7,10 +7,12 @@ so, on the basis states whose e is at most the largest one it starts with,
 and integrate() propagates it on those alone (d' of the d basis states):
 with no collapse operators, rho <- U rho U^dag with U = expm(-i H dt) on
 d' x d'; otherwise vec(rho) <- P vec(rho) with P = expm(L dt) on the
-d'^2 x d'^2 Liouvillian (scipy's expm, Al-Mohy & Higham 2009).  One
-propagator is built per distinct step of the output grid, so a uniform
-grid costs one expm.  Trace is never renormalized: trace drift is a
-quality metric and the run fails if it exceeds `trace_tol`.
+d'^2 x d'^2 Liouvillian.  expm() is this module's, in numpy: scaling and
+squaring with the [13/13] Pade approximant (Higham, SIAM J. Matrix Anal.
+Appl. 26, 1179 (2005)), one function for both generators.  One propagator
+is built per distinct step of the output grid, so a uniform grid costs one
+expm.  Trace is never renormalized: trace drift is a quality metric and
+the run fails if it exceeds `trace_tol`.
 
 Propagation is a sequential loop, but observables are not evaluated per
 step: the states are written into a chunk buffer of about CHUNK_BYTES,
@@ -26,10 +28,10 @@ Time is in ns throughout; rates are angular (rad/ns).
 
 import io
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import entanglement as ent
 from . import fockspace as fs
@@ -50,6 +52,42 @@ CSV_BLOCK_ROWS = 1024
 def chunk_states(dim: int) -> int:
     """Number of d x d complex states that fit in CHUNK_BYTES (at least 1)."""
     return max(1, CHUNK_BYTES // (16 * dim * dim))
+
+
+# Coefficients b_0 .. b_13 of the [13/13] Pade approximant to exp, and the
+# 1-norm up to which it is accurate to double precision unscaled (Higham 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring: exp(a) = r(a / 2^s)^(2^s),
+    r the [13/13] Pade approximant, s the fewest squarings that bring the
+    1-norm of a / 2^s to at most theta_13."""
+    norm = np.linalg.norm(a, 1)
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    u, v = _pade13_parts(a / 2.0**s)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _pade13_parts(a: np.ndarray) -> tuple:
+    """Odd and even parts u, v of the [13/13] Pade numerator at a, so that
+    r(a) = (v - u)^-1 (v + u).  The powers of a are freed on return."""
+    b = _PADE13
+    diag = slice(None, None, a.shape[0] + 1)  # the diagonal of a flattened matrix
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+    u.flat[diag] += b[1]
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
+    v.flat[diag] += b[0]
+    return a @ u, v
 
 
 class TooFewExtremaError(ValueError):
@@ -126,6 +164,21 @@ def subsystem_letter(factor: int) -> str:
     return chr(ord("A") + factor)
 
 
+def tracked_columns(layout: HilbertLayout, track) -> list:
+    """Names of the columns integrate() records for `track`, in order:
+    populations in basis-index order, n_photon, the entropy of each single
+    factor, then the concurrence of each atom pair.  Projection columns
+    follow them."""
+    factors = range(layout.n_atoms + 1)
+    return (
+        (population_labels(layout) if "populations" in track else [])
+        + (["n_photon"] if "n_photon" in track else [])
+        + ([f"S_{subsystem_letter(p)}" for p in factors] if "entropies" in track else [])
+        + [f"C_{subsystem_letter(i)}{subsystem_letter(j)}"
+           for i, j in itertools.combinations(factors[1:], 2) if "concurrence" in track]
+    )
+
+
 def sector_norm_dim(layout: HilbertLayout, keep, n_exc: int) -> int:
     """Entropy normalization dimension for one partition block.
 
@@ -139,8 +192,10 @@ def sector_norm_dim(layout: HilbertLayout, keep, n_exc: int) -> int:
     keep = tuple(keep)
     complement = tuple(p for p in range(layout.n_atoms + 1) if p not in keep)
     sector = np.flatnonzero(fs.excitation_number_diagonal(layout) <= n_exc)
+    # Distinct values by bincount: np.unique would import numpy.ma (~15 ms)
+    # on its first call in a process.
     return max(2, min(
-        np.unique(fs.factor_index(layout, sector, side)).size
+        np.count_nonzero(np.bincount(fs.factor_index(layout, sector, side)))
         for side in (keep, complement)
     ))
 
@@ -218,13 +273,7 @@ def integrate(
     )
 
     projections = dict(projections or {})
-    column_order = (
-        (labels if want_pops else [])
-        + (["n_photon"] if want_nph else [])
-        + [f"S_{subsystem_letter(p)}" for p in entropy_factors]
-        + [f"C_{subsystem_letter(i)}{subsystem_letter(j)}" for i, j in pairs]
-        + list(projections)
-    )
+    column_order = tracked_columns(layout, track) + list(projections)
     # Populations outside the kept states stay exactly 0.
     obs = {name: np.zeros(n_out) for name in column_order}
 

@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -243,3 +245,23 @@ def test_summary_recomputable_from_trajectory_csv(tmp_path):
     assert splitting == pytest.approx(report.summary["splitting_measured"], abs=1e-12)
     fidelity = float(np.sqrt(np.max(data["P_psi_plus"])))
     assert fidelity == pytest.approx(report.summary["fidelity_peak"], abs=1e-12)
+
+
+def test_validate_and_run_load_no_scipy(tmp_path):
+    # scipy is a test-only dependency: importing it costs each cavitysim
+    # process about half a second before any work.
+    cfg_path = _write(tmp_path, 'scenario = "fig2_single_atom"\n'
+                                't_long_ns = 2.0\ndt_long_ns = 0.002\n')
+    out_dir = str(tmp_path / "out")
+    script = (
+        "import sys\n"
+        "import cavitysim, cavitysim.cli\n"
+        f"assert cavitysim.cli.main(['validate', {cfg_path!r}]) == 0\n"
+        f"assert cavitysim.cli.main(['run', {cfg_path!r}, '--output-dir', {out_dir!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -278,3 +278,20 @@ def test_two_photon_scenarios_need_n_max_2(scenario, tmp_path):
     assert main(["validate", str(path)]) == 1
     path.write_text(f'scenario = "{scenario}"\nn_max = 2\n')
     assert main(["validate", str(path)]) == 0
+
+
+@pytest.mark.parametrize("scenario, observables, column", [
+    ("fig2_single_atom", '["n_photon"]', "pop_0e"),          # the Rabi fit
+    ("fig3_two_atom", '["n_photon", "entropies"]', "pop_0eg"),  # the splitting
+    ("fig5_position_map", '["populations", "concurrence"]', "S_C"),  # a peak column
+])
+def test_observables_must_record_what_the_scenario_reads(scenario, observables, column,
+                                                         tmp_path):
+    text = f'scenario = "{scenario}"\nobservables = {observables}\n'
+    errors = _errors(text)
+    assert all(e.startswith("line 2: observables: ") for e in errors)
+    assert any(repr(column) in e for e in errors)
+    path = tmp_path / "cfg.toml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1

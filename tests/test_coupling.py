@@ -39,18 +39,78 @@ def test_global_mode_volume_zero_density_error():
                     origin_nm=(0, 0, 0), lambda_nm=780.0)
 
 
+def gaussian_standing_wave_map(
+    period_nm: float = 262.0,
+    sigma_nm: tuple = (180.0, 90.0, 60.0),
+    half_extents_nm: tuple = (720.0, 400.0, 280.0),
+    resolution_nm: float = 2.0,
+) -> tuple:
+    """Separable test map cos^2(2 pi x / period) x Gaussian envelopes, plus
+    its closed-form mode volume (product of analytic 1-D integrals).
+
+    Used to validate the grid quadrature: for an infinite domain
+    integral cos^2(k x) exp(-x^2/2s^2) dx = sqrt(2 pi) s (1 + exp(-2 k^2 s^2)) / 2.
+    Returns (FieldMap, exact_volume_m3).
+    """
+    sx, sy, sz = sigma_nm
+    k = TWO_PI / period_nm
+    xs, ys, zs = (cp._axis_ticks(h, resolution_nm) for h in half_extents_nm)
+    x_prof = np.cos(k * xs) ** 2 * np.exp(-0.5 * (xs / sx) ** 2)
+    y_prof = np.exp(-0.5 * (ys / sy) ** 2)
+    z_prof = np.exp(-0.5 * (zs / sz) ** 2)
+    de = x_prof[:, None, None] * y_prof[None, :, None] * z_prof[None, None, :]
+    fmap = cp.FieldMap(
+        de=de,
+        total=de.copy(),
+        spacing_nm=(resolution_nm,) * 3,
+        origin_nm=(float(xs[0]), float(ys[0]), float(zs[0])),
+        lambda_nm=presets.LAMBDA_NM,
+    )
+    ix = math.sqrt(TWO_PI) * sx * (1.0 + math.exp(-2.0 * k**2 * sx**2)) / 2.0
+    exact_m3 = ix * math.sqrt(TWO_PI) * sy * math.sqrt(TWO_PI) * sz * 1e-27
+    return fmap, exact_m3
+
+
 def test_gaussian_standing_wave_quadrature():
-    fmap, exact = cp.gaussian_standing_wave_map(resolution_nm=2.0)
+    fmap, exact = gaussian_standing_wave_map(resolution_nm=2.0)
     v = cp.global_mode_volume(fmap)
     assert v.m3 == pytest.approx(exact, rel=0.01)
 
 
 def test_gaussian_map_convergence_under_halving():
-    f4, _ = cp.gaussian_standing_wave_map(resolution_nm=4.0)
-    f2, _ = cp.gaussian_standing_wave_map(resolution_nm=2.0)
+    f4, _ = gaussian_standing_wave_map(resolution_nm=4.0)
+    f2, _ = gaussian_standing_wave_map(resolution_nm=2.0)
     v4 = cp.global_mode_volume(f4).m3
     v2 = cp.global_mode_volume(f2).m3
     assert abs(v4 - v2) / v2 < 0.005
+
+
+def test_brentq_matches_scipy_bit_for_bit(monkeypatch):
+    from scipy.optimize import brentq
+
+    shapes = (cp._d1_shape, cp._d3_shape)
+    ours = []
+    for shape in shapes:
+        shape.cache_clear()
+        ours.append(shape())
+    monkeypatch.setattr(cp, "brentq", brentq)
+    for shape, constants in zip(shapes, ours):
+        shape.cache_clear()
+        assert shape() == constants
+    monkeypatch.undo()
+    for shape in shapes:
+        shape.cache_clear()
+    cases = [
+        (math.cos, 0.0, 3.0, {}),
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, {}),
+        (lambda x: math.exp(x) - 10.0, 0.0, 5.0, {"xtol": 1e-6}),
+        (lambda x: np.tanh(x - 0.3), -5.0, 7.0, {}),
+        (lambda x: 1.0 / x - 3.0, 0.01, 5.0, {"rtol": 1e-10}),
+    ]
+    for f, a, b, kw in cases:
+        assert cp.brentq(f, a, b, **kw) == brentq(f, a, b, **kw)
+    with pytest.raises(ValueError):
+        cp.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 def test_d1_map_hits_calibration_targets(d1_map):

@@ -1,10 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from cavitysim import analytic, dynamics as dyn, entanglement as ent, fockspace as fs, model
+from cavitysim import runner
+from cavitysim.config import SCENARIOS, parse_config
 from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
 from cavitysim.units import ghz_to_angular
@@ -177,6 +180,63 @@ def test_non_uniform_grid_matches_oracle():
     traj = dyn.integrate(gen, rho0, ts)
     expected = np.sin(G * ts) ** 2
     assert np.max(np.abs(traj.series("pop_0e") - expected)) < 1e-12
+
+
+class _Captured(Exception):
+    """Stops integrate() once its propagator's generator is captured."""
+
+
+@pytest.mark.parametrize("lossless", [False, True])
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_expm_matches_scipy_on_scenario_generators(scenario, lossless, monkeypatch):
+    # The generator integrate() exponentiates in each fixed run and the first
+    # sweep point: -i H dt without loss, the Liouvillian L dt with it.
+    generators = []
+
+    def capture(m):
+        generators.append(m)
+        raise _Captured
+
+    monkeypatch.setattr(dyn, "expm", capture)
+    cfg = parse_config(f'scenario = "{scenario}"\nlossless = {str(lossless).lower()}\n')
+    plan = SCENARIOS[scenario].plan(cfg)
+    for _, run in itertools.islice(plan.schedule(cfg), len(plan.runs) + 1):
+        with pytest.raises(_Captured):
+            runner.trajectory(cfg, run)
+    monkeypatch.undo()
+    assert generators
+    for m in generators:
+        assert np.allclose(m, -m.conj().T) == lossless  # -i H dt is anti-Hermitian
+        ref = expm(m)
+        assert np.linalg.norm(dyn.expm(m) - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
+
+
+def test_expm_of_a_jordan_block():
+    # Defective, as H_eff is at an exceptional point: exp(t (-c I + N)) =
+    # exp(-c t) sum_k (t N)^k / k! with N nilpotent.
+    n, c, t = 6, 0.5 + 0.3j, 1.7
+    nil = np.diag(np.ones(n - 1), 1)
+    exact = np.exp(-c * t) * sum(
+        np.linalg.matrix_power(t * nil, k) / math.factorial(k) for k in range(n)
+    )
+    a = t * (-c * np.eye(n) + nil)
+    for ref in (exact, expm(a)):
+        assert np.linalg.norm(dyn.expm(a) - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
+
+
+def test_expm_with_several_squarings():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    h = x + x.conj().T
+    a = -1j * h * (40.0 / np.linalg.norm(h, 1))
+    # 1-norm 40 > 4 theta_13: at least 3 squarings
+    assert np.linalg.norm(a, 1) > 4 * dyn._THETA13
+    w, v = np.linalg.eigh(h * (40.0 / np.linalg.norm(h, 1)))
+    exact = (v * np.exp(-1j * w)) @ v.conj().T
+    u = dyn.expm(a)
+    for ref in (exact, expm(a)):
+        assert np.linalg.norm(u - ref, 1) <= 1e-13 * np.linalg.norm(ref, 1)
+    assert np.allclose(u @ u.conj().T, np.eye(12), atol=1e-13)
 
 
 def test_one_propagator_per_distinct_step(monkeypatch):
