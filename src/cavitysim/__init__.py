@@ -4,7 +4,7 @@ from cavity field maps, and a scenario-based experiment CLI."""
 
 __version__ = "0.1.0"
 
-from .fockspace import HilbertLayout, annihilation, atom_lowering, atom_sigma_z, basis_state
+from .fockspace import HilbertLayout, basis_state
 from .model import LindbladGenerator, SystemParams, build_generator, build_hamiltonian, lindblad_rhs
 from .dynamics import Trajectory, envelope_lifetime, integrate, rabi_frequency
 from .analytic import CouplingVector, peak_entanglement_metrics, single_excitation_population
@@ -12,7 +12,7 @@ from .entanglement import concurrence, entropy_normalized, partial_trace, state_
 
 __all__ = [
     "__version__",
-    "HilbertLayout", "annihilation", "atom_lowering", "atom_sigma_z", "basis_state",
+    "HilbertLayout", "basis_state",
     "LindbladGenerator", "SystemParams", "build_generator", "build_hamiltonian", "lindblad_rhs",
     "Trajectory", "envelope_lifetime", "integrate", "rabi_frequency",
     "CouplingVector", "peak_entanglement_metrics", "single_excitation_population",

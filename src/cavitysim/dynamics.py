@@ -4,12 +4,15 @@ Every generator here is time-independent and undriven: H and each L^dag L
 conserve the excitation number e (photons plus excited atoms), and each
 jump lowers it by one.  A state that is block-diagonal in e therefore stays
 so, on the basis states whose e is at most the largest one it starts with,
-and integrate() propagates it on those alone (d' of the d basis states):
-with no collapse operators, rho <- U rho U^dag with U = expm(-i H dt) on
-d' x d'; otherwise vec(rho) <- P vec(rho) with P = expm(L dt) on the
-d'^2 x d'^2 Liouvillian.  expm() is this module's, in numpy: scaling and
-squaring with the [13/13] Pade approximant (Higham, SIAM J. Matrix Anal.
-Appl. 26, 1179 (2005)), one function for both generators.  One propagator
+and integrate() propagates it on those alone (d' of the d basis states),
+with generators that `model` builds on them and nowhere else: with no
+collapse operators, rho <- U rho U^dag with U = expm(-i H dt) on d' x d';
+otherwise vec(rho) <- P vec(rho) with P = expm(L dt) on the d'^2 x d'^2
+Liouvillian.  Of the d x d arrays, only rho0 (and snapshots, if asked
+for) exist on a run's path: rho0 is read through its non-zero elements
+and validated on its d' x d' block.  expm() is this module's, in numpy:
+scaling and squaring with the [13/13] Pade approximant (Higham, SIAM J.
+Matrix Anal. Appl. 26, 1179 (2005)), one function for both generators.  One propagator
 is built per distinct step of the output grid, so a uniform grid costs one
 expm.  Trace is never renormalized: trace drift is a quality metric and
 the run fails if it exceeds `trace_tol`.
@@ -36,7 +39,7 @@ import numpy as np
 from . import entanglement as ent
 from . import fockspace as fs
 from .fockspace import HilbertLayout
-from .model import LindbladGenerator, liouvillian_matrix
+from .model import LindbladGenerator, build_hamiltonian, liouvillian_matrix
 
 TRAJECTORY_SCHEMA = "cavitysim-trajectory-v1"
 
@@ -226,10 +229,11 @@ def integrate(
     rho0 must be block-diagonal in excitation number (ValueError otherwise),
     as every basis state and every state inside one excitation sector is.
     The run then propagates only the d' basis states up to rho0's largest
-    excitation number; populations of the others are exactly 0.  States
-    are evaluated a chunk of chunk_states(d') at a time; the chunk size
-    changes neither the observables nor the snapshots, which are copied
-    from each chunk at times[::snapshot_stride] into full d x d matrices.
+    excitation number, where it also checks that rho0 is a density matrix;
+    populations of the others are exactly 0.  States are evaluated a chunk
+    of chunk_states(d') at a time; the chunk size changes neither the
+    observables nor the snapshots, which are copied from each chunk at
+    times[::snapshot_stride] into full d x d matrices.
     """
     unknown = [t for t in track if t not in TRACKABLE]
     if unknown:
@@ -244,27 +248,32 @@ def integrate(
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
     rho0 = np.asarray(rho0, dtype=complex)
-    validate_density_matrix(rho0)
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho0 has shape {rho0.shape}, layout dimension is {dim}")
     exc = fs.excitation_number_diagonal(layout)
-    if np.any(rho0[exc[:, None] != exc]):
+    # Read from rho0's non-zero elements: a mask of all d^2 would cost more
+    # memory than rho0 itself.
+    rows, cols = np.nonzero(rho0)
+    if np.any(exc[rows] != exc[cols]):
         raise ValueError(
             "rho0 has coherences between excitation sectors; integrate needs "
             "a state that is block-diagonal in excitation number"
         )
     # Every state rho0 can reach lives on the basis states up to its top
     # excitation number (no drive; H and each L^dag L conserve it, each jump
-    # lowers it by one), so the propagation runs on those alone.
-    kept = np.flatnonzero(exc <= exc[np.any(rho0 != 0, axis=1)].max())
+    # lowers it by one), so the propagation runs on those alone.  rho0 is
+    # zero outside them, so its block there is what must be a state.
+    kept = np.flatnonzero(exc <= exc[rows].max(initial=-1))
     d_sub = kept.size
+    rho = rho0[np.ix_(kept, kept)]
+    validate_density_matrix(rho)
 
     n_out = times.size
     labels = population_labels(layout)
     want_pops = "populations" in track
     want_nph = "n_photon" in track
 
-    n_exc = int(round(float(exc @ np.real(np.diag(rho0)))))
+    n_exc = int(round(float(exc[kept] @ np.real(np.diag(rho)))))
     entropy_factors = list(range(layout.n_atoms + 1)) if "entropies" in track else []
     norm_dims = {p: sector_norm_dim(layout, (p,), n_exc) for p in entropy_factors}
     pairs = (
@@ -277,7 +286,7 @@ def integrate(
     # Populations outside the kept states stay exactly 0.
     obs = {name: np.zeros(n_out) for name in column_order}
 
-    lossy = bool(gen.collapse_ops)
+    lossy = bool(gen.collapse_channels)
     if n_out > 1:
         steps = np.diff(times)
         bins = np.round((steps - steps[0]) / (1e-12 * (times[-1] - times[0])))
@@ -287,7 +296,7 @@ def integrate(
         # the d'^2 x d'^2 Liouvillian.
         generator = (
             liouvillian_matrix(gen, kept) if lossy
-            else -1j * gen.hamiltonian[np.ix_(kept, kept)]
+            else -1j * build_hamiltonian(layout, gen.params, kept)
         )
         props = [expm(generator * dt) for dt in lengths]
         props_dag = [u.conj().T for u in props]
@@ -358,7 +367,6 @@ def integrate(
     # A buffer of fixed size, not the whole (T, d, d) stack: memory must not
     # grow with the output grid.
     buf = np.empty((min(n_out, chunk_states(d_sub)), d_sub, d_sub), dtype=complex)
-    rho = rho0[np.ix_(kept, kept)]
     k0 = 0
     for k in range(n_out):
         if k:

@@ -1,14 +1,15 @@
-"""Truncated photon (x) N-qubit Hilbert space and elementary operators.
+"""Truncated photon (x) N-qubit Hilbert space and its basis encoding.
 
 Tensor ordering is fixed: the photon factor comes first, then atoms 1..N.
 Basis encoding: the photon index is the slowest-varying (major) index and
 atom states are binary digits with g -> 0 and e -> 1, atom 1 most
 significant.  So for ``n_max=1, n_atoms=2`` the basis order is
 ``|0gg>, |0ge>, |0eg>, |0ee>, |1gg>, ...`` and ``|1gg>`` has index 4.
+The digit of factor p (0 = photon, i = atom i) has place value 2^(N-p).
 
-All operators are dense complex matrices on the full composite space
-(identity on the untouched factors).  Target dimensions stay small
-(<= (n_max+1) * 2^N ~ a few hundred), where dense is simple and fast.
+Nothing here builds an operator: `model` builds each one by index
+arithmetic on this encoding, on the basis states a caller asks for.  The
+number operators are diagonal, so they are kept as their diagonals.
 Everything here is a pure function of immutable inputs.
 """
 
@@ -97,31 +98,6 @@ def _check_atom_index(layout: HilbertLayout, i: int):
         raise ValueError(f"atom index {i} outside 1..{layout.n_atoms}")
 
 
-def _embed(layout: HilbertLayout, factor_ops: dict) -> np.ndarray:
-    """Kronecker product with identities on all factors not in factor_ops.
-
-    factor_ops maps factor position (0 = photon, k = atom k) to a matrix.
-    """
-    out = np.array([[1.0 + 0.0j]])
-    dims = layout.factor_dims()
-    for pos, d in enumerate(dims):
-        op = factor_ops.get(pos)
-        if op is None:
-            op = np.eye(d, dtype=complex)
-        out = np.kron(out, op)
-    return out
-
-
-def photon_annihilation_block(n_max: int) -> np.ndarray:
-    """a on the (n_max+1)-level photon factor alone: a|n> = sqrt(n)|n-1>."""
-    return np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
-
-
-def annihilation(layout: HilbertLayout) -> np.ndarray:
-    """Photon annihilation operator a embedded on the full space."""
-    return _embed(layout, {0: photon_annihilation_block(layout.n_max)})
-
-
 def photon_number_diagonal(layout: HilbertLayout) -> np.ndarray:
     """Photon number of each basis state (the diagonal of a^dag a).
 
@@ -155,51 +131,8 @@ def factor_index(layout: HilbertLayout, basis, factors) -> np.ndarray:
     return out
 
 
-def number_operator(layout: HilbertLayout) -> np.ndarray:
-    """a^dag a embedded on the full space."""
-    return np.diag(photon_number_diagonal(layout).astype(complex))
-
-
-SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # sigma|e> = |g>
-SIGMA_Z = np.array([[-1, 0], [0, 1]], dtype=complex)     # basis order (g, e)
-
-
-def atom_lowering(layout: HilbertLayout, i: int) -> np.ndarray:
-    """Lowering operator sigma_i (|g><e| on atom i, identity elsewhere)."""
-    _check_atom_index(layout, i)
-    return _embed(layout, {i: SIGMA_MINUS})
-
-
-def atom_raising(layout: HilbertLayout, i: int) -> np.ndarray:
-    _check_atom_index(layout, i)
-    return _embed(layout, {i: SIGMA_MINUS.conj().T})
-
-
-def atom_sigma_z(layout: HilbertLayout, i: int) -> np.ndarray:
-    """sigma^z_i = |e><e| - |g><g| on atom i, identity elsewhere."""
-    _check_atom_index(layout, i)
-    return _embed(layout, {i: SIGMA_Z})
-
-
-def excitation_number(layout: HilbertLayout) -> np.ndarray:
-    """Total excitation operator a^dag a + sum_i sigma_i^dag sigma_i."""
-    return np.diag(excitation_number_diagonal(layout).astype(complex))
-
-
 def basis_state(layout: HilbertLayout, n_photons: int, pattern) -> np.ndarray:
     """Unit computational basis ket |n_photons, s_1 ... s_N>."""
     vec = np.zeros(layout.dim, dtype=complex)
     vec[layout.basis_index(n_photons, pattern)] = 1.0
     return vec
-
-
-def basis_labels(layout: HilbertLayout) -> list:
-    """Labels for all basis indices, in index order."""
-    return [layout.basis_label(k) for k in range(layout.dim)]
-
-
-def assert_hermitian(m: np.ndarray, tol: float = 1e-12):
-    """Raise if max |M - M^dag| element exceeds tol."""
-    dev = np.max(np.abs(m - m.conj().T))
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian within {tol} (deviation {dev})")

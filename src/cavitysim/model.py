@@ -14,6 +14,11 @@ A `literal` variant with the anticommutators transposed ({a a^dag, rho}) is
 exposed for comparison; it does not preserve the trace, so `integrate`'s
 trace-drift gate rejects it at the default tolerance, and
 `runner.trajectory` lifts the gate (trace_tol = inf) for it.
+
+Every operator is built by index arithmetic on `fockspace`'s basis
+encoding, on the basis states a caller passes as `keep` (all d of them if
+None): a run passes the d' states it propagates, so no d x d operator is
+built on its path.  The generator itself holds only what defines it.
 """
 
 from dataclasses import dataclass
@@ -71,26 +76,34 @@ class SystemParams:
 
 @dataclass(frozen=True, eq=False)
 class LindbladGenerator:
-    """Hamiltonian plus weighted collapse operators defining d(rho)/dt."""
+    """What defines d(rho)/dt: the layout, the parameters and the dissipator
+    form.  It holds no operator; build_hamiltonian, collapse_operators and
+    liouvillian_matrix build them on the basis states a caller needs."""
 
     layout: HilbertLayout
-    hamiltonian: np.ndarray
-    collapse_ops: tuple = ()  # of (rate, operator) pairs
+    params: SystemParams
     dissipator_form: str = DISSIPATOR_TRACE_PRESERVING
 
     def __post_init__(self):
-        fs.assert_hermitian(self.hamiltonian, tol=1e-12)
-        if self.hamiltonian.shape != (self.layout.dim, self.layout.dim):
-            raise ValueError("hamiltonian dimension does not match layout")
-        for rate, op in self.collapse_ops:
-            if rate < 0:
-                raise ValueError(f"collapse rate must be >= 0, got {rate}")
-            if op.shape != (self.layout.dim, self.layout.dim):
-                raise ValueError("collapse operator dimension does not match layout")
+        _check_match(self.layout, self.params)
+        if self.dissipator_form not in DISSIPATOR_FORMS:
+            raise ValueError(
+                f"dissipator_form must be one of {DISSIPATOR_FORMS}, "
+                f"got {self.dissipator_form!r}"
+            )
 
     @property
     def dim(self) -> int:
         return self.layout.dim
+
+    @property
+    def collapse_channels(self) -> tuple:
+        """(rate, factor) per collapse operator: (kappa, 0) for a, then
+        (gamma, i) for each sigma_i; a zero rate has no channel."""
+        p = self.params
+        photon = ((p.kappa, 0),) if p.kappa > 0 else ()
+        atoms = tuple((p.gamma, i) for i in range(1, p.n_atoms + 1)) if p.gamma > 0 else ()
+        return photon + atoms
 
 
 def _check_match(layout: HilbertLayout, params: SystemParams):
@@ -101,35 +114,68 @@ def _check_match(layout: HilbertLayout, params: SystemParams):
         )
 
 
-def build_hamiltonian(layout: HilbertLayout, params: SystemParams) -> np.ndarray:
-    """Assemble H (hbar=1) in the frame selected by params.
+def _states(layout: HilbertLayout, keep) -> np.ndarray:
+    return np.arange(layout.dim) if keep is None else np.asarray(keep)
+
+
+def _lowering(layout: HilbertLayout, factor: int, states: np.ndarray) -> tuple:
+    """Amplitude of L|k> for each basis state k, and how far L moves the
+    index down.  L is a (factor 0) or sigma_i (factor i): it lowers the
+    factor's digit m by one, with amplitude sqrt(m) (1 or 0 for an atom),
+    so it moves the index down by the digit's place value 2^(N - factor)."""
+    digit = fs.factor_index(layout, states, (factor,))
+    return np.sqrt(digit), 2 ** (layout.n_atoms - factor)
+
+
+def _on_states(states: np.ndarray, amplitudes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The d' x d' matrix on `states` with amplitudes[j] at
+    (targets[j], states[j]), dropping the zero amplitudes and the targets
+    that are not among the states."""
+    order = np.argsort(states)
+    rows = order[np.minimum(np.searchsorted(states, targets, sorter=order), states.size - 1)]
+    hit = (amplitudes != 0) & (states[rows] == targets)
+    out = np.zeros((states.size, states.size), dtype=complex)
+    out[rows[hit], np.flatnonzero(hit)] = amplitudes[hit]
+    return out
+
+
+def lowering_operator(layout: HilbertLayout, factor: int, keep=None) -> np.ndarray:
+    """a (factor 0) or sigma_i (factor i) on the basis states `keep` (all of
+    them if None): a|n, s> = sqrt(n)|n-1, s>, sigma_i takes atom i from e to g."""
+    states = _states(layout, keep)
+    amplitudes, shift = _lowering(layout, factor, states)
+    return _on_states(states, amplitudes, states - shift)
+
+
+def build_hamiltonian(layout: HilbertLayout, params: SystemParams, keep=None) -> np.ndarray:
+    """Assemble H (hbar=1) in the frame selected by params, on the basis
+    states `keep` (all of them if None).
 
     Lab frame:      H = w_c a^dag a + (w_0/2) sum sigma^z + sum g_i (a sig_i^dag + a^dag sig_i)
     Rotating frame: H = (Delta/2) sum sigma^z + sum g_i (a sig_i^dag + a^dag sig_i)
 
-    The interaction is assembled as T + T^dag so the result is Hermitian
-    exactly (entrywise), not merely to tolerance.
+    The diagonal is read off each state's digits.  a sig_i^dag takes
+    |n, s> with atom i in g to sqrt(n)|n-1, s + e_i>, which moves the index
+    down by 2^N and up by 2^(N-i).  The interaction is assembled as
+    T + T^dag so the result is Hermitian exactly (entrywise), not merely to
+    tolerance.
     """
     _check_match(layout, params)
-    dim = layout.dim
-    h = np.zeros((dim, dim), dtype=complex)
-
+    states = _states(layout, keep)
     if params.frame == FRAME_LAB:
-        h += params.omega_c * fs.number_operator(layout)
+        diag = params.omega_c * fs.factor_index(layout, states, (0,))
         half_sz = 0.5 * params.omega_0
     else:
+        diag = np.zeros(states.size)
         half_sz = 0.5 * params.detuning
-    if half_sz != 0.0:
-        for i in range(1, layout.n_atoms + 1):
-            h += half_sz * fs.atom_sigma_z(layout, i)
-
-    a = fs.annihilation(layout)
+    photons, down = _lowering(layout, 0, states)
+    h = np.zeros((states.size, states.size), dtype=complex)
     for i, g in enumerate(params.couplings, start=1):
-        if g == 0.0:
-            continue
-        t = g * (a @ fs.atom_raising(layout, i))
+        excited, up = _lowering(layout, i, states)
+        diag = diag + half_sz * (2.0 * excited - 1.0)  # sigma^z: +1 on e, -1 on g
+        t = _on_states(states, g * photons * (1.0 - excited), states - down + up)
         h += t + t.conj().T
-    return h
+    return h + np.diag(diag)
 
 
 def build_generator(
@@ -137,24 +183,33 @@ def build_generator(
     params: SystemParams,
     dissipator_form: str = DISSIPATOR_TRACE_PRESERVING,
 ) -> LindbladGenerator:
-    """Hamiltonian plus collapse channels (kappa, a) and (gamma, sigma_i)."""
-    if dissipator_form not in DISSIPATOR_FORMS:
-        raise ValueError(
-            f"dissipator_form must be one of {DISSIPATOR_FORMS}, got {dissipator_form!r}"
-        )
-    h = build_hamiltonian(layout, params)
-    collapse = []
-    if params.kappa > 0:
-        collapse.append((params.kappa, fs.annihilation(layout)))
-    if params.gamma > 0:
-        for i in range(1, layout.n_atoms + 1):
-            collapse.append((params.gamma, fs.atom_lowering(layout, i)))
-    return LindbladGenerator(
-        layout=layout,
-        hamiltonian=h,
-        collapse_ops=tuple(collapse),
-        dissipator_form=dissipator_form,
-    )
+    """The generator with collapse channels (kappa, a) and (gamma, sigma_i)."""
+    return LindbladGenerator(layout, params, dissipator_form)
+
+
+def collapse_operators(gen: LindbladGenerator, keep=None) -> list:
+    """(rate, L, anticommutator diagonal) per collapse channel, L on the
+    basis states `keep` (all of them if None).
+
+    The anticommutator's operator is diagonal for every channel: L^dag L in
+    the trace-preserving form, L L^dag in the literal one.  L L^dag at |k>
+    is the squared amplitude of L on the state one step up, k + shift,
+    which need not be kept: a a^dag on a kept |1gg> passes through |2gg>.
+    So the diagonal is taken from the whole space, and the restricted
+    generator is the full one's block.
+    """
+    layout, states = gen.layout, _states(gen.layout, keep)
+    out = []
+    for rate, factor in gen.collapse_channels:
+        amplitudes, shift = _lowering(layout, factor, states)
+        if gen.dissipator_form == DISSIPATOR_LITERAL:
+            # k + shift is past the photon truncation for n = n_max, and
+            # carries out of atom i's digit where that digit is 1: both
+            # give 0, as L L^dag does there.
+            up = states + shift
+            amplitudes = np.where(up < layout.dim, _lowering(layout, factor, up)[0], 0.0)
+        out.append((rate, lowering_operator(layout, factor, states), amplitudes**2))
+    return out
 
 
 def lindblad_rhs(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
@@ -168,15 +223,10 @@ def lindblad_rhs(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"rho has shape {rho.shape}, generator dimension is {gen.dim}"
         )
-    h = gen.hamiltonian
+    h = build_hamiltonian(gen.layout, gen.params)
     out = -1j * (h @ rho - rho @ h)
-    for rate, L in gen.collapse_ops:
-        Ld = L.conj().T
-        if gen.dissipator_form == DISSIPATOR_TRACE_PRESERVING:
-            anti = Ld @ L
-        else:
-            anti = L @ Ld
-        out += rate * (L @ rho @ Ld - 0.5 * (anti @ rho + rho @ anti))
+    for rate, L, anti in collapse_operators(gen):
+        out += rate * (L @ rho @ L.conj().T - 0.5 * (anti[:, None] * rho + rho * anti))
     return out
 
 
@@ -189,25 +239,18 @@ def liouvillian_matrix(gen: LindbladGenerator, keep=None) -> np.ndarray:
 
     keep, if given, lists the basis states of a subspace whose operators the
     generator maps into themselves (such as all states up to an excitation
-    number), and L is built for rho on that subspace only.  Each operator
-    is restricted after any product of them: the literal form's L L^dag on
-    the subspace is not the product of the restricted L and L^dag.  Lossy
-    runs exponentiate this matrix into their step propagator.
+    number), and L is built for rho on that subspace only, from operators
+    built on it.  Lossy runs exponentiate this matrix into their step
+    propagator.
     """
-    keep = np.arange(gen.dim) if keep is None else np.asarray(keep)
-    block = np.ix_(keep, keep)
-    eye = np.eye(keep.size)
-    h = gen.hamiltonian[block]
+    states = _states(gen.layout, keep)
+    eye = np.eye(states.size)
+    h = build_hamiltonian(gen.layout, gen.params, states)
     liou = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for rate, L in gen.collapse_ops:
-        Ld = L.conj().T
-        if gen.dissipator_form == DISSIPATOR_TRACE_PRESERVING:
-            anti = Ld @ L
-        else:
-            anti = L @ Ld
-        L, Ld, anti = L[block], Ld[block], anti[block]
+    for rate, L, anti in collapse_operators(gen, states):
+        anti = np.diag(anti)
         liou += rate * (
-            np.kron(L, Ld.T)
-            - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+            np.kron(L, L.conj())
+            - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti))
         )
     return liou

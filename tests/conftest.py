@@ -57,6 +57,14 @@ def kron_chain(factors) -> np.ndarray:
     return out
 
 
+def ladder_block(n_max: int) -> np.ndarray:
+    """a on the (n_max+1)-level photon factor alone: a|n> = sqrt(n)|n-1>."""
+    return np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(complex)
+
+
+SIGMA_MINUS_BLOCK = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|, basis order (g, e)
+
+
 def embed_oracle(layout: HilbertLayout, position: int, op: np.ndarray) -> np.ndarray:
     """Brute-force I x .. x op x .. x I in the layout's factor order."""
     factors = []

@@ -265,7 +265,7 @@ def test_criterion_12_conservation_suite():
     # closed-system excitation conservation on the lossless wstate variant
     cfg = parse_config('scenario = "n_atom_wstate"\nlossless = true\n')
     [(_, traj)] = plan_trajectories(cfg, 10)
-    n_ex = fs.excitation_number(traj.layout)
+    n_ex = np.diag(fs.excitation_number_diagonal(traj.layout))
     vals = np.array([np.trace(n_ex @ s).real for s in traj.snapshots])
     exc_drift = float(np.max(np.abs(vals - vals[0])))
 

@@ -106,10 +106,11 @@ def test_run_exit_code_on_runtime_failure(tmp_path):
     assert main(["run", short, "--output-dir", str(tmp_path / "x")]) == 2
 
 
-def test_validate_rejects_over_memory_config(tmp_path, capsys):
+def test_validate_rejects_over_memory_config(tmp_path, capsys, monkeypatch):
     # lossy N = 7 from 7 photons keeps the 576 states with <= 7 excitations
     # and would take expm of a 331776^2 Liouvillian (~18 TB); the estimate
     # rejects it before any array is allocated
+    monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 10**9)
     big = _write(tmp_path, 'scenario = "custom"\nn_atoms = 7\nn_photons = 7\n',
                  name="big.cfg")
     tracemalloc.start()
@@ -120,8 +121,11 @@ def test_validate_rejects_over_memory_config(tmp_path, capsys):
         tracemalloc.stop()
     assert peak < 10e6
     assert "GB at peak" in capsys.readouterr().err
-    ok = _write(tmp_path, 'scenario = "custom"\nn_atoms = 4\n', name="ok.cfg")
-    assert main(["validate", ok]) == 0
+    # lossy N = 11 from one photon propagates 13 of d = 6144 states: its
+    # d x d rho0 is what takes memory
+    for n_atoms in (4, 11):
+        ok = _write(tmp_path, f'scenario = "custom"\nn_atoms = {n_atoms}\n', name="ok.cfg")
+        assert main(["validate", ok]) == 0
 
 
 @pytest.mark.parametrize("text,key", [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,9 +330,42 @@ def test_rho0_with_coherence_between_excitation_sectors_is_rejected():
     assert np.max(np.abs(traj.series("pop_0g"))) == 0.0
 
 
+def test_rho0_is_validated_on_its_kept_block():
+    # integrate checks rho0 on the states it propagates, where all of its
+    # non-zero elements lie, with validate_density_matrix's messages
+    lay, gen = _gen(2, (G,))
+    ts = np.linspace(0.0, 0.1, 11)
+    with pytest.raises(ValueError, match=r"^trace 0j deviates from 1 by more than 1e-09$"):
+        dyn.integrate(gen, np.zeros((lay.dim, lay.dim)), ts)
+    one, other = lay.basis_index(0, "e"), lay.basis_index(1, "g")
+    lopsided = dyn.pure_state_density(fs.basis_state(lay, 0, "e"))
+    lopsided[one, other] = 0.5  # one excitation each, no mirror element
+    with pytest.raises(ValueError, match="hermiticity deviation"):
+        dyn.integrate(gen, lopsided, ts)
+    negative = np.zeros((lay.dim, lay.dim))
+    negative[one, one], negative[lay.basis_index(2, "e"), lay.basis_index(2, "e")] = 1.5, -0.5
+    with pytest.raises(ValueError, match="minimum eigenvalue"):
+        dyn.integrate(gen, negative, ts)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
+def test_integrate_allocates_no_full_space_array(kappa):
+    # d = 1024, of which 11 states are propagated: nothing beside rho0 may
+    # be of size d^2, not an operator and not a mask or gather of rho0
+    lay, gen = _gen(1, (G,) * 9, kappa=kappa, gamma=0.1)
+    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g" * 9))
+    tracemalloc.start()
+    try:
+        dyn.integrate(gen, rho0, np.linspace(0.0, 0.01, 3), track=("n_photon",))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * rho0.nbytes
+
+
 def test_closed_system_conserves_excitation_number():
     lay, gen = _gen(2, (G, 0.6 * G))
-    n_ex = fs.excitation_number(lay)
+    n_ex = np.diag(fs.excitation_number_diagonal(lay))
     rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "gg"))
     ts = np.linspace(0.0, 0.5, 201)
     traj = dyn.integrate(gen, rho0, ts, snapshot_stride=10)

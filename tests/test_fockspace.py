@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cavitysim import fockspace as fs
+from cavitysim import fockspace as fs, model
 from cavitysim.fockspace import HilbertLayout
 
-from conftest import embed_oracle, kron_chain
+from conftest import SIGMA_MINUS_BLOCK, embed_oracle, kron_chain, ladder_block
 
 
 def test_layout_dimensions():
@@ -23,7 +23,7 @@ def test_layout_rejects_bad_sizes(n_max, n_atoms):
 
 def test_annihilation_ladder_action():
     lay = HilbertLayout(n_max=1, n_atoms=1)
-    a = fs.annihilation(lay)
+    a = model.lowering_operator(lay, 0)
     one = fs.basis_state(lay, 1, "g")
     zero = fs.basis_state(lay, 0, "g")
     assert np.allclose(a @ one, zero)        # a|1> = |0>, amplitude sqrt(1)=1
@@ -33,7 +33,7 @@ def test_annihilation_ladder_action():
 def test_annihilation_matrix_element_sqrt3():
     # ladder rule oracle: <2|a|3> = sqrt(3)
     lay = HilbertLayout(n_max=3, n_atoms=1)
-    a = fs.annihilation(lay)
+    a = model.lowering_operator(lay, 0)
     bra = fs.basis_state(lay, 2, "g")
     ket = fs.basis_state(lay, 3, "g")
     assert bra.conj() @ a @ ket == pytest.approx(np.sqrt(3.0), abs=1e-15)
@@ -41,14 +41,14 @@ def test_annihilation_matrix_element_sqrt3():
 
 def test_atom_lowering_single_atom():
     lay = HilbertLayout(n_max=1, n_atoms=1)
-    sm = fs.atom_lowering(lay, 1)
+    sm = model.lowering_operator(lay, 1)
     assert np.allclose(sm @ fs.basis_state(lay, 0, "e"), fs.basis_state(lay, 0, "g"))
     assert np.allclose(sm @ fs.basis_state(lay, 0, "g"), 0.0)
 
 
 def test_atom_lowering_acts_only_on_its_atom():
     lay = HilbertLayout(n_max=1, n_atoms=2)
-    s2 = fs.atom_lowering(lay, 2)
+    s2 = model.lowering_operator(lay, 2)
     assert np.allclose(s2 @ fs.basis_state(lay, 0, "ge"), fs.basis_state(lay, 0, "gg"))
     assert np.allclose(s2 @ fs.basis_state(lay, 0, "eg"), 0.0)
 
@@ -59,30 +59,19 @@ def test_lowering_projector_spectrum(n_max, n_atoms):
     # full eigendecomposition oracle: sigma^dag sigma has eigenvalues in {0,1}
     lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
     for i in range(1, n_atoms + 1):
-        sm = fs.atom_lowering(lay, i)
+        sm = model.lowering_operator(lay, i)
         evals = np.linalg.eigvalsh(sm.conj().T @ sm)
         assert np.all((np.abs(evals) < 1e-12) | (np.abs(evals - 1) < 1e-12))
 
 
-def test_sigma_z_action_and_trace():
-    lay = HilbertLayout(n_max=1, n_atoms=1)
-    sz = fs.atom_sigma_z(lay, 1)
-    e = fs.basis_state(lay, 0, "e")
-    g = fs.basis_state(lay, 0, "g")
-    assert np.allclose(sz @ e, e)
-    assert np.allclose(sz @ g, -g)
-    lay12 = HilbertLayout(n_max=2, n_atoms=2)
-    assert lay12.dim == 12
-    assert np.trace(fs.atom_sigma_z(lay12, 1)) == pytest.approx(0.0, abs=1e-15)
-
-
 def test_atom_index_out_of_range():
+    # factor 0 is the photon; atoms are 1..N
     lay = HilbertLayout(n_max=1, n_atoms=2)
-    for bad in (0, 3, -1):
+    for bad in (3, -1):
         with pytest.raises(ValueError):
-            fs.atom_lowering(lay, bad)
+            model.lowering_operator(lay, bad)
         with pytest.raises(ValueError):
-            fs.atom_sigma_z(lay, bad)
+            fs.factor_index(lay, np.arange(lay.dim), (bad,))
 
 
 def _enumerated_index(lay, n, bits):
@@ -136,7 +125,7 @@ def test_basis_state_rejects_out_of_range():
 def test_truncated_commutator_identity(n_max, n_atoms):
     # [a, a^dag] = I - (n_max+1)|n_max><n_max| on the photon factor
     lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
-    a = fs.annihilation(lay)
+    a = model.lowering_operator(lay, 0)
     ad = a.conj().T
     comm = a @ ad - ad @ a
     top = np.zeros((n_max + 1, n_max + 1), dtype=complex)
@@ -147,7 +136,7 @@ def test_truncated_commutator_identity(n_max, n_atoms):
 
 def test_atom_operators_commute_across_atoms():
     lay = HilbertLayout(n_max=2, n_atoms=3)
-    ops = [fs.atom_lowering(lay, i) for i in (1, 2, 3)]
+    ops = [model.lowering_operator(lay, i) for i in (1, 2, 3)]
     for i in range(3):
         for j in range(i + 1, 3):
             assert np.max(np.abs(ops[i] @ ops[j] - ops[j] @ ops[i])) == 0.0
@@ -157,18 +146,16 @@ def test_atom_operators_commute_across_atoms():
 def test_embedding_against_kron_oracle(n_max, n_atoms):
     lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
     assert lay.dim <= 64
-    a_block = fs.photon_annihilation_block(n_max)
-    assert np.max(np.abs(fs.annihilation(lay) - embed_oracle(lay, 0, a_block))) == 0.0
-    sm = np.array([[0, 1], [0, 0]], dtype=complex)
-    sz = np.diag([-1.0, 1.0]).astype(complex)
+    a = embed_oracle(lay, 0, ladder_block(n_max))
+    assert np.max(np.abs(model.lowering_operator(lay, 0) - a)) == 0.0
     for i in range(1, n_atoms + 1):
-        assert np.max(np.abs(fs.atom_lowering(lay, i) - embed_oracle(lay, i, sm))) == 0.0
-        assert np.max(np.abs(fs.atom_sigma_z(lay, i) - embed_oracle(lay, i, sz))) == 0.0
+        sm = embed_oracle(lay, i, SIGMA_MINUS_BLOCK)
+        assert np.max(np.abs(model.lowering_operator(lay, i) - sm)) == 0.0
 
 
 def test_excitation_number_diagonal():
     lay = HilbertLayout(n_max=2, n_atoms=2)
-    n_ex = fs.excitation_number(lay)
+    n_ex = np.diag(fs.excitation_number_diagonal(lay))
     for n in range(3):
         for pattern in ("gg", "ge", "eg", "ee"):
             v = fs.basis_state(lay, n, pattern)
@@ -180,7 +167,7 @@ def test_excitation_number_diagonal():
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
 def test_number_diagonals_match_kron_operators(n_max, n_atoms):
     lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
-    a = fs.photon_annihilation_block(n_max)
+    a = ladder_block(n_max)
     eye2 = np.eye(2, dtype=complex)
     excited = np.diag([0.0, 1.0]).astype(complex)
     nph = kron_chain([a.conj().T @ a] + [eye2] * n_atoms)
@@ -194,20 +181,4 @@ def test_number_diagonals_match_kron_operators(n_max, n_atoms):
         assert np.array_equal(diagonal, np.round(np.diag(op).real))
         assert np.max(np.abs(diagonal - np.diag(op))) <= 1e-15
         assert np.count_nonzero(op - np.diag(np.diag(op))) == 0
-    assert np.array_equal(fs.number_operator(lay), np.diag(fs.photon_number_diagonal(lay)))
-    assert np.array_equal(fs.excitation_number(lay),
-                          np.diag(fs.excitation_number_diagonal(lay)))
 
-
-def test_basis_labels():
-    lay = HilbertLayout(n_max=1, n_atoms=2)
-    assert lay.basis_label(0) == "0,gg"
-    assert lay.basis_label(4) == "1,gg"
-    assert lay.basis_label(3) == "0,ee"
-    assert fs.basis_labels(lay)[5] == "1,ge"
-
-
-def test_assert_hermitian():
-    fs.assert_hermitian(np.array([[1.0, 1j], [-1j, 2.0]]))
-    with pytest.raises(ValueError):
-        fs.assert_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

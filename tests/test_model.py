@@ -6,7 +6,7 @@ from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
 from cavitysim.units import ghz_to_angular
 
-from conftest import random_density_matrix
+from conftest import SIGMA_MINUS_BLOCK, embed_oracle, ladder_block, random_density_matrix
 
 G = ghz_to_angular(9.0)  # rad/ns
 
@@ -72,7 +72,7 @@ def test_hamiltonian_exactly_hermitian():
 def test_excitation_number_commutes_with_hamiltonian():
     lay = HilbertLayout(n_max=2, n_atoms=2)
     h = model.build_hamiltonian(lay, _params(couplings=(G, 0.7 * G), omega_0=2.0))
-    n_ex = fs.excitation_number(lay)
+    n_ex = np.diag(fs.excitation_number_diagonal(lay))
     assert np.max(np.abs(h @ n_ex - n_ex @ h)) < 1e-12
 
 
@@ -87,13 +87,63 @@ def test_lab_frame_includes_bare_energies():
 def test_generator_collapse_list():
     lay = HilbertLayout(n_max=1, n_atoms=2)
     gen = model.build_generator(lay, _params(couplings=(G, G)))
-    assert gen.collapse_ops == ()
+    assert gen.collapse_channels == ()
     gen2 = model.build_generator(lay, _params(couplings=(G, G), kappa=0.2, gamma=0.05))
-    assert len(gen2.collapse_ops) == 3  # one photon channel + one per atom
-    rates = [r for r, _ in gen2.collapse_ops]
-    assert rates == [0.2, 0.05, 0.05]
+    # one photon channel (factor 0) + one per atom
+    assert gen2.collapse_channels == ((0.2, 0), (0.05, 1), (0.05, 2))
     with pytest.raises(ValueError):
         model.build_generator(lay, _params(couplings=(G, G)), dissipator_form="bogus")
+
+
+def _kron_operators(lay, p):
+    """H and the (rate, L) list built on the full space from Kronecker chains,
+    term by term in the order build_hamiltonian sums them."""
+    a = embed_oracle(lay, 0, ladder_block(lay.n_max))
+    sigmas = [embed_oracle(lay, i, SIGMA_MINUS_BLOCK) for i in range(1, lay.n_atoms + 1)]
+    h = np.zeros((lay.dim, lay.dim), dtype=complex)
+    if p.frame == model.FRAME_LAB:
+        # exact integers: the kron-built a^dag a holds sqrt(2) * sqrt(2), an ulp above 2
+        h += p.omega_c * np.diag(fs.photon_number_diagonal(lay))
+        half_sz = 0.5 * p.omega_0
+    else:
+        half_sz = 0.5 * p.detuning
+    for s in sigmas:
+        h += half_sz * (s.conj().T @ s - s @ s.conj().T)  # sigma^z = |e><e| - |g><g|
+    for g, s in zip(p.couplings, sigmas):
+        t = g * (a @ s.conj().T)
+        h += t + t.conj().T
+    return h, [(p.kappa, a)] + [(p.gamma, s) for s in sigmas]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_builders_match_the_kron_oracle(n_max, n_atoms, rng):
+    lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
+    exc = fs.excitation_number_diagonal(lay)
+    couplings = tuple(G * (0.4 + 0.37 * i) for i in range(n_atoms))  # unequal
+    # all states, the states up to each excitation number, and half of
+    # them in random order, which no operator maps into themselves
+    keeps = [None] + [np.flatnonzero(exc <= top) for top in range(n_max + 1)]
+    keeps.append(rng.permutation(lay.dim)[: lay.dim // 2])
+    for frame in model.FRAMES:
+        p = _params(couplings=couplings, omega_c=1.9, omega_0=2.6, kappa=0.3, gamma=0.11,
+                    frame=frame)
+        h, collapse = _kron_operators(lay, p)
+        for form in model.DISSIPATOR_FORMS:
+            gen = model.build_generator(lay, p, dissipator_form=form)
+            for keep in keeps:
+                block = np.s_[:, :] if keep is None else np.ix_(keep, keep)
+                assert np.max(np.abs(model.build_hamiltonian(lay, p, keep) - h[block])) == 0.0
+                built = model.collapse_operators(gen, keep)
+                assert [r for r, _, _ in built] == [r for r, _ in collapse]
+                for (_, op, anti), (_, L) in zip(built, collapse):
+                    assert np.max(np.abs(op - L[block])) == 0.0
+                    # taken from the whole space: on the top sector the
+                    # literal L L^dag passes through states that are not kept
+                    full = L.conj().T @ L if form == model.DISSIPATOR_TRACE_PRESERVING \
+                        else L @ L.conj().T
+                    assert np.count_nonzero(full - np.diag(np.diag(full))) == 0
+                    assert np.max(np.abs(np.diag(anti) - full[block])) == 0.0
 
 
 def test_generator_layout_mismatch():

@@ -176,10 +176,16 @@ def test_only_trajectory_builds_and_integrates():
     assert users == {"trajectory"}
 
 
-@pytest.mark.parametrize("scenario", sorted(SMALL_CONFIGS))
-def test_traced_peak_is_within_the_memory_estimate(scenario, tmp_path):
-    cfg = parse_config(f'scenario = "{scenario}"\n' + SMALL_CONFIGS[scenario])
-    need, _ = config._log2_peak_bytes(cfg, SCENARIOS[scenario].plan(cfg))
+PEAK_CONFIGS = {s: f'scenario = "{s}"\n' + text for s, text in SMALL_CONFIGS.items()} | {
+    # d = 1024, of which 11 states are propagated: rho0 is the one d x d array
+    "custom_lossy_n9": 'scenario = "custom"\nn_atoms = 9\nt_end_ns = 0.002\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(PEAK_CONFIGS))
+def test_traced_peak_is_within_the_memory_estimate(name, tmp_path):
+    cfg = parse_config(PEAK_CONFIGS[name])
+    need, _ = config._log2_peak_bytes(cfg, SCENARIOS[cfg.scenario].plan(cfg))
     tracemalloc.start()
     try:
         run_scenario(cfg, output_dir=str(tmp_path / "out"))
@@ -198,6 +204,10 @@ NO_JUMP_CONFIGS = {
                          "couplings_ghz = [9.0, 4.0, 6.5, 11.0]\n",
     "lossy_custom_n3": 'scenario = "custom"\nn_atoms = 3\ncouplings_ghz = [9.0, 2.0, 5.0]\n'
                        "kappa_mhz = 40000.0\ngamma_mhz = 15000.0\nt_end_ns = 0.1\n",
+    # d = 3072, of which 12 states are propagated
+    "lossy_custom_n10": 'scenario = "custom"\nn_atoms = 10\ndetuning_ghz = 2.0\n'
+                        "couplings_ghz = [9.0, 2.0, 5.0, 7.5, 3.0, 11.0, 6.0, 4.5, 8.0, 1.0]\n"
+                        "kappa_mhz = 20000.0\ngamma_mhz = 5000.0\nt_end_ns = 0.1\n",
 }
 
 
