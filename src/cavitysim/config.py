@@ -414,14 +414,14 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     integrate propagates.  A sweep counts one point's run, and its point
     count (the product of its axes' steps) times what a point holds.
 
-    Working memory: rho0, the one d x d complex matrix a run holds (no
-    operator is built on the full space, and integrate reads rho0 through
-    its non-zero elements), measured with the rest of the run's set-up at
-    1.01-1.21 such matrices (N = 8-11), counted as 2; for a lossy run expm
-    of the d'^2 x d'^2 Liouvillian, measured at 9.0 such matrices
-    (d' = 23, 30), counted as 10; integrate's buffer of chunk_states(d')
-    d' x d' states; and one CSV_BLOCK_ROWS block of the columns as Python
-    floats, 32 bytes each with the list's pointer.
+    Working memory (a run builds nothing of size d^2: it starts from a ket
+    and builds every operator on the d' states): for a lossy run expm of
+    the d'^2 x d'^2 Liouvillian, measured at 9.0 such matrices (d' = 23,
+    30), counted as 10; integrate's buffer of chunk_states(d') d' x d'
+    states; and one CSV_BLOCK_ROWS block of the columns as Python floats,
+    32 bytes each with the list's pointer, plus 1 KiB per column for its
+    name, its array object and its text in the row being written
+    (measured at 0.35 KiB, N = 11).
 
     Held: 8 bytes per output (at most t_end/dt + 2) in each column of each
     kept trajectory (the time, populations of all d states, the photon
@@ -446,9 +446,8 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
         log2_dim = math.log2(cfg.n_max_for(n_photons) + 1) + n_atoms
         log2_cols = np.logaddexp2(log2_dim, math.log2((n_atoms + 1) * (n_atoms + 2) // 2 + 12))
         outputs = run.t_end_ns / run.dt_ns + 2
-        rho0 = math.log2(16 * 2) + 2 * log2_dim
-        work = [rho0, math.log2(32 * dyn.CSV_BLOCK_ROWS) + log2_cols]
-        if rho0 <= 64:  # past 2^64 bytes no machine has the memory
+        work = [math.log2(32 * dyn.CSV_BLOCK_ROWS + 1024) + log2_cols]
+        if log2_dim <= 64:  # d' <= d, and past 2^64 states the CSV block alone is too big
             kept = sum(math.comb(n_atoms, j) * (n_photons - j + 1)
                        for j in range(min(n_atoms, n_photons) + 1))
             work.append(math.log2(min(outputs, dyn.chunk_states(kept)) * 16 * kept**2))

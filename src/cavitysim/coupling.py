@@ -226,16 +226,15 @@ def kappa_from_q(q: float, lambda_nm: float) -> KappaResult:
     return KappaResult(angular_rad_per_s=TWO_PI * nu / q, ordinary_hz=nu / q)
 
 
-def cooperativity(g: float, kappa: float, gamma: float, four_g_convention: bool = False) -> float:
+def cooperativity(g: float, kappa: float, gamma: float) -> float:
     """C = g^2 / (kappa gamma) (all three in the same unit convention).
 
-    This convention reproduces all quoted design values; the common
-    alternative 4 g^2/(kappa gamma) is available behind the flag.
+    This convention, rather than the common 4 g^2/(kappa gamma),
+    reproduces all quoted design values.
     """
     if kappa <= 0 or gamma <= 0:
         raise ValueError("kappa and gamma must be positive for a cooperativity")
-    c = g * g / (kappa * gamma)
-    return 4.0 * c if four_g_convention else c
+    return g * g / (kappa * gamma)
 
 
 @dataclass(frozen=True)

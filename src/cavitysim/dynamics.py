@@ -8,14 +8,16 @@ and integrate() propagates it on those alone (d' of the d basis states),
 with generators that `model` builds on them and nowhere else: with no
 collapse operators, rho <- U rho U^dag with U = expm(-i H dt) on d' x d';
 otherwise vec(rho) <- P vec(rho) with P = expm(L dt) on the d'^2 x d'^2
-Liouvillian.  Of the d x d arrays, only rho0 (and snapshots, if asked
-for) exist on a run's path: rho0 is read through its non-zero elements
-and validated on its d' x d' block.  expm() is this module's, in numpy:
-scaling and squaring with the [13/13] Pade approximant (Higham, SIAM J.
-Matrix Anal. Appl. 26, 1179 (2005)), one function for both generators.  One propagator
-is built per distinct step of the output grid, so a uniform grid costs one
-expm.  Trace is never renormalized: trace drift is a quality metric and
-the run fails if it exceeds `trace_tol`.
+Liouvillian.  A run starts from a ket of length d inside one excitation
+sector, and the first state it propagates is that ket's d' x d' outer
+product on the kept states, so no d x d array exists on a run's path
+(snapshots, if asked for, are the one exception).  expm() is this
+module's, in numpy: scaling and squaring with the [13/13] Pade
+approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), one
+function for both generators.  One propagator is built per distinct step
+of the output grid, so a uniform grid costs one expm.  Trace is never
+renormalized: trace drift is a quality metric and the run fails if it
+exceeds `trace_tol`.
 
 Propagation is a sequential loop, but observables are not evaluated per
 step: the states are written into a chunk buffer of about CHUNK_BYTES,
@@ -205,14 +207,15 @@ def sector_norm_dim(layout: HilbertLayout, keep, n_exc: int) -> int:
 
 def integrate(
     gen: LindbladGenerator,
-    rho0: np.ndarray,
+    psi0: np.ndarray,
     times,
     snapshot_stride: int | None = None,
     track: tuple = ("populations", "n_photon"),
     projections: dict | None = None,
     trace_tol: float = 1e-9,
 ) -> Trajectory:
-    """Propagate rho0 exactly over an increasing time grid and record observables.
+    """Propagate |psi0><psi0| exactly over an increasing time grid and
+    record observables.
 
     Steps that agree to 12 digits of the grid's span share one propagator,
     built for their mean: a linspace grid, whose steps scatter by a few
@@ -221,19 +224,19 @@ def integrate(
     track may contain any of TRACKABLE (ValueError on any other entry).
     projections maps extra column names to kets whose population <v|rho|v>
     is recorded.  Entropies are computed per single factor (photon and each
-    atom), normalized by sector_norm_dim; concurrence is computed for every
-    atom pair.  No trace renormalization is applied; the run raises
-    IntegrationError if |tr rho - 1| exceeds trace_tol at any output time,
-    naming the first such time.
+    atom), normalized by sector_norm_dim at psi0's excitation number;
+    concurrence is computed for every atom pair.  No trace renormalization
+    is applied; the run raises IntegrationError if |tr rho - 1| exceeds
+    trace_tol at any output time, naming the first such time.
 
-    rho0 must be block-diagonal in excitation number (ValueError otherwise),
-    as every basis state and every state inside one excitation sector is.
-    The run then propagates only the d' basis states up to rho0's largest
-    excitation number, where it also checks that rho0 is a density matrix;
-    populations of the others are exactly 0.  States are evaluated a chunk
-    of chunk_states(d') at a time; the chunk size changes neither the
-    observables nor the snapshots, which are copied from each chunk at
-    times[::snapshot_stride] into full d x d matrices.
+    psi0 is a ket of length d whose non-zero amplitudes lie in one
+    excitation sector, as every basis state's do (ValueError otherwise,
+    and if its squared norm is not 1 within 1e-9).  The run then
+    propagates only the d' basis states with at most that many
+    excitations; populations of the others are exactly 0.  States are
+    evaluated a chunk of chunk_states(d') at a time; the chunk size changes
+    neither the observables nor the snapshots, which are copied from each
+    chunk at times[::snapshot_stride] into full d x d matrices.
     """
     unknown = [t for t in track if t not in TRACKABLE]
     if unknown:
@@ -247,33 +250,32 @@ def integrate(
         raise ValueError("times must be a non-empty 1-D grid")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (dim, dim):
-        raise ValueError(f"rho0 has shape {rho0.shape}, layout dimension is {dim}")
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (dim,):
+        raise ValueError(f"psi0 has shape {psi0.shape}, layout dimension is {dim}")
     exc = fs.excitation_number_diagonal(layout)
-    # Read from rho0's non-zero elements: a mask of all d^2 would cost more
-    # memory than rho0 itself.
-    rows, cols = np.nonzero(rho0)
-    if np.any(exc[rows] != exc[cols]):
+    sectors = exc[psi0 != 0]
+    if np.any(sectors != sectors[:1]):
         raise ValueError(
-            "rho0 has coherences between excitation sectors; integrate needs "
-            "a state that is block-diagonal in excitation number"
+            "psi0 spans several excitation sectors; integrate needs a state "
+            "inside one excitation sector"
         )
-    # Every state rho0 can reach lives on the basis states up to its top
+    norm2 = float(np.vdot(psi0, psi0).real)
+    if abs(norm2 - 1.0) > 1e-9:
+        raise ValueError(f"psi0 has squared norm {norm2!r}, not 1 within 1e-09")
+    # Every state psi0 can reach lives on the basis states up to its
     # excitation number (no drive; H and each L^dag L conserve it, each jump
-    # lowers it by one), so the propagation runs on those alone.  rho0 is
-    # zero outside them, so its block there is what must be a state.
-    kept = np.flatnonzero(exc <= exc[rows].max(initial=-1))
+    # lowers it by one), so the propagation runs on those alone.
+    n_exc = int(sectors[0])
+    kept = np.flatnonzero(exc <= n_exc)
     d_sub = kept.size
-    rho = rho0[np.ix_(kept, kept)]
-    validate_density_matrix(rho)
+    rho = np.outer(psi0[kept], psi0[kept].conj())
 
     n_out = times.size
     labels = population_labels(layout)
     want_pops = "populations" in track
     want_nph = "n_photon" in track
 
-    n_exc = int(round(float(exc[kept] @ np.real(np.diag(rho)))))
     entropy_factors = list(range(layout.n_atoms + 1)) if "entropies" in track else []
     norm_dims = {p: sector_norm_dim(layout, (p,), n_exc) for p in entropy_factors}
     pairs = (
@@ -390,17 +392,6 @@ def integrate(
     )
 
 
-def bare_populations(traj: Trajectory) -> dict:
-    """Bare-state population series keyed by pop_<n><pattern> labels."""
-    out = {}
-    for name in population_labels(traj.layout):
-        if name in traj.observables:
-            out[name] = traj.observables[name]
-    if not out:
-        raise ValueError("trajectory was integrated without population tracking")
-    return out
-
-
 def _refined_extrema(times: np.ndarray, series: np.ndarray):
     """Interior extrema with parabolic sub-sample refinement.
 
@@ -511,11 +502,13 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
     fh.write(",".join(["time_ns"] + cols) + "\n")
     arrays = [traj.times] + [traj.observables[c] for c in cols]
     # Columns become Python floats a block of rows at a time: whole-column
-    # lists of a long trajectory would cost megabytes of peak memory.
+    # lists of a long trajectory would cost megabytes of peak memory.  Each
+    # block is freed before the next is built, so only one is ever held.
     for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
         columns = [a[start:start + CSV_BLOCK_ROWS].tolist() for a in arrays]
         for row in zip(*columns):
             fh.write(",".join(map(repr, row)) + "\n")
+        del columns
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:

@@ -1,12 +1,11 @@
 """Tavis-Cummings Hamiltonian and Lindblad generator assembly.
 
 All rates and frequencies here are angular, in rad/ns (see units.py); with
-hbar = 1 the Hamiltonian is then also in rad/ns.  The rotating frame at the
-cavity frequency is the default working frame: simulating bare optical
+hbar = 1 the Hamiltonian is then also in rad/ns.  It is written in the
+frame rotating at the cavity frequency: simulating bare optical
 frequencies (~2.4e6 rad/ns) is numerically pointless since every observable
 used downstream (bare-state populations, entropies, concurrence) is
-invariant under that frame change.  The lab frame is kept for
-small-dimension validation.
+invariant under that frame change.
 
 The dissipator is built in the standard trace-preserving form
     kappa (a rho a^dag - 1/2 {a^dag a, rho}) + gamma sum_i (...)
@@ -28,10 +27,6 @@ import numpy as np
 from . import fockspace as fs
 from .fockspace import HilbertLayout
 
-FRAME_ROTATING = "rotating_at_cavity"
-FRAME_LAB = "lab"
-FRAMES = (FRAME_ROTATING, FRAME_LAB)
-
 DISSIPATOR_TRACE_PRESERVING = "trace_preserving"
 DISSIPATOR_LITERAL = "literal"
 DISSIPATOR_FORMS = (DISSIPATOR_TRACE_PRESERVING, DISSIPATOR_LITERAL)
@@ -42,8 +37,8 @@ class SystemParams:
     """Physical parameters of the atoms-plus-mode system (angular rad/ns).
 
     couplings holds one g per atom; omega_c / omega_0 are the cavity and
-    atomic transition frequencies (only their difference matters in the
-    rotating frame), kappa and gamma are energy decay rates.
+    atomic transition frequencies (only their difference enters the
+    rotating-frame Hamiltonian), kappa and gamma are energy decay rates.
     """
 
     omega_c: float
@@ -51,7 +46,6 @@ class SystemParams:
     kappa: float
     gamma: float
     couplings: tuple
-    frame: str = FRAME_ROTATING
 
     def __post_init__(self):
         object.__setattr__(self, "couplings", tuple(float(g) for g in self.couplings))
@@ -61,8 +55,6 @@ class SystemParams:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if any(g < 0 for g in self.couplings):
             raise ValueError(f"couplings must be >= 0, got {self.couplings}")
-        if self.frame not in FRAMES:
-            raise ValueError(f"frame must be one of {FRAMES}, got {self.frame!r}")
 
     @property
     def detuning(self) -> float:
@@ -148,11 +140,10 @@ def lowering_operator(layout: HilbertLayout, factor: int, keep=None) -> np.ndarr
 
 
 def build_hamiltonian(layout: HilbertLayout, params: SystemParams, keep=None) -> np.ndarray:
-    """Assemble H (hbar=1) in the frame selected by params, on the basis
-    states `keep` (all of them if None).
+    """Assemble H (hbar=1) in the frame rotating at the cavity frequency,
+    on the basis states `keep` (all of them if None):
 
-    Lab frame:      H = w_c a^dag a + (w_0/2) sum sigma^z + sum g_i (a sig_i^dag + a^dag sig_i)
-    Rotating frame: H = (Delta/2) sum sigma^z + sum g_i (a sig_i^dag + a^dag sig_i)
+        H = (Delta/2) sum sigma^z + sum g_i (a sig_i^dag + a^dag sig_i)
 
     The diagonal is read off each state's digits.  a sig_i^dag takes
     |n, s> with atom i in g to sqrt(n)|n-1, s + e_i>, which moves the index
@@ -162,12 +153,8 @@ def build_hamiltonian(layout: HilbertLayout, params: SystemParams, keep=None) ->
     """
     _check_match(layout, params)
     states = _states(layout, keep)
-    if params.frame == FRAME_LAB:
-        diag = params.omega_c * fs.factor_index(layout, states, (0,))
-        half_sz = 0.5 * params.omega_0
-    else:
-        diag = np.zeros(states.size)
-        half_sz = 0.5 * params.detuning
+    diag = np.zeros(states.size)
+    half_sz = 0.5 * params.detuning
     photons, down = _lowering(layout, 0, states)
     h = np.zeros((states.size, states.size), dtype=complex)
     for i, g in enumerate(params.couplings, start=1):

@@ -69,9 +69,8 @@ def trajectory(cfg: ExperimentConfig, run: Run, snapshot_stride=None) -> dyn.Tra
         couplings=tuple(ghz_to_angular(g) for g in run.couplings_ghz()),
     )
     gen = build_generator(layout, params, dissipator_form=cfg.dissipator_form)
-    rho0 = dyn.pure_state_density(fs.basis_state(layout, run.n_photons, "g" * layout.n_atoms))
     return dyn.integrate(
-        gen, rho0, run.times(),
+        gen, fs.basis_state(layout, run.n_photons, "g" * layout.n_atoms), run.times(),
         snapshot_stride=snapshot_stride,
         track=run.track,
         projections=run.projections(layout, run) if run.projections else None,

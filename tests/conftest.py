@@ -26,20 +26,17 @@ def random_density_matrix(dim: int, rng, rank: int | None = None) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_block_diagonal_state(layout: HilbertLayout, rng, top: int) -> np.ndarray:
-    """Random full-rank mixed state on the basis states with at most `top`
-    excitations, block-diagonal in excitation number (random sector weights
-    and a random mixed state inside each sector)."""
+def random_sector_ket(layout: HilbertLayout, rng, n_exc: int) -> np.ndarray:
+    """Random normalized ket on the basis states with exactly n_exc
+    excitations (photons plus excited atoms, read off the basis labels)."""
     exc = np.array([
         int(label.split(",")[0]) + label.count("e")
         for label in (layout.basis_label(k) for k in range(layout.dim))
     ])
-    rho = np.zeros((layout.dim, layout.dim), dtype=complex)
-    weights = rng.dirichlet(np.ones(top + 1))
-    for n, w in enumerate(weights):
-        idx = np.flatnonzero(exc == n)
-        rho[np.ix_(idx, idx)] = w * random_density_matrix(idx.size, rng)
-    return rho
+    psi = np.zeros(layout.dim, dtype=complex)
+    sector = np.flatnonzero(exc == n_exc)
+    psi[sector] = random_pure_state(sector.size, rng)
+    return psi
 
 
 def plan_trajectories(cfg, snapshot_stride: int) -> list:

@@ -47,10 +47,10 @@ def _lossy_gen(layout, couplings):
 def _measured_frequency(couplings, lossy=False):
     layout = HilbertLayout(n_max=2, n_atoms=len(couplings))
     gen = _lossy_gen(layout, couplings) if lossy else _closed_gen(layout, couplings)
-    rho0 = dyn.pure_state_density(fs.basis_state(layout, 1, "g" * len(couplings)))
+    psi0 = fs.basis_state(layout, 1, "g" * len(couplings))
     g_norm = float(np.sqrt(sum(g * g for g in couplings)))
     ts = np.linspace(0.0, 3 * np.pi / g_norm, 1201)
-    traj = dyn.integrate(gen, rho0, ts)
+    traj = dyn.integrate(gen, psi0, ts)
     return dyn.rabi_frequency(traj, "pop_1" + "g" * len(couplings))
 
 
@@ -64,7 +64,7 @@ def test_criterion_01_single_excitation_oracle_equivalence():
         gen = _closed_gen(layout, gv.g)
         chi0, chi1 = analytic.single_excitation_states(layout, gv)
         ts = np.linspace(0.0, 3 * np.pi / gv.g_norm, 601)
-        traj = dyn.integrate(gen, dyn.pure_state_density(chi0), ts,
+        traj = dyn.integrate(gen, chi0, ts,
                              projections={"P_chi1": chi1})
         err = float(np.max(np.abs(
             traj.series("P_chi1") - analytic.single_excitation_population(gv, ts)
@@ -83,8 +83,8 @@ def test_criterion_02_rabi_frequency():
     # default fig2 window: 100 ps at 0.05 ps stride, lossy D1 parameters
     layout = HilbertLayout(n_max=2, n_atoms=1)
     gen = _lossy_gen(layout, (G,))
-    rho0 = dyn.pure_state_density(fs.basis_state(layout, 1, "g"))
-    traj = dyn.integrate(gen, rho0, np.linspace(0.0, 0.1, 2001))
+    psi0 = fs.basis_state(layout, 1, "g")
+    traj = dyn.integrate(gen, psi0, np.linspace(0.0, 0.1, 2001))
     measured = dyn.rabi_frequency(traj, "pop_0e")
     expected = G / np.pi
     rel = abs(measured - expected) / expected
@@ -105,8 +105,8 @@ def test_criterion_04_envelope_lifetime():
     t0 = time.perf_counter()
     layout = HilbertLayout(n_max=2, n_atoms=1)
     gen = _lossy_gen(layout, (G,))
-    rho0 = dyn.pure_state_density(fs.basis_state(layout, 1, "g"))
-    traj = dyn.integrate(gen, rho0, np.linspace(0.0, 40.0, 8001))
+    psi0 = fs.basis_state(layout, 1, "g")
+    traj = dyn.integrate(gen, psi0, np.linspace(0.0, 40.0, 8001))
     fit = dyn.envelope_lifetime(traj, "pop_0e")
     elapsed = time.perf_counter() - t0
     tau_closed = 2.0 / (KAPPA + GAMMA)
@@ -147,9 +147,9 @@ def test_criterion_07_splitting():
     alpha = 0.7
     layout = HilbertLayout(n_max=2, n_atoms=2)
     gen = _closed_gen(layout, (G, alpha * G))
-    rho0 = dyn.pure_state_density(fs.basis_state(layout, 1, "gg"))
+    psi0 = fs.basis_state(layout, 1, "gg")
     omega = G * np.hypot(1, alpha)
-    traj = dyn.integrate(gen, rho0, np.linspace(0.0, 1.2 * np.pi / omega, 1201))
+    traj = dyn.integrate(gen, psi0, np.linspace(0.0, 1.2 * np.pi / omega, 1201))
     measured = ent.trajectory_splitting(traj.series("pop_0eg"), traj.series("pop_0ge"))
     ok = abs(measured - 0.34228) < 1e-3
     _report(7, "population splitting", ok,
@@ -160,11 +160,11 @@ def test_criterion_08_peak_fidelity_and_concurrence():
     alpha = 0.7
     layout = HilbertLayout(n_max=2, n_atoms=2)
     gen = _closed_gen(layout, (G, alpha * G))
-    rho0 = dyn.pure_state_density(fs.basis_state(layout, 1, "gg"))
+    psi0 = fs.basis_state(layout, 1, "gg")
     omega = G * np.hypot(1, alpha)
     psi_plus = analytic.symmetric_bell_state(layout)
     traj = dyn.integrate(
-        gen, rho0, np.linspace(0.0, 1.1 * np.pi / omega, 2401),
+        gen, psi0, np.linspace(0.0, 1.1 * np.pi / omega, 2401),
         track=("populations", "concurrence"),
         projections={"P_psi_plus": psi_plus},
     )
@@ -184,7 +184,7 @@ def test_criterion_09_two_photon_decoupling():
         chi0, _, _, chi3 = analytic.two_photon_states(layout, g1, g2)
         omega = np.hypot(g1, g2)
         ts = np.linspace(0.0, 3 * np.pi / omega, 901)
-        traj = dyn.integrate(gen, dyn.pure_state_density(chi0), ts,
+        traj = dyn.integrate(gen, chi0, ts,
                              projections={"P_chi3": chi3})
         results[alpha] = float(np.max(traj.series("P_chi3")))
     ok = results[1.0] < 1e-8 and results[0.7] > 1e-3
@@ -195,10 +195,10 @@ def test_criterion_09_two_photon_decoupling():
 def test_criterion_10_entropy_oscillation_structure():
     layout = HilbertLayout(n_max=2, n_atoms=2)
     gen = _lossy_gen(layout, (G, G))
-    rho0 = dyn.pure_state_density(fs.basis_state(layout, 1, "gg"))
+    psi0 = fs.basis_state(layout, 1, "gg")
     period = np.pi / (np.sqrt(2.0) * G)
     ts = np.linspace(0.0, 5 * period, 1501)
-    traj = dyn.integrate(gen, rho0, ts, track=("populations", "entropies"))
+    traj = dyn.integrate(gen, psi0, ts, track=("populations", "entropies"))
     n_a = dyn.count_extrema(traj.series("S_A"))
     n_b = dyn.count_extrema(traj.series("S_B"))
     ok = abs(n_a - 2 * n_b) <= 1

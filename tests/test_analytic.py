@@ -82,7 +82,7 @@ def test_integrator_matches_sin_squared_oracle(n_atoms, rng):
     gen = _closed_gen(lay, gv.g)
     chi0, chi1 = analytic.single_excitation_states(lay, gv)
     ts = np.linspace(0.0, 3 * np.pi / gv.g_norm, 451)
-    traj = dyn.integrate(gen, dyn.pure_state_density(chi0), ts,
+    traj = dyn.integrate(gen, chi0, ts,
                          projections={"P_chi1": chi1})
     expected = analytic.single_excitation_population(gv, ts)
     assert np.max(np.abs(traj.series("P_chi1") - expected)) < 1e-6
@@ -119,7 +119,7 @@ def test_two_photon_decoupling_at_equal_coupling():
     chi0, chi1, chi2, chi3 = analytic.two_photon_states(lay, g1, g2)
     omega = np.hypot(g1, g2)
     ts = np.linspace(0.0, 3 * np.pi / omega, 601)
-    traj = dyn.integrate(gen, dyn.pure_state_density(chi0), ts,
+    traj = dyn.integrate(gen, chi0, ts,
                          projections={"P_chi3": chi3})
     assert np.max(traj.series("P_chi3")) < 1e-8
 
@@ -131,7 +131,7 @@ def test_two_photon_coupling_opens_at_unequal_coupling():
     chi0, _, _, chi3 = analytic.two_photon_states(lay, g1, g2)
     omega = np.hypot(g1, g2)
     ts = np.linspace(0.0, 3 * np.pi / omega, 601)
-    traj = dyn.integrate(gen, dyn.pure_state_density(chi0), ts,
+    traj = dyn.integrate(gen, chi0, ts,
                          projections={"P_chi3": chi3})
     assert np.max(traj.series("P_chi3")) > 1e-3
 
@@ -176,11 +176,11 @@ def test_peak_state_fidelity_cross_checked_against_trajectory():
     alpha = 0.7
     lay = HilbertLayout(n_max=2, n_atoms=2)
     gen = _closed_gen(lay, (G, alpha * G))
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "gg"))
+    psi0 = fs.basis_state(lay, 1, "gg")
     omega = G * np.hypot(1, alpha)
     ts = np.linspace(0.0, 1.1 * np.pi / omega, 1201)
     psi_plus = analytic.symmetric_bell_state(lay)
-    traj = dyn.integrate(gen, rho0, ts, projections={"P_psi_plus": psi_plus})
+    traj = dyn.integrate(gen, psi0, ts, projections={"P_psi_plus": psi_plus})
     fidelity_peak = np.sqrt(np.max(traj.series("P_psi_plus")))
     assert fidelity_peak == pytest.approx(
         analytic.peak_entanglement_metrics(alpha).fidelity, abs=1e-4

@@ -121,11 +121,17 @@ def test_validate_rejects_over_memory_config(tmp_path, capsys, monkeypatch):
         tracemalloc.stop()
     assert peak < 10e6
     assert "GB at peak" in capsys.readouterr().err
-    # lossy N = 11 from one photon propagates 13 of d = 6144 states: its
-    # d x d rho0 is what takes memory
-    for n_atoms in (4, 11):
+    # lossy N = 13 from one photon propagates 15 of d = 24576 states and
+    # builds nothing of size d^2: the population columns are what take memory
+    for n_atoms in (4, 11, 13):
         ok = _write(tmp_path, f'scenario = "custom"\nn_atoms = {n_atoms}\n', name="ok.cfg")
         assert main(["validate", ok]) == 0
+    capsys.readouterr()
+    # N = 16: 8 bytes per output for each of d = 196608 population columns
+    over = _write(tmp_path, 'scenario = "custom"\nn_atoms = 16\n', name="over.cfg")
+    assert main(["validate", over]) == 1
+    err = capsys.readouterr().err
+    assert "line 2: n_atoms:" in err and "GB at peak" in err
 
 
 @pytest.mark.parametrize("text,key", [

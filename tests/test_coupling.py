@@ -245,7 +245,6 @@ def test_cooperativity_values_and_structure():
     assert c == pytest.approx(4.516e5, rel=1e-3)
     assert c == pytest.approx(4.5e5, rel=0.03)
     assert cp.cooperativity(18e9, 29.5653e6, 6.0666e6) == pytest.approx(4 * c, rel=1e-12)
-    assert cp.cooperativity(9e9, 29.5653e6, 6.0666e6, four_g_convention=True) == pytest.approx(4 * c, rel=1e-12)
     with pytest.raises(ValueError):
         cp.cooperativity(9e9, 0.0, 6.0666e6)
 

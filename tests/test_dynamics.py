@@ -13,7 +13,7 @@ from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
 from cavitysim.units import ghz_to_angular
 
-from conftest import random_block_diagonal_state
+from conftest import random_sector_ket
 
 G = ghz_to_angular(9.0)
 
@@ -27,10 +27,10 @@ def _gen(n_max, couplings, kappa=0.0, gamma=0.0, omega_0=0.0):
 
 def _single_atom_run(kappa=0.0, gamma=0.0, t_end=None, n_points=301, snapshot_stride=None):
     lay, gen = _gen(2, (G,), kappa=kappa, gamma=gamma)
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
+    psi0 = fs.basis_state(lay, 1, "g")
     t_end = t_end if t_end is not None else 3 * np.pi / G
     ts = np.linspace(0.0, t_end, n_points)
-    return lay, dyn.integrate(gen, rho0, ts, snapshot_stride=snapshot_stride)
+    return lay, dyn.integrate(gen, psi0, ts, snapshot_stride=snapshot_stride)
 
 
 def test_closed_jaynes_cummings_thirty_periods():
@@ -43,27 +43,27 @@ def test_closed_jaynes_cummings_thirty_periods():
 
 def test_zero_length_evolution_returns_initial_state():
     lay, gen = _gen(1, (G,))
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
-    traj = dyn.integrate(gen, rho0, np.array([0.0]), snapshot_stride=1)
+    psi0 = fs.basis_state(lay, 1, "g")
+    traj = dyn.integrate(gen, psi0, np.array([0.0]), snapshot_stride=1)
     assert traj.times.shape == (1,)
     assert traj.series("pop_1g")[0] == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(traj.snapshots[0], rho0)
+    assert np.allclose(traj.snapshots[0], np.outer(psi0, psi0.conj()))
 
 
 def test_times_must_increase():
     lay, gen = _gen(1, (G,))
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
+    psi0 = fs.basis_state(lay, 1, "g")
     with pytest.raises(ValueError):
-        dyn.integrate(gen, rho0, np.array([0.0, 0.0, 1.0]))
+        dyn.integrate(gen, psi0, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
-        dyn.integrate(gen, rho0, np.array([]))
+        dyn.integrate(gen, psi0, np.array([]))
 
 
 def test_unknown_track_entries_are_rejected():
     lay, gen = _gen(1, (G,))
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
+    psi0 = fs.basis_state(lay, 1, "g")
     with pytest.raises(ValueError) as info:
-        dyn.integrate(gen, rho0, np.linspace(0.0, 0.1, 3),
+        dyn.integrate(gen, psi0, np.linspace(0.0, 0.1, 3),
                       track=("entropies", "entropy", "concurence"))
     msg = str(info.value)
     assert "['entropy', 'concurence']" in msg
@@ -76,9 +76,9 @@ def test_trace_drift_gate_raises():
     lay = HilbertLayout(n_max=1, n_atoms=1)
     p = SystemParams(omega_c=0.0, omega_0=0.0, kappa=0.19, gamma=0.0, couplings=(G,))
     gen = model.build_generator(lay, p, dissipator_form=model.DISSIPATOR_LITERAL)
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
+    psi0 = fs.basis_state(lay, 1, "g")
     with pytest.raises(dyn.IntegrationError):
-        dyn.integrate(gen, rho0, np.linspace(0.0, 50.0, 51))
+        dyn.integrate(gen, psi0, np.linspace(0.0, 50.0, 51))
 
 
 def test_rabi_frequency_measures_g_over_pi():
@@ -90,17 +90,17 @@ def test_rabi_frequency_measures_g_over_pi():
 def test_rabi_frequency_dicke_ratio():
     lay1, traj1 = _single_atom_run(n_points=601)
     lay2, gen2 = _gen(2, (G, G))
-    rho0 = dyn.pure_state_density(fs.basis_state(lay2, 1, "gg"))
+    psi0 = fs.basis_state(lay2, 1, "gg")
     ts = np.linspace(0.0, 3 * np.pi / (np.sqrt(2) * G), 601)
-    traj2 = dyn.integrate(gen2, rho0, ts)
+    traj2 = dyn.integrate(gen2, psi0, ts)
     ratio = dyn.rabi_frequency(traj2, "pop_1gg") / dyn.rabi_frequency(traj1, "pop_1g")
     assert ratio == pytest.approx(np.sqrt(2.0), rel=1e-3)
 
 
 def test_rabi_frequency_too_few_extrema():
     lay, gen = _gen(1, (0.0,))
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
-    traj = dyn.integrate(gen, rho0, np.linspace(0, 1.0, 50))
+    psi0 = fs.basis_state(lay, 1, "g")
+    traj = dyn.integrate(gen, psi0, np.linspace(0, 1.0, 50))
     with pytest.raises(dyn.TooFewExtremaError):
         dyn.rabi_frequency(traj, "pop_1g")  # constant series
 
@@ -136,10 +136,10 @@ def test_envelope_fit_recovers_pure_exponential():
 
 def test_bare_populations_delta_state_and_sum():
     lay, gen = _gen(2, (G, 0.7 * G), kappa=0.19, gamma=0.04)
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "gg"))
+    psi0 = fs.basis_state(lay, 1, "gg")
     ts = np.linspace(0.0, 0.2, 501)
-    traj = dyn.integrate(gen, rho0, ts)
-    pops = dyn.bare_populations(traj)
+    traj = dyn.integrate(gen, psi0, ts)
+    pops = {name: traj.series(name) for name in dyn.population_labels(lay)}
     assert pops["pop_1gg"][0] == pytest.approx(1.0, abs=1e-12)
     total = sum(pops.values())
     assert np.max(np.abs(total - 1.0)) < 1e-9
@@ -151,10 +151,10 @@ def test_unequal_coupling_population_amplitude_ratio():
     # single-excitation closed form: amplitudes scale as g_i^2 / (g1^2+g2^2)
     alpha = 0.7
     lay, gen = _gen(2, (G, alpha * G))
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "gg"))
+    psi0 = fs.basis_state(lay, 1, "gg")
     omega = G * np.hypot(1, alpha)
     ts = np.linspace(0.0, 1.2 * np.pi / omega, 601)
-    traj = dyn.integrate(gen, rho0, ts)
+    traj = dyn.integrate(gen, psi0, ts)
     p_eg = traj.series("pop_0eg")
     p_ge = traj.series("pop_0ge")
     assert np.max(p_ge) / np.max(p_eg) == pytest.approx(alpha**2, rel=1e-6)
@@ -172,13 +172,13 @@ def test_propagator_is_exact():
 def test_non_uniform_grid_matches_oracle():
     # two uniform pieces with different steps: one propagator per step length
     lay, gen = _gen(2, (G,))
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
+    psi0 = fs.basis_state(lay, 1, "g")
     period = np.pi / G
     ts = np.concatenate([
         np.linspace(0.0, period, 41),
         np.linspace(period, 3 * period, 31)[1:],
     ])
-    traj = dyn.integrate(gen, rho0, ts)
+    traj = dyn.integrate(gen, psi0, ts)
     expected = np.sin(G * ts) ** 2
     assert np.max(np.abs(traj.series("pop_0e") - expected)) < 1e-12
 
@@ -249,14 +249,14 @@ def test_one_propagator_per_distinct_step(monkeypatch):
 
     monkeypatch.setattr(dyn, "expm", counting_expm)
     lay, gen = _gen(2, (G,), kappa=0.19)
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
+    psi0 = fs.basis_state(lay, 1, "g")
     # 40 ns at 5 ps: linspace steps scatter by ~7e-15 ns.  One photon keeps
     # |0g>, |0e>, |1g> of the d = 6 space: a 9 x 9 Liouvillian.
-    dyn.integrate(gen, rho0, np.linspace(0.0, 40.0, 8001), track=())
+    dyn.integrate(gen, psi0, np.linspace(0.0, 40.0, 8001), track=())
     assert calls == [(9, 9)]
     calls.clear()
     ts = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.0, 2.0, 5)[1:]])
-    dyn.integrate(gen, rho0, ts, track=())
+    dyn.integrate(gen, psi0, ts, track=())
     assert calls == [(9, 9)] * 2
 
 
@@ -275,23 +275,23 @@ def test_lossless_run_never_builds_the_liouvillian(monkeypatch):
 
 @pytest.mark.parametrize("form", model.DISSIPATOR_FORMS)
 def test_lossy_three_atoms_match_dense_full_space_reference(form, rng):
-    # a mixed start with up to two excitations: integrate keeps 12 of the
-    # d = 24 states, the reference propagates all of them
+    # a random start with two excitations: integrate keeps the 12 of the
+    # d = 24 states with at most two, the reference propagates all of them
     lay = HilbertLayout(n_max=2, n_atoms=3)
     p = SystemParams(omega_c=0.0, omega_0=0.2 * G, kappa=4.0, gamma=1.5,
                      couplings=(G, 0.6 * G, 1.3 * G))
     gen = model.build_generator(lay, p, dissipator_form=form)
-    rho0 = random_block_diagonal_state(lay, rng, top=2)
+    psi0 = random_sector_ket(lay, rng, 2)
     _, chi1 = analytic.single_excitation_states(lay, analytic.CouplingVector(p.couplings))
     ts = np.linspace(0.0, 0.4, 41)
     traj = dyn.integrate(
-        gen, rho0, ts, snapshot_stride=1,
+        gen, psi0, ts, snapshot_stride=1,
         track=("populations", "n_photon", "entropies", "concurrence"),
         projections={"P_chi1": chi1}, trace_tol=np.inf,
     )
 
     step = expm(model.liouvillian_matrix(gen) * (ts[1] - ts[0]))
-    states = [rho0]
+    states = [np.outer(psi0, psi0.conj())]
     for _ in ts[1:]:
         states.append((step @ states[-1].reshape(-1)).reshape(lay.dim, lay.dim))
     states = np.array(states)
@@ -302,11 +302,10 @@ def test_lossy_three_atoms_match_dense_full_space_reference(form, rng):
     pops = np.real(np.diagonal(states, axis1=1, axis2=2))
     expected = {name: pops[:, k] for k, name in enumerate(dyn.population_labels(lay))}
     expected["n_photon"] = pops @ fs.photon_number_diagonal(lay)
-    n_exc = round(float(fs.excitation_number_diagonal(lay) @ np.real(np.diag(rho0))))
     for f in range(4):
         reduced = ent.partial_trace(states, lay, (f,))
         expected[f"S_{dyn.subsystem_letter(f)}"] = ent.entropy_normalized(
-            reduced, dyn.sector_norm_dim(lay, (f,), n_exc)
+            reduced, dyn.sector_norm_dim(lay, (f,), 2)
         )
     for i, j in ((1, 2), (1, 3), (2, 3)):
         reduced = ent.partial_trace(states, lay, (i, j))
@@ -323,52 +322,49 @@ def test_rho0_with_coherence_between_excitation_sectors_is_rejected():
     ts = np.linspace(0.0, 0.1, 11)
     across = (fs.basis_state(lay, 0, "g") + fs.basis_state(lay, 1, "g")) / np.sqrt(2)
     with pytest.raises(ValueError, match="excitation"):
-        dyn.integrate(gen, dyn.pure_state_density(across), ts)
+        dyn.integrate(gen, across, ts)
     # coherence inside one sector (|0e> and |1g> both hold one excitation)
     within = (fs.basis_state(lay, 0, "e") + fs.basis_state(lay, 1, "g")) / np.sqrt(2)
-    traj = dyn.integrate(gen, dyn.pure_state_density(within), ts)
+    traj = dyn.integrate(gen, within, ts)
     assert np.max(np.abs(traj.series("pop_0g"))) == 0.0
 
 
 def test_rho0_is_validated_on_its_kept_block():
-    # integrate checks rho0 on the states it propagates, where all of its
-    # non-zero elements lie, with validate_density_matrix's messages
+    # integrate checks the initial ket's shape, its sector and its norm
     lay, gen = _gen(2, (G,))
     ts = np.linspace(0.0, 0.1, 11)
-    with pytest.raises(ValueError, match=r"^trace 0j deviates from 1 by more than 1e-09$"):
-        dyn.integrate(gen, np.zeros((lay.dim, lay.dim)), ts)
-    one, other = lay.basis_index(0, "e"), lay.basis_index(1, "g")
-    lopsided = dyn.pure_state_density(fs.basis_state(lay, 0, "e"))
-    lopsided[one, other] = 0.5  # one excitation each, no mirror element
-    with pytest.raises(ValueError, match="hermiticity deviation"):
-        dyn.integrate(gen, lopsided, ts)
-    negative = np.zeros((lay.dim, lay.dim))
-    negative[one, one], negative[lay.basis_index(2, "e"), lay.basis_index(2, "e")] = 1.5, -0.5
-    with pytest.raises(ValueError, match="minimum eigenvalue"):
-        dyn.integrate(gen, negative, ts)
+    with pytest.raises(ValueError, match=r"^psi0 has squared norm 0\.0, not 1 within 1e-09$"):
+        dyn.integrate(gen, np.zeros(lay.dim), ts)
+    with pytest.raises(ValueError, match="squared norm 1.21"):
+        dyn.integrate(gen, 1.1 * fs.basis_state(lay, 0, "e"), ts)
+    with pytest.raises(ValueError, match=r"shape \(6, 6\), layout dimension is 6"):
+        dyn.integrate(gen, np.eye(lay.dim), ts)
+    spanning = (fs.basis_state(lay, 0, "e") + fs.basis_state(lay, 2, "e")) / np.sqrt(2)
+    with pytest.raises(ValueError, match="excitation sectors"):
+        dyn.integrate(gen, spanning, ts)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.3])
 def test_integrate_allocates_no_full_space_array(kappa):
-    # d = 1024, of which 11 states are propagated: nothing beside rho0 may
-    # be of size d^2, not an operator and not a mask or gather of rho0
+    # d = 1024, of which 11 states are propagated: nothing may be of size
+    # d^2, not an operator and not the initial state
     lay, gen = _gen(1, (G,) * 9, kappa=kappa, gamma=0.1)
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g" * 9))
+    psi0 = fs.basis_state(lay, 1, "g" * 9)
     tracemalloc.start()
     try:
-        dyn.integrate(gen, rho0, np.linspace(0.0, 0.01, 3), track=("n_photon",))
+        dyn.integrate(gen, psi0, np.linspace(0.0, 0.01, 3), track=("n_photon",))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.25 * rho0.nbytes
+    assert peak < 0.25 * 16 * lay.dim**2
 
 
 def test_closed_system_conserves_excitation_number():
     lay, gen = _gen(2, (G, 0.6 * G))
     n_ex = np.diag(fs.excitation_number_diagonal(lay))
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "gg"))
+    psi0 = fs.basis_state(lay, 1, "gg")
     ts = np.linspace(0.0, 0.5, 201)
-    traj = dyn.integrate(gen, rho0, ts, snapshot_stride=10)
+    traj = dyn.integrate(gen, psi0, ts, snapshot_stride=10)
     values = [np.trace(n_ex @ s).real for s in traj.snapshots]
     assert np.max(np.abs(np.array(values) - values[0])) < 1e-8
 
@@ -387,9 +383,9 @@ def test_projection_observables():
     lay, gen = _gen(2, (G, G))
     gv = analytic.CouplingVector((G, G))
     chi0, chi1 = analytic.single_excitation_states(lay, gv)
-    rho0 = dyn.pure_state_density(chi0)
+    psi0 = chi0
     ts = np.linspace(0.0, np.pi / (np.sqrt(2) * G), 201)
-    traj = dyn.integrate(gen, rho0, ts, projections={"P_chi1": chi1})
+    traj = dyn.integrate(gen, psi0, ts, projections={"P_chi1": chi1})
     expected = np.sin(np.sqrt(2) * G * ts) ** 2
     assert np.max(np.abs(traj.series("P_chi1") - expected)) < 1e-6
 
@@ -450,10 +446,10 @@ def test_csv_export_deterministic_and_schema():
 
 def test_observable_column_order_with_entropies_and_concurrence():
     lay, gen = _gen(2, (G, G))
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "gg"))
+    psi0 = fs.basis_state(lay, 1, "gg")
     ts = np.linspace(0.0, 0.05, 21)
     traj = dyn.integrate(
-        gen, rho0, ts,
+        gen, psi0, ts,
         track=("populations", "n_photon", "entropies", "concurrence"),
         projections={"P_extra": fs.basis_state(lay, 0, "gg")},
     )
@@ -481,9 +477,9 @@ def _two_atom_observables_run(**kwargs):
     lay, gen = _gen(2, (G, 0.6 * G), kappa=0.19, gamma=0.04)
     gv = analytic.CouplingVector((G, 0.6 * G))
     chi0, chi1 = analytic.single_excitation_states(lay, gv)
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "gg"))
+    psi0 = fs.basis_state(lay, 1, "gg")
     return dyn.integrate(
-        gen, rho0, np.linspace(0.0, 0.3, 62),
+        gen, psi0, np.linspace(0.0, 0.3, 62),
         track=("populations", "n_photon", "entropies", "concurrence"),
         projections={"P_chi0": chi0, "P_chi1": chi1},
         **kwargs,
@@ -513,17 +509,17 @@ def test_trace_gate_names_first_time_in_a_later_chunk(monkeypatch):
     lay = HilbertLayout(n_max=1, n_atoms=1)
     p = SystemParams(omega_c=0.0, omega_0=0.0, kappa=0.19, gamma=0.0, couplings=(G,))
     gen = model.build_generator(lay, p, dissipator_form=model.DISSIPATOR_LITERAL)
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
+    psi0 = fs.basis_state(lay, 1, "g")
     ts = np.linspace(0.0, 50.0, 51)
     with pytest.raises(dyn.IntegrationError) as one:
-        dyn.integrate(gen, rho0, ts, trace_tol=0.5)
+        dyn.integrate(gen, psi0, ts, trace_tol=0.5)
     assert "at t=13 ns" in str(one.value)
     # 5 states per chunk: t = 13 ns is the fourth state of the third chunk
     # (the chunk holds 3 x 3 states on |0g>, |0e>, |1g>)
     monkeypatch.setattr(dyn, "CHUNK_BYTES", 5 * 16 * 3**2)
     assert dyn.chunk_states(3) == 5
     with pytest.raises(dyn.IntegrationError) as chunked:
-        dyn.integrate(gen, rho0, ts, trace_tol=0.5)
+        dyn.integrate(gen, psi0, ts, trace_tol=0.5)
     assert str(chunked.value) == str(one.value)
 
 

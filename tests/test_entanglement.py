@@ -12,9 +12,9 @@ from conftest import (
     concurrence_sqrtm_oracle,
     partial_trace_oracle,
     plan_trajectories,
-    random_block_diagonal_state,
     random_density_matrix,
     random_pure_state,
+    random_sector_ket,
 )
 
 G = ghz_to_angular(9.0)
@@ -181,10 +181,10 @@ def test_splitting_matches_trajectory_measurement():
     lay = HilbertLayout(n_max=2, n_atoms=2)
     p = SystemParams(omega_c=0, omega_0=0, kappa=0, gamma=0, couplings=(G, alpha * G))
     gen = model.build_generator(lay, p)
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "gg"))
+    psi0 = fs.basis_state(lay, 1, "gg")
     omega = G * np.hypot(1, alpha)
     ts = np.linspace(0, 1.2 * np.pi / omega, 601)
-    traj = dyn.integrate(gen, rho0, ts)
+    traj = dyn.integrate(gen, psi0, ts)
     measured = ent.trajectory_splitting(traj.series("pop_0eg"), traj.series("pop_0ge"))
     assert measured == pytest.approx(ent.splitting_magnitude(alpha), abs=1e-6)
 
@@ -219,10 +219,10 @@ def test_peak_concurrence_matches_closed_form(alpha):
     lay = HilbertLayout(n_max=2, n_atoms=2)
     p = SystemParams(omega_c=0, omega_0=0, kappa=0, gamma=0, couplings=(G, alpha * G))
     gen = model.build_generator(lay, p)
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "gg"))
+    psi0 = fs.basis_state(lay, 1, "gg")
     omega = G * np.hypot(1, alpha)
     ts = np.linspace(0, 1.1 * np.pi / omega, 1201)
-    traj = dyn.integrate(gen, rho0, ts, track=("populations", "concurrence"))
+    traj = dyn.integrate(gen, psi0, ts, track=("populations", "concurrence"))
     peak = np.max(traj.series("C_BC"))
     assert peak == pytest.approx(2 * alpha / (1 + alpha**2), abs=1e-4)
 
@@ -349,15 +349,13 @@ def test_closed_forms_match_stacked_oracles_on_random_block_diagonal_states(
     p = SystemParams(omega_c=0.0, omega_0=0.2 * G, kappa=4.0, gamma=1.5,
                      couplings=tuple(G * rng.uniform(0.3, 1.3, n_atoms)))
     gen = model.build_generator(lay, p)
-    exc = fs.excitation_number_diagonal(lay)
+    norm_dims = {f: dyn.sector_norm_dim(lay, (f,), top) for f in range(n_atoms + 1)}
     for _ in range(3):
-        rho0 = random_block_diagonal_state(lay, rng, top)
+        # a random ket in the top sector: lossy, it feeds every sector below
         traj = dyn.integrate(
-            gen, rho0, np.linspace(0.0, 0.05, 11), snapshot_stride=1,
-            track=("entropies", "concurrence"),
+            gen, random_sector_ket(lay, rng, top), np.linspace(0.0, 0.05, 11),
+            snapshot_stride=1, track=("entropies", "concurrence"),
         )
-        n_exc = round(float(exc @ np.real(np.diag(rho0))))
-        norm_dims = {f: dyn.sector_norm_dim(lay, (f,), n_exc) for f in range(n_atoms + 1)}
         n_pairs = n_atoms * (n_atoms - 1) // 2
         assert _check_against_stacked_oracles(traj, norm_dims) == n_atoms + 1 + n_pairs
 

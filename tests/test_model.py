@@ -13,7 +13,7 @@ G = ghz_to_angular(9.0)  # rad/ns
 
 def _params(**kw):
     base = dict(omega_c=0.0, omega_0=0.0, kappa=0.0, gamma=0.0,
-                couplings=(G,), frame=model.FRAME_ROTATING)
+                couplings=(G,))
     base.update(kw)
     return SystemParams(**base)
 
@@ -25,8 +25,6 @@ def test_params_validation():
         _params(gamma=-0.1)
     with pytest.raises(ValueError):
         _params(couplings=(-G,))
-    with pytest.raises(ValueError):
-        _params(frame="galilean")
 
 
 def test_zero_coupling_resonant_rotating_hamiltonian_is_zero():
@@ -76,14 +74,6 @@ def test_excitation_number_commutes_with_hamiltonian():
     assert np.max(np.abs(h @ n_ex - n_ex @ h)) < 1e-12
 
 
-def test_lab_frame_includes_bare_energies():
-    lay = HilbertLayout(n_max=1, n_atoms=1)
-    p = _params(omega_c=5.0, omega_0=5.0, couplings=(0.0,), frame=model.FRAME_LAB)
-    h = model.build_hamiltonian(lay, p)
-    one_g = fs.basis_state(lay, 1, "g")
-    assert one_g.conj() @ h @ one_g == pytest.approx(5.0 - 2.5)  # w_c + w_0/2 * (-1)
-
-
 def test_generator_collapse_list():
     lay = HilbertLayout(n_max=1, n_atoms=2)
     gen = model.build_generator(lay, _params(couplings=(G, G)))
@@ -101,12 +91,7 @@ def _kron_operators(lay, p):
     a = embed_oracle(lay, 0, ladder_block(lay.n_max))
     sigmas = [embed_oracle(lay, i, SIGMA_MINUS_BLOCK) for i in range(1, lay.n_atoms + 1)]
     h = np.zeros((lay.dim, lay.dim), dtype=complex)
-    if p.frame == model.FRAME_LAB:
-        # exact integers: the kron-built a^dag a holds sqrt(2) * sqrt(2), an ulp above 2
-        h += p.omega_c * np.diag(fs.photon_number_diagonal(lay))
-        half_sz = 0.5 * p.omega_0
-    else:
-        half_sz = 0.5 * p.detuning
+    half_sz = 0.5 * p.detuning
     for s in sigmas:
         h += half_sz * (s.conj().T @ s - s @ s.conj().T)  # sigma^z = |e><e| - |g><g|
     for g, s in zip(p.couplings, sigmas):
@@ -125,25 +110,23 @@ def test_builders_match_the_kron_oracle(n_max, n_atoms, rng):
     # them in random order, which no operator maps into themselves
     keeps = [None] + [np.flatnonzero(exc <= top) for top in range(n_max + 1)]
     keeps.append(rng.permutation(lay.dim)[: lay.dim // 2])
-    for frame in model.FRAMES:
-        p = _params(couplings=couplings, omega_c=1.9, omega_0=2.6, kappa=0.3, gamma=0.11,
-                    frame=frame)
-        h, collapse = _kron_operators(lay, p)
-        for form in model.DISSIPATOR_FORMS:
-            gen = model.build_generator(lay, p, dissipator_form=form)
-            for keep in keeps:
-                block = np.s_[:, :] if keep is None else np.ix_(keep, keep)
-                assert np.max(np.abs(model.build_hamiltonian(lay, p, keep) - h[block])) == 0.0
-                built = model.collapse_operators(gen, keep)
-                assert [r for r, _, _ in built] == [r for r, _ in collapse]
-                for (_, op, anti), (_, L) in zip(built, collapse):
-                    assert np.max(np.abs(op - L[block])) == 0.0
-                    # taken from the whole space: on the top sector the
-                    # literal L L^dag passes through states that are not kept
-                    full = L.conj().T @ L if form == model.DISSIPATOR_TRACE_PRESERVING \
-                        else L @ L.conj().T
-                    assert np.count_nonzero(full - np.diag(np.diag(full))) == 0
-                    assert np.max(np.abs(np.diag(anti) - full[block])) == 0.0
+    p = _params(couplings=couplings, omega_c=1.9, omega_0=2.6, kappa=0.3, gamma=0.11)
+    h, collapse = _kron_operators(lay, p)
+    for form in model.DISSIPATOR_FORMS:
+        gen = model.build_generator(lay, p, dissipator_form=form)
+        for keep in keeps:
+            block = np.s_[:, :] if keep is None else np.ix_(keep, keep)
+            assert np.max(np.abs(model.build_hamiltonian(lay, p, keep) - h[block])) == 0.0
+            built = model.collapse_operators(gen, keep)
+            assert [r for r, _, _ in built] == [r for r, _ in collapse]
+            for (_, op, anti), (_, L) in zip(built, collapse):
+                assert np.max(np.abs(op - L[block])) == 0.0
+                # taken from the whole space: on the top sector the
+                # literal L L^dag passes through states that are not kept
+                full = L.conj().T @ L if form == model.DISSIPATOR_TRACE_PRESERVING \
+                    else L @ L.conj().T
+                assert np.count_nonzero(full - np.diag(np.diag(full))) == 0
+                assert np.max(np.abs(np.diag(anti) - full[block])) == 0.0
 
 
 def test_generator_layout_mismatch():
@@ -230,9 +213,9 @@ def test_atom_decay_matches_closed_form():
     lay = HilbertLayout(n_max=1, n_atoms=1)
     gamma = 0.25
     gen = model.build_generator(lay, _params(couplings=(0.0,), gamma=gamma))
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 0, "e"))
+    psi0 = fs.basis_state(lay, 0, "e")
     ts = np.linspace(0.0, 20.0, 201)
-    traj = dyn.integrate(gen, rho0, ts)
+    traj = dyn.integrate(gen, psi0, ts)
     assert np.max(np.abs(traj.series("pop_0e") - np.exp(-gamma * ts))) < 1e-8
 
 
@@ -241,31 +224,10 @@ def test_photon_decay_matches_closed_form():
     lay = HilbertLayout(n_max=2, n_atoms=1)
     kappa = 0.4
     gen = model.build_generator(lay, _params(couplings=(0.0,), kappa=kappa))
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 2, "g"))
+    psi0 = fs.basis_state(lay, 2, "g")
     ts = np.linspace(0.0, 10.0, 201)
-    traj = dyn.integrate(gen, rho0, ts)
+    traj = dyn.integrate(gen, psi0, ts)
     assert np.max(np.abs(traj.series("n_photon") - 2.0 * np.exp(-kappa * ts))) < 1e-8
-
-
-def test_frame_invariance_of_populations():
-    # reduced omega_c so the lab frame is integrable; bare-state populations
-    # must agree between frames
-    lay = HilbertLayout(n_max=1, n_atoms=1)
-    g = 1.0
-    ts = np.linspace(0.0, 3 * np.pi / g, 151)
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
-    traj_rot = dyn.integrate(
-        model.build_generator(lay, _params(couplings=(g,), kappa=0.02, gamma=0.01)),
-        rho0, ts)
-    traj_lab = dyn.integrate(
-        model.build_generator(
-            lay,
-            _params(couplings=(g,), kappa=0.02, gamma=0.01,
-                    omega_c=20.0, omega_0=20.0, frame=model.FRAME_LAB),
-        ),
-        rho0, ts)
-    for name in ("pop_1g", "pop_0e", "pop_0g"):
-        assert np.max(np.abs(traj_rot.series(name) - traj_lab.series(name))) < 1e-6
 
 
 def test_detuned_hamiltonian_shifts_block():

@@ -89,9 +89,9 @@ def test_rabi_frequency_fft_cross_check():
     gen = model.build_generator(
         lay, SystemParams(omega_c=0, omega_0=0, kappa=0, gamma=0, couplings=(g,))
     )
-    rho0 = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
+    psi0 = fs.basis_state(lay, 1, "g")
     ts = np.linspace(0.0, 20 * np.pi / g, 4001)
-    traj = dyn.integrate(gen, rho0, ts)
+    traj = dyn.integrate(gen, psi0, ts)
     series = traj.series("pop_0e")
     freqs = np.fft.rfftfreq(len(ts), d=ts[1] - ts[0])
     spectrum = np.abs(np.fft.rfft(series - series.mean()))
@@ -163,7 +163,8 @@ def test_every_trajectory_comes_from_the_one_path(scenario, monkeypatch):
 
 
 def test_only_trajectory_builds_and_integrates():
-    # the generator, rho0 and the integrate call appear in one function only
+    # the generator, the initial ket and the integrate call appear in one
+    # function only
     tree = ast.parse(inspect.getsource(runner))
     users = {
         func.name
@@ -171,14 +172,18 @@ def test_only_trajectory_builds_and_integrates():
         for node in ast.walk(func)
         if isinstance(node, (ast.Name, ast.Attribute))
         and (getattr(node, "id", None) or getattr(node, "attr", None))
-        in ("build_generator", "integrate", "pure_state_density", "basis_state")
+        in ("build_generator", "integrate", "basis_state")
     }
     assert users == {"trajectory"}
 
 
 PEAK_CONFIGS = {s: f'scenario = "{s}"\n' + text for s, text in SMALL_CONFIGS.items()} | {
-    # d = 1024, of which 11 states are propagated: rho0 is the one d x d array
+    # d = 1024, of which 11 states are propagated: nothing is of size d^2
     "custom_lossy_n9": 'scenario = "custom"\nn_atoms = 9\nt_end_ns = 0.002\n',
+    # 2048 outputs: the CSV writer must free one block of rows before it
+    # builds the next, or two are held at once
+    "custom_two_csv_blocks": 'scenario = "custom"\nn_atoms = 5\nt_end_ns = 0.2047\n'
+                             "dt_ns = 1e-4\n",
 }
 
 
