@@ -5,16 +5,16 @@ from cavity field maps, and a scenario-based experiment CLI."""
 __version__ = "0.1.0"
 
 from .fockspace import HilbertLayout, basis_state
-from .model import LindbladGenerator, SystemParams, build_generator, build_hamiltonian, lindblad_rhs
+from .model import LindbladGenerator, SystemParams, build_generator, build_hamiltonian
 from .dynamics import Trajectory, envelope_lifetime, integrate, rabi_frequency
 from .analytic import CouplingVector, peak_entanglement_metrics, single_excitation_population
-from .entanglement import concurrence, entropy_normalized, partial_trace, state_fidelity
+from .entanglement import concurrence, entropy_normalized, partial_trace
 
 __all__ = [
     "__version__",
     "HilbertLayout", "basis_state",
-    "LindbladGenerator", "SystemParams", "build_generator", "build_hamiltonian", "lindblad_rhs",
+    "LindbladGenerator", "SystemParams", "build_generator", "build_hamiltonian",
     "Trajectory", "envelope_lifetime", "integrate", "rabi_frequency",
     "CouplingVector", "peak_entanglement_metrics", "single_excitation_population",
-    "concurrence", "entropy_normalized", "partial_trace", "state_fidelity",
+    "concurrence", "entropy_normalized", "partial_trace",
 ]

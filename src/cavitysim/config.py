@@ -109,10 +109,6 @@ class ExperimentConfig:
         return self.n_max if self.n_max > 0 else n_photons + 1
 
     @property
-    def resolved_n_max(self) -> int:
-        return self.n_max_for(self.n_photons)
-
-    @property
     def resolved_kappa_mhz(self) -> float:
         if self.lossless:
             return 0.0
@@ -307,13 +303,18 @@ def _fig4_summary(cfg, runs, rows) -> dict:
     }
 
 
+def _fig5_atom2(delta_x_nm: float, delta_y_nm: float) -> tuple:
+    """Atom 2's position (nm), displaced from its trap site at x = +a."""
+    return (presets.LATTICE_NM + delta_x_nm, delta_y_nm, 0.0)
+
+
 def _fig5_plan(cfg: ExperimentConfig) -> Plan:
     density = functools.partial(coupling.synth_density_at, cfg.design, cfg.resolution_nm)
     de_r1 = functools.cache(lambda: density((-presets.LATTICE_NM, 0.0, 0.0)))
 
     def alpha(point):
         # alpha = sqrt(V(r1) / V(r2)); the map's normalization and total energy cancel
-        r2 = (presets.LATTICE_NM + point["delta_x_nm"], point["delta_y_nm"], 0.0)
+        r2 = _fig5_atom2(point["delta_x_nm"], point["delta_y_nm"])
         return math.sqrt(density(r2) / de_r1())
 
     sweep = Sweep((cfg.sweep("delta_x_nm"), cfg.sweep("delta_y_nm")), alpha, (1.1, 240),
@@ -430,6 +431,11 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     floats measured at 288 bytes for 4 and 5 values, counted as 64 bytes
     per value plus 64.  Logarithms, so that an absurd atom count or grid
     cannot overflow.
+
+    The sum bounds tracemalloc's traced peak, not the process's resident
+    memory: it counts neither the interpreter and numpy baseline (about
+    39 MB) nor the allocator's hold on freed blocks.  Lossy one-photon
+    N = 13 is estimated at 1.14 GB and peaks at 1287 MB RSS.
     """
     lossy = cfg.resolved_kappa_mhz > 0 or cfg.resolved_gamma_mhz > 0
     runs = [(0.0, run) for run in plan.runs]  # (log2 of the copies held or None, run)
@@ -642,8 +648,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     plan = SCENARIOS[scenario].plan(cfg)
     n_photons = max([run.n_photons for run in plan.runs] + [Sweep.n_photons] * bool(plan.sweep))
+    # A run the summary reads, or projects onto the collective mode, needs
+    # an excitation to exchange and an atom that couples.
+    read = [run for run in plan.runs if run.projections or run.name in plan.reads]
     check(cfg.n_atoms >= 1, "n_atoms", f"must be >= 1, got {cfg.n_atoms}")
     check(cfg.n_photons >= 0, "n_photons", f"must be >= 0, got {cfg.n_photons}")
+    check(all(run.n_photons >= 1 for run in read), "n_photons",
+          f"must be >= 1 for {scenario}, whose summary reads an exchange, got {cfg.n_photons}")
     check(cfg.n_max >= 0, "n_max", f"must be >= 0 (0 = auto), got {cfg.n_max}")
     check(cfg.n_max <= 0 or cfg.n_max >= n_photons, "n_max",
           f"must retain the {n_photons} photons that {scenario} propagates, got {cfg.n_max}")
@@ -654,6 +665,9 @@ def parse_config(text: str) -> ExperimentConfig:
               f"length {len(cfg.couplings_ghz)} != n_atoms {cfg.n_atoms}")
         check(all(g >= 0 for g in cfg.couplings_ghz), "couplings_ghz",
               "entries must be >= 0")
+        idle = [run.name for run in read if not any(run.couplings_ghz())]
+        check(not idle, "couplings_ghz",
+              f"{scenario} would run {', '.join(idle)} with every coupling zero")
     check(cfg.q_factor > 0, "q_factor", f"must be > 0, got {cfg.q_factor}")
     check(cfg.kappa_mhz >= 0 or "kappa_mhz" not in scalars, "kappa_mhz",
           f"must be >= 0, got {cfg.kappa_mhz}")
@@ -673,6 +687,17 @@ def parse_config(text: str) -> ExperimentConfig:
         lo, hi = coupling.SYNTH_RESOLUTION_RANGE
         check(lo <= cfg.resolution_nm <= hi, "resolution_nm",
               f"must be in [{lo:g}, {hi:g}], got {cfg.resolution_nm}")
+        if lo <= cfg.resolution_nm <= hi:
+            # Atom 2 must stay on the map's grid at both ends of the sweep.
+            sweeps = (cfg.sweep("delta_x_nm"), cfg.sweep("delta_y_nm"))
+            bounds = coupling.synth_grid_bounds(cfg.resolution_nm)
+            for key in ("min", "max"):
+                r2 = _fig5_atom2(*(getattr(ax, key) for ax in sweeps))
+                for ax, c, axis, (low, high) in zip(sweeps, r2, "xy", bounds):
+                    if not low <= c <= high:
+                        errors.append(
+                            f"{at('sweep', ax.name, key)}: sweep.{ax.name}.{key}: puts atom 2 "
+                            f"at {axis} = {c:g} nm, off the map's grid ({low:g} to {high:g} nm)")
 
     memory = _physical_memory()
     if not errors and memory:

@@ -12,11 +12,10 @@ point in the denominator, and the coupling strength
 
 This module works in SI units (J/m^3, rad/s) with grid geometry in nm.
 
-Real solver exports can be ingested through the text format documented at
-`read_fieldmap`.  Because no such export ships with the package, a
-calibrated synthetic generator (`synth_fieldmap`) provides stand-in maps
-for the two nanobeam designs: an analytic standing-wave/envelope profile
-whose shape parameters are solved so that the published scalar targets
+No solver export ships with the package, so a calibrated synthetic
+generator (`synth_fieldmap`) provides stand-in maps for the two nanobeam
+designs: an analytic standing-wave/envelope profile whose shape
+parameters are solved so that the published scalar targets
 (global mode volume, trap-site coupling, and the coupling-ratio extremes
 under displacement) are reproduced.  The generator is calibration, not
 prediction; tests treat it accordingly.  A coupling ratio needs only
@@ -34,14 +33,6 @@ from . import presets
 from .units import EPSILON_0, HBAR, SPEED_OF_LIGHT, TWO_PI
 
 SYNTH_RESOLUTION_RANGE = (0.5, 5.0)  # nm
-
-
-class FieldMapFormatError(ValueError):
-    """Field-map file violates the FIELDMAP v1 format."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class ZeroLocalDensityError(ValueError):
@@ -212,20 +203,6 @@ def coupling_ratio(fmap: FieldMap, r1_nm, r2_nm) -> float:
     return math.sqrt(v1 / v2)
 
 
-@dataclass(frozen=True)
-class KappaResult:
-    angular_rad_per_s: float
-    ordinary_hz: float
-
-
-def kappa_from_q(q: float, lambda_nm: float) -> KappaResult:
-    """Cavity energy decay rate from the quality factor: kappa = omega_c / Q."""
-    if q <= 0:
-        raise ValueError(f"quality factor must be positive, got {q}")
-    nu = SPEED_OF_LIGHT / (lambda_nm * 1e-9)
-    return KappaResult(angular_rad_per_s=TWO_PI * nu / q, ordinary_hz=nu / q)
-
-
 def cooperativity(g: float, kappa: float, gamma: float) -> float:
     """C = g^2 / (kappa gamma) (all three in the same unit convention).
 
@@ -268,96 +245,6 @@ def alpha_samples(fmap: FieldMap, r_ref_nm, trap: TrapSpec, n: int, seed: int) -
     """Monte Carlo coupling ratios g(sampled position)/g(r_ref)."""
     positions = sample_displacements(trap, n, seed)
     return np.array([coupling_ratio(fmap, r_ref_nm, p) for p in positions])
-
-
-# --------------------------------------------------------------------------
-# FIELDMAP v1 text format
-# --------------------------------------------------------------------------
-
-FIELDMAP_MAGIC = "FIELDMAP v1"
-
-
-def write_fieldmap(fmap: FieldMap, fh) -> None:
-    """Emit the map in the FIELDMAP v1 text format (x-major node order)."""
-    nx, ny, nz = fmap.shape
-    dx, dy, dz = (float(v) for v in fmap.spacing_nm)
-    ox, oy, oz = (float(v) for v in fmap.origin_nm)
-    fh.write(FIELDMAP_MAGIC + "\n")
-    fh.write(
-        f"{nx} {ny} {nz} {dx!r} {dy!r} {dz!r} {ox!r} {oy!r} {oz!r} "
-        f"{float(fmap.lambda_nm)!r}\n"
-    )
-    de = fmap.de.reshape(-1)
-    tot = fmap.total.reshape(-1)
-    for d, t in zip(de, tot):
-        fh.write(f"{float(d)!r} {float(t)!r}\n")
-
-
-def read_fieldmap(fh) -> FieldMap:
-    """Parse the FIELDMAP v1 text format.
-
-    Line 1: `FIELDMAP v1`
-    Line 2: `nx ny nz dx_nm dy_nm dz_nm ox oy oz lambda_nm`
-    Then nx*ny*nz lines of `de_density total_energy_density` (J/m^3) with x
-    the slowest-varying (major) index.  Violations raise
-    FieldMapFormatError with the offending line number.
-    """
-    magic = fh.readline()
-    if magic.strip() != FIELDMAP_MAGIC:
-        raise FieldMapFormatError(1, f"expected {FIELDMAP_MAGIC!r} header")
-    header = fh.readline()
-    parts = header.split()
-    if len(parts) != 10:
-        raise FieldMapFormatError(2, f"expected 10 header fields, got {len(parts)}")
-    try:
-        nx, ny, nz = (int(p) for p in parts[:3])
-        dx, dy, dz, ox, oy, oz, lam = (float(p) for p in parts[3:])
-    except ValueError as exc:
-        raise FieldMapFormatError(2, f"malformed header: {exc}") from None
-    if nx < 2 or ny < 2 or nz < 2:
-        raise FieldMapFormatError(2, f"grid must be >= 2 nodes per axis, got {nx} {ny} {nz}")
-    n_total = nx * ny * nz
-    de = np.empty(n_total)
-    tot = np.empty(n_total)
-    for k in range(n_total):
-        line = fh.readline()
-        line_no = k + 3
-        if not line:
-            raise FieldMapFormatError(
-                line_no, f"file ends after {k} of {n_total} density rows"
-            )
-        cols = line.split()
-        if len(cols) != 2:
-            raise FieldMapFormatError(line_no, f"expected 2 columns, got {len(cols)}")
-        try:
-            de[k] = float(cols[0])
-            tot[k] = float(cols[1])
-        except ValueError as exc:
-            raise FieldMapFormatError(line_no, f"malformed density: {exc}") from None
-        if de[k] < 0 or tot[k] < 0:
-            raise FieldMapFormatError(line_no, "densities must be non-negative")
-    extra = fh.readline()
-    if extra.strip():
-        raise FieldMapFormatError(
-            n_total + 3, f"expected {n_total} density rows, found more data"
-        )
-    return FieldMap(
-        de=de.reshape(nx, ny, nz),
-        total=tot.reshape(nx, ny, nz),
-        spacing_nm=(dx, dy, dz),
-        origin_nm=(ox, oy, oz),
-        lambda_nm=lam,
-    )
-
-
-def load_fieldmap(path) -> FieldMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_fieldmap(fh)
-
-
-def save_fieldmap(fmap: FieldMap, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_fieldmap(fmap, fh)
 
 
 # --------------------------------------------------------------------------
@@ -725,3 +612,10 @@ def synth_density_at(design: str, resolution_nm: float, r_nm) -> float:
     block = _synth_density(design, *(ax[i:i + 2] for ax, i in zip(axes, idx)))
     return _trilinear(block, frac)
 
+
+
+def synth_grid_bounds(resolution_nm: float) -> tuple:
+    """(lowest, highest) coordinate (nm) on each axis of synth_fieldmap's
+    grid at this resolution: synth_density_at reads the points inside."""
+    return tuple((float(ax[0]), float(ax[0]) + resolution_nm * (ax.size - 1))
+                 for ax in _synth_axes(resolution_nm))

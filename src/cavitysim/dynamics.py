@@ -31,7 +31,6 @@ the first offending time.  Snapshots are embedded back into d x d.
 Time is in ns throughout; rates are angular (rad/ns).
 """
 
-import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -105,32 +104,6 @@ class NonDecayingEnvelopeError(ValueError):
 
 class IntegrationError(RuntimeError):
     """Integration failed (non-finite state or tolerance violated)."""
-
-
-def validate_density_matrix(
-    rho: np.ndarray,
-    trace_tol: float = 1e-9,
-    herm_tol: float = 1e-10,
-    positivity_tol: float = 1e-8,
-):
-    """Raise if rho is not a normalized Hermitian PSD matrix within tolerance."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr} deviates from 1 by more than {trace_tol}")
-    herm_dev = np.max(np.abs(rho - rho.conj().T))
-    if herm_dev > herm_tol:
-        raise ValueError(f"hermiticity deviation {herm_dev} exceeds {herm_tol}")
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < -positivity_tol:
-        raise ValueError(f"minimum eigenvalue {min_eig} below -{positivity_tol}")
-
-
-def pure_state_density(psi: np.ndarray) -> np.ndarray:
-    """|psi><psi| for a normalized ket."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
 
 
 @dataclass
@@ -509,9 +482,3 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
         for row in zip(*columns):
             fh.write(",".join(map(repr, row)) + "\n")
         del columns
-
-
-def trajectory_csv_text(traj: Trajectory) -> str:
-    buf = io.StringIO()
-    write_trajectory_csv(traj, buf)
-    return buf.getvalue()

@@ -155,20 +155,6 @@ def x_state_concurrence_stack(
     return 2.0 * np.maximum(0.0, coherence - corners)
 
 
-def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
-    """sqrt(<psi|rho|psi>) for a normalized pure reference state."""
-    psi = np.asarray(psi, dtype=complex)
-    if rho.shape != (psi.size, psi.size):
-        raise ValueError(
-            f"dimension mismatch: rho {rho.shape}, state length {psi.size}"
-        )
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"reference state norm {norm} is not 1")
-    val = float(np.real(psi.conj() @ rho @ psi))
-    return float(np.sqrt(max(val, 0.0)))
-
-
 def splitting_magnitude(alpha: float) -> float:
     """Population-amplitude splitting |1 - a^2| / |1 + a^2| of the two atoms."""
     return abs(1.0 - alpha**2) / abs(1.0 + alpha**2)

@@ -199,30 +199,12 @@ def collapse_operators(gen: LindbladGenerator, keep=None) -> list:
     return out
 
 
-def lindblad_rhs(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
-    """d(rho)/dt = -i[H, rho] + sum_k r_k (L rho L^dag - 1/2 {L^dag L, rho}).
-
-    In the trace-preserving form the result is traceless and Hermitian for
-    Hermitian rho.  The `literal` form uses {L L^dag, rho} instead and is
-    not trace-preserving.
-    """
-    if rho.shape != (gen.dim, gen.dim):
-        raise ValueError(
-            f"rho has shape {rho.shape}, generator dimension is {gen.dim}"
-        )
-    h = build_hamiltonian(gen.layout, gen.params)
-    out = -1j * (h @ rho - rho @ h)
-    for rate, L, anti in collapse_operators(gen):
-        out += rate * (L @ rho @ L.conj().T - 0.5 * (anti[:, None] * rho + rho * anti))
-    return out
-
-
 def liouvillian_matrix(gen: LindbladGenerator, keep=None) -> np.ndarray:
     """Dense superoperator L with vec(d rho/dt) = L @ vec(rho).
 
     vec() is row-major (C-order) flattening, for which
-    vec(A rho B) = (A kron B^T) vec(rho).  Agreement with lindblad_rhs is
-    checked by tests.
+    vec(A rho B) = (A kron B^T) vec(rho).  Tests check it against the
+    right-hand side written out directly.
 
     keep, if given, lists the basis states of a subspace whose operators the
     generator maps into themselves (such as all states up to an excitation

@@ -40,6 +40,8 @@ TRAP_SIGMAS_NM = {
 
 def kappa_ordinary_hz(q_factor: float, lambda_nm: float = LAMBDA_NM) -> float:
     """Cavity linewidth nu/Q in ordinary Hz."""
+    if q_factor <= 0:
+        raise ValueError(f"quality factor must be positive, got {q_factor}")
     return SPEED_OF_LIGHT / (lambda_nm * 1e-9) / q_factor
 
 

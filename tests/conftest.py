@@ -2,15 +2,27 @@
 
 The oracles here deliberately re-derive results through a different route
 than the package (explicit Kronecker chains, index-loop partial traces,
-sqrtm-based concurrence) so agreement is meaningful.
+sqrtm-based concurrence, the master equation's right-hand side written
+out) so agreement is meaningful.  The density-matrix helpers live here
+because only tests use them: every run starts from a ket.
 """
+
+import io
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cavitysim import runner
 from cavitysim.config import SCENARIOS
+from cavitysim.dynamics import write_trajectory_csv
 from cavitysim.fockspace import HilbertLayout
+from cavitysim.model import LindbladGenerator, build_hamiltonian, collapse_operators
+
+# Every run of the suite draws the same examples, and none fails on its
+# wall-clock time; each test keeps its own example count.
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 
 def random_pure_state(dim: int, rng) -> np.ndarray:
@@ -37,6 +49,70 @@ def random_sector_ket(layout: HilbertLayout, rng, n_exc: int) -> np.ndarray:
     sector = np.flatnonzero(exc == n_exc)
     psi[sector] = random_pure_state(sector.size, rng)
     return psi
+
+
+def validate_density_matrix(
+    rho: np.ndarray,
+    trace_tol: float = 1e-9,
+    herm_tol: float = 1e-10,
+    positivity_tol: float = 1e-8,
+):
+    """Raise if rho is not a normalized Hermitian PSD matrix within tolerance."""
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > trace_tol:
+        raise ValueError(f"trace {tr} deviates from 1 by more than {trace_tol}")
+    herm_dev = np.max(np.abs(rho - rho.conj().T))
+    if herm_dev > herm_tol:
+        raise ValueError(f"hermiticity deviation {herm_dev} exceeds {herm_tol}")
+    min_eig = float(np.linalg.eigvalsh(rho)[0])
+    if min_eig < -positivity_tol:
+        raise ValueError(f"minimum eigenvalue {min_eig} below -{positivity_tol}")
+
+
+def pure_state_density(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| for a normalized ket."""
+    psi = np.asarray(psi, dtype=complex)
+    return np.outer(psi, psi.conj())
+
+
+def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
+    """sqrt(<psi|rho|psi>) for a normalized pure reference state."""
+    psi = np.asarray(psi, dtype=complex)
+    if rho.shape != (psi.size, psi.size):
+        raise ValueError(
+            f"dimension mismatch: rho {rho.shape}, state length {psi.size}"
+        )
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"reference state norm {norm} is not 1")
+    val = float(np.real(psi.conj() @ rho @ psi))
+    return float(np.sqrt(max(val, 0.0)))
+
+
+def lindblad_rhs(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
+    """d(rho)/dt = -i[H, rho] + sum_k r_k (L rho L^dag - 1/2 {L^dag L, rho}).
+
+    In the trace-preserving form the result is traceless and Hermitian for
+    Hermitian rho.  The `literal` form uses {L L^dag, rho} instead and is
+    not trace-preserving.
+    """
+    if rho.shape != (gen.dim, gen.dim):
+        raise ValueError(
+            f"rho has shape {rho.shape}, generator dimension is {gen.dim}"
+        )
+    h = build_hamiltonian(gen.layout, gen.params)
+    out = -1j * (h @ rho - rho @ h)
+    for rate, L, anti in collapse_operators(gen):
+        out += rate * (L @ rho @ L.conj().T - 0.5 * (anti[:, None] * rho + rho * anti))
+    return out
+
+
+def trajectory_csv_text(traj) -> str:
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    return buf.getvalue()
 
 
 def plan_trajectories(cfg, snapshot_stride: int) -> list:

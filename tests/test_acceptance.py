@@ -121,21 +121,20 @@ def test_criterion_04_envelope_lifetime():
 
 
 def test_criterion_05_kappa_from_q():
-    k = cp.kappa_from_q(1.3e7, 780.0)
-    mhz = k.ordinary_hz / 1e6
+    mhz = presets.kappa_ordinary_hz(1.3e7, 780.0) / 1e6
     ok = abs(mhz - 29.5653) / 29.5653 < 1e-3 and abs(mhz - 29.0) / 29.0 < 0.03
     _report(5, "kappa from Q", ok, f"nu/Q = {mhz:.4f} MHz vs quoted 29 MHz")
 
 
 def test_criterion_06_cooperativity_chain():
     gamma_hz = presets.GAMMA_RB87_D2_MHZ * 1e6
-    c1 = cp.cooperativity(9e9, cp.kappa_from_q(1.3e7, 780.0).ordinary_hz, gamma_hz)
+    c1 = cp.cooperativity(9e9, presets.kappa_ordinary_hz(1.3e7, 780.0), gamma_hz)
     ok = abs(c1 - 4.5e5) / 4.5e5 < 0.03
     details = [f"C_D1 = {c1:.4g}"]
     for name, c_quoted in (("D2", 1.3e6), ("D3", 1.2e6)):
         d = presets.DESIGNS[name]
         c_fwd = cp.cooperativity(
-            d.g_ghz * 1e9, cp.kappa_from_q(d.q_factor, 780.0).ordinary_hz, gamma_hz
+            d.g_ghz * 1e9, presets.kappa_ordinary_hz(d.q_factor, 780.0), gamma_hz
         )
         ok = ok and abs(c_fwd - c_quoted) / c_quoted < 0.10
         ok = ok and 1.5 < d.g_ghz / 9.0 < 2.1   # "almost doubled" exchange rate

@@ -27,7 +27,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.g_ghz == 9.0
     assert cfg.q_factor == 1.3e7
     assert cfg.detuning_ghz == 0.0                      # resonant
-    assert cfg.resolved_n_max == cfg.n_photons + 1      # one guard level
+    assert cfg.n_max_for(cfg.n_photons) == cfg.n_photons + 1  # one guard level
     assert cfg.resolved_kappa_mhz == pytest.approx(29.5653, rel=1e-4)
     assert cfg.resolved_gamma_mhz == presets.GAMMA_RB87_D2_MHZ
 
@@ -295,3 +295,36 @@ def test_observables_must_record_what_the_scenario_reads(scenario, observables, 
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+
+
+def _fig5(design, x, y=(0.0, 0.0)):
+    return (f'scenario = "fig5_position_map"\ndesign = "{design}"\n'
+            f"[sweep.delta_x_nm]\nmin = {x[0]!r}\nmax = {x[1]!r}\nsteps = 2\n"
+            f"[sweep.delta_y_nm]\nmin = {y[0]!r}\nmax = {y[1]!r}\nsteps = 2\n")
+
+
+@pytest.mark.parametrize("text, error", [
+    # atom 2 sits at x = 262 nm + delta_x on a grid that ends at x = +-1600 nm
+    (_fig5("D1", (0.0, 2000.0)), "line 5: sweep.delta_x_nm.max: "),
+    (_fig5("D3", (-2000.0, 0.0)), "line 4: sweep.delta_x_nm.min: "),
+    (_fig5("D3", (0.0, 0.0), (0.0, 300.0)), "line 9: sweep.delta_y_nm.max: "),
+    ('scenario = "n_atom_wstate"\ncouplings_ghz = [0.0, 0.0, 0.0]\n', "line 2: couplings_ghz: "),
+    # fig3 couples both atoms in proportion to atom 1
+    ('scenario = "fig3_two_atom"\ncouplings_ghz = [0.0, 1.0]\n', "line 2: couplings_ghz: "),
+    ('scenario = "n_atom_wstate"\nn_photons = 0\n', "line 2: n_photons: "),
+    ('scenario = "fig2_single_atom"\nn_photons = 0\n', "line 2: n_photons: "),
+], ids=["fig5_x_max", "fig5_x_min", "fig5_y_max", "wstate_uncoupled", "fig3_uncoupled",
+        "wstate_no_photon", "fig2_no_photon"])
+def test_configs_that_cannot_run_fail_validate(text, error, tmp_path):
+    errors = _errors(text)
+    assert len(errors) == 1 and errors[0].startswith(error)
+    path = tmp_path / "cfg.toml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+
+
+def test_fig5_sweep_may_reach_the_grid_edges(tmp_path):
+    path = tmp_path / "cfg.toml"
+    path.write_text(_fig5("D1", (-1862.0, 1338.0), (-270.0, 270.0)))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0

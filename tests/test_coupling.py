@@ -1,4 +1,3 @@
-import io
 import math
 import tracemalloc
 
@@ -228,16 +227,17 @@ def test_emitter_and_trap_validation():
 def test_kappa_from_q_values():
     # independent evaluation: nu = c / lambda, kappa_ordinary = nu / Q
     nu = SPEED_OF_LIGHT / 780e-9
-    k1 = cp.kappa_from_q(1.3e7, 780.0)
-    assert k1.ordinary_hz == pytest.approx(nu / 1.3e7, rel=1e-12)
-    assert k1.ordinary_hz == pytest.approx(29.5653e6, rel=1e-4)
-    assert k1.ordinary_hz == pytest.approx(29e6, rel=0.03)   # quoted 29 MHz
-    assert k1.angular_rad_per_s == pytest.approx(1.858e8, rel=1e-3)
-    k2 = cp.kappa_from_q(1.2e7, 780.0)
-    assert k2.ordinary_hz == pytest.approx(32.0291e6, rel=1e-4)
-    assert cp.kappa_from_q(1e15, 780.0).ordinary_hz < 1.0
-    with pytest.raises(ValueError):
-        cp.kappa_from_q(0.0, 780.0)
+    k1 = presets.kappa_ordinary_hz(1.3e7, 780.0)
+    assert k1 == pytest.approx(nu / 1.3e7, rel=1e-12)
+    assert k1 == pytest.approx(29.5653e6, rel=1e-4)
+    assert k1 == pytest.approx(29e6, rel=0.03)   # quoted 29 MHz
+    assert TWO_PI * k1 == pytest.approx(1.858e8, rel=1e-3)   # angular
+    k2 = presets.kappa_ordinary_hz(1.2e7, 780.0)
+    assert k2 == pytest.approx(32.0291e6, rel=1e-4)
+    assert presets.kappa_ordinary_hz(1e15, 780.0) < 1.0
+    for q in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            presets.kappa_ordinary_hz(q, 780.0)
 
 
 def test_cooperativity_values_and_structure():
@@ -293,43 +293,6 @@ def test_synth_fieldmap_resolution_range():
             cp.synth_fieldmap("D1", bad)
     with pytest.raises(ValueError):
         cp.synth_fieldmap("D2", 5.0)
-
-
-def test_fieldmap_text_round_trip(rng):
-    de = rng.uniform(0.1, 2.0, (3, 4, 2))
-    tot = de * rng.uniform(1.0, 2.0, de.shape)
-    fmap = cp.FieldMap(de=de, total=tot, spacing_nm=(1.5, 2.0, 2.5),
-                       origin_nm=(-1.0, 0.0, 3.0), lambda_nm=780.0)
-    buf = io.StringIO()
-    cp.write_fieldmap(fmap, buf)
-    buf.seek(0)
-    back = cp.read_fieldmap(buf)
-    assert np.array_equal(back.de, fmap.de)
-    assert np.array_equal(back.total, fmap.total)
-    assert back.spacing_nm == fmap.spacing_nm
-    assert back.origin_nm == fmap.origin_nm
-    assert back.lambda_nm == fmap.lambda_nm
-
-
-def _parse_error(text):
-    with pytest.raises(cp.FieldMapFormatError) as exc:
-        cp.read_fieldmap(io.StringIO(text))
-    return exc.value
-
-
-def test_fieldmap_parse_errors_carry_line_numbers():
-    assert _parse_error("WRONG\n").line == 1
-    assert _parse_error("FIELDMAP v1\n1 2\n").line == 2
-    assert _parse_error("FIELDMAP v1\n1 2 2 1 1 1 0 0 0 780\n").line == 2  # nx < 2
-    header = "FIELDMAP v1\n2 2 2 1 1 1 0 0 0 780\n"
-    rows = "\n".join("1.0 2.0" for _ in range(8))
-    good = header + rows + "\n"
-    cp.read_fieldmap(io.StringIO(good))
-    assert _parse_error(header + "1.0 2.0\n1.0\n").line == 4      # column count
-    assert _parse_error(header + "1.0 x\n").line == 3             # non-numeric
-    assert _parse_error(header + "-1.0 2.0\n").line == 3          # negative
-    assert _parse_error(header + rows[: -8]).line == 10           # short file
-    assert _parse_error(good + "3.0 3.0\n").line == 11            # extra rows
 
 
 def test_map_design_targets_consistent_with_formula():

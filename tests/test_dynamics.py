@@ -13,7 +13,7 @@ from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
 from cavitysim.units import ghz_to_angular
 
-from conftest import random_sector_ket
+from conftest import random_sector_ket, trajectory_csv_text, validate_density_matrix
 
 G = ghz_to_angular(9.0)
 
@@ -375,7 +375,7 @@ def test_snapshots_remain_valid_states():
                                  t_end=2.0, n_points=801, snapshot_stride=1)
     assert traj.snapshots is not None
     for snap in traj.snapshots[:: max(1, len(traj.snapshots) // 50)]:
-        dyn.validate_density_matrix(snap, trace_tol=1e-9, herm_tol=1e-10,
+        validate_density_matrix(snap, trace_tol=1e-9, herm_tol=1e-10,
                                     positivity_tol=1e-8)
 
 
@@ -431,9 +431,9 @@ def test_count_extrema():
 
 def test_csv_export_deterministic_and_schema():
     lay, traj = _single_atom_run(n_points=41)
-    text1 = dyn.trajectory_csv_text(traj)
+    text1 = trajectory_csv_text(traj)
     lay, traj2 = _single_atom_run(n_points=41)
-    assert text1 == dyn.trajectory_csv_text(traj2)
+    assert text1 == trajectory_csv_text(traj2)
     lines = text1.splitlines()
     assert lines[0] == f"# schema: {dyn.TRAJECTORY_SCHEMA}"
     header = lines[1].split(",")
@@ -459,13 +459,13 @@ def test_observable_column_order_with_entropies_and_concurrence():
 
 def test_validate_density_matrix_rejects_bad_inputs():
     good = np.diag([0.5, 0.5]).astype(complex)
-    dyn.validate_density_matrix(good)
+    validate_density_matrix(good)
     with pytest.raises(ValueError):
-        dyn.validate_density_matrix(np.diag([0.6, 0.6]))
+        validate_density_matrix(np.diag([0.6, 0.6]))
     with pytest.raises(ValueError):
-        dyn.validate_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        validate_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError):
-        dyn.validate_density_matrix(np.diag([1.5, -0.5]))
+        validate_density_matrix(np.diag([1.5, -0.5]))
 
 
 def test_chunk_holds_about_one_mebibyte():
@@ -536,6 +536,6 @@ def _per_cell_csv(traj):
 
 def test_csv_matches_per_cell_reference(monkeypatch):
     traj = _two_atom_observables_run()
-    assert dyn.trajectory_csv_text(traj) == _per_cell_csv(traj)
+    assert trajectory_csv_text(traj) == _per_cell_csv(traj)
     monkeypatch.setattr(dyn, "CSV_BLOCK_ROWS", 5)  # 62 rows: 13 blocks
-    assert dyn.trajectory_csv_text(traj) == _per_cell_csv(traj)
+    assert trajectory_csv_text(traj) == _per_cell_csv(traj)

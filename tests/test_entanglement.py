@@ -12,9 +12,11 @@ from conftest import (
     concurrence_sqrtm_oracle,
     partial_trace_oracle,
     plan_trajectories,
+    pure_state_density,
     random_density_matrix,
     random_pure_state,
     random_sector_ket,
+    state_fidelity,
 )
 
 G = ghz_to_angular(9.0)
@@ -22,7 +24,7 @@ G = ghz_to_angular(9.0)
 
 def test_partial_trace_product_state():
     lay = HilbertLayout(n_max=1, n_atoms=1)
-    rho = dyn.pure_state_density(fs.basis_state(lay, 1, "g"))
+    rho = pure_state_density(fs.basis_state(lay, 1, "g"))
     photon = ent.partial_trace(rho, lay, (0,))
     assert np.allclose(photon, np.diag([0.0, 1.0]))
 
@@ -30,7 +32,7 @@ def test_partial_trace_product_state():
 def test_partial_trace_bell_state_gives_maximally_mixed():
     lay = HilbertLayout(n_max=1, n_atoms=2)
     bell = (fs.basis_state(lay, 0, "eg") + fs.basis_state(lay, 0, "ge")) / np.sqrt(2)
-    rho = dyn.pure_state_density(bell)
+    rho = pure_state_density(bell)
     for atom in (1, 2):
         red = ent.partial_trace(rho, lay, (atom,))
         assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
@@ -38,7 +40,7 @@ def test_partial_trace_bell_state_gives_maximally_mixed():
 
 def test_partial_trace_schmidt_purity_equality(rng):
     lay = HilbertLayout(n_max=2, n_atoms=2)  # dim 12
-    rho = dyn.pure_state_density(random_pure_state(lay.dim, rng))
+    rho = pure_state_density(random_pure_state(lay.dim, rng))
     for keep in [(0,), (1,), (2,), (0, 1), (1, 2)]:
         comp = tuple(p for p in range(3) if p not in keep)
         pk = np.trace(ent.partial_trace(rho, lay, keep) @ ent.partial_trace(rho, lay, keep)).real
@@ -81,7 +83,7 @@ def test_entropy_of_unbalanced_peak_state_atom():
     lay = HilbertLayout(n_max=1, n_atoms=2)
     gv = analytic.CouplingVector((G, alpha * G))
     _, chi1 = analytic.single_excitation_states(lay, gv)
-    red = ent.partial_trace(dyn.pure_state_density(chi1), lay, (2,))
+    red = ent.partial_trace(pure_state_density(chi1), lay, (2,))
     evals = np.sort(np.linalg.eigvalsh(red))
     p = alpha**2 / (1 + alpha**2)
     assert np.allclose(evals, [p, 1 - p], atol=1e-12)       # {0.3289, 0.6711}
@@ -115,7 +117,7 @@ def test_entropy_invariant_under_local_unitaries(rng):
 def test_schmidt_entropy_symmetry_for_pure_states(rng):
     lay = HilbertLayout(n_max=2, n_atoms=2)
     for _ in range(5):
-        rho = dyn.pure_state_density(random_pure_state(lay.dim, rng))
+        rho = pure_state_density(random_pure_state(lay.dim, rng))
         for keep in [(0,), (1,), (0, 2)]:
             comp = tuple(p for p in range(3) if p not in keep)
             s_keep = ent.entropy_normalized(ent.partial_trace(rho, lay, keep), 2)
@@ -126,17 +128,17 @@ def test_schmidt_entropy_symmetry_for_pure_states(rng):
 def test_concurrence_extremes():
     bell = np.zeros(4, dtype=complex)
     bell[1] = bell[2] = 1 / np.sqrt(2)  # (|ge> + |eg>)/sqrt(2)
-    assert ent.concurrence(dyn.pure_state_density(bell)) == pytest.approx(1.0, abs=1e-10)
+    assert ent.concurrence(pure_state_density(bell)) == pytest.approx(1.0, abs=1e-10)
     gg = np.zeros(4, dtype=complex)
     gg[0] = 1.0
-    assert ent.concurrence(dyn.pure_state_density(gg)) == pytest.approx(0.0, abs=1e-12)
+    assert ent.concurrence(pure_state_density(gg)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_concurrence_of_unbalanced_pure_state():
     alpha = 0.7
     norm = np.hypot(1, alpha)
     psi = np.array([0.0, alpha / norm, 1 / norm, 0.0], dtype=complex)
-    c = ent.concurrence(dyn.pure_state_density(psi))
+    c = ent.concurrence(pure_state_density(psi))
     assert c == pytest.approx(2 * alpha / (1 + alpha**2), abs=1e-12)
     assert c == pytest.approx(0.9395973154362416, abs=1e-12)
 
@@ -145,7 +147,7 @@ def test_concurrence_pure_states_match_determinant_formula(rng):
     # C(a|gg>+b|ge>+c|eg>+d|ee>) = 2|ad - bc|
     for _ in range(1000):
         psi = random_pure_state(4, rng)
-        c = ent.concurrence(dyn.pure_state_density(psi))
+        c = ent.concurrence(pure_state_density(psi))
         expected = 2 * abs(psi[0] * psi[3] - psi[1] * psi[2])
         assert c == pytest.approx(expected, abs=1e-10)
 
@@ -200,17 +202,17 @@ def test_entanglement_fidelity_alpha(alpha, expected):
 
 def test_state_fidelity_basics(rng):
     psi = random_pure_state(6, rng)
-    assert ent.state_fidelity(dyn.pure_state_density(psi), psi) == pytest.approx(1.0, abs=1e-12)
+    assert state_fidelity(pure_state_density(psi), psi) == pytest.approx(1.0, abs=1e-12)
     phi = np.zeros(6, dtype=complex)
     phi[np.argmin(np.abs(psi))] = 1.0
     phi -= (psi.conj() @ phi) * psi
     phi /= np.linalg.norm(phi)
-    assert ent.state_fidelity(dyn.pure_state_density(psi), phi) == pytest.approx(0.0, abs=1e-8)
-    assert ent.state_fidelity(np.eye(6) / 6, psi) == pytest.approx(1 / np.sqrt(6), abs=1e-12)
+    assert state_fidelity(pure_state_density(psi), phi) == pytest.approx(0.0, abs=1e-8)
+    assert state_fidelity(np.eye(6) / 6, psi) == pytest.approx(1 / np.sqrt(6), abs=1e-12)
     with pytest.raises(ValueError):
-        ent.state_fidelity(np.eye(4) / 4, psi)
+        state_fidelity(np.eye(4) / 4, psi)
     with pytest.raises(ValueError):
-        ent.state_fidelity(np.eye(6) / 6, 2.0 * psi)
+        state_fidelity(np.eye(6) / 6, 2.0 * psi)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.3])
@@ -236,7 +238,7 @@ def test_splitting_and_fidelity_bounds(alpha):
 
 def _stack_of_states(dim, rng, count=12):
     """Pure, rank-deficient mixed and full-rank states of one dimension."""
-    states = [dyn.pure_state_density(random_pure_state(dim, rng)) for _ in range(4)]
+    states = [pure_state_density(random_pure_state(dim, rng)) for _ in range(4)]
     states += [random_density_matrix(dim, rng, rank=r)
                for r in rng.integers(2, max(3, dim), size=count - 8)]
     states += [random_density_matrix(dim, rng) for _ in range(4)]

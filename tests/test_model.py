@@ -6,7 +6,14 @@ from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
 from cavitysim.units import ghz_to_angular
 
-from conftest import SIGMA_MINUS_BLOCK, embed_oracle, ladder_block, random_density_matrix
+from conftest import (
+    SIGMA_MINUS_BLOCK,
+    embed_oracle,
+    ladder_block,
+    lindblad_rhs,
+    pure_state_density,
+    random_density_matrix,
+)
 
 G = ghz_to_angular(9.0)  # rad/ns
 
@@ -139,7 +146,7 @@ def test_rhs_zero_for_maximally_mixed_unitary():
     lay = HilbertLayout(n_max=2, n_atoms=1)
     gen = model.build_generator(lay, _params())
     rho = np.eye(lay.dim) / lay.dim
-    assert np.max(np.abs(model.lindblad_rhs(gen, rho))) < 1e-14
+    assert np.max(np.abs(lindblad_rhs(gen, rho))) < 1e-14
 
 
 @pytest.mark.parametrize("n_max,n_atoms", [(1, 1), (2, 2), (2, 3)])
@@ -152,12 +159,12 @@ def test_rhs_traceless_hermitian_linear(n_max, n_atoms, rng):
     for _ in range(34):  # ~100 random pairs across the three layouts
         rho1 = random_density_matrix(lay.dim, rng)
         rho2 = random_density_matrix(lay.dim, rng)
-        r1 = model.lindblad_rhs(gen, rho1)
+        r1 = lindblad_rhs(gen, rho1)
         assert abs(np.trace(r1)) < 1e-12
         assert np.max(np.abs(r1 - r1.conj().T)) < 1e-12
         a, b = 0.3, 0.7
-        lhs = model.lindblad_rhs(gen, a * rho1 + b * rho2)
-        rhs = a * r1 + b * model.lindblad_rhs(gen, rho2)
+        lhs = lindblad_rhs(gen, a * rho1 + b * rho2)
+        rhs = a * r1 + b * lindblad_rhs(gen, rho2)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -168,7 +175,7 @@ def test_liouvillian_matches_rhs(rng):
     liou = model.liouvillian_matrix(gen)
     for _ in range(5):
         rho = random_density_matrix(lay.dim, rng)
-        direct = model.lindblad_rhs(gen, rho)
+        direct = lindblad_rhs(gen, rho)
         via_matrix = (liou @ rho.reshape(-1)).reshape(lay.dim, lay.dim)
         assert np.max(np.abs(direct - via_matrix)) < 1e-12
 
@@ -199,13 +206,13 @@ def test_literal_dissipator_breaks_trace_conservation():
         lay, _params(couplings=(0.0,), gamma=gamma),
         dissipator_form=model.DISSIPATOR_LITERAL,
     )
-    rho_e = dyn.pure_state_density(fs.basis_state(lay, 0, "e"))
-    assert np.trace(model.lindblad_rhs(gen, rho_e)).real == pytest.approx(gamma)
-    rho_g = dyn.pure_state_density(fs.basis_state(lay, 0, "g"))
-    assert np.trace(model.lindblad_rhs(gen, rho_g)).real == pytest.approx(-gamma)
+    rho_e = pure_state_density(fs.basis_state(lay, 0, "e"))
+    assert np.trace(lindblad_rhs(gen, rho_e)).real == pytest.approx(gamma)
+    rho_g = pure_state_density(fs.basis_state(lay, 0, "g"))
+    assert np.trace(lindblad_rhs(gen, rho_g)).real == pytest.approx(-gamma)
     # the standard form is traceless on the same states
     std = model.build_generator(lay, _params(couplings=(0.0,), gamma=gamma))
-    assert abs(np.trace(model.lindblad_rhs(std, rho_e))) < 1e-14
+    assert abs(np.trace(lindblad_rhs(std, rho_e))) < 1e-14
 
 
 def test_atom_decay_matches_closed_form():
