@@ -45,7 +45,6 @@ import numpy as np
 
 from . import analytic, coupling, dynamics as dyn, entanglement as ent, presets
 from .fockspace import HilbertLayout
-from .model import DISSIPATOR_FORMS, DISSIPATOR_TRACE_PRESERVING
 from .units import ghz_to_angular, mhz_to_angular
 
 SWEEP_AXES = ("delta_x_nm", "delta_y_nm", "alpha")
@@ -86,7 +85,6 @@ class ExperimentConfig:
     gamma_mhz: float = presets.GAMMA_RB87_D2_MHZ
     lambda_nm: float = presets.LAMBDA_NM
     detuning_ghz: float = 0.0
-    dissipator_form: str = DISSIPATOR_TRACE_PRESERVING
     lossless: bool = False
     t_end_ns: float = 0.3
     dt_ns: float = 2e-4
@@ -390,6 +388,14 @@ SCENARIOS = {
     "custom": Scenario("direct parameter run without scenario presets", {}, _custom_plan),
 }
 
+# The fits each summary makes to a run's exchange: (run, the key of its window,
+# the fewest interior extrema it takes, maxima only, as fig2's envelope fit with loss).
+SUMMARY_FITS = {
+    "fig2_single_atom": (("short", "t_end_ns", 3, False), ("long", "t_long_ns", 10, True)),
+    "fig3_two_atom": (("one_photon_equal", "t_end_ns", 3, False),),
+    "n_atom_wstate": (("wstate", "t_end_ns", 3, False),),
+}
+
 
 # The sweep axes a scenario runs, each with the grid it takes where the
 # config has no table for it; a table of any other axis is an error.
@@ -422,15 +428,17 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     states; and one CSV_BLOCK_ROWS block of the columns as Python floats,
     32 bytes each with the list's pointer, plus 1 KiB per column for its
     name, its array object and its text in the row being written
-    (measured at 0.35 KiB, N = 11).
+    (measured at 0.35 KiB, N = 11); and 64 bytes per basis state for the
+    ket and the index arithmetic over all d of them (measured at 37 to 62
+    bytes, N = 14 to 18, tracking only n_photon).
 
     Held: 8 bytes per output (at most t_end/dt + 2) in each column of each
-    kept trajectory (the time, populations of all d states, the photon
-    number, N + 1 entropies, the atom pairs, three projections, and 8 for
-    the grid's steps), and per sweep point a table row, a dict of Python
-    floats measured at 288 bytes for 4 and 5 values, counted as 64 bytes
-    per value plus 64.  Logarithms, so that an absurd atom count or grid
-    cannot overflow.
+    kept trajectory (the time, populations of all d states if it tracks
+    them, the photon number, N + 1 entropies, the atom pairs, three
+    projections, and 8 for the grid's steps), and per sweep point a table
+    row, a dict of Python floats measured at 288 bytes for 4 and 5 values,
+    counted as 64 bytes per value plus 64.  Logarithms, so that an absurd
+    atom count or grid cannot overflow.
 
     The sum bounds tracemalloc's traced peak, not the process's resident
     memory: it counts neither the interpreter and numpy baseline (about
@@ -450,9 +458,10 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     for log2_copies, run in runs:
         n_atoms, n_photons = run.n_atoms, run.n_photons
         log2_dim = math.log2(cfg.n_max_for(n_photons) + 1) + n_atoms
-        log2_cols = np.logaddexp2(log2_dim, math.log2((n_atoms + 1) * (n_atoms + 2) // 2 + 12))
+        pops = log2_dim if "populations" in run.track else -math.inf
+        log2_cols = np.logaddexp2(pops, math.log2((n_atoms + 1) * (n_atoms + 2) // 2 + 12))
         outputs = run.t_end_ns / run.dt_ns + 2
-        work = [math.log2(32 * dyn.CSV_BLOCK_ROWS + 1024) + log2_cols]
+        work = [math.log2(32 * dyn.CSV_BLOCK_ROWS + 1024) + log2_cols, log2_dim + 6]
         if log2_dim <= 64:  # d' <= d, and past 2^64 states the CSV block alone is too big
             kept = sum(math.comb(n_atoms, j) * (n_photons - j + 1)
                        for j in range(min(n_atoms, n_photons) + 1))
@@ -673,8 +682,6 @@ def parse_config(text: str) -> ExperimentConfig:
           f"must be >= 0, got {cfg.kappa_mhz}")
     check(cfg.gamma_mhz >= 0, "gamma_mhz", f"must be >= 0, got {cfg.gamma_mhz}")
     check(cfg.lambda_nm > 0, "lambda_nm", f"must be > 0, got {cfg.lambda_nm}")
-    check(cfg.dissipator_form in DISSIPATOR_FORMS, "dissipator_form",
-          f"must be one of {DISSIPATOR_FORMS}")
     check(cfg.t_end_ns > 0, "t_end_ns", f"must be > 0, got {cfg.t_end_ns}")
     check(cfg.dt_ns > 0, "dt_ns", f"must be > 0, got {cfg.dt_ns}")
     check(cfg.workers >= 1, "workers", f"must be >= 1, got {cfg.workers}")
@@ -716,14 +723,28 @@ def parse_config(text: str) -> ExperimentConfig:
             reads.append(("every sweep point", plan.sweep.run(cfg, 0.0), plan.sweep.peaks))
         for name, run, columns in reads:
             layout = HilbertLayout(cfg.n_max_for(run.n_photons), run.n_atoms)
-            # The observable behind each column it can record; the other
-            # columns are projections, which a run always records.
-            source = {c: o for o in dyn.TRACKABLE for c in dyn.tracked_columns(layout, (o,))}
+            # The observable behind each column it can record (populations by
+            # prefix, unbuilt); the others are projections, which a run always records.
+            source = {c: o for o in dyn.TRACKABLE if o != "populations"
+                      for c in dyn.tracked_columns(layout, (o,))}
+            source |= {c: "populations" for c in columns if c.startswith("pop_")}
             for column in columns:
                 if column in source and source[column] not in run.track:
                     errors.append(
                         f"{at('observables')}: observables: {scenario} reads column "
                         f"{column!r} of {name}, which needs {source[column]!r} in this list")
+        # The exchange is sin^2(Omega t), Omega = sqrt(|g|^2 + (Delta/2)^2), with extrema
+        # at multiples of pi / (2 Omega): those before the grid's last step are interior.
+        lossy = cfg.resolved_kappa_mhz + cfg.resolved_gamma_mhz > 0
+        for name, key, least, maxima in SUMMARY_FITS.get(scenario, ()):
+            run = runs[name]
+            omega = math.hypot(*_angular(run), ghz_to_angular(cfg.detuning_ghz) / 2)
+            found = max(0, math.ceil((run.t_end_ns - run.dt_ns) * 2 * omega / math.pi) - 1)
+            found = (found + 1) // 2 if maxima else found  # the odd multiples are maxima
+            blame = next((k for k in (key, "couplings_ghz", "g_ghz") if (k,) in lines), key)
+            check(found >= least or (maxima and not lossy), blame,
+                  f"run {name!r} has {found} interior {'maxima' if maxima else 'extrema'} "
+                  f"of its exchange within {key} = {run.t_end_ns:g} ns; its fit needs >= {least}")
 
     if errors:
         raise ConfigError(errors)

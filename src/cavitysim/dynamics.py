@@ -16,8 +16,8 @@ module's, in numpy: scaling and squaring with the [13/13] Pade
 approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), one
 function for both generators.  One propagator is built per distinct step
 of the output grid, so a uniform grid costs one expm.  Trace is never
-renormalized: trace drift is a quality metric and the run fails if it
-exceeds `trace_tol`.
+renormalized: every generator here preserves it, so a drift of more than
+TRACE_TOL at any output time fails the run.
 
 Propagation is a sequential loop, but observables are not evaluated per
 step: the states are written into a chunk buffer of about CHUNK_BYTES,
@@ -47,6 +47,8 @@ TRAJECTORY_SCHEMA = "cavitysim-trajectory-v1"
 # The observables integrate() can track.
 TRACKABLE = ("populations", "n_photon", "entropies", "concurrence")
 
+# Largest |tr rho - 1| that integrate() accepts at any output time.
+TRACE_TOL = 1e-9
 # Size of the buffer of states that integrate() evaluates together.
 CHUNK_BYTES = 2**20
 # Rows that write_trajectory_csv converts to text together.
@@ -185,7 +187,6 @@ def integrate(
     snapshot_stride: int | None = None,
     track: tuple = ("populations", "n_photon"),
     projections: dict | None = None,
-    trace_tol: float = 1e-9,
 ) -> Trajectory:
     """Propagate |psi0><psi0| exactly over an increasing time grid and
     record observables.
@@ -200,7 +201,7 @@ def integrate(
     atom), normalized by sector_norm_dim at psi0's excitation number;
     concurrence is computed for every atom pair.  No trace renormalization
     is applied; the run raises IntegrationError if |tr rho - 1| exceeds
-    trace_tol at any output time, naming the first such time.
+    TRACE_TOL at any output time, naming the first such time.
 
     psi0 is a ket of length d whose non-zero amplitudes lie in one
     excitation sector, as every basis state's do (ValueError otherwise,
@@ -245,7 +246,6 @@ def integrate(
     rho = np.outer(psi0[kept], psi0[kept].conj())
 
     n_out = times.size
-    labels = population_labels(layout)
     want_pops = "populations" in track
     want_nph = "n_photon" in track
 
@@ -257,8 +257,8 @@ def integrate(
     )
 
     projections = dict(projections or {})
+    # Populations lead, in basis-index order; those not kept stay exactly 0.
     column_order = tracked_columns(layout, track) + list(projections)
-    # Populations outside the kept states stay exactly 0.
     obs = {name: np.zeros(n_out) for name in column_order}
 
     lossy = bool(gen.collapse_channels)
@@ -307,16 +307,16 @@ def integrate(
         ks = slice(k0, k0 + len(chunk))
         diag = np.real(chunk.reshape(len(chunk), -1)[:, diag_idx])
         tr = diag.sum(axis=1)
-        bad = np.flatnonzero(~np.isfinite(tr) | (np.abs(tr - 1.0) > trace_tol))
+        bad = np.flatnonzero(~np.isfinite(tr) | (np.abs(tr - 1.0) > TRACE_TOL))
         if bad.size:
             k = k0 + bad[0]
             raise IntegrationError(
                 f"trace deviation {tr[bad[0]] - 1.0:.3e} at t={times[k]:.6g} ns "
-                f"exceeds tolerance {trace_tol:g}"
+                f"exceeds tolerance {TRACE_TOL:g}"
             )
         if want_pops:
             for k, column in zip(kept, diag.T):
-                obs[labels[k]][ks] = column
+                obs[column_order[k]][ks] = column
         if want_nph:
             obs["n_photon"][ks] = diag @ nph_diag
         for p, m in zip(entropy_factors, entropy_maps):

@@ -7,12 +7,9 @@ frequencies (~2.4e6 rad/ns) is numerically pointless since every observable
 used downstream (bare-state populations, entropies, concurrence) is
 invariant under that frame change.
 
-The dissipator is built in the standard trace-preserving form
+Loss enters in the standard trace-preserving Lindblad form
     kappa (a rho a^dag - 1/2 {a^dag a, rho}) + gamma sum_i (...)
-A `literal` variant with the anticommutators transposed ({a a^dag, rho}) is
-exposed for comparison; it does not preserve the trace, so `integrate`'s
-trace-drift gate rejects it at the default tolerance, and
-`runner.trajectory` lifts the gate (trace_tol = inf) for it.
+(Lindblad, Commun. Math. Phys. 48, 119 (1976)).
 
 Every operator is built by index arithmetic on `fockspace`'s basis
 encoding, on the basis states a caller passes as `keep` (all d of them if
@@ -26,10 +23,6 @@ import numpy as np
 
 from . import fockspace as fs
 from .fockspace import HilbertLayout
-
-DISSIPATOR_TRACE_PRESERVING = "trace_preserving"
-DISSIPATOR_LITERAL = "literal"
-DISSIPATOR_FORMS = (DISSIPATOR_TRACE_PRESERVING, DISSIPATOR_LITERAL)
 
 
 @dataclass(frozen=True)
@@ -68,21 +61,15 @@ class SystemParams:
 
 @dataclass(frozen=True, eq=False)
 class LindbladGenerator:
-    """What defines d(rho)/dt: the layout, the parameters and the dissipator
-    form.  It holds no operator; build_hamiltonian, collapse_operators and
-    liouvillian_matrix build them on the basis states a caller needs."""
+    """What defines d(rho)/dt: the layout and the parameters.  It holds no
+    operator; build_hamiltonian, collapse_operators and liouvillian_matrix
+    build them on the basis states a caller needs."""
 
     layout: HilbertLayout
     params: SystemParams
-    dissipator_form: str = DISSIPATOR_TRACE_PRESERVING
 
     def __post_init__(self):
         _check_match(self.layout, self.params)
-        if self.dissipator_form not in DISSIPATOR_FORMS:
-            raise ValueError(
-                f"dissipator_form must be one of {DISSIPATOR_FORMS}, "
-                f"got {self.dissipator_form!r}"
-            )
 
     @property
     def dim(self) -> int:
@@ -165,38 +152,19 @@ def build_hamiltonian(layout: HilbertLayout, params: SystemParams, keep=None) ->
     return h + np.diag(diag)
 
 
-def build_generator(
-    layout: HilbertLayout,
-    params: SystemParams,
-    dissipator_form: str = DISSIPATOR_TRACE_PRESERVING,
-) -> LindbladGenerator:
+def build_generator(layout: HilbertLayout, params: SystemParams) -> LindbladGenerator:
     """The generator with collapse channels (kappa, a) and (gamma, sigma_i)."""
-    return LindbladGenerator(layout, params, dissipator_form)
+    return LindbladGenerator(layout, params)
 
 
 def collapse_operators(gen: LindbladGenerator, keep=None) -> list:
-    """(rate, L, anticommutator diagonal) per collapse channel, L on the
-    basis states `keep` (all of them if None).
-
-    The anticommutator's operator is diagonal for every channel: L^dag L in
-    the trace-preserving form, L L^dag in the literal one.  L L^dag at |k>
-    is the squared amplitude of L on the state one step up, k + shift,
-    which need not be kept: a a^dag on a kept |1gg> passes through |2gg>.
-    So the diagonal is taken from the whole space, and the restricted
-    generator is the full one's block.
-    """
+    """(rate, L, diagonal of L^dag L) per collapse channel, on the basis
+    states `keep` (all of them if None).  L^dag L is diagonal: at |k> it is
+    the squared amplitude of L there."""
     layout, states = gen.layout, _states(gen.layout, keep)
-    out = []
-    for rate, factor in gen.collapse_channels:
-        amplitudes, shift = _lowering(layout, factor, states)
-        if gen.dissipator_form == DISSIPATOR_LITERAL:
-            # k + shift is past the photon truncation for n = n_max, and
-            # carries out of atom i's digit where that digit is 1: both
-            # give 0, as L L^dag does there.
-            up = states + shift
-            amplitudes = np.where(up < layout.dim, _lowering(layout, factor, up)[0], 0.0)
-        out.append((rate, lowering_operator(layout, factor, states), amplitudes**2))
-    return out
+    return [(rate, lowering_operator(layout, factor, states),
+             _lowering(layout, factor, states)[0] ** 2)
+            for rate, factor in gen.collapse_channels]
 
 
 def liouvillian_matrix(gen: LindbladGenerator, keep=None) -> np.ndarray:

@@ -68,15 +68,12 @@ def trajectory(cfg: ExperimentConfig, run: Run, snapshot_stride=None) -> dyn.Tra
         gamma=mhz_to_angular(cfg.resolved_gamma_mhz),
         couplings=tuple(ghz_to_angular(g) for g in run.couplings_ghz()),
     )
-    gen = build_generator(layout, params, dissipator_form=cfg.dissipator_form)
+    gen = build_generator(layout, params)
     return dyn.integrate(
         gen, fs.basis_state(layout, run.n_photons, "g" * layout.n_atoms), run.times(),
         snapshot_stride=snapshot_stride,
         track=run.track,
         projections=run.projections(layout, run) if run.projections else None,
-        # The literal dissipator form exists for comparison and does not
-        # preserve the trace, so the drift gate must not kill such runs.
-        trace_tol=float("inf") if cfg.dissipator_form == "literal" else 1e-9,
     )
 
 

@@ -94,9 +94,7 @@ def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
 def lindblad_rhs(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     """d(rho)/dt = -i[H, rho] + sum_k r_k (L rho L^dag - 1/2 {L^dag L, rho}).
 
-    In the trace-preserving form the result is traceless and Hermitian for
-    Hermitian rho.  The `literal` form uses {L L^dag, rho} instead and is
-    not trace-preserving.
+    The result is traceless, and Hermitian for Hermitian rho.
     """
     if rho.shape != (gen.dim, gen.dim):
         raise ValueError(

@@ -100,10 +100,12 @@ def test_run_exit_code_on_config_error(tmp_path):
 
 
 def test_run_exit_code_on_runtime_failure(tmp_path):
-    # a window shorter than one collective period has too few extrema to
-    # measure the W-state frequency from
-    short = _write(tmp_path, 'scenario = "n_atom_wstate"\nt_end_ns = 0.004\n')
-    assert main(["run", short, "--output-dir", str(tmp_path / "x")]) == 2
+    # a cavity loss far above the collective coupling overdamps the
+    # exchange: P_chi1 has one maximum, too few extrema to measure the
+    # W-state frequency from, which the lossless count at validate misses
+    overdamped = _write(tmp_path, 'scenario = "n_atom_wstate"\nkappa_mhz = 1e7\n')
+    assert main(["validate", overdamped]) == 0
+    assert main(["run", overdamped, "--output-dir", str(tmp_path / "x")]) == 2
 
 
 def test_validate_rejects_over_memory_config(tmp_path, capsys, monkeypatch):

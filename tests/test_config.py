@@ -88,7 +88,8 @@ def test_duplicate_key_rejected():
     assert len(errors) == 1 and errors[0].startswith("line 3: ")
 
 
-@pytest.mark.parametrize("key", ["frame = \"lab\"", "seed = 5", "snapshot_stride = 1"])
+@pytest.mark.parametrize("key", ["frame = \"lab\"", "seed = 5", "snapshot_stride = 1",
+                                 "dissipator_form = \"literal\""])
 def test_removed_keys_are_unknown(key, tmp_path):
     errors = _errors(f'scenario = "custom"\n{key}\n')
     name = key.split()[0]
@@ -210,7 +211,7 @@ EVERY_FIELD = (
     'scenario = "fig4_correlations"\ndesign = "D2"\nn_atoms = 3\nn_photons = 2\n'
     'n_max = 3\ng_ghz = 7.5\nalpha = 0.62\ncouplings_ghz = [1.0, 2.5, 3]\n'
     'q_factor = 2e6\nkappa_mhz = 12.5\ngamma_mhz = 5.5\nlambda_nm = 800.0\n'
-    'detuning_ghz = 0.25\ndissipator_form = "literal"\nlossless = true\n'
+    'detuning_ghz = 0.25\nlossless = true\n'
     't_end_ns = 0.2\ndt_ns = 1e-4\nt_long_ns = 20.0\ndt_long_ns = 0.01\n'
     'observables = ["populations"]\nresolution_nm = 4.0\n'
     'workers = 2\noutput_dir = "runs/every field"\n'
@@ -321,6 +322,34 @@ def test_configs_that_cannot_run_fail_validate(text, error, tmp_path):
     path = tmp_path / "cfg.toml"
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
+
+
+@pytest.mark.parametrize("text, error", [
+    # W state at 1 GHz norm: one extremum per 0.25 ns
+    ('scenario = "n_atom_wstate"\ncouplings_ghz = [0.0, 1.0, 0.0]\n',
+     "line 2: couplings_ghz: run 'wstate' has 0 interior extrema of its exchange within "
+     "t_end_ns = 0.12 ns; its fit needs >= 3"),
+    # one atom at 9 GHz: one extremum per 27.8 ps
+    ('scenario = "fig2_single_atom"\nt_end_ns = 0.05\n',
+     "line 2: t_end_ns: run 'short' has 1 interior extrema of its exchange within "
+     "t_end_ns = 0.05 ns; its fit needs >= 3"),
+    ('scenario = "fig3_two_atom"\nt_end_ns = 0.02\n',
+     "line 2: t_end_ns: run 'one_photon_equal' has 1 interior extrema of its exchange within "
+     "t_end_ns = 0.02 ns; its fit needs >= 3"),
+    # maxima at odd multiples of 27.8 ps: the ninth at 0.47 ns
+    ('scenario = "fig2_single_atom"\nt_long_ns = 0.5\n',
+     "line 2: t_long_ns: run 'long' has 9 interior maxima of its exchange within "
+     "t_long_ns = 0.5 ns; its fit needs >= 10"),
+], ids=["wstate_weak", "fig2_short", "fig3_short", "fig2_long"])
+def test_windows_too_short_for_the_summary_fit_fail_validate(text, error, tmp_path):
+    assert _errors(text) == [error]
+    path = tmp_path / "cfg.toml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    # the envelope fit is made only with loss
+    if "t_long_ns" in text:
+        path.write_text(text + "lossless = true\n")
+        assert main(["validate", str(path)]) == 0
 
 
 def test_fig5_sweep_may_reach_the_grid_edges(tmp_path):

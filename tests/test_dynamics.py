@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from cavitysim import analytic, dynamics as dyn, entanglement as ent, fockspace as fs, model
 from cavitysim import runner
-from cavitysim.config import SCENARIOS, parse_config
+from cavitysim.config import SCENARIOS, _log2_peak_bytes, parse_config
 from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
 from cavitysim.units import ghz_to_angular
@@ -70,15 +70,42 @@ def test_unknown_track_entries_are_rejected():
     assert f"valid: {', '.join(dyn.TRACKABLE)}" in msg
 
 
-def test_trace_drift_gate_raises():
-    # the literal dissipator does not preserve the trace; propagated exactly,
-    # its drift must trip the gate at the default tolerance
-    lay = HilbertLayout(n_max=1, n_atoms=1)
-    p = SystemParams(omega_c=0.0, omega_0=0.0, kappa=0.19, gamma=0.0, couplings=(G,))
-    gen = model.build_generator(lay, p, dissipator_form=model.DISSIPATOR_LITERAL)
-    psi0 = fs.basis_state(lay, 1, "g")
-    with pytest.raises(dyn.IntegrationError):
-        dyn.integrate(gen, psi0, np.linspace(0.0, 50.0, 51))
+def test_untracked_populations_cost_nothing_of_size_d(monkeypatch):
+    # d = 2048 population labels for N = 10, built only for a run that
+    # records them
+    def forbidden(layout):
+        raise AssertionError("population labels built")
+
+    monkeypatch.setattr(dyn, "population_labels", forbidden)
+    lay, gen = _gen(1, (G,) * 10, kappa=0.19, gamma=0.04)
+    traj = dyn.integrate(gen, fs.basis_state(lay, 1, "g" * 10), np.linspace(0.0, 0.05, 11),
+                         track=("n_photon",))
+    assert traj.column_order == ["n_photon"]
+    assert traj.series("n_photon")[0] == 1.0
+    # nor does the memory gate count d = 196608 population columns at N = 16
+    cfg = parse_config('scenario = "custom"\nn_atoms = 16\nobservables = ["n_photon"]\n')
+    assert 2.0 ** _log2_peak_bytes(cfg, SCENARIOS["custom"].plan(cfg))[0] < 0.1e9
+
+
+def _leaky_run(monkeypatch, factor):
+    """A lossy one-atom run whose every propagator is scaled by factor, so
+    that the trace of the state at t = k ns is factor^k."""
+    exact = dyn.expm
+    monkeypatch.setattr(dyn, "expm", lambda a: factor * exact(a))
+    lay, gen = _gen(1, (G,), kappa=0.19)
+    return lambda ts: dyn.integrate(gen, fs.basis_state(lay, 1, "g"), ts)
+
+
+def test_trace_drift_gate_raises(monkeypatch):
+    # 1.2e-9 off at t = 4 ns, the first state past TRACE_TOL (9e-10 at 3 ns)
+    assert dyn.TRACE_TOL == 1e-9
+    run = _leaky_run(monkeypatch, 1.0 + 3e-10)
+    with pytest.raises(dyn.IntegrationError) as info:
+        run(np.linspace(0.0, 10.0, 11))
+    assert str(info.value) == "trace deviation 1.200e-09 at t=4 ns exceeds tolerance 1e-09"
+    # the same run, propagated exactly, passes the gate
+    monkeypatch.undo()
+    _leaky_run(monkeypatch, 1.0)(np.linspace(0.0, 10.0, 11))
 
 
 def test_rabi_frequency_measures_g_over_pi():
@@ -273,21 +300,20 @@ def test_lossless_run_never_builds_the_liouvillian(monkeypatch):
         _single_atom_run(kappa=0.19, n_points=51)
 
 
-@pytest.mark.parametrize("form", model.DISSIPATOR_FORMS)
-def test_lossy_three_atoms_match_dense_full_space_reference(form, rng):
+def test_lossy_three_atoms_match_dense_full_space_reference(rng):
     # a random start with two excitations: integrate keeps the 12 of the
     # d = 24 states with at most two, the reference propagates all of them
     lay = HilbertLayout(n_max=2, n_atoms=3)
     p = SystemParams(omega_c=0.0, omega_0=0.2 * G, kappa=4.0, gamma=1.5,
                      couplings=(G, 0.6 * G, 1.3 * G))
-    gen = model.build_generator(lay, p, dissipator_form=form)
+    gen = model.build_generator(lay, p)
     psi0 = random_sector_ket(lay, rng, 2)
     _, chi1 = analytic.single_excitation_states(lay, analytic.CouplingVector(p.couplings))
     ts = np.linspace(0.0, 0.4, 41)
     traj = dyn.integrate(
         gen, psi0, ts, snapshot_stride=1,
         track=("populations", "n_photon", "entropies", "concurrence"),
-        projections={"P_chi1": chi1}, trace_tol=np.inf,
+        projections={"P_chi1": chi1},
     )
 
     step = expm(model.liouvillian_matrix(gen) * (ts[1] - ts[0]))
@@ -295,8 +321,6 @@ def test_lossy_three_atoms_match_dense_full_space_reference(form, rng):
     for _ in ts[1:]:
         states.append((step @ states[-1].reshape(-1)).reshape(lay.dim, lay.dim))
     states = np.array(states)
-    if form == model.DISSIPATOR_LITERAL:  # the run is not trace-preserving
-        assert abs(np.trace(states[-1]).real - 1.0) > 0.1
     assert np.max(np.abs(traj.snapshots - states)) < 1e-12
 
     pops = np.real(np.diagonal(states, axis1=1, axis2=2))
@@ -505,21 +529,19 @@ def test_chunked_run_equals_one_chunk(monkeypatch):
 
 
 def test_trace_gate_names_first_time_in_a_later_chunk(monkeypatch):
-    # the literal dissipator's trace deviation first exceeds 0.5 at t = 13 ns
-    lay = HilbertLayout(n_max=1, n_atoms=1)
-    p = SystemParams(omega_c=0.0, omega_0=0.0, kappa=0.19, gamma=0.0, couplings=(G,))
-    gen = model.build_generator(lay, p, dissipator_form=model.DISSIPATOR_LITERAL)
-    psi0 = fs.basis_state(lay, 1, "g")
+    # the trace deviation (1 + 8e-11)^k - 1 first exceeds TRACE_TOL at
+    # k = 13: 9.6e-10 at t = 12 ns, 1.04e-9 at t = 13 ns
+    run = _leaky_run(monkeypatch, 1.0 + 8e-11)
     ts = np.linspace(0.0, 50.0, 51)
     with pytest.raises(dyn.IntegrationError) as one:
-        dyn.integrate(gen, psi0, ts, trace_tol=0.5)
+        run(ts)
     assert "at t=13 ns" in str(one.value)
     # 5 states per chunk: t = 13 ns is the fourth state of the third chunk
     # (the chunk holds 3 x 3 states on |0g>, |0e>, |1g>)
     monkeypatch.setattr(dyn, "CHUNK_BYTES", 5 * 16 * 3**2)
     assert dyn.chunk_states(3) == 5
     with pytest.raises(dyn.IntegrationError) as chunked:
-        dyn.integrate(gen, psi0, ts, trace_tol=0.5)
+        run(ts)
     assert str(chunked.value) == str(one.value)
 
 

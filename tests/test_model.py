@@ -11,7 +11,6 @@ from conftest import (
     embed_oracle,
     ladder_block,
     lindblad_rhs,
-    pure_state_density,
     random_density_matrix,
 )
 
@@ -88,8 +87,6 @@ def test_generator_collapse_list():
     gen2 = model.build_generator(lay, _params(couplings=(G, G), kappa=0.2, gamma=0.05))
     # one photon channel (factor 0) + one per atom
     assert gen2.collapse_channels == ((0.2, 0), (0.05, 1), (0.05, 2))
-    with pytest.raises(ValueError):
-        model.build_generator(lay, _params(couplings=(G, G)), dissipator_form="bogus")
 
 
 def _kron_operators(lay, p):
@@ -119,21 +116,17 @@ def test_builders_match_the_kron_oracle(n_max, n_atoms, rng):
     keeps.append(rng.permutation(lay.dim)[: lay.dim // 2])
     p = _params(couplings=couplings, omega_c=1.9, omega_0=2.6, kappa=0.3, gamma=0.11)
     h, collapse = _kron_operators(lay, p)
-    for form in model.DISSIPATOR_FORMS:
-        gen = model.build_generator(lay, p, dissipator_form=form)
-        for keep in keeps:
-            block = np.s_[:, :] if keep is None else np.ix_(keep, keep)
-            assert np.max(np.abs(model.build_hamiltonian(lay, p, keep) - h[block])) == 0.0
-            built = model.collapse_operators(gen, keep)
-            assert [r for r, _, _ in built] == [r for r, _ in collapse]
-            for (_, op, anti), (_, L) in zip(built, collapse):
-                assert np.max(np.abs(op - L[block])) == 0.0
-                # taken from the whole space: on the top sector the
-                # literal L L^dag passes through states that are not kept
-                full = L.conj().T @ L if form == model.DISSIPATOR_TRACE_PRESERVING \
-                    else L @ L.conj().T
-                assert np.count_nonzero(full - np.diag(np.diag(full))) == 0
-                assert np.max(np.abs(np.diag(anti) - full[block])) == 0.0
+    gen = model.build_generator(lay, p)
+    for keep in keeps:
+        block = np.s_[:, :] if keep is None else np.ix_(keep, keep)
+        assert np.max(np.abs(model.build_hamiltonian(lay, p, keep) - h[block])) == 0.0
+        built = model.collapse_operators(gen, keep)
+        assert [r for r, _, _ in built] == [r for r, _ in collapse]
+        for (_, op, anti), (_, L) in zip(built, collapse):
+            assert np.max(np.abs(op - L[block])) == 0.0
+            full = L.conj().T @ L
+            assert np.count_nonzero(full - np.diag(np.diag(full))) == 0
+            assert np.max(np.abs(np.diag(anti) - full[block])) == 0.0
 
 
 def test_generator_layout_mismatch():
@@ -180,39 +173,19 @@ def test_liouvillian_matches_rhs(rng):
         assert np.max(np.abs(direct - via_matrix)) < 1e-12
 
 
-@pytest.mark.parametrize("form", model.DISSIPATOR_FORMS)
-def test_liouvillian_on_kept_states_restricts_the_full_one(form):
+def test_liouvillian_on_kept_states_restricts_the_full_one():
     lay = HilbertLayout(n_max=2, n_atoms=2)
     p = _params(couplings=(G, 0.5 * G), kappa=0.2, gamma=0.04, omega_0=0.8)
-    gen = model.build_generator(lay, p, dissipator_form=form)
+    gen = model.build_generator(lay, p)
     kept = np.flatnonzero(fs.excitation_number_diagonal(lay) <= 1)
     inside = (kept[:, None] * lay.dim + kept).ravel()  # vec index of |k><l|
     outside = np.setdiff1d(np.arange(lay.dim**2), inside)
     full = model.liouvillian_matrix(gen)
     # operators on the kept states are mapped into themselves ...
     assert not np.any(full[np.ix_(outside, inside)])
-    # ... by the full generator's block; for the literal form this needs
-    # L L^dag taken before the restriction (a a^dag on the kept |1gg> passes
-    # through |2gg>, which is not kept)
+    # ... by the full generator's block
     sub = model.liouvillian_matrix(gen, kept)
     assert np.max(np.abs(sub - full[np.ix_(inside, inside)])) == 0.0
-
-
-def test_literal_dissipator_breaks_trace_conservation():
-    # the as-printed anticommutator {L L^dag, rho} gives d(tr)/dt = gamma (p_e - p_g)
-    lay = HilbertLayout(n_max=1, n_atoms=1)
-    gamma = 0.3
-    gen = model.build_generator(
-        lay, _params(couplings=(0.0,), gamma=gamma),
-        dissipator_form=model.DISSIPATOR_LITERAL,
-    )
-    rho_e = pure_state_density(fs.basis_state(lay, 0, "e"))
-    assert np.trace(lindblad_rhs(gen, rho_e)).real == pytest.approx(gamma)
-    rho_g = pure_state_density(fs.basis_state(lay, 0, "g"))
-    assert np.trace(lindblad_rhs(gen, rho_g)).real == pytest.approx(-gamma)
-    # the standard form is traceless on the same states
-    std = model.build_generator(lay, _params(couplings=(0.0,), gamma=gamma))
-    assert abs(np.trace(lindblad_rhs(std, rho_e))) < 1e-14
 
 
 def test_atom_decay_matches_closed_form():

@@ -67,22 +67,6 @@ def test_wstate_summary(tmp_path):
     assert report.summary["peak_p_chi1"] > 0.99
 
 
-def test_literal_dissipator_comparison_run_completes(tmp_path):
-    cfg = parse_config(
-        'scenario = "custom"\ndissipator_form = "literal"\n'
-        "t_end_ns = 0.05\ndt_ns = 0.0005\n"
-    )
-    report = run_scenario(cfg, output_dir=str(tmp_path / "lit"))
-    data = np.genfromtxt(
-        os.path.join(report.output_dir, "traj_custom.csv"),
-        delimiter=",", names=True, skip_header=1,
-    )
-    total = sum(data[n] for n in data.dtype.names if n.startswith("pop_"))
-    # the as-printed anticommutator does not preserve the trace; the drift
-    # is visible, which is the point of exposing the switch
-    assert abs(total[-1] - 1.0) > 1e-4
-
-
 def test_rabi_frequency_fft_cross_check():
     g = ghz_to_angular(9.0)
     lay = HilbertLayout(n_max=2, n_atoms=1)
