@@ -5,11 +5,13 @@ Usage: python scripts/run_all_figures.py [output_root]
 
 Writes one directory per scenario under output_root (default ./runs) and
 prints each scenario's summary scalars.  Medians of 7 on a noisy 2-core
-host (Python 3.11.7, numpy 2.4.6): 1.8 s of run time with OMP_NUM_THREADS=1
-and 1.9 s with two BLAS threads, half of it in the two fig5 maps (0.65 s
-each); the whole process takes 2.0 and 2.2 s, of which about 0.2 s is
-start-up.  While the package still imported scipy, start-up took 0.7 s
-and the whole process 2.6 and 2.9 s on the same host in the same hour.
+host (Python 3.11.7, numpy 2.4.6): 1.55 s of run time with
+OMP_NUM_THREADS=1 and 1.62 s with two BLAS threads, two thirds of it in
+the two fig5 maps (0.51-0.53 s each); the whole process takes 1.86 and
+1.94 s, of which about 0.3 s is start-up.  Propagated by U rho U^dag and
+the d'^2-row Liouvillian, as before the ket path, the same configs took
+2.04 and 2.17 s of run time (fig5 maps 0.69-0.76 s each) on the same host
+in the same hour.
 """
 
 import sys

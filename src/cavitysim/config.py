@@ -416,17 +416,21 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
 
     Runs run one at a time: the peak is the most working memory of any run
     plus all that the runs hold until the files are written.  Each run
-    counts at its own Hilbert dimension d = (n_max + 1) 2^N and its d' basis
-    states with at most as many excitations as it starts with, the ones
-    integrate propagates.  A sweep counts one point's run, and its point
-    count (the product of its axes' steps) times what a point holds.
+    counts at its own Hilbert dimension d = (n_max + 1) 2^N, the d_n basis
+    states of the excitation sector it starts in, and with loss the d_l
+    states below them: the ones integrate propagates.  A sweep counts one
+    point's run, and its point count (the product of its axes' steps) times
+    what a point holds.
 
     Working memory (a run builds nothing of size d^2: it starts from a ket
-    and builds every operator on the d' states): for a lossy run expm of
-    the d'^2 x d'^2 Liouvillian, measured at 9.0 such matrices (d' = 23,
-    30), counted as 10; integrate's buffer of chunk_states(d') d' x d'
-    states; and one CSV_BLOCK_ROWS block of the columns as Python floats,
-    32 bytes each with the list's pointer, plus 1 KiB per column for its
+    and builds every operator on the d_n + d_l states): for a lossy run expm
+    of the Van Loan block, (d_l^2 + d_n^2)^2 entries, measured at 9.0 such
+    matrices (d_n, d_l = 11, 6; 22, 8; 8, 12), counted as 10; at every
+    output time the ket and, with loss, the d_l x d_l lower block and its
+    scan's copy; integrate's chunk of chunk_states(d_n) output times,
+    counted as two d_n x d_n matrices each, the feed's outer products and
+    the observables' temporaries; and one CSV_BLOCK_ROWS block of the
+    columns as Python floats, 32 bytes each with the list's pointer, plus 1 KiB per column for its
     name, its array object and its text in the row being written
     (measured at 0.35 KiB, N = 11); and 64 bytes per basis state for the
     ket and the index arithmetic over all d of them (measured at 37 to 62
@@ -443,7 +447,8 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     The sum bounds tracemalloc's traced peak, not the process's resident
     memory: it counts neither the interpreter and numpy baseline (about
     39 MB) nor the allocator's hold on freed blocks.  Lossy one-photon
-    N = 13 is estimated at 1.14 GB and peaks at 1287 MB RSS.
+    N = 13 is estimated at 1.14 GB, and peaked at 1287 MB RSS when it was
+    still propagated by the d'^2 x d'^2 Liouvillian.
     """
     lossy = cfg.resolved_kappa_mhz > 0 or cfg.resolved_gamma_mhz > 0
     runs = [(0.0, run) for run in plan.runs]  # (log2 of the copies held or None, run)
@@ -463,11 +468,15 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
         outputs = run.t_end_ns / run.dt_ns + 2
         work = [math.log2(32 * dyn.CSV_BLOCK_ROWS + 1024) + log2_cols, log2_dim + 6]
         if log2_dim <= 64:  # d' <= d, and past 2^64 states the CSV block alone is too big
-            kept = sum(math.comb(n_atoms, j) * (n_photons - j + 1)
-                       for j in range(min(n_atoms, n_photons) + 1))
-            work.append(math.log2(min(outputs, dyn.chunk_states(kept)) * 16 * kept**2))
-            if lossy:
-                work.append(math.log2(10 * 16 * kept**4))
+            # j excited atoms with n_photons - j photons make the top sector;
+            # with loss, fewer photons the states below it
+            excited = range(min(n_atoms, n_photons) + 1)
+            top = sum(math.comb(n_atoms, j) for j in excited)
+            low = sum(math.comb(n_atoms, j) * (n_photons - j) for j in excited) if lossy else 0
+            work.append(math.log2(min(outputs, dyn.chunk_states(top)) * 32 * top**2))
+            work.append(math.log2(outputs * 16 * (top + 2 * low**2)))
+            if low:
+                work.append(math.log2(10 * 16 * (low**2 + top**2) ** 2))
         working.append((np.logaddexp2.reduce(work), ("n_atoms",)))
         if log2_copies is not None:
             held.append((log2_copies + math.log2(outputs) + 3 + log2_cols, run.key))
@@ -686,6 +695,11 @@ def parse_config(text: str) -> ExperimentConfig:
     check(cfg.dt_ns > 0, "dt_ns", f"must be > 0, got {cfg.dt_ns}")
     check(cfg.workers >= 1, "workers", f"must be >= 1, got {cfg.workers}")
     if cfg.scenario == "fig2_single_atom":  # the only scenario with a long run
+        # Its summary reads pop_0e and compares the exchange with the
+        # one-photon g/pi; from 0 photons the check above names the key.
+        check(cfg.n_photons <= 1, "n_photons",
+              f"must be 1 for {scenario}, whose summary compares the one-photon "
+              f"exchange with g/pi, got {cfg.n_photons}")
         check(cfg.t_long_ns > 0, "t_long_ns", f"must be > 0, got {cfg.t_long_ns}")
         check(cfg.dt_long_ns > 0, "dt_long_ns", f"must be > 0, got {cfg.dt_long_ns}")
     if cfg.scenario == "fig5_position_map":  # the only scenario with a field map

@@ -2,31 +2,42 @@
 
 Every generator here is time-independent and undriven: H and each L^dag L
 conserve the excitation number e (photons plus excited atoms), and each
-jump lowers it by one.  A state that is block-diagonal in e therefore stays
-so, on the basis states whose e is at most the largest one it starts with,
-and integrate() propagates it on those alone (d' of the d basis states),
-with generators that `model` builds on them and nowhere else: with no
-collapse operators, rho <- U rho U^dag with U = expm(-i H dt) on d' x d';
-otherwise vec(rho) <- P vec(rho) with P = expm(L dt) on the d'^2 x d'^2
-Liouvillian.  A run starts from a ket of length d inside one excitation
-sector, and the first state it propagates is that ket's d' x d' outer
-product on the kept states, so no d x d array exists on a run's path
-(snapshots, if asked for, are the one exception).  expm() is this
-module's, in numpy: scaling and squaring with the [13/13] Pade
-approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), one
-function for both generators.  One propagator is built per distinct step
-of the output grid, so a uniform grid costs one expm.  Trace is never
-renormalized: every generator here preserves it, so a drift of more than
-TRACE_TOL at any output time fails the run.
+jump lowers it by one.  A run starts from a ket psi0 inside one sector
+e = n, so its state is block-diagonal in e on the states with e <= n, and
+the block of sector n stays rank one (Dalibard, Castin & Molmer, PRL 68,
+580 (1992)): rho = psi psi^dag + x.  integrate() propagates
 
-Propagation is a sequential loop, but observables are not evaluated per
-step: the states are written into a chunk buffer of about CHUNK_BYTES,
-shape (c, d', d'), and each full chunk is evaluated at once.  The block
+- the ket psi on the d_n states of sector n by K = expm(-i H_eff dt),
+  H_eff = H - (i/2) sum rate L^dag L (its norm falls by what the jumps
+  take); and
+- with loss, the density block x on the d_l states below sector n, by
+  x_k = E x_(k-1) + F vec(psi_(k-1) psi_(k-1)^dag).  E and F are the top
+  row of expm([[L_low, J], [0, L_top]] dt) (Van Loan, IEEE TAC 23, 395
+  (1978)): L_low the Liouvillian of the states below, L_top the action of
+  H_eff on psi psi^dag, J = sum rate (L kron L*) the jumps out of sector n.
+
+A lossless run has no x and builds no Liouvillian; a lossy one builds it
+on the d_l states below sector n only, never on all d_l + d_n.  No d x d
+array is built on a run's path (snapshots, if asked for, are the one
+exception).  expm() is this module's, in numpy: scaling
+and squaring with the [13/13] Pade approximant (Higham, SIAM J. Matrix
+Anal. Appl. 26, 1179 (2005)), one function for every generator.  It is
+not replaced by an eigendecomposition: H_eff is defective at an
+exceptional point (one atom at kappa - gamma = 4 g).  Trace is never
+renormalized and x is fed only by psi, so the trace check |psi|^2 + tr x
+= 1 is a real one: a drift of more than TRACE_TOL at any output time fails
+the run.
+
+Propagation has no Python loop per output step.  Each run of equal steps
+takes its kets by doubling, rows[n:2n] = rows[:n] K^n with K^n squared
+from the last, and x by a log-depth scan over the feeds; the feeds'
+outer products are built a chunk of output times at a time.  Observables
+are then evaluated a chunk at a time, straight from (psi, x).  The block
 structure makes each single-factor reduced state diagonal and each atom
 pair's an X-state, so entropies and concurrence come from marginal
 populations and one coherence per pair, with no eigensolver.  The trace
-gate checks the whole chunk before anything is recorded and still names
-the first offending time.  Snapshots are embedded back into d x d.
+gate checks each chunk before anything of it is recorded and names the
+first offending time.  Snapshots are embedded back into d x d.
 
 Time is in ns throughout; rates are angular (rad/ns).
 """
@@ -40,7 +51,12 @@ import numpy as np
 from . import entanglement as ent
 from . import fockspace as fs
 from .fockspace import HilbertLayout
-from .model import LindbladGenerator, build_hamiltonian, liouvillian_matrix
+from .model import (
+    LindbladGenerator,
+    build_hamiltonian,
+    collapse_operators,
+    liouvillian_matrix,
+)
 
 TRAJECTORY_SCHEMA = "cavitysim-trajectory-v1"
 
@@ -49,7 +65,8 @@ TRACKABLE = ("populations", "n_photon", "entropies", "concurrence")
 
 # Largest |tr rho - 1| that integrate() accepts at any output time.
 TRACE_TOL = 1e-9
-# Size of the buffer of states that integrate() evaluates together.
+# Size of the d_n x d_n outer products of kets that integrate() builds
+# together, for the feed and for the output times it evaluates together.
 CHUNK_BYTES = 2**20
 # Rows that write_trajectory_csv converts to text together.
 CSV_BLOCK_ROWS = 1024
@@ -191,26 +208,32 @@ def integrate(
     """Propagate |psi0><psi0| exactly over an increasing time grid and
     record observables.
 
-    Steps that agree to 12 digits of the grid's span share one propagator,
-    built for their mean: a linspace grid, whose steps scatter by a few
-    ulp, builds one.
+    The state at each output time is held as (psi, x): the ket psi on the
+    d_n states of psi0's excitation sector n, and, with loss, the density
+    block x on the d_l states below it; rho = psi psi^dag + x.  Steps that
+    agree to 12 digits of the grid's span share one step class, whose
+    propagators are built for their mean step dt: K = expm(-i H_eff dt)
+    for psi and, with loss, E and F for x_k = E x_(k-1) + F vec(psi_(k-1)
+    psi_(k-1)^dag).  A linspace grid, whose steps scatter by a few ulp,
+    builds them once.
 
     track may contain any of TRACKABLE (ValueError on any other entry).
     projections maps extra column names to kets whose population <v|rho|v>
     is recorded.  Entropies are computed per single factor (photon and each
     atom), normalized by sector_norm_dim at psi0's excitation number;
     concurrence is computed for every atom pair.  No trace renormalization
-    is applied; the run raises IntegrationError if |tr rho - 1| exceeds
+    is applied: x has only its own feed, and the run raises
+    IntegrationError if |tr rho - 1| = ||psi|^2 + tr x - 1| exceeds
     TRACE_TOL at any output time, naming the first such time.
 
     psi0 is a ket of length d whose non-zero amplitudes lie in one
     excitation sector, as every basis state's do (ValueError otherwise,
-    and if its squared norm is not 1 within 1e-9).  The run then
-    propagates only the d' basis states with at most that many
-    excitations; populations of the others are exactly 0.  States are
-    evaluated a chunk of chunk_states(d') at a time; the chunk size changes
-    neither the observables nor the snapshots, which are copied from each
-    chunk at times[::snapshot_stride] into full d x d matrices.
+    and if its squared norm is not 1 within 1e-9).  Populations of the
+    states above that sector, and without loss of those below it, are
+    exactly 0.  Observables are evaluated a chunk of chunk_states(d_n)
+    output times at a time; the chunk size changes neither the
+    observables nor the snapshots, which are copied at
+    times[::snapshot_stride] into full d x d matrices.
     """
     unknown = [t for t in track if t not in TRACKABLE]
     if unknown:
@@ -238,12 +261,14 @@ def integrate(
     if abs(norm2 - 1.0) > 1e-9:
         raise ValueError(f"psi0 has squared norm {norm2!r}, not 1 within 1e-09")
     # Every state psi0 can reach lives on the basis states up to its
-    # excitation number (no drive; H and each L^dag L conserve it, each jump
-    # lowers it by one), so the propagation runs on those alone.
+    # excitation number n (no drive; H and each L^dag L conserve it, each
+    # jump lowers it by one).  Sector n keeps rank one: psi.  Only jumps
+    # fill the states below it, which a lossless run leaves empty.
     n_exc = int(sectors[0])
     kept = np.flatnonzero(exc <= n_exc)
-    d_sub = kept.size
-    rho = np.outer(psi0[kept], psi0[kept].conj())
+    in_top = exc[kept] == n_exc
+    top, low = kept[in_top], kept[~in_top] if gen.collapse_channels else kept[:0]
+    d_top, d_low = top.size, low.size
 
     n_out = times.size
     want_pops = "populations" in track
@@ -257,56 +282,79 @@ def integrate(
     )
 
     projections = dict(projections or {})
-    # Populations lead, in basis-index order; those not kept stay exactly 0.
+    # Populations lead, in basis-index order; those not propagated stay exactly 0.
     column_order = tracked_columns(layout, track) + list(projections)
     obs = {name: np.zeros(n_out) for name in column_order}
 
-    lossy = bool(gen.collapse_channels)
+    chunk = chunk_states(d_top)
+    psi = np.empty((n_out, d_top), dtype=complex)
+    psi[0] = psi0[top]
+    x = np.zeros((n_out, d_low * d_low), dtype=complex)  # row-major vec of x
     if n_out > 1:
         steps = np.diff(times)
         bins = np.round((steps - steps[0]) / (1e-12 * (times[-1] - times[0])))
         _, step_class = np.unique(bins, return_inverse=True)
         lengths = np.bincount(step_class, weights=steps) / np.bincount(step_class)
-        # Without loss the d' x d' unitary suffices; with it, expm runs on
-        # the d'^2 x d'^2 Liouvillian.
-        generator = (
-            liouvillian_matrix(gen, kept) if lossy
-            else -1j * build_hamiltonian(layout, gen.params, kept)
-        )
-        props = [expm(generator * dt) for dt in lengths]
-        props_dag = [u.conj().T for u in props]
-
-    diag_idx = np.arange(d_sub) * (d_sub + 1)
-    nph_diag = fs.photon_number_diagonal(layout)[kept].astype(float)
-    kets = np.array(list(projections.values()), dtype=complex).reshape(-1, dim)[:, kept]
+        h_eff = build_hamiltonian(layout, gen.params, top)
+        channels = collapse_operators(gen, kept)
+        for rate, _, anti in channels:
+            h_eff -= 0.5j * rate * np.diag(anti[in_top])
+        feed = _van_loan_generator(gen, channels, in_top, low, h_eff) if d_low else None
+        props = []
+        for dt in lengths:
+            ket_step = expm(-1j * h_eff * dt)
+            # Van Loan (1978): the top rows of expm([[L_low, J], [0, L_top]] dt)
+            # are [E, F], the step of x and its feed from psi psi^dag.
+            props.append((ket_step, expm(feed * dt)[:d_low**2].copy() if d_low else None))
+        # Runs of equal steps, each propagated at once from its first output.
+        starts = np.flatnonzero(np.diff(step_class, prepend=-1))
+        for a, b in zip(starts, [*starts[1:], n_out - 1]):
+            ket_step, top_rows = props[step_class[a]]
+            _power_series(psi[a:b + 1], ket_step.T)
+            if top_rows is None:
+                continue
+            x_step, x_feed = top_rows[:, :d_low**2], top_rows[:, d_low**2:]
+            for k in range(a, b, chunk):
+                kets = psi[k:min(k + chunk, b)]
+                rank_one = (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), -1)
+                x[k + 1:k + 1 + len(kets)] = rank_one @ x_feed.T
+            _linear_scan(x[a:b + 1], x_step.T)
 
     # Every state stays block-diagonal in excitation number, so the reduced
     # state of one factor is diagonal, and that of an atom pair has only the
     # coherence rho[ge, eg] off the diagonal: both follow from marginal
-    # populations, summed from the kept diagonal by 0/1 matrices, and the
-    # pair's coherence from the elements |.. g_i .. e_j ..><.. e_i .. g_j ..|.
-    # Those kept states pair up in basis order, since swapping the two atoms'
-    # bits moves every basis index by the same offset.
+    # populations, summed by 0/1 matrices from the populations of `order`,
+    # and the pair's coherence from the elements |.. g_i .. e_j ..><.. e_i
+    # .. g_j ..|.  Those pair up inside each block in basis order, since
+    # swapping the two atoms' bits moves every basis index by one offset
+    # and keeps its excitation number.
+    order = np.concatenate([top, low])
+    nph_diag = fs.photon_number_diagonal(layout)[order].astype(float)
     entropy_maps = [
-        np.eye(layout.factor_dims()[p])[fs.factor_index(layout, kept, (p,))]
+        np.eye(layout.factor_dims()[p])[fs.factor_index(layout, order, (p,))]
         for p in entropy_factors
     ]
     pair_maps = []
     for pair in pairs:
-        index = fs.factor_index(layout, kept, pair)
-        pair_maps.append((np.eye(4)[index], np.flatnonzero(index == 1),
-                          np.flatnonzero(index == 2)))
+        index = fs.factor_index(layout, order, pair)
+        ge, eg = (np.flatnonzero(index == v) for v in (1, 2))
+        pair_maps.append((np.eye(4)[index], ge[ge < d_top], eg[eg < d_top],
+                          ge[ge >= d_top] - d_top, eg[eg >= d_top] - d_top))
+    vecs = np.array(list(projections.values()), dtype=complex).reshape(-1, dim)
+    vecs_top, vecs_low = vecs[:, top], vecs[:, low]
 
     snap_idx = snapshots = None
     if snapshot_stride and snapshot_stride > 0:
         snap_idx = np.arange(0, n_out, snapshot_stride)
         snapshots = np.zeros((snap_idx.size, dim, dim), dtype=complex)
 
-    def evaluate(chunk: np.ndarray, k0: int):
-        """Gate and record the states at output indices k0 .. k0 + len(chunk)."""
-        ks = slice(k0, k0 + len(chunk))
-        diag = np.real(chunk.reshape(len(chunk), -1)[:, diag_idx])
-        tr = diag.sum(axis=1)
+    for k0 in range(0, n_out, chunk):
+        ks = slice(k0, min(k0 + chunk, n_out))
+        kets = psi[ks]
+        lower = x[ks].reshape(len(kets), d_low, d_low)
+        pops = np.hstack([kets.real**2 + kets.imag**2,
+                          np.real(np.diagonal(lower, axis1=1, axis2=2))])
+        tr = pops.sum(axis=1)
         bad = np.flatnonzero(~np.isfinite(tr) | (np.abs(tr - 1.0) > TRACE_TOL))
         if bad.size:
             k = k0 + bad[0]
@@ -315,45 +363,35 @@ def integrate(
                 f"exceeds tolerance {TRACE_TOL:g}"
             )
         if want_pops:
-            for k, column in zip(kept, diag.T):
+            for k, column in zip(order, pops.T):
                 obs[column_order[k]][ks] = column
         if want_nph:
-            obs["n_photon"][ks] = diag @ nph_diag
+            obs["n_photon"][ks] = pops @ nph_diag
         for p, m in zip(entropy_factors, entropy_maps):
             obs[f"S_{subsystem_letter(p)}"][ks] = ent.spectrum_entropy_stack(
-                diag @ m, norm_dims[p]
+                pops @ m, norm_dims[p]
             )
-        for (i, j), (m, ge, eg) in zip(pairs, pair_maps):
+        for (i, j), (m, ge, eg, ge_low, eg_low) in zip(pairs, pair_maps):
             obs[f"C_{subsystem_letter(i)}{subsystem_letter(j)}"][ks] = (
                 ent.x_state_concurrence_stack(
-                    diag @ m,
-                    chunk[:, ge, eg].sum(axis=1),
-                    chunk[:, eg, ge].sum(axis=1),
+                    pops @ m,
+                    np.sum(kets[:, ge] * kets[:, eg].conj(), axis=1)
+                    + lower[:, ge_low, eg_low].sum(axis=1),
+                    np.sum(kets[:, eg] * kets[:, ge].conj(), axis=1)
+                    + lower[:, eg_low, ge_low].sum(axis=1),
                 )
             )
-        if kets.size:
-            values = np.real(np.sum((kets.conj() @ chunk) * kets, axis=-1))
+        if vecs.size:
+            amps = kets @ vecs_top.conj().T
+            values = amps.real**2 + amps.imag**2 + np.real(
+                np.sum((vecs_low.conj() @ lower) * vecs_low, axis=-1))
             for name, column in zip(projections, values.T):
                 obs[name][ks] = column
         if snapshots is not None:
             inside = np.flatnonzero((snap_idx >= k0) & (snap_idx < ks.stop))
-            snapshots[np.ix_(inside, kept, kept)] = chunk[snap_idx[inside] - k0]
-
-    # A buffer of fixed size, not the whole (T, d, d) stack: memory must not
-    # grow with the output grid.
-    buf = np.empty((min(n_out, chunk_states(d_sub)), d_sub, d_sub), dtype=complex)
-    k0 = 0
-    for k in range(n_out):
-        if k:
-            c = step_class[k - 1]
-            if lossy:
-                rho = (props[c] @ rho.reshape(-1)).reshape(d_sub, d_sub)
-            else:
-                rho = props[c] @ rho @ props_dag[c]
-        buf[k - k0] = rho
-        if k - k0 + 1 == len(buf) or k == n_out - 1:
-            evaluate(buf[: k - k0 + 1], k0)
-            k0 = k + 1
+            at = snap_idx[inside] - k0
+            snapshots[np.ix_(inside, top, top)] = kets[at, :, None] * kets[at, None, :].conj()
+            snapshots[np.ix_(inside, low, low)] = lower[at]
 
     return Trajectory(
         layout=layout,
@@ -363,6 +401,49 @@ def integrate(
         snapshot_indices=snap_idx,
         column_order=column_order,
     )
+
+
+def _van_loan_generator(gen: LindbladGenerator, channels: list, in_top: np.ndarray,
+                        low: np.ndarray, h_eff: np.ndarray) -> np.ndarray:
+    """[[L_low, J], [0, L_top]] on (vec x, vec psi psi^dag) of a lossy run.
+
+    L_low is the Liouvillian of the states `low` below the top sector,
+    L_top the action of H_eff on psi psi^dag, and J = sum rate (L kron L*)
+    the jumps from the top sector into x, cut from each channel's (rate,
+    L, anti) on the kept states, of which in_top marks the top sector."""
+    n_low, n_top = low.size**2, h_eff.size
+    out = np.zeros((n_low + n_top,) * 2, dtype=complex)
+    out[:n_low, :n_low] = liouvillian_matrix(gen, low)
+    for rate, L, _ in channels:
+        jump = L[np.ix_(~in_top, in_top)]
+        out[:n_low, n_low:] += rate * np.kron(jump, jump.conj())
+    eye = np.eye(len(h_eff))
+    out[n_low:, n_low:] = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
+    return out
+
+
+def _power_series(rows: np.ndarray, step: np.ndarray):
+    """rows[j] = rows[0] @ step^j for j >= 1, by doubling: rows[n:2n] =
+    rows[:n] @ step^n, step^n squared from the last.  No loop per row."""
+    n, power = 1, step
+    while n < len(rows):
+        m = min(n, len(rows) - n)
+        np.matmul(rows[:m], power, out=rows[n:n + m])
+        n *= 2
+        if n < len(rows):
+            power = power @ power
+
+
+def _linear_scan(rows: np.ndarray, step: np.ndarray):
+    """rows[j] <- rows[j - 1] @ step + rows[j] for j >= 1, in place, by a
+    log-depth scan: pass p adds step^(2^p) times the row 2^p earlier, so
+    rows[j] = sum_i rows[i] @ step^(j - i) over i <= j."""
+    s, power = 1, step
+    while s < len(rows):
+        rows[s:] += rows[:-s] @ power
+        s *= 2
+        if s < len(rows):
+            power = power @ power
 
 
 def _refined_extrema(times: np.ndarray, series: np.ndarray):
@@ -468,17 +549,23 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
 
     Column order is deterministic: populations in basis-index order, then
     n_photon, entropies S_A.., concurrence pairs, then any extra projection
-    columns (in the order they were requested).
+    columns (in the order they were requested).  Every cell is repr() of
+    its float; a column that is +0.0 throughout is written as the constant
+    "0.0" that repr gives, without converting its cells.
     """
     cols = traj.column_order
     fh.write(f"# schema: {TRAJECTORY_SCHEMA}\n")
     fh.write(",".join(["time_ns"] + cols) + "\n")
     arrays = [traj.times] + [traj.observables[c] for c in cols]
+    # -0.0 == 0 too, but its repr is "-0.0": the sign bit must be clear.
+    zero = [not (a.any() or np.signbit(a).any()) for a in arrays]
+    row_format = ",".join("0.0" if z else "%r" for z in zero) + "\n"
+    arrays = [a for a, z in zip(arrays, zero) if not z]
     # Columns become Python floats a block of rows at a time: whole-column
     # lists of a long trajectory would cost megabytes of peak memory.  Each
     # block is freed before the next is built, so only one is ever held.
     for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
         columns = [a[start:start + CSV_BLOCK_ROWS].tolist() for a in arrays]
         for row in zip(*columns):
-            fh.write(",".join(map(repr, row)) + "\n")
+            fh.write(row_format % row)
         del columns

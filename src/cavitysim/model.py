@@ -177,8 +177,8 @@ def liouvillian_matrix(gen: LindbladGenerator, keep=None) -> np.ndarray:
     keep, if given, lists the basis states of a subspace whose operators the
     generator maps into themselves (such as all states up to an excitation
     number), and L is built for rho on that subspace only, from operators
-    built on it.  Lossy runs exponentiate this matrix into their step
-    propagator.
+    built on it.  A lossy run builds it on the states below the excitation
+    sector it starts in, as the L_low block of its Van Loan generator.
     """
     states = _states(gen.layout, keep)
     eye = np.eye(states.size)

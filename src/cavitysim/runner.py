@@ -15,9 +15,9 @@ Output contract (per run directory):
 
 The same config produces byte-identical files: sweep points are computed
 in order, floats are written with repr(), and nothing records wall time.
-The `workers` field is accepted and ignored; each trajectory evaluates its
-observables over stacks of states, so there is nothing left to spread over
-threads.
+The `workers` field is accepted and ignored; each trajectory propagates and
+evaluates its output times in stacks, so there is nothing left to spread
+over threads.
 """
 
 import hashlib

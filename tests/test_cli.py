@@ -108,10 +108,25 @@ def test_run_exit_code_on_runtime_failure(tmp_path):
     assert main(["run", overdamped, "--output-dir", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("lossless", ["true", "false"])
+def test_validate_rejects_fig2_beyond_one_photon(lossless, tmp_path, capsys):
+    # fig2's summary measures the one-photon exchange against g/pi: from two
+    # photons the lossless run found no extrema in pop_0e at run, and the
+    # lossy one compared the two-photon exchange with g/pi
+    text = f'scenario = "fig2_single_atom"\nlossless = {lossless}\nn_photons = 2\n'
+    path = _write(tmp_path, text)
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert "line 3: n_photons: must be 1 for fig2_single_atom" in err and "got 2" in err
+    assert main(["run", path, "--output-dir", str(tmp_path / "x")]) == 1
+    assert main(["validate", _write(tmp_path, text.replace("= 2", "= 1"))]) == 0
+
+
 def test_validate_rejects_over_memory_config(tmp_path, capsys, monkeypatch):
-    # lossy N = 7 from 7 photons keeps the 576 states with <= 7 excitations
-    # and would take expm of a 331776^2 Liouvillian (~18 TB); the estimate
-    # rejects it before any array is allocated
+    # lossy N = 7 from 7 photons keeps the 128 states with 7 excitations as
+    # a ket and the 448 below them as a density block, and would take expm
+    # of a Van Loan block of 448^2 + 128^2 = 217088 rows (~7.5 TB); the
+    # estimate rejects it before any array is allocated
     monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 10**9)
     big = _write(tmp_path, 'scenario = "custom"\nn_atoms = 7\nn_photons = 7\n',
                  name="big.cfg")

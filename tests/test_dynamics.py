@@ -88,8 +88,15 @@ def test_untracked_populations_cost_nothing_of_size_d(monkeypatch):
 
 
 def _leaky_run(monkeypatch, factor):
-    """A lossy one-atom run whose every propagator is scaled by factor, so
-    that the trace of the state at t = k ns is factor^k."""
+    """A lossy one-atom run whose every propagator, the ket step K and the
+    Van Loan block that holds E and F, is scaled by factor = 1 + eps.
+
+    At t = k ns the exchange has made whole Rabi cycles, so the no-jump
+    norm n_k = |K^k psi0|^2 is exp(-kappa k / 2); the feed moves n_(k-1) -
+    n_k into |0g>, whose own step E is 1.  Scaled, the ket's norm is
+    factor^(2k) n_k and the step i feed factor^(2i - 1) (n_(i-1) - n_i),
+    carried by factor^(k - i): to first order in eps the trace is off by
+    eps (2 k n_k + sum_(i <= k) (k + i - 1) (n_(i-1) - n_i))."""
     exact = dyn.expm
     monkeypatch.setattr(dyn, "expm", lambda a: factor * exact(a))
     lay, gen = _gen(1, (G,), kappa=0.19)
@@ -97,12 +104,14 @@ def _leaky_run(monkeypatch, factor):
 
 
 def test_trace_drift_gate_raises(monkeypatch):
-    # 1.2e-9 off at t = 4 ns, the first state past TRACE_TOL (9e-10 at 3 ns)
+    # eps = 3e-10: 3e-10 (2 e^-0.095 + (1 - e^-0.095)) = 5.73e-10 off at
+    # t = 1 ns; 3e-10 (4 e^-0.19 + 2 (1 - e^-0.095) + 3 (e^-0.095 - e^-0.19))
+    # = 1.121e-9 at t = 2 ns, the first state past TRACE_TOL
     assert dyn.TRACE_TOL == 1e-9
     run = _leaky_run(monkeypatch, 1.0 + 3e-10)
     with pytest.raises(dyn.IntegrationError) as info:
         run(np.linspace(0.0, 10.0, 11))
-    assert str(info.value) == "trace deviation 1.200e-09 at t=4 ns exceeds tolerance 1e-09"
+    assert str(info.value) == "trace deviation 1.121e-09 at t=2 ns exceeds tolerance 1e-09"
     # the same run, propagated exactly, passes the gate
     monkeypatch.undo()
     _leaky_run(monkeypatch, 1.0)(np.linspace(0.0, 10.0, 11))
@@ -210,27 +219,23 @@ def test_non_uniform_grid_matches_oracle():
     assert np.max(np.abs(traj.series("pop_0e") - expected)) < 1e-12
 
 
-class _Captured(Exception):
-    """Stops integrate() once its propagator's generator is captured."""
-
-
 @pytest.mark.parametrize("lossless", [False, True])
 @pytest.mark.parametrize("scenario", list(SCENARIOS))
 def test_expm_matches_scipy_on_scenario_generators(scenario, lossless, monkeypatch):
-    # The generator integrate() exponentiates in each fixed run and the first
-    # sweep point: -i H dt without loss, the Liouvillian L dt with it.
+    # The generators integrate() exponentiates in each fixed run and the
+    # first sweep point: -i H dt without loss; with it -i H_eff dt, then the
+    # Van Loan block where the run has states below its start's sector.
     generators = []
 
     def capture(m):
         generators.append(m)
-        raise _Captured
+        return expm(m)
 
     monkeypatch.setattr(dyn, "expm", capture)
     cfg = parse_config(f'scenario = "{scenario}"\nlossless = {str(lossless).lower()}\n')
     plan = SCENARIOS[scenario].plan(cfg)
     for _, run in itertools.islice(plan.schedule(cfg), len(plan.runs) + 1):
-        with pytest.raises(_Captured):
-            runner.trajectory(cfg, run)
+        runner.trajectory(cfg, run)
     monkeypatch.undo()
     assert generators
     for m in generators:
@@ -278,13 +283,15 @@ def test_one_propagator_per_distinct_step(monkeypatch):
     lay, gen = _gen(2, (G,), kappa=0.19)
     psi0 = fs.basis_state(lay, 1, "g")
     # 40 ns at 5 ps: linspace steps scatter by ~7e-15 ns.  One photon keeps
-    # |0g>, |0e>, |1g> of the d = 6 space: a 9 x 9 Liouvillian.
+    # |0g>, |0e>, |1g> of the d = 6 space.  A step class builds the 2 x 2
+    # ket step on the top sector |0e>, |1g>, and the Van Loan block on
+    # vec x (1 row for |0g>) and vec psi psi^dag (4 rows): 5 x 5.
     dyn.integrate(gen, psi0, np.linspace(0.0, 40.0, 8001), track=())
-    assert calls == [(9, 9)]
+    assert calls == [(2, 2), (5, 5)]
     calls.clear()
     ts = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.0, 2.0, 5)[1:]])
     dyn.integrate(gen, psi0, ts, track=())
-    assert calls == [(9, 9)] * 2
+    assert calls == [(2, 2), (5, 5)] * 2
 
 
 def test_lossless_run_never_builds_the_liouvillian(monkeypatch):
@@ -300,6 +307,62 @@ def test_lossless_run_never_builds_the_liouvillian(monkeypatch):
         _single_atom_run(kappa=0.19, n_points=51)
 
 
+def test_lossy_run_builds_the_liouvillian_below_the_start_sector_only(monkeypatch):
+    keeps = []
+
+    def recording(gen, keep=None):
+        keeps.append(keep)
+        return model.liouvillian_matrix(gen, keep)
+
+    monkeypatch.setattr(dyn, "liouvillian_matrix", recording)
+    # two photons, two atoms: sector 2 is propagated as a ket, and the
+    # Liouvillian is built on the 4 states with at most one excitation
+    lay, gen = _gen(3, (G, 0.6 * G), kappa=0.19, gamma=0.04)
+    dyn.integrate(gen, fs.basis_state(lay, 2, "gg"), np.linspace(0.0, 0.1, 11))
+    below = [lay.basis_index(0, "gg"), lay.basis_index(0, "ge"),
+             lay.basis_index(0, "eg"), lay.basis_index(1, "gg")]
+    assert len(keeps) == 1 and keeps[0].tolist() == sorted(below)
+
+
+def _assert_matches_dense_reference(gen, psi0, ts, n_exc, projections=None, stride=1,
+                                    track=("populations", "n_photon", "entropies",
+                                           "concurrence")):
+    """Propagate |psi0><psi0| on all d states by expm of the full-space
+    Liouvillian, one step at a time, and check every snapshot and tracked
+    observable of integrate's run (every stride-th output) within 1e-12."""
+    lay = gen.layout
+    traj = dyn.integrate(gen, psi0, ts, snapshot_stride=stride, track=track,
+                         projections=projections)
+    liou = model.liouvillian_matrix(gen)
+    steps = {dt: expm(liou * dt) for dt in set(np.diff(ts).tolist())}
+    state = np.outer(psi0, psi0.conj()).reshape(-1)
+    states = [state]
+    for k in range(1, ts.size):
+        state = steps[ts[k] - ts[k - 1]] @ state
+        if k % stride == 0:
+            states.append(state)
+    states = np.array(states).reshape(-1, lay.dim, lay.dim)
+    assert np.max(np.abs(traj.snapshots - states)) < 1e-12
+
+    pops = np.real(np.diagonal(states, axis1=1, axis2=2))
+    expected = {name: pops[:, k] for k, name in enumerate(dyn.population_labels(lay))}
+    expected["n_photon"] = pops @ fs.photon_number_diagonal(lay)
+    for f in range(lay.n_atoms + 1) if "entropies" in track else ():
+        reduced = ent.partial_trace(states, lay, (f,))
+        expected[f"S_{dyn.subsystem_letter(f)}"] = ent.entropy_normalized(
+            reduced, dyn.sector_norm_dim(lay, (f,), n_exc)
+        )
+    for i, j in itertools.combinations(range(1, lay.n_atoms + 1), 2):
+        reduced = ent.partial_trace(states, lay, (i, j))
+        name = f"C_{dyn.subsystem_letter(i)}{dyn.subsystem_letter(j)}"
+        expected[name] = ent.concurrence(reduced)
+    for name, ket in (projections or {}).items():
+        expected[name] = np.real(ket.conj() @ states @ ket)
+    assert sorted(expected) == sorted(traj.column_order)
+    for name, values in expected.items():
+        assert np.max(np.abs(traj.series(name)[::stride] - values)) < 1e-12, name
+
+
 def test_lossy_three_atoms_match_dense_full_space_reference(rng):
     # a random start with two excitations: integrate keeps the 12 of the
     # d = 24 states with at most two, the reference propagates all of them
@@ -307,38 +370,54 @@ def test_lossy_three_atoms_match_dense_full_space_reference(rng):
     p = SystemParams(omega_c=0.0, omega_0=0.2 * G, kappa=4.0, gamma=1.5,
                      couplings=(G, 0.6 * G, 1.3 * G))
     gen = model.build_generator(lay, p)
-    psi0 = random_sector_ket(lay, rng, 2)
     _, chi1 = analytic.single_excitation_states(lay, analytic.CouplingVector(p.couplings))
-    ts = np.linspace(0.0, 0.4, 41)
-    traj = dyn.integrate(
-        gen, psi0, ts, snapshot_stride=1,
-        track=("populations", "n_photon", "entropies", "concurrence"),
-        projections={"P_chi1": chi1},
-    )
+    _assert_matches_dense_reference(gen, random_sector_ket(lay, rng, 2),
+                                    np.linspace(0.0, 0.4, 41), 2, {"P_chi1": chi1})
 
-    step = expm(model.liouvillian_matrix(gen) * (ts[1] - ts[0]))
-    states = [np.outer(psi0, psi0.conj())]
-    for _ in ts[1:]:
-        states.append((step @ states[-1].reshape(-1)).reshape(lay.dim, lay.dim))
-    states = np.array(states)
-    assert np.max(np.abs(traj.snapshots - states)) < 1e-12
 
-    pops = np.real(np.diagonal(states, axis1=1, axis2=2))
-    expected = {name: pops[:, k] for k, name in enumerate(dyn.population_labels(lay))}
-    expected["n_photon"] = pops @ fs.photon_number_diagonal(lay)
-    for f in range(4):
-        reduced = ent.partial_trace(states, lay, (f,))
-        expected[f"S_{dyn.subsystem_letter(f)}"] = ent.entropy_normalized(
-            reduced, dyn.sector_norm_dim(lay, (f,), 2)
-        )
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        reduced = ent.partial_trace(states, lay, (i, j))
-        name = f"C_{dyn.subsystem_letter(i)}{dyn.subsystem_letter(j)}"
-        expected[name] = ent.concurrence(reduced)
-    expected["P_chi1"] = np.real(chi1.conj() @ states @ chi1)
-    assert sorted(expected) == sorted(traj.column_order)
-    for name, values in expected.items():
-        assert np.max(np.abs(traj.series(name) - values)) < 1e-12, name
+def test_exceptional_point_matches_dense_full_space_reference():
+    # kappa - gamma = 4 g exactly: H_eff on |0e>, |1g> is defective, its two
+    # eigenvalues -(kappa + gamma) / 4 merge, and P(|0e>) decays as
+    # (g t)^2 exp(-(kappa + gamma) t / 2) with no oscillation
+    g = 2.0
+    lay, gen = _gen(2, (g,), kappa=8.5, gamma=0.5)
+    assert gen.params.kappa - gen.params.gamma == 4 * g
+    ts = np.linspace(0.0, 3.0, 301)
+    _assert_matches_dense_reference(gen, fs.basis_state(lay, 1, "g"), ts, 1)
+    traj = dyn.integrate(gen, fs.basis_state(lay, 1, "g"), ts)
+    assert np.max(np.abs(traj.series("pop_0e") - (g * ts) ** 2 * np.exp(-4.5 * ts))) < 1e-12
+
+
+def test_lossy_two_photons_two_atoms_match_dense_full_space_reference(rng):
+    # sector 2 is a ket on |0ee>, |1eg>, |1ge>, |2gg>; x is the Van Loan
+    # block's 4 x 4 density on the states below, fed from it
+    lay, gen = _gen(3, (G, 0.6 * G), kappa=3.0, gamma=1.2, omega_0=0.3 * G)
+    chis = analytic.two_photon_states(lay, G, 0.6 * G)
+    _assert_matches_dense_reference(
+        gen, random_sector_ket(lay, rng, 2), np.linspace(0.0, 0.5, 201), 2,
+        {f"P_chi{k}": chi for k, chi in enumerate(chis)})
+
+
+def test_lossy_grid_of_three_step_runs_matches_dense_full_space_reference():
+    # steps of 0.01, 0.025, then 0.01 ns again: three runs of equal steps,
+    # two of them sharing propagators, each started from the ket and x
+    # where the last ended
+    lay, gen = _gen(2, (G, 0.6 * G), kappa=4.0, gamma=1.5)
+    ts = np.concatenate([np.linspace(0.0, 0.1, 11), np.linspace(0.1, 0.2, 5)[1:],
+                         np.linspace(0.2, 0.3, 11)[1:]])
+    _assert_matches_dense_reference(gen, fs.basis_state(lay, 1, "gg"), ts, 1)
+
+
+def test_long_lossy_grid_matches_dense_full_space_reference():
+    # 8001 outputs in one run of equal steps: the kets double up to
+    # K^4096, and x's scan takes 13 passes.  The state stays within 1e-12
+    # (9e-13 measured; one ulp of K over 8000 steps is 9e-13 too).  The
+    # entropies are not compared: -p ln p magnifies that error without bound
+    # as p -> 0 at each node of the exchange (1.3e-12 measured).
+    lay, gen = _gen(2, (G,), kappa=0.19, gamma=0.04)
+    _assert_matches_dense_reference(gen, fs.basis_state(lay, 1, "g"),
+                                    np.linspace(0.0, 40.0, 8001), 1, stride=7,
+                                    track=("populations", "n_photon"))
 
 
 def test_rho0_with_coherence_between_excitation_sectors_is_rejected():
@@ -512,13 +591,13 @@ def _two_atom_observables_run(**kwargs):
 
 def test_chunked_run_equals_one_chunk(monkeypatch):
     one = _two_atom_observables_run(snapshot_stride=3)
-    # one photon from |0gg>: the chunk holds 4 x 4 states on |0gg>, |0ge>,
-    # |0eg>, |1gg> of the d = 12 space
-    assert dyn.chunk_states(4) >= 62  # the reference fits one chunk
-    # 7 states per chunk: 62 outputs span 9 chunks, the last one partial,
-    # and the snapshot stride 3 does not divide the chunk size
-    monkeypatch.setattr(dyn, "CHUNK_BYTES", 7 * 16 * 4 * 4)
-    assert dyn.chunk_states(4) == 7
+    # one photon from |1gg>: the chunk holds 3 x 3 outer products of kets on
+    # |0ge>, |0eg>, |1gg> of the d = 12 space
+    assert dyn.chunk_states(3) >= 62  # the reference fits one chunk
+    # 7 output times per chunk: 62 outputs span 9 chunks, the last one
+    # partial, and the snapshot stride 3 does not divide the chunk size
+    monkeypatch.setattr(dyn, "CHUNK_BYTES", 7 * 16 * 3 * 3)
+    assert dyn.chunk_states(3) == 7
     many = _two_atom_observables_run(snapshot_stride=3)
     assert many.column_order == one.column_order
     for name in one.column_order:
@@ -529,17 +608,17 @@ def test_chunked_run_equals_one_chunk(monkeypatch):
 
 
 def test_trace_gate_names_first_time_in_a_later_chunk(monkeypatch):
-    # the trace deviation (1 + 8e-11)^k - 1 first exceeds TRACE_TOL at
-    # k = 13: 9.6e-10 at t = 12 ns, 1.04e-9 at t = 13 ns
+    # with eps = 8e-11 the trace deviation of _leaky_run first exceeds
+    # TRACE_TOL at k = 8: 9.50e-10 at t = 7 ns, 1.067e-9 at t = 8 ns
     run = _leaky_run(monkeypatch, 1.0 + 8e-11)
     ts = np.linspace(0.0, 50.0, 51)
     with pytest.raises(dyn.IntegrationError) as one:
         run(ts)
-    assert "at t=13 ns" in str(one.value)
-    # 5 states per chunk: t = 13 ns is the fourth state of the third chunk
-    # (the chunk holds 3 x 3 states on |0g>, |0e>, |1g>)
-    monkeypatch.setattr(dyn, "CHUNK_BYTES", 5 * 16 * 3**2)
-    assert dyn.chunk_states(3) == 5
+    assert str(one.value) == "trace deviation 1.067e-09 at t=8 ns exceeds tolerance 1e-09"
+    # 5 output times per chunk: t = 8 ns is the fourth of the second chunk
+    # (the chunk holds 2 x 2 outer products of kets on |0e>, |1g>)
+    monkeypatch.setattr(dyn, "CHUNK_BYTES", 5 * 16 * 2**2)
+    assert dyn.chunk_states(2) == 5
     with pytest.raises(dyn.IntegrationError) as chunked:
         run(ts)
     assert str(chunked.value) == str(one.value)
@@ -558,6 +637,19 @@ def _per_cell_csv(traj):
 
 def test_csv_matches_per_cell_reference(monkeypatch):
     traj = _two_atom_observables_run()
-    assert trajectory_csv_text(traj) == _per_cell_csv(traj)
+    # the populations above one excitation are +0.0 throughout, and are
+    # written as a constant; so is an added column of +0.0, but not one of
+    # -0.0, whose repr is "-0.0", nor one with a single -0.0 cell
+    assert not np.any(traj.series("pop_2gg")) and not np.any(np.signbit(traj.series("pop_2gg")))
+    one_negative = np.zeros(62)
+    one_negative[40] = -0.0
+    for name, values in (("zeros", np.zeros(62)), ("negative_zeros", np.full(62, -0.0)),
+                         ("one_negative_zero", one_negative)):
+        traj.observables[name] = values
+        traj.column_order.append(name)
+    text = trajectory_csv_text(traj)
+    assert text.splitlines()[2].endswith(",0.0,-0.0,0.0")
+    assert text.splitlines()[42].endswith(",0.0,-0.0,-0.0")
+    assert text == _per_cell_csv(traj)
     monkeypatch.setattr(dyn, "CSV_BLOCK_ROWS", 5)  # 62 rows: 13 blocks
     assert trajectory_csv_text(traj) == _per_cell_csv(traj)
