@@ -747,12 +747,26 @@ def parse_config(text: str) -> ExperimentConfig:
                     errors.append(
                         f"{at('observables')}: observables: {scenario} reads column "
                         f"{column!r} of {name}, which needs {source[column]!r} in this list")
-        # The exchange is sin^2(Omega t), Omega = sqrt(|g|^2 + (Delta/2)^2), with extrema
-        # at multiples of pi / (2 Omega): those before the grid's last step are interior.
+        # The exchange oscillates at the damped frequency Omega = Re sqrt(|g|^2 + (Delta/2
+        # + i (kappa - gamma)/4)^2), never above the lossless sqrt(|g|^2 + (Delta/2)^2),
+        # with extrema at multiples of pi / (2 Omega): those before the grid's last step
+        # are interior.  Omega = 0 (Delta = 0, |kappa - gamma| / 4 >= |g|) is overdamped.
         lossy = cfg.resolved_kappa_mhz + cfg.resolved_gamma_mhz > 0
+        kappa, gamma = map(mhz_to_angular, (cfg.resolved_kappa_mhz, cfg.resolved_gamma_mhz))
+        loss_keys = ("kappa_mhz", "q_factor", "gamma_mhz")[::-1 if gamma > kappa else 1]
         for name, key, least, maxima in SUMMARY_FITS.get(scenario, ()):
             run = runs[name]
-            omega = math.hypot(*_angular(run), ghz_to_angular(cfg.detuning_ghz) / 2)
+            g = math.hypot(*_angular(run))
+            omega = np.sqrt(
+                g**2 + (ghz_to_angular(cfg.detuning_ghz) / 2 + 0.25j * (kappa - gamma))**2).real
+            if omega == 0:
+                blame = next((k for k in loss_keys + ("couplings_ghz", "g_ghz") if (k,) in lines),
+                             loss_keys[0])
+                errors.append(
+                    f"{at(blame)}: {blame}: run {name!r} is overdamped: |kappa - gamma| / 4 = "
+                    f"{abs(kappa - gamma) / 4:.4g} rad/ns reaches its coupling |g| = {g:.4g} "
+                    f"rad/ns, so its exchange has no extrema; its fit needs >= {least}")
+                continue
             found = max(0, math.ceil((run.t_end_ns - run.dt_ns) * 2 * omega / math.pi) - 1)
             found = (found + 1) // 2 if maxima else found  # the odd multiples are maxima
             blame = next((k for k in (key, "couplings_ghz", "g_ghz") if (k,) in lines), key)

@@ -18,8 +18,7 @@ the block of sector n stays rank one (Dalibard, Castin & Molmer, PRL 68,
 
 A lossless run has no x and builds no Liouvillian; a lossy one builds it
 on the d_l states below sector n only, never on all d_l + d_n.  No d x d
-array is built on a run's path (snapshots, if asked for, are the one
-exception).  expm() is this module's, in numpy: scaling
+array is built on a run's path.  expm() is this module's, in numpy: scaling
 and squaring with the [13/13] Pade approximant (Higham, SIAM J. Matrix
 Anal. Appl. 26, 1179 (2005)), one function for every generator.  It is
 not replaced by an eigendecomposition: H_eff is defective at an
@@ -35,9 +34,11 @@ outer products are built a chunk of output times at a time.  Observables
 are then evaluated a chunk at a time, straight from (psi, x).  The block
 structure makes each single-factor reduced state diagonal and each atom
 pair's an X-state, so entropies and concurrence come from marginal
-populations and one coherence per pair, with no eigensolver.  The trace
-gate checks each chunk before anything of it is recorded and names the
-first offending time.  Snapshots are embedded back into d x d.
+populations and one coherence per pair, with no eigensolver.  Two gates
+check each chunk before anything of it is recorded and name the first
+offending time: the trace, and the Hermiticity of x, max |x - x^dag| <=
+HERM_TOL (psi psi^dag is Hermitian exactly, and no output shows x's
+anti-Hermitian part: a projection reads Re <v|x|v>).
 
 Time is in ns throughout; rates are angular (rad/ns).
 """
@@ -65,6 +66,9 @@ TRACKABLE = ("populations", "n_photon", "entropies", "concurrence")
 
 # Largest |tr rho - 1| that integrate() accepts at any output time.
 TRACE_TOL = 1e-9
+# Largest max |x - x^dag| of the block below the start sector that
+# integrate() accepts at any output time.
+HERM_TOL = 1e-10
 # Size of the d_n x d_n outer products of kets that integrate() builds
 # together, for the feed and for the output times it evaluates together.
 CHUNK_BYTES = 2**20
@@ -73,7 +77,9 @@ CSV_BLOCK_ROWS = 1024
 
 
 def chunk_states(dim: int) -> int:
-    """Number of d x d complex states that fit in CHUNK_BYTES (at least 1)."""
+    """Number of output times whose dim x dim complex outer products fit in
+    CHUNK_BYTES (at least 1); integrate() sizes them by the d_n states of
+    the start sector."""
     return max(1, CHUNK_BYTES // (16 * dim * dim))
 
 
@@ -127,17 +133,14 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Time series of integrated states and derived observables.
+    """Time series of derived observables of integrated states.
 
-    observables maps column name -> real array over `times`; snapshots, when
-    stored, sit at times[snapshot_indices].
+    observables maps column name -> real array over `times`.
     """
 
     layout: HilbertLayout
     times: np.ndarray
     observables: dict
-    snapshots: np.ndarray | None = None
-    snapshot_indices: np.ndarray | None = None
     column_order: list = field(default_factory=list)
 
     def series(self, name: str) -> np.ndarray:
@@ -201,7 +204,6 @@ def integrate(
     gen: LindbladGenerator,
     psi0: np.ndarray,
     times,
-    snapshot_stride: int | None = None,
     track: tuple = ("populations", "n_photon"),
     projections: dict | None = None,
 ) -> Trajectory:
@@ -224,16 +226,15 @@ def integrate(
     concurrence is computed for every atom pair.  No trace renormalization
     is applied: x has only its own feed, and the run raises
     IntegrationError if |tr rho - 1| = ||psi|^2 + tr x - 1| exceeds
-    TRACE_TOL at any output time, naming the first such time.
+    TRACE_TOL, or max |x - x^dag| exceeds HERM_TOL, at any output time,
+    naming the first such time.
 
     psi0 is a ket of length d whose non-zero amplitudes lie in one
     excitation sector, as every basis state's do (ValueError otherwise,
     and if its squared norm is not 1 within 1e-9).  Populations of the
     states above that sector, and without loss of those below it, are
     exactly 0.  Observables are evaluated a chunk of chunk_states(d_n)
-    output times at a time; the chunk size changes neither the
-    observables nor the snapshots, which are copied at
-    times[::snapshot_stride] into full d x d matrices.
+    output times at a time; the chunk size does not change them.
     """
     unknown = [t for t in track if t not in TRACKABLE]
     if unknown:
@@ -343,11 +344,6 @@ def integrate(
     vecs = np.array(list(projections.values()), dtype=complex).reshape(-1, dim)
     vecs_top, vecs_low = vecs[:, top], vecs[:, low]
 
-    snap_idx = snapshots = None
-    if snapshot_stride and snapshot_stride > 0:
-        snap_idx = np.arange(0, n_out, snapshot_stride)
-        snapshots = np.zeros((snap_idx.size, dim, dim), dtype=complex)
-
     for k0 in range(0, n_out, chunk):
         ks = slice(k0, min(k0 + chunk, n_out))
         kets = psi[ks]
@@ -355,12 +351,17 @@ def integrate(
         pops = np.hstack([kets.real**2 + kets.imag**2,
                           np.real(np.diagonal(lower, axis1=1, axis2=2))])
         tr = pops.sum(axis=1)
-        bad = np.flatnonzero(~np.isfinite(tr) | (np.abs(tr - 1.0) > TRACE_TOL))
+        bad_trace = ~np.isfinite(tr) | (np.abs(tr - 1.0) > TRACE_TOL)
+        herm = np.abs(lower - lower.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+        bad = np.flatnonzero(bad_trace | (herm > HERM_TOL))
         if bad.size:
-            k = k0 + bad[0]
+            b = bad[0]
+            if bad_trace[b]:
+                what, tol = f"trace deviation {tr[b] - 1.0:.3e}", TRACE_TOL
+            else:
+                what, tol = f"Hermiticity deviation {herm[b]:.3e} of x", HERM_TOL
             raise IntegrationError(
-                f"trace deviation {tr[bad[0]] - 1.0:.3e} at t={times[k]:.6g} ns "
-                f"exceeds tolerance {TRACE_TOL:g}"
+                f"{what} at t={times[k0 + b]:.6g} ns exceeds tolerance {tol:g}"
             )
         if want_pops:
             for k, column in zip(order, pops.T):
@@ -387,20 +388,8 @@ def integrate(
                 np.sum((vecs_low.conj() @ lower) * vecs_low, axis=-1))
             for name, column in zip(projections, values.T):
                 obs[name][ks] = column
-        if snapshots is not None:
-            inside = np.flatnonzero((snap_idx >= k0) & (snap_idx < ks.stop))
-            at = snap_idx[inside] - k0
-            snapshots[np.ix_(inside, top, top)] = kets[at, :, None] * kets[at, None, :].conj()
-            snapshots[np.ix_(inside, low, low)] = lower[at]
 
-    return Trajectory(
-        layout=layout,
-        times=times,
-        observables=obs,
-        snapshots=snapshots,
-        snapshot_indices=snap_idx,
-        column_order=column_order,
-    )
+    return Trajectory(layout=layout, times=times, observables=obs, column_order=column_order)
 
 
 def _van_loan_generator(gen: LindbladGenerator, channels: list, in_top: np.ndarray,

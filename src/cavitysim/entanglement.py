@@ -1,4 +1,5 @@
-"""Entanglement diagnostics: partial trace, entropy, concurrence, fidelity.
+"""Entanglement diagnostics: partial trace, entropy, concurrence and
+population splitting.
 
 Subsystems are addressed by tensor-factor position: 0 is the photon,
 1..N are the atoms (matching the fixed layout ordering).  Letters used in

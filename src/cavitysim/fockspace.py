@@ -17,9 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ORDERING = "photon factor first, then atoms 1..N"
-
-
 @dataclass(frozen=True)
 class HilbertLayout:
     """Bookkeeping for a truncated Fock (x) (2-level)^N tensor space.
@@ -44,10 +41,6 @@ class HilbertLayout:
     @property
     def dim(self) -> int:
         return (self.n_max + 1) * 2**self.n_atoms
-
-    @property
-    def ordering(self) -> str:
-        return ORDERING
 
     def factor_dims(self) -> tuple:
         """Dimensions of the tensor factors, in storage order."""

@@ -57,9 +57,9 @@ def physics_canonical_text(cfg: ExperimentConfig) -> str:
     return canonical_text(replace(cfg, workers=1, output_dir=""))
 
 
-def trajectory(cfg: ExperimentConfig, run: Run, snapshot_stride=None) -> dyn.Trajectory:
-    """Propagate |run.n_photons, g..g> with the config's cavity and atoms;
-    snapshot_stride, which no scenario sets, is for in-process callers."""
+def trajectory(cfg: ExperimentConfig, run: Run) -> dyn.Trajectory:
+    """Propagate |run.n_photons, g..g> with the config's cavity and atoms
+    over run.times(), recording run.track and run.projections."""
     layout = fs.HilbertLayout(n_max=cfg.n_max_for(run.n_photons), n_atoms=run.n_atoms)
     params = SystemParams(
         omega_c=0.0,
@@ -71,7 +71,6 @@ def trajectory(cfg: ExperimentConfig, run: Run, snapshot_stride=None) -> dyn.Tra
     gen = build_generator(layout, params)
     return dyn.integrate(
         gen, fs.basis_state(layout, run.n_photons, "g" * layout.n_atoms), run.times(),
-        snapshot_stride=snapshot_stride,
         track=run.track,
         projections=run.projections(layout, run) if run.projections else None,
     )

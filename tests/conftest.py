@@ -4,18 +4,19 @@ The oracles here deliberately re-derive results through a different route
 than the package (explicit Kronecker chains, index-loop partial traces,
 sqrtm-based concurrence, the master equation's right-hand side written
 out) so agreement is meaningful.  The density-matrix helpers live here
-because only tests use them: every run starts from a ket.
+because only tests use them: every run starts from a ket, and a run's
+state is read back through projections (tomography_kets/_states).
 """
 
 import io
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from cavitysim import runner
+from cavitysim import dynamics, runner
 from cavitysim.config import SCENARIOS
-from cavitysim.dynamics import write_trajectory_csv
 from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import LindbladGenerator, build_hamiltonian, collapse_operators
 
@@ -38,15 +39,20 @@ def random_density_matrix(dim: int, rng, rank: int | None = None) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_sector_ket(layout: HilbertLayout, rng, n_exc: int) -> np.ndarray:
-    """Random normalized ket on the basis states with exactly n_exc
-    excitations (photons plus excited atoms, read off the basis labels)."""
-    exc = np.array([
+def excitations(layout: HilbertLayout) -> np.ndarray:
+    """Excitations of each basis state (photons plus excited atoms), read
+    off the basis labels."""
+    return np.array([
         int(label.split(",")[0]) + label.count("e")
         for label in (layout.basis_label(k) for k in range(layout.dim))
     ])
+
+
+def random_sector_ket(layout: HilbertLayout, rng, n_exc: int) -> np.ndarray:
+    """Random normalized ket on the basis states with exactly n_exc
+    excitations."""
     psi = np.zeros(layout.dim, dtype=complex)
-    sector = np.flatnonzero(exc == n_exc)
+    sector = np.flatnonzero(excitations(layout) == n_exc)
     psi[sector] = random_pure_state(sector.size, rng)
     return psi
 
@@ -109,16 +115,77 @@ def lindblad_rhs(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
 
 def trajectory_csv_text(traj) -> str:
     buf = io.StringIO()
-    write_trajectory_csv(traj, buf)
+    dynamics.write_trajectory_csv(traj, buf)
     return buf.getvalue()
 
 
-def plan_trajectories(cfg, snapshot_stride: int) -> list:
-    """(run, trajectory) of every run of the config's plan in order, each
-    storing every snapshot_stride-th state."""
+def tomography_kets(layout: HilbertLayout, n_exc: int) -> dict:
+    """Projection kets whose populations <v|rho|v> fix a state on the basis
+    states with at most n_exc excitations: |i> as column T_i, and
+    (|i> + |j>)/sqrt(2) and (|i> + i|j>)/sqrt(2) as T_i_j_re and T_i_j_im,
+    for every pair i < j of those states."""
+    kept = np.flatnonzero(excitations(layout) <= n_exc)
+    eye = np.eye(layout.dim, dtype=complex)
+    kets = {f"T_{i}": eye[i] for i in kept}
+    for i, j in itertools.combinations(kept, 2):
+        kets[f"T_{i}_{j}_re"] = (eye[i] + eye[j]) / np.sqrt(2)
+        kets[f"T_{i}_{j}_im"] = (eye[i] + 1j * eye[j]) / np.sqrt(2)
+    return kets
+
+
+def tomography_states(traj, n_exc: int) -> np.ndarray:
+    """The (outputs, d, d) states of a trajectory that recorded
+    tomography_kets(traj.layout, n_exc), rebuilt from those columns:
+    rho_ij = (T_i_j_re - m) - i (T_i_j_im - m), m = (rho_ii + rho_jj) / 2.
+    Zero off the kept states, and Hermitian by construction."""
+    lay = traj.layout
+    rho = np.zeros((traj.times.size, lay.dim, lay.dim), dtype=complex)
+    kept = np.flatnonzero(excitations(lay) <= n_exc)
+    for i in kept:
+        rho[:, i, i] = traj.series(f"T_{i}")
+    for i, j in itertools.combinations(kept, 2):
+        mean = (traj.series(f"T_{i}") + traj.series(f"T_{j}")) / 2
+        rho[:, i, j] = (traj.series(f"T_{i}_{j}_re") - mean) - 1j * (
+            traj.series(f"T_{i}_{j}_im") - mean)
+        rho[:, j, i] = rho[:, i, j].conj()
+    return rho
+
+
+def integrate_states(gen: LindbladGenerator, psi0: np.ndarray, times, projections=None,
+                     **kwargs) -> tuple:
+    """(trajectory, states) of dynamics.integrate from the ket psi0: the run
+    records tomography_kets after `projections`, and the states at every
+    output time are rebuilt from them."""
+    n_exc = int(excitations(gen.layout)[np.flatnonzero(psi0)[0]])
+    projections = {**(projections or {}), **tomography_kets(gen.layout, n_exc)}
+    traj = dynamics.integrate(gen, psi0, times, projections=projections, **kwargs)
+    return traj, tomography_states(traj, n_exc)
+
+
+def skew_x(monkeypatch, first: int, eps: float):
+    """Add i eps to every entry of x from output `first` on, in each run of
+    equal steps: a 1 x 1 x (one atom from one photon, x on |0g>) then has
+    |x - x^dag| = 2 eps there, and the same real trace."""
+    scan = dynamics._linear_scan
+
+    def skewed(rows, step):
+        scan(rows, step)
+        rows[first:] += 1j * eps
+
+    monkeypatch.setattr(dynamics, "_linear_scan", skewed)
+
+
+def plan_trajectories(cfg, stride: int) -> list:
+    """(run, trajectory, states) of every run of the config's plan in order:
+    each run records tomography_kets in place of its own projections, and
+    its states are rebuilt from them at every stride-th output time."""
     plan = SCENARIOS[cfg.scenario].plan(cfg)
-    return [(run, runner.trajectory(cfg, run, snapshot_stride))
-            for _, run in plan.schedule(cfg)]
+    out = []
+    for _, run in plan.schedule(cfg):
+        kets = run._replace(projections=lambda layout, r: tomography_kets(layout, r.n_photons))
+        traj = runner.trajectory(cfg, kets)
+        out.append((run, traj, tomography_states(traj, run.n_photons)[::stride]))
+    return out
 
 
 def kron_chain(factors) -> np.ndarray:

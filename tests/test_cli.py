@@ -14,6 +14,8 @@ from cavitysim.config import parse_config
 from cavitysim.runner import run_scenario
 from cavitysim.units import ghz_to_angular, mhz_to_angular
 
+from conftest import skew_x
+
 TINY_CUSTOM = (
     'scenario = "custom"\n'
     "n_atoms = 1\n"
@@ -99,13 +101,22 @@ def test_run_exit_code_on_config_error(tmp_path):
     assert main(["run", bad]) == 1
 
 
-def test_run_exit_code_on_runtime_failure(tmp_path):
-    # a cavity loss far above the collective coupling overdamps the
-    # exchange: P_chi1 has one maximum, too few extrema to measure the
-    # W-state frequency from, which the lossless count at validate misses
-    overdamped = _write(tmp_path, 'scenario = "n_atom_wstate"\nkappa_mhz = 1e7\n')
-    assert main(["validate", overdamped]) == 0
-    assert main(["run", overdamped, "--output-dir", str(tmp_path / "x")]) == 2
+def test_run_exit_code_on_runtime_failure(tmp_path, capsys):
+    # a loss too weak to resolve: fig2's envelope decays by 5e-8 over its
+    # 40 ns window, so the lifetime fit fails at run, which validate does
+    # not foresee
+    weak = _write(tmp_path, 'scenario = "fig2_single_atom"\nq_factor = 1e15\ngamma_mhz = 0.0\n')
+    assert main(["validate", weak]) == 0
+    assert main(["run", weak, "--output-dir", str(tmp_path / "x")]) == 2
+    assert "does not describe a resolvable decay" in capsys.readouterr().err
+
+
+def test_run_exits_2_when_x_leaves_hermitian(tmp_path, monkeypatch, capsys):
+    # TINY_CUSTOM is one lossy atom from one photon over 101 outputs 0.5 ps apart
+    skew_x(monkeypatch, 40, 1e-10)
+    assert main(["run", _write(tmp_path, TINY_CUSTOM), "--output-dir", str(tmp_path / "x")]) == 2
+    assert ("Hermiticity deviation 2.000e-10 of x at t=0.02 ns exceeds tolerance 1e-10"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("lossless", ["true", "false"])
@@ -160,7 +171,7 @@ def test_validate_rejects_over_memory_config(tmp_path, capsys, monkeypatch):
     # the plan holds no coupling per atom before the gate has sized it
     ('scenario = "n_atom_wstate"\nn_atoms = 10000000000\n', "line 2: n_atoms:"),
 ], ids=["output_grid", "fig2_long_grid", "fig5_sweep_points", "wstate_atom_count"])
-def test_validate_counts_output_grid_and_snapshots(text, key, tmp_path, capsys, monkeypatch):
+def test_validate_counts_output_grid(text, key, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 10**9)
     path = _write(tmp_path, text)
     tracemalloc.start()

@@ -340,14 +340,26 @@ def test_configs_that_cannot_run_fail_validate(text, error, tmp_path):
     ('scenario = "fig2_single_atom"\nt_long_ns = 0.5\n',
      "line 2: t_long_ns: run 'long' has 9 interior maxima of its exchange within "
      "t_long_ns = 0.5 ns; its fit needs >= 10"),
-], ids=["wstate_weak", "fig2_short", "fig3_short", "fig2_long"])
+    # damped: Omega = sqrt(97.95^2 - 94.25^2) = 26.7 rad/ns, not 97.95
+    ('scenario = "n_atom_wstate"\nt_end_ns = 0.12\nkappa_mhz = 6e4\n',
+     "line 2: t_end_ns: run 'wstate' has 2 interior extrema of its exchange within "
+     "t_end_ns = 0.12 ns; its fit needs >= 3"),
+    # overdamped: Omega = 0, and the loss key is named
+    ('scenario = "n_atom_wstate"\nkappa_mhz = 1e7\n',
+     "line 2: kappa_mhz: run 'wstate' is overdamped: |kappa - gamma| / 4 = 1.571e+04 rad/ns "
+     "reaches its coupling |g| = 97.95 rad/ns, so its exchange has no extrema; its fit needs >= 3"),
+    ('scenario = "fig3_two_atom"\nq_factor = 1e9\ngamma_mhz = 1e5\n',
+     "line 3: gamma_mhz: run 'one_photon_equal' is overdamped: |kappa - gamma| / 4 = 157.1 rad/ns "
+     "reaches its coupling |g| = 79.97 rad/ns, so its exchange has no extrema; its fit needs >= 3"),
+], ids=["wstate_weak", "fig2_short", "fig3_short", "fig2_long", "wstate_damped",
+        "wstate_overdamped", "fig3_overdamped_by_gamma"])
 def test_windows_too_short_for_the_summary_fit_fail_validate(text, error, tmp_path):
     assert _errors(text) == [error]
     path = tmp_path / "cfg.toml"
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
-    # the envelope fit is made only with loss
-    if "t_long_ns" in text:
+    # the envelope fit is made, and the exchange damped, only with loss
+    if "t_long_ns" in text or "_mhz" in text:
         path.write_text(text + "lossless = true\n")
         assert main(["validate", str(path)]) == 0
 

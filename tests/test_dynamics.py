@@ -13,7 +13,15 @@ from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
 from cavitysim.units import ghz_to_angular
 
-from conftest import random_sector_ket, trajectory_csv_text, validate_density_matrix
+from conftest import (
+    integrate_states,
+    random_sector_ket,
+    skew_x,
+    tomography_kets,
+    tomography_states,
+    trajectory_csv_text,
+    validate_density_matrix,
+)
 
 G = ghz_to_angular(9.0)
 
@@ -25,12 +33,12 @@ def _gen(n_max, couplings, kappa=0.0, gamma=0.0, omega_0=0.0):
     return lay, model.build_generator(lay, p)
 
 
-def _single_atom_run(kappa=0.0, gamma=0.0, t_end=None, n_points=301, snapshot_stride=None):
+def _single_atom_run(kappa=0.0, gamma=0.0, t_end=None, n_points=301):
     lay, gen = _gen(2, (G,), kappa=kappa, gamma=gamma)
     psi0 = fs.basis_state(lay, 1, "g")
     t_end = t_end if t_end is not None else 3 * np.pi / G
     ts = np.linspace(0.0, t_end, n_points)
-    return lay, dyn.integrate(gen, psi0, ts, snapshot_stride=snapshot_stride)
+    return lay, dyn.integrate(gen, psi0, ts)
 
 
 def test_closed_jaynes_cummings_thirty_periods():
@@ -44,10 +52,10 @@ def test_closed_jaynes_cummings_thirty_periods():
 def test_zero_length_evolution_returns_initial_state():
     lay, gen = _gen(1, (G,))
     psi0 = fs.basis_state(lay, 1, "g")
-    traj = dyn.integrate(gen, psi0, np.array([0.0]), snapshot_stride=1)
+    traj, states = integrate_states(gen, psi0, np.array([0.0]))
     assert traj.times.shape == (1,)
     assert traj.series("pop_1g")[0] == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(traj.snapshots[0], np.outer(psi0, psi0.conj()))
+    assert np.allclose(states[0], np.outer(psi0, psi0.conj()))
 
 
 def test_times_must_increase():
@@ -328,11 +336,12 @@ def _assert_matches_dense_reference(gen, psi0, ts, n_exc, projections=None, stri
                                     track=("populations", "n_photon", "entropies",
                                            "concurrence")):
     """Propagate |psi0><psi0| on all d states by expm of the full-space
-    Liouvillian, one step at a time, and check every snapshot and tracked
-    observable of integrate's run (every stride-th output) within 1e-12."""
+    Liouvillian, one step at a time, and check the state, rebuilt from
+    tomography projections, and every tracked observable and projection of
+    integrate's run (every stride-th output) within 1e-12."""
     lay = gen.layout
-    traj = dyn.integrate(gen, psi0, ts, snapshot_stride=stride, track=track,
-                         projections=projections)
+    projections = {**(projections or {}), **tomography_kets(lay, n_exc)}
+    traj = dyn.integrate(gen, psi0, ts, track=track, projections=projections)
     liou = model.liouvillian_matrix(gen)
     steps = {dt: expm(liou * dt) for dt in set(np.diff(ts).tolist())}
     state = np.outer(psi0, psi0.conj()).reshape(-1)
@@ -342,7 +351,7 @@ def _assert_matches_dense_reference(gen, psi0, ts, n_exc, projections=None, stri
         if k % stride == 0:
             states.append(state)
     states = np.array(states).reshape(-1, lay.dim, lay.dim)
-    assert np.max(np.abs(traj.snapshots - states)) < 1e-12
+    assert np.max(np.abs(tomography_states(traj, n_exc)[::stride] - states)) < 1e-12
 
     pops = np.real(np.diagonal(states, axis1=1, axis2=2))
     expected = {name: pops[:, k] for k, name in enumerate(dyn.population_labels(lay))}
@@ -356,7 +365,7 @@ def _assert_matches_dense_reference(gen, psi0, ts, n_exc, projections=None, stri
         reduced = ent.partial_trace(states, lay, (i, j))
         name = f"C_{dyn.subsystem_letter(i)}{dyn.subsystem_letter(j)}"
         expected[name] = ent.concurrence(reduced)
-    for name, ket in (projections or {}).items():
+    for name, ket in projections.items():
         expected[name] = np.real(ket.conj() @ states @ ket)
     assert sorted(expected) == sorted(traj.column_order)
     for name, values in expected.items():
@@ -467,19 +476,18 @@ def test_closed_system_conserves_excitation_number():
     n_ex = np.diag(fs.excitation_number_diagonal(lay))
     psi0 = fs.basis_state(lay, 1, "gg")
     ts = np.linspace(0.0, 0.5, 201)
-    traj = dyn.integrate(gen, psi0, ts, snapshot_stride=10)
-    values = [np.trace(n_ex @ s).real for s in traj.snapshots]
+    _, states = integrate_states(gen, psi0, ts)
+    values = [np.trace(n_ex @ s).real for s in states[::10]]
     assert np.max(np.abs(np.array(values) - values[0])) < 1e-8
 
 
 def test_snapshots_remain_valid_states():
-    kappa, gamma = 0.19, 0.04
-    lay, traj = _single_atom_run(kappa=kappa, gamma=gamma,
-                                 t_end=2.0, n_points=801, snapshot_stride=1)
-    assert traj.snapshots is not None
-    for snap in traj.snapshots[:: max(1, len(traj.snapshots) // 50)]:
-        validate_density_matrix(snap, trace_tol=1e-9, herm_tol=1e-10,
-                                    positivity_tol=1e-8)
+    # the states rebuilt from projections; x's Hermiticity, which no
+    # projection shows, is gated inside integrate
+    lay, gen = _gen(2, (G,), kappa=0.19, gamma=0.04)
+    _, states = integrate_states(gen, fs.basis_state(lay, 1, "g"), np.linspace(0.0, 2.0, 801))
+    for rho in states[:: max(1, len(states) // 50)]:
+        validate_density_matrix(rho, trace_tol=1e-9, herm_tol=1e-10, positivity_tol=1e-8)
 
 
 def test_projection_observables():
@@ -576,7 +584,7 @@ def test_chunk_holds_about_one_mebibyte():
     assert dyn.chunk_states(4096) == 1
 
 
-def _two_atom_observables_run(**kwargs):
+def _two_atom_observables_run(extra_projections=None):
     lay, gen = _gen(2, (G, 0.6 * G), kappa=0.19, gamma=0.04)
     gv = analytic.CouplingVector((G, 0.6 * G))
     chi0, chi1 = analytic.single_excitation_states(lay, gv)
@@ -584,27 +592,24 @@ def _two_atom_observables_run(**kwargs):
     return dyn.integrate(
         gen, psi0, np.linspace(0.0, 0.3, 62),
         track=("populations", "n_photon", "entropies", "concurrence"),
-        projections={"P_chi0": chi0, "P_chi1": chi1},
-        **kwargs,
+        projections={"P_chi0": chi0, "P_chi1": chi1, **(extra_projections or {})},
     )
 
 
 def test_chunked_run_equals_one_chunk(monkeypatch):
-    one = _two_atom_observables_run(snapshot_stride=3)
+    # the tomography columns fix the state, so equal columns mean equal states
+    tomography = tomography_kets(HilbertLayout(n_max=2, n_atoms=2), 1)
+    one = _two_atom_observables_run(tomography)
     # one photon from |1gg>: the chunk holds 3 x 3 outer products of kets on
     # |0ge>, |0eg>, |1gg> of the d = 12 space
     assert dyn.chunk_states(3) >= 62  # the reference fits one chunk
-    # 7 output times per chunk: 62 outputs span 9 chunks, the last one
-    # partial, and the snapshot stride 3 does not divide the chunk size
+    # 7 output times per chunk: 62 outputs span 9 chunks, the last one partial
     monkeypatch.setattr(dyn, "CHUNK_BYTES", 7 * 16 * 3 * 3)
     assert dyn.chunk_states(3) == 7
-    many = _two_atom_observables_run(snapshot_stride=3)
+    many = _two_atom_observables_run(tomography)
     assert many.column_order == one.column_order
     for name in one.column_order:
         assert np.array_equal(many.series(name), one.series(name)), name
-    assert np.array_equal(many.snapshot_indices, np.arange(0, 62, 3))
-    assert np.array_equal(many.snapshot_indices, one.snapshot_indices)
-    assert np.array_equal(many.snapshots, one.snapshots)
 
 
 def test_trace_gate_names_first_time_in_a_later_chunk(monkeypatch):
@@ -622,6 +627,26 @@ def test_trace_gate_names_first_time_in_a_later_chunk(monkeypatch):
     with pytest.raises(dyn.IntegrationError) as chunked:
         run(ts)
     assert str(chunked.value) == str(one.value)
+
+
+def test_hermiticity_gate_names_first_time(monkeypatch):
+    assert dyn.HERM_TOL == 1e-10
+    lay, gen = _gen(1, (G,), kappa=0.19)
+    psi0, ts = fs.basis_state(lay, 1, "g"), np.linspace(0.0, 50.0, 51)
+    skew_x(monkeypatch, 13, 1e-10)
+    with pytest.raises(dyn.IntegrationError) as one:
+        dyn.integrate(gen, psi0, ts)
+    assert str(one.value) == (
+        "Hermiticity deviation 2.000e-10 of x at t=13 ns exceeds tolerance 1e-10")
+    # 5 output times per chunk: t = 13 ns is the fourth of the third chunk
+    monkeypatch.setattr(dyn, "CHUNK_BYTES", 5 * 16 * 2**2)
+    with pytest.raises(dyn.IntegrationError) as chunked:
+        dyn.integrate(gen, psi0, ts)
+    assert str(chunked.value) == str(one.value)
+    # a deviation below HERM_TOL passes
+    monkeypatch.undo()
+    skew_x(monkeypatch, 13, 4e-11)
+    dyn.integrate(gen, psi0, ts)
 
 
 def _per_cell_csv(traj):

@@ -10,6 +10,7 @@ from cavitysim.units import ghz_to_angular
 
 from conftest import (
     concurrence_sqrtm_oracle,
+    integrate_states,
     partial_trace_oracle,
     plan_trajectories,
     pure_state_density,
@@ -300,19 +301,19 @@ def test_stacked_diagnostics_raise_the_scalar_errors(rng):
     )
 
 
-def _check_against_stacked_oracles(traj, norm_dims) -> int:
-    """Compare every entropy and concurrence column of a trajectory, whose
-    snapshots hold every state, with the stacked partial-trace diagnostics;
+def _check_against_stacked_oracles(traj, states, norm_dims) -> int:
+    """Compare every entropy and concurrence column of a trajectory with the
+    stacked partial-trace diagnostics of its states at every output time;
     return the number of columns compared."""
-    assert np.array_equal(traj.snapshot_indices, np.arange(traj.times.size))
+    assert len(states) == traj.times.size
     checked = 0
     for name in traj.column_order:
         factors = tuple(ord(c) - ord("A") for c in name[2:])
         if name.startswith("S_"):
-            reduced = ent.partial_trace(traj.snapshots, traj.layout, factors)
+            reduced = ent.partial_trace(states, traj.layout, factors)
             expected = ent.entropy_normalized(reduced, norm_dims[factors[0]])
         elif name.startswith("C_"):
-            reduced = ent.partial_trace(traj.snapshots, traj.layout, factors)
+            reduced = ent.partial_trace(states, traj.layout, factors)
             expected = ent.concurrence(reduced)
         else:
             continue
@@ -325,9 +326,9 @@ def test_closed_forms_match_stacked_oracles_on_fig5_d3_states():
     cfg = parse_config('scenario = "fig5_position_map"\ndesign = "D3"\n')
     runs = plan_trajectories(cfg, 1)
     assert len(runs) == 81
-    for _, traj in runs:
+    for _, traj, states in runs:
         norm_dims = {p: dyn.sector_norm_dim(traj.layout, (p,), 1) for p in range(3)}
-        assert _check_against_stacked_oracles(traj, norm_dims) == 4  # S_A..S_C, C_BC
+        assert _check_against_stacked_oracles(traj, states, norm_dims) == 4  # S_A..S_C, C_BC
 
 
 def test_closed_forms_match_stacked_oracles_on_lossy_two_photon_fig3_states():
@@ -336,11 +337,11 @@ def test_closed_forms_match_stacked_oracles_on_lossy_two_photon_fig3_states():
         'observables = ["populations", "entropies", "concurrence"]\n'
     )
     assert cfg.resolved_kappa_mhz > 0 and cfg.resolved_gamma_mhz > 0
-    runs = {run.name: traj for run, traj in plan_trajectories(cfg, 1)}
+    runs = {run.name: (traj, states) for run, traj, states in plan_trajectories(cfg, 1)}
     for name in ("two_photon_equal", "two_photon_ratio"):
-        traj = runs[name]
+        traj, states = runs[name]
         norm_dims = {p: dyn.sector_norm_dim(traj.layout, (p,), 2) for p in range(3)}
-        assert _check_against_stacked_oracles(traj, norm_dims) == 4
+        assert _check_against_stacked_oracles(traj, states, norm_dims) == 4
 
 
 @pytest.mark.parametrize("n_max,n_atoms,top", [(2, 2, 1), (3, 2, 2), (2, 3, 2), (1, 4, 3)])
@@ -354,12 +355,12 @@ def test_closed_forms_match_stacked_oracles_on_random_block_diagonal_states(
     norm_dims = {f: dyn.sector_norm_dim(lay, (f,), top) for f in range(n_atoms + 1)}
     for _ in range(3):
         # a random ket in the top sector: lossy, it feeds every sector below
-        traj = dyn.integrate(
+        traj, states = integrate_states(
             gen, random_sector_ket(lay, rng, top), np.linspace(0.0, 0.05, 11),
-            snapshot_stride=1, track=("entropies", "concurrence"),
+            track=("entropies", "concurrence"),
         )
         n_pairs = n_atoms * (n_atoms - 1) // 2
-        assert _check_against_stacked_oracles(traj, norm_dims) == n_atoms + 1 + n_pairs
+        assert _check_against_stacked_oracles(traj, states, norm_dims) == n_atoms + 1 + n_pairs
 
 
 def test_closed_form_diagnostics_keep_their_checks():

@@ -12,7 +12,6 @@ def test_layout_dimensions():
     lay = HilbertLayout(n_max=2, n_atoms=2)
     assert lay.dim == 12
     assert lay.factor_dims() == (3, 2, 2)
-    assert "photon" in lay.ordering
 
 
 @pytest.mark.parametrize("n_max,n_atoms", [(0, 1), (1, 0), (-1, 2), (2, -1)])
