@@ -4,14 +4,15 @@
 Usage: python scripts/run_all_figures.py [output_root]
 
 Writes one directory per scenario under output_root (default ./runs) and
-prints each scenario's summary scalars.  Medians of 7 on a noisy 2-core
-host (Python 3.11.7, numpy 2.4.6): 1.55 s of run time with
-OMP_NUM_THREADS=1 and 1.62 s with two BLAS threads, two thirds of it in
-the two fig5 maps (0.51-0.53 s each); the whole process takes 1.86 and
-1.94 s, of which about 0.3 s is start-up.  Propagated by U rho U^dag and
-the d'^2-row Liouvillian, as before the ket path, the same configs took
-2.04 and 2.17 s of run time (fig5 maps 0.69-0.76 s each) on the same host
-in the same hour.
+prints each scenario's summary scalars.  Medians of 7 fresh processes
+on a noisy 2-core host (Python 3.11.7, numpy 2.4.6): 0.99 s of run time
+with OMP_NUM_THREADS=1 and 1.07 s with two BLAS threads, about 60% of it
+in the two fig5 maps (0.30-0.32 s each, of which CSV writing is most,
+with all 81 points of a map propagated as one stack); the whole process
+takes 1.41 and 1.47 s, of which about 0.4 s is start-up.  With one
+propagation call per sweep point, as before the stacks, the same configs
+took 1.34 s of run time under both settings (fig5 maps 0.40-0.46 s each,
+fig4 0.22-0.24 s against 0.18-0.19 s) on the same host in the same hour.
 """
 
 import sys

@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import analytic, coupling, dynamics as dyn, entanglement as ent, presets
+from . import analytic, coupling, dynamics as dyn, entanglement as ent, fockspace as fs, presets
 from .fockspace import HilbertLayout
 from .units import ghz_to_angular, mhz_to_angular
 
@@ -118,6 +118,10 @@ class ExperimentConfig:
     def resolved_gamma_mhz(self) -> float:
         return 0.0 if self.lossless else self.gamma_mhz
 
+    @property
+    def lossy(self) -> bool:
+        return self.resolved_kappa_mhz > 0 or self.resolved_gamma_mhz > 0
+
     def resolved_couplings_ghz(self) -> tuple:
         """Per-atom ordinary-GHz couplings: explicit list if given, else
         (g, alpha*g, g, g, ...) with the ratio applied to atom 2."""
@@ -145,9 +149,12 @@ class Run(NamedTuple):
     projections: Callable | None = None  # (layout, run) -> {column: ket}
     key: tuple = ("dt_ns",)
 
+    def outputs(self) -> int:
+        """Number of output times of times()."""
+        return max(1, round(self.t_end_ns / self.dt_ns)) + 1
+
     def times(self) -> np.ndarray:
-        n = max(1, round(self.t_end_ns / self.dt_ns))
-        return np.linspace(0.0, self.t_end_ns, n + 1)
+        return np.linspace(0.0, self.t_end_ns, self.outputs())
 
 
 class Sweep(NamedTuple):
@@ -166,6 +173,14 @@ class Sweep(NamedTuple):
     name: Callable | None = None  # axis indices -> kept trajectory's name
     n_photons = 1
 
+    def points(self, cfg: ExperimentConfig):
+        """(point, run) of each point in order, point mapping each axis and
+        alpha to its value."""
+        for combo in itertools.product(*(enumerate(map(float, ax.values())) for ax in self.axes)):
+            point = {ax.name: v for ax, (_, v) in zip(self.axes, combo)}
+            point["alpha"] = alpha = self.alpha_rule(point)
+            yield point, self.run(cfg, alpha, self.name and self.name(*(i for i, _ in combo)))
+
     def run(self, cfg: ExperimentConfig, alpha: float, name: str | None = None) -> Run:
         c, steps = self.grid
         t_end = c * np.pi / (ghz_to_angular(cfg.g_ghz) * np.sqrt(1.0 + alpha**2))
@@ -179,20 +194,6 @@ class Plan(NamedTuple):
     summarize: Callable         # (cfg, kept trajectories by name, table rows) -> dict
     sweep: Sweep | None = None
     reads: dict = {}            # run name -> the columns summarize reads from it
-
-    def schedule(self, cfg: ExperimentConfig):
-        """(point, run) of every run in order: the fixed runs with point
-        None, then the sweep's, point mapping each axis and alpha to its
-        value."""
-        for run in self.runs:
-            yield None, run
-        if self.sweep:
-            axes = self.sweep.axes
-            for combo in itertools.product(*(enumerate(map(float, ax.values())) for ax in axes)):
-                point = {ax.name: v for ax, (_, v) in zip(axes, combo)}
-                point["alpha"] = alpha = self.sweep.alpha_rule(point)
-                name = self.sweep.name and self.sweep.name(*(i for i, _ in combo))
-                yield point, self.sweep.run(cfg, alpha, name)
 
 
 def _angular(run: Run) -> tuple:
@@ -414,27 +415,32 @@ def default_sweeps(scenario: str, design: str) -> tuple:
 def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     """(log2 of the plan's peak bytes, the key path of its largest part).
 
-    Runs run one at a time: the peak is the most working memory of any run
-    plus all that the runs hold until the files are written.  Each run
-    counts at its own Hilbert dimension d = (n_max + 1) 2^N, the d_n basis
-    states of the excitation sector it starts in, and with loss the d_l
-    states below them: the ones integrate propagates.  A sweep counts one
-    point's run, and its point count (the product of its axes' steps) times
-    what a point holds.
+    Fixed runs run one at a time, and a sweep's points a block at a time:
+    as many as dynamics.stack_runs puts in one stack.  The peak is the most
+    working memory of any run or block plus all that the runs hold until
+    the files are written.  Each run counts at its own Hilbert dimension
+    d = (n_max + 1) 2^N, the d_n basis states of the excitation sector it
+    starts in, and with loss the d_l states below them: the ones integrate
+    propagates.  A sweep counts one block of points, and its point count
+    (the product of its axes' steps) times what a point holds.
 
     Working memory (a run builds nothing of size d^2: it starts from a ket
-    and builds every operator on the d_n + d_l states): for a lossy run expm
-    of the Van Loan block, (d_l^2 + d_n^2)^2 entries, measured at 9.0 such
-    matrices (d_n, d_l = 11, 6; 22, 8; 8, 12), counted as 10; at every
-    output time the ket and, with loss, the d_l x d_l lower block and its
-    scan's copy; integrate's chunk of chunk_states(d_n) output times,
-    counted as two d_n x d_n matrices each, the feed's outer products and
-    the observables' temporaries; and one CSV_BLOCK_ROWS block of the
-    columns as Python floats, 32 bytes each with the list's pointer, plus 1 KiB per column for its
-    name, its array object and its text in the row being written
-    (measured at 0.35 KiB, N = 11); and 64 bytes per basis state for the
-    ket and the index arithmetic over all d of them (measured at 37 to 62
-    bytes, N = 14 to 18, tracking only n_photon).
+    and builds every operator on the d_n + d_l states), each per run of a
+    block: for a lossy run expm of the Van Loan block, (d_l^2 + d_n^2)^2
+    entries, measured at 9.0 such matrices (d_n, d_l = 11, 6; 22, 8; 8,
+    12), counted as 10; at every output time the ket and, with loss, the
+    d_l x d_l lower block and its scan's copy, plus 48 bytes for the grid,
+    its copy, its steps and their classes, and where the sweep keeps no
+    trajectory, 8 bytes in each column of the block's trajectories.  Once
+    per block: integrate's chunk of chunk_states(d_n) output times (at
+    least one per run), counted as two d_n x d_n matrices each, the feed's
+    outer products and the observables' temporaries; one CSV_BLOCK_ROWS
+    block of the columns as Python floats, 32 bytes each with the list's
+    pointer, plus 1 KiB per column for its name, its array object and its
+    text in the row being written (measured at 0.35 KiB, N = 11); and 64
+    bytes per basis state for the ket and the index arithmetic over all d
+    of them (measured at 37 to 62 bytes, N = 14 to 18, tracking only
+    n_photon).
 
     Held: 8 bytes per output (at most t_end/dt + 2) in each column of each
     kept trajectory (the time, populations of all d states if it tracks
@@ -450,17 +456,16 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     N = 13 is estimated at 1.14 GB, and peaked at 1287 MB RSS when it was
     still propagated by the d'^2 x d'^2 Liouvillian.
     """
-    lossy = cfg.resolved_kappa_mhz > 0 or cfg.resolved_gamma_mhz > 0
-    runs = [(0.0, run) for run in plan.runs]  # (log2 of the copies held or None, run)
+    runs = [(0.0, run, 1) for run in plan.runs]  # (log2 of the copies held or None, run, points)
     held = []
     if plan.sweep:
-        log2_points = sum(math.log2(ax.steps) for ax in plan.sweep.axes)
+        points = math.prod(ax.steps for ax in plan.sweep.axes)
         point = plan.sweep.run(cfg, 0.0)  # sized alike at any alpha
-        runs.append((log2_points if plan.sweep.name else None, point))
+        runs.append((math.log2(points) if plan.sweep.name else None, point, points))
         row = 64 * (len(plan.sweep.axes) + 2 + len(plan.sweep.peaks))
-        held.append((log2_points + math.log2(row), point.key))
+        held.append((math.log2(points) + math.log2(row), point.key))
     working = []
-    for log2_copies, run in runs:
+    for log2_copies, run, points in runs:
         n_atoms, n_photons = run.n_atoms, run.n_photons
         log2_dim = math.log2(cfg.n_max_for(n_photons) + 1) + n_atoms
         pops = log2_dim if "populations" in run.track else -math.inf
@@ -468,15 +473,17 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
         outputs = run.t_end_ns / run.dt_ns + 2
         work = [math.log2(32 * dyn.CSV_BLOCK_ROWS + 1024) + log2_cols, log2_dim + 6]
         if log2_dim <= 64:  # d' <= d, and past 2^64 states the CSV block alone is too big
-            # j excited atoms with n_photons - j photons make the top sector;
-            # with loss, fewer photons the states below it
-            excited = range(min(n_atoms, n_photons) + 1)
-            top = sum(math.comb(n_atoms, j) for j in excited)
-            low = sum(math.comb(n_atoms, j) * (n_photons - j) for j in excited) if lossy else 0
-            work.append(math.log2(min(outputs, dyn.chunk_states(top)) * 32 * top**2))
-            work.append(math.log2(outputs * 16 * (top + 2 * low**2)))
+            top, low = fs.sector_sizes(n_atoms, n_photons)
+            low = low if cfg.lossy else 0
+            # the runner's block, from its exact output count
+            stack = min(points, dyn.stack_runs(top, low, run.outputs())
+                        if math.isfinite(outputs) else 1)
+            work.append(math.log2(
+                min(stack * outputs, max(stack, dyn.chunk_states(top))) * 32 * top**2))
+            columns = 8 * 2.0**log2_cols if log2_copies is None else 0.0
+            work.append(math.log2(stack * outputs * (16 * (top + 2 * low**2) + 48 + columns)))
             if low:
-                work.append(math.log2(10 * 16 * (low**2 + top**2) ** 2))
+                work.append(math.log2(stack * 10 * 16 * (low**2 + top**2) ** 2))
         working.append((np.logaddexp2.reduce(work), ("n_atoms",)))
         if log2_copies is not None:
             held.append((log2_copies + math.log2(outputs) + 3 + log2_cols, run.key))
@@ -751,7 +758,8 @@ def parse_config(text: str) -> ExperimentConfig:
         # + i (kappa - gamma)/4)^2), never above the lossless sqrt(|g|^2 + (Delta/2)^2),
         # with extrema at multiples of pi / (2 Omega): those before the grid's last step
         # are interior.  Omega = 0 (Delta = 0, |kappa - gamma| / 4 >= |g|) is overdamped.
-        lossy = cfg.resolved_kappa_mhz + cfg.resolved_gamma_mhz > 0
+        # An envelope fit, like dynamics.envelope_lifetime, takes no decay time
+        # above 1e3 times its window: the envelope decays over 2 / (kappa + gamma).
         kappa, gamma = map(mhz_to_angular, (cfg.resolved_kappa_mhz, cfg.resolved_gamma_mhz))
         loss_keys = ("kappa_mhz", "q_factor", "gamma_mhz")[::-1 if gamma > kappa else 1]
         for name, key, least, maxima in SUMMARY_FITS.get(scenario, ()):
@@ -770,9 +778,15 @@ def parse_config(text: str) -> ExperimentConfig:
             found = max(0, math.ceil((run.t_end_ns - run.dt_ns) * 2 * omega / math.pi) - 1)
             found = (found + 1) // 2 if maxima else found  # the odd multiples are maxima
             blame = next((k for k in (key, "couplings_ghz", "g_ghz") if (k,) in lines), key)
-            check(found >= least or (maxima and not lossy), blame,
+            check(found >= least or (maxima and not cfg.lossy), blame,
                   f"run {name!r} has {found} interior {'maxima' if maxima else 'extrema'} "
                   f"of its exchange within {key} = {run.t_end_ns:g} ns; its fit needs >= {least}")
+            if maxima and cfg.lossy and 2.0 / (kappa + gamma) > 1e3 * run.t_end_ns:
+                blame = next((k for k in loss_keys if (k,) in lines), loss_keys[0])
+                errors.append(
+                    f"{at(blame)}: {blame}: run {name!r} decays over 2 / (kappa + gamma) = "
+                    f"{2.0 / (kappa + gamma):.4g} ns, more than 1e3 times {key} = "
+                    f"{run.t_end_ns:g} ns, too slowly for its envelope fit")
 
     if errors:
         raise ConfigError(errors)

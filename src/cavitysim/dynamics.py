@@ -27,11 +27,17 @@ renormalized and x is fed only by psi, so the trace check |psi|^2 + tr x
 = 1 is a real one: a drift of more than TRACE_TOL at any output time fails
 the run.
 
-Propagation has no Python loop per output step.  Each run of equal steps
+Propagation has no Python loop per output step.  Each stretch of equal steps
 takes its kets by doubling, rows[n:2n] = rows[:n] K^n with K^n squared
 from the last, and x by a log-depth scan over the feeds; the feeds'
 outer products are built a chunk of output times at a time.  Observables
-are then evaluated a chunk at a time, straight from (psi, x).  The block
+are then evaluated a chunk at a time, straight from (psi, x).  Nor is
+there a loop per run of a sweep: integrate() takes a stack of runs that
+share a layout, start ket and observables, such as a sweep's points, and
+every step above (expm's solve and squarings included) works on a leading
+run axis, each run with its own H, grid, propagators and expm scaling,
+while the layout's tables are built once.  A run on a uniform grid is
+then exactly what it would be alone.  The block
 structure makes each single-factor reduced state diagonal and each atom
 pair's an X-state, so entropies and concurrence come from marginal
 populations and one coherence per pair, with no eigensolver.  Two gates
@@ -70,7 +76,8 @@ TRACE_TOL = 1e-9
 # integrate() accepts at any output time.
 HERM_TOL = 1e-10
 # Size of the d_n x d_n outer products of kets that integrate() builds
-# together, for the feed and for the output times it evaluates together.
+# together, for the feed and for the output times it evaluates together,
+# and of the kets and x of the runs it takes as one stack (stack_runs).
 CHUNK_BYTES = 2**20
 # Rows that write_trajectory_csv converts to text together.
 CSV_BLOCK_ROWS = 1024
@@ -79,8 +86,17 @@ CSV_BLOCK_ROWS = 1024
 def chunk_states(dim: int) -> int:
     """Number of output times whose dim x dim complex outer products fit in
     CHUNK_BYTES (at least 1); integrate() sizes them by the d_n states of
-    the start sector."""
+    the start sector, and counts the output times of a stack's runs in
+    turn."""
     return max(1, CHUNK_BYTES // (16 * dim * dim))
+
+
+def stack_runs(top: int, low: int, outputs: int) -> int:
+    """Number of runs to pass integrate() as one stack, as the runner does
+    with a sweep's points: as many as fit in CHUNK_BYTES with their kets on
+    the `top` states of their start sector and their x on the `low` states
+    below it, at `outputs` output times each (at least 1)."""
+    return max(1, CHUNK_BYTES // (16 * outputs * (top + low * low)))
 
 
 # Coefficients b_0 .. b_13 of the [13/13] Pade approximant to exp, and the
@@ -94,28 +110,31 @@ _THETA13 = 5.371920351148152
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring: exp(a) = r(a / 2^s)^(2^s),
     r the [13/13] Pade approximant, s the fewest squarings that bring the
-    1-norm of a / 2^s to at most theta_13."""
-    norm = np.linalg.norm(a, 1)
-    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
-    u, v = _pade13_parts(a / 2.0**s)
+    1-norm of a / 2^s to at most theta_13.  a may be a stack (..., n, n)
+    of matrices, each scaled and squared by its own s."""
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.array([max(0, math.ceil(math.log2(x / _THETA13))) if x > 0 else 0
+                  for x in np.ravel(norm)]).reshape(norm.shape)
+    u, v = _pade13_parts(a / (2.0**s)[..., None, None])
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    for k in range(int(s.max(initial=0))):
+        more = s > k
+        r[more] = r[more] @ r[more]
     return r
 
 
 def _pade13_parts(a: np.ndarray) -> tuple:
-    """Odd and even parts u, v of the [13/13] Pade numerator at a, so that
-    r(a) = (v - u)^-1 (v + u).  The powers of a are freed on return."""
+    """Odd and even parts u, v of the [13/13] Pade numerator at a (or at
+    each matrix of a stack), so that r(a) = (v - u)^-1 (v + u).  The powers
+    of a are freed on return."""
     b = _PADE13
-    diag = slice(None, None, a.shape[0] + 1)  # the diagonal of a flattened matrix
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
     u = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
-    u.flat[diag] += b[1]
+    np.einsum("...ii->...i", u)[...] += b[1]  # in place: the off-diagonal zeros keep their sign
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
-    v.flat[diag] += b[0]
+    np.einsum("...ii->...i", v)[...] += b[0]
     return a @ u, v
 
 
@@ -219,6 +238,14 @@ def integrate(
     psi_(k-1)^dag).  A linspace grid, whose steps scatter by a few ulp,
     builds them once.
 
+    gen may also be a sequence of generators on one layout with the same
+    collapse channels, such as the points of a sweep; times is then a
+    sequence of as many grids, all of one length, and a list of
+    trajectories returns, one per generator.  They propagate as one stack:
+    each keeps its own H, grid and propagators, and is what it would be
+    alone, except that a step class ends where any run's does (never for
+    linspace grids).  stack_runs says how many fit CHUNK_BYTES.
+
     track may contain any of TRACKABLE (ValueError on any other entry).
     projections maps extra column names to kets whose population <v|rho|v>
     is recorded.  Entropies are computed per single factor (photon and each
@@ -227,7 +254,7 @@ def integrate(
     is applied: x has only its own feed, and the run raises
     IntegrationError if |tr rho - 1| = ||psi|^2 + tr x - 1| exceeds
     TRACE_TOL, or max |x - x^dag| exceeds HERM_TOL, at any output time,
-    naming the first such time.
+    naming the first such time (of the first run in a stack that has one).
 
     psi0 is a ket of length d whose non-zero amplitudes lie in one
     excitation sector, as every basis state's do (ValueError otherwise,
@@ -241,12 +268,23 @@ def integrate(
         raise ValueError(
             f"track has unknown entries {unknown}; valid: {', '.join(TRACKABLE)}"
         )
-    layout = gen.layout
+    stacked = not isinstance(gen, LindbladGenerator)
+    gens = list(gen) if stacked else [gen]
+    if not gens:
+        raise ValueError("integrate needs at least one generator")
+    layout, channels_of = gens[0].layout, gens[0].collapse_channels
+    if any(g.layout != layout or g.collapse_channels != channels_of for g in gens):
+        raise ValueError("a stack of generators must share one layout and its "
+                         "collapse channels")
     dim = layout.dim
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a non-empty 1-D grid")
-    if times.size > 1 and not np.all(np.diff(times) > 0):
+    if times.ndim != 1 + stacked or times.shape[-1] == 0:
+        raise ValueError("times must be a non-empty 1-D grid" if not stacked else
+                         "times must hold one non-empty grid per generator, all of one length")
+    times = times.reshape(-1, times.shape[-1])
+    if len(times) != len(gens):
+        raise ValueError(f"{len(gens)} generators but {len(times)} time grids")
+    if times.shape[1] > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (dim,):
@@ -268,10 +306,10 @@ def integrate(
     n_exc = int(sectors[0])
     kept = np.flatnonzero(exc <= n_exc)
     in_top = exc[kept] == n_exc
-    top, low = kept[in_top], kept[~in_top] if gen.collapse_channels else kept[:0]
+    top, low = kept[in_top], kept[~in_top] if channels_of else kept[:0]
     d_top, d_low = top.size, low.size
 
-    n_out = times.size
+    n_runs, n_out = times.shape
     want_pops = "populations" in track
     want_nph = "n_photon" in track
 
@@ -285,41 +323,52 @@ def integrate(
     projections = dict(projections or {})
     # Populations lead, in basis-index order; those not propagated stay exactly 0.
     column_order = tracked_columns(layout, track) + list(projections)
-    obs = {name: np.zeros(n_out) for name in column_order}
+    # One row per run; the chunk loop below reads them as one series.
+    obs = {name: np.zeros((n_runs, n_out)) for name in column_order}
 
     chunk = chunk_states(d_top)
-    psi = np.empty((n_out, d_top), dtype=complex)
-    psi[0] = psi0[top]
-    x = np.zeros((n_out, d_low * d_low), dtype=complex)  # row-major vec of x
+    psi = np.empty((n_runs, n_out, d_top), dtype=complex)
+    psi[:, 0] = psi0[top]
+    x = np.zeros((n_runs, n_out, d_low * d_low), dtype=complex)  # row-major vec of x
     if n_out > 1:
         steps = np.diff(times)
-        bins = np.round((steps - steps[0]) / (1e-12 * (times[-1] - times[0])))
-        _, step_class = np.unique(bins, return_inverse=True)
-        lengths = np.bincount(step_class, weights=steps) / np.bincount(step_class)
-        h_eff = build_hamiltonian(layout, gen.params, top)
-        channels = collapse_operators(gen, kept)
+        bins = np.round((steps - steps[:, :1]) / (1e-12 * (times[:, -1:] - times[:, :1])))
+        # A step's class is its bin in every run of the stack: sorted by
+        # them, the steps start a new class wherever a run's bin changes.
+        order = np.lexsort(bins)
+        ranked = bins[:, order]
+        step_class = np.empty(n_out - 1, dtype=np.intp)
+        step_class[order] = np.cumsum(
+            np.any(np.diff(ranked, axis=1, prepend=ranked[:, :1]) != 0, axis=0))
+        lengths = (np.array([np.bincount(step_class, weights=row) for row in steps])
+                   / np.bincount(step_class))
+        h_eff = build_hamiltonian(layout, [g.params for g in gens], top)
+        channels = collapse_operators(gens[0], kept)
         for rate, _, anti in channels:
             h_eff -= 0.5j * rate * np.diag(anti[in_top])
-        feed = _van_loan_generator(gen, channels, in_top, low, h_eff) if d_low else None
+        feed = _van_loan_generator(gens, channels, in_top, low, h_eff) if d_low else None
         props = []
-        for dt in lengths:
+        for dt in lengths.T[:, :, None, None]:
             ket_step = expm(-1j * h_eff * dt)
             # Van Loan (1978): the top rows of expm([[L_low, J], [0, L_top]] dt)
             # are [E, F], the step of x and its feed from psi psi^dag.
-            props.append((ket_step, expm(feed * dt)[:d_low**2].copy() if d_low else None))
-        # Runs of equal steps, each propagated at once from its first output.
+            props.append((ket_step, expm(feed * dt)[:, :d_low**2].copy() if d_low else None))
+        # Stretches of equal steps, each propagated at once from its first output;
+        # the feed's outer products are built for every run, a few steps at a time.
+        feed_steps = max(1, chunk // n_runs)
         starts = np.flatnonzero(np.diff(step_class, prepend=-1))
         for a, b in zip(starts, [*starts[1:], n_out - 1]):
             ket_step, top_rows = props[step_class[a]]
-            _power_series(psi[a:b + 1], ket_step.T)
+            _power_series(psi[:, a:b + 1], ket_step.swapaxes(-1, -2))
             if top_rows is None:
                 continue
-            x_step, x_feed = top_rows[:, :d_low**2], top_rows[:, d_low**2:]
-            for k in range(a, b, chunk):
-                kets = psi[k:min(k + chunk, b)]
-                rank_one = (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), -1)
-                x[k + 1:k + 1 + len(kets)] = rank_one @ x_feed.T
-            _linear_scan(x[a:b + 1], x_step.T)
+            x_step, x_feed = top_rows[..., :d_low**2], top_rows[..., d_low**2:]
+            for k in range(a, b, feed_steps):
+                kets = psi[:, k:min(k + feed_steps, b)]
+                rank_one = (kets[..., :, None] * kets[..., None, :].conj()).reshape(
+                    n_runs, kets.shape[1], -1)
+                x[:, k + 1:k + 1 + kets.shape[1]] = rank_one @ x_feed.swapaxes(-1, -2)
+            _linear_scan(x[:, a:b + 1], x_step.swapaxes(-1, -2))
 
     # Every state stays block-diagonal in excitation number, so the reduced
     # state of one factor is diagonal, and that of an atom pair has only the
@@ -344,10 +393,14 @@ def integrate(
     vecs = np.array(list(projections.values()), dtype=complex).reshape(-1, dim)
     vecs_top, vecs_low = vecs[:, top], vecs[:, low]
 
-    for k0 in range(0, n_out, chunk):
-        ks = slice(k0, min(k0 + chunk, n_out))
-        kets = psi[ks]
-        lower = x[ks].reshape(len(kets), d_low, d_low)
+    # Every run's output times in turn, as one series of states.
+    n_states = n_runs * n_out
+    all_kets, all_x = psi.reshape(n_states, d_top), x.reshape(n_states, d_low * d_low)
+    series = {name: column.reshape(n_states) for name, column in obs.items()}
+    for k0 in range(0, n_states, chunk):
+        ks = slice(k0, min(k0 + chunk, n_states))
+        kets = all_kets[ks]
+        lower = all_x[ks].reshape(len(kets), d_low, d_low)
         pops = np.hstack([kets.real**2 + kets.imag**2,
                           np.real(np.diagonal(lower, axis1=1, axis2=2))])
         tr = pops.sum(axis=1)
@@ -361,19 +414,19 @@ def integrate(
             else:
                 what, tol = f"Hermiticity deviation {herm[b]:.3e} of x", HERM_TOL
             raise IntegrationError(
-                f"{what} at t={times[k0 + b]:.6g} ns exceeds tolerance {tol:g}"
+                f"{what} at t={times.flat[k0 + b]:.6g} ns exceeds tolerance {tol:g}"
             )
         if want_pops:
             for k, column in zip(order, pops.T):
-                obs[column_order[k]][ks] = column
+                series[column_order[k]][ks] = column
         if want_nph:
-            obs["n_photon"][ks] = pops @ nph_diag
+            series["n_photon"][ks] = pops @ nph_diag
         for p, m in zip(entropy_factors, entropy_maps):
-            obs[f"S_{subsystem_letter(p)}"][ks] = ent.spectrum_entropy_stack(
+            series[f"S_{subsystem_letter(p)}"][ks] = ent.spectrum_entropy_stack(
                 pops @ m, norm_dims[p]
             )
         for (i, j), (m, ge, eg, ge_low, eg_low) in zip(pairs, pair_maps):
-            obs[f"C_{subsystem_letter(i)}{subsystem_letter(j)}"][ks] = (
+            series[f"C_{subsystem_letter(i)}{subsystem_letter(j)}"][ks] = (
                 ent.x_state_concurrence_stack(
                     pops @ m,
                     np.sum(kets[:, ge] * kets[:, eg].conj(), axis=1)
@@ -387,51 +440,60 @@ def integrate(
             values = amps.real**2 + amps.imag**2 + np.real(
                 np.sum((vecs_low.conj() @ lower) * vecs_low, axis=-1))
             for name, column in zip(projections, values.T):
-                obs[name][ks] = column
+                series[name][ks] = column
 
-    return Trajectory(layout=layout, times=times, observables=obs, column_order=column_order)
+    trajectories = [
+        Trajectory(layout=layout, times=times[r],
+                   observables={name: column[r] for name, column in obs.items()},
+                   column_order=column_order)
+        for r in range(n_runs)
+    ]
+    return trajectories if stacked else trajectories[0]
 
 
-def _van_loan_generator(gen: LindbladGenerator, channels: list, in_top: np.ndarray,
+def _van_loan_generator(gens: list, channels: list, in_top: np.ndarray,
                         low: np.ndarray, h_eff: np.ndarray) -> np.ndarray:
-    """[[L_low, J], [0, L_top]] on (vec x, vec psi psi^dag) of a lossy run.
+    """[[L_low, J], [0, L_top]] on (vec x, vec psi psi^dag) of each lossy
+    run of a stack.
 
     L_low is the Liouvillian of the states `low` below the top sector,
     L_top the action of H_eff on psi psi^dag, and J = sum rate (L kron L*)
     the jumps from the top sector into x, cut from each channel's (rate,
     L, anti) on the kept states, of which in_top marks the top sector."""
-    n_low, n_top = low.size**2, h_eff.size
-    out = np.zeros((n_low + n_top,) * 2, dtype=complex)
-    out[:n_low, :n_low] = liouvillian_matrix(gen, low)
+    n_low, n_top = low.size**2, h_eff.shape[-1]**2
+    out = np.zeros((len(gens),) + (n_low + n_top,) * 2, dtype=complex)
+    out[:, :n_low, :n_low] = [liouvillian_matrix(gen, low) for gen in gens]
     for rate, L, _ in channels:
         jump = L[np.ix_(~in_top, in_top)]
-        out[:n_low, n_low:] += rate * np.kron(jump, jump.conj())
-    eye = np.eye(len(h_eff))
-    out[n_low:, n_low:] = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
+        out[:, :n_low, n_low:] += rate * np.kron(jump, jump.conj())
+    eye = np.eye(h_eff.shape[-1])
+    out[:, n_low:, n_low:] = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
     return out
 
 
 def _power_series(rows: np.ndarray, step: np.ndarray):
-    """rows[j] = rows[0] @ step^j for j >= 1, by doubling: rows[n:2n] =
-    rows[:n] @ step^n, step^n squared from the last.  No loop per row."""
-    n, power = 1, step
-    while n < len(rows):
-        m = min(n, len(rows) - n)
-        np.matmul(rows[:m], power, out=rows[n:n + m])
+    """rows[..., j, :] = rows[..., 0, :] @ step^j for j >= 1, by doubling:
+    rows[n:2n] = rows[:n] @ step^n, step^n squared from the last.  No loop
+    per row; a stack of rows takes a stack of steps."""
+    n, power, count = 1, step, rows.shape[-2]
+    while n < count:
+        m = min(n, count - n)
+        np.matmul(rows[..., :m, :], power, out=rows[..., n:n + m, :])
         n *= 2
-        if n < len(rows):
+        if n < count:
             power = power @ power
 
 
 def _linear_scan(rows: np.ndarray, step: np.ndarray):
-    """rows[j] <- rows[j - 1] @ step + rows[j] for j >= 1, in place, by a
-    log-depth scan: pass p adds step^(2^p) times the row 2^p earlier, so
-    rows[j] = sum_i rows[i] @ step^(j - i) over i <= j."""
-    s, power = 1, step
-    while s < len(rows):
-        rows[s:] += rows[:-s] @ power
+    """rows[..., j, :] <- rows[..., j - 1, :] @ step + rows[..., j, :] for
+    j >= 1, in place, by a log-depth scan: pass p adds step^(2^p) times the
+    row 2^p earlier, so rows[j] = sum_i rows[i] @ step^(j - i) over i <= j.
+    A stack of rows takes a stack of steps."""
+    s, power, count = 1, step, rows.shape[-2]
+    while s < count:
+        rows[..., s:, :] += rows[..., :-s, :] @ power
         s *= 2
-        if s < len(rows):
+        if s < count:
             power = power @ power
 
 

@@ -13,6 +13,7 @@ number operators are diagonal, so they are kept as their diagonals.
 Everything here is a pure function of immutable inputs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,16 @@ def excitation_number_diagonal(layout: HilbertLayout) -> np.ndarray:
     atoms = np.arange(layout.dim) & (2**layout.n_atoms - 1)
     excited = sum((atoms >> i) & 1 for i in range(layout.n_atoms))
     return photon_number_diagonal(layout) + excited
+
+
+def sector_sizes(n_atoms: int, n_photons: int) -> tuple:
+    """(d_n, d_l): the basis states with n_photons excitations, and those
+    with fewer, when every photon number up to n_photons is retained.  j
+    excited atoms with n_photons - j photons make the sector, and with
+    fewer photons the states below it."""
+    excited = range(min(n_atoms, n_photons) + 1)
+    return (sum(math.comb(n_atoms, j) for j in excited),
+            sum(math.comb(n_atoms, j) * (n_photons - j) for j in excited))
 
 
 def factor_index(layout: HilbertLayout, basis, factors) -> np.ndarray:

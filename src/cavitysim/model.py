@@ -107,14 +107,14 @@ def _lowering(layout: HilbertLayout, factor: int, states: np.ndarray) -> tuple:
 
 
 def _on_states(states: np.ndarray, amplitudes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """The d' x d' matrix on `states` with amplitudes[j] at
-    (targets[j], states[j]), dropping the zero amplitudes and the targets
-    that are not among the states."""
+    """The d' x d' matrix on `states` with amplitudes[..., j] at
+    (targets[j], states[j]), dropping the amplitudes that are zero in every
+    matrix of a stack and the targets that are not among the states."""
     order = np.argsort(states)
     rows = order[np.minimum(np.searchsorted(states, targets, sorter=order), states.size - 1)]
-    hit = (amplitudes != 0) & (states[rows] == targets)
-    out = np.zeros((states.size, states.size), dtype=complex)
-    out[rows[hit], np.flatnonzero(hit)] = amplitudes[hit]
+    hit = (amplitudes != 0).reshape(-1, states.size).any(axis=0) & (states[rows] == targets)
+    out = np.zeros(amplitudes.shape[:-1] + (states.size, states.size), dtype=complex)
+    out[..., rows[hit], np.flatnonzero(hit)] = amplitudes[..., hit]
     return out
 
 
@@ -126,7 +126,7 @@ def lowering_operator(layout: HilbertLayout, factor: int, keep=None) -> np.ndarr
     return _on_states(states, amplitudes, states - shift)
 
 
-def build_hamiltonian(layout: HilbertLayout, params: SystemParams, keep=None) -> np.ndarray:
+def build_hamiltonian(layout: HilbertLayout, params: SystemParams | list, keep=None) -> np.ndarray:
     """Assemble H (hbar=1) in the frame rotating at the cavity frequency,
     on the basis states `keep` (all of them if None):
 
@@ -136,20 +136,30 @@ def build_hamiltonian(layout: HilbertLayout, params: SystemParams, keep=None) ->
     |n, s> with atom i in g to sqrt(n)|n-1, s + e_i>, which moves the index
     down by 2^N and up by 2^(N-i).  The interaction is assembled as
     T + T^dag so the result is Hermitian exactly (entrywise), not merely to
-    tolerance.
+    tolerance.  params may be a sequence of SystemParams, for which the
+    stack of their Hamiltonians returns, each as its own SystemParams
+    builds it.
     """
-    _check_match(layout, params)
+    stacked = not isinstance(params, SystemParams)
+    stack = list(params) if stacked else [params]
+    for p in stack:
+        _check_match(layout, p)
     states = _states(layout, keep)
-    diag = np.zeros(states.size)
-    half_sz = 0.5 * params.detuning
+    half_sz = np.array([[0.5 * p.detuning] for p in stack])
+    couplings = np.array([p.couplings for p in stack])
+    diag = np.zeros((len(stack), states.size))
     photons, down = _lowering(layout, 0, states)
-    h = np.zeros((states.size, states.size), dtype=complex)
-    for i, g in enumerate(params.couplings, start=1):
+    h = np.zeros((len(stack), states.size, states.size), dtype=complex)
+    for i in range(1, layout.n_atoms + 1):
         excited, up = _lowering(layout, i, states)
         diag = diag + half_sz * (2.0 * excited - 1.0)  # sigma^z: +1 on e, -1 on g
+        g = couplings[:, i - 1, None]
         t = _on_states(states, g * photons * (1.0 - excited), states - down + up)
-        h += t + t.conj().T
-    return h + np.diag(diag)
+        h += t + t.conj().swapaxes(-1, -2)
+    on_diagonal = np.zeros(h.shape)
+    np.einsum("...ii->...i", on_diagonal)[...] = diag
+    h = h + on_diagonal
+    return h if stacked else h[0]
 
 
 def build_generator(layout: HilbertLayout, params: SystemParams) -> LindbladGenerator:

@@ -4,6 +4,9 @@ What a scenario computes is its plan (`config.SCENARIOS`): fixed runs, at
 most one sweep with a run per point, and a summary.  Every one of those
 runs comes from trajectory(): the config's cavity and atoms with the run's
 couplings, started in |n, g..g> and propagated over the run's uniform grid.
+A fixed run propagates alone; a sweep's points propagate a block at a
+time, each block as one stack in one `integrate` call (as many points as
+`dynamics.stack_runs` fits in its memory budget: all of a fig5 map).
 
 Output contract (per run directory):
   config.txt    -- canonical config (TOML), execution-only fields normalized
@@ -14,10 +17,10 @@ Output contract (per run directory):
   manifest.json -- tool version, scenario, config hash
 
 The same config produces byte-identical files: sweep points are computed
-in order, floats are written with repr(), and nothing records wall time.
-The `workers` field is accepted and ignored; each trajectory propagates and
-evaluates its output times in stacks, so there is nothing left to spread
-over threads.
+in order, each exactly as it would be alone, floats are written with
+repr(), and nothing records wall time.  The `workers` field is accepted
+and ignored; points and output times propagate and are evaluated in
+stacks, so there is nothing left to spread over threads.
 """
 
 import hashlib
@@ -57,37 +60,57 @@ def physics_canonical_text(cfg: ExperimentConfig) -> str:
     return canonical_text(replace(cfg, workers=1, output_dir=""))
 
 
-def trajectory(cfg: ExperimentConfig, run: Run) -> dyn.Trajectory:
+def trajectory(cfg: ExperimentConfig, run: Run | list) -> dyn.Trajectory | list:
     """Propagate |run.n_photons, g..g> with the config's cavity and atoms
-    over run.times(), recording run.track and run.projections."""
-    layout = fs.HilbertLayout(n_max=cfg.n_max_for(run.n_photons), n_atoms=run.n_atoms)
-    params = SystemParams(
+    over run.times(), recording run.track and run.projections.
+
+    run may also be a list of runs that differ only in their couplings and
+    grids, without projections, such as a block of sweep points: they
+    propagate as one stack, and their trajectories return as a list."""
+    runs = run if isinstance(run, list) else [run]
+    first = runs[0]
+    if len(runs) > 1 and any(r.projections for r in runs):
+        raise ValueError("a stack of runs records no projections")
+    layout = fs.HilbertLayout(n_max=cfg.n_max_for(first.n_photons), n_atoms=first.n_atoms)
+    cavity = dict(
         omega_c=0.0,
         omega_0=ghz_to_angular(cfg.detuning_ghz),
         kappa=mhz_to_angular(cfg.resolved_kappa_mhz),
         gamma=mhz_to_angular(cfg.resolved_gamma_mhz),
-        couplings=tuple(ghz_to_angular(g) for g in run.couplings_ghz()),
     )
-    gen = build_generator(layout, params)
-    return dyn.integrate(
-        gen, fs.basis_state(layout, run.n_photons, "g" * layout.n_atoms), run.times(),
-        track=run.track,
-        projections=run.projections(layout, run) if run.projections else None,
+    gens = [
+        build_generator(layout, SystemParams(
+            **cavity, couplings=tuple(ghz_to_angular(g) for g in r.couplings_ghz())))
+        for r in runs
+    ]
+    trajectories = dyn.integrate(
+        gens, fs.basis_state(layout, first.n_photons, "g" * layout.n_atoms),
+        [r.times() for r in runs],
+        track=first.track,
+        projections=first.projections(layout, first) if first.projections else None,
     )
+    return trajectories if isinstance(run, list) else trajectories[0]
 
 
 def run_plan(cfg: ExperimentConfig):
     """Execute the config's plan: (kept trajectories by name, summary,
-    tables by file name)."""
+    tables by file name).  The sweep's points propagate a block of
+    dynamics.stack_runs at a time, each block as one stack."""
     plan = SCENARIOS[cfg.scenario].plan(cfg)
-    kept, rows = {}, []
-    for point, run in plan.schedule(cfg):
-        traj = trajectory(cfg, run)
-        if run.name:
-            kept[run.name] = traj
-        if point is not None:
-            rows.append(point | {f"peak_{c}": float(np.max(traj.series(c)))
-                                 for c in plan.sweep.peaks})
+    kept = {run.name: trajectory(cfg, run) for run in plan.runs}
+    rows = []
+    if plan.sweep:
+        points = list(plan.sweep.points(cfg))
+        first = points[0][1]
+        top, low = fs.sector_sizes(first.n_atoms, first.n_photons)
+        size = dyn.stack_runs(top, low if cfg.lossy else 0, first.outputs())
+        for start in range(0, len(points), size):
+            block = points[start:start + size]
+            for (point, run), traj in zip(block, trajectory(cfg, [run for _, run in block])):
+                if run.name:
+                    kept[run.name] = traj
+                rows.append(point | {f"peak_{c}": float(np.max(traj.series(c)))
+                                     for c in plan.sweep.peaks})
     tables = {plan.sweep.table: rows} if plan.sweep else {}
     return kept, plan.summarize(cfg, kept, rows), tables
 

@@ -163,16 +163,23 @@ def integrate_states(gen: LindbladGenerator, psi0: np.ndarray, times, projection
 
 
 def skew_x(monkeypatch, first: int, eps: float):
-    """Add i eps to every entry of x from output `first` on, in each run of
-    equal steps: a 1 x 1 x (one atom from one photon, x on |0g>) then has
-    |x - x^dag| = 2 eps there, and the same real trace."""
+    """Add i eps to every entry of x from output `first` on, in each stretch
+    of equal steps of each run of a stack: a 1 x 1 x (one atom from one photon,
+    x on |0g>) then has |x - x^dag| = 2 eps there, and the same real trace."""
     scan = dynamics._linear_scan
 
     def skewed(rows, step):
         scan(rows, step)
-        rows[first:] += 1j * eps
+        rows[..., first:, :] += 1j * eps
 
     monkeypatch.setattr(dynamics, "_linear_scan", skewed)
+
+
+def plan_runs(plan, cfg):
+    """Every run of the plan in order: the fixed runs, then the sweep's
+    points, each propagated alone."""
+    points = plan.sweep.points(cfg) if plan.sweep else ()
+    return itertools.chain(plan.runs, (run for _, run in points))
 
 
 def plan_trajectories(cfg, stride: int) -> list:
@@ -181,7 +188,7 @@ def plan_trajectories(cfg, stride: int) -> list:
     its states are rebuilt from them at every stride-th output time."""
     plan = SCENARIOS[cfg.scenario].plan(cfg)
     out = []
-    for _, run in plan.schedule(cfg):
+    for run in plan_runs(plan, cfg):
         kets = run._replace(projections=lambda layout, r: tomography_kets(layout, r.n_photons))
         traj = runner.trajectory(cfg, kets)
         out.append((run, traj, tomography_states(traj, run.n_photons)[::stride]))

@@ -102,13 +102,15 @@ def test_run_exit_code_on_config_error(tmp_path):
 
 
 def test_run_exit_code_on_runtime_failure(tmp_path, capsys):
-    # a loss too weak to resolve: fig2's envelope decays by 5e-8 over its
-    # 40 ns window, so the lifetime fit fails at run, which validate does
-    # not foresee
-    weak = _write(tmp_path, 'scenario = "fig2_single_atom"\nq_factor = 1e15\ngamma_mhz = 0.0\n')
-    assert main(["validate", weak]) == 0
-    assert main(["run", weak, "--output-dir", str(tmp_path / "x")]) == 2
-    assert "does not describe a resolvable decay" in capsys.readouterr().err
+    # detuned and strongly lossy: the exchange stops oscillating once its
+    # fast eigenmode has died, so the frequency fit fails at run, which
+    # validate's count from the damped frequency does not foresee
+    text = ('scenario = "fig2_single_atom"\ndetuning_ghz = 20.0\nkappa_mhz = 4e4\n'
+            "t_end_ns = 0.1\n")
+    damped = _write(tmp_path, text)
+    assert main(["validate", damped]) == 0
+    assert main(["run", damped, "--output-dir", str(tmp_path / "x")]) == 2
+    assert "need >= 3 extrema to estimate a frequency, found 1" in capsys.readouterr().err
 
 
 def test_run_exits_2_when_x_leaves_hermitian(tmp_path, monkeypatch, capsys):

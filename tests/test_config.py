@@ -364,6 +364,32 @@ def test_windows_too_short_for_the_summary_fit_fail_validate(text, error, tmp_pa
         assert main(["validate", str(path)]) == 0
 
 
+@pytest.mark.parametrize("text, key, tau", [
+    ('q_factor = 1e15\ngamma_mhz = 0.0\n', "line 2: q_factor", "8.282e+08"),
+    ('kappa_mhz = 1e-9\ngamma_mhz = 0.0\n', "line 2: kappa_mhz", "3.183e+11"),
+    ('kappa_mhz = 0.0\ngamma_mhz = 1e-6\n', "line 3: gamma_mhz", "3.183e+08"),
+], ids=["q_factor", "kappa", "gamma"])
+def test_loss_too_weak_for_the_envelope_fit_fails_validate(text, key, tau, tmp_path):
+    # envelope_lifetime rejects a decay time above 1e3 times its window, and
+    # fig2's envelope decays over 2 / (kappa + gamma)
+    text = 'scenario = "fig2_single_atom"\n' + text
+    assert _errors(text) == [
+        f"{key}: run 'long' decays over 2 / (kappa + gamma) = {tau} ns, more than 1e3 "
+        "times t_long_ns = 40 ns, too slowly for its envelope fit"]
+    path = tmp_path / "cfg.toml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    path.write_text(text + "lossless = true\n")
+    assert main(["validate", str(path)]) == 0
+
+
+def test_envelope_fit_limit_is_the_window_times_1e3():
+    # 2 / kappa = 4e4 ns at kappa = 5e-5 rad/ns = 7.9577e-3 MHz
+    text = 'scenario = "fig2_single_atom"\ngamma_mhz = 1e-9\nkappa_mhz = '
+    assert len(_errors(text + "0.007957\n")) == 1
+    parse_config(text + "0.007958\n")
+
+
 def test_fig5_sweep_may_reach_the_grid_edges(tmp_path):
     path = tmp_path / "cfg.toml"
     path.write_text(_fig5("D1", (-1862.0, 1338.0), (-270.0, 270.0)))

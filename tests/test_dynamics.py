@@ -15,6 +15,7 @@ from cavitysim.units import ghz_to_angular
 
 from conftest import (
     integrate_states,
+    plan_runs,
     random_sector_ket,
     skew_x,
     tomography_kets,
@@ -233,16 +234,18 @@ def test_expm_matches_scipy_on_scenario_generators(scenario, lossless, monkeypat
     # The generators integrate() exponentiates in each fixed run and the
     # first sweep point: -i H dt without loss; with it -i H_eff dt, then the
     # Van Loan block where the run has states below its start's sector.
+    # Each call takes a stack, here of one run.
     generators = []
 
     def capture(m):
-        generators.append(m)
+        assert m.ndim == 3 and len(m) == 1
+        generators.extend(m)
         return expm(m)
 
     monkeypatch.setattr(dyn, "expm", capture)
     cfg = parse_config(f'scenario = "{scenario}"\nlossless = {str(lossless).lower()}\n')
     plan = SCENARIOS[scenario].plan(cfg)
-    for _, run in itertools.islice(plan.schedule(cfg), len(plan.runs) + 1):
+    for run in itertools.islice(plan_runs(plan, cfg), len(plan.runs) + 1):
         runner.trajectory(cfg, run)
     monkeypatch.undo()
     assert generators
@@ -280,6 +283,39 @@ def test_expm_with_several_squarings():
     assert np.allclose(u @ u.conj().T, np.eye(12), atol=1e-13)
 
 
+def test_expm_of_a_stack_equals_each_alone():
+    # each matrix keeps its own scaling: 0, 1 and 4 squarings, and the zero matrix
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+    stack = np.concatenate([x * (norm / np.linalg.norm(x, 1, axis=(1, 2)))[:, None, None]
+                            for norm in ([1.0, 9.0, 80.0],)] + [np.zeros((1, 6, 6))])
+    assert [math.ceil(math.log2(np.linalg.norm(m, 1) / dyn._THETA13)) for m in stack[:3]] == [
+        -2, 1, 4]
+    out = dyn.expm(stack)
+    for m, each in zip(stack, out, strict=True):
+        assert each.tobytes() == dyn.expm(m).tobytes()
+    assert np.abs(out[3] - np.eye(6)).max() <= 1e-15
+
+
+def test_stack_needs_one_layout_and_its_channels():
+    lay, gen = _gen(1, (G,), kappa=0.19)
+    psi0, ts = fs.basis_state(lay, 1, "g"), np.linspace(0.0, 1.0, 5)
+    lossless = _gen(1, (G,))[1]
+    wider = _gen(2, (G,), kappa=0.19)[1]
+    for other in (lossless, wider):
+        with pytest.raises(ValueError, match="share one layout and its collapse channels"):
+            dyn.integrate([gen, other], psi0, [ts, ts])
+    with pytest.raises(ValueError, match="2 generators but 3 time grids"):
+        dyn.integrate([gen, gen], psi0, [ts, ts, ts])
+    with pytest.raises(ValueError, match="one non-empty grid per generator"):
+        dyn.integrate([gen, gen], psi0, ts)
+    with pytest.raises(ValueError, match="at least one generator"):
+        dyn.integrate([], psi0, [ts])
+    [alone] = dyn.integrate([gen], psi0, [ts])
+    assert alone.series("pop_1g").tobytes() == dyn.integrate(gen, psi0, ts).series(
+        "pop_1g").tobytes()
+
+
 def test_one_propagator_per_distinct_step(monkeypatch):
     calls = []
 
@@ -293,13 +329,18 @@ def test_one_propagator_per_distinct_step(monkeypatch):
     # 40 ns at 5 ps: linspace steps scatter by ~7e-15 ns.  One photon keeps
     # |0g>, |0e>, |1g> of the d = 6 space.  A step class builds the 2 x 2
     # ket step on the top sector |0e>, |1g>, and the Van Loan block on
-    # vec x (1 row for |0g>) and vec psi psi^dag (4 rows): 5 x 5.
+    # vec x (1 row for |0g>) and vec psi psi^dag (4 rows): 5 x 5, each in a
+    # stack of one run.
     dyn.integrate(gen, psi0, np.linspace(0.0, 40.0, 8001), track=())
-    assert calls == [(2, 2), (5, 5)]
+    assert calls == [(1, 2, 2), (1, 5, 5)]
     calls.clear()
     ts = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.0, 2.0, 5)[1:]])
     dyn.integrate(gen, psi0, ts, track=())
-    assert calls == [(2, 2), (5, 5)] * 2
+    assert calls == [(1, 2, 2), (1, 5, 5)] * 2
+    # a stack of three runs builds each class's propagators in one call
+    calls.clear()
+    dyn.integrate([gen] * 3, psi0, [ts, 2 * ts, 3 * ts], track=())
+    assert calls == [(3, 2, 2), (3, 5, 5)] * 2
 
 
 def test_lossless_run_never_builds_the_liouvillian(monkeypatch):
@@ -584,32 +625,44 @@ def test_chunk_holds_about_one_mebibyte():
     assert dyn.chunk_states(4096) == 1
 
 
-def _two_atom_observables_run(extra_projections=None):
-    lay, gen = _gen(2, (G, 0.6 * G), kappa=0.19, gamma=0.04)
+def _two_atom_observables_run(extra_projections=None, runs=((0.6, 0.3),)):
+    """The run at couplings (G, r G) over 62 outputs up to t_end for each
+    (r, t_end) of runs: one trajectory for one run, else the list of a
+    stack."""
+    gens = [_gen(2, (G, r * G), kappa=0.19, gamma=0.04)[1] for r, _ in runs]
+    grids = [np.linspace(0.0, t_end, 62) for _, t_end in runs]
+    lay = gens[0].layout
     gv = analytic.CouplingVector((G, 0.6 * G))
     chi0, chi1 = analytic.single_excitation_states(lay, gv)
     psi0 = fs.basis_state(lay, 1, "gg")
     return dyn.integrate(
-        gen, psi0, np.linspace(0.0, 0.3, 62),
+        gens[0] if len(runs) == 1 else gens, psi0, grids[0] if len(runs) == 1 else grids,
         track=("populations", "n_photon", "entropies", "concurrence"),
         projections={"P_chi0": chi0, "P_chi1": chi1, **(extra_projections or {})},
     )
 
 
-def test_chunked_run_equals_one_chunk(monkeypatch):
+@pytest.mark.parametrize("runs", [((0.6, 0.3),), ((0.6, 0.3), (0.0, 0.2), (1.4, 0.45))],
+                         ids=["one_run", "stack"])
+def test_chunked_run_equals_one_chunk(runs, monkeypatch):
     # the tomography columns fix the state, so equal columns mean equal states
     tomography = tomography_kets(HilbertLayout(n_max=2, n_atoms=2), 1)
-    one = _two_atom_observables_run(tomography)
+    # each run alone, in one chunk
+    one = [_two_atom_observables_run(tomography, (run,)) for run in runs]
     # one photon from |1gg>: the chunk holds 3 x 3 outer products of kets on
     # |0ge>, |0eg>, |1gg> of the d = 12 space
     assert dyn.chunk_states(3) >= 62  # the reference fits one chunk
-    # 7 output times per chunk: 62 outputs span 9 chunks, the last one partial
+    # 7 output times per chunk: 62 outputs span 9 chunks, the last one
+    # partial; a stack's 186 outputs span 27, some across two runs
     monkeypatch.setattr(dyn, "CHUNK_BYTES", 7 * 16 * 3 * 3)
     assert dyn.chunk_states(3) == 7
-    many = _two_atom_observables_run(tomography)
-    assert many.column_order == one.column_order
-    for name in one.column_order:
-        assert np.array_equal(many.series(name), one.series(name)), name
+    many = _two_atom_observables_run(tomography, runs)
+    many = [many] if len(runs) == 1 else many
+    for alone, chunked in zip(one, many, strict=True):
+        assert chunked.column_order == alone.column_order
+        assert chunked.times.tobytes() == alone.times.tobytes()
+        for name in alone.column_order:  # bytes, so -0.0 differs from 0.0
+            assert chunked.series(name).tobytes() == alone.series(name).tobytes(), name
 
 
 def test_trace_gate_names_first_time_in_a_later_chunk(monkeypatch):

@@ -218,3 +218,16 @@ def test_detuned_hamiltonian_shifts_block():
     g_state = fs.basis_state(lay, 0, "g")
     assert e_state.conj() @ h @ e_state == pytest.approx(delta / 2)
     assert g_state.conj() @ h @ g_state == pytest.approx(-delta / 2)
+
+
+def test_stacked_hamiltonians_equal_each_alone():
+    # a zero coupling, a detuning and a sign of zero, each built as alone
+    lay = HilbertLayout(n_max=2, n_atoms=2)
+    stack = [_params(couplings=(G, 0.0)), _params(couplings=(0.3 * G, 1.7 * G), omega_0=-2.5),
+             _params(couplings=(G, G), omega_0=1.0)]
+    keep = np.flatnonzero(fs.excitation_number_diagonal(lay) == 1)
+    for states in (None, keep):
+        h = model.build_hamiltonian(lay, stack, states)
+        assert h.shape[0] == len(stack)
+        for p, each in zip(stack, h, strict=True):
+            assert each.tobytes() == model.build_hamiltonian(lay, p, states).tobytes()

@@ -16,6 +16,8 @@ from cavitysim.model import SystemParams
 from cavitysim.runner import run_scenario
 from cavitysim.units import ghz_to_angular, mhz_to_angular
 
+from conftest import plan_runs
+
 
 def test_fig2_summary_reproduces_design_figures(tmp_path):
     cfg = parse_config('scenario = "fig2_single_atom"\n')
@@ -125,16 +127,18 @@ SMALL_CONFIGS = {
 
 @pytest.mark.parametrize("scenario", sorted(SMALL_CONFIGS))
 def test_every_trajectory_comes_from_the_one_path(scenario, monkeypatch):
-    produced = []
+    produced, calls = [], []
     real = runner.trajectory
 
     def counting(cfg, run, *args, **kwargs):
-        traj = real(cfg, run, *args, **kwargs)
-        start = fs.basis_state(traj.layout, run.n_photons, "g" * run.n_atoms)
-        label = dyn.population_labels(traj.layout)[int(np.argmax(start))]
-        assert traj.series(label)[0] == 1.0
-        produced.append(traj)
-        return traj
+        out = real(cfg, run, *args, **kwargs)
+        calls.append(run)
+        for r, traj in zip(run, out) if isinstance(run, list) else [(run, out)]:
+            start = fs.basis_state(traj.layout, r.n_photons, "g" * r.n_atoms)
+            label = dyn.population_labels(traj.layout)[int(np.argmax(start))]
+            assert traj.series(label)[0] == 1.0
+            produced.append(traj)
+        return out
 
     monkeypatch.setattr(runner, "trajectory", counting)
     cfg = parse_config(f'scenario = "{scenario}"\n' + SMALL_CONFIGS[scenario])
@@ -144,6 +148,69 @@ def test_every_trajectory_comes_from_the_one_path(scenario, monkeypatch):
     assert sum(len(rows) for rows in tables.values()) == sweep
     kept = 0 if scenario == "fig5_position_map" else len(runs)
     assert len(produced) == kept + sweep
+    # each fixed run alone, the sweep's few points as one block
+    assert len(calls) == kept + bool(sweep)
+
+
+STACK_CONFIGS = {
+    # lossy, so each point also propagates x by its Van Loan block; the
+    # sweep's five points keep no trajectory, only their peaks
+    "fig4": 'scenario = "fig4_correlations"\nt_end_ns = 0.05\ndt_ns = 5e-4\n'
+            "[sweep.alpha]\nmin = 0.0\nmax = 2.0\nsteps = 5\n",
+    # lossless; each of the five points is written as a trajectory file
+    "fig5": 'scenario = "fig5_position_map"\n'
+            "[sweep.delta_x_nm]\nmin = 0.0\nmax = 53.0\nsteps = 5\n"
+            "[sweep.delta_y_nm]\nmin = 0.0\nmax = 20.0\nsteps = 1\n",
+}
+
+
+def _stacked_run(text, out, monkeypatch) -> tuple:
+    """Run the config into `out`; return the integrate calls' stack sizes
+    and the bytes of every array of every trajectory, in the order the
+    runs were made (bytes, so -0.0 differs from 0.0)."""
+    sizes, arrays = [], []
+    real = dyn.integrate
+
+    def recording(gen, *args, **kwargs):
+        trajectories = real(gen, *args, **kwargs)
+        sizes.append(len(trajectories))
+        for traj in trajectories:
+            arrays.append(("time_ns", traj.times.tobytes()))
+            arrays.extend((name, traj.series(name).tobytes()) for name in traj.column_order)
+        return trajectories
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dyn, "integrate", recording)
+        run_scenario(parse_config(text), output_dir=str(out))
+    return sizes, arrays
+
+
+@pytest.mark.parametrize("budget", ["stacks_of_one", "blocks_of_two"])
+@pytest.mark.parametrize("name", sorted(STACK_CONFIGS))
+def test_sweep_blocks_change_no_output(name, budget, tmp_path, monkeypatch):
+    text = STACK_CONFIGS[name]
+    sizes, one = _stacked_run(text, tmp_path / "one", monkeypatch)
+    assert sizes == [1] * (4 if name == "fig4" else 0) + [5]  # the sweep in one stack
+    if budget == "stacks_of_one":  # every point alone, as a fixed run is
+        monkeypatch.setattr(dyn, "stack_runs", lambda *args: 1)
+        blocks = [1] * 5
+    else:  # the budget of two points' kets and x: the last block holds one
+        top, low = 3, 1 if name == "fig4" else 0
+        outputs = 301 if name == "fig4" else 241
+        monkeypatch.setattr(dyn, "CHUNK_BYTES", 2 * 16 * outputs * (top + low**2))
+        assert dyn.chunk_states(top) < 2 * outputs  # chunks straddle the runs too
+        blocks = [2, 2, 1]
+    sizes, many = _stacked_run(text, tmp_path / "many", monkeypatch)
+    assert sizes == [1] * (4 if name == "fig4" else 0) + blocks
+    assert many == one
+    files = sorted(os.listdir(tmp_path / "one"))
+    assert files == sorted(os.listdir(tmp_path / "many"))
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "one", tmp_path / "many", files,
+                                               shallow=False)
+    assert not mismatch and not errors
+    # the t = 0 entropies are -0.0, and stay so
+    entropy = [value for key, value in one if key == "S_B"]
+    assert np.signbit(np.frombuffer(entropy[-1])[0])
 
 
 def test_only_trajectory_builds_and_integrates():
@@ -184,6 +251,32 @@ def test_traced_peak_is_within_the_memory_estimate(name, tmp_path):
     assert peak <= 2.0**need
 
 
+def test_traced_peak_of_sweep_blocks_is_within_the_memory_estimate(tmp_path, monkeypatch):
+    # 21 lossy points of 301 outputs, 10 to a block: 10, 10, 1.  A block
+    # holds ten points' kets, x and columns at once, more than one point's
+    # run, which is what the estimate counted when points ran one by one
+    monkeypatch.setattr(dyn, "CHUNK_BYTES", 10 * 16 * 301 * (3 + 1))
+    cfg = parse_config('scenario = "fig4_correlations"\nt_end_ns = 0.02\ndt_ns = 5e-4\n'
+                       "[sweep.alpha]\nmin = 0.0\nmax = 2.0\nsteps = 21\n")
+    sizes = []
+    real = dyn.integrate
+
+    def recording(gens, *args, **kwargs):
+        sizes.append(len(gens))
+        return real(gens, *args, **kwargs)
+
+    monkeypatch.setattr(dyn, "integrate", recording)
+    need, _ = config._log2_peak_bytes(cfg, SCENARIOS[cfg.scenario].plan(cfg))
+    tracemalloc.start()
+    try:
+        run_scenario(cfg, output_dir=str(tmp_path / "out"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sizes == [1] * 4 + [10, 10, 1]
+    assert peak <= 2.0**need
+
+
 NO_JUMP_CONFIGS = {
     "lossy_fig2": 'scenario = "fig2_single_atom"\nt_long_ns = 2.0\ndt_long_ns = 0.01\n'
                   "kappa_mhz = 3000.0\n",
@@ -212,7 +305,7 @@ def test_one_photon_runs_match_the_no_jump_oracle(name):
     kappa = mhz_to_angular(cfg.resolved_kappa_mhz)
     gamma = mhz_to_angular(cfg.resolved_gamma_mhz)
     plan = SCENARIOS[cfg.scenario].plan(cfg)
-    runs = [run for _, run in plan.schedule(cfg) if run.n_photons == 1]
+    runs = [run for run in plan_runs(plan, cfg) if run.n_photons == 1]
     assert len(runs) == {"detuned_fig3": 2, "fig5_2x2": 4}.get(name, len(plan.runs))
     for run in runs:
         traj = runner.trajectory(cfg, run)
