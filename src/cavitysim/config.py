@@ -244,6 +244,7 @@ def _fig2_summary(cfg, runs, rows) -> dict:
         summary["tau_r_ns"] = fit.tau_ns
         summary["tau_r_expected_ns"] = 2.0 / (kappa_ang + gamma_ang)
         summary["tau_fit_log_rms"] = fit.log_rms_residual
+    if kappa_ang > 0 and gamma_ang > 0:  # one rate at zero has no cooperativity
         summary["cooperativity"] = coupling.cooperativity(
             g * 1e9, cfg.resolved_kappa_mhz * 1e6, cfg.resolved_gamma_mhz * 1e6)
     return summary
@@ -389,6 +390,15 @@ SCENARIOS = {
     "custom": Scenario("direct parameter run without scenario presets", {}, _custom_plan),
 }
 
+# How each two-atom scenario couples atom 2, atom 1 being at g_ghz: a
+# couplings_ghz list, which none of its runs reads, is an error.
+_BY_ALPHA = "atom 2 at alpha times it; set g_ghz and alpha instead"
+_ATOM2_RULE = {
+    "fig3_two_atom": _BY_ALPHA,
+    "fig4_correlations": _BY_ALPHA,
+    "fig5_position_map": "atom 2 as the field map gives at each displacement; set g_ghz instead",
+}
+
 # The fits each summary makes to a run's exchange: (run, the key of its window,
 # the fewest interior extrema it takes, maxima only, as fig2's envelope fit with loss).
 SUMMARY_FITS = {
@@ -430,7 +440,7 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     entries, measured at 9.0 such matrices (d_n, d_l = 11, 6; 22, 8; 8,
     12), counted as 10; at every output time the ket and, with loss, the
     d_l x d_l lower block and its scan's copy, plus 48 bytes for the grid,
-    its copy, its steps and their classes, and where the sweep keeps no
+    its copy and its uniformity check's steps, and where the sweep keeps no
     trajectory, 8 bytes in each column of the block's trajectories.  Once
     per block: integrate's chunk of chunk_states(d_n) output times (at
     least one per run), counted as two d_n x d_n matrices each, the feed's
@@ -685,7 +695,10 @@ def parse_config(text: str) -> ExperimentConfig:
           f"must retain the {n_photons} photons that {scenario} propagates, got {cfg.n_max}")
     check(cfg.g_ghz > 0, "g_ghz", f"must be > 0, got {cfg.g_ghz}")
     check(cfg.alpha >= 0, "alpha", f"must be >= 0, got {cfg.alpha}")
-    if cfg.couplings_ghz:
+    if cfg.couplings_ghz and scenario in _ATOM2_RULE:
+        errors.append(f"{at('couplings_ghz')}: couplings_ghz: {scenario} reads no list: atom 1 "
+                      f"couples at g_ghz and {_ATOM2_RULE[scenario]}")
+    elif cfg.couplings_ghz:
         check(len(cfg.couplings_ghz) == cfg.n_atoms, "couplings_ghz",
               f"length {len(cfg.couplings_ghz)} != n_atoms {cfg.n_atoms}")
         check(all(g >= 0 for g in cfg.couplings_ghz), "couplings_ghz",

@@ -27,17 +27,17 @@ renormalized and x is fed only by psi, so the trace check |psi|^2 + tr x
 = 1 is a real one: a drift of more than TRACE_TOL at any output time fails
 the run.
 
-Propagation has no Python loop per output step.  Each stretch of equal steps
-takes its kets by doubling, rows[n:2n] = rows[:n] K^n with K^n squared
-from the last, and x by a log-depth scan over the feeds; the feeds'
-outer products are built a chunk of output times at a time.  Observables
-are then evaluated a chunk at a time, straight from (psi, x).  Nor is
-there a loop per run of a sweep: integrate() takes a stack of runs that
-share a layout, start ket and observables, such as a sweep's points, and
-every step above (expm's solve and squarings included) works on a leading
-run axis, each run with its own H, grid, propagators and expm scaling,
-while the layout's tables are built once.  A run on a uniform grid is
-then exactly what it would be alone.  The block
+Propagation has no Python loop per output step.  Every grid is uniform, so
+a run builds its propagators once, takes its kets by doubling, rows[n:2n]
+= rows[:n] K^n with K^n squared from the last, and x by a log-depth scan
+over the feeds; the feeds' outer products are built a chunk of output
+times at a time.  Observables are then evaluated a chunk at a time,
+straight from (psi, x).  Nor is there a loop per run of a sweep:
+integrate() takes a stack of runs that share a layout, start ket and
+observables, such as a sweep's points, and every step above (expm's solve
+and squarings included) works on a leading run axis, each run with its own
+H, step, propagators and expm scaling, while the layout's tables are built
+once.  A run in a stack is exactly what it would be alone.  The block
 structure makes each single-factor reduced state diagonal and each atom
 pair's an X-state, so entropies and concurrence come from marginal
 populations and one coherence per pair, with no eigensolver.  Two gates
@@ -226,25 +226,25 @@ def integrate(
     track: tuple = ("populations", "n_photon"),
     projections: dict | None = None,
 ) -> Trajectory:
-    """Propagate |psi0><psi0| exactly over an increasing time grid and
-    record observables.
+    """Propagate |psi0><psi0| exactly over a uniform time grid and record
+    observables.
 
     The state at each output time is held as (psi, x): the ket psi on the
     d_n states of psi0's excitation sector n, and, with loss, the density
-    block x on the d_l states below it; rho = psi psi^dag + x.  Steps that
-    agree to 12 digits of the grid's span share one step class, whose
-    propagators are built for their mean step dt: K = expm(-i H_eff dt)
-    for psi and, with loss, E and F for x_k = E x_(k-1) + F vec(psi_(k-1)
-    psi_(k-1)^dag).  A linspace grid, whose steps scatter by a few ulp,
-    builds them once.
+    block x on the d_l states below it; rho = psi psi^dag + x.  The grid's
+    step dt = (t[-1] - t[0]) / (len(t) - 1) builds the propagators once:
+    K = expm(-i H_eff dt) for psi and, with loss, E and F for x_k = E
+    x_(k-1) + F vec(psi_(k-1) psi_(k-1)^dag).  times must be finite,
+    strictly increasing and uniform, every step within 1e-12 of the span of
+    dt, as a linspace's from 0 are (ValueError otherwise); the trajectory
+    keeps the caller's grid bit for bit.
 
     gen may also be a sequence of generators on one layout with the same
     collapse channels, such as the points of a sweep; times is then a
-    sequence of as many grids, all of one length, and a list of
+    sequence of as many uniform grids, all of one length, and a list of
     trajectories returns, one per generator.  They propagate as one stack:
-    each keeps its own H, grid and propagators, and is what it would be
-    alone, except that a step class ends where any run's does (never for
-    linspace grids).  stack_runs says how many fit CHUNK_BYTES.
+    each keeps its own H, step and propagators, and is exactly what it
+    would be alone.  stack_runs says how many fit CHUNK_BYTES.
 
     track may contain any of TRACKABLE (ValueError on any other entry).
     projections maps extra column names to kets whose population <v|rho|v>
@@ -284,8 +284,14 @@ def integrate(
     times = times.reshape(-1, times.shape[-1])
     if len(times) != len(gens):
         raise ValueError(f"{len(gens)} generators but {len(times)} time grids")
-    if times.shape[1] > 1 and not np.all(np.diff(times) > 0):
-        raise ValueError("times must be strictly increasing")
+    if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
+        raise ValueError("times must be finite and strictly increasing")
+    n_runs, n_out = times.shape
+    span = times[:, -1:] - times[:, :1]
+    dt = span / max(1, n_out - 1)
+    if np.any(np.abs(np.diff(times) - dt) > 1e-12 * span):
+        raise ValueError("times must be uniform: every step within 1e-12 of the span "
+                         "of (t[-1] - t[0]) / (len(t) - 1)")
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (dim,):
         raise ValueError(f"psi0 has shape {psi0.shape}, layout dimension is {dim}")
@@ -309,10 +315,6 @@ def integrate(
     top, low = kept[in_top], kept[~in_top] if channels_of else kept[:0]
     d_top, d_low = top.size, low.size
 
-    n_runs, n_out = times.shape
-    want_pops = "populations" in track
-    want_nph = "n_photon" in track
-
     entropy_factors = list(range(layout.n_atoms + 1)) if "entropies" in track else []
     norm_dims = {p: sector_norm_dim(layout, (p,), n_exc) for p in entropy_factors}
     pairs = (
@@ -330,45 +332,25 @@ def integrate(
     psi = np.empty((n_runs, n_out, d_top), dtype=complex)
     psi[:, 0] = psi0[top]
     x = np.zeros((n_runs, n_out, d_low * d_low), dtype=complex)  # row-major vec of x
-    if n_out > 1:
-        steps = np.diff(times)
-        bins = np.round((steps - steps[:, :1]) / (1e-12 * (times[:, -1:] - times[:, :1])))
-        # A step's class is its bin in every run of the stack: sorted by
-        # them, the steps start a new class wherever a run's bin changes.
-        order = np.lexsort(bins)
-        ranked = bins[:, order]
-        step_class = np.empty(n_out - 1, dtype=np.intp)
-        step_class[order] = np.cumsum(
-            np.any(np.diff(ranked, axis=1, prepend=ranked[:, :1]) != 0, axis=0))
-        lengths = (np.array([np.bincount(step_class, weights=row) for row in steps])
-                   / np.bincount(step_class))
-        h_eff = build_hamiltonian(layout, [g.params for g in gens], top)
-        channels = collapse_operators(gens[0], kept)
-        for rate, _, anti in channels:
-            h_eff -= 0.5j * rate * np.diag(anti[in_top])
-        feed = _van_loan_generator(gens, channels, in_top, low, h_eff) if d_low else None
-        props = []
-        for dt in lengths.T[:, :, None, None]:
-            ket_step = expm(-1j * h_eff * dt)
-            # Van Loan (1978): the top rows of expm([[L_low, J], [0, L_top]] dt)
-            # are [E, F], the step of x and its feed from psi psi^dag.
-            props.append((ket_step, expm(feed * dt)[:, :d_low**2].copy() if d_low else None))
-        # Stretches of equal steps, each propagated at once from its first output;
-        # the feed's outer products are built for every run, a few steps at a time.
+    h_eff = build_hamiltonian(layout, [g.params for g in gens], top)
+    channels = collapse_operators(gens[0], kept)
+    for rate, _, anti in channels:
+        h_eff -= 0.5j * rate * np.diag(anti[in_top])
+    _power_series(psi, expm(-1j * h_eff * dt[..., None]).swapaxes(-1, -2))
+    if d_low:
+        # Van Loan (1978): the top rows of expm([[L_low, J], [0, L_top]] dt)
+        # are [E, F], the step of x and its feed from psi psi^dag.
+        feed = _van_loan_generator(gens, channels, in_top, low, h_eff)
+        top_rows = expm(feed * dt[..., None])[:, :d_low**2].copy()
+        x_step, x_feed = top_rows[..., :d_low**2], top_rows[..., d_low**2:]
+        # The feed's outer products are built for every run, a few steps at a time.
         feed_steps = max(1, chunk // n_runs)
-        starts = np.flatnonzero(np.diff(step_class, prepend=-1))
-        for a, b in zip(starts, [*starts[1:], n_out - 1]):
-            ket_step, top_rows = props[step_class[a]]
-            _power_series(psi[:, a:b + 1], ket_step.swapaxes(-1, -2))
-            if top_rows is None:
-                continue
-            x_step, x_feed = top_rows[..., :d_low**2], top_rows[..., d_low**2:]
-            for k in range(a, b, feed_steps):
-                kets = psi[:, k:min(k + feed_steps, b)]
-                rank_one = (kets[..., :, None] * kets[..., None, :].conj()).reshape(
-                    n_runs, kets.shape[1], -1)
-                x[:, k + 1:k + 1 + kets.shape[1]] = rank_one @ x_feed.swapaxes(-1, -2)
-            _linear_scan(x[:, a:b + 1], x_step.swapaxes(-1, -2))
+        for k in range(0, n_out - 1, feed_steps):
+            kets = psi[:, k:min(k + feed_steps, n_out - 1)]
+            rank_one = (kets[..., :, None] * kets[..., None, :].conj()).reshape(
+                n_runs, kets.shape[1], -1)
+            x[:, k + 1:k + 1 + kets.shape[1]] = rank_one @ x_feed.swapaxes(-1, -2)
+        _linear_scan(x, x_step.swapaxes(-1, -2))
 
     # Every state stays block-diagonal in excitation number, so the reduced
     # state of one factor is diagonal, and that of an atom pair has only the
@@ -416,10 +398,10 @@ def integrate(
             raise IntegrationError(
                 f"{what} at t={times.flat[k0 + b]:.6g} ns exceeds tolerance {tol:g}"
             )
-        if want_pops:
+        if "populations" in track:
             for k, column in zip(order, pops.T):
                 series[column_order[k]][ks] = column
-        if want_nph:
+        if "n_photon" in track:
             series["n_photon"][ks] = pops @ nph_diag
         for p, m in zip(entropy_factors, entropy_maps):
             series[f"S_{subsystem_letter(p)}"][ks] = ent.spectrum_entropy_stack(
@@ -504,22 +486,13 @@ def _refined_extrema(times: np.ndarray, series: np.ndarray):
     """
     y = np.asarray(series, dtype=float)
     d = np.diff(y)
-    t_ext, v_ext, kinds = [], [], []
-    for i in range(1, len(y) - 1):
-        left, right = d[i - 1], d[i]
-        if left == 0.0:
-            continue
-        if left * right < 0:
-            denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-            if denom == 0.0:
-                offset = 0.0
-            else:
-                offset = 0.5 * (y[i - 1] - y[i + 1]) / denom
-            dt = 0.5 * (times[i + 1] - times[i - 1])
-            t_ext.append(times[i] + offset * dt)
-            v_ext.append(y[i] - 0.25 * (y[i - 1] - y[i + 1]) * offset)
-            kinds.append(left > 0)
-    return np.array(t_ext), np.array(v_ext), np.array(kinds, dtype=bool)
+    i = np.flatnonzero(d[:-1] * d[1:] < 0) + 1
+    before, here, after = y[i - 1], y[i], y[i + 1]
+    denom = before - 2.0 * here + after
+    offset = np.divide(0.5 * (before - after), denom, out=np.zeros_like(denom),
+                       where=denom != 0.0)
+    t_ext = times[i] + offset * (0.5 * (times[i + 1] - times[i - 1]))
+    return t_ext, here - 0.25 * (before - after) * offset, d[i - 1] > 0
 
 
 def count_extrema(series, min_prominence: float = 1e-9) -> int:
@@ -529,14 +502,9 @@ def count_extrema(series, min_prominence: float = 1e-9) -> int:
     the entropy derivative and the population rate vanish) sit just a few
     orders above it on realistic grids."""
     y = np.asarray(series, dtype=float)
-    n = 0
-    for i in range(1, len(y) - 1):
-        if (y[i] - y[i - 1]) * (y[i] - y[i + 1]) > 0 and (
-            abs(y[i] - y[i - 1]) > min_prominence
-            or abs(y[i] - y[i + 1]) > min_prominence
-        ):
-            n += 1
-    return n
+    left, right = y[1:-1] - y[:-2], y[1:-1] - y[2:]
+    return int(np.count_nonzero((left * right > 0) & (
+        (np.abs(left) > min_prominence) | (np.abs(right) > min_prominence))))
 
 
 def rabi_frequency(traj: Trajectory, observable: str) -> float:

@@ -163,9 +163,9 @@ def integrate_states(gen: LindbladGenerator, psi0: np.ndarray, times, projection
 
 
 def skew_x(monkeypatch, first: int, eps: float):
-    """Add i eps to every entry of x from output `first` on, in each stretch
-    of equal steps of each run of a stack: a 1 x 1 x (one atom from one photon,
-    x on |0g>) then has |x - x^dag| = 2 eps there, and the same real trace."""
+    """Add i eps to every entry of x from output `first` on, in each run of
+    a stack: a 1 x 1 x (one atom from one photon, x on |0g>) then has
+    |x - x^dag| = 2 eps there, and the same real trace."""
     scan = dynamics._linear_scan
 
     def skewed(rows, step):

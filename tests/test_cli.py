@@ -113,6 +113,18 @@ def test_run_exit_code_on_runtime_failure(tmp_path, capsys):
     assert "need >= 3 extrema to estimate a frequency, found 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rates", ["gamma_mhz = 0.0", "kappa_mhz = 0.0"])
+def test_fig2_with_one_loss_rate_at_zero_runs(rates, tmp_path):
+    # the envelope still decays over 2 / (kappa + gamma), but C = g^2 /
+    # (kappa gamma) needs both rates: the summary leaves it out
+    path = _write(tmp_path, f'scenario = "fig2_single_atom"\n{rates}\n')
+    out = tmp_path / "out"
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--output-dir", str(out)]) == 0
+    names = [line.split(",")[0] for line in (out / "summary.csv").read_text().splitlines()]
+    assert "tau_r_ns" in names and "cooperativity" not in names
+
+
 def test_run_exits_2_when_x_leaves_hermitian(tmp_path, monkeypatch, capsys):
     # TINY_CUSTOM is one lossy atom from one photon over 101 outputs 0.5 ps apart
     skew_x(monkeypatch, 40, 1e-10)

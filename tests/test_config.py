@@ -207,9 +207,11 @@ def test_canonical_round_trip(scenario):
 
 # A value off the ExperimentConfig default for every field, so that a key
 # missing from the type table or the canonical text breaks the round trip.
+# fig4, the one scenario with an alpha sweep, rejects couplings_ghz, so
+# EVERY_FIELD sets every other field and COUPLINGS sets that one.
 EVERY_FIELD = (
     'scenario = "fig4_correlations"\ndesign = "D2"\nn_atoms = 3\nn_photons = 2\n'
-    'n_max = 3\ng_ghz = 7.5\nalpha = 0.62\ncouplings_ghz = [1.0, 2.5, 3]\n'
+    'n_max = 3\ng_ghz = 7.5\nalpha = 0.62\n'
     'q_factor = 2e6\nkappa_mhz = 12.5\ngamma_mhz = 5.5\nlambda_nm = 800.0\n'
     'detuning_ghz = 0.25\nlossless = true\n'
     't_end_ns = 0.2\ndt_ns = 1e-4\nt_long_ns = 20.0\ndt_long_ns = 0.01\n'
@@ -217,19 +219,23 @@ EVERY_FIELD = (
     'workers = 2\noutput_dir = "runs/every field"\n'
     '[sweep.alpha]\nmin = 0.5\nmax = 1.5\nsteps = 3\n'
 )
+COUPLINGS = 'scenario = "custom"\nn_atoms = 3\ncouplings_ghz = [1.0, 2.5, 3]\n'
 
 
 def test_round_trip_preserves_overrides():
-    for src in (
+    cfgs = [parse_config(src) for src in (
         'scenario = "fig3_two_atom"\nalpha = 0.62\ngamma_mhz = 5.5\n'
         'lossless = true\nobservables = ["populations"]\n',
         EVERY_FIELD,
-    ):
-        cfg = parse_config(src)
+        COUPLINGS,
+    )]
+    for cfg in cfgs:
         assert parse_config(canonical_text(cfg)) == cfg
-    # the last input, EVERY_FIELD, leaves no field at its default
-    assert all(getattr(cfg, f.name) != f.default
-               for f in fields(ExperimentConfig) if f.default is not MISSING)
+    # EVERY_FIELD leaves no field but couplings_ghz at its default, and COUPLINGS sets it
+    every, couplings = cfgs[1:]
+    assert [f.name for f in fields(ExperimentConfig) if f.default is not MISSING
+            and getattr(every, f.name) == f.default] == ["couplings_ghz"]
+    assert couplings.couplings_ghz == (1.0, 2.5, 3.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -310,12 +316,21 @@ def _fig5(design, x, y=(0.0, 0.0)):
     (_fig5("D3", (-2000.0, 0.0)), "line 4: sweep.delta_x_nm.min: "),
     (_fig5("D3", (0.0, 0.0), (0.0, 300.0)), "line 9: sweep.delta_y_nm.max: "),
     ('scenario = "n_atom_wstate"\ncouplings_ghz = [0.0, 0.0, 0.0]\n', "line 2: couplings_ghz: "),
-    # fig3 couples both atoms in proportion to atom 1
+    # fig3, fig4 and fig5 set atom 2 from alpha or the field map: no list
     ('scenario = "fig3_two_atom"\ncouplings_ghz = [0.0, 1.0]\n', "line 2: couplings_ghz: "),
+    ('scenario = "fig3_two_atom"\ncouplings_ghz = [5.0, 3.5]\n',
+     "line 2: couplings_ghz: fig3_two_atom reads no list: atom 1 couples at g_ghz and atom 2 "
+     "at alpha times it; set g_ghz and alpha instead"),
+    ('scenario = "fig4_correlations"\ncouplings_ghz = [5.0, 3.5]\n',
+     "line 2: couplings_ghz: fig4_correlations reads no list: "),
+    ('scenario = "fig5_position_map"\ncouplings_ghz = [5.0, 3.5]\n',
+     "line 2: couplings_ghz: fig5_position_map reads no list: atom 1 couples at g_ghz and "
+     "atom 2 as the field map gives at each displacement; set g_ghz instead"),
     ('scenario = "n_atom_wstate"\nn_photons = 0\n', "line 2: n_photons: "),
     ('scenario = "fig2_single_atom"\nn_photons = 0\n', "line 2: n_photons: "),
 ], ids=["fig5_x_max", "fig5_x_min", "fig5_y_max", "wstate_uncoupled", "fig3_uncoupled",
-        "wstate_no_photon", "fig2_no_photon"])
+        "fig3_couplings", "fig4_couplings", "fig5_couplings", "wstate_no_photon",
+        "fig2_no_photon"])
 def test_configs_that_cannot_run_fail_validate(text, error, tmp_path):
     errors = _errors(text)
     assert len(errors) == 1 and errors[0].startswith(error)

@@ -214,18 +214,40 @@ def test_propagator_is_exact():
     assert np.max(np.abs(traj.series("pop_0e") - expected)) < 1e-12
 
 
-def test_non_uniform_grid_matches_oracle():
-    # two uniform pieces with different steps: one propagator per step length
+def test_non_uniform_grid_is_rejected():
+    # integrate takes one step per run: two joined uniform pieces, a stack
+    # whose second grid is such a join, a grid holding inf or nan and a
+    # decreasing grid are each refused, alone and inside a stack
     lay, gen = _gen(2, (G,))
     psi0 = fs.basis_state(lay, 1, "g")
-    period = np.pi / G
-    ts = np.concatenate([
-        np.linspace(0.0, period, 41),
-        np.linspace(period, 3 * period, 31)[1:],
-    ])
-    traj = dyn.integrate(gen, psi0, ts)
-    expected = np.sin(G * ts) ** 2
-    assert np.max(np.abs(traj.series("pop_0e") - expected)) < 1e-12
+    uniform = np.linspace(0.0, 2.0, 15)
+    joined = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.0, 2.0, 5)[1:]])
+    with pytest.raises(ValueError, match="times must be uniform"):
+        dyn.integrate(gen, psi0, joined)
+    with pytest.raises(ValueError, match="times must be uniform"):
+        dyn.integrate([gen] * 3, psi0, [uniform, joined, 2 * uniform])
+    with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
+        dyn.integrate(gen, psi0, np.append(uniform[:-1], np.inf))
+    with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
+        dyn.integrate([gen] * 2, psi0, [uniform, np.append(uniform[:-1], np.nan)])
+    with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
+        dyn.integrate(gen, psi0, uniform[::-1])
+    with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
+        dyn.integrate([gen] * 2, psi0, [uniform, uniform[::-1]])
+
+
+def test_linspace_grids_are_uniform():
+    # these linspaces' steps scatter by a few ulp of their span, well inside
+    # 1e-12 of it; each run, alone or in a stack, keeps the caller's grid bit
+    # for bit
+    lay, gen = _gen(2, (G,))
+    psi0 = fs.basis_state(lay, 1, "g")
+    grids = [np.linspace(t0, t0 + span, 1001)
+             for t0, span in ((0.0, 40.0), (3.7, 0.1), (0.0, 0.3))]
+    trajs = dyn.integrate([gen] * 3, psi0, grids, track=())
+    for grid, traj in zip(grids, trajs, strict=True):
+        assert traj.times.tobytes() == grid.tobytes()
+        assert dyn.integrate(gen, psi0, grid, track=()).times.tobytes() == grid.tobytes()
 
 
 @pytest.mark.parametrize("lossless", [False, True])
@@ -326,21 +348,17 @@ def test_one_propagator_per_distinct_step(monkeypatch):
     monkeypatch.setattr(dyn, "expm", counting_expm)
     lay, gen = _gen(2, (G,), kappa=0.19)
     psi0 = fs.basis_state(lay, 1, "g")
-    # 40 ns at 5 ps: linspace steps scatter by ~7e-15 ns.  One photon keeps
-    # |0g>, |0e>, |1g> of the d = 6 space.  A step class builds the 2 x 2
-    # ket step on the top sector |0e>, |1g>, and the Van Loan block on
-    # vec x (1 row for |0g>) and vec psi psi^dag (4 rows): 5 x 5, each in a
-    # stack of one run.
-    dyn.integrate(gen, psi0, np.linspace(0.0, 40.0, 8001), track=())
-    assert calls == [(1, 2, 2), (1, 5, 5)]
-    calls.clear()
-    ts = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.0, 2.0, 5)[1:]])
+    # 40 ns at 5 ps.  One photon keeps |0g>, |0e>, |1g> of the d = 6 space.
+    # A run builds the 2 x 2 ket step on the top sector |0e>, |1g>, and the
+    # Van Loan block on vec x (1 row for |0g>) and vec psi psi^dag (4 rows):
+    # 5 x 5, each in a stack of one run.
+    ts = np.linspace(0.0, 40.0, 8001)
     dyn.integrate(gen, psi0, ts, track=())
-    assert calls == [(1, 2, 2), (1, 5, 5)] * 2
-    # a stack of three runs builds each class's propagators in one call
+    assert calls == [(1, 2, 2), (1, 5, 5)]
+    # a stack of three runs, each with its own step, builds them in one call
     calls.clear()
     dyn.integrate([gen] * 3, psi0, [ts, 2 * ts, 3 * ts], track=())
-    assert calls == [(3, 2, 2), (3, 5, 5)] * 2
+    assert calls == [(3, 2, 2), (3, 5, 5)]
 
 
 def test_lossless_run_never_builds_the_liouvillian(monkeypatch):
@@ -448,18 +466,8 @@ def test_lossy_two_photons_two_atoms_match_dense_full_space_reference(rng):
         {f"P_chi{k}": chi for k, chi in enumerate(chis)})
 
 
-def test_lossy_grid_of_three_step_runs_matches_dense_full_space_reference():
-    # steps of 0.01, 0.025, then 0.01 ns again: three runs of equal steps,
-    # two of them sharing propagators, each started from the ket and x
-    # where the last ended
-    lay, gen = _gen(2, (G, 0.6 * G), kappa=4.0, gamma=1.5)
-    ts = np.concatenate([np.linspace(0.0, 0.1, 11), np.linspace(0.1, 0.2, 5)[1:],
-                         np.linspace(0.2, 0.3, 11)[1:]])
-    _assert_matches_dense_reference(gen, fs.basis_state(lay, 1, "gg"), ts, 1)
-
-
 def test_long_lossy_grid_matches_dense_full_space_reference():
-    # 8001 outputs in one run of equal steps: the kets double up to
+    # 8001 outputs on one uniform grid: the kets double up to
     # K^4096, and x's scan takes 13 passes.  The state stays within 1e-12
     # (9e-13 measured; one ulp of K over 8000 steps is 9e-13 too).  The
     # entropies are not compared: -p ln p magnifies that error without bound
