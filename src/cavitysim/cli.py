@@ -7,19 +7,19 @@
 A config file is TOML (see cavitysim.config).  Its errors are all listed,
 except that a TOML syntax error stops the parse and is reported alone.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 runtime/tolerance
-failure.
+Exit codes: 0 success, 1 configuration or usage error, including a summary
+fit that fails (`validate` too propagates the runs the summary fits, and
+fits them), 2 runtime/tolerance failure.
 The default output root is ./runs, overridable with $CAVITYSIM_OUTPUT_ROOT.
 """
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import __version__
-from .config import SCENARIOS, ConfigError, parse_config
+from .config import SCENARIOS, ConfigError, SummaryFitError, parse_config
 from .dynamics import IntegrationError
-from .runner import ENV_OUTPUT_ROOT, run_scenario
+from .runner import ENV_OUTPUT_ROOT, check_fits, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -58,20 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
-    try:
-        return parse_config(text)
-    except ConfigError as exc:
-        print(f"error: invalid config {path}:", file=sys.stderr)
-        for item in exc.errors:
-            print(f"  {item}", file=sys.stderr)
-        return None
+def _invalid(path: str, exc: ConfigError) -> int:
+    print(f"error: invalid config {path}:", file=sys.stderr)
+    for item in exc.errors:
+        print(f"  {item}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def main(argv=None) -> int:
@@ -82,22 +73,29 @@ def main(argv=None) -> int:
             print(f"{name:20s} {scenario.note}")
         return EXIT_OK
 
-    cfg = _load_config(args.config)
-    if cfg is None:
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        cfg = parse_config(text)
+    except ConfigError as exc:
+        return _invalid(args.config, exc)
+
+    if args.command == "run" and args.workers is not None and args.workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "validate":
-        print(f"OK: {cfg.scenario} (design {cfg.design})")
-        return EXIT_OK
-
-    if args.workers is not None:
-        if args.workers < 1:
-            print("error: --workers must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
-        cfg = replace(cfg, workers=args.workers)
-
     try:
+        if args.command == "validate":
+            check_fits(cfg)
+            print(f"OK: {cfg.scenario} (design {cfg.design})")
+            return EXIT_OK
         report = run_scenario(cfg, output_dir=args.output_dir)
+    except SummaryFitError as exc:
+        return _invalid(args.config, exc.config_error(cfg, text))
     except (IntegrationError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -18,7 +18,8 @@ follow from them.  `SCENARIOS` holds each scenario's `cavitysim scenarios`
 note, its defaults and its plan: the runs it makes, the summary drawn
 from them and the columns that summary reads, built from the config alone
 with no map read.  The runner
-executes the plan, and the memory gate sums it.
+executes the plan, and the memory gate sums it.  Nothing here propagates:
+runner.check_fits makes the summary's fits that `cavitysim validate` checks.
 
 Example::
 
@@ -37,6 +38,7 @@ import json
 import math
 import os
 import re
+import sys
 import tomllib
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
@@ -57,6 +59,28 @@ class ConfigError(ValueError):
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
+
+
+class SummaryFitError(ValueError):
+    """A summary's fit to the trajectory of run `name` failed with `cause`."""
+
+    def __init__(self, name: str, cause: ValueError):
+        super().__init__(f"run {name!r}: {cause}")
+        self.name, self.cause = name, cause
+
+    def config_error(self, cfg: "ExperimentConfig", text: str) -> ConfigError:
+        """The failure at the first key the config `text` sets of: the loss keys, larger
+        rate first, if the envelope does not decay, else the run's window and couplings."""
+        run = next(run for run in SCENARIOS[cfg.scenario].plan(cfg).runs if run.name == self.name)
+        window = "t_long_ns" if run.key == ("dt_long_ns",) else "t_end_ns"
+        keys = (window, "couplings_ghz", "g_ghz")
+        if isinstance(self.cause, dyn.NonDecayingEnvelopeError):
+            gamma_first = cfg.resolved_gamma_mhz > cfg.resolved_kappa_mhz
+            keys = ("kappa_mhz", "q_factor", "gamma_mhz")[::-1 if gamma_first else 1]
+        lines = _key_lines(text)
+        key = next((k for k in keys if (k,) in lines), keys[0])
+        return ConfigError([f"line {lines.get((key,), 0)}: {key}: the fit to run {run.name!r} "
+                            f"over {window} = {run.t_end_ns:g} ns failed: {self.cause}"])
 
 
 @dataclass(frozen=True)
@@ -214,6 +238,14 @@ def _two_atom_states(layout, run: Run) -> dict:
     return _chi_states(layout, run) | {"P_psi_plus": analytic.symmetric_bell_state(layout)}
 
 
+def _fit(fit: Callable, runs: dict, name: str, column: str):
+    """fit(runs[name], column), raising SummaryFitError where it fails."""
+    try:
+        return fit(runs[name], column)
+    except (dyn.TooFewExtremaError, dyn.NonDecayingEnvelopeError) as exc:
+        raise SummaryFitError(name, exc) from exc
+
+
 def _leading(cfg: ExperimentConfig, *ratios) -> tuple:
     """Atom 1's coupling, then that coupling times each ratio."""
     g1 = cfg.resolved_couplings_ghz()[0]
@@ -234,13 +266,13 @@ def _fig2_summary(cfg, runs, rows) -> dict:
     kappa_ang = mhz_to_angular(cfg.resolved_kappa_mhz)
     gamma_ang = mhz_to_angular(cfg.resolved_gamma_mhz)
     summary = {
-        "rabi_frequency_ghz": dyn.rabi_frequency(runs["short"], "pop_0e"),
+        "rabi_frequency_ghz": _fit(dyn.rabi_frequency, runs, "short", "pop_0e"),
         "rabi_frequency_expected_ghz": ghz_to_angular(g) / np.pi,
         "kappa_mhz": cfg.resolved_kappa_mhz,
         "gamma_mhz": cfg.resolved_gamma_mhz,
     }
     if kappa_ang + gamma_ang > 0:
-        fit = dyn.envelope_lifetime(runs["long"], "pop_0e")
+        fit = _fit(dyn.envelope_lifetime, runs, "long", "pop_0e")
         summary["tau_r_ns"] = fit.tau_ns
         summary["tau_r_expected_ns"] = 2.0 / (kappa_ang + gamma_ang)
         summary["tau_fit_log_rms"] = fit.log_rms_residual
@@ -273,7 +305,7 @@ def _fig3_summary(cfg, runs, rows) -> dict:
     ratio = runs["one_photon_ratio"]
     metrics = analytic.peak_entanglement_metrics(cfg.alpha)
     return {
-        "collective_frequency_ghz": dyn.rabi_frequency(runs["one_photon_equal"], "P_chi1"),
+        "collective_frequency_ghz": _fit(dyn.rabi_frequency, runs, "one_photon_equal", "P_chi1"),
         "collective_frequency_expected_ghz": np.sqrt(2.0) * 2.0 * cfg.g_ghz,
         "splitting_measured": ent.trajectory_splitting(ratio.series("pop_0eg"),
                                                         ratio.series("pop_0ge")),
@@ -346,7 +378,7 @@ def _wstate_plan(cfg: ExperimentConfig) -> Plan:
 def _wstate_summary(cfg, runs, rows) -> dict:
     gs = cfg.resolved_couplings_ghz()
     traj = runs["wstate"]
-    freq = dyn.rabi_frequency(traj, "P_chi1")
+    freq = _fit(dyn.rabi_frequency, runs, "wstate", "P_chi1")
     return {
         "collective_frequency_ghz": freq,
         "collective_frequency_expected_ghz": analytic.CouplingVector(
@@ -397,14 +429,6 @@ _ATOM2_RULE = {
     "fig3_two_atom": _BY_ALPHA,
     "fig4_correlations": _BY_ALPHA,
     "fig5_position_map": "atom 2 as the field map gives at each displacement; set g_ghz instead",
-}
-
-# The fits each summary makes to a run's exchange: (run, the key of its window,
-# the fewest interior extrema it takes, maxima only, as fig2's envelope fit with loss).
-SUMMARY_FITS = {
-    "fig2_single_atom": (("short", "t_end_ns", 3, False), ("long", "t_long_ns", 10, True)),
-    "fig3_two_atom": (("one_photon_equal", "t_end_ns", 3, False),),
-    "n_atom_wstate": (("wstate", "t_end_ns", 3, False),),
 }
 
 
@@ -513,7 +537,7 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _is_str_list(v) -> bool:
@@ -521,7 +545,7 @@ def _is_str_list(v) -> bool:
 
 
 # (type test, what the error says was expected) of each field annotation
-_FLOAT = (_is_number, "a number")
+_FLOAT = (_is_number, "a finite number")
 _TYPE_TESTS = {
     int: (_is_int, "an integer"),
     float: _FLOAT,
@@ -533,7 +557,7 @@ _TYPE_TESTS = {
 _KEY_TYPES = {
     **{f.name: _TYPE_TESTS[f.type] for f in fields(ExperimentConfig) if f.type in _TYPE_TESTS},
     "couplings_ghz": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
-                      "a [list] of numbers"),
+                      "a [list] of finite numbers"),
     "observables": (lambda v: isinstance(v, str) or _is_str_list(v),
                     "a [list] of strings"),
 }
@@ -665,7 +689,7 @@ def parse_config(text: str) -> ExperimentConfig:
                           f"must be >= 1, got {st}")
             continue
         if not (_is_number(mn) and _is_number(mx)):
-            errors.append(f"{at('sweep', axis)}: sweep.{axis}: min/max must be numbers")
+            errors.append(f"{at('sweep', axis)}: sweep.{axis}: min/max must be finite numbers")
             continue
         mn, mx = float(mn), float(mx)
         if mx < mn:
@@ -706,6 +730,8 @@ def parse_config(text: str) -> ExperimentConfig:
         idle = [run.name for run in read if not any(run.couplings_ghz())]
         check(not idle, "couplings_ghz",
               f"{scenario} would run {', '.join(idle)} with every coupling zero")
+        check(idle or scenario != "n_atom_wstate" or cfg.couplings_ghz[0] > 0, "couplings_ghz",
+              f"{scenario} compares the collective exchange with atom 1's: atom 1 must couple")
     check(cfg.q_factor > 0, "q_factor", f"must be > 0, got {cfg.q_factor}")
     check(cfg.kappa_mhz >= 0 or "kappa_mhz" not in scalars, "kappa_mhz",
           f"must be >= 0, got {cfg.kappa_mhz}")
@@ -767,39 +793,6 @@ def parse_config(text: str) -> ExperimentConfig:
                     errors.append(
                         f"{at('observables')}: observables: {scenario} reads column "
                         f"{column!r} of {name}, which needs {source[column]!r} in this list")
-        # The exchange oscillates at the damped frequency Omega = Re sqrt(|g|^2 + (Delta/2
-        # + i (kappa - gamma)/4)^2), never above the lossless sqrt(|g|^2 + (Delta/2)^2),
-        # with extrema at multiples of pi / (2 Omega): those before the grid's last step
-        # are interior.  Omega = 0 (Delta = 0, |kappa - gamma| / 4 >= |g|) is overdamped.
-        # An envelope fit, like dynamics.envelope_lifetime, takes no decay time
-        # above 1e3 times its window: the envelope decays over 2 / (kappa + gamma).
-        kappa, gamma = map(mhz_to_angular, (cfg.resolved_kappa_mhz, cfg.resolved_gamma_mhz))
-        loss_keys = ("kappa_mhz", "q_factor", "gamma_mhz")[::-1 if gamma > kappa else 1]
-        for name, key, least, maxima in SUMMARY_FITS.get(scenario, ()):
-            run = runs[name]
-            g = math.hypot(*_angular(run))
-            omega = np.sqrt(
-                g**2 + (ghz_to_angular(cfg.detuning_ghz) / 2 + 0.25j * (kappa - gamma))**2).real
-            if omega == 0:
-                blame = next((k for k in loss_keys + ("couplings_ghz", "g_ghz") if (k,) in lines),
-                             loss_keys[0])
-                errors.append(
-                    f"{at(blame)}: {blame}: run {name!r} is overdamped: |kappa - gamma| / 4 = "
-                    f"{abs(kappa - gamma) / 4:.4g} rad/ns reaches its coupling |g| = {g:.4g} "
-                    f"rad/ns, so its exchange has no extrema; its fit needs >= {least}")
-                continue
-            found = max(0, math.ceil((run.t_end_ns - run.dt_ns) * 2 * omega / math.pi) - 1)
-            found = (found + 1) // 2 if maxima else found  # the odd multiples are maxima
-            blame = next((k for k in (key, "couplings_ghz", "g_ghz") if (k,) in lines), key)
-            check(found >= least or (maxima and not cfg.lossy), blame,
-                  f"run {name!r} has {found} interior {'maxima' if maxima else 'extrema'} "
-                  f"of its exchange within {key} = {run.t_end_ns:g} ns; its fit needs >= {least}")
-            if maxima and cfg.lossy and 2.0 / (kappa + gamma) > 1e3 * run.t_end_ns:
-                blame = next((k for k in loss_keys if (k,) in lines), loss_keys[0])
-                errors.append(
-                    f"{at(blame)}: {blame}: run {name!r} decays over 2 / (kappa + gamma) = "
-                    f"{2.0 / (kappa + gamma):.4g} ns, more than 1e3 times {key} = "
-                    f"{run.t_end_ns:g} ns, too slowly for its envelope fit")
 
     if errors:
         raise ConfigError(errors)

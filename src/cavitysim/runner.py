@@ -115,6 +115,14 @@ def run_plan(cfg: ExperimentConfig):
     return kept, plan.summarize(cfg, kept, rows), tables
 
 
+def check_fits(cfg: ExperimentConfig) -> None:
+    """Make the summary's fits as run_plan does; raises SummaryFitError where one fails."""
+    plan = SCENARIOS[cfg.scenario].plan(cfg)
+    if plan.reads:
+        plan.summarize(cfg, {run.name: trajectory(cfg, run)
+                             for run in plan.runs if run.name in plan.reads}, [])
+
+
 def _write_rows_csv(path: str, rows: list):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         cols = list(rows[0].keys())
@@ -124,10 +132,9 @@ def _write_rows_csv(path: str, rows: list):
 
 
 def run_scenario(cfg: ExperimentConfig, output_dir: str | None = None) -> RunReport:
+    runs, summary, extra_tables = run_plan(cfg)
     out = resolve_output_dir(cfg, output_dir)
     os.makedirs(out, exist_ok=True)
-
-    runs, summary, extra_tables = run_plan(cfg)
 
     canon = physics_canonical_text(cfg)
     with open(os.path.join(out, "config.txt"), "w", encoding="utf-8", newline="\n") as fh:

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cavitysim import analytic, cli, config, coupling
+from cavitysim import analytic, cli, config, coupling, dynamics
 from cavitysim.cli import main
 from cavitysim.config import parse_config
 from cavitysim.runner import run_scenario
@@ -101,16 +103,102 @@ def test_run_exit_code_on_config_error(tmp_path):
     assert main(["run", bad]) == 1
 
 
+# Detuned and strongly lossy: the exchange stops oscillating once its fast
+# eigenmode has died, which the damped frequency alone does not foresee.
+DETUNED_FIG2 = ('scenario = "fig2_single_atom"\ndetuning_ghz = 20.0\nkappa_mhz = 4e4\n'
+                "t_end_ns = 0.1\n")
+
+
 def test_run_exit_code_on_runtime_failure(tmp_path, capsys):
-    # detuned and strongly lossy: the exchange stops oscillating once its
-    # fast eigenmode has died, so the frequency fit fails at run, which
-    # validate's count from the damped frequency does not foresee
-    text = ('scenario = "fig2_single_atom"\ndetuning_ghz = 20.0\nkappa_mhz = 4e4\n'
-            "t_end_ns = 0.1\n")
-    damped = _write(tmp_path, text)
-    assert main(["validate", damped]) == 0
-    assert main(["run", damped, "--output-dir", str(tmp_path / "x")]) == 2
-    assert "need >= 3 extrema to estimate a frequency, found 1" in capsys.readouterr().err
+    # validate makes the frequency fit that run makes, so both reject the
+    # config with the same message; a failure that only a run can show still
+    # exits 2 (test_run_exits_2_when_x_leaves_hermitian)
+    damped = _write(tmp_path, DETUNED_FIG2)
+    error = ("line 4: t_end_ns: the fit to run 'short' over t_end_ns = 0.1 ns failed: "
+             "need >= 3 extrema to estimate a frequency, found 1")
+    assert main(["validate", damped]) == 1
+    assert capsys.readouterr().err.splitlines()[1:] == [f"  {error}"]
+    assert main(["run", damped, "--output-dir", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.splitlines()[1:] == [f"  {error}"]
+    assert not (tmp_path / "x").exists()
+
+
+# The fit finds 3 or more extrema of P_chi1 within 0.05 ns at kappa = 2e4
+# MHz, where a count from the damped frequency alone gives two.
+DAMPED_WSTATE = 'scenario = "n_atom_wstate"\nt_end_ns = 0.05\nkappa_mhz = 2e4\n'
+
+
+def test_damped_wstate_with_a_short_window_validates_and_runs(tmp_path):
+    path = _write(tmp_path, DAMPED_WSTATE)
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 0
+
+
+@st.composite
+def small_configs(draw) -> str:
+    """A config of any scenario but fig5's: N <= 4, up to two photons,
+    random coupling, loss and detuning, and at most 2000 outputs a run."""
+    scenario = draw(st.sampled_from(
+        ["fig2_single_atom", "n_atom_wstate", "fig3_two_atom", "fig4_correlations", "custom"]))
+    rate = st.one_of(st.just(0.0), st.floats(-3.0, 5.0).map(lambda e: 10.0**e))
+    lines = [
+        f'scenario = "{scenario}"',
+        f"n_atoms = {draw(st.integers(1, 4))}",
+        f"n_photons = {draw(st.sampled_from([1, 2, 0]))}",
+        f"g_ghz = {draw(st.floats(0.5, 20.0))!r}",
+        f"alpha = {draw(st.floats(0.0, 2.0))!r}",
+        f"kappa_mhz = {draw(rate)!r}",
+        f"gamma_mhz = {draw(rate)!r}",
+        f"detuning_ghz = {draw(st.floats(-30.0, 30.0))!r}",
+    ]
+    for t_key, dt_key in (("t_end_ns", "dt_ns"), ("t_long_ns", "dt_long_ns")):
+        t_end = draw(st.floats(0.01, 2.0))
+        lines += [f"{t_key} = {t_end!r}", f"{dt_key} = {t_end / draw(st.integers(10, 1999))!r}"]
+    return "\n".join(lines) + "\n"
+
+
+# 2100 random draws found no config that validates and then fails to run;
+# 60 fixed draws keep the suite fast.  The examples are two configs whose
+# fits a closed-form count of extrema misjudges.
+@settings(max_examples=60)
+@given(small_configs())
+@example(DETUNED_FIG2)
+@example(DAMPED_WSTATE)
+def test_a_config_that_validates_runs(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.toml")
+        with open(path, "w") as fh:
+            fh.write(text)
+        if main(["validate", path]) == 0:
+            assert main(["run", path, "--output-dir", os.path.join(tmp, "out")]) == 0
+
+
+def _count_integrate(monkeypatch) -> list:
+    calls = []
+    integrate = dynamics.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", counted)
+    return calls
+
+
+def test_parse_config_propagates_nothing(monkeypatch):
+    calls = _count_integrate(monkeypatch)
+    for scenario in config.SCENARIOS:
+        parse_config(f'scenario = "{scenario}"\n')
+    assert calls == []
+
+
+def test_run_propagates_each_run_once(tmp_path, monkeypatch):
+    calls = _count_integrate(monkeypatch)
+    path = _write(tmp_path, 'scenario = "fig2_single_atom"\n')
+    assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 0
+    assert calls == [1, 1]  # short, then long: the summary's fits add none
+    assert main(["validate", path]) == 0
+    assert calls == [1, 1] * 2  # the same two runs, which both fits read
 
 
 @pytest.mark.parametrize("rates", ["gamma_mhz = 0.0", "kappa_mhz = 0.0"])
@@ -131,6 +219,11 @@ def test_run_exits_2_when_x_leaves_hermitian(tmp_path, monkeypatch, capsys):
     assert main(["run", _write(tmp_path, TINY_CUSTOM), "--output-dir", str(tmp_path / "x")]) == 2
     assert ("Hermiticity deviation 2.000e-10 of x at t=0.02 ns exceeds tolerance 1e-10"
             in capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+    # validate propagates only what a summary fits: custom has nothing, fig2 its two runs
+    assert main(["validate", _write(tmp_path, TINY_CUSTOM)]) == 0
+    assert main(["validate", _write(tmp_path, 'scenario = "fig2_single_atom"\n')]) == 2
+    assert "exceeds tolerance 1e-10" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lossless", ["true", "false"])

@@ -108,6 +108,35 @@ def test_type_errors_name_the_key():
     ]
 
 
+@pytest.mark.parametrize("line, error", [
+    ("detuning_ghz = nan", "line 3: detuning_ghz: expected a finite number, got nan"),
+    ("detuning_ghz = inf", "line 3: detuning_ghz: expected a finite number, got inf"),
+    ("kappa_mhz = inf", "line 3: kappa_mhz: expected a finite number, got inf"),
+    ("gamma_mhz = -inf", "line 3: gamma_mhz: expected a finite number, got -inf"),
+    ("alpha = inf", "line 3: alpha: expected a finite number, got inf"),
+    ("q_factor = inf", "line 3: q_factor: expected a finite number, got inf"),
+    ("lambda_nm = inf", "line 3: lambda_nm: expected a finite number, got inf"),
+    ("g_ghz = 1" + "0" * 400, "line 3: g_ghz: expected a finite number, got 1" + "0" * 400),
+    ("couplings_ghz = [1.0, nan]",
+     "line 3: couplings_ghz: expected a [list] of finite numbers, got [1.0, nan]"),
+])
+def test_non_finite_numbers_are_type_errors(line, error, tmp_path):
+    # TOML reads nan and inf as floats; none of them is a value any key takes
+    text = f'scenario = "custom"\nn_atoms = 2\n{line}\n'
+    assert _errors(text) == [error]
+    path = tmp_path / "cfg.toml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bounds", ["min = nan\nmax = 1.0", "min = 0.0\nmax = inf"])
+def test_non_finite_sweep_bounds_are_errors(bounds):
+    text = f'scenario = "fig4_correlations"\n[sweep.alpha]\n{bounds}\nsteps = 3\n'
+    assert _errors(text) == ["line 2: sweep.alpha: min/max must be finite numbers"]
+
+
 def test_malformed_values():
     # tomllib stops at the first syntax error, so each config holds one
     for text in (
@@ -328,9 +357,13 @@ def _fig5(design, x, y=(0.0, 0.0)):
      "atom 2 as the field map gives at each displacement; set g_ghz instead"),
     ('scenario = "n_atom_wstate"\nn_photons = 0\n', "line 2: n_photons: "),
     ('scenario = "fig2_single_atom"\nn_photons = 0\n', "line 2: n_photons: "),
+    # the W state's enhancement is measured against atom 1's coupling
+    ('scenario = "n_atom_wstate"\ncouplings_ghz = [0.0, 1.0, 0.0]\nt_end_ns = 2.0\n',
+     "line 2: couplings_ghz: n_atom_wstate compares the collective exchange with atom 1's: "
+     "atom 1 must couple"),
 ], ids=["fig5_x_max", "fig5_x_min", "fig5_y_max", "wstate_uncoupled", "fig3_uncoupled",
         "fig3_couplings", "fig4_couplings", "fig5_couplings", "wstate_no_photon",
-        "fig2_no_photon"])
+        "fig2_no_photon", "wstate_atom_1_uncoupled"])
 def test_configs_that_cannot_run_fail_validate(text, error, tmp_path):
     errors = _errors(text)
     assert len(errors) == 1 and errors[0].startswith(error)
@@ -339,70 +372,80 @@ def test_configs_that_cannot_run_fail_validate(text, error, tmp_path):
     assert main(["validate", str(path)]) == 1
 
 
+def _validate_errors(text, tmp_path, capsys):
+    """(exit code, error lines) of `cavitysim validate` on text."""
+    path = tmp_path / "cfg.toml"
+    path.write_text(text)
+    code = main(["validate", str(path)])
+    return code, [line.strip() for line in capsys.readouterr().err.splitlines()[1:]]
+
+
 @pytest.mark.parametrize("text, error", [
     # W state at 1 GHz norm: one extremum per 0.25 ns
-    ('scenario = "n_atom_wstate"\ncouplings_ghz = [0.0, 1.0, 0.0]\n',
-     "line 2: couplings_ghz: run 'wstate' has 0 interior extrema of its exchange within "
-     "t_end_ns = 0.12 ns; its fit needs >= 3"),
+    ('scenario = "n_atom_wstate"\ncouplings_ghz = [1.0, 0.0, 0.0]\n',
+     "line 2: couplings_ghz: the fit to run 'wstate' over t_end_ns = 0.12 ns failed: "
+     "need >= 3 extrema to estimate a frequency, found 0"),
     # one atom at 9 GHz: one extremum per 27.8 ps
     ('scenario = "fig2_single_atom"\nt_end_ns = 0.05\n',
-     "line 2: t_end_ns: run 'short' has 1 interior extrema of its exchange within "
-     "t_end_ns = 0.05 ns; its fit needs >= 3"),
+     "line 2: t_end_ns: the fit to run 'short' over t_end_ns = 0.05 ns failed: "
+     "need >= 3 extrema to estimate a frequency, found 1"),
     ('scenario = "fig3_two_atom"\nt_end_ns = 0.02\n',
-     "line 2: t_end_ns: run 'one_photon_equal' has 1 interior extrema of its exchange within "
-     "t_end_ns = 0.02 ns; its fit needs >= 3"),
+     "line 2: t_end_ns: the fit to run 'one_photon_equal' over t_end_ns = 0.02 ns failed: "
+     "need >= 3 extrema to estimate a frequency, found 1"),
     # maxima at odd multiples of 27.8 ps: the ninth at 0.47 ns
     ('scenario = "fig2_single_atom"\nt_long_ns = 0.5\n',
-     "line 2: t_long_ns: run 'long' has 9 interior maxima of its exchange within "
-     "t_long_ns = 0.5 ns; its fit needs >= 10"),
+     "line 2: t_long_ns: the fit to run 'long' over t_long_ns = 0.5 ns failed: "
+     "need >= 10 oscillation maxima, found 9"),
     # damped: Omega = sqrt(97.95^2 - 94.25^2) = 26.7 rad/ns, not 97.95
     ('scenario = "n_atom_wstate"\nt_end_ns = 0.12\nkappa_mhz = 6e4\n',
-     "line 2: t_end_ns: run 'wstate' has 2 interior extrema of its exchange within "
-     "t_end_ns = 0.12 ns; its fit needs >= 3"),
-    # overdamped: Omega = 0, and the loss key is named
+     "line 2: t_end_ns: the fit to run 'wstate' over t_end_ns = 0.12 ns failed: "
+     "need >= 3 extrema to estimate a frequency, found 2"),
+    # overdamped, |kappa - gamma| / 4 above |g|: the window key is named,
+    # at line 0 where the file leaves it at its default
     ('scenario = "n_atom_wstate"\nkappa_mhz = 1e7\n',
-     "line 2: kappa_mhz: run 'wstate' is overdamped: |kappa - gamma| / 4 = 1.571e+04 rad/ns "
-     "reaches its coupling |g| = 97.95 rad/ns, so its exchange has no extrema; its fit needs >= 3"),
+     "line 0: t_end_ns: the fit to run 'wstate' over t_end_ns = 0.12 ns failed: "
+     "need >= 3 extrema to estimate a frequency, found 1"),
     ('scenario = "fig3_two_atom"\nq_factor = 1e9\ngamma_mhz = 1e5\n',
-     "line 3: gamma_mhz: run 'one_photon_equal' is overdamped: |kappa - gamma| / 4 = 157.1 rad/ns "
-     "reaches its coupling |g| = 79.97 rad/ns, so its exchange has no extrema; its fit needs >= 3"),
+     "line 0: t_end_ns: the fit to run 'one_photon_equal' over t_end_ns = 0.3 ns failed: "
+     "need >= 3 extrema to estimate a frequency, found 1"),
 ], ids=["wstate_weak", "fig2_short", "fig3_short", "fig2_long", "wstate_damped",
         "wstate_overdamped", "fig3_overdamped_by_gamma"])
-def test_windows_too_short_for_the_summary_fit_fail_validate(text, error, tmp_path):
-    assert _errors(text) == [error]
-    path = tmp_path / "cfg.toml"
-    path.write_text(text)
-    assert main(["validate", str(path)]) == 1
+def test_windows_too_short_for_the_summary_fit_fail_validate(text, error, tmp_path, capsys):
+    parse_config(text)  # static checks pass: the fit itself fails
+    assert _validate_errors(text, tmp_path, capsys) == (1, [error])
+    assert main(["run", str(tmp_path / "cfg.toml"), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines()[1:] == [f"  {error}"]
+    assert not (tmp_path / "out").exists()
     # the envelope fit is made, and the exchange damped, only with loss
     if "t_long_ns" in text or "_mhz" in text:
-        path.write_text(text + "lossless = true\n")
-        assert main(["validate", str(path)]) == 0
+        assert _validate_errors(text + "lossless = true\n", tmp_path, capsys) == (0, [])
 
 
-@pytest.mark.parametrize("text, key, tau", [
-    ('q_factor = 1e15\ngamma_mhz = 0.0\n', "line 2: q_factor", "8.282e+08"),
-    ('kappa_mhz = 1e-9\ngamma_mhz = 0.0\n', "line 2: kappa_mhz", "3.183e+11"),
-    ('kappa_mhz = 0.0\ngamma_mhz = 1e-6\n', "line 3: gamma_mhz", "3.183e+08"),
+@pytest.mark.parametrize("text, key", [
+    ('q_factor = 1e15\ngamma_mhz = 0.0\n', "line 2: q_factor"),
+    ('kappa_mhz = 1e-9\ngamma_mhz = 0.0\n', "line 2: kappa_mhz"),
+    ('kappa_mhz = 0.0\ngamma_mhz = 1e-6\n', "line 3: gamma_mhz"),
 ], ids=["q_factor", "kappa", "gamma"])
-def test_loss_too_weak_for_the_envelope_fit_fails_validate(text, key, tau, tmp_path):
+def test_loss_too_weak_for_the_envelope_fit_fails_validate(text, key, tmp_path, capsys):
     # envelope_lifetime rejects a decay time above 1e3 times its window, and
-    # fig2's envelope decays over 2 / (kappa + gamma)
+    # fig2's envelope decays over 2 / (kappa + gamma); the larger rate's key is named
     text = 'scenario = "fig2_single_atom"\n' + text
-    assert _errors(text) == [
-        f"{key}: run 'long' decays over 2 / (kappa + gamma) = {tau} ns, more than 1e3 "
-        "times t_long_ns = 40 ns, too slowly for its envelope fit"]
-    path = tmp_path / "cfg.toml"
-    path.write_text(text)
-    assert main(["validate", str(path)]) == 1
-    path.write_text(text + "lossless = true\n")
-    assert main(["validate", str(path)]) == 0
+    code, errors = _validate_errors(text, tmp_path, capsys)
+    assert code == 1 and len(errors) == 1
+    assert errors[0].startswith(
+        f"{key}: the fit to run 'long' over t_long_ns = 40 ns failed: envelope fit slope ")
+    assert errors[0].endswith(" ns window does not describe a resolvable decay")
+    assert _validate_errors(text + "lossless = true\n", tmp_path, capsys) == (0, [])
 
 
-def test_envelope_fit_limit_is_the_window_times_1e3():
-    # 2 / kappa = 4e4 ns at kappa = 5e-5 rad/ns = 7.9577e-3 MHz
+def test_envelope_fit_limit_is_the_window_times_1e3(tmp_path, capsys):
+    # The fit's window runs from the first maximum of sin^2(g t), at pi / (2 g),
+    # to the last before t_long_ns = 40 ns: 39.944 ns at 9 GHz, so the fit
+    # takes 2 / kappa up to 3.9944e4 ns, kappa down to 7.9688e-3 MHz.
     text = 'scenario = "fig2_single_atom"\ngamma_mhz = 1e-9\nkappa_mhz = '
-    assert len(_errors(text + "0.007957\n")) == 1
-    parse_config(text + "0.007958\n")
+    code, errors = _validate_errors(text + "0.00796\n", tmp_path, capsys)
+    assert code == 1 and errors[0].startswith("line 3: kappa_mhz: ")
+    assert _validate_errors(text + "0.00797\n", tmp_path, capsys) == (0, [])
 
 
 def test_fig5_sweep_may_reach_the_grid_edges(tmp_path):
