@@ -17,8 +17,8 @@ one list of keys: each key's type test and its line in `canonical_text`
 follow from them.  `SCENARIOS` holds each scenario's `cavitysim scenarios`
 note, its defaults and its plan: the runs it makes, the summary drawn
 from them and the columns that summary reads, built from the config alone
-with no map read.  The runner
-executes the plan, and the memory gate sums it.  Nothing here propagates:
+with no map read.  The runner executes the plan; the memory gate adds up
+what dynamics.footprint says it allocates.  Nothing here propagates:
 runner.check_fits makes the summary's fits that `cavitysim validate` checks.
 
 Example::
@@ -70,13 +70,14 @@ class SummaryFitError(ValueError):
 
     def config_error(self, cfg: "ExperimentConfig", text: str) -> ConfigError:
         """The failure at the first key the config `text` sets of: the loss keys, larger
-        rate first, if the envelope does not decay, else the run's window and couplings."""
+        rate first, if the envelope does not decay, else the run's window, its couplings
+        and then the loss keys (an overdamped exchange)."""
         run = next(run for run in SCENARIOS[cfg.scenario].plan(cfg).runs if run.name == self.name)
         window = "t_long_ns" if run.key == ("dt_long_ns",) else "t_end_ns"
-        keys = (window, "couplings_ghz", "g_ghz")
-        if isinstance(self.cause, dyn.NonDecayingEnvelopeError):
-            gamma_first = cfg.resolved_gamma_mhz > cfg.resolved_kappa_mhz
-            keys = ("kappa_mhz", "q_factor", "gamma_mhz")[::-1 if gamma_first else 1]
+        gamma_first = cfg.resolved_gamma_mhz > cfg.resolved_kappa_mhz
+        loss = ("kappa_mhz", "q_factor", "gamma_mhz")[::-1 if gamma_first else 1]
+        keys = (loss if isinstance(self.cause, dyn.NonDecayingEnvelopeError)
+                else (window, "couplings_ghz", "g_ghz") + loss)
         lines = _key_lines(text)
         key = next((k for k in keys if (k,) in lines), keys[0])
         return ConfigError([f"line {lines.get((key,), 0)}: {key}: the fit to run {run.name!r} "
@@ -449,80 +450,35 @@ def default_sweeps(scenario: str, design: str) -> tuple:
 def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     """(log2 of the plan's peak bytes, the key path of its largest part).
 
-    Fixed runs run one at a time, and a sweep's points a block at a time:
-    as many as dynamics.stack_runs puts in one stack.  The peak is the most
-    working memory of any run or block plus all that the runs hold until
-    the files are written.  Each run counts at its own Hilbert dimension
-    d = (n_max + 1) 2^N, the d_n basis states of the excitation sector it
-    starts in, and with loss the d_l states below them: the ones integrate
-    propagates.  A sweep counts one block of points, and its point count
-    (the product of its axes' steps) times what a point holds.
+    The peak is the largest call of the runner, a fixed run or a block of
+    sweep points as dynamics.footprint sizes it, plus what the kept
+    trajectories and the table rows hold until the files are written; each
+    part is keyed by what it grows with.  It bounds tracemalloc's traced
+    peak: the interpreter (about 39 MB) and freed blocks come on top."""
+    def footprint(run: Run, stack: int = 1) -> tuple:  # four projections at most
+        return dyn.footprint(cfg.n_max_for(run.n_photons), run.n_atoms, run.n_photons, cfg.lossy,
+                             run.track, 4 * bool(run.projections), run.t_end_ns / run.dt_ns + 2,
+                             stack)
 
-    Working memory (a run builds nothing of size d^2: it starts from a ket
-    and builds every operator on the d_n + d_l states), each per run of a
-    block: for a lossy run expm of the Van Loan block, (d_l^2 + d_n^2)^2
-    entries, measured at 9.0 such matrices (d_n, d_l = 11, 6; 22, 8; 8,
-    12), counted as 10; at every output time the ket and, with loss, the
-    d_l x d_l lower block and its scan's copy, plus 48 bytes for the grid,
-    its copy and its uniformity check's steps, and where the sweep keeps no
-    trajectory, 8 bytes in each column of the block's trajectories.  Once
-    per block: integrate's chunk of chunk_states(d_n) output times (at
-    least one per run), counted as two d_n x d_n matrices each, the feed's
-    outer products and the observables' temporaries; one CSV_BLOCK_ROWS
-    block of the columns as Python floats, 32 bytes each with the list's
-    pointer, plus 1 KiB per column for its name, its array object and its
-    text in the row being written (measured at 0.35 KiB, N = 11); and 64
-    bytes per basis state for the ket and the index arithmetic over all d
-    of them (measured at 37 to 62 bytes, N = 14 to 18, tracking only
-    n_photon).
-
-    Held: 8 bytes per output (at most t_end/dt + 2) in each column of each
-    kept trajectory (the time, populations of all d states if it tracks
-    them, the photon number, N + 1 entropies, the atom pairs, three
-    projections, and 8 for the grid's steps), and per sweep point a table
-    row, a dict of Python floats measured at 288 bytes for 4 and 5 values,
-    counted as 64 bytes per value plus 64.  Logarithms, so that an absurd
-    atom count or grid cannot overflow.
-
-    The sum bounds tracemalloc's traced peak, not the process's resident
-    memory: it counts neither the interpreter and numpy baseline (about
-    39 MB) nor the allocator's hold on freed blocks.  Lossy one-photon
-    N = 13 is estimated at 1.14 GB, and peaked at 1287 MB RSS when it was
-    still propagated by the d'^2 x d'^2 Liouvillian.
-    """
-    runs = [(0.0, run, 1) for run in plan.runs]  # (log2 of the copies held or None, run, points)
-    held = []
+    atoms, calls, held = ("n_atoms",), [], []  # (bytes, key) of each call, and of all held
+    for run in plan.runs:
+        work, keep = footprint(run)
+        calls.append(list(zip(work, (atoms, run.key))))
+        held += zip(keep, (atoms, run.key))
     if plan.sweep:
-        points = math.prod(ax.steps for ax in plan.sweep.axes)
         point = plan.sweep.run(cfg, 0.0)  # sized alike at any alpha
-        runs.append((math.log2(points) if plan.sweep.name else None, point, points))
-        row = 64 * (len(plan.sweep.axes) + 2 + len(plan.sweep.peaks))
-        held.append((math.log2(points) + math.log2(row), point.key))
-    working = []
-    for log2_copies, run, points in runs:
-        n_atoms, n_photons = run.n_atoms, run.n_photons
-        log2_dim = math.log2(cfg.n_max_for(n_photons) + 1) + n_atoms
-        pops = log2_dim if "populations" in run.track else -math.inf
-        log2_cols = np.logaddexp2(pops, math.log2((n_atoms + 1) * (n_atoms + 2) // 2 + 12))
-        outputs = run.t_end_ns / run.dt_ns + 2
-        work = [math.log2(32 * dyn.CSV_BLOCK_ROWS + 1024) + log2_cols, log2_dim + 6]
-        if log2_dim <= 64:  # d' <= d, and past 2^64 states the CSV block alone is too big
-            top, low = fs.sector_sizes(n_atoms, n_photons)
-            low = low if cfg.lossy else 0
-            # the runner's block, from its exact output count
-            stack = min(points, dyn.stack_runs(top, low, run.outputs())
-                        if math.isfinite(outputs) else 1)
-            work.append(math.log2(
-                min(stack * outputs, max(stack, dyn.chunk_states(top))) * 32 * top**2))
-            columns = 8 * 2.0**log2_cols if log2_copies is None else 0.0
-            work.append(math.log2(stack * outputs * (16 * (top + 2 * low**2) + 48 + columns)))
-            if low:
-                work.append(math.log2(stack * 10 * 16 * (low**2 + top**2) ** 2))
-        working.append((np.logaddexp2.reduce(work), ("n_atoms",)))
-        if log2_copies is not None:
-            held.append((log2_copies + math.log2(outputs) + 3 + log2_cols, run.key))
-    parts = [max(working)] + held
-    return np.logaddexp2.reduce([log2 for log2, _ in parts]), max(parts)[1]
+        points = math.prod(ax.steps for ax in plan.sweep.axes)
+        stack = min(points, dyn.stack_runs(point.n_atoms, point.n_photons, cfg.lossy,
+                                           point.outputs()))
+        work, keep = footprint(point, stack)
+        # with no point kept, the runner's loop holds the last block while the next propagates
+        kept = (sum(keep) * (points if plan.sweep.name else min(points, 2 * stack)), point.key)
+        # a table row: a dict of Python floats, measured at 288 bytes for 4 and 5 values
+        rows = (points * 64 * (len(plan.sweep.axes) + 2 + len(plan.sweep.peaks)), point.key)
+        calls.append(list(zip(work, (atoms, point.key))) + ([] if plan.sweep.name else [kept]))
+        held += [rows] + ([kept] if plan.sweep.name else [])
+    parts = max(calls, key=lambda call: sum(b for b, _ in call)) + held
+    return math.log2(sum(b for b, _ in parts)), max(parts)[1]
 
 
 def _physical_memory() -> int | None:

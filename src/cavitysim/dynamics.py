@@ -91,12 +91,57 @@ def chunk_states(dim: int) -> int:
     return max(1, CHUNK_BYTES // (16 * dim * dim))
 
 
-def stack_runs(top: int, low: int, outputs: int) -> int:
+def stack_runs(n_atoms: int, n_photons: int, lossy: bool, outputs: int) -> int:
     """Number of runs to pass integrate() as one stack, as the runner does
     with a sweep's points: as many as fit in CHUNK_BYTES with their kets on
-    the `top` states of their start sector and their x on the `low` states
-    below it, at `outputs` output times each (at least 1)."""
-    return max(1, CHUNK_BYTES // (16 * outputs * (top + low * low)))
+    the d_n states of their start sector and, if `lossy`, their x on the
+    d_l states below it, at `outputs` output times each (at least 1)."""
+    top, low = fs.sector_sizes(n_atoms, n_photons)
+    return max(1, CHUNK_BYTES // (16 * outputs * (top + low * low * lossy)))
+
+
+def footprint(n_max: int, n_atoms: int, n_photons: int, lossy: bool, track,
+              projections: int, outputs, runs: int) -> tuple:
+    """Bytes of integrate() on a stack of `runs` runs (n_atoms atoms from
+    n_photons photons, truncation n_max, loss if `lossy`, recording `track`
+    and `projections` kets at `outputs` times), and of write_trajectory_csv
+    on one of them: (work, keep), the most either allocates beyond the
+    trajectories and what each trajectory holds, each as (what grows with
+    the states and their columns, what grows with the outputs alone)."""
+    if n_atoms > 64:  # more states than any memory holds
+        return (math.inf, 0.0), (math.inf, 0.0)
+    top, low = fs.sector_sizes(n_atoms, n_photons)
+    dim, low, n_out = (n_max + 1) * 2**n_atoms, low if lossy else 0, min(outputs, 2**64)
+    pops = dim if "populations" in track else 0
+    other = projections + len(tracked_columns(HilbertLayout(1, n_atoms),
+                                              set(track) - {"populations"}))
+    name = len(f"pop_{n_max}") + n_atoms + 4  # the longest column name, and its ","
+    objects = 192  # of an array of a column: the ndarray (112 B, a view too) and its dict entry
+    work = (
+        2**16  # the call's small arrays and objects, and the file buffer (30 KiB measured)
+        # psi0, each projection ket and its copy, and the excitation numbers
+        # with the arithmetic of a second count: six int64 arrays of length d
+        + dim * (16 * (1 + 2 * projections) + 48)
+        # expm of each run's ket step and Van Loan block, about nine matrices
+        # of its size at once; with loss, each channel on the d' states
+        + runs * 160 * (top**2 + (low**2 + top**2)**2 * bool(low))
+        + bool(low) * (n_atoms + 1) * 16 * (top + low)**2
+        # per state of a chunk: the feed's outer product (with loss), the populations
+        # and their squares, the check of x, an entropy, a concurrence, the projections
+        + min(runs * n_out, max(runs, chunk_states(top)))
+        * (16 * top**2 * bool(low) + 64 * low**2 + 32 * (top + low) + 32 * projections * (1 + low)
+           + 48 * (n_max + 1) * ("entropies" in track) + 256 * ("concurrence" in track))
+        # every column's series view, CSV name, format and zero flag; a block
+        # of rows as Python floats, with lists and text, of each column that
+        # can leave 0: the time, the d' propagated populations and the others
+        + (pops + other) * (objects + 48 + 2 * name)
+        + (1 + other + (top + low if pops else 0)) * (32 * min(n_out, CSV_BLOCK_ROWS) + 128)
+    )
+    column = 8 * n_out + 2 * objects  # its floats, array and view; a population's name too
+    # per output of each run: the caller's grid, integrate's copy and two
+    # steps of the uniformity check; psi, x and the scan's product
+    return ((work, runs * n_out * (40 + 16 * top + 32 * low**2)),
+            (pops * (column + 49 + name), (1 + other) * column))
 
 
 # Coefficients b_0 .. b_13 of the [13/13] Pade approximant to exp, and the

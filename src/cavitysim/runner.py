@@ -102,8 +102,7 @@ def run_plan(cfg: ExperimentConfig):
     if plan.sweep:
         points = list(plan.sweep.points(cfg))
         first = points[0][1]
-        top, low = fs.sector_sizes(first.n_atoms, first.n_photons)
-        size = dyn.stack_runs(top, low if cfg.lossy else 0, first.outputs())
+        size = dyn.stack_runs(first.n_atoms, first.n_photons, cfg.lossy, first.outputs())
         for start in range(0, len(points), size):
             block = points[start:start + size]
             for (point, run), traj in zip(block, trajectory(cfg, [run for _, run in block])):

@@ -159,7 +159,8 @@ def small_configs(draw) -> str:
 
 # 2100 random draws found no config that validates and then fails to run;
 # 60 fixed draws keep the suite fast.  The examples are two configs whose
-# fits a closed-form count of extrema misjudges.
+# fits a closed-form count of extrema misjudges.  Each run that validates
+# also stays within the memory gate's estimate of its traced peak.
 @settings(max_examples=60)
 @given(small_configs())
 @example(DETUNED_FIG2)
@@ -170,7 +171,15 @@ def test_a_config_that_validates_runs(text):
         with open(path, "w") as fh:
             fh.write(text)
         if main(["validate", path]) == 0:
-            assert main(["run", path, "--output-dir", os.path.join(tmp, "out")]) == 0
+            cfg = parse_config(text)
+            need, _ = config._log2_peak_bytes(cfg, config.SCENARIOS[cfg.scenario].plan(cfg))
+            tracemalloc.start()
+            try:
+                assert main(["run", path, "--output-dir", os.path.join(tmp, "out")]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.0**need
 
 
 def _count_integrate(monkeypatch) -> list:
@@ -257,13 +266,14 @@ def test_validate_rejects_over_memory_config(tmp_path, capsys, monkeypatch):
     assert peak < 10e6
     assert "GB at peak" in capsys.readouterr().err
     # lossy N = 13 from one photon propagates 15 of d = 24576 states and
-    # builds nothing of size d^2: the population columns are what take memory
-    for n_atoms in (4, 11, 13):
+    # builds nothing of size d^2: the population columns are what take
+    # memory, 8 bytes per output each (2.36 GB at N = 16, 4.7 GB at N = 17)
+    for n_atoms in (4, 11, 13, 16, 17):
         ok = _write(tmp_path, f'scenario = "custom"\nn_atoms = {n_atoms}\n', name="ok.cfg")
         assert main(["validate", ok]) == 0
     capsys.readouterr()
-    # N = 16: 8 bytes per output for each of d = 196608 population columns
-    over = _write(tmp_path, 'scenario = "custom"\nn_atoms = 16\n', name="over.cfg")
+    # N = 18: d = 786432 population columns of 1501 outputs, 9.4 GB
+    over = _write(tmp_path, 'scenario = "custom"\nn_atoms = 18\n', name="over.cfg")
     assert main(["validate", over]) == 1
     err = capsys.readouterr().err
     assert "line 2: n_atoms:" in err and "GB at peak" in err

@@ -400,13 +400,13 @@ def _validate_errors(text, tmp_path, capsys):
     ('scenario = "n_atom_wstate"\nt_end_ns = 0.12\nkappa_mhz = 6e4\n',
      "line 2: t_end_ns: the fit to run 'wstate' over t_end_ns = 0.12 ns failed: "
      "need >= 3 extrema to estimate a frequency, found 2"),
-    # overdamped, |kappa - gamma| / 4 above |g|: the window key is named,
-    # at line 0 where the file leaves it at its default
+    # overdamped, |kappa - gamma| / 4 above |g|: where the file sets neither
+    # the window nor a coupling, the loss key it sets is named, larger rate first
     ('scenario = "n_atom_wstate"\nkappa_mhz = 1e7\n',
-     "line 0: t_end_ns: the fit to run 'wstate' over t_end_ns = 0.12 ns failed: "
+     "line 2: kappa_mhz: the fit to run 'wstate' over t_end_ns = 0.12 ns failed: "
      "need >= 3 extrema to estimate a frequency, found 1"),
     ('scenario = "fig3_two_atom"\nq_factor = 1e9\ngamma_mhz = 1e5\n',
-     "line 0: t_end_ns: the fit to run 'one_photon_equal' over t_end_ns = 0.3 ns failed: "
+     "line 3: gamma_mhz: the fit to run 'one_photon_equal' over t_end_ns = 0.3 ns failed: "
      "need >= 3 extrema to estimate a frequency, found 1"),
 ], ids=["wstate_weak", "fig2_short", "fig3_short", "fig2_long", "wstate_damped",
         "wstate_overdamped", "fig3_overdamped_by_gamma"])
