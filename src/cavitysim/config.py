@@ -471,8 +471,9 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
         stack = min(points, dyn.stack_runs(point.n_atoms, point.n_photons, cfg.lossy,
                                            point.outputs()))
         work, keep = footprint(point, stack)
-        # with no point kept, the runner's loop holds the last block while the next propagates
-        kept = (sum(keep) * (points if plan.sweep.name else min(points, 2 * stack)), point.key)
+        # with no point kept, only the block in flight holds its columns: the
+        # runner frees each block before the next propagates
+        kept = (sum(keep) * (points if plan.sweep.name else stack), point.key)
         # a table row: a dict of Python floats, measured at 288 bytes for 4 and 5 values
         rows = (points * 64 * (len(plan.sweep.axes) + 2 + len(plan.sweep.peaks)), point.key)
         calls.append(list(zip(work, (atoms, point.key))) + ([] if plan.sweep.name else [kept]))

@@ -107,7 +107,9 @@ def footprint(n_max: int, n_atoms: int, n_photons: int, lossy: bool, track,
     and `projections` kets at `outputs` times), and of write_trajectory_csv
     on one of them: (work, keep), the most either allocates beyond the
     trajectories and what each trajectory holds, each as (what grows with
-    the states and their columns, what grows with the outputs alone)."""
+    the states and their columns, what grows with the outputs alone).  The
+    writer holds the text of a block of rows, one str per cell, of each
+    column that can leave 0, counted as if no two were equal."""
     if n_atoms > 64:  # more states than any memory holds
         return (math.inf, 0.0), (math.inf, 0.0)
     top, low = fs.sector_sizes(n_atoms, n_photons)
@@ -131,11 +133,15 @@ def footprint(n_max: int, n_atoms: int, n_photons: int, lossy: bool, track,
         + min(runs * n_out, max(runs, chunk_states(top)))
         * (16 * top**2 * bool(low) + 64 * low**2 + 32 * (top + low) + 32 * projections * (1 + low)
            + 48 * (n_max + 1) * ("entropies" in track) + 256 * ("concurrence" in track))
-        # every column's series view, CSV name, format and zero flag; a block
-        # of rows as Python floats, with lists and text, of each column that
-        # can leave 0: the time, the d' propagated populations and the others
+        # every column's series view, CSV name, piece and zero flag; one block's
+        # text of each column that can leave 0 (the time, the d' propagated
+        # populations and the others): per row a str of up to 24 characters
+        # (73 B), its list slot and 8 B of the block's bytes key, and per column
+        # the list, the key, its dict entry and its cell in a row's text; and
+        # the Python floats (24 B and a slot) of the column being converted
         + (pops + other) * (objects + 48 + 2 * name)
-        + (1 + other + (top + low if pops else 0)) * (32 * min(n_out, CSV_BLOCK_ROWS) + 128)
+        + (1 + other + (top + low if pops else 0)) * (96 * min(n_out, CSV_BLOCK_ROWS) + 384)
+        + 32 * min(n_out, CSV_BLOCK_ROWS)
     )
     column = 8 * n_out + 2 * objects  # its floats, array and view; a population's name too
     # per output of each run: the caller's grid, integrate's copy and two
@@ -614,22 +620,41 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
     Column order is deterministic: populations in basis-index order, then
     n_photon, entropies S_A.., concurrence pairs, then any extra projection
     columns (in the order they were requested).  Every cell is repr() of
-    its float; a column that is +0.0 throughout is written as the constant
-    "0.0" that repr gives, without converting its cells.
+    its float.  A column that is +0.0 throughout is the constant "0.0" that
+    repr gives, and each run of such columns, with the separators around
+    it, is one constant piece of every row: none of its cells is converted.
+
+    The other columns become text a block of CSV_BLOCK_ROWS rows at a time,
+    one column at a time, and a column whose block has the same float64
+    bytes as an earlier column's (n_photon and pop_1g.. of a one-photon
+    run) reuses that text.  Rows are joined from the pieces and written one
+    by one, so what is held is one block's text of the columns that can
+    leave 0, never a block of rows of the constant pieces.
     """
     cols = traj.column_order
     fh.write(f"# schema: {TRAJECTORY_SCHEMA}\n")
     fh.write(",".join(["time_ns"] + cols) + "\n")
-    arrays = [traj.times] + [traj.observables[c] for c in cols]
     # -0.0 == 0 too, but its repr is "-0.0": the sign bit must be clear.
-    zero = [not (a.any() or np.signbit(a).any()) for a in arrays]
-    row_format = ",".join("0.0" if z else "%r" for z in zero) + "\n"
-    arrays = [a for a, z in zip(arrays, zero) if not z]
-    # Columns become Python floats a block of rows at a time: whole-column
-    # lists of a long trajectory would cost megabytes of peak memory.  Each
-    # block is freed before the next is built, so only one is ever held.
-    for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
-        columns = [a[start:start + CSV_BLOCK_ROWS].tolist() for a in arrays]
-        for row in zip(*columns):
-            fh.write(row_format % row)
-        del columns
+    cells = [a if a.any() or np.signbit(a).any() else "0.0"
+             for a in [traj.times] + [traj.observables[c] for c in cols]]
+    # A row is its cells between separators; each run of text, a separator
+    # and the constant cells next to it, merges into one piece.
+    tokens = [x for cell in cells for x in (",", cell)][1:] + ["\n"]
+    pieces = []
+    for constant, run in itertools.groupby(tokens, key=lambda x: isinstance(x, str)):
+        pieces += ["".join(run)] if constant else run
+    n_rows = len(traj.times)
+    for start in range(0, n_rows, CSV_BLOCK_ROWS):
+        size = min(CSV_BLOCK_ROWS, n_rows - start)
+        texts = {}  # the block's text of each distinct column, by its bytes
+        columns = []
+        for piece in pieces:
+            if isinstance(piece, str):
+                columns.append(itertools.repeat(piece, size))
+                continue
+            block = piece[start:start + size]
+            key = block.tobytes()  # exact bytes: 0.0 and -0.0 never share text
+            if key not in texts:
+                texts[key] = list(map(repr, block.tolist()))
+            columns.append(texts[key])
+        fh.writelines(map("".join, zip(*columns)))

@@ -110,6 +110,9 @@ def run_plan(cfg: ExperimentConfig):
                     kept[run.name] = traj
                 rows.append(point | {f"peak_{c}": float(np.max(traj.series(c)))
                                      for c in plan.sweep.peaks})
+            # its columns are views of the block's arrays: free them before the
+            # next block propagates
+            del traj
     tables = {plan.sweep.table: rows} if plan.sweep else {}
     return kept, plan.summarize(cfg, kept, rows), tables
 

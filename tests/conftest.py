@@ -119,6 +119,17 @@ def trajectory_csv_text(traj) -> str:
     return buf.getvalue()
 
 
+def per_cell_csv(traj) -> str:
+    """The per-cell CSV writer the column-wise one replaced, as a reference."""
+    lines = [f"# schema: {dynamics.TRAJECTORY_SCHEMA}",
+             ",".join(["time_ns"] + traj.column_order)]
+    for k, t in enumerate(traj.times):
+        row = [repr(float(t))]
+        row += [repr(float(traj.observables[c][k])) for c in traj.column_order]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 def tomography_kets(layout: HilbertLayout, n_exc: int) -> dict:
     """Projection kets whose populations <v|rho|v> fix a state on the basis
     states with at most n_exc excitations: |i> as column T_i, and

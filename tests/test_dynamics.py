@@ -19,6 +19,7 @@ from conftest import (
     random_sector_ket,
     skew_x,
     tomography_kets,
+    per_cell_csv,
     tomography_states,
     trajectory_csv_text,
     validate_density_matrix,
@@ -710,18 +711,8 @@ def test_hermiticity_gate_names_first_time(monkeypatch):
     dyn.integrate(gen, psi0, ts)
 
 
-def _per_cell_csv(traj):
-    """The per-cell CSV writer the column-wise one replaced, as a reference."""
-    lines = [f"# schema: {dyn.TRAJECTORY_SCHEMA}",
-             ",".join(["time_ns"] + traj.column_order)]
-    for k, t in enumerate(traj.times):
-        row = [repr(float(t))]
-        row += [repr(float(traj.observables[c][k])) for c in traj.column_order]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def test_csv_matches_per_cell_reference(monkeypatch):
+def _csv_cases() -> list:
+    """Trajectories whose CSVs test the writer's pieces and blocks."""
     traj = _two_atom_observables_run()
     # the populations above one excitation are +0.0 throughout, and are
     # written as a constant; so is an added column of +0.0, but not one of
@@ -729,13 +720,46 @@ def test_csv_matches_per_cell_reference(monkeypatch):
     assert not np.any(traj.series("pop_2gg")) and not np.any(np.signbit(traj.series("pop_2gg")))
     one_negative = np.zeros(62)
     one_negative[40] = -0.0
+    # n_photon == pop_1gg bit for bit, so they share their text; a copy that
+    # differs in rows 12..14 only shares it in the other blocks of 5 rows,
+    # and those that differ from pop_0ge in the sign of its zero cell, or from
+    # pop_0eg in the last bit of one cell, never
+    assert traj.series("n_photon").tobytes() == traj.series("pop_1gg").tobytes()
+    partly_equal = traj.series("n_photon").copy()
+    partly_equal[12:15] += 0.25
+    assert traj.series("pop_0ge")[0] == 0.0 and not np.signbit(traj.series("pop_0ge")[0])
+    signed_zero = traj.series("pop_0ge").copy()
+    signed_zero[0] = -0.0
+    one_ulp = traj.series("pop_0eg").copy()
+    one_ulp[30] = np.nextafter(one_ulp[30], 1.0)
     for name, values in (("zeros", np.zeros(62)), ("negative_zeros", np.full(62, -0.0)),
-                         ("one_negative_zero", one_negative)):
+                         ("one_negative_zero", one_negative), ("partly_equal", partly_equal),
+                         ("signed_zero", signed_zero), ("one_ulp", one_ulp)):
         traj.observables[name] = values
         traj.column_order.append(name)
-    text = trajectory_csv_text(traj)
-    assert text.splitlines()[2].endswith(",0.0,-0.0,0.0")
-    assert text.splitlines()[42].endswith(",0.0,-0.0,-0.0")
-    assert text == _per_cell_csv(traj)
-    monkeypatch.setattr(dyn, "CSV_BLOCK_ROWS", 5)  # 62 rows: 13 blocks
-    assert trajectory_csv_text(traj) == _per_cell_csv(traj)
+    cases = [traj]
+    # runs of all-zero columns right after time_ns, in the middle and at the
+    # end; one row (at t = 0, so time_ns is all zero too), and one and two
+    # blocks of 5 rows, the second of one row
+    rng = np.random.default_rng(7)
+    for rows in (1, 5, 6):
+        values = rng.random(rows)
+        columns = {"z1": np.zeros(rows), "z2": np.zeros(rows), "a": values,
+                   "z3": np.zeros(rows), "z4": np.zeros(rows), "z5": np.zeros(rows),
+                   "b": values.copy(), "c": -values, "z6": np.zeros(rows), "z7": np.zeros(rows)}
+        cases.append(dyn.Trajectory(layout=traj.layout, times=np.linspace(0.0, 0.4, rows),
+                                    observables=columns, column_order=list(columns)))
+    return cases
+
+
+def test_csv_matches_per_cell_reference(monkeypatch):
+    cases = _csv_cases()
+    lines = trajectory_csv_text(cases[0]).splitlines()
+    assert lines[2].endswith(",0.0,-0.0,0.0,1.0,-0.0,0.0")
+    assert lines[42].split(",")[-6:-3] == ["0.0", "-0.0", "-0.0"]
+    one_row = trajectory_csv_text(cases[1]).splitlines()[2]
+    assert one_row.startswith("0.0,0.0,0.0,") and one_row.endswith(",0.0,0.0")
+    for block_rows in (dyn.CSV_BLOCK_ROWS, 5):  # 62 rows: one block, or 13 of 5
+        monkeypatch.setattr(dyn, "CSV_BLOCK_ROWS", block_rows)
+        for traj in cases:
+            assert trajectory_csv_text(traj) == per_cell_csv(traj)

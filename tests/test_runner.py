@@ -1,9 +1,11 @@
 import ast
 import filecmp
+import importlib.util
 import inspect
 import os
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from cavitysim.model import SystemParams
 from cavitysim.runner import run_scenario
 from cavitysim.units import ghz_to_angular, mhz_to_angular
 
-from conftest import plan_runs
+from conftest import per_cell_csv, plan_runs
+
+RUN_ALL_FIGURES = Path(__file__).resolve().parents[1] / "scripts" / "run_all_figures.py"
 
 
 def test_fig2_summary_reproduces_design_figures(tmp_path):
@@ -28,6 +32,33 @@ def test_fig2_summary_reproduces_design_figures(tmp_path):
     assert s["tau_r_ns"] == pytest.approx(10.0, rel=0.15)            # quoted ~10 ns
     assert s["cooperativity"] == pytest.approx(4.5e5, rel=0.03)
     assert sorted(report.trajectory_files) == ["traj_long.csv", "traj_short.csv"]
+
+
+def test_default_scenarios_write_the_per_cell_reference(tmp_path, monkeypatch):
+    # every trajectory file of the six default configs, fig5's 2 x 81 map
+    # points included, is the text of the per-cell writer
+    spec = importlib.util.spec_from_file_location("run_all_figures", RUN_ALL_FIGURES)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    kept = {}
+    real = runner.run_plan
+
+    def capturing(cfg):
+        out = real(cfg)
+        kept.update(out[0])
+        return out
+
+    monkeypatch.setattr(runner, "run_plan", capturing)
+    files = 0
+    for name, text in script.RUNS:
+        kept.clear()
+        report = run_scenario(parse_config(text), output_dir=str(tmp_path / name))
+        assert sorted(report.trajectory_files) == sorted(f"traj_{k}.csv" for k in kept)
+        for key, traj in kept.items():
+            with open(tmp_path / name / f"traj_{key}.csv", encoding="utf-8", newline="") as fh:
+                assert fh.read() == per_cell_csv(traj), (name, key)
+            files += 1
+    assert files == 2 + 4 + 4 + 81 + 81 + 1
 
 
 def test_fig5_single_point_sweep_gives_one_trajectory(tmp_path):
@@ -275,6 +306,36 @@ def test_traced_peak_of_sweep_blocks_is_within_the_memory_estimate(tmp_path, mon
         tracemalloc.stop()
     assert sizes == [1] * 4 + [10, 10, 1]
     assert peak <= 2.0**need
+
+
+def test_a_sweep_block_is_freed_before_the_next_propagates(monkeypatch):
+    # the setup above: 21 points that keep no trajectory, 10 to a block.  When
+    # the second block starts, the first block's columns are gone: what is
+    # traced then is what was at the first block's start, its table rows and
+    # the peaks, less than one point's columns
+    monkeypatch.setattr(dyn, "CHUNK_BYTES", 10 * 16 * 301 * (3 + 1))
+    cfg = parse_config('scenario = "fig4_correlations"\nt_end_ns = 0.02\ndt_ns = 5e-4\n'
+                       "[sweep.alpha]\nmin = 0.0\nmax = 2.0\nsteps = 21\n")
+    entries, point_bytes = [], []
+    real = dyn.integrate
+
+    def recording(gens, *args, **kwargs):
+        if len(gens) == 10:
+            entries.append(tracemalloc.get_traced_memory()[0])
+        trajectories = real(gens, *args, **kwargs)
+        traj = trajectories[0]
+        point_bytes.append(traj.times.nbytes + sum(traj.series(c).nbytes
+                                                   for c in traj.column_order))
+        return trajectories
+
+    monkeypatch.setattr(dyn, "integrate", recording)
+    tracemalloc.start()
+    try:
+        runner.run_plan(cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 2
+    assert entries[1] <= entries[0] + point_bytes[-1]
 
 
 @pytest.mark.parametrize("n_atoms", [13, 14])
