@@ -9,13 +9,7 @@ on a noisy 2-core host (Python 3.11.7, numpy 2.4.6): 0.92 s of run time
 with OMP_NUM_THREADS=1 and 0.93 s with two BLAS threads, of which CSV
 writing is 0.64-0.66 s, and 0.58-0.60 s is the two fig5 maps (0.28-0.31 s
 each, with all 81 points of a map propagated as one stack); the whole
-process takes 1.18 and 1.21 s, of which about 0.2 s is start-up.  With
-the row-at-a-time CSV writer that formatted every cell of a row through
-one %-format, the same configs took 1.00 and 1.09 s of run time (CSV
-writing 0.74-0.81 s, fig2 0.08 s against 0.06 s now) on the same host in
-the same hour.  An earlier set of 7 processes each read 0.83-0.87 s for
-that writer and 0.76-0.91 s for this one: the host's drift is of the
-size of the gain.
+process takes 1.18 and 1.21 s, of which about 0.2 s is start-up.
 """
 
 import sys

@@ -358,16 +358,69 @@ def _fig5_plan(cfg: ExperimentConfig) -> Plan:
 def _fig5_summary(cfg, runs, rows) -> dict:
     peak_c = np.array([r["peak_C_BC"] for r in rows])
     alphas = np.array([r["alpha"] for r in rows])
-    x_axis = [r for r in rows if r["delta_y_nm"] == 0.0] or rows
-    y_axis = [r for r in rows if r["delta_x_nm"] == 0.0] or rows
-    return {
+    summary = {
         "alpha_min": float(alphas.min()),
         "alpha_max": float(alphas.max()),
         "min_peak_concurrence": float(peak_c.min()),
         "max_reduction_pct": float((1.0 - peak_c.min()) * 100.0),
-        "reduction_x_axis_pct": float((1.0 - min(r["peak_C_BC"] for r in x_axis)) * 100.0),
-        "reduction_y_axis_pct": float((1.0 - min(r["peak_C_BC"] for r in y_axis)) * 100.0),
     }
+    for axis, other in (("x", "delta_y_nm"), ("y", "delta_x_nm")):
+        if on_axis := [r["peak_C_BC"] for r in rows if r[other] == 0.0]:  # else none
+            summary[f"reduction_{axis}_axis_pct"] = float((1.0 - min(on_axis)) * 100.0)
+    return summary | _trap_peak_concurrence(cfg)
+
+
+# fig5's trap rows, over atom 2's Gaussian trap (presets.TRAP_SIGMAS_NM)
+TRAP_CUT_SIGMAS = 6.0     # the mean sums the cells that cover +-6 sigma
+TRAP_POINTS_PER_CELL = 4  # Gauss-Legendre points per cell and axis
+TRAP_BOX_SIGMAS = 2.0     # the minimum is taken inside +-2 sigma
+TRAP_BYTES_PER_POINT = 40  # what the rule allocates per point of the mean: 24-34 measured
+
+
+def _trap_grids(cfg: ExperimentConfig) -> tuple | None:
+    """Per axis of atom 2's trap (x, then y): the mean's Gauss-Legendre
+    points, their weights times the Gaussian, and the box's ends with the
+    nodes between.  sigma_z is 0, and on z = 0 the map is bilinear in each
+    cell: the concurrence is least where |ln(rho / rho_1)| is largest, at a
+    corner of a cell's part of the box, which these span.  None where the
+    closed form is not the peak concurrence: lossy or detuned fig5."""
+    if cfg.lossy or cfg.detuning_ghz != 0.0:
+        return None
+    res = cfg.resolution_nm
+    # nodes u and weights 2 v[0]^2 on [-1, 1] (Golub and Welsch, 1969), not
+    # numpy.polynomial's leggauss, whose import costs 3 ms
+    k = np.arange(1, TRAP_POINTS_PER_CELL)
+    u, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    points, weights, corners = [], [], []
+    for c, s in zip(_fig5_atom2(0.0, 0.0), presets.TRAP_SIGMAS_NM[cfg.design][:2]):
+        cells = np.arange(math.floor((c - TRAP_CUT_SIGMAS * s) / res),
+                          math.ceil((c + TRAP_CUT_SIGMAS * s) / res))
+        points.append(((cells[:, None] + (1.0 + u) / 2.0) * res).ravel())
+        weights.append(np.tile(2.0 * v[0] ** 2, cells.size)
+                       * np.exp(-0.5 * ((points[-1] - c) / s) ** 2))
+        lo, hi = c - TRAP_BOX_SIGMAS * s, c + TRAP_BOX_SIGMAS * s
+        nodes = np.arange(math.floor(lo / res), math.ceil(hi / res) + 1) * res
+        corners.append(np.clip(nodes, lo, hi))
+    return points, weights, corners
+
+
+def _trap_peak_concurrence(cfg: ExperimentConfig) -> dict:
+    """The closed-form peak concurrence 2 alpha / (1 + alpha^2), alpha from
+    the map as the sweep takes it: its mean over the trap, and its minimum
+    inside the box."""
+    if not (grids := _trap_grids(cfg)):
+        return {}
+    (xs, ys), (wx, wy), corners = grids
+    rho1 = coupling.synth_density_at(cfg.design, cfg.resolution_nm,
+                                     (-presets.LATTICE_NM, 0.0, 0.0))
+
+    def concurrence(at):
+        alpha = np.sqrt(coupling.synth_density_plane(cfg.design, cfg.resolution_nm, *at) / rho1)
+        return 2.0 * alpha / (1.0 + alpha * alpha)
+
+    return {"trap_mean_peak_concurrence":
+            float(wx @ concurrence((xs, ys)) @ wy / (wx.sum() * wy.sum())),
+            "trap_min_peak_concurrence_2sigma": float(concurrence(corners).min())}
 
 
 def _wstate_plan(cfg: ExperimentConfig) -> Plan:
@@ -450,11 +503,15 @@ def default_sweeps(scenario: str, design: str) -> tuple:
 def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     """(log2 of the plan's peak bytes, the key path of its largest part).
 
-    The peak is the largest call of the runner, a fixed run or a block of
-    sweep points as dynamics.footprint sizes it, plus what the kept
-    trajectories and the table rows hold until the files are written; each
-    part is keyed by what it grows with.  It bounds tracemalloc's traced
-    peak: the interpreter (about 39 MB) and freed blocks come on top."""
+    The peak is the largest call of the runner (a fixed run or a block of
+    sweep points as dynamics.footprint sizes it, or fig5's trap rule) plus
+    what the kept trajectories and the table rows hold until the files are
+    written; each part is keyed by what it grows with.  It bounds
+    tracemalloc's traced peak of `run_scenario`.  The interpreter (about
+    39 MB), freed blocks and the imports and argparse set-up of a process's
+    first `cli.main` come on top: lossless one-atom `custom` with t_end_ns =
+    1.0 and dt_ns = 0.1 is estimated at 80 734 B and traces 247 621 B in a
+    fresh process's first `cli.main(["run", ...])`, 40 323 B in its second."""
     def footprint(run: Run, stack: int = 1) -> tuple:  # four projections at most
         return dyn.footprint(cfg.n_max_for(run.n_photons), run.n_atoms, run.n_photons, cfg.lossy,
                              run.track, 4 * bool(run.projections), run.t_end_ns / run.dt_ns + 2,
@@ -478,6 +535,9 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
         rows = (points * 64 * (len(plan.sweep.axes) + 2 + len(plan.sweep.peaks)), point.key)
         calls.append(list(zip(work, (atoms, point.key))) + ([] if plan.sweep.name else [kept]))
         held += [rows] + ([kept] if plan.sweep.name else [])
+    if cfg.scenario == "fig5_position_map" and (grids := _trap_grids(cfg)):
+        (x, y), _, _ = grids  # the summary's trap rule, after the sweep
+        calls.append([(TRAP_BYTES_PER_POINT * x.size * y.size, ("resolution_nm",))])
     parts = max(calls, key=lambda call: sum(b for b, _ in call)) + held
     return math.log2(sum(b for b, _ in parts)), max(parts)[1]
 

@@ -20,7 +20,8 @@ parameters are solved so that the published scalar targets
 under displacement) are reproduced.  The generator is calibration, not
 prediction; tests treat it accordingly.  A coupling ratio needs only
 densities at two points, so `synth_density_at` computes the 8 nodes around
-a point instead of the whole map, and the runs build no map at all.
+a point instead of the whole map, and `synth_density_plane` the nodes of
+the cells a grid of points on z = 0 spans: the runs build no map at all.
 """
 
 import math
@@ -212,39 +213,6 @@ def cooperativity(g: float, kappa: float, gamma: float) -> float:
     if kappa <= 0 or gamma <= 0:
         raise ValueError("kappa and gamma must be positive for a cooperativity")
     return g * g / (kappa * gamma)
-
-
-@dataclass(frozen=True)
-class TrapSpec:
-    """Gaussian trap displacement statistics: RMS spread per axis (nm)."""
-
-    center_nm: tuple
-    sigma_x_nm: float
-    sigma_y_nm: float
-    sigma_z_nm: float = 0.0
-
-    def __post_init__(self):
-        if len(self.center_nm) != 3:
-            raise ValueError("trap center must be a 3-vector (nm)")
-        for name in ("sigma_x_nm", "sigma_y_nm", "sigma_z_nm"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-
-def sample_displacements(trap: TrapSpec, n: int, seed: int) -> np.ndarray:
-    """(n, 3) positions: trap center plus independent per-axis Gaussian
-    displacements with the trap's RMS sigmas.  Deterministic given the seed."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    sig = np.array([trap.sigma_x_nm, trap.sigma_y_nm, trap.sigma_z_nm])
-    return np.asarray(trap.center_nm, dtype=float) + rng.standard_normal((n, 3)) * sig
-
-
-def alpha_samples(fmap: FieldMap, r_ref_nm, trap: TrapSpec, n: int, seed: int) -> np.ndarray:
-    """Monte Carlo coupling ratios g(sampled position)/g(r_ref)."""
-    positions = sample_displacements(trap, n, seed)
-    return np.array([coupling_ratio(fmap, r_ref_nm, p) for p in positions])
 
 
 # --------------------------------------------------------------------------
@@ -612,6 +580,22 @@ def synth_density_at(design: str, resolution_nm: float, r_nm) -> float:
     block = _synth_density(design, *(ax[i:i + 2] for ax, i in zip(axes, idx)))
     return _trilinear(block, frac)
 
+
+def synth_density_plane(design: str, resolution_nm: float, x_nm, y_nm) -> np.ndarray:
+    """synth_density_at(design, resolution_nm, (x, y, 0)) at each x of x_nm and
+    y of y_nm, as a (len(x_nm), len(y_nm)) array.  z = 0 is a node plane, so
+    the nodes of the cells the points span are computed once, and each axis
+    is interpolated by one matrix of linear hat functions on its nodes."""
+    weights, nodes = [], []
+    for ax, pts in zip(_synth_axes(resolution_nm), (x_nm, y_nm)):
+        f = (np.asarray(pts, dtype=float) - ax[0]) / resolution_nm
+        if f.min() < 0 or f.max() > ax.size - 1:
+            raise ValueError(f"points lie outside the map grid's [{ax[0]}, {ax[-1]}] nm")
+        span = np.arange(int(f.min()), min(int(f.max()) + 2, ax.size))
+        weights.append(np.maximum(1.0 - np.abs(f[:, None] - span), 0.0))
+        nodes.append(ax[span])
+    plane = _synth_density(design, *nodes, np.zeros(1))[:, :, 0]
+    return weights[0] @ plane @ weights[1].T
 
 
 def synth_grid_bounds(resolution_nm: float) -> tuple:

@@ -81,6 +81,8 @@ HERM_TOL = 1e-10
 CHUNK_BYTES = 2**20
 # Rows that write_trajectory_csv converts to text together.
 CSV_BLOCK_ROWS = 1024
+MIN_PROMINENCE = 1e-9     # see count_extrema
+MIN_ENVELOPE_MAXIMA = 10  # fewest oscillation maxima envelope_lifetime fits
 
 
 def chunk_states(dim: int) -> int:
@@ -546,16 +548,16 @@ def _refined_extrema(times: np.ndarray, series: np.ndarray):
     return t_ext, here - 0.25 * (before - after) * offset, d[i - 1] > 0
 
 
-def count_extrema(series, min_prominence: float = 1e-9) -> int:
+def count_extrema(series) -> int:
     """Count interior extrema where the value differs from a neighbour's by
-    more than min_prominence.  The default only guards against float-level
-    ripple: genuine but doubly-flat extrema (e.g. entropy maxima, where both
-    the entropy derivative and the population rate vanish) sit just a few
+    more than MIN_PROMINENCE.  It only guards against float-level ripple:
+    genuine but doubly-flat extrema (e.g. entropy maxima, where both the
+    entropy derivative and the population rate vanish) sit just a few
     orders above it on realistic grids."""
     y = np.asarray(series, dtype=float)
     left, right = y[1:-1] - y[:-2], y[1:-1] - y[2:]
     return int(np.count_nonzero((left * right > 0) & (
-        (np.abs(left) > min_prominence) | (np.abs(right) > min_prominence))))
+        (np.abs(left) > MIN_PROMINENCE) | (np.abs(right) > MIN_PROMINENCE))))
 
 
 def rabi_frequency(traj: Trajectory, observable: str) -> float:
@@ -581,9 +583,7 @@ class EnvelopeFit:
     n_maxima: int
 
 
-def envelope_lifetime(
-    traj: Trajectory, observable: str, min_maxima: int = 10
-) -> EnvelopeFit:
+def envelope_lifetime(traj: Trajectory, observable: str) -> EnvelopeFit:
     """Exponential decay time of the oscillation envelope.
 
     Fits the local-maximum amplitudes A_k at times t_k to A0 exp(-t/tau) by
@@ -595,9 +595,9 @@ def envelope_lifetime(
     a_max = v_ext[is_max]
     keep = a_max > 0
     t_max, a_max = t_max[keep], a_max[keep]
-    if t_max.size < min_maxima:
+    if t_max.size < MIN_ENVELOPE_MAXIMA:
         raise TooFewExtremaError(
-            f"need >= {min_maxima} oscillation maxima, found {t_max.size}"
+            f"need >= {MIN_ENVELOPE_MAXIMA} oscillation maxima, found {t_max.size}"
         )
     slope, intercept = np.polyfit(t_max, np.log(a_max), 1)
     window = t_max[-1] - t_max[0]

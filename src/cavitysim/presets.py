@@ -30,11 +30,10 @@ GAMMA_RB87_D2_MHZ = 6.0666
 RB87_D2_DIPOLE_CM = 3.584e-29
 
 # Trap displacement statistics (RMS, nm) for the hole-trapped and
-# tip-trapped sites.
+# tip-trapped sites: fig5's trap rows average over them.
 TRAP_SIGMAS_NM = {
     "D1": (5.3, 5.1, 0.0),
-    "D2": (4.8, 7.5, 0.0),
-    "D3": (4.8, 7.5, 0.0),  # tip trap; same blue-detuned trap family as D2
+    "D3": (4.8, 7.5, 0.0),  # tip trap, blue-detuned like the central-tip design D2's
 }
 
 

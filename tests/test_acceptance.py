@@ -205,8 +205,14 @@ def test_criterion_10_entropy_oscillation_structure():
             f"S_A extrema {n_a} vs 2 x S_B extrema {2 * n_b} (+-1)")
 
 
-def test_criterion_11_robustness_maps():
-    results = {}
+# The trap rows' values at 5 nm: the mean peak concurrence over atom 2's
+# Gaussian trap, to the rule's accuracy (4 x 4 and 8 x 8 points per cell
+# differ by 1.2e-11), and its minimum inside +-2 sigma
+TRAP_ROWS_AT_5NM = {"D1": (0.99999705759, 0.99998225), "D3": (0.99803096331, 0.98662230)}
+
+
+def test_criterion_11_robustness_maps(tmp_path):
+    results, trap = {}, {}
     for design, axis, band in (
         ("D1", "delta_x_nm", (0.05, 0.4)),
         ("D3", "delta_y_nm", (1.5, 3.5)),
@@ -218,16 +224,21 @@ def test_criterion_11_robustness_maps():
             f"[sweep.{axis}]\nmin = 0.0\nmax = {span}\nsteps = 6\n"
             f"[sweep.{other}]\nmin = 0.0\nmax = 0.0\nsteps = 1\n"
         )
-        report = run_scenario(cfg, output_dir=f"/tmp/cavitysim_accept11_{design}")
+        report = run_scenario(cfg, output_dir=str(tmp_path / design))
         key = "reduction_x_axis_pct" if axis == "delta_x_nm" else "reduction_y_axis_pct"
         results[design] = (report.summary[key], band)
+        trap[design] = (report.summary["trap_mean_peak_concurrence"],
+                        report.summary["trap_min_peak_concurrence_2sigma"])
     ok = all(band[0] <= red <= band[1] for red, band in results.values())
     d1 = results["D1"][0]
     d3 = results["D3"][0]
     ok = ok and abs(d1 - 0.13) < 0.08 and abs(d3 - 2.4) < 0.6
+    ok = ok and all(abs(mean - TRAP_ROWS_AT_5NM[d][0]) < 5e-11
+                    and abs(low - TRAP_ROWS_AT_5NM[d][1]) < 1e-8 for d, (mean, low) in trap.items())
     _report(11, "displacement robustness of peak concurrence", ok,
             f"D1 worst reduction {d1:.3f}% (band 0.05-0.4), "
-            f"D3 worst reduction {d3:.3f}% (band 1.5-3.5)")
+            f"D3 worst reduction {d3:.3f}% (band 1.5-3.5); trap mean and +-2 sigma minimum "
+            + ", ".join(f"{d} {mean:.11f} {low:.8f}" for d, (mean, low) in trap.items()))
 
 
 def test_criterion_12_conservation_suite():

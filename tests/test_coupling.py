@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cavitysim import coupling as cp, presets
-from cavitysim.config import default_sweeps
+from cavitysim import config, coupling as cp, presets
+from cavitysim.config import default_sweeps, parse_config
 from cavitysim.units import EPSILON_0, HBAR, SPEED_OF_LIGHT, TWO_PI
 
 
@@ -215,13 +215,9 @@ def test_coupling_formula_structure(d1_map):
         cp.coupling_at(d1_map, em, r, eps_r=0.0)
 
 
-def test_emitter_and_trap_validation():
+def test_emitter_validation():
     with pytest.raises(ValueError):
         cp.EmitterSpec(dipole_moment=0.0, omega_a=1.0, gamma=1.0)
-    with pytest.raises(ValueError):
-        cp.TrapSpec(center_nm=(0, 0), sigma_x_nm=1, sigma_y_nm=1)
-    with pytest.raises(ValueError):
-        cp.TrapSpec(center_nm=(0, 0, 0), sigma_x_nm=-1, sigma_y_nm=1)
 
 
 def test_kappa_from_q_values():
@@ -261,30 +257,6 @@ def test_design_cooperativity_consistency_chain():
         assert 1.5 < d.g_ghz / 9.0 < 2.1
     assert presets.DESIGNS["D2"].g_ghz == pytest.approx(15.8934, abs=2e-3)
     assert presets.DESIGNS["D3"].g_ghz == pytest.approx(15.9489, abs=2e-3)
-
-
-def test_sample_displacements_statistics():
-    trap = cp.TrapSpec(center_nm=(10.0, -5.0, 0.0), sigma_x_nm=5.3, sigma_y_nm=5.1)
-    frozen = cp.sample_displacements(trap, 3, seed=42)
-    assert np.array_equal(frozen, cp.sample_displacements(trap, 3, seed=42))
-    zero = cp.TrapSpec(center_nm=(1.0, 2.0, 3.0), sigma_x_nm=0, sigma_y_nm=0)
-    samples = cp.sample_displacements(zero, 10, seed=1)
-    assert np.allclose(samples, [1.0, 2.0, 3.0])
-    n = 100_000
-    big = cp.sample_displacements(trap, n, seed=7)
-    dx = big[:, 0] - 10.0
-    assert np.sqrt(np.mean(dx**2)) == pytest.approx(5.3, rel=0.01)
-    assert abs(np.mean(dx)) < 3 * 5.3 / np.sqrt(n)
-    assert np.allclose(big[:, 2], 0.0)  # sigma_z defaults to 0
-    with pytest.raises(ValueError):
-        cp.sample_displacements(trap, 0, seed=1)
-
-
-def test_alpha_samples_cluster_near_unity(d1_map):
-    trap = cp.TrapSpec(center_nm=(presets.LATTICE_NM, 0.0, 0.0),
-                       sigma_x_nm=5.3, sigma_y_nm=5.1)
-    alphas = cp.alpha_samples(d1_map, (-presets.LATTICE_NM, 0.0, 0.0), trap, 200, seed=3)
-    assert np.all(alphas > 0.98) and np.all(alphas < 1.02)
 
 
 def test_synth_fieldmap_resolution_range():
@@ -413,3 +385,60 @@ def test_synth_density_at_gives_the_full_map_coupling_ratio(design, resolution):
 def test_synth_density_at_rejects_a_point_outside_the_grid():
     with pytest.raises(ValueError, match=r"point \(0\.0, 0\.0, 175\.0\) nm lies outside"):
         cp.synth_density_at("D1", 5.0, (0.0, 0.0, 175.0))
+
+
+@pytest.mark.parametrize("resolution", [5.0, 4.0, 0.5])
+@pytest.mark.parametrize("design", ["D1", "D3"])
+def test_synth_density_plane_is_synth_density_at_on_z0(design, resolution):
+    rng = np.random.default_rng(5)
+    xs = np.concatenate((rng.uniform(180.0, 340.0, 7), [255.0, 1600.0]))  # a 5 nm node, the edge
+    ys = np.concatenate((rng.uniform(-60.0, 60.0, 7), [0.0, -270.0]))
+    plane = cp.synth_density_plane(design, resolution, xs, ys)
+    at = [[cp.synth_density_at(design, resolution, (x, y, 0.0)) for y in ys] for x in xs]
+    np.testing.assert_allclose(plane, at, rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError, match="outside the map grid"):
+        cp.synth_density_plane(design, resolution, xs, [0.0, 275.0])
+
+
+def _fig5(design: str):
+    return parse_config(f'scenario = "fig5_position_map"\ndesign = "{design}"\n')
+
+
+@pytest.mark.parametrize("design", ["D1", "D3"])
+def test_trap_mean_agrees_with_a_monte_carlo_on_the_full_map(design, request):
+    # the full-map oracle, atom 2 drawn from its Gaussian trap on z = 0
+    fmap = request.getfixturevalue(f"{design.lower()}_map")
+    a = presets.LATTICE_NM
+    sx, sy, _ = presets.TRAP_SIGMAS_NM[design]
+    xy = np.random.default_rng(7).standard_normal((4000, 2)) * (sx, sy)
+    alpha = np.array([cp.coupling_ratio(fmap, (-a, 0.0, 0.0), (a + x, y, 0.0)) for x, y in xy])
+    conc = 2.0 * alpha / (1.0 + alpha**2)
+    mean = config._trap_peak_concurrence(_fig5(design))["trap_mean_peak_concurrence"]
+    assert abs(mean - conc.mean()) < 4.0 * conc.std(ddof=1) / np.sqrt(conc.size)
+
+
+@pytest.mark.parametrize("design", ["D1", "D3"])
+def test_trap_mean_converges_in_points_per_cell(design, monkeypatch):
+    cfg = _fig5(design)
+    four = config._trap_peak_concurrence(cfg)["trap_mean_peak_concurrence"]
+    monkeypatch.setattr(config, "TRAP_POINTS_PER_CELL", 8)
+    assert config._trap_peak_concurrence(cfg)["trap_mean_peak_concurrence"] == pytest.approx(
+        four, abs=1e-10)
+
+
+@pytest.mark.parametrize("design", ["D1", "D3"])
+def test_trap_minimum_is_the_minimum_over_the_box(design):
+    # a dense grid of point reads over the +-2 sigma box, its edges and node lines included
+    res = 5.0
+    sigmas = presets.TRAP_SIGMAS_NM[design]
+    axes = []
+    for c, s in ((presets.LATTICE_NM, sigmas[0]), (0.0, sigmas[1])):
+        lo, hi = c - 2.0 * s, c + 2.0 * s
+        nodes = np.arange(np.ceil(lo / res), np.floor(hi / res) + 1) * res
+        axes.append(np.union1d(np.linspace(lo, hi, 31), nodes))
+    rho1 = cp.synth_density_at(design, res, (-presets.LATTICE_NM, 0.0, 0.0))
+    alpha = np.sqrt([[cp.synth_density_at(design, res, (x, y, 0.0)) / rho1 for y in axes[1]]
+                     for x in axes[0]])
+    dense = float(np.min(2.0 * alpha / (1.0 + alpha**2)))
+    exact = config._trap_peak_concurrence(_fig5(design))["trap_min_peak_concurrence_2sigma"]
+    assert exact == pytest.approx(dense, abs=1e-15)

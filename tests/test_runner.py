@@ -75,6 +75,37 @@ def test_fig5_single_point_sweep_gives_one_trajectory(tmp_path):
     assert report.summary["max_reduction_pct"] < 0.05
 
 
+TRAP_ROWS = {"trap_mean_peak_concurrence", "trap_min_peak_concurrence_2sigma"}
+
+
+def _fig5_summary_keys(text: str) -> set:
+    return set(runner.run_plan(parse_config('scenario = "fig5_position_map"\n' + text))[1])
+
+
+@pytest.mark.parametrize("text, rows", [
+    ('design = "D1"\n', TRAP_ROWS),
+    ('design = "D3"\n', TRAP_ROWS),
+    ("lossless = false\n", set()),      # the closed form is not a lossy run's peak
+    ("detuning_ghz = 5.0\n", set()),    # nor a detuned one's
+], ids=["D1", "D3", "lossy", "detuned"])
+def test_fig5_writes_trap_rows_when_lossless_and_resonant(text, rows):
+    one_point = ("[sweep.delta_x_nm]\nmin = 0.0\nmax = 0.0\nsteps = 1\n"
+                 "[sweep.delta_y_nm]\nmin = 0.0\nmax = 0.0\nsteps = 1\n")
+    assert _fig5_summary_keys(text + one_point) & TRAP_ROWS == rows
+
+
+@pytest.mark.parametrize("dx_min, axis_rows", [
+    (10.0, set()),                       # no point on either axis
+    (0.0, {"reduction_y_axis_pct"}),     # dx = 0: points on the y axis only
+], ids=["off_both_axes", "on_the_y_axis"])
+def test_fig5_axis_rows_only_for_an_axis_the_sweep_holds(dx_min, axis_rows):
+    keys = _fig5_summary_keys(
+        f'design = "D3"\n[sweep.delta_x_nm]\nmin = {dx_min}\nmax = 53.0\nsteps = 2\n'
+        "[sweep.delta_y_nm]\nmin = 5.0\nmax = 20.0\nsteps = 2\n")
+    assert {k for k in keys if k.startswith("reduction_")} == axis_rows
+    assert "max_reduction_pct" in keys
+
+
 def test_fig4_alpha_map_tracks_closed_form(tmp_path):
     cfg = parse_config(
         'scenario = "fig4_correlations"\nlossless = true\nt_end_ns = 0.2\n'
@@ -173,7 +204,9 @@ def test_every_trajectory_comes_from_the_one_path(scenario, monkeypatch):
 
     monkeypatch.setattr(runner, "trajectory", counting)
     cfg = parse_config(f'scenario = "{scenario}"\n' + SMALL_CONFIGS[scenario])
-    runs, _, tables = runner.run_plan(cfg)
+    runs, summary, tables = runner.run_plan(cfg)
+    # fig5's small config is lossless: only it has the trap rows
+    assert TRAP_ROWS & set(summary) == (TRAP_ROWS if scenario == "fig5_position_map" else set())
     assert all(any(t is p for p in produced) for t in runs.values())
     sweep = {"fig4_correlations": 3, "fig5_position_map": 4}.get(scenario, 0)
     assert sum(len(rows) for rows in tables.values()) == sweep
@@ -266,6 +299,12 @@ PEAK_CONFIGS = {s: f'scenario = "{s}"\n' + text for s, text in SMALL_CONFIGS.ite
     # builds the next, or two are held at once
     "custom_two_csv_blocks": 'scenario = "custom"\nn_atoms = 5\nt_end_ns = 0.2047\n'
                              "dt_ns = 1e-4\n",
+    # one point on the finest map: the summary's trap rule, 334 080 points of
+    # the mean, outweighs the sweep
+    "fig5_trap_rule_at_0.5nm": 'scenario = "fig5_position_map"\ndesign = "D3"\n'
+                               "resolution_nm = 0.5\n"
+                               "[sweep.delta_x_nm]\nmin = 0.0\nmax = 0.0\nsteps = 1\n"
+                               "[sweep.delta_y_nm]\nmin = 0.0\nmax = 0.0\nsteps = 1\n",
 }
 
 
