@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .fockspace import HilbertLayout, basis_state
 from .model import LindbladGenerator, SystemParams, build_generator, build_hamiltonian
 from .dynamics import Trajectory, envelope_lifetime, integrate, rabi_frequency
-from .analytic import CouplingVector, peak_entanglement_metrics, single_excitation_population
+from .analytic import CouplingVector, peak_entanglement_metrics
 from .entanglement import concurrence, entropy_normalized, partial_trace
 
 __all__ = [
@@ -15,6 +15,6 @@ __all__ = [
     "HilbertLayout", "basis_state",
     "LindbladGenerator", "SystemParams", "build_generator", "build_hamiltonian",
     "Trajectory", "envelope_lifetime", "integrate", "rabi_frequency",
-    "CouplingVector", "peak_entanglement_metrics", "single_excitation_population",
+    "CouplingVector", "peak_entanglement_metrics",
     "concurrence", "entropy_normalized", "partial_trace",
 ]

@@ -60,16 +60,6 @@ def single_excitation_states(layout: HilbertLayout, gv: CouplingVector):
     return chi0, chi1
 
 
-def single_excitation_population(gv: CouplingVector, t):
-    """P(chi1)(t) = sin^2(g_norm t) for the closed system started in chi0.
-
-    Peaks at 1 when t = pi / (2 g_norm)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
-    return np.sin(gv.g_norm * t) ** 2
-
-
 def two_photon_states(layout: HilbertLayout, g1: float, g2: float):
     """The four orthonormal states spanning the two-excitation manifold of
     two atoms: |2,gg>, |1>(x)(g1|eg>+g2|ge>)/W, |0,ee>, |1>(x)(g2|eg>-g1|ge>)/W.

@@ -184,13 +184,14 @@ class Run(NamedTuple):
 
 class Sweep(NamedTuple):
     """A run per point of the product of `axes`: two atoms at (g, alpha g)
-    from one photon, alpha = alpha_rule(point) taken at run time, over
-    `steps` steps up to c pi / (g sqrt(1 + alpha^2)), grid = (c, steps).
-    Each point adds a row to `table`: its axis values, alpha and the
-    maximum of each `peaks` column."""
+    from one photon, over `steps` steps up to c pi / (g sqrt(1 + alpha^2)),
+    grid = (c, steps).  alpha_rule takes each axis's values and gives every
+    point's alpha, one array axis per sweep axis, at run time.  Each point
+    adds a row to `table`: its axis values, alpha and the maximum of each
+    `peaks` column."""
 
     axes: tuple                 # of SweepAxis
-    alpha_rule: Callable        # {axis name: value} -> alpha
+    alpha_rule: Callable        # (values of each axis) -> alpha of each point
     grid: tuple
     track: tuple
     peaks: tuple
@@ -201,10 +202,12 @@ class Sweep(NamedTuple):
     def points(self, cfg: ExperimentConfig):
         """(point, run) of each point in order, point mapping each axis and
         alpha to its value."""
-        for combo in itertools.product(*(enumerate(map(float, ax.values())) for ax in self.axes)):
-            point = {ax.name: v for ax, (_, v) in zip(self.axes, combo)}
-            point["alpha"] = alpha = self.alpha_rule(point)
-            yield point, self.run(cfg, alpha, self.name and self.name(*(i for i, _ in combo)))
+        values = [ax.values() for ax in self.axes]
+        alphas = self.alpha_rule(*values)
+        for index in itertools.product(*(range(v.size) for v in values)):
+            point = {ax.name: float(v[i]) for ax, v, i in zip(self.axes, values, index)}
+            point["alpha"] = alpha = float(alphas[index])
+            yield point, self.run(cfg, alpha, self.name and self.name(*index))
 
     def run(self, cfg: ExperimentConfig, alpha: float, name: str | None = None) -> Run:
         c, steps = self.grid
@@ -320,7 +323,7 @@ def _fig3_summary(cfg, runs, rows) -> dict:
 
 def _fig4_plan(cfg: ExperimentConfig) -> Plan:
     extra = ("entropies", "concurrence")
-    sweep = Sweep((cfg.sweep("alpha"),), lambda point: point["alpha"], (1.2, 300),
+    sweep = Sweep((cfg.sweep("alpha"),), lambda alpha: alpha, (1.2, 300),
                   ("populations",) + extra, ("S_B", "S_C", "C_BC"), "alpha_map.csv")
     return Plan(_two_atom_runs(cfg, extra), _fig4_summary, sweep,
                 {"one_photon_equal": ("S_A", "S_B")})
@@ -336,21 +339,25 @@ def _fig4_summary(cfg, runs, rows) -> dict:
     }
 
 
-def _fig5_atom2(delta_x_nm: float, delta_y_nm: float) -> tuple:
-    """Atom 2's position (nm), displaced from its trap site at x = +a."""
+def _fig5_atom2(delta_x_nm, delta_y_nm) -> tuple:
+    """Atom 2's position (nm), displaced from its trap site at x = +a; the
+    displacements are numbers or arrays."""
     return (presets.LATTICE_NM + delta_x_nm, delta_y_nm, 0.0)
 
 
+def _fig5_alphas(cfg: ExperimentConfig, dx_nm, dy_nm) -> np.ndarray:
+    """alpha = g(r2) / g(r1) = sqrt(rho(r2) / rho(r1)) with atom 2 displaced
+    from its trap site by each dx and dy (nm), as a (len(dx_nm), len(dy_nm))
+    array; atom 1 sits at x = -a."""
+    density = functools.partial(coupling.synth_density_plane, cfg.design, cfg.resolution_nm)
+    rho1 = density([-presets.LATTICE_NM], [0.0])[0, 0]
+    x2, y2, _ = _fig5_atom2(np.asarray(dx_nm), dy_nm)
+    return np.sqrt(density(x2, y2) / rho1)
+
+
 def _fig5_plan(cfg: ExperimentConfig) -> Plan:
-    density = functools.partial(coupling.synth_density_at, cfg.design, cfg.resolution_nm)
-    de_r1 = functools.cache(lambda: density((-presets.LATTICE_NM, 0.0, 0.0)))
-
-    def alpha(point):
-        # alpha = sqrt(V(r1) / V(r2)); the map's normalization and total energy cancel
-        r2 = _fig5_atom2(point["delta_x_nm"], point["delta_y_nm"])
-        return math.sqrt(density(r2) / de_r1())
-
-    sweep = Sweep((cfg.sweep("delta_x_nm"), cfg.sweep("delta_y_nm")), alpha, (1.1, 240),
+    sweep = Sweep((cfg.sweep("delta_x_nm"), cfg.sweep("delta_y_nm")),
+                  functools.partial(_fig5_alphas, cfg), (1.1, 240),
                   cfg.observables, ("S_C", "C_BC"), "map.csv", "dx{:02d}_dy{:02d}".format)
     return Plan((), _fig5_summary, sweep)
 
@@ -378,12 +385,15 @@ TRAP_BYTES_PER_POINT = 40  # what the rule allocates per point of the mean: 24-3
 
 
 def _trap_grids(cfg: ExperimentConfig) -> tuple | None:
-    """Per axis of atom 2's trap (x, then y): the mean's Gauss-Legendre
-    points, their weights times the Gaussian, and the box's ends with the
-    nodes between.  sigma_z is 0, and on z = 0 the map is bilinear in each
-    cell: the concurrence is least where |ln(rho / rho_1)| is largest, at a
-    corner of a cell's part of the box, which these span.  None where the
-    closed form is not the peak concurrence: lossy or detuned fig5."""
+    """Per axis of atom 2's trap (x, then y), as displacements from its trap
+    site: the mean's Gauss-Legendre points, their weights times the Gaussian,
+    and the box's ends with the nodes between.  sigma_z is 0, and on z = 0
+    the map is bilinear in each cell: the concurrence is least where
+    |ln(rho / rho_1)| is largest, at a corner of a cell's part of the box,
+    which these span.  Each position p lies within a factor 2 of its site c
+    or c = 0, so p - c is exact (Sterbenz) and c + (p - c) reads the map at
+    p itself.  None where the closed form is not the peak concurrence: lossy
+    or detuned fig5."""
     if cfg.lossy or cfg.detuning_ghz != 0.0:
         return None
     res = cfg.resolution_nm
@@ -395,12 +405,12 @@ def _trap_grids(cfg: ExperimentConfig) -> tuple | None:
     for c, s in zip(_fig5_atom2(0.0, 0.0), presets.TRAP_SIGMAS_NM[cfg.design][:2]):
         cells = np.arange(math.floor((c - TRAP_CUT_SIGMAS * s) / res),
                           math.ceil((c + TRAP_CUT_SIGMAS * s) / res))
-        points.append(((cells[:, None] + (1.0 + u) / 2.0) * res).ravel())
+        points.append(((cells[:, None] + (1.0 + u) / 2.0) * res).ravel() - c)
         weights.append(np.tile(2.0 * v[0] ** 2, cells.size)
-                       * np.exp(-0.5 * ((points[-1] - c) / s) ** 2))
+                       * np.exp(-0.5 * (points[-1] / s) ** 2))
         lo, hi = c - TRAP_BOX_SIGMAS * s, c + TRAP_BOX_SIGMAS * s
         nodes = np.arange(math.floor(lo / res), math.ceil(hi / res) + 1) * res
-        corners.append(np.clip(nodes, lo, hi))
+        corners.append(np.clip(nodes, lo, hi) - c)
     return points, weights, corners
 
 
@@ -410,16 +420,14 @@ def _trap_peak_concurrence(cfg: ExperimentConfig) -> dict:
     inside the box."""
     if not (grids := _trap_grids(cfg)):
         return {}
-    (xs, ys), (wx, wy), corners = grids
-    rho1 = coupling.synth_density_at(cfg.design, cfg.resolution_nm,
-                                     (-presets.LATTICE_NM, 0.0, 0.0))
+    (dx, dy), (wx, wy), corners = grids
 
     def concurrence(at):
-        alpha = np.sqrt(coupling.synth_density_plane(cfg.design, cfg.resolution_nm, *at) / rho1)
+        alpha = _fig5_alphas(cfg, *at)
         return 2.0 * alpha / (1.0 + alpha * alpha)
 
     return {"trap_mean_peak_concurrence":
-            float(wx @ concurrence((xs, ys)) @ wy / (wx.sum() * wy.sum())),
+            float(wx @ concurrence((dx, dy)) @ wy / (wx.sum() * wy.sum())),
             "trap_min_peak_concurrence_2sigma": float(concurrence(corners).min())}
 
 

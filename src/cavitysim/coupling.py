@@ -1,16 +1,16 @@
 """Position-dependent coupling from sampled cavity field maps.
 
 A FieldMap is a regular 3-D grid of electric (D.E) and total
-(D.E + H.B) energy densities.  From it we compute the global mode volume
+(D.E + H.B) energy densities.  From it we compute the local mode volume
 
-    V = integral(total energy density) / max(D.E)
+    V(r) = integral(total energy density) / D.E(r)
 
-the local (position-dependent) variant with the interpolated density at a
-point in the denominator, and the coupling strength
+with the interpolated density at the point, and the ratio of couplings
+g(r2) / g(r1) = sqrt(V(r1) / V(r2)) that follows from
 
     g(r) = |mu| sqrt(omega_c / (hbar eps0 eps V(r)))
 
-This module works in SI units (J/m^3, rad/s) with grid geometry in nm.
+(over max(D.E), the same integral is the global mode volume).  This module works in SI units (J/m^3, rad/s) with grid geometry in nm.
 
 No solver export ships with the package, so a calibrated synthetic
 generator (`synth_fieldmap`) provides stand-in maps for the two nanobeam
@@ -19,9 +19,9 @@ parameters are solved so that the published scalar targets
 (global mode volume, trap-site coupling, and the coupling-ratio extremes
 under displacement) are reproduced.  The generator is calibration, not
 prediction; tests treat it accordingly.  A coupling ratio needs only
-densities at two points, so `synth_density_at` computes the 8 nodes around
-a point instead of the whole map, and `synth_density_plane` the nodes of
-the cells a grid of points on z = 0 spans: the runs build no map at all.
+densities at two points, so `synth_density_plane` computes only the nodes
+of the cells a grid of points on z = 0 lies in: the runs build no map at
+all.
 """
 
 import math
@@ -125,76 +125,18 @@ class ModeVolume:
     lambda_n_cubed: float | None = None
 
 
-def _volume_in_units(v_m3: float, lambda_nm: float, refractive_index) -> ModeVolume:
-    if refractive_index is None:
-        return ModeVolume(m3=v_m3)
-    unit = (lambda_nm * 1e-9 / refractive_index) ** 3
-    return ModeVolume(m3=v_m3, lambda_n_cubed=v_m3 / unit)
+def local_mode_volume(fmap: FieldMap, r_nm) -> ModeVolume:
+    """V(r) = integral(total) dV / D.E(r), midpoint-rule on the grid, with
+    the interpolated D.E at the point.
 
-
-def global_mode_volume(fmap: FieldMap, refractive_index: float | None = None) -> ModeVolume:
-    """V = integral(total) dV / max(D.E), midpoint-rule on the grid."""
-    peak = float(fmap.de.max())
-    if peak <= 0:
-        raise ValueError("D.E density is identically zero")
-    v_m3 = fmap.total_sum * fmap.cell_volume_m3() / peak
-    return _volume_in_units(v_m3, fmap.lambda_nm, refractive_index)
-
-
-def local_mode_volume(
-    fmap: FieldMap, r_nm, refractive_index: float | None = None
-) -> ModeVolume:
-    """Same integral divided by the interpolated D.E at the point.
-
-    Always >= the global mode volume (the denominator cannot exceed the
-    grid maximum)."""
+    Always >= the global mode volume, the same integral over max(D.E)
+    (the denominator cannot exceed the grid maximum)."""
     local = interpolate_density(fmap, fmap.de, r_nm)
     if local <= 0.0:
         raise ZeroLocalDensityError(
             f"D.E vanishes at {tuple(r_nm)} nm; local mode volume is unbounded"
         )
-    v_m3 = fmap.total_sum * fmap.cell_volume_m3() / local
-    return _volume_in_units(v_m3, fmap.lambda_nm, refractive_index)
-
-
-@dataclass(frozen=True)
-class EmitterSpec:
-    """Two-level emitter: |mu| in C m, transition frequency and linewidth in rad/s."""
-
-    dipole_moment: float
-    omega_a: float
-    gamma: float
-
-    def __post_init__(self):
-        for name in ("dipole_moment", "omega_a", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-def rb87_d2_emitter() -> EmitterSpec:
-    """Rb-87 D2 line values (Steck's alkali data): effective far-detuned
-    dipole moment and natural linewidth."""
-    return EmitterSpec(
-        dipole_moment=presets.RB87_D2_DIPOLE_CM,
-        omega_a=TWO_PI * SPEED_OF_LIGHT / (presets.LAMBDA_NM * 1e-9),
-        gamma=TWO_PI * presets.GAMMA_RB87_D2_MHZ * 1e6,
-    )
-
-
-def coupling_at(fmap: FieldMap, emitter: EmitterSpec, r_nm, eps_r: float = 1.0) -> float:
-    """g(r) = |mu| sqrt(omega_c / (hbar eps0 eps_r V(r))), in rad/s.
-
-    eps_r defaults to the relative permittivity at the atom's location
-    (air = 1 for optically trapped atoms).  Passing the bulk dielectric
-    value (3.9) reproduces the quoted design couplings; the ambiguity is
-    deliberate and surfaced here rather than hidden.
-    """
-    if eps_r <= 0:
-        raise ValueError(f"eps_r must be positive, got {eps_r}")
-    v = local_mode_volume(fmap, r_nm).m3
-    return emitter.dipole_moment * math.sqrt(
-        fmap.omega_c / (HBAR * EPSILON_0 * eps_r * v)
-    )
+    return ModeVolume(m3=fmap.total_sum * fmap.cell_volume_m3() / local)
 
 
 def coupling_ratio(fmap: FieldMap, r1_nm, r2_nm) -> float:
@@ -549,7 +491,7 @@ def synth_fieldmap(design: str, resolution_nm: float = 5.0) -> FieldMap:
     The map is built in place: the density grid is scaled into `de`, and
     each of D3's tip ridges is applied only on its support, the index box
     where it is non-zero.  The build peaks at about two grid arrays.  Runs
-    need only ratios of densities and read them with `synth_density_at`;
+    need only ratios of densities and read them with `synth_density_plane`;
     the full map serves the mode-volume calibration and as its oracle.
     """
     xs, ys, zs = _synth_axes(resolution_nm)
@@ -568,38 +510,40 @@ def synth_fieldmap(design: str, resolution_nm: float = 5.0) -> FieldMap:
     )
 
 
-def synth_density_at(design: str, resolution_nm: float, r_nm) -> float:
-    """Unnormalized D.E of synth_fieldmap(design, resolution_nm) at a point
-    (nm), interpolated from the 8 nodes of its cell, the only ones computed.
-    Normalization and total energy cancel in a coupling ratio, so
-    sqrt(synth_density_at(r2) / synth_density_at(r1)) = coupling_ratio(r1, r2).
-    """
-    axes = _synth_axes(resolution_nm)
-    origin = tuple(float(ax[0]) for ax in axes)
-    idx, frac = _grid_cell(origin, (resolution_nm,) * 3, [ax.size for ax in axes], r_nm)
-    block = _synth_density(design, *(ax[i:i + 2] for ax, i in zip(axes, idx)))
-    return _trilinear(block, frac)
-
-
 def synth_density_plane(design: str, resolution_nm: float, x_nm, y_nm) -> np.ndarray:
-    """synth_density_at(design, resolution_nm, (x, y, 0)) at each x of x_nm and
-    y of y_nm, as a (len(x_nm), len(y_nm)) array.  z = 0 is a node plane, so
-    the nodes of the cells the points span are computed once, and each axis
-    is interpolated by one matrix of linear hat functions on its nodes."""
-    weights, nodes = [], []
-    for ax, pts in zip(_synth_axes(resolution_nm), (x_nm, y_nm)):
-        f = (np.asarray(pts, dtype=float) - ax[0]) / resolution_nm
-        if f.min() < 0 or f.max() > ax.size - 1:
-            raise ValueError(f"points lie outside the map grid's [{ax[0]}, {ax[-1]}] nm")
-        span = np.arange(int(f.min()), min(int(f.max()) + 2, ax.size))
-        weights.append(np.maximum(1.0 - np.abs(f[:, None] - span), 0.0))
-        nodes.append(ax[span])
-    plane = _synth_density(design, *nodes, np.zeros(1))[:, :, 0]
-    return weights[0] @ plane @ weights[1].T
+    """Unnormalized D.E of synth_fieldmap(design, resolution_nm) at (x, y, 0)
+    for each x of x_nm and y of y_nm, as a (len(x_nm), len(y_nm)) array.
+    Normalization and total energy cancel in a coupling ratio, so
+    sqrt(rho(r2) / rho(r1)) = coupling_ratio(r1, r2) on the full map.
+
+    Only the nodes of the cells the points lie in are computed.  Each point
+    takes its cell as `_grid_cell` does and sums the cell's corners in
+    `_trilinear`'s order, so it reads the full map's interpolation to the bit.
+    """
+    cells, nodes = [], []
+    for ax, pts in zip(_synth_axes(resolution_nm), (x_nm, y_nm, [0.0])):
+        pts = np.asarray(pts, dtype=float)
+        lo, hi = ax[0], ax[0] + resolution_nm * (ax.size - 1)
+        if pts.min() < lo or pts.max() > hi:
+            raise ValueError(f"points lie outside the map grid's [{lo}, {hi}] nm")
+        f = (pts - lo) / resolution_nm
+        i = np.minimum(np.floor(f), ax.size - 2).astype(np.intp)
+        used = np.zeros(ax.size, dtype=bool)
+        used[i] = used[i + 1] = True
+        # each cell's lower node, counted among the computed nodes
+        cells.append((np.cumsum(used)[i] - 1, f - i))
+        nodes.append(ax[used])
+    block = _synth_density(design, *nodes)
+    out = 0.0
+    for corner in range(8):
+        bits = [(corner >> k) & 1 for k in range(3)]
+        wx, wy, wz = np.ix_(*(f if bit else 1.0 - f for (_, f), bit in zip(cells, bits)))
+        out = out + wx * wy * wz * block[np.ix_(*(i + bit for (i, _), bit in zip(cells, bits)))]
+    return out[:, :, 0]
 
 
 def synth_grid_bounds(resolution_nm: float) -> tuple:
     """(lowest, highest) coordinate (nm) on each axis of synth_fieldmap's
-    grid at this resolution: synth_density_at reads the points inside."""
+    grid at this resolution: synth_density_plane reads the points inside."""
     return tuple((float(ax[0]), float(ax[0]) + resolution_nm * (ax.size - 1))
                  for ax in _synth_axes(resolution_nm))

@@ -5,20 +5,30 @@ than the package (explicit Kronecker chains, index-loop partial traces,
 sqrtm-based concurrence, the master equation's right-hand side written
 out) so agreement is meaningful.  The density-matrix helpers live here
 because only tests use them: every run starts from a ket, and a run's
-state is read back through projections (tomography_kets/_states).
+state is read back through projections (tomography_kets/_states).  So do
+the oracles no run reaches: the global mode volume, an emitter's coupling
+g(r), the one-point map read and the closed-form single-excitation
+population.
 """
 
 import io
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from cavitysim import dynamics, runner
+from cavitysim import dynamics, presets, runner
+from cavitysim.analytic import CouplingVector
 from cavitysim.config import SCENARIOS
+from cavitysim.coupling import (
+    FieldMap, ModeVolume, _grid_cell, _synth_axes, _synth_density, _trilinear, local_mode_volume,
+)
 from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import LindbladGenerator, build_hamiltonian, collapse_operators
+from cavitysim.units import EPSILON_0, HBAR, SPEED_OF_LIGHT, TWO_PI
 
 # Every run of the suite draws the same examples, and none fails on its
 # wall-clock time; each test keeps its own example count.
@@ -264,6 +274,85 @@ def concurrence_sqrtm_oracle(rho: np.ndarray) -> float:
     r = sqrtm(sq @ rho_t @ sq)
     lam = np.sort(np.real(np.linalg.eigvals(r)))[::-1]
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def _volume_in_units(v_m3: float, lambda_nm: float, refractive_index) -> ModeVolume:
+    if refractive_index is None:
+        return ModeVolume(m3=v_m3)
+    unit = (lambda_nm * 1e-9 / refractive_index) ** 3
+    return ModeVolume(m3=v_m3, lambda_n_cubed=v_m3 / unit)
+
+
+def global_mode_volume(fmap: FieldMap, refractive_index: float | None = None) -> ModeVolume:
+    """V = integral(total) dV / max(D.E), midpoint-rule on the grid."""
+    peak = float(fmap.de.max())
+    if peak <= 0:
+        raise ValueError("D.E density is identically zero")
+    v_m3 = fmap.total_sum * fmap.cell_volume_m3() / peak
+    return _volume_in_units(v_m3, fmap.lambda_nm, refractive_index)
+
+
+@dataclass(frozen=True)
+class EmitterSpec:
+    """Two-level emitter: |mu| in C m, transition frequency and linewidth in rad/s."""
+
+    dipole_moment: float
+    omega_a: float
+    gamma: float
+
+    def __post_init__(self):
+        for name in ("dipole_moment", "omega_a", "gamma"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+
+
+def rb87_d2_emitter() -> EmitterSpec:
+    """Rb-87 D2 line values (Steck's alkali data): effective far-detuned
+    dipole moment and natural linewidth."""
+    return EmitterSpec(
+        dipole_moment=presets.RB87_D2_DIPOLE_CM,
+        omega_a=TWO_PI * SPEED_OF_LIGHT / (presets.LAMBDA_NM * 1e-9),
+        gamma=TWO_PI * presets.GAMMA_RB87_D2_MHZ * 1e6,
+    )
+
+
+def coupling_at(fmap: FieldMap, emitter: EmitterSpec, r_nm, eps_r: float = 1.0) -> float:
+    """g(r) = |mu| sqrt(omega_c / (hbar eps0 eps_r V(r))), in rad/s.
+
+    eps_r defaults to the relative permittivity at the atom's location
+    (air = 1 for optically trapped atoms).  Passing the bulk dielectric
+    value (3.9) reproduces the quoted design couplings; the ambiguity is
+    deliberate and surfaced here rather than hidden.
+    """
+    if eps_r <= 0:
+        raise ValueError(f"eps_r must be positive, got {eps_r}")
+    v = local_mode_volume(fmap, r_nm).m3
+    return emitter.dipole_moment * math.sqrt(
+        fmap.omega_c / (HBAR * EPSILON_0 * eps_r * v)
+    )
+
+
+def synth_density_at(design: str, resolution_nm: float, r_nm) -> float:
+    """Unnormalized D.E of synth_fieldmap(design, resolution_nm) at a point
+    (nm), interpolated from the 8 nodes of its cell, the only ones computed.
+    Normalization and total energy cancel in a coupling ratio, so
+    sqrt(synth_density_at(r2) / synth_density_at(r1)) = coupling_ratio(r1, r2).
+    """
+    axes = _synth_axes(resolution_nm)
+    origin = tuple(float(ax[0]) for ax in axes)
+    idx, frac = _grid_cell(origin, (resolution_nm,) * 3, [ax.size for ax in axes], r_nm)
+    block = _synth_density(design, *(ax[i:i + 2] for ax, i in zip(axes, idx)))
+    return _trilinear(block, frac)
+
+
+def single_excitation_population(gv: CouplingVector, t):
+    """P(chi1)(t) = sin^2(g_norm t) for the closed system started in chi0.
+
+    Peaks at 1 when t = pi / (2 g_norm)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be >= 0")
+    return np.sin(gv.g_norm * t) ** 2
 
 
 @pytest.fixture

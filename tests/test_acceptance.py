@@ -20,7 +20,7 @@ from cavitysim.model import SystemParams
 from cavitysim.runner import run_scenario
 from cavitysim.units import ghz_to_angular, mhz_to_angular
 
-from conftest import plan_trajectories
+from conftest import plan_trajectories, single_excitation_population
 
 G = ghz_to_angular(9.0)                      # D1 coupling, rad/ns
 KAPPA = mhz_to_angular(29.5653)              # from Q = 1.3e7 at 780 nm
@@ -67,7 +67,7 @@ def test_criterion_01_single_excitation_oracle_equivalence():
         traj = dyn.integrate(gen, chi0, ts,
                              projections={"P_chi1": chi1})
         err = float(np.max(np.abs(
-            traj.series("P_chi1") - analytic.single_excitation_population(gv, ts)
+            traj.series("P_chi1") - single_excitation_population(gv, ts)
         )))
         elapsed = time.perf_counter() - t0
         worst_err = max(worst_err, err)

