@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import analytic, coupling, dynamics as dyn, entanglement as ent, fockspace as fs, presets
+from . import analytic, coupling, dynamics as dyn, entanglement as ent, presets
 from .fockspace import HilbertLayout
 from .units import ghz_to_angular, mhz_to_angular
 
@@ -101,7 +101,6 @@ class ExperimentConfig:
     design: str = "D1"
     n_atoms: int = 1
     n_photons: int = 1
-    n_max: int = 0              # 0 -> one guard level above the photons
     g_ghz: float = 0.0          # 0 -> design preset
     alpha: float = 1.0
     couplings_ghz: tuple = ()   # explicit per-atom list; overrides g/alpha
@@ -126,10 +125,6 @@ class ExperimentConfig:
             if ax.name == name:
                 return ax
         return None
-
-    def n_max_for(self, n_photons: int) -> int:
-        """Photon truncation of a run that starts with n_photons photons."""
-        return self.n_max if self.n_max > 0 else n_photons + 1
 
     @property
     def resolved_kappa_mhz(self) -> float:
@@ -180,6 +175,11 @@ class Run(NamedTuple):
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end_ns, self.outputs())
+
+    def layout(self) -> HilbertLayout:
+        """The run's Hilbert space: its start photons and one guard level,
+        whose populations read 0 (no run gains a photon)."""
+        return HilbertLayout(self.n_photons + 1, self.n_atoms)
 
 
 class Sweep(NamedTuple):
@@ -518,12 +518,12 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     tracemalloc's traced peak of `run_scenario`.  The interpreter (about
     39 MB), freed blocks and the imports and argparse set-up of a process's
     first `cli.main` come on top: lossless one-atom `custom` with t_end_ns =
-    1.0 and dt_ns = 0.1 is estimated at 80 734 B and traces 247 621 B in a
-    fresh process's first `cli.main(["run", ...])`, 40 323 B in its second."""
+    1.0 and dt_ns = 0.1 is estimated at 80 446 B and traces 248 052 B in a
+    fresh process's first `cli.main(["run", ...])`, about 40 400 B in its
+    second."""
     def footprint(run: Run, stack: int = 1) -> tuple:  # four projections at most
-        return dyn.footprint(cfg.n_max_for(run.n_photons), run.n_atoms, run.n_photons, cfg.lossy,
-                             run.track, 4 * bool(run.projections), run.t_end_ns / run.dt_ns + 2,
-                             stack)
+        return dyn.footprint(run.layout(), run.n_photons, cfg.lossy, run.track,
+                             4 * bool(run.projections), run.t_end_ns / run.dt_ns + 2, stack)
 
     atoms, calls, held = ("n_atoms",), [], []  # (bytes, key) of each call, and of all held
     for run in plan.runs:
@@ -731,7 +731,6 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"{at(key)}: {key}: {reason}")
 
     plan = SCENARIOS[scenario].plan(cfg)
-    n_photons = max([run.n_photons for run in plan.runs] + [Sweep.n_photons] * bool(plan.sweep))
     # A run the summary reads, or projects onto the collective mode, needs
     # an excitation to exchange and an atom that couples.
     read = [run for run in plan.runs if run.projections or run.name in plan.reads]
@@ -739,9 +738,6 @@ def parse_config(text: str) -> ExperimentConfig:
     check(cfg.n_photons >= 0, "n_photons", f"must be >= 0, got {cfg.n_photons}")
     check(all(run.n_photons >= 1 for run in read), "n_photons",
           f"must be >= 1 for {scenario}, whose summary reads an exchange, got {cfg.n_photons}")
-    check(cfg.n_max >= 0, "n_max", f"must be >= 0 (0 = auto), got {cfg.n_max}")
-    check(cfg.n_max <= 0 or cfg.n_max >= n_photons, "n_max",
-          f"must retain the {n_photons} photons that {scenario} propagates, got {cfg.n_max}")
     check(cfg.g_ghz > 0, "g_ghz", f"must be > 0, got {cfg.g_ghz}")
     check(cfg.alpha >= 0, "alpha", f"must be >= 0, got {cfg.alpha}")
     if cfg.couplings_ghz and scenario in _ATOM2_RULE:
@@ -807,7 +803,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if plan.sweep:
             reads.append(("every sweep point", plan.sweep.run(cfg, 0.0), plan.sweep.peaks))
         for name, run, columns in reads:
-            layout = HilbertLayout(cfg.n_max_for(run.n_photons), run.n_atoms)
+            layout = run.layout()
             # The observable behind each column it can record (populations by
             # prefix, unbuilt); the others are projections, which a run always records.
             source = {c: o for o in dyn.TRACKABLE if o != "populations"

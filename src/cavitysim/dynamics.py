@@ -102,30 +102,30 @@ def stack_runs(n_atoms: int, n_photons: int, lossy: bool, outputs: int) -> int:
     return max(1, CHUNK_BYTES // (16 * outputs * (top + low * low * lossy)))
 
 
-def footprint(n_max: int, n_atoms: int, n_photons: int, lossy: bool, track,
+def footprint(layout: HilbertLayout, n_photons: int, lossy: bool, track,
               projections: int, outputs, runs: int) -> tuple:
-    """Bytes of integrate() on a stack of `runs` runs (n_atoms atoms from
-    n_photons photons, truncation n_max, loss if `lossy`, recording `track`
-    and `projections` kets at `outputs` times), and of write_trajectory_csv
-    on one of them: (work, keep), the most either allocates beyond the
-    trajectories and what each trajectory holds, each as (what grows with
-    the states and their columns, what grows with the outputs alone).  The
-    writer holds the text of a block of rows, one str per cell, of each
-    column that can leave 0, counted as if no two were equal."""
+    """Bytes of integrate() on a stack of `runs` runs (on `layout` from
+    n_photons photons, loss if `lossy`, recording `track` and `projections`
+    kets at `outputs` times), and of write_trajectory_csv on one of them:
+    (work, keep), the most either allocates beyond the trajectories and
+    what each trajectory holds, each as (what grows with the states and
+    their columns, what grows with the outputs alone).  The writer holds the
+    text of a block of rows, one str per cell, of each column that can
+    leave 0, counted as if no two were equal."""
+    n_atoms = layout.n_atoms
     if n_atoms > 64:  # more states than any memory holds
         return (math.inf, 0.0), (math.inf, 0.0)
     top, low = fs.sector_sizes(n_atoms, n_photons)
-    dim, low, n_out = (n_max + 1) * 2**n_atoms, low if lossy else 0, min(outputs, 2**64)
+    dim, low, n_out = layout.dim, low if lossy else 0, min(outputs, 2**64)
     pops = dim if "populations" in track else 0
-    other = projections + len(tracked_columns(HilbertLayout(1, n_atoms),
-                                              set(track) - {"populations"}))
-    name = len(f"pop_{n_max}") + n_atoms + 4  # the longest column name, and its ","
+    other = projections + len(tracked_columns(layout, set(track) - {"populations"}))
+    name = len(f"pop_{layout.n_max}") + n_atoms + 4  # the longest column name, and its ","
     objects = 192  # of an array of a column: the ndarray (112 B, a view too) and its dict entry
     work = (
         2**16  # the call's small arrays and objects, and the file buffer (30 KiB measured)
-        # psi0, each projection ket and its copy, and the excitation numbers
-        # with the arithmetic of a second count: six int64 arrays of length d
-        + dim * (16 * (1 + 2 * projections) + 48)
+        # psi0, each projection ket and its copy: integrate reads psi0's
+        # sector off its non-zero entries, and lists the states it keeps
+        + dim * 16 * (1 + 2 * projections)
         # expm of each run's ket step and Van Loan block, about nine matrices
         # of its size at once; with loss, each channel on the d' states
         + runs * 160 * (top**2 + (low**2 + top**2)**2 * bool(low))
@@ -134,7 +134,7 @@ def footprint(n_max: int, n_atoms: int, n_photons: int, lossy: bool, track,
         # and their squares, the check of x, an entropy, a concurrence, the projections
         + min(runs * n_out, max(runs, chunk_states(top)))
         * (16 * top**2 * bool(low) + 64 * low**2 + 32 * (top + low) + 32 * projections * (1 + low)
-           + 48 * (n_max + 1) * ("entropies" in track) + 256 * ("concurrence" in track))
+           + 48 * layout.photon_dim * ("entropies" in track) + 256 * ("concurrence" in track))
         # every column's series view, CSV name, piece and zero flag; one block's
         # text of each column that can leave 0 (the time, the d' propagated
         # populations and the others): per row a str of up to 24 characters
@@ -263,13 +263,9 @@ def sector_norm_dim(layout: HilbertLayout, keep, n_exc: int) -> int:
     """
     keep = tuple(keep)
     complement = tuple(p for p in range(layout.n_atoms + 1) if p not in keep)
-    sector = np.flatnonzero(fs.excitation_number_diagonal(layout) <= n_exc)
-    # Distinct values by bincount: np.unique would import numpy.ma (~15 ms)
-    # on its first call in a process.
-    return max(2, min(
-        np.count_nonzero(np.bincount(fs.factor_index(layout, sector, side)))
-        for side in (keep, complement)
-    ))
+    sector, _ = fs.states_up_to(layout, n_exc)
+    return max(2, min(len(set(fs.factor_index(layout, sector, side).tolist()))
+                      for side in (keep, complement)))
 
 
 def integrate(
@@ -348,8 +344,10 @@ def integrate(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (dim,):
         raise ValueError(f"psi0 has shape {psi0.shape}, layout dimension is {dim}")
-    exc = fs.excitation_number_diagonal(layout)
-    sectors = exc[psi0 != 0]
+    # the excitations of psi0's non-zero amplitudes: photons plus atom bits
+    nonzero = np.flatnonzero(psi0)
+    sectors = (nonzero >> layout.n_atoms) + np.bitwise_count(
+        nonzero & (2**layout.n_atoms - 1))
     if np.any(sectors != sectors[:1]):
         raise ValueError(
             "psi0 spans several excitation sectors; integrate needs a state "
@@ -363,8 +361,8 @@ def integrate(
     # jump lowers it by one).  Sector n keeps rank one: psi.  Only jumps
     # fill the states below it, which a lossless run leaves empty.
     n_exc = int(sectors[0])
-    kept = np.flatnonzero(exc <= n_exc)
-    in_top = exc[kept] == n_exc
+    kept, exc = fs.states_up_to(layout, n_exc)
+    in_top = exc == n_exc
     top, low = kept[in_top], kept[~in_top] if channels_of else kept[:0]
     d_top, d_low = top.size, low.size
 
@@ -414,7 +412,7 @@ def integrate(
     # swapping the two atoms' bits moves every basis index by one offset
     # and keeps its excitation number.
     order = np.concatenate([top, low])
-    nph_diag = fs.photon_number_diagonal(layout)[order].astype(float)
+    nph_diag = fs.factor_index(layout, order, (0,)).astype(float)
     entropy_maps = [
         np.eye(layout.factor_dims()[p])[fs.factor_index(layout, order, (p,))]
         for p in entropy_factors

@@ -9,10 +9,13 @@ The digit of factor p (0 = photon, i = atom i) has place value 2^(N-p).
 
 Nothing here builds an operator: `model` builds each one by index
 arithmetic on this encoding, on the basis states a caller asks for.  The
-number operators are diagonal, so they are kept as their diagonals.
+number operators are diagonal and read off an index: factor_index gives
+the photon number, and states_up_to lists the states a run can reach,
+with their excitations, without a pass over all d states.
 Everything here is a pure function of immutable inputs.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -92,20 +95,19 @@ def _check_atom_index(layout: HilbertLayout, i: int):
         raise ValueError(f"atom index {i} outside 1..{layout.n_atoms}")
 
 
-def photon_number_diagonal(layout: HilbertLayout) -> np.ndarray:
-    """Photon number of each basis state (the diagonal of a^dag a).
-
-    The photon index is the major one, so it is the basis index shifted
-    past the N atom bits."""
-    return np.arange(layout.dim) >> layout.n_atoms
-
-
-def excitation_number_diagonal(layout: HilbertLayout) -> np.ndarray:
-    """Excitations of each basis state: photons plus excited atoms, the
-    diagonal of a^dag a + sum_i sigma_i^dag sigma_i."""
-    atoms = np.arange(layout.dim) & (2**layout.n_atoms - 1)
-    excited = sum((atoms >> i) & 1 for i in range(layout.n_atoms))
-    return photon_number_diagonal(layout) + excited
+def states_up_to(layout: HilbertLayout, n: int) -> tuple:
+    """(index, excitations) of every basis state with at most n excitations
+    (photons plus excited atoms), in index order.  p photons and each choice
+    of j <= n - p excited atoms make them, so no pass over the d states is
+    made: there are as many as sector_sizes counts when n <= n_max."""
+    places = [2 ** (layout.n_atoms - i) for i in range(1, layout.n_atoms + 1)]
+    states = sorted(
+        (p * 2**layout.n_atoms + sum(atoms), p + j)
+        for p in range(min(n, layout.n_max) + 1)
+        for j in range(min(layout.n_atoms, n - p) + 1)
+        for atoms in itertools.combinations(places, j)
+    )
+    return tuple(np.array(states, dtype=np.int64).reshape(-1, 2).T)
 
 
 def sector_sizes(n_atoms: int, n_photons: int) -> tuple:

@@ -71,7 +71,7 @@ def trajectory(cfg: ExperimentConfig, run: Run | list) -> dyn.Trajectory | list:
     first = runs[0]
     if len(runs) > 1 and any(r.projections for r in runs):
         raise ValueError("a stack of runs records no projections")
-    layout = fs.HilbertLayout(n_max=cfg.n_max_for(first.n_photons), n_atoms=first.n_atoms)
+    layout = first.layout()
     cavity = dict(
         omega_c=0.0,
         omega_0=ghz_to_angular(cfg.detuning_ghz),

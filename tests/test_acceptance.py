@@ -20,7 +20,7 @@ from cavitysim.model import SystemParams
 from cavitysim.runner import run_scenario
 from cavitysim.units import ghz_to_angular, mhz_to_angular
 
-from conftest import plan_trajectories, single_excitation_population
+from conftest import excitations, plan_trajectories, single_excitation_population
 
 G = ghz_to_angular(9.0)                      # D1 coupling, rad/ns
 KAPPA = mhz_to_angular(29.5653)              # from Q = 1.3e7 at 780 nm
@@ -276,7 +276,7 @@ def test_criterion_12_conservation_suite():
     # closed-system excitation conservation on the lossless wstate variant
     cfg = parse_config('scenario = "n_atom_wstate"\nlossless = true\n')
     [(_, traj, states)] = plan_trajectories(cfg, 10)
-    n_ex = np.diag(fs.excitation_number_diagonal(traj.layout))
+    n_ex = np.diag(excitations(traj.layout))
     vals = np.array([np.trace(n_ex @ rho).real for rho in states])
     exc_drift = float(np.max(np.abs(vals - vals[0])))
 

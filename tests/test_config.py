@@ -7,12 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from cavitysim import presets
 from cavitysim.cli import main
 from cavitysim.config import (
+    SCENARIOS,
     ConfigError,
     ExperimentConfig,
     SweepAxis,
     canonical_text,
     parse_config,
 )
+from cavitysim.fockspace import HilbertLayout
 
 
 def _errors(text):
@@ -27,7 +29,9 @@ def test_minimal_config_fills_defaults():
     assert cfg.g_ghz == 9.0
     assert cfg.q_factor == 1.3e7
     assert cfg.detuning_ghz == 0.0                      # resonant
-    assert cfg.n_max_for(cfg.n_photons) == cfg.n_photons + 1  # one guard level
+    # each run holds its start photons and one guard level above them
+    plan = SCENARIOS[cfg.scenario].plan(cfg)
+    assert [run.layout() for run in plan.runs] == [HilbertLayout(n_max=2, n_atoms=1)] * 2
     assert cfg.resolved_kappa_mhz == pytest.approx(29.5653, rel=1e-4)
     assert cfg.resolved_gamma_mhz == presets.GAMMA_RB87_D2_MHZ
 
@@ -89,7 +93,7 @@ def test_duplicate_key_rejected():
 
 
 @pytest.mark.parametrize("key", ["frame = \"lab\"", "seed = 5", "snapshot_stride = 1",
-                                 "dissipator_form = \"literal\""])
+                                 "dissipator_form = \"literal\"", "n_max = 2"])
 def test_removed_keys_are_unknown(key, tmp_path):
     errors = _errors(f'scenario = "custom"\n{key}\n')
     name = key.split()[0]
@@ -240,7 +244,7 @@ def test_canonical_round_trip(scenario):
 # EVERY_FIELD sets every other field and COUPLINGS sets that one.
 EVERY_FIELD = (
     'scenario = "fig4_correlations"\ndesign = "D2"\nn_atoms = 3\nn_photons = 2\n'
-    'n_max = 3\ng_ghz = 7.5\nalpha = 0.62\n'
+    'g_ghz = 7.5\nalpha = 0.62\n'
     'q_factor = 2e6\nkappa_mhz = 12.5\ngamma_mhz = 5.5\nlambda_nm = 800.0\n'
     'detuning_ghz = 0.25\nlossless = true\n'
     't_end_ns = 0.2\ndt_ns = 1e-4\nt_long_ns = 20.0\ndt_long_ns = 0.01\n'
@@ -302,18 +306,6 @@ def test_sweep_table_of_an_axis_the_scenario_does_not_run(scenario, axis, tmp_pa
     path = tmp_path / "cfg.toml"
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
-
-
-@pytest.mark.parametrize("scenario", ["fig3_two_atom", "fig4_correlations"])
-def test_two_photon_scenarios_need_n_max_2(scenario, tmp_path):
-    # both scenarios add two-photon runs whatever n_photons says
-    errors = _errors(f'scenario = "{scenario}"\nn_max = 1\n')
-    assert len(errors) == 1 and errors[0].startswith("line 2: n_max: ")
-    path = tmp_path / "cfg.toml"
-    path.write_text(f'scenario = "{scenario}"\nn_max = 1\n')
-    assert main(["validate", str(path)]) == 1
-    path.write_text(f'scenario = "{scenario}"\nn_max = 2\n')
-    assert main(["validate", str(path)]) == 0
 
 
 @pytest.mark.parametrize("scenario, observables, column", [

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from cavitysim import analytic, dynamics as dyn, entanglement as ent, fockspace as fs, model
@@ -14,6 +15,7 @@ from cavitysim.model import SystemParams
 from cavitysim.units import ghz_to_angular
 
 from conftest import (
+    excitations,
     integrate_states,
     plan_runs,
     random_sector_ket,
@@ -415,7 +417,7 @@ def _assert_matches_dense_reference(gen, psi0, ts, n_exc, projections=None, stri
 
     pops = np.real(np.diagonal(states, axis1=1, axis2=2))
     expected = {name: pops[:, k] for k, name in enumerate(dyn.population_labels(lay))}
-    expected["n_photon"] = pops @ fs.photon_number_diagonal(lay)
+    expected["n_photon"] = pops @ fs.factor_index(lay, np.arange(lay.dim), (0,))
     for f in range(lay.n_atoms + 1) if "entropies" in track else ():
         reduced = ent.partial_trace(states, lay, (f,))
         expected[f"S_{dyn.subsystem_letter(f)}"] = ent.entropy_normalized(
@@ -479,6 +481,31 @@ def test_long_lossy_grid_matches_dense_full_space_reference():
                                     track=("populations", "n_photon"))
 
 
+_RATE = st.one_of(st.just(0.0), st.floats(0.05, 10.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(couplings=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=3),
+       n_exc=st.integers(1, 2), kappa=_RATE, gamma=_RATE, detuning=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+# the corners the derandomized draws leave out: decay alone, from two
+# excitations, one atom uncoupled; and photon loss alone on two atoms
+@example(couplings=[0.0, 1.2, 0.4], n_exc=2, kappa=0.0, gamma=2.5, detuning=-1.0, seed=7)
+@example(couplings=[0.8, 1.4], n_exc=2, kappa=6.0, gamma=0.0, detuning=1.5, seed=3)
+def test_random_systems_match_dense_full_space_reference(couplings, n_exc, kappa, gamma,
+                                                         detuning, seed):
+    # up to three atoms with random couplings (in units of G), either loss
+    # rate possibly 0, a detuning and a random ket in sector 1 or 2, over 9
+    # outputs 1/64 ns apart: every step is the same float, so the reference
+    # takes one expm of its d^2 x d^2 Liouvillian
+    lay = HilbertLayout(n_max=n_exc, n_atoms=len(couplings))
+    p = SystemParams(omega_c=0.0, omega_0=detuning * G, kappa=kappa, gamma=gamma,
+                     couplings=tuple(g * G for g in couplings))
+    psi0 = random_sector_ket(lay, np.random.default_rng(seed), n_exc)
+    _assert_matches_dense_reference(model.build_generator(lay, p), psi0,
+                                    np.arange(9) / 64.0, n_exc)
+
+
 def test_rho0_with_coherence_between_excitation_sectors_is_rejected():
     lay, gen = _gen(2, (G,))
     ts = np.linspace(0.0, 0.1, 11)
@@ -506,6 +533,22 @@ def test_rho0_is_validated_on_its_kept_block():
         dyn.integrate(gen, spanning, ts)
 
 
+def test_integrate_allocates_nothing_of_length_d():
+    # lossless N = 16 from one photon: d = 196 608 states, of which 17 are
+    # propagated.  psi0's sector is read off its non-zero entries and the
+    # kept states are listed, not scanned: a scan of d excitation numbers
+    # traced 32 B per state, the enumeration under 1
+    lay, gen = _gen(2, (G,) * 16)
+    psi0 = fs.basis_state(lay, 1, "g" * 16)
+    tracemalloc.start()
+    try:
+        dyn.integrate(gen, psi0, np.linspace(0.0, 0.01, 3), track=("n_photon", "entropies"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * lay.dim
+
+
 @pytest.mark.parametrize("kappa", [0.0, 0.3])
 def test_integrate_allocates_no_full_space_array(kappa):
     # d = 1024, of which 11 states are propagated: nothing may be of size
@@ -523,7 +566,7 @@ def test_integrate_allocates_no_full_space_array(kappa):
 
 def test_closed_system_conserves_excitation_number():
     lay, gen = _gen(2, (G, 0.6 * G))
-    n_ex = np.diag(fs.excitation_number_diagonal(lay))
+    n_ex = np.diag(excitations(lay))
     psi0 = fs.basis_state(lay, 1, "gg")
     ts = np.linspace(0.0, 0.5, 201)
     _, states = integrate_states(gen, psi0, ts)
@@ -569,7 +612,7 @@ def test_sector_norm_dim_matches_reduced_projector_rank(n_max, n_atoms):
     # counts the states the side takes in the sector (1 for an empty side)
     lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
     factors = range(n_atoms + 1)
-    exc = fs.excitation_number_diagonal(lay)
+    exc = excitations(lay)
     for n_exc in range(4):
         proj = np.diag((exc <= n_exc).astype(complex))[None]
         for k in range(1, n_atoms + 2):

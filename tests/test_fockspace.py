@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from cavitysim import fockspace as fs, model
 from cavitysim.fockspace import HilbertLayout
 
-from conftest import SIGMA_MINUS_BLOCK, embed_oracle, kron_chain, ladder_block
+from conftest import SIGMA_MINUS_BLOCK, embed_oracle, excitations, kron_chain, ladder_block
 
 
 def test_layout_dimensions():
@@ -153,8 +153,11 @@ def test_embedding_against_kron_oracle(n_max, n_atoms):
 
 
 def test_excitation_number_diagonal():
+    # up to n_max + N excitations, states_up_to lists every basis state
     lay = HilbertLayout(n_max=2, n_atoms=2)
-    n_ex = np.diag(fs.excitation_number_diagonal(lay))
+    index, exc = fs.states_up_to(lay, 4)
+    assert np.array_equal(index, np.arange(lay.dim))
+    n_ex = np.diag(exc)
     for n in range(3):
         for pattern in ("gg", "ge", "eg", "ee"):
             v = fs.basis_state(lay, n, pattern)
@@ -174,10 +177,26 @@ def test_number_diagonals_match_kron_operators(n_max, n_atoms):
         kron_chain([np.eye(n_max + 1)] + [excited if j == i else eye2 for j in range(n_atoms)])
         for i in range(n_atoms)
     )
+    # every basis state, its photon number read off its index, and its excitations
+    index, exc = fs.states_up_to(lay, n_max + n_atoms)
+    assert np.array_equal(index, np.arange(lay.dim))
     # the kron-built a^dag a holds sqrt(2) * sqrt(2), an ulp above 2
-    for diagonal, op in ((fs.photon_number_diagonal(lay), nph),
-                         (fs.excitation_number_diagonal(lay), n_ex)):
+    for diagonal, op in ((fs.factor_index(lay, index, (0,)), nph), (exc, n_ex)):
         assert np.array_equal(diagonal, np.round(np.diag(op).real))
         assert np.max(np.abs(diagonal - np.diag(op))) <= 1e-15
         assert np.count_nonzero(op - np.diag(np.diag(op))) == 0
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_states_up_to_matches_the_label_oracle(n_max, n_atoms):
+    lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
+    labelled = excitations(lay)
+    for n in range(n_max + n_atoms + 1):
+        index, exc = fs.states_up_to(lay, n)
+        assert np.array_equal(index, np.flatnonzero(labelled <= n))
+        assert np.array_equal(exc, labelled[index])
+        if n <= n_max:  # every photon number up to n is retained
+            assert (np.count_nonzero(exc == n), np.count_nonzero(exc < n)) == \
+                fs.sector_sizes(n_atoms, n)
 

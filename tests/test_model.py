@@ -9,6 +9,7 @@ from cavitysim.units import ghz_to_angular
 from conftest import (
     SIGMA_MINUS_BLOCK,
     embed_oracle,
+    excitations,
     ladder_block,
     lindblad_rhs,
     random_density_matrix,
@@ -76,7 +77,7 @@ def test_hamiltonian_exactly_hermitian():
 def test_excitation_number_commutes_with_hamiltonian():
     lay = HilbertLayout(n_max=2, n_atoms=2)
     h = model.build_hamiltonian(lay, _params(couplings=(G, 0.7 * G), omega_0=2.0))
-    n_ex = np.diag(fs.excitation_number_diagonal(lay))
+    n_ex = np.diag(excitations(lay))
     assert np.max(np.abs(h @ n_ex - n_ex @ h)) < 1e-12
 
 
@@ -108,7 +109,7 @@ def _kron_operators(lay, p):
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
 def test_builders_match_the_kron_oracle(n_max, n_atoms, rng):
     lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
-    exc = fs.excitation_number_diagonal(lay)
+    exc = excitations(lay)
     couplings = tuple(G * (0.4 + 0.37 * i) for i in range(n_atoms))  # unequal
     # all states, the states up to each excitation number, and half of
     # them in random order, which no operator maps into themselves
@@ -177,7 +178,7 @@ def test_liouvillian_on_kept_states_restricts_the_full_one():
     lay = HilbertLayout(n_max=2, n_atoms=2)
     p = _params(couplings=(G, 0.5 * G), kappa=0.2, gamma=0.04, omega_0=0.8)
     gen = model.build_generator(lay, p)
-    kept = np.flatnonzero(fs.excitation_number_diagonal(lay) <= 1)
+    kept = np.flatnonzero(excitations(lay) <= 1)
     inside = (kept[:, None] * lay.dim + kept).ravel()  # vec index of |k><l|
     outside = np.setdiff1d(np.arange(lay.dim**2), inside)
     full = model.liouvillian_matrix(gen)
@@ -225,7 +226,7 @@ def test_stacked_hamiltonians_equal_each_alone():
     lay = HilbertLayout(n_max=2, n_atoms=2)
     stack = [_params(couplings=(G, 0.0)), _params(couplings=(0.3 * G, 1.7 * G), omega_0=-2.5),
              _params(couplings=(G, G), omega_0=1.0)]
-    keep = np.flatnonzero(fs.excitation_number_diagonal(lay) == 1)
+    keep = np.flatnonzero(excitations(lay) == 1)
     for states in (None, keep):
         h = model.build_hamiltonian(lay, stack, states)
         assert h.shape[0] == len(stack)
