@@ -3,7 +3,8 @@
 These serve as independent references for the numerical integrator and as
 fast evaluators for sweeps: the single-excitation manifold for arbitrary N
 and couplings, the two-excitation manifold for two atoms, and the peak
-entanglement metrics as functions of the coupling ratio alpha.  All forms
+entanglement metrics as functions of the coupling ratio alpha.  Each ket is
+a dict {basis index: amplitude}, as fockspace.basis_state's.  All forms
 are for the resonant rotating-frame Hamiltonian without losses; lossy runs
 may use them only as short-time references.
 """
@@ -51,13 +52,9 @@ def single_excitation_states(layout: HilbertLayout, gv: CouplingVector):
             f"coupling vector has {gv.n_atoms} atoms, layout has {layout.n_atoms}"
         )
     ground = "g" * layout.n_atoms
-    chi0 = fs.basis_state(layout, 1, ground)
-    chi1 = np.zeros(layout.dim, dtype=complex)
-    for i, g in enumerate(gv.g):
-        pattern = ground[:i] + "e" + ground[i + 1:]
-        chi1 += g * fs.basis_state(layout, 0, pattern)
-    chi1 /= gv.g_norm
-    return chi0, chi1
+    chi1 = {layout.basis_index(0, ground[:i] + "e" + ground[i + 1:]): np.complex128(g) / gv.g_norm
+            for i, g in enumerate(gv.g)}
+    return fs.basis_state(layout, 1, ground), chi1
 
 
 def two_photon_states(layout: HilbertLayout, g1: float, g2: float):
@@ -76,15 +73,10 @@ def two_photon_states(layout: HilbertLayout, g1: float, g2: float):
     if g1 == 0 and g2 == 0:
         raise ValueError("couplings cannot both be zero")
     w = float(np.hypot(g1, g2))
-    chi0 = fs.basis_state(layout, 2, "gg")
-    chi1 = (
-        g1 * fs.basis_state(layout, 1, "eg") + g2 * fs.basis_state(layout, 1, "ge")
-    ) / w
-    chi2 = fs.basis_state(layout, 0, "ee")
-    chi3 = (
-        g2 * fs.basis_state(layout, 1, "eg") - g1 * fs.basis_state(layout, 1, "ge")
-    ) / w
-    return chi0, chi1, chi2, chi3
+    eg, ge = layout.basis_index(1, "eg"), layout.basis_index(1, "ge")
+    chi1 = {eg: np.complex128(g1) / w, ge: np.complex128(g2) / w}
+    chi3 = {eg: np.complex128(g2) / w, ge: np.complex128(-g1) / w}
+    return fs.basis_state(layout, 2, "gg"), chi1, fs.basis_state(layout, 0, "ee"), chi3
 
 
 @dataclass(frozen=True)
@@ -118,10 +110,8 @@ def peak_entanglement_metrics(alpha: float) -> PeakEntanglementMetrics:
     )
 
 
-def symmetric_bell_state(layout: HilbertLayout) -> np.ndarray:
+def symmetric_bell_state(layout: HilbertLayout) -> dict:
     """|0> (x) (|eg> + |ge>)/sqrt(2), the maximal two-atom target state."""
     if layout.n_atoms != 2:
         raise ValueError("the symmetric Bell state is defined for 2 atoms")
-    return (
-        fs.basis_state(layout, 0, "eg") + fs.basis_state(layout, 0, "ge")
-    ) / np.sqrt(2.0)
+    return {layout.basis_index(0, p): np.complex128(1.0) / np.sqrt(2.0) for p in ("eg", "ge")}

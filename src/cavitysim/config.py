@@ -518,9 +518,9 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     tracemalloc's traced peak of `run_scenario`.  The interpreter (about
     39 MB), freed blocks and the imports and argparse set-up of a process's
     first `cli.main` come on top: lossless one-atom `custom` with t_end_ns =
-    1.0 and dt_ns = 0.1 is estimated at 80 446 B and traces 248 052 B in a
-    fresh process's first `cli.main(["run", ...])`, about 40 400 B in its
-    second."""
+    1.0 and dt_ns = 0.1 is estimated at 80 350 B and traces about 249 200 B
+    in a fresh process's first `cli.main(["run", ...])`, about 40 300 B in
+    its second."""
     def footprint(run: Run, stack: int = 1) -> tuple:  # four projections at most
         return dyn.footprint(run.layout(), run.n_photons, cfg.lossy, run.track,
                              4 * bool(run.projections), run.t_end_ns / run.dt_ns + 2, stack)

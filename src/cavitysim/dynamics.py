@@ -16,16 +16,16 @@ the block of sector n stays rank one (Dalibard, Castin & Molmer, PRL 68,
   (1978)): L_low the Liouvillian of the states below, L_top the action of
   H_eff on psi psi^dag, J = sum rate (L kron L*) the jumps out of sector n.
 
-A lossless run has no x and builds no Liouvillian; a lossy one builds it
-on the d_l states below sector n only, never on all d_l + d_n.  No d x d
-array is built on a run's path.  expm() is this module's, in numpy: scaling
+A lossless run has no x and builds no Liouvillian; a lossy one builds it on
+the d_l states below sector n only, never on all d_l + d_n.  Kets are dicts
+{basis index: amplitude}, and nothing of length d is built on a run's path
+but the populations it tracks.  expm() is this module's, in numpy: scaling
 and squaring with the [13/13] Pade approximant (Higham, SIAM J. Matrix
-Anal. Appl. 26, 1179 (2005)), one function for every generator.  It is
-not replaced by an eigendecomposition: H_eff is defective at an
-exceptional point (one atom at kappa - gamma = 4 g).  Trace is never
-renormalized and x is fed only by psi, so the trace check |psi|^2 + tr x
-= 1 is a real one: a drift of more than TRACE_TOL at any output time fails
-the run.
+Anal. Appl. 26, 1179 (2005)), one function for every generator.  It is not
+replaced by an eigendecomposition: H_eff is defective at an exceptional
+point (one atom at kappa - gamma = 4 g).  Trace is never renormalized and x
+is fed only by psi, so the trace check |psi|^2 + tr x = 1 is a real one: a
+drift of more than TRACE_TOL at any output time fails the run.
 
 Propagation has no Python loop per output step.  Every grid is uniform, so
 a run builds its propagators once, takes its kets by doubling, rows[n:2n]
@@ -111,21 +111,19 @@ def footprint(layout: HilbertLayout, n_photons: int, lossy: bool, track,
     what each trajectory holds, each as (what grows with the states and
     their columns, what grows with the outputs alone).  The writer holds the
     text of a block of rows, one str per cell, of each column that can
-    leave 0, counted as if no two were equal."""
+    leave 0, counted as if no two were equal.  Only the population columns
+    grow with d; a layout whose basis indices overflow int64 costs inf."""
     n_atoms = layout.n_atoms
-    if n_atoms > 64:  # more states than any memory holds
+    if n_atoms >= 63 or layout.dim > 2**63:  # a basis index is an int64
         return (math.inf, 0.0), (math.inf, 0.0)
     top, low = fs.sector_sizes(n_atoms, n_photons)
-    dim, low, n_out = layout.dim, low if lossy else 0, min(outputs, 2**64)
-    pops = dim if "populations" in track else 0
+    low, n_out = low if lossy else 0, min(outputs, 2**64)
+    pops = layout.dim if "populations" in track else 0
     other = projections + len(tracked_columns(layout, set(track) - {"populations"}))
     name = len(f"pop_{layout.n_max}") + n_atoms + 4  # the longest column name, and its ","
     objects = 192  # of an array of a column: the ndarray (112 B, a view too) and its dict entry
     work = (
         2**16  # the call's small arrays and objects, and the file buffer (30 KiB measured)
-        # psi0, each projection ket and its copy: integrate reads psi0's
-        # sector off its non-zero entries, and lists the states it keeps
-        + dim * 16 * (1 + 2 * projections)
         # expm of each run's ket step and Van Loan block, about nine matrices
         # of its size at once; with loss, each channel on the d' states
         + runs * 160 * (top**2 + (low**2 + top**2)**2 * bool(low))
@@ -270,7 +268,7 @@ def sector_norm_dim(layout: HilbertLayout, keep, n_exc: int) -> int:
 
 def integrate(
     gen: LindbladGenerator,
-    psi0: np.ndarray,
+    psi0: dict,
     times,
     track: tuple = ("populations", "n_photon"),
     projections: dict | None = None,
@@ -305,12 +303,14 @@ def integrate(
     TRACE_TOL, or max |x - x^dag| exceeds HERM_TOL, at any output time,
     naming the first such time (of the first run in a stack that has one).
 
-    psi0 is a ket of length d whose non-zero amplitudes lie in one
-    excitation sector, as every basis state's do (ValueError otherwise,
-    and if its squared norm is not 1 within 1e-9).  Populations of the
-    states above that sector, and without loss of those below it, are
-    exactly 0.  Observables are evaluated a chunk of chunk_states(d_n)
-    output times at a time; the chunk size does not change them.
+    psi0 and each projection are kets {basis index: amplitude}, as
+    fockspace.basis_state builds them, every index in 0..d-1.  psi0's
+    non-zero amplitudes lie in one excitation sector, as every basis state's
+    do (ValueError otherwise, and if its squared norm is not 1 within 1e-9).
+    Populations of the states above that sector, and without loss of those
+    below it, are exactly 0.  Observables are evaluated a chunk of
+    chunk_states(d_n) output times at a time; the chunk size does not
+    change them.
     """
     unknown = [t for t in track if t not in TRACKABLE]
     if unknown:
@@ -325,7 +325,6 @@ def integrate(
     if any(g.layout != layout or g.collapse_channels != channels_of for g in gens):
         raise ValueError("a stack of generators must share one layout and its "
                          "collapse channels")
-    dim = layout.dim
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 + stacked or times.shape[-1] == 0:
         raise ValueError("times must be a non-empty 1-D grid" if not stacked else
@@ -341,11 +340,13 @@ def integrate(
     if np.any(np.abs(np.diff(times) - dt) > 1e-12 * span):
         raise ValueError("times must be uniform: every step within 1e-12 of the span "
                          "of (t[-1] - t[0]) / (len(t) - 1)")
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (dim,):
-        raise ValueError(f"psi0 has shape {psi0.shape}, layout dimension is {dim}")
+    projections = dict(projections or {})
+    for name, ket in [("psi0", psi0), *projections.items()]:
+        if any(not 0 <= index < layout.dim for index in ket):
+            raise ValueError(f"{name} has a basis index outside 0..{layout.dim - 1}")
+    amplitudes = np.array(list(psi0.values()), dtype=complex)
     # the excitations of psi0's non-zero amplitudes: photons plus atom bits
-    nonzero = np.flatnonzero(psi0)
+    nonzero = np.array(list(psi0), dtype=np.int64)[amplitudes != 0]
     sectors = (nonzero >> layout.n_atoms) + np.bitwise_count(
         nonzero & (2**layout.n_atoms - 1))
     if np.any(sectors != sectors[:1]):
@@ -353,7 +354,7 @@ def integrate(
             "psi0 spans several excitation sectors; integrate needs a state "
             "inside one excitation sector"
         )
-    norm2 = float(np.vdot(psi0, psi0).real)
+    norm2 = float(np.vdot(amplitudes, amplitudes).real)
     if abs(norm2 - 1.0) > 1e-9:
         raise ValueError(f"psi0 has squared norm {norm2!r}, not 1 within 1e-09")
     # Every state psi0 can reach lives on the basis states up to its
@@ -373,7 +374,6 @@ def integrate(
         if "concurrence" in track else ()
     )
 
-    projections = dict(projections or {})
     # Populations lead, in basis-index order; those not propagated stay exactly 0.
     column_order = tracked_columns(layout, track) + list(projections)
     # One row per run; the chunk loop below reads them as one series.
@@ -381,7 +381,7 @@ def integrate(
 
     chunk = chunk_states(d_top)
     psi = np.empty((n_runs, n_out, d_top), dtype=complex)
-    psi[:, 0] = psi0[top]
+    psi[:, 0] = _kets_on([psi0], top)
     x = np.zeros((n_runs, n_out, d_low * d_low), dtype=complex)  # row-major vec of x
     h_eff = build_hamiltonian(layout, [g.params for g in gens], top)
     channels = collapse_operators(gens[0], kept)
@@ -423,8 +423,7 @@ def integrate(
         ge, eg = (np.flatnonzero(index == v) for v in (1, 2))
         pair_maps.append((np.eye(4)[index], ge[ge < d_top], eg[eg < d_top],
                           ge[ge >= d_top] - d_top, eg[eg >= d_top] - d_top))
-    vecs = np.array(list(projections.values()), dtype=complex).reshape(-1, dim)
-    vecs_top, vecs_low = vecs[:, top], vecs[:, low]
+    vecs_top, vecs_low = (_kets_on(list(projections.values()), states) for states in (top, low))
 
     # Every run's output times in turn, as one series of states.
     n_states = n_runs * n_out
@@ -468,7 +467,7 @@ def integrate(
                     + lower[:, eg_low, ge_low].sum(axis=1),
                 )
             )
-        if vecs.size:
+        if projections:
             amps = kets @ vecs_top.conj().T
             values = amps.real**2 + amps.imag**2 + np.real(
                 np.sum((vecs_low.conj() @ lower) * vecs_low, axis=-1))
@@ -482,6 +481,18 @@ def integrate(
         for r in range(n_runs)
     ]
     return trajectories if stacked else trajectories[0]
+
+
+def _kets_on(kets: list, states: np.ndarray) -> np.ndarray:
+    """The amplitudes of each ket on the sorted basis indices `states`, one
+    row per ket, 0 where it has none; its amplitudes off them are dropped."""
+    out = np.zeros((len(kets), states.size), dtype=complex)
+    for row, ket in zip(out, kets):
+        for index, amplitude in ket.items():
+            k = np.searchsorted(states, index)
+            if k < states.size and states[k] == index:
+                row[k] = amplitude
+    return out
 
 
 def _van_loan_generator(gens: list, channels: list, in_top: np.ndarray,

@@ -7,11 +7,12 @@ significant.  So for ``n_max=1, n_atoms=2`` the basis order is
 ``|0gg>, |0ge>, |0eg>, |0ee>, |1gg>, ...`` and ``|1gg>`` has index 4.
 The digit of factor p (0 = photon, i = atom i) has place value 2^(N-p).
 
-Nothing here builds an operator: `model` builds each one by index
-arithmetic on this encoding, on the basis states a caller asks for.  The
-number operators are diagonal and read off an index: factor_index gives
-the photon number, and states_up_to lists the states a run can reach,
-with their excitations, without a pass over all d states.
+Nothing here builds an operator or an array of length d: `model` builds
+each operator by index arithmetic on the basis states a caller asks for,
+and a ket is the dict {basis index: amplitude} of its non-zero amplitudes.
+The number operators are diagonal and read off an index: factor_index
+gives the photon number, and states_up_to lists the states a run can
+reach, with their excitations, without a pass over all d states.
 Everything here is a pure function of immutable inputs.
 """
 
@@ -137,8 +138,6 @@ def factor_index(layout: HilbertLayout, basis, factors) -> np.ndarray:
     return out
 
 
-def basis_state(layout: HilbertLayout, n_photons: int, pattern) -> np.ndarray:
-    """Unit computational basis ket |n_photons, s_1 ... s_N>."""
-    vec = np.zeros(layout.dim, dtype=complex)
-    vec[layout.basis_index(n_photons, pattern)] = 1.0
-    return vec
+def basis_state(layout: HilbertLayout, n_photons: int, pattern) -> dict:
+    """Unit computational basis ket |n_photons, s_1 ... s_N>: {index: 1.0}."""
+    return {layout.basis_index(n_photons, pattern): 1.0}

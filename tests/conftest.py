@@ -58,13 +58,27 @@ def excitations(layout: HilbertLayout) -> np.ndarray:
     ])
 
 
-def random_sector_ket(layout: HilbertLayout, rng, n_exc: int) -> np.ndarray:
+def dense(layout: HilbertLayout, ket: dict) -> np.ndarray:
+    """The vector of length d of a ket {basis index: amplitude}."""
+    vec = np.zeros(layout.dim, dtype=complex)
+    for index, amplitude in ket.items():
+        vec[index] = amplitude
+    return vec
+
+
+def sparse(vec: np.ndarray) -> dict:
+    """The ket {basis index: amplitude} of a vector's non-zero entries, the
+    inverse of dense."""
+    return {int(k): vec[k] for k in np.flatnonzero(vec)}
+
+
+def random_sector_ket(layout: HilbertLayout, rng, n_exc: int) -> dict:
     """Random normalized ket on the basis states with exactly n_exc
     excitations."""
     psi = np.zeros(layout.dim, dtype=complex)
     sector = np.flatnonzero(excitations(layout) == n_exc)
     psi[sector] = random_pure_state(sector.size, rng)
-    return psi
+    return sparse(psi)
 
 
 def validate_density_matrix(
@@ -147,10 +161,10 @@ def tomography_kets(layout: HilbertLayout, n_exc: int) -> dict:
     for every pair i < j of those states."""
     kept = np.flatnonzero(excitations(layout) <= n_exc)
     eye = np.eye(layout.dim, dtype=complex)
-    kets = {f"T_{i}": eye[i] for i in kept}
+    kets = {f"T_{i}": sparse(eye[i]) for i in kept}
     for i, j in itertools.combinations(kept, 2):
-        kets[f"T_{i}_{j}_re"] = (eye[i] + eye[j]) / np.sqrt(2)
-        kets[f"T_{i}_{j}_im"] = (eye[i] + 1j * eye[j]) / np.sqrt(2)
+        kets[f"T_{i}_{j}_re"] = sparse((eye[i] + eye[j]) / np.sqrt(2))
+        kets[f"T_{i}_{j}_im"] = sparse((eye[i] + 1j * eye[j]) / np.sqrt(2))
     return kets
 
 
@@ -172,12 +186,12 @@ def tomography_states(traj, n_exc: int) -> np.ndarray:
     return rho
 
 
-def integrate_states(gen: LindbladGenerator, psi0: np.ndarray, times, projections=None,
+def integrate_states(gen: LindbladGenerator, psi0: dict, times, projections=None,
                      **kwargs) -> tuple:
     """(trajectory, states) of dynamics.integrate from the ket psi0: the run
     records tomography_kets after `projections`, and the states at every
     output time are rebuilt from them."""
-    n_exc = int(excitations(gen.layout)[np.flatnonzero(psi0)[0]])
+    n_exc = int(excitations(gen.layout)[np.flatnonzero(dense(gen.layout, psi0))[0]])
     projections = {**(projections or {}), **tomography_kets(gen.layout, n_exc)}
     traj = dynamics.integrate(gen, psi0, times, projections=projections, **kwargs)
     return traj, tomography_states(traj, n_exc)

@@ -342,6 +342,24 @@ def test_lossy_five_atom_wstate_validates_and_runs(tmp_path, monkeypatch):
     assert np.max(np.abs(data["P_chi1"] - exact)) < 1e-12
 
 
+def test_lossless_fifty_atom_wstate_validates_and_runs(tmp_path, monkeypatch, capsys):
+    # d = 3 * 2^50 states, of which the 52 up to one excitation are
+    # propagated; nothing of length d is built without populations.  A basis
+    # index is an int64: N = 61 (d = 3 * 2^61) is the largest that validates
+    monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 10**9)
+    wstate = 'scenario = "n_atom_wstate"\nlossless = true\nobservables = ["n_photon"]\n'
+    path = _write(tmp_path, wstate + "n_atoms = 50\n")
+    assert main(["validate", path]) == 0
+    out = tmp_path / "run"
+    assert main(["run", path, "--output-dir", str(out)]) == 0
+    summary = dict(line.split(",") for line in (out / "summary.csv").read_text().splitlines())
+    assert abs(float(summary["enhancement_over_single_atom"]) - np.sqrt(50)) < 1e-3
+    assert main(["validate", _write(tmp_path, wstate + "n_atoms = 61\n")]) == 0
+    capsys.readouterr()
+    assert main(["validate", _write(tmp_path, wstate + "n_atoms = 62\n")]) == 1
+    assert "line 4: n_atoms:" in capsys.readouterr().err
+
+
 def test_fine_field_map_validates_and_runs(tmp_path, monkeypatch):
     # fig5 reads the map only at the 8 nodes around each probe point, so a
     # 0.5 nm grid (6401 x 1081 x 681 nodes) needs no more memory than 5 nm

@@ -15,11 +15,13 @@ from cavitysim.model import SystemParams
 from cavitysim.units import ghz_to_angular
 
 from conftest import (
+    dense,
     excitations,
     integrate_states,
     plan_runs,
     random_sector_ket,
     skew_x,
+    sparse,
     tomography_kets,
     per_cell_csv,
     tomography_states,
@@ -59,7 +61,8 @@ def test_zero_length_evolution_returns_initial_state():
     traj, states = integrate_states(gen, psi0, np.array([0.0]))
     assert traj.times.shape == (1,)
     assert traj.series("pop_1g")[0] == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(states[0], np.outer(psi0, psi0.conj()))
+    vec = dense(lay, psi0)
+    assert np.allclose(states[0], np.outer(vec, vec.conj()))
 
 
 def test_times_must_increase():
@@ -406,7 +409,8 @@ def _assert_matches_dense_reference(gen, psi0, ts, n_exc, projections=None, stri
     traj = dyn.integrate(gen, psi0, ts, track=track, projections=projections)
     liou = model.liouvillian_matrix(gen)
     steps = {dt: expm(liou * dt) for dt in set(np.diff(ts).tolist())}
-    state = np.outer(psi0, psi0.conj()).reshape(-1)
+    vec = dense(lay, psi0)
+    state = np.outer(vec, vec.conj()).reshape(-1)
     states = [state]
     for k in range(1, ts.size):
         state = steps[ts[k] - ts[k - 1]] @ state
@@ -428,7 +432,8 @@ def _assert_matches_dense_reference(gen, psi0, ts, n_exc, projections=None, stri
         name = f"C_{dyn.subsystem_letter(i)}{dyn.subsystem_letter(j)}"
         expected[name] = ent.concurrence(reduced)
     for name, ket in projections.items():
-        expected[name] = np.real(ket.conj() @ states @ ket)
+        vec = dense(lay, ket)
+        expected[name] = np.real(vec.conj() @ states @ vec)
     assert sorted(expected) == sorted(traj.column_order)
     for name, values in expected.items():
         assert np.max(np.abs(traj.series(name)[::stride] - values)) < 1e-12, name
@@ -484,69 +489,92 @@ def test_long_lossy_grid_matches_dense_full_space_reference():
 _RATE = st.one_of(st.just(0.0), st.floats(0.05, 10.0))
 
 
-@settings(max_examples=30, deadline=None)
-@given(couplings=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=3),
-       n_exc=st.integers(1, 2), kappa=_RATE, gamma=_RATE, detuning=st.floats(-2.0, 2.0),
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("n_exc", [1, 2])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+@settings(max_examples=5, deadline=None)
+@given(couplings=st.tuples(*[st.floats(0.0, 1.5)] * 3),
+       rates=st.tuples(_RATE, _RATE).filter(any), detuning=st.floats(-2.0, 2.0),
        seed=st.integers(0, 2**32 - 1))
-# the corners the derandomized draws leave out: decay alone, from two
-# excitations, one atom uncoupled; and photon loss alone on two atoms
-@example(couplings=[0.0, 1.2, 0.4], n_exc=2, kappa=0.0, gamma=2.5, detuning=-1.0, seed=7)
-@example(couplings=[0.8, 1.4], n_exc=2, kappa=6.0, gamma=0.0, detuning=1.5, seed=3)
-def test_random_systems_match_dense_full_space_reference(couplings, n_exc, kappa, gamma,
-                                                         detuning, seed):
-    # up to three atoms with random couplings (in units of G), either loss
-    # rate possibly 0, a detuning and a random ket in sector 1 or 2, over 9
-    # outputs 1/64 ns apart: every step is the same float, so the reference
-    # takes one expm of its d^2 x d^2 Liouvillian
-    lay = HilbertLayout(n_max=n_exc, n_atoms=len(couplings))
+# two corners, run in every shape: atomic decay alone with atom 1
+# uncoupled, and photon loss alone (no loss at all in a lossless shape)
+@example(couplings=(0.0, 1.2, 0.4), rates=(0.0, 2.5), detuning=-1.0, seed=7)
+@example(couplings=(0.8, 1.4, 0.0), rates=(6.0, 0.0), detuning=1.5, seed=3)
+def test_random_systems_match_dense_full_space_reference(n_atoms, n_exc, lossy, couplings,
+                                                         rates, detuning, seed):
+    # each shape of up to three atoms, sector 1 or 2, with or without loss:
+    # random couplings (in units of G) of the first n_atoms, loss rates
+    # (kappa, gamma) of which one may be 0, a detuning and a random ket in
+    # the sector, over 9 outputs 1/64 ns apart: every step is the same
+    # float, so the reference takes one expm of its d^2 x d^2 Liouvillian
+    lay = HilbertLayout(n_max=n_exc, n_atoms=n_atoms)
+    kappa, gamma = (rate * lossy for rate in rates)
     p = SystemParams(omega_c=0.0, omega_0=detuning * G, kappa=kappa, gamma=gamma,
-                     couplings=tuple(g * G for g in couplings))
+                     couplings=tuple(g * G for g in couplings[:n_atoms]))
     psi0 = random_sector_ket(lay, np.random.default_rng(seed), n_exc)
     _assert_matches_dense_reference(model.build_generator(lay, p), psi0,
                                     np.arange(9) / 64.0, n_exc)
 
 
+def _superposition(lay, *states) -> dict:
+    """The equal superposition of the basis states (n_photons, pattern)."""
+    return sparse(sum(dense(lay, fs.basis_state(lay, *s)) for s in states) / np.sqrt(len(states)))
+
+
 def test_rho0_with_coherence_between_excitation_sectors_is_rejected():
     lay, gen = _gen(2, (G,))
     ts = np.linspace(0.0, 0.1, 11)
-    across = (fs.basis_state(lay, 0, "g") + fs.basis_state(lay, 1, "g")) / np.sqrt(2)
+    across = _superposition(lay, (0, "g"), (1, "g"))
     with pytest.raises(ValueError, match="excitation"):
         dyn.integrate(gen, across, ts)
     # coherence inside one sector (|0e> and |1g> both hold one excitation)
-    within = (fs.basis_state(lay, 0, "e") + fs.basis_state(lay, 1, "g")) / np.sqrt(2)
+    within = _superposition(lay, (0, "e"), (1, "g"))
     traj = dyn.integrate(gen, within, ts)
+    assert np.max(np.abs(traj.series("pop_0g"))) == 0.0
+    # a zero amplitude in another sector is no amplitude, as a dense ket's zeros
+    traj = dyn.integrate(gen, {**within, lay.basis_index(2, "e"): 0.0}, ts)
     assert np.max(np.abs(traj.series("pop_0g"))) == 0.0
 
 
 def test_rho0_is_validated_on_its_kept_block():
-    # integrate checks the initial ket's shape, its sector and its norm
+    # integrate checks the initial ket's indices, its sector and its norm,
+    # and each projection's indices
     lay, gen = _gen(2, (G,))
     ts = np.linspace(0.0, 0.1, 11)
     with pytest.raises(ValueError, match=r"^psi0 has squared norm 0\.0, not 1 within 1e-09$"):
-        dyn.integrate(gen, np.zeros(lay.dim), ts)
+        dyn.integrate(gen, {}, ts)
     with pytest.raises(ValueError, match="squared norm 1.21"):
-        dyn.integrate(gen, 1.1 * fs.basis_state(lay, 0, "e"), ts)
-    with pytest.raises(ValueError, match=r"shape \(6, 6\), layout dimension is 6"):
-        dyn.integrate(gen, np.eye(lay.dim), ts)
-    spanning = (fs.basis_state(lay, 0, "e") + fs.basis_state(lay, 2, "e")) / np.sqrt(2)
+        dyn.integrate(gen, {lay.basis_index(0, "e"): 1.1}, ts)
+    for index in (-1, lay.dim):
+        with pytest.raises(ValueError, match=r"^psi0 has a basis index outside 0\.\.5$"):
+            dyn.integrate(gen, {index: 1.0}, ts)
+        with pytest.raises(ValueError, match=r"^P_out has a basis index outside 0\.\.5$"):
+            dyn.integrate(gen, fs.basis_state(lay, 1, "g"), ts, projections={
+                "P_in": fs.basis_state(lay, 0, "e"), "P_out": {index: 1.0}})
+    spanning = _superposition(lay, (0, "e"), (2, "e"))
     with pytest.raises(ValueError, match="excitation sectors"):
         dyn.integrate(gen, spanning, ts)
 
 
 def test_integrate_allocates_nothing_of_length_d():
     # lossless N = 16 from one photon: d = 196 608 states, of which 17 are
-    # propagated.  psi0's sector is read off its non-zero entries and the
-    # kept states are listed, not scanned: a scan of d excitation numbers
-    # traced 32 B per state, the enumeration under 1
-    lay, gen = _gen(2, (G,) * 16)
-    psi0 = fs.basis_state(lay, 1, "g" * 16)
-    tracemalloc.start()
-    try:
-        dyn.integrate(gen, psi0, np.linspace(0.0, 0.01, 3), track=("n_photon", "entropies"))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * lay.dim
+    # propagated.  The kets are their few amplitudes, psi0's sector is read
+    # off them and the kept states are listed, not scanned: a scan of d
+    # excitation numbers traced 32 B per state, the enumeration under 1.
+    # At N = 50, d = 3 * 2^50 and 52 states are propagated (445 kB traced).
+    for n_atoms in (16, 50):
+        lay, gen = _gen(2, (G,) * n_atoms)
+        tracemalloc.start()
+        try:
+            psi0 = fs.basis_state(lay, 1, "g" * n_atoms)
+            chi0, chi1 = analytic.single_excitation_states(lay, analytic.CouplingVector(
+                (G,) * n_atoms))
+            dyn.integrate(gen, psi0, np.linspace(0.0, 0.01, 3), track=("n_photon", "entropies"),
+                          projections={"P_chi0": chi0, "P_chi1": chi1})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < min(4 * lay.dim, 1e6), n_atoms
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.3])

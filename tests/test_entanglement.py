@@ -10,6 +10,7 @@ from cavitysim.units import ghz_to_angular
 
 from conftest import (
     concurrence_sqrtm_oracle,
+    dense,
     integrate_states,
     partial_trace_oracle,
     plan_trajectories,
@@ -25,14 +26,15 @@ G = ghz_to_angular(9.0)
 
 def test_partial_trace_product_state():
     lay = HilbertLayout(n_max=1, n_atoms=1)
-    rho = pure_state_density(fs.basis_state(lay, 1, "g"))
+    rho = pure_state_density(dense(lay, fs.basis_state(lay, 1, "g")))
     photon = ent.partial_trace(rho, lay, (0,))
     assert np.allclose(photon, np.diag([0.0, 1.0]))
 
 
 def test_partial_trace_bell_state_gives_maximally_mixed():
     lay = HilbertLayout(n_max=1, n_atoms=2)
-    bell = (fs.basis_state(lay, 0, "eg") + fs.basis_state(lay, 0, "ge")) / np.sqrt(2)
+    bell = (dense(lay, fs.basis_state(lay, 0, "eg"))
+            + dense(lay, fs.basis_state(lay, 0, "ge"))) / np.sqrt(2)
     rho = pure_state_density(bell)
     for atom in (1, 2):
         red = ent.partial_trace(rho, lay, (atom,))
@@ -84,7 +86,7 @@ def test_entropy_of_unbalanced_peak_state_atom():
     lay = HilbertLayout(n_max=1, n_atoms=2)
     gv = analytic.CouplingVector((G, alpha * G))
     _, chi1 = analytic.single_excitation_states(lay, gv)
-    red = ent.partial_trace(pure_state_density(chi1), lay, (2,))
+    red = ent.partial_trace(pure_state_density(dense(lay, chi1)), lay, (2,))
     evals = np.sort(np.linalg.eigvalsh(red))
     p = alpha**2 / (1 + alpha**2)
     assert np.allclose(evals, [p, 1 - p], atol=1e-12)       # {0.3289, 0.6711}

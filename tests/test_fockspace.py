@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from cavitysim import fockspace as fs, model
 from cavitysim.fockspace import HilbertLayout
 
-from conftest import SIGMA_MINUS_BLOCK, embed_oracle, excitations, kron_chain, ladder_block
+from conftest import SIGMA_MINUS_BLOCK, dense, embed_oracle, excitations, kron_chain, ladder_block
 
 
 def test_layout_dimensions():
@@ -23,8 +23,8 @@ def test_layout_rejects_bad_sizes(n_max, n_atoms):
 def test_annihilation_ladder_action():
     lay = HilbertLayout(n_max=1, n_atoms=1)
     a = model.lowering_operator(lay, 0)
-    one = fs.basis_state(lay, 1, "g")
-    zero = fs.basis_state(lay, 0, "g")
+    one = dense(lay, fs.basis_state(lay, 1, "g"))
+    zero = dense(lay, fs.basis_state(lay, 0, "g"))
     assert np.allclose(a @ one, zero)        # a|1> = |0>, amplitude sqrt(1)=1
     assert np.allclose(a @ zero, 0.0)        # vacuum annihilation
 
@@ -33,23 +33,25 @@ def test_annihilation_matrix_element_sqrt3():
     # ladder rule oracle: <2|a|3> = sqrt(3)
     lay = HilbertLayout(n_max=3, n_atoms=1)
     a = model.lowering_operator(lay, 0)
-    bra = fs.basis_state(lay, 2, "g")
-    ket = fs.basis_state(lay, 3, "g")
+    bra = dense(lay, fs.basis_state(lay, 2, "g"))
+    ket = dense(lay, fs.basis_state(lay, 3, "g"))
     assert bra.conj() @ a @ ket == pytest.approx(np.sqrt(3.0), abs=1e-15)
 
 
 def test_atom_lowering_single_atom():
     lay = HilbertLayout(n_max=1, n_atoms=1)
     sm = model.lowering_operator(lay, 1)
-    assert np.allclose(sm @ fs.basis_state(lay, 0, "e"), fs.basis_state(lay, 0, "g"))
-    assert np.allclose(sm @ fs.basis_state(lay, 0, "g"), 0.0)
+    assert np.allclose(sm @ dense(lay, fs.basis_state(lay, 0, "e")),
+                       dense(lay, fs.basis_state(lay, 0, "g")))
+    assert np.allclose(sm @ dense(lay, fs.basis_state(lay, 0, "g")), 0.0)
 
 
 def test_atom_lowering_acts_only_on_its_atom():
     lay = HilbertLayout(n_max=1, n_atoms=2)
     s2 = model.lowering_operator(lay, 2)
-    assert np.allclose(s2 @ fs.basis_state(lay, 0, "ge"), fs.basis_state(lay, 0, "gg"))
-    assert np.allclose(s2 @ fs.basis_state(lay, 0, "eg"), 0.0)
+    assert np.allclose(s2 @ dense(lay, fs.basis_state(lay, 0, "ge")),
+                       dense(lay, fs.basis_state(lay, 0, "gg")))
+    assert np.allclose(s2 @ dense(lay, fs.basis_state(lay, 0, "eg")), 0.0)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3])
@@ -87,10 +89,10 @@ def _enumerated_index(lay, n, bits):
 
 def test_basis_state_index_matches_enumeration():
     lay = HilbertLayout(n_max=1, n_atoms=2)
-    vec = fs.basis_state(lay, 1, "gg")
+    vec = dense(lay, fs.basis_state(lay, 1, "gg"))
     assert np.argmax(np.abs(vec)) == 4
     assert _enumerated_index(lay, 1, (0, 0)) == 4
-    assert np.argmax(np.abs(fs.basis_state(lay, 0, "gg"))) == 0
+    assert np.argmax(np.abs(dense(lay, fs.basis_state(lay, 0, "gg")))) == 0
 
 
 @given(
@@ -104,7 +106,7 @@ def test_basis_state_enumeration_property(n_max, n_atoms, n, atoms):
     n = min(n, n_max)
     atoms %= 2**n_atoms
     bits = [(atoms >> (n_atoms - 1 - k)) & 1 for k in range(n_atoms)]
-    vec = fs.basis_state(lay, n, bits)
+    vec = dense(lay, fs.basis_state(lay, n, bits))
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
     assert np.argmax(np.abs(vec)) == _enumerated_index(lay, n, bits)
 
@@ -160,7 +162,7 @@ def test_excitation_number_diagonal():
     n_ex = np.diag(exc)
     for n in range(3):
         for pattern in ("gg", "ge", "eg", "ee"):
-            v = fs.basis_state(lay, n, pattern)
+            v = dense(lay, fs.basis_state(lay, n, pattern))
             expected = n + pattern.count("e")
             assert v.conj() @ n_ex @ v == pytest.approx(expected, abs=1e-12)
 

@@ -8,6 +8,7 @@ from cavitysim.units import ghz_to_angular
 
 from conftest import (
     SIGMA_MINUS_BLOCK,
+    dense,
     embed_oracle,
     excitations,
     ladder_block,
@@ -215,8 +216,8 @@ def test_detuned_hamiltonian_shifts_block():
     lay = HilbertLayout(n_max=1, n_atoms=1)
     delta = 2.0
     h = model.build_hamiltonian(lay, _params(omega_0=delta))
-    e_state = fs.basis_state(lay, 0, "e")
-    g_state = fs.basis_state(lay, 0, "g")
+    e_state = dense(lay, fs.basis_state(lay, 0, "e"))
+    g_state = dense(lay, fs.basis_state(lay, 0, "g"))
     assert e_state.conj() @ h @ e_state == pytest.approx(delta / 2)
     assert g_state.conj() @ h @ g_state == pytest.approx(-delta / 2)
 

@@ -18,7 +18,7 @@ from cavitysim.model import SystemParams
 from cavitysim.runner import run_scenario
 from cavitysim.units import ghz_to_angular, mhz_to_angular
 
-from conftest import per_cell_csv, plan_runs
+from conftest import dense, per_cell_csv, plan_runs
 
 RUN_ALL_FIGURES = Path(__file__).resolve().parents[1] / "scripts" / "run_all_figures.py"
 
@@ -197,7 +197,7 @@ def test_every_trajectory_comes_from_the_one_path(scenario, monkeypatch):
         calls.append(run)
         for r, traj in zip(run, out) if isinstance(run, list) else [(run, out)]:
             start = fs.basis_state(traj.layout, r.n_photons, "g" * r.n_atoms)
-            label = dyn.population_labels(traj.layout)[int(np.argmax(start))]
+            label = dyn.population_labels(traj.layout)[int(np.argmax(dense(traj.layout, start)))]
             assert traj.series(label)[0] == 1.0
             produced.append(traj)
         return out
@@ -454,11 +454,12 @@ def test_one_photon_runs_match_the_no_jump_oracle(name):
         h_eff[0, 1:] = h_eff[1:, 0] = [ghz_to_angular(g) for g in run.couplings_ghz()]
         ground = "g" * n
         block = [(1, ground)] + [(0, ground[:i] + "e" + ground[i + 1:]) for i in range(n)]
-        index = [int(np.argmax(fs.basis_state(traj.layout, *s))) for s in block]
+        index = [int(np.argmax(dense(traj.layout, fs.basis_state(traj.layout, *s))))
+                 for s in block]
         psi = np.array([expm(-1j * h_eff * t)[:, 0] for t in traj.times])
         expected = np.zeros((traj.times.size, traj.layout.dim))
         expected[:, index] = np.abs(psi) ** 2
-        expected[:, int(np.argmax(fs.basis_state(traj.layout, 0, ground)))] = (
-            1.0 - np.sum(np.abs(psi) ** 2, axis=1))
+        vacuum = int(np.argmax(dense(traj.layout, fs.basis_state(traj.layout, 0, ground))))
+        expected[:, vacuum] = 1.0 - np.sum(np.abs(psi) ** 2, axis=1)
         pops = np.array([traj.series(p) for p in dyn.population_labels(traj.layout)]).T
         assert np.max(np.abs(pops - expected)) < 1e-12, run.name
