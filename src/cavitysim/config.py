@@ -7,9 +7,11 @@ sweep keys, sweep tables of an axis the scenario does not run (it runs those
 of `default_sweeps`), bad types and out-of-range values are hard errors
 carrying the line number, so a typo in a physics parameter cannot silently
 run with a default.  So is a run that would not fit in physical memory,
-and an `observables` list without a column the plan's summary or sweep
-reads.  All such problems are reported together; a TOML syntax error stops the
-parse, so syntax errors are reported one at a time.  Every omitted key is
+a layout whose basis indices overflow int64, an `observables` list with
+`populations` for more than dynamics.POPULATIONS_MAX_DIM basis states, and
+one without a column the plan's summary or sweep reads.  All such problems
+are reported together; a TOML syntax error stops the parse, so syntax
+errors are reported one at a time.  Every omitted key is
 filled from the scenario's defaults at parse time, and `canonical_text`
 emits the fully resolved form as valid TOML; parse(canonical_text(cfg))
 round-trips to an equal config.  The fields of `ExperimentConfig` are the
@@ -518,8 +520,8 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     tracemalloc's traced peak of `run_scenario`.  The interpreter (about
     39 MB), freed blocks and the imports and argparse set-up of a process's
     first `cli.main` come on top: lossless one-atom `custom` with t_end_ns =
-    1.0 and dt_ns = 0.1 is estimated at 80 350 B and traces about 249 200 B
-    in a fresh process's first `cli.main(["run", ...])`, about 40 300 B in
+    1.0 and dt_ns = 0.1 is estimated at 75 658 B and traces about 251 700 B
+    in a fresh process's first `cli.main(["run", ...])`, about 38 900 B in
     its second."""
     def footprint(run: Run, stack: int = 1) -> tuple:  # four projections at most
         return dyn.footprint(run.layout(), run.n_photons, cfg.lossy, run.track,
@@ -787,13 +789,26 @@ def parse_config(text: str) -> ExperimentConfig:
                             f"{at('sweep', ax.name, key)}: sweep.{ax.name}.{key}: puts atom 2 "
                             f"at {axis} = {c:g} nm, off the map's grid ({low:g} to {high:g} nm)")
 
+    if not errors:
+        try:
+            dims = [run.layout().dim for run in plan.runs]
+        except ValueError as exc:  # a basis index is an int64
+            errors.append(f"{at('n_atoms')}: n_atoms: {exc}")
+        else:
+            wide = [(d, run.name) for d, run in zip(dims, plan.runs)
+                    if "populations" in run.track and d > dyn.POPULATIONS_MAX_DIM]
+            if wide:
+                d, name = max(wide)
+                errors.append(
+                    f"{at('observables')}: observables: 'populations' would write a column per "
+                    f"basis state, {d} for run {name!r}, more than the "
+                    f"{dyn.POPULATIONS_MAX_DIM} of dynamics.POPULATIONS_MAX_DIM")
     memory = _physical_memory()
     if not errors and memory:
         need, key = _log2_peak_bytes(cfg, plan)
-        gb = 2.0**need / 1e9 if need < 1000 else math.inf
         if need > math.log2(memory):
             errors.append(
-                f"{at(*key)}: {'.'.join(key)}: the run needs about {gb:.3g} GB at "
+                f"{at(*key)}: {'.'.join(key)}: the run needs about {2.0**need / 1e9:.3g} GB at "
                 f"peak, more than the {memory / 1e9:.3g} GB of physical memory")
 
     if not errors:

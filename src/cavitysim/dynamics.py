@@ -19,13 +19,15 @@ the block of sector n stays rank one (Dalibard, Castin & Molmer, PRL 68,
 A lossless run has no x and builds no Liouvillian; a lossy one builds it on
 the d_l states below sector n only, never on all d_l + d_n.  Kets are dicts
 {basis index: amplitude}, and nothing of length d is built on a run's path
-but the populations it tracks.  expm() is this module's, in numpy: scaling
-and squaring with the [13/13] Pade approximant (Higham, SIAM J. Matrix
-Anal. Appl. 26, 1179 (2005)), one function for every generator.  It is not
-replaced by an eigendecomposition: H_eff is defective at an exceptional
-point (one atom at kappa - gamma = 4 g).  Trace is never renormalized and x
-is fed only by psi, so the trace check |psi|^2 + tr x = 1 is a real one: a
-drift of more than TRACE_TOL at any output time fails the run.
+but the names of the populations it tracks: a trajectory holds the arrays
+of the d' propagated states' only, the others being exactly 0.  expm() is
+this module's, in numpy: scaling and squaring with the [13/13] Pade
+approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), one
+function for every generator.  It is not replaced by an eigendecomposition:
+H_eff is defective at an exceptional point (one atom at kappa - gamma =
+4 g).  Trace is never renormalized and x is fed only by psi, so the trace
+check |psi|^2 + tr x = 1 is a real one: a drift of more than TRACE_TOL at
+any output time fails the run.
 
 Propagation has no Python loop per output step.  Every grid is uniform, so
 a run builds its propagators once, takes its kets by doubling, rows[n:2n]
@@ -81,6 +83,10 @@ HERM_TOL = 1e-10
 CHUNK_BYTES = 2**20
 # Rows that write_trajectory_csv converts to text together.
 CSV_BLOCK_ROWS = 1024
+# Largest d of a run that tracks "populations", which lists and writes a CSV
+# column per basis state (config rejects a larger d).  Every one- and
+# two-photon layout up to N = 17 fits.
+POPULATIONS_MAX_DIM = 2**19
 MIN_PROMINENCE = 1e-9     # see count_extrema
 MIN_ENVELOPE_MAXIMA = 10  # fewest oscillation maxima envelope_lifetime fits
 
@@ -110,44 +116,55 @@ def footprint(layout: HilbertLayout, n_photons: int, lossy: bool, track,
     (work, keep), the most either allocates beyond the trajectories and
     what each trajectory holds, each as (what grows with the states and
     their columns, what grows with the outputs alone).  The writer holds the
-    text of a block of rows, one str per cell, of each column that can
-    leave 0, counted as if no two were equal.  Only the population columns
-    grow with d; a layout whose basis indices overflow int64 costs inf."""
+    text of a block of rows, one str per cell, of each held column, counted
+    as if no two were equal.  A trajectory holds an array for the d'
+    propagated populations only, so d grows nothing but the population
+    columns' names, header and cells of constant text."""
     n_atoms = layout.n_atoms
-    if n_atoms >= 63 or layout.dim > 2**63:  # a basis index is an int64
-        return (math.inf, 0.0), (math.inf, 0.0)
     top, low = fs.sector_sizes(n_atoms, n_photons)
     low, n_out = low if lossy else 0, min(outputs, 2**64)
     pops = layout.dim if "populations" in track else 0
+    propagated = top + low if pops else 0
     other = projections + len(tracked_columns(layout, set(track) - {"populations"}))
     name = len(f"pop_{layout.n_max}") + n_atoms + 4  # the longest column name, and its ","
     objects = 192  # of an array of a column: the ndarray (112 B, a view too) and its dict entry
-    work = (
-        2**16  # the call's small arrays and objects, and the file buffer (30 KiB measured)
+    propagate = (
         # expm of each run's ket step and Van Loan block, about nine matrices
         # of its size at once; with loss, each channel on the d' states
-        + runs * 160 * (top**2 + (low**2 + top**2)**2 * bool(low))
+        runs * 160 * (top**2 + (low**2 + top**2)**2 * bool(low))
         + bool(low) * (n_atoms + 1) * 16 * (top + low)**2
         # per state of a chunk: the feed's outer product (with loss), the populations
         # and their squares, the check of x, an entropy, a concurrence, the projections
         + min(runs * n_out, max(runs, chunk_states(top)))
         * (16 * top**2 * bool(low) + 64 * low**2 + 32 * (top + low) + 32 * projections * (1 + low)
            + 48 * layout.photon_dim * ("entropies" in track) + 256 * ("concurrence" in track))
-        # every column's series view, CSV name, piece and zero flag; one block's
-        # text of each column that can leave 0 (the time, the d' propagated
-        # populations and the others): per row a str of up to 24 characters
-        # (73 B), its list slot and 8 B of the block's bytes key, and per column
-        # the list, the key, its dict entry and its cell in a row's text; and
-        # the Python floats (24 B and a slot) of the column being converted
-        + (pops + other) * (objects + 48 + 2 * name)
-        + (1 + other + (top + low if pops else 0)) * (96 * min(n_out, CSV_BLOCK_ROWS) + 384)
-        + 32 * min(n_out, CSV_BLOCK_ROWS)
+        # each held column's series view; the list of the population names
+        + (propagated + other) * objects + 8 * pops
     )
-    column = 8 * n_out + 2 * objects  # its floats, array and view; a population's name too
+    write = (
+        # each held column's CSV name, piece and bytes key; one block's text
+        # of the time and each held column: per row a str of up to 24
+        # characters (73 B), its list slot and 8 B of the block's bytes key,
+        # and per column the list, the key, its dict entry and its cell in a
+        # row's text; and the Python floats (24 B and a slot) of the column
+        # being converted
+        (propagated + other) * (48 + 2 * name)
+        + (1 + propagated + other) * (96 * min(n_out, CSV_BLOCK_ROWS) + 384)
+        + 32 * min(n_out, CSV_BLOCK_ROWS)
+        # per population column: its header text, cell and token slots and
+        # "0.0," in a row's text
+        + pops * (name + 24)
+    )
+    # the call's small arrays and objects, and the file buffer (30 KiB
+    # measured); integrate frees its arrays before the writer runs
+    work = 2**16 + max(propagate, write)
+    column = 8 * n_out + 2 * objects  # its floats, array and view
     # per output of each run: the caller's grid, integrate's copy and two
     # steps of the uniformity check; psi, x and the scan's product
     return ((work, runs * n_out * (40 + 16 * top + 32 * low**2)),
-            (pops * (column + 49 + name), (1 + other) * column))
+            # each population's name (a str of 49 B and its characters) and
+            # column_order slot
+            (pops * (57 + name) + propagated * column, (1 + other) * column))
 
 
 # Coefficients b_0 .. b_13 of the [13/13] Pade approximant to exp, and the
@@ -205,7 +222,10 @@ class IntegrationError(RuntimeError):
 class Trajectory:
     """Time series of derived observables of integrated states.
 
-    observables maps column name -> real array over `times`.
+    column_order names every column; observables maps the name of each
+    column that was computed to its real array over `times`.  A column
+    listed but not held (the population of a state the run never reaches)
+    is 0 throughout.
     """
 
     layout: HilbertLayout
@@ -214,11 +234,11 @@ class Trajectory:
     column_order: list = field(default_factory=list)
 
     def series(self, name: str) -> np.ndarray:
-        if name not in self.observables:
-            raise KeyError(
-                f"no observable {name!r}; available: {sorted(self.observables)}"
-            )
-        return self.observables[name]
+        if name in self.observables:
+            return self.observables[name]
+        if name in self.column_order:
+            return np.zeros(self.times.size)
+        raise KeyError(f"no observable {name!r} among the trajectory's column_order")
 
 
 def population_labels(layout: HilbertLayout) -> list:
@@ -308,7 +328,9 @@ def integrate(
     non-zero amplitudes lie in one excitation sector, as every basis state's
     do (ValueError otherwise, and if its squared norm is not 1 within 1e-9).
     Populations of the states above that sector, and without loss of those
-    below it, are exactly 0.  Observables are evaluated a chunk of
+    below it, are exactly 0: column_order lists them, but the trajectory
+    holds no array for them (Trajectory.series reads them as zeros), so a
+    run allocates nothing of length d.  Observables are evaluated a chunk of
     chunk_states(d_n) output times at a time; the chunk size does not
     change them.
     """
@@ -374,10 +396,15 @@ def integrate(
         if "concurrence" in track else ()
     )
 
-    # Populations lead, in basis-index order; those not propagated stay exactly 0.
-    column_order = tracked_columns(layout, track) + list(projections)
+    # Populations lead, in basis-index order; only those of the propagated
+    # states are held, the others are exactly 0.
+    order = np.concatenate([top, low])
+    labels = population_labels(layout) if "populations" in track else []
+    others = tracked_columns(layout, set(track) - {"populations"}) + list(projections)
+    column_order = labels + others
+    populations = [labels[k] for k in order] if labels else []
     # One row per run; the chunk loop below reads them as one series.
-    obs = {name: np.zeros((n_runs, n_out)) for name in column_order}
+    obs = {name: np.zeros((n_runs, n_out)) for name in populations + others}
 
     chunk = chunk_states(d_top)
     psi = np.empty((n_runs, n_out, d_top), dtype=complex)
@@ -411,7 +438,6 @@ def integrate(
     # .. g_j ..|.  Those pair up inside each block in basis order, since
     # swapping the two atoms' bits moves every basis index by one offset
     # and keeps its excitation number.
-    order = np.concatenate([top, low])
     nph_diag = fs.factor_index(layout, order, (0,)).astype(float)
     entropy_maps = [
         np.eye(layout.factor_dims()[p])[fs.factor_index(layout, order, (p,))]
@@ -448,9 +474,8 @@ def integrate(
             raise IntegrationError(
                 f"{what} at t={times.flat[k0 + b]:.6g} ns exceeds tolerance {tol:g}"
             )
-        if "populations" in track:
-            for k, column in zip(order, pops.T):
-                series[column_order[k]][ks] = column
+        for name, column in zip(populations, pops.T):
+            series[name][ks] = column
         if "n_photon" in track:
             series["n_photon"][ks] = pops @ nph_diag
         for p, m in zip(entropy_factors, entropy_maps):
@@ -629,23 +654,22 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
     Column order is deterministic: populations in basis-index order, then
     n_photon, entropies S_A.., concurrence pairs, then any extra projection
     columns (in the order they were requested).  Every cell is repr() of
-    its float.  A column that is +0.0 throughout is the constant "0.0" that
-    repr gives, and each run of such columns, with the separators around
-    it, is one constant piece of every row: none of its cells is converted.
+    its float.  A listed column that the trajectory does not hold is 0
+    throughout, the constant "0.0" that repr gives, and each run of such
+    columns, with the separators around it, is one constant piece of every
+    row: none of its cells is converted.
 
-    The other columns become text a block of CSV_BLOCK_ROWS rows at a time,
-    one column at a time, and a column whose block has the same float64
-    bytes as an earlier column's (n_photon and pop_1g.. of a one-photon
-    run) reuses that text.  Rows are joined from the pieces and written one
-    by one, so what is held is one block's text of the columns that can
-    leave 0, never a block of rows of the constant pieces.
+    The held columns and the time become text a block of CSV_BLOCK_ROWS
+    rows at a time, one column at a time, and a column whose block has the
+    same float64 bytes as an earlier column's (n_photon and pop_1g.. of a
+    one-photon run) reuses that text.  Rows are joined from the pieces and
+    written one by one, so what is held is one block's text of the held
+    columns, never a block of rows of the constant pieces.
     """
     cols = traj.column_order
     fh.write(f"# schema: {TRAJECTORY_SCHEMA}\n")
     fh.write(",".join(["time_ns"] + cols) + "\n")
-    # -0.0 == 0 too, but its repr is "-0.0": the sign bit must be clear.
-    cells = [a if a.any() or np.signbit(a).any() else "0.0"
-             for a in [traj.times] + [traj.observables[c] for c in cols]]
+    cells = [traj.times] + [traj.observables.get(c, "0.0") for c in cols]
     # A row is its cells between separators; each run of text, a separator
     # and the constant cells next to it, merges into one piece.
     tokens = [x for cell in cells for x in (",", cell)][1:] + ["\n"]

@@ -28,6 +28,9 @@ class HilbertLayout:
 
     n_max   -- largest retained photon number (photon factor has n_max+1 levels)
     n_atoms -- number N of two-level emitters
+
+    Every basis index is an int64: d = (n_max + 1) 2^N is at most 2^63
+    (ValueError otherwise).
     """
 
     n_max: int
@@ -38,6 +41,10 @@ class HilbertLayout:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
+        # a basis index is an int64; n_atoms first, so no 2**N is built for a huge N
+        if self.n_atoms >= 63 or self.dim > 2**63:
+            raise ValueError(f"d = {self.n_max + 1} * 2^{self.n_atoms} basis states, more "
+                             "than the 2^63 that an int64 index reaches")
 
     @property
     def photon_dim(self) -> int:

@@ -147,10 +147,9 @@ def per_cell_csv(traj) -> str:
     """The per-cell CSV writer the column-wise one replaced, as a reference."""
     lines = [f"# schema: {dynamics.TRAJECTORY_SCHEMA}",
              ",".join(["time_ns"] + traj.column_order)]
-    for k, t in enumerate(traj.times):
-        row = [repr(float(t))]
-        row += [repr(float(traj.observables[c][k])) for c in traj.column_order]
-        lines.append(",".join(row))
+    columns = [traj.times] + [traj.series(c) for c in traj.column_order]
+    for row in zip(*columns):
+        lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -267,29 +267,50 @@ def test_validate_rejects_over_memory_config(tmp_path, capsys, monkeypatch):
     assert peak < 10e6
     assert "GB at peak" in capsys.readouterr().err
     # lossy N = 13 from one photon propagates 15 of d = 24576 states and
-    # builds nothing of size d^2: the population columns are what take
-    # memory, 8 bytes per output each (2.36 GB at N = 16, 4.7 GB at N = 17)
+    # builds nothing of size d^2: of the population columns, only those 15
+    # are arrays, the others a name each and constant text
     for n_atoms in (4, 11, 13, 16, 17):
         ok = _write(tmp_path, f'scenario = "custom"\nn_atoms = {n_atoms}\n', name="ok.cfg")
         assert main(["validate", ok]) == 0
     capsys.readouterr()
-    # N = 18: d = 786432 population columns of 1501 outputs, 9.4 GB
+    # N = 18: d = 786432 population columns, more than POPULATIONS_MAX_DIM
     over = _write(tmp_path, 'scenario = "custom"\nn_atoms = 18\n', name="over.cfg")
     assert main(["validate", over]) == 1
     err = capsys.readouterr().err
-    assert "line 2: n_atoms:" in err and "GB at peak" in err
+    assert "line 0: observables:" in err and "786432 for run 'custom'" in err
 
 
-@pytest.mark.parametrize("text,key", [
+def test_validate_caps_the_population_columns(tmp_path, capsys, monkeypatch):
+    # lossless N = 17 from two photons: d = 4 * 2^17 = POPULATIONS_MAX_DIM.
+    # custom propagates nothing at validate, so no CSV of d columns is written
+    monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 10**9)
+    assert dynamics.POPULATIONS_MAX_DIM == 2**19
+    text = ('scenario = "custom"\nlossless = true\nn_atoms = 17\n'
+            'observables = ["populations", "n_photon"]\n')
+    assert main(["validate", _write(tmp_path, text + "n_photons = 2\n")]) == 0
+    capsys.readouterr()
+    # from three photons d = 5 * 2^17; without populations it validates
+    assert main(["validate", _write(tmp_path, text + "n_photons = 3\n")]) == 1
+    assert capsys.readouterr().err.endswith(
+        "line 4: observables: 'populations' would write a column per basis state, 655360 "
+        "for run 'custom', more than the 524288 of dynamics.POPULATIONS_MAX_DIM\n")
+    assert main(["validate", _write(tmp_path, text.replace('"populations", ', "")
+                                    + "n_photons = 3\n")]) == 0
+
+
+@pytest.mark.parametrize("text,key,reason", [
     # 1e10 outputs: the time column alone is 80 GB
-    ('scenario = "custom"\nt_end_ns = 1.0\ndt_ns = 1e-10\n', "line 3: dt_ns:"),
-    ('scenario = "fig2_single_atom"\ndt_long_ns = 1e-9\n', "line 2: dt_long_ns:"),
+    ('scenario = "custom"\nt_end_ns = 1.0\ndt_ns = 1e-10\n', "line 3: dt_ns:", "GB at peak"),
+    ('scenario = "fig2_single_atom"\ndt_long_ns = 1e-9\n', "line 2: dt_long_ns:",
+     "GB at peak"),
     ('scenario = "fig5_position_map"\n[sweep.delta_x_nm]\nmin = 0.0\nmax = 53.0\n'
-     "steps = 100000\n", "line 5: sweep.delta_x_nm.steps:"),
-    # the plan holds no coupling per atom before the gate has sized it
-    ('scenario = "n_atom_wstate"\nn_atoms = 10000000000\n', "line 2: n_atoms:"),
+     "steps = 100000\n", "line 5: sweep.delta_x_nm.steps:", "GB at peak"),
+    # the plan holds no coupling per atom, and no 2^N is built, before the
+    # int64 bound on a basis index names the key
+    ('scenario = "n_atom_wstate"\nn_atoms = 10000000000\n', "line 2: n_atoms:",
+     "d = 3 * 2^10000000000 basis states, more than the 2^63 that an int64 index reaches"),
 ], ids=["output_grid", "fig2_long_grid", "fig5_sweep_points", "wstate_atom_count"])
-def test_validate_counts_output_grid(text, key, tmp_path, capsys, monkeypatch):
+def test_validate_counts_output_grid(text, key, reason, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 10**9)
     path = _write(tmp_path, text)
     tracemalloc.start()
@@ -300,7 +321,7 @@ def test_validate_counts_output_grid(text, key, tmp_path, capsys, monkeypatch):
         tracemalloc.stop()
     assert peak < 10e6
     err = capsys.readouterr().err
-    assert key in err and "GB at peak" in err
+    assert key in err and reason in err
     for scenario in config.SCENARIOS:
         assert main(["validate", _write(tmp_path, f'scenario = "{scenario}"\n')]) == 0
 
@@ -345,7 +366,8 @@ def test_lossy_five_atom_wstate_validates_and_runs(tmp_path, monkeypatch):
 def test_lossless_fifty_atom_wstate_validates_and_runs(tmp_path, monkeypatch, capsys):
     # d = 3 * 2^50 states, of which the 52 up to one excitation are
     # propagated; nothing of length d is built without populations.  A basis
-    # index is an int64: N = 61 (d = 3 * 2^61) is the largest that validates
+    # index is an int64: N = 61 (d = 3 * 2^61) is the largest that validates,
+    # and N = 62 is named for that bound, before the memory gate
     monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 10**9)
     wstate = 'scenario = "n_atom_wstate"\nlossless = true\nobservables = ["n_photon"]\n'
     path = _write(tmp_path, wstate + "n_atoms = 50\n")
@@ -357,7 +379,9 @@ def test_lossless_fifty_atom_wstate_validates_and_runs(tmp_path, monkeypatch, ca
     assert main(["validate", _write(tmp_path, wstate + "n_atoms = 61\n")]) == 0
     capsys.readouterr()
     assert main(["validate", _write(tmp_path, wstate + "n_atoms = 62\n")]) == 1
-    assert "line 4: n_atoms:" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        "line 4: n_atoms: d = 3 * 2^62 basis states, more than the 2^63 that an int64 index "
+        "reaches\n")
 
 
 def test_fine_field_map_validates_and_runs(tmp_path, monkeypatch):

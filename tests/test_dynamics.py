@@ -575,6 +575,24 @@ def test_integrate_allocates_nothing_of_length_d():
         finally:
             tracemalloc.stop()
         assert peak < min(4 * lay.dim, 1e6), n_atoms
+    # with populations, N = 13 and 1001 outputs: d = 24576 column names
+    # (about 85 B each), but arrays only for the 14 propagated states, so
+    # the peak per state does not grow with the outputs; an array for every
+    # column traced 8 B per output and state
+    lay, gen = _gen(2, (G,) * 13)
+    tracemalloc.start()
+    try:
+        traj = dyn.integrate(gen, fs.basis_state(lay, 1, "g" * 13), np.linspace(0.0, 0.01, 1001),
+                             track=("populations",))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.column_order) == lay.dim and len(traj.observables) == 14
+    assert peak < 128 * lay.dim
+    # a listed column that is not held reads 0; a name not listed is an error
+    assert traj.series("pop_2" + "g" * 13).tolist() == [0.0] * 1001
+    with pytest.raises(KeyError, match="n_photon"):
+        traj.series("n_photon")
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.3])
@@ -785,9 +803,11 @@ def test_hermiticity_gate_names_first_time(monkeypatch):
 def _csv_cases() -> list:
     """Trajectories whose CSVs test the writer's pieces and blocks."""
     traj = _two_atom_observables_run()
-    # the populations above one excitation are +0.0 throughout, and are
-    # written as a constant; so is an added column of +0.0, but not one of
-    # -0.0, whose repr is "-0.0", nor one with a single -0.0 cell
+    # the populations above one excitation are not held: they read +0.0
+    # throughout and are written as a constant.  Added columns are held and
+    # converted: one of +0.0, one of -0.0, whose repr is "-0.0", and one with
+    # a single -0.0 cell
+    assert "pop_2gg" not in traj.observables
     assert not np.any(traj.series("pop_2gg")) and not np.any(np.signbit(traj.series("pop_2gg")))
     one_negative = np.zeros(62)
     one_negative[40] = -0.0

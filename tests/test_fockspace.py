@@ -20,6 +20,14 @@ def test_layout_rejects_bad_sizes(n_max, n_atoms):
         HilbertLayout(n_max=n_max, n_atoms=n_atoms)
 
 
+def test_layout_basis_indices_fit_int64():
+    # d = 4 * 2^61 = 2^63: the last index is the largest int64
+    assert HilbertLayout(n_max=3, n_atoms=61).dim == 2**63
+    for n_max, n_atoms in ((4, 61), (2, 62), (1, 63), (1, 10**10)):
+        with pytest.raises(ValueError, match=rf"^d = {n_max + 1} \* 2\^{n_atoms} basis states"):
+            HilbertLayout(n_max=n_max, n_atoms=n_atoms)
+
+
 def test_annihilation_ladder_action():
     lay = HilbertLayout(n_max=1, n_atoms=1)
     a = model.lowering_operator(lay, 0)

@@ -369,8 +369,8 @@ def test_a_sweep_block_is_freed_before_the_next_propagates(monkeypatch):
             entries.append(tracemalloc.get_traced_memory()[0])
         trajectories = real(gens, *args, **kwargs)
         traj = trajectories[0]
-        point_bytes.append(traj.times.nbytes + sum(traj.series(c).nbytes
-                                                   for c in traj.column_order))
+        point_bytes.append(traj.times.nbytes
+                           + sum(column.nbytes for column in traj.observables.values()))
         return trajectories
 
     monkeypatch.setattr(dyn, "integrate", recording)
