@@ -5,11 +5,12 @@ Usage: python scripts/run_all_figures.py [output_root]
 
 Writes one directory per scenario under output_root (default ./runs) and
 prints each scenario's summary scalars.  Medians of 11 fresh processes
-on a noisy 2-core host (Python 3.11.7, numpy 2.4.6): 0.92 s of run time
-with OMP_NUM_THREADS=1 and 0.93 s with two BLAS threads, of which CSV
-writing is 0.64-0.66 s, and 0.58-0.60 s is the two fig5 maps (0.28-0.31 s
-each, with all 81 points of a map propagated as one stack); the whole
-process takes 1.18 and 1.21 s, of which about 0.2 s is start-up.
+on a noisy 2-core host (Python 3.11.7, numpy 2.4.6): 0.57 s of run time
+with OMP_NUM_THREADS=1 and 0.61 s with two BLAS threads, of which writing
+the trajectory CSVs, on both cores, is 0.40-0.44 s, and 0.31-0.33 s is
+the two fig5 maps (0.15-0.17 s each, with all 81 points of a map
+propagated as one stack); the whole process takes 0.74 and 0.81 s, of
+which about 0.2 s is start-up.
 """
 
 import sys

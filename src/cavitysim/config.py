@@ -522,10 +522,16 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     first `cli.main` come on top: lossless one-atom `custom` with t_end_ns =
     1.0 and dt_ns = 0.1 is estimated at 75 658 B and traces about 251 700 B
     in a fresh process's first `cli.main(["run", ...])`, about 38 900 B in
-    its second."""
+    its second.  Where the kept trajectories are written on several
+    processes at once, each holds a writer's text."""
+    points = math.prod(ax.steps for ax in plan.sweep.axes) if plan.sweep else 0
+    files = len(plan.runs) + (points if plan.sweep and plan.sweep.name else 0)
+    writers = trajectory_writers(files)
+
     def footprint(run: Run, stack: int = 1) -> tuple:  # four projections at most
         return dyn.footprint(run.layout(), run.n_photons, cfg.lossy, run.track,
-                             4 * bool(run.projections), run.t_end_ns / run.dt_ns + 2, stack)
+                             4 * bool(run.projections), run.t_end_ns / run.dt_ns + 2, stack,
+                             writers)
 
     atoms, calls, held = ("n_atoms",), [], []  # (bytes, key) of each call, and of all held
     for run in plan.runs:
@@ -534,7 +540,6 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
         held += zip(keep, (atoms, run.key))
     if plan.sweep:
         point = plan.sweep.run(cfg, 0.0)  # sized alike at any alpha
-        points = math.prod(ax.steps for ax in plan.sweep.axes)
         stack = min(points, dyn.stack_runs(point.n_atoms, point.n_photons, cfg.lossy,
                                            point.outputs()))
         work, keep = footprint(point, stack)
@@ -557,6 +562,18 @@ def _physical_memory() -> int | None:
     if not hasattr(os, "sysconf"):
         return None
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on (1 where the OS does not say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def trajectory_writers(files: int) -> int:
+    """Number of processes runner.write_trajectories writes `files`
+    trajectory files on: one per file, up to the CPUs this process may run
+    on, and one where it cannot fork."""
+    return max(1, min(files, _usable_cpus())) if hasattr(os, "fork") else 1
 
 
 def _is_int(v) -> bool:

@@ -109,17 +109,18 @@ def stack_runs(n_atoms: int, n_photons: int, lossy: bool, outputs: int) -> int:
 
 
 def footprint(layout: HilbertLayout, n_photons: int, lossy: bool, track,
-              projections: int, outputs, runs: int) -> tuple:
+              projections: int, outputs, runs: int, writers: int = 1) -> tuple:
     """Bytes of integrate() on a stack of `runs` runs (on `layout` from
     n_photons photons, loss if `lossy`, recording `track` and `projections`
-    kets at `outputs` times), and of write_trajectory_csv on one of them:
-    (work, keep), the most either allocates beyond the trajectories and
-    what each trajectory holds, each as (what grows with the states and
-    their columns, what grows with the outputs alone).  The writer holds the
-    text of a block of rows, one str per cell, of each held column, counted
-    as if no two were equal.  A trajectory holds an array for the d'
-    propagated populations only, so d grows nothing but the population
-    columns' names, header and cells of constant text."""
+    kets at `outputs` times), and of write_trajectory_csv on `writers` of
+    them at once, one in each process: (work, keep), the most either
+    allocates beyond the trajectories and what each trajectory holds, each
+    as (what grows with the states and their columns, what grows with the
+    outputs alone).  A writer holds the text of a block of rows, one str
+    per cell, of each held column, counted as if no two were equal.  A
+    trajectory holds an array for the d' propagated populations only, so d
+    grows nothing but the population columns' names, header and cells of
+    constant text."""
     n_atoms = layout.n_atoms
     top, low = fs.sector_sizes(n_atoms, n_photons)
     low, n_out = low if lossy else 0, min(outputs, 2**64)
@@ -156,8 +157,8 @@ def footprint(layout: HilbertLayout, n_photons: int, lossy: bool, track,
         + pops * (name + 24)
     )
     # the call's small arrays and objects, and the file buffer (30 KiB
-    # measured); integrate frees its arrays before the writer runs
-    work = 2**16 + max(propagate, write)
+    # measured); integrate frees its arrays before the writers run
+    work = 2**16 + max(propagate, writers * write)
     column = 8 * n_out + 2 * objects  # its floats, array and view
     # per output of each run: the caller's grid, integrate's copy and two
     # steps of the uniformity check; psi, x and the scan's product
@@ -242,11 +243,12 @@ class Trajectory:
 
 
 def population_labels(layout: HilbertLayout) -> list:
-    """CSV column names for bare-state populations, in basis-index order."""
-    return [
-        "pop_" + layout.basis_label(k).replace(",", "")
-        for k in range(layout.dim)
-    ]
+    """CSV column names for bare-state populations, in basis-index order:
+    pop_<n><s1..sN>, photon number major and the atoms' g/e after it in
+    the order of their bits (g = 0), as HilbertLayout.basis_label names
+    each index."""
+    atoms = ["".join(p) for p in itertools.product("ge", repeat=layout.n_atoms)]
+    return [f"pop_{n}{a}" for n in range(layout.photon_dim) for a in atoms]
 
 
 def subsystem_letter(factor: int) -> str:

@@ -19,19 +19,29 @@ Output contract (per run directory):
 The same config produces byte-identical files: sweep points are computed
 in order, each exactly as it would be alone, floats are written with
 repr(), and nothing records wall time.  The `workers` field is accepted
-and ignored; points and output times propagate and are evaluated in
-stacks, so there is nothing left to spread over threads.
+and ignored.  What runs where:
+  - the plan (every propagation, observable and fit) runs in this process,
+    its points and output times in stacks, on one CPU;
+  - the traj_*.csv files, most of a default run's time, are written on
+    config.trajectory_writers processes: this one and a child forked for
+    each other share (write_trajectories).  The files of one config are
+    the same bytes on any number of them;
+  - this process writes config.txt before them, and the tables,
+    summary.csv and manifest.json once every trajectory file is written.
+Known limit: Python >= 3.12 warns (DeprecationWarning) on a fork in a
+process that runs threads, such as BLAS's; a writer child calls no BLAS.
 """
 
 import hashlib
 import json
 import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__, dynamics as dyn, fockspace as fs
-from .config import SCENARIOS, ExperimentConfig, Run, canonical_text
+from .config import SCENARIOS, ExperimentConfig, Run, canonical_text, trajectory_writers
 from .model import SystemParams, build_generator
 from .units import ghz_to_angular, mhz_to_angular
 
@@ -133,6 +143,83 @@ def _write_rows_csv(path: str, rows: list):
             fh.write(",".join(repr(float(row[c])) for c in cols) + "\n")
 
 
+def _shares(runs: dict, writers: int) -> list:
+    """The trajectories' names in `writers` shares of about equal rows:
+    longest first, each to the share with the fewest rows so far."""
+    shares, rows = [[] for _ in range(writers)], [0] * writers
+    for name in sorted(runs, key=lambda name: -runs[name].times.size):
+        i = rows.index(min(rows))
+        shares[i].append(name)
+        rows[i] += runs[name].times.size
+    return shares
+
+
+def _write_share(out: str, runs: dict, names: list) -> None:
+    for name in names:
+        with open(os.path.join(out, f"traj_{name}.csv"), "w", encoding="utf-8",
+                  newline="\n") as fh:
+            dyn.write_trajectory_csv(runs[name], fh)
+
+
+def _reap(pid: int, fd: int) -> tuple:
+    """Wait for writer child `pid`: (what it sent down the pipe `fd`, its
+    exit code)."""
+    try:
+        with os.fdopen(fd, "rb") as fh:
+            sent = fh.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return sent, code
+
+
+def write_trajectories(out: str, runs: dict) -> None:
+    """Write traj_<name>.csv in `out` for each trajectory of `runs`, on
+    config.trajectory_writers processes, as many as there are files and
+    CPUs to run them: this one writes the first of _shares, and a child
+    forked for each other share writes that one (with one writer, this one
+    writes every file, and it writes a share whose fork fails).  A child
+    holds the trajectories as forked, so nothing is sent to it; it sends
+    back what it raises, pickled, and leaves by os._exit, so it neither
+    flushes this process's buffers nor returns into its caller.  Every
+    child is reaped before this returns or raises; then what this process
+    raised, or else what a child raised, is raised (an OSError for a child
+    that ended with no word)."""
+    own, *others = _shares(runs, trajectory_writers(len(runs)))
+    children = []  # (pid, read end of its pipe)
+    try:
+        for share in others:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare (ENOMEM under strict overcommit)
+                os.close(read)
+                os.close(write)
+                own += share
+                continue
+            if pid == 0:  # the child: never returns
+                code = 1
+                try:
+                    os.close(read)
+                    with os.fdopen(write, "wb") as fh:
+                        try:
+                            _write_share(out, runs, share)
+                            code = 0
+                        except BaseException as exc:  # the parent raises it
+                            fh.write(pickle.dumps(exc))
+                finally:
+                    os._exit(code)
+            os.close(write)  # so that no later child holds a copy of it
+            children.append((pid, read))
+        _write_share(out, runs, own)
+    finally:
+        ends = [(pid, *_reap(pid, read)) for pid, read in children]
+    for pid, sent, code in ends:
+        if sent:
+            raise pickle.loads(sent)
+        if code:
+            raise OSError(f"trajectory writer process {pid} ended with exit code {code}")
+
+
 def run_scenario(cfg: ExperimentConfig, output_dir: str | None = None) -> RunReport:
     runs, summary, extra_tables = run_plan(cfg)
     out = resolve_output_dir(cfg, output_dir)
@@ -142,12 +229,8 @@ def run_scenario(cfg: ExperimentConfig, output_dir: str | None = None) -> RunRep
     with open(os.path.join(out, "config.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(canon)
 
-    traj_files = []
-    for name in sorted(runs):
-        fname = f"traj_{name}.csv"
-        with open(os.path.join(out, fname), "w", encoding="utf-8", newline="\n") as fh:
-            dyn.write_trajectory_csv(runs[name], fh)
-        traj_files.append(fname)
+    traj_files = [f"traj_{name}.csv" for name in sorted(runs)]
+    write_trajectories(out, runs)
 
     for fname, rows in extra_tables.items():
         _write_rows_csv(os.path.join(out, fname), rows)

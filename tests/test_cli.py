@@ -452,7 +452,8 @@ def test_summary_recomputable_from_trajectory_csv(tmp_path):
 
 def test_validate_and_run_load_no_scipy(tmp_path):
     # scipy is a test-only dependency: importing it costs each cavitysim
-    # process about half a second before any work.
+    # process about half a second before any work.  Nor is a process pool
+    # imported: the trajectory writers are bare forks (runner.write_trajectories).
     cfg_path = _write(tmp_path, 'scenario = "fig2_single_atom"\n'
                                 't_long_ns = 2.0\ndt_long_ns = 0.002\n')
     out_dir = str(tmp_path / "out")
@@ -461,7 +462,9 @@ def test_validate_and_run_load_no_scipy(tmp_path):
         "import cavitysim, cavitysim.cli\n"
         f"assert cavitysim.cli.main(['validate', {cfg_path!r}]) == 0\n"
         f"assert cavitysim.cli.main(['run', {cfg_path!r}, '--output-dir', {out_dir!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('scipy', 'multiprocessing')\n"
+        "             or m.startswith('concurrent.futures')))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

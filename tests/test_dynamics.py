@@ -185,6 +185,15 @@ def test_envelope_fit_recovers_pure_exponential():
     assert fit.tau_ns == pytest.approx(tau, rel=1e-3)
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("n_atoms", range(1, 7))
+def test_population_labels_name_each_basis_index(n_atoms, n_max):
+    # HilbertLayout holds at least one atom and one photon level above the vacuum
+    lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
+    expected = ["pop_" + lay.basis_label(k).replace(",", "") for k in range(lay.dim)]
+    assert dyn.population_labels(lay) == expected
+
+
 def test_bare_populations_delta_state_and_sum():
     lay, gen = _gen(2, (G, 0.7 * G), kappa=0.19, gamma=0.04)
     psi0 = fs.basis_state(lay, 1, "gg")

@@ -12,6 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 from cavitysim import config, dynamics as dyn, fockspace as fs, model, runner
+from cavitysim.cli import main
 from cavitysim.config import SCENARIOS, parse_config
 from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
@@ -463,3 +464,137 @@ def test_one_photon_runs_match_the_no_jump_oracle(name):
         expected[:, vacuum] = 1.0 - np.sum(np.abs(psi) ** 2, axis=1)
         pops = np.array([traj.series(p) for p in dyn.population_labels(traj.layout)]).T
         assert np.max(np.abs(pops - expected)) < 1e-12, run.name
+
+
+# Two and six trajectory files: runner.write_trajectories splits them over
+# as many processes as this process may use CPUs, here set by the tests.
+SPLIT_CONFIGS = {
+    "fig2": 'scenario = "fig2_single_atom"\nt_long_ns = 2.0\ndt_long_ns = 0.002\n',
+    "fig5": 'scenario = "fig5_position_map"\ndesign = "D1"\n'
+            "[sweep.delta_x_nm]\nmin = 0.0\nmax = 53.0\nsteps = 3\n"
+            "[sweep.delta_y_nm]\nmin = 0.0\nmax = 53.0\nsteps = 2\n",
+}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_shares_balance_rows_longest_first(monkeypatch):
+    def runs(*rows):
+        return {f"r{i}": dyn.Trajectory(HilbertLayout(1, 1), np.zeros(n), {})
+                for i, n in enumerate(rows)}
+
+    assert runner._shares(runs(5, 3, 3, 1), 2) == [["r0", "r3"], ["r1", "r2"]]
+    assert [len(share) for share in runner._shares(runs(*[101] * 81), 2)] == [41, 40]
+    assert runner._shares(runs(), 1) == [[]]
+    monkeypatch.setattr(config, "_usable_cpus", lambda: 4)
+    assert [config.trajectory_writers(n) for n in (0, 1, 3, 81)] == [1, 1, 3, 4]
+    monkeypatch.delattr(os, "fork")
+    assert config.trajectory_writers(81) == 1
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CONFIGS))
+def test_split_writers_write_the_bytes_of_one(name, tmp_path, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(1)  # a child's own copy of the list grows unseen
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    cfg = parse_config(SPLIT_CONFIGS[name])
+    for cpus in (1, 3):
+        monkeypatch.setattr(config, "_usable_cpus", lambda: cpus)
+        run_scenario(cfg, output_dir=str(tmp_path / str(cpus)))
+        _no_child_left()
+    # fig2's two files on two processes, fig5's six on three
+    assert len(forks) == {"fig2": 1, "fig5": 2}[name]
+    files = sorted(os.listdir(tmp_path / "1"))
+    assert files == sorted(os.listdir(tmp_path / "3"))
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "1", tmp_path / "3", files,
+                                               shallow=False)
+    assert not mismatch and not errors
+
+
+def test_a_share_whose_fork_fails_is_written_in_process(tmp_path, monkeypatch):
+    def failing():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    cfg = parse_config(SPLIT_CONFIGS["fig5"])
+    monkeypatch.setattr(config, "_usable_cpus", lambda: 1)
+    run_scenario(cfg, output_dir=str(tmp_path / "one"))
+    monkeypatch.setattr(config, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", failing)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    run_scenario(cfg, output_dir=str(tmp_path / "failed"))
+    assert len(os.listdir("/proc/self/fd")) == descriptors  # each pipe closed
+    files = sorted(os.listdir(tmp_path / "one"))
+    assert files == sorted(os.listdir(tmp_path / "failed"))
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "one", tmp_path / "failed", files,
+                                               shallow=False)
+    assert not mismatch and not errors
+
+
+def _fig2_on_two_writers(tmp_path, monkeypatch):
+    """(config path, output directory, rows of each trajectory) of fig2
+    written on two processes: this one writes `short`, the longer file, and
+    a child `long`."""
+    monkeypatch.setattr(config, "_usable_cpus", lambda: 2)
+    text = SPLIT_CONFIGS["fig2"]
+    path = tmp_path / "cfg.toml"
+    path.write_text(text)
+    cfg = parse_config(text)
+    rows = {run.name: run.outputs() for run in SCENARIOS[cfg.scenario].plan(cfg).runs}
+    assert runner._shares({name: dyn.Trajectory(HilbertLayout(1, 1), np.zeros(n), {})
+                           for name, n in rows.items()}, 2) == [["short"], ["long"]]
+    return str(path), tmp_path / "out", rows
+
+
+@pytest.mark.parametrize("writer, blocked, written", [("child", "long", "short"),
+                                                      ("parent", "short", "long")])
+def test_a_failed_share_exits_2_and_leaves_no_child(writer, blocked, written, tmp_path,
+                                                     monkeypatch, capsys):
+    # the blocked file's path is a directory: open() raises IsADirectoryError
+    # in the process that writes it, and a child's comes back to this one
+    path, out, rows = _fig2_on_two_writers(tmp_path, monkeypatch)
+    (out / f"traj_{blocked}.csv").mkdir(parents=True)
+    assert main(["run", path, "--output-dir", str(out)]) == 2
+    target = out / f"traj_{blocked}.csv"
+    assert (f"error: cannot write outputs: [Errno 21] Is a directory: '{target}'"
+            in capsys.readouterr().err)
+    _no_child_left()
+    # the other share was written whole before the run ended
+    text = (out / f"traj_{written}.csv").read_text()
+    assert text.endswith("\n") and len(text.splitlines()) == 2 + rows[written]
+
+
+def test_a_writer_that_ends_without_a_word_exits_2(tmp_path, monkeypatch, capsys):
+    path, out, _ = _fig2_on_two_writers(tmp_path, monkeypatch)
+    parent, write = os.getpid(), dyn.write_trajectory_csv
+
+    def dying(traj, fh):
+        if os.getpid() != parent:
+            os._exit(7)
+        write(traj, fh)
+
+    monkeypatch.setattr(dyn, "write_trajectory_csv", dying)
+    assert main(["run", path, "--output-dir", str(out)]) == 2
+    assert "ended with exit code 7" in capsys.readouterr().err
+    _no_child_left()
+
+
+def test_memory_estimate_counts_each_writer(monkeypatch):
+    # fig2 with 2001 and 1001 outputs: writing a file outweighs propagating
+    # either run, so a second writer adds its text
+    def need(text, cpus):
+        monkeypatch.setattr(config, "_usable_cpus", lambda: cpus)
+        cfg = parse_config(text)
+        return config._log2_peak_bytes(cfg, SCENARIOS[cfg.scenario].plan(cfg))[0]
+
+    two_files = SPLIT_CONFIGS["fig2"]
+    one_file = 'scenario = "custom"\nn_atoms = 2\n'
+    assert need(two_files, 2) > need(two_files, 1)
+    assert need(one_file, 2) == need(one_file, 1)
