@@ -211,6 +211,14 @@ class Sweep(NamedTuple):
             point["alpha"] = alpha = float(alphas[index])
             yield point, self.run(cfg, alpha, self.name and self.name(*index))
 
+    def block(self, cfg: ExperimentConfig) -> int:
+        """Number of points that propagate as one stack: all of them, or
+        as many as dynamics.stack_runs fits.  Every point has the same
+        output count, so the one at alpha = 0 sizes them."""
+        point = self.run(cfg, 0.0)
+        return min(math.prod(ax.steps for ax in self.axes),
+                   dyn.stack_runs(point.n_atoms, self.n_photons, cfg.lossy, point.outputs()))
+
     def run(self, cfg: ExperimentConfig, alpha: float, name: str | None = None) -> Run:
         c, steps = self.grid
         t_end = c * np.pi / (ghz_to_angular(cfg.g_ghz) * np.sqrt(1.0 + alpha**2))
@@ -514,16 +522,16 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     """(log2 of the plan's peak bytes, the key path of its largest part).
 
     The peak is the largest call of the runner (a fixed run or a block of
-    sweep points as dynamics.footprint sizes it, or fig5's trap rule) plus
-    what the kept trajectories and the table rows hold until the files are
-    written; each part is keyed by what it grows with.  It bounds
-    tracemalloc's traced peak of `run_scenario`.  The interpreter (about
-    39 MB), freed blocks and the imports and argparse set-up of a process's
-    first `cli.main` come on top: lossless one-atom `custom` with t_end_ns =
-    1.0 and dt_ns = 0.1 is estimated at 75 658 B and traces about 251 700 B
-    in a fresh process's first `cli.main(["run", ...])`, about 38 900 B in
-    its second.  Where the kept trajectories are written on several
-    processes at once, each holds a writer's text."""
+    Sweep.block sweep points, as dynamics.footprint sizes it, or fig5's
+    trap rule) plus what the kept trajectories and the table rows hold
+    until the files are written; each part is keyed by what it grows with.
+    It bounds tracemalloc's traced peak of `run_scenario`.  The interpreter
+    (about 39 MB), freed blocks and the imports and argparse set-up of a
+    process's first `cli.main` come on top: lossless one-atom `custom` with
+    t_end_ns = 1.0 and dt_ns = 0.1 is estimated at 75 658 B and traces
+    about 251 700 B in a fresh process's first `cli.main(["run", ...])`,
+    about 38 900 B in its second.  Where the kept trajectories are written
+    on several processes at once, each holds a writer's text."""
     points = math.prod(ax.steps for ax in plan.sweep.axes) if plan.sweep else 0
     files = len(plan.runs) + (points if plan.sweep and plan.sweep.name else 0)
     writers = trajectory_writers(files)
@@ -539,9 +547,8 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
         calls.append(list(zip(work, (atoms, run.key))))
         held += zip(keep, (atoms, run.key))
     if plan.sweep:
+        stack = plan.sweep.block(cfg)
         point = plan.sweep.run(cfg, 0.0)  # sized alike at any alpha
-        stack = min(points, dyn.stack_runs(point.n_atoms, point.n_photons, cfg.lossy,
-                                           point.outputs()))
         work, keep = footprint(point, stack)
         # with no point kept, only the block in flight holds its columns: the
         # runner frees each block before the next propagates
@@ -780,12 +787,12 @@ def parse_config(text: str) -> ExperimentConfig:
     check(cfg.t_end_ns > 0, "t_end_ns", f"must be > 0, got {cfg.t_end_ns}")
     check(cfg.dt_ns > 0, "dt_ns", f"must be > 0, got {cfg.dt_ns}")
     check(cfg.workers >= 1, "workers", f"must be >= 1, got {cfg.workers}")
+    # fig2's and the W state's summaries compare the exchange with the
+    # one-photon rate, g/pi and |g|/pi; from 0 photons the check above names the key.
+    check(scenario not in ("fig2_single_atom", "n_atom_wstate") or cfg.n_photons <= 1,
+          "n_photons", f"must be 1 for {scenario}, whose summary compares the exchange "
+          f"with the one-photon rate, got {cfg.n_photons}")
     if cfg.scenario == "fig2_single_atom":  # the only scenario with a long run
-        # Its summary reads pop_0e and compares the exchange with the
-        # one-photon g/pi; from 0 photons the check above names the key.
-        check(cfg.n_photons <= 1, "n_photons",
-              f"must be 1 for {scenario}, whose summary compares the one-photon "
-              f"exchange with g/pi, got {cfg.n_photons}")
         check(cfg.t_long_ns > 0, "t_long_ns", f"must be > 0, got {cfg.t_long_ns}")
         check(cfg.dt_long_ns > 0, "dt_long_ns", f"must be > 0, got {cfg.dt_long_ns}")
     if cfg.scenario == "fig5_position_map":  # the only scenario with a field map

@@ -54,6 +54,7 @@ Time is in ns throughout; rates are angular (rad/ns).
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,9 +78,8 @@ TRACE_TOL = 1e-9
 # Largest max |x - x^dag| of the block below the start sector that
 # integrate() accepts at any output time.
 HERM_TOL = 1e-10
-# Size of the d_n x d_n outer products of kets that integrate() builds
-# together, for the feed and for the output times it evaluates together,
-# and of the kets and x of the runs it takes as one stack (stack_runs).
+# Bytes of the feed's outer products and of the observable chunk's output
+# times (chunk_states), and of the kets and x of a stack's runs (stack_runs).
 CHUNK_BYTES = 2**20
 # Rows that write_trajectory_csv converts to text together.
 CSV_BLOCK_ROWS = 1024
@@ -93,19 +93,60 @@ MIN_ENVELOPE_MAXIMA = 10  # fewest oscillation maxima envelope_lifetime fits
 
 def chunk_states(dim: int) -> int:
     """Number of output times whose dim x dim complex outer products fit in
-    CHUNK_BYTES (at least 1); integrate() sizes them by the d_n states of
-    the start sector, and counts the output times of a stack's runs in
-    turn."""
+    CHUNK_BYTES (at least 1), with dim the d_n states of the start sector."""
     return max(1, CHUNK_BYTES // (16 * dim * dim))
 
 
+class Alloc(NamedTuple):
+    """An array of integrate(), and how many of its size are alive at once
+    at the call's peak (0: it is not built)."""
+
+    shape: tuple
+    dtype: type
+    copies: int = 1
+
+    @property
+    def nbytes(self):  # of one copy
+        return math.prod(self.shape) * np.dtype(self.dtype).itemsize
+
+
+def allocations(top: int, low: int, runs: int, outputs, channels: int = 0,
+                projections: int = 0, track=(), photon_dim: int = 2) -> dict:
+    """name -> Alloc of integrate() on a stack of `runs` runs at `outputs`
+    times, from `top` states in the start sector and `low` below it (0
+    without loss), with `channels` collapse channels, `projections` kets
+    and `track` on photon_dim photon levels.  integrate() allocates psi, x
+    and the Van Loan block, and steps its feed and its observable chunk, by
+    these shapes; footprint() adds them up."""
+    chunk = chunk_states(top)
+    states, block = min(runs * outputs, chunk), (low**2 + top**2) * bool(low)
+    return dict(
+        grid=Alloc((runs, outputs), float, 5),  # the caller's, a copy, two steps of its check
+        psi=Alloc((runs, outputs, top), complex),
+        x=Alloc((runs, outputs, low * low), complex, 2),  # and the scan's product
+        # expm's working set: about ten matrices of the step's size at once
+        ket_step=Alloc((runs, top, top), complex, 10),
+        van_loan=Alloc((runs, block, block), complex, 10),
+        channels=Alloc((channels, top + low, top + low), complex),
+        # the feed's outer products: a few steps of every run at a time
+        feed=Alloc((runs, min(max(1, chunk // runs), outputs), top * top), complex, bool(low)),
+        # per state of the observable chunk: x and its check, the populations,
+        # the projections, a factor's spectrum, a pair's populations and checks
+        lower=Alloc((states, low, low), complex, 4),
+        pops=Alloc((states, top + low), float, 4),
+        projections=Alloc((states, projections, 1 + low), complex, 2),
+        entropy=Alloc((states, photon_dim), float, 6 * ("entropies" in track)),
+        concurrence=Alloc((states, 4), float, 8 * ("concurrence" in track)),
+    )
+
+
 def stack_runs(n_atoms: int, n_photons: int, lossy: bool, outputs: int) -> int:
-    """Number of runs to pass integrate() as one stack, as the runner does
-    with a sweep's points: as many as fit in CHUNK_BYTES with their kets on
-    the d_n states of their start sector and, if `lossy`, their x on the
-    d_l states below it, at `outputs` output times each (at least 1)."""
+    """Number of runs to pass integrate() as one stack, as a sweep's points
+    are: as many as fit their psi and, if `lossy`, their x in CHUNK_BYTES at
+    `outputs` output times each (at least 1)."""
     top, low = fs.sector_sizes(n_atoms, n_photons)
-    return max(1, CHUNK_BYTES // (16 * outputs * (top + low * low * lossy)))
+    run = allocations(top, low * lossy, 1, outputs)
+    return max(1, CHUNK_BYTES // (run["psi"].nbytes + run["x"].nbytes))
 
 
 def footprint(layout: HilbertLayout, n_photons: int, lossy: bool, track,
@@ -124,24 +165,17 @@ def footprint(layout: HilbertLayout, n_photons: int, lossy: bool, track,
     n_atoms = layout.n_atoms
     top, low = fs.sector_sizes(n_atoms, n_photons)
     low, n_out = low if lossy else 0, min(outputs, 2**64)
+    arrays = {name: a.nbytes * a.copies for name, a in allocations(
+        top, low, runs, n_out, (n_atoms + 1) * lossy, projections, track, layout.photon_dim
+    ).items()}
     pops = layout.dim if "populations" in track else 0
     propagated = top + low if pops else 0
     other = projections + len(tracked_columns(layout, set(track) - {"populations"}))
     name = len(f"pop_{layout.n_max}") + n_atoms + 4  # the longest column name, and its ","
     objects = 192  # of an array of a column: the ndarray (112 B, a view too) and its dict entry
-    propagate = (
-        # expm of each run's ket step and Van Loan block, about nine matrices
-        # of its size at once; with loss, each channel on the d' states
-        runs * 160 * (top**2 + (low**2 + top**2)**2 * bool(low))
-        + bool(low) * (n_atoms + 1) * 16 * (top + low)**2
-        # per state of a chunk: the feed's outer product (with loss), the populations
-        # and their squares, the check of x, an entropy, a concurrence, the projections
-        + min(runs * n_out, max(runs, chunk_states(top)))
-        * (16 * top**2 * bool(low) + 64 * low**2 + 32 * (top + low) + 32 * projections * (1 + low)
-           + 48 * layout.photon_dim * ("entropies" in track) + 256 * ("concurrence" in track))
-        # each held column's series view; the list of the population names
-        + (propagated + other) * objects + 8 * pops
-    )
+    per_output = arrays.pop("grid") + arrays.pop("psi") + arrays.pop("x")
+    # each held column's series view; the list of the population names
+    propagate = sum(arrays.values()) + (propagated + other) * objects + 8 * pops
     write = (
         # each held column's CSV name, piece and bytes key; one block's text
         # of the time and each held column: per row a str of up to 24
@@ -160,9 +194,7 @@ def footprint(layout: HilbertLayout, n_photons: int, lossy: bool, track,
     # measured); integrate frees its arrays before the writers run
     work = 2**16 + max(propagate, writers * write)
     column = 8 * n_out + 2 * objects  # its floats, array and view
-    # per output of each run: the caller's grid, integrate's copy and two
-    # steps of the uniformity check; psi, x and the scan's product
-    return ((work, runs * n_out * (40 + 16 * top + 32 * low**2)),
+    return ((work, per_output),
             # each population's name (a str of 49 B and its characters) and
             # column_order slot
             (pops * (57 + name) + propagated * column, (1 + other) * column))
@@ -260,7 +292,9 @@ def tracked_columns(layout: HilbertLayout, track) -> list:
     """Names of the columns integrate() records for `track`, in order:
     populations in basis-index order, n_photon, the entropy of each single
     factor, then the concurrence of each atom pair.  Projection columns
-    follow them."""
+    follow them.  A factor's letter is chr(ord("A") + factor), so past atom
+    25 (Z) the names take the ASCII characters after Z: [ \\ ] ^ _ ` for
+    atoms 26 to 31, a to z for 32 to 57 and { | } ~ for 58 to 61."""
     factors = range(layout.n_atoms + 1)
     return (
         (population_labels(layout) if "populations" in track else [])
@@ -408,10 +442,10 @@ def integrate(
     # One row per run; the chunk loop below reads them as one series.
     obs = {name: np.zeros((n_runs, n_out)) for name in populations + others}
 
-    chunk = chunk_states(d_top)
-    psi = np.empty((n_runs, n_out, d_top), dtype=complex)
+    arrays = allocations(d_top, d_low, n_runs, n_out)
+    psi = np.empty(arrays["psi"].shape, arrays["psi"].dtype)
     psi[:, 0] = _kets_on([psi0], top)
-    x = np.zeros((n_runs, n_out, d_low * d_low), dtype=complex)  # row-major vec of x
+    x = np.zeros(arrays["x"].shape, arrays["x"].dtype)  # row-major vec of x
     h_eff = build_hamiltonian(layout, [g.params for g in gens], top)
     channels = collapse_operators(gens[0], kept)
     for rate, _, anti in channels:
@@ -420,11 +454,11 @@ def integrate(
     if d_low:
         # Van Loan (1978): the top rows of expm([[L_low, J], [0, L_top]] dt)
         # are [E, F], the step of x and its feed from psi psi^dag.
-        feed = _van_loan_generator(gens, channels, in_top, low, h_eff)
+        feed = _van_loan_generator(arrays["van_loan"], gens, channels, in_top, low, h_eff)
         top_rows = expm(feed * dt[..., None])[:, :d_low**2].copy()
         x_step, x_feed = top_rows[..., :d_low**2], top_rows[..., d_low**2:]
         # The feed's outer products are built for every run, a few steps at a time.
-        feed_steps = max(1, chunk // n_runs)
+        feed_steps = arrays["feed"].shape[1]
         for k in range(0, n_out - 1, feed_steps):
             kets = psi[:, k:min(k + feed_steps, n_out - 1)]
             rank_one = (kets[..., :, None] * kets[..., None, :].conj()).reshape(
@@ -453,8 +487,9 @@ def integrate(
                           ge[ge >= d_top] - d_top, eg[eg >= d_top] - d_top))
     vecs_top, vecs_low = (_kets_on(list(projections.values()), states) for states in (top, low))
 
-    # Every run's output times in turn, as one series of states.
-    n_states = n_runs * n_out
+    # Every run's output times in turn, as one series of states, evaluated
+    # a chunk of the populations' rows at a time.
+    n_states, chunk = n_runs * n_out, arrays["pops"].shape[0]
     all_kets, all_x = psi.reshape(n_states, d_top), x.reshape(n_states, d_low * d_low)
     series = {name: column.reshape(n_states) for name, column in obs.items()}
     for k0 in range(0, n_states, chunk):
@@ -522,17 +557,17 @@ def _kets_on(kets: list, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def _van_loan_generator(gens: list, channels: list, in_top: np.ndarray,
+def _van_loan_generator(block: Alloc, gens: list, channels: list, in_top: np.ndarray,
                         low: np.ndarray, h_eff: np.ndarray) -> np.ndarray:
     """[[L_low, J], [0, L_top]] on (vec x, vec psi psi^dag) of each lossy
-    run of a stack.
+    run of a stack, allocated as `block`.
 
     L_low is the Liouvillian of the states `low` below the top sector,
     L_top the action of H_eff on psi psi^dag, and J = sum rate (L kron L*)
     the jumps from the top sector into x, cut from each channel's (rate,
     L, anti) on the kept states, of which in_top marks the top sector."""
-    n_low, n_top = low.size**2, h_eff.shape[-1]**2
-    out = np.zeros((len(gens),) + (n_low + n_top,) * 2, dtype=complex)
+    n_low = low.size**2
+    out = np.zeros(block.shape, block.dtype)
     out[:, :n_low, :n_low] = [liouvillian_matrix(gen, low) for gen in gens]
     for rate, L, _ in channels:
         jump = L[np.ix_(~in_top, in_top)]

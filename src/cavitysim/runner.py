@@ -5,8 +5,8 @@ most one sweep with a run per point, and a summary.  Every one of those
 runs comes from trajectory(): the config's cavity and atoms with the run's
 couplings, started in |n, g..g> and propagated over the run's uniform grid.
 A fixed run propagates alone; a sweep's points propagate a block at a
-time, each block as one stack in one `integrate` call (as many points as
-`dynamics.stack_runs` fits in its memory budget: all of a fig5 map).
+time, each block as one stack in one `integrate` call (`Sweep.block`: as
+many points as fit in its memory budget, all of a fig5 map).
 
 Output contract (per run directory):
   config.txt    -- canonical config (TOML), execution-only fields normalized
@@ -105,14 +105,12 @@ def trajectory(cfg: ExperimentConfig, run: Run | list) -> dyn.Trajectory | list:
 def run_plan(cfg: ExperimentConfig):
     """Execute the config's plan: (kept trajectories by name, summary,
     tables by file name).  The sweep's points propagate a block of
-    dynamics.stack_runs at a time, each block as one stack."""
+    Sweep.block at a time, each block as one stack."""
     plan = SCENARIOS[cfg.scenario].plan(cfg)
     kept = {run.name: trajectory(cfg, run) for run in plan.runs}
     rows = []
     if plan.sweep:
-        points = list(plan.sweep.points(cfg))
-        first = points[0][1]
-        size = dyn.stack_runs(first.n_atoms, first.n_photons, cfg.lossy, first.outputs())
+        points, size = list(plan.sweep.points(cfg)), plan.sweep.block(cfg)
         for start in range(0, len(points), size):
             block = points[start:start + size]
             for (point, run), traj in zip(block, trajectory(cfg, [run for _, run in block])):

@@ -349,13 +349,18 @@ def _fig5(design, x, y=(0.0, 0.0)):
      "atom 2 as the field map gives at each displacement; set g_ghz instead"),
     ('scenario = "n_atom_wstate"\nn_photons = 0\n', "line 2: n_photons: "),
     ('scenario = "fig2_single_atom"\nn_photons = 0\n', "line 2: n_photons: "),
+    # the W state's summary expects the one-photon sqrt(N) g/pi: from two
+    # photons N = 3 ran and wrote 29.67 GHz against an expected 31.18
+    ('scenario = "n_atom_wstate"\nn_photons = 2\n',
+     "line 2: n_photons: must be 1 for n_atom_wstate, whose summary compares the exchange "
+     "with the one-photon rate, got 2"),
     # the W state's enhancement is measured against atom 1's coupling
     ('scenario = "n_atom_wstate"\ncouplings_ghz = [0.0, 1.0, 0.0]\nt_end_ns = 2.0\n',
      "line 2: couplings_ghz: n_atom_wstate compares the collective exchange with atom 1's: "
      "atom 1 must couple"),
 ], ids=["fig5_x_max", "fig5_x_min", "fig5_y_max", "wstate_uncoupled", "fig3_uncoupled",
         "fig3_couplings", "fig4_couplings", "fig5_couplings", "wstate_no_photon",
-        "fig2_no_photon", "wstate_atom_1_uncoupled"])
+        "fig2_no_photon", "wstate_two_photons", "wstate_atom_1_uncoupled"])
 def test_configs_that_cannot_run_fail_validate(text, error, tmp_path):
     errors = _errors(text)
     assert len(errors) == 1 and errors[0].startswith(error)

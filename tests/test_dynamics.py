@@ -604,6 +604,19 @@ def test_integrate_allocates_nothing_of_length_d():
         traj.series("n_photon")
 
 
+def test_columns_past_atom_25_are_named_by_the_characters_after_z():
+    # subsystem_letter is chr(ord("A") + factor): from atom 26 on, the names
+    # run on through ASCII, [ \ ] ^ _ ` a..z { | }, and end at ~ at N = 61
+    lay, gen = _gen(2, (G,) * 30)
+    traj = dyn.integrate(gen, fs.basis_state(lay, 1, "g" * 30), np.linspace(0.0, 0.01, 3),
+                         track=("entropies", "concurrence"))
+    assert traj.column_order == dyn.tracked_columns(lay, ("entropies", "concurrence"))
+    entropies, pairs = traj.column_order[:31], traj.column_order[31:]
+    assert entropies == [f"S_{c}" for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_"]
+    assert len(pairs) == 435 and "C_W\\" in pairs and (pairs[0], pairs[-1]) == ("C_BC", "C_^_")
+    assert dyn.subsystem_letter(61) == "~"
+
+
 @pytest.mark.parametrize("kappa", [0.0, 0.3])
 def test_integrate_allocates_no_full_space_array(kappa):
     # d = 1024, of which 11 states are propagated: nothing may be of size
@@ -725,6 +738,23 @@ def test_validate_density_matrix_rejects_bad_inputs():
         validate_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValueError):
         validate_density_matrix(np.diag([1.5, -0.5]))
+
+
+def test_integrate_allocates_by_its_allocation_plan(monkeypatch):
+    # two atoms from two photons, a stack of two: d_n = 4 and d_l = 4, so x
+    # has 16 entries and the Van Loan block 16 + 16 rows.  integrate asks
+    # for one plan, and expm's two inputs, the ket step's generator and the
+    # block, have its shapes
+    lay, gen = _gen(3, (G, 0.6 * G), kappa=0.19, gamma=0.04)
+    plans, inputs = [], []
+    plan, exact = dyn.allocations, dyn.expm
+    monkeypatch.setattr(dyn, "allocations", lambda *args: plans.append(plan(*args)) or plans[-1])
+    monkeypatch.setattr(dyn, "expm", lambda a: inputs.append(a.shape) or exact(a))
+    dyn.integrate([gen, gen], fs.basis_state(lay, 2, "gg"), [np.linspace(0.0, 0.1, 11)] * 2)
+    (arrays,) = plans
+    assert (arrays["psi"].shape, arrays["x"].shape) == ((2, 11, 4), (2, 11, 16))
+    assert inputs == [arrays["ket_step"].shape, arrays["van_loan"].shape]
+    assert inputs == [(2, 4, 4), (2, 32, 32)]
 
 
 def test_chunk_holds_about_one_mebibyte():

@@ -296,6 +296,12 @@ def test_only_trajectory_builds_and_integrates():
 PEAK_CONFIGS = {s: f'scenario = "{s}"\n' + text for s, text in SMALL_CONFIGS.items()} | {
     # d = 1024, of which 11 states are propagated: nothing is of size d^2
     "custom_lossy_n9": 'scenario = "custom"\nn_atoms = 9\nt_end_ns = 0.002\n',
+    # lossy N = 6 from two photons: x is on the d_l = 8 states below the 22
+    # of the start sector, so the Van Loan block has 8^2 + 22^2 = 548 rows
+    # (from one photon d_l = 1); it dominates the estimate, also held within
+    # 1.3 times the traced peak
+    "custom_lossy_two_photon_n6": 'scenario = "custom"\nn_atoms = 6\nn_photons = 2\n'
+                                  "t_end_ns = 0.05\n",
     # 2048 outputs: the CSV writer must free one block of rows before it
     # builds the next, or two are held at once
     "custom_two_csv_blocks": 'scenario = "custom"\nn_atoms = 5\nt_end_ns = 0.2047\n'
@@ -326,6 +332,19 @@ def test_traced_peak_is_within_the_memory_estimate(name, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2.0**need
+    if name == "custom_lossy_two_photon_n6":
+        assert 2.0**need <= 1.3 * peak
+
+
+def test_memory_estimate_of_the_readme_example():
+    # README's worked example of the memory gate, quoted in
+    # _log2_peak_bytes' docstring too: a change to the estimate updates both
+    cfg = parse_config('scenario = "custom"\nlossless = true\nt_end_ns = 1.0\ndt_ns = 0.1\n')
+    need, _ = config._log2_peak_bytes(cfg, SCENARIOS["custom"].plan(cfg))
+    quoted = f"estimated at {round(2.0**need):,} B".replace(",", " ")
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    assert quoted in " ".join(readme.split())
+    assert quoted in " ".join(config._log2_peak_bytes.__doc__.split())
 
 
 def test_traced_peak_of_sweep_blocks_is_within_the_memory_estimate(tmp_path, monkeypatch):
