@@ -7,14 +7,12 @@ __version__ = "0.1.0"
 from .fockspace import HilbertLayout, basis_state
 from .model import LindbladGenerator, SystemParams, build_generator, build_hamiltonian
 from .dynamics import Trajectory, envelope_lifetime, integrate, rabi_frequency
-from .analytic import CouplingVector, peak_entanglement_metrics
-from .entanglement import concurrence, entropy_normalized, partial_trace
+from .analytic import peak_entanglement_metrics
 
 __all__ = [
     "__version__",
     "HilbertLayout", "basis_state",
     "LindbladGenerator", "SystemParams", "build_generator", "build_hamiltonian",
     "Trajectory", "envelope_lifetime", "integrate", "rabi_frequency",
-    "CouplingVector", "peak_entanglement_metrics",
-    "concurrence", "entropy_normalized", "partial_trace",
+    "peak_entanglement_metrics",
 ]

@@ -17,43 +17,29 @@ from . import fockspace as fs
 from .fockspace import HilbertLayout
 
 
-@dataclass(frozen=True)
-class CouplingVector:
-    """Per-atom couplings g_i (rad/ns) and their quadrature sum."""
-
-    g: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "g", tuple(float(x) for x in self.g))
-        if any(x < 0 for x in self.g):
-            raise ValueError(f"couplings must be >= 0, got {self.g}")
-        if all(x == 0 for x in self.g):
-            raise ValueError("all couplings are zero; no collective mode exists")
-
-    @property
-    def g_norm(self) -> float:
-        """sqrt(sum g_i^2): the collective coupling setting the exchange rate."""
-        return float(np.sqrt(sum(x * x for x in self.g)))
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.g)
+def coupling_norm(couplings) -> float:
+    """sqrt(sum g_i^2): the collective coupling setting the exchange rate."""
+    return float(np.sqrt(sum(g * g for g in couplings)))
 
 
-def single_excitation_states(layout: HilbertLayout, gv: CouplingVector):
-    """(chi0, chi1) of the one-excitation manifold.
+def single_excitation_states(layout: HilbertLayout, couplings: tuple):
+    """(chi0, chi1) of the one-excitation manifold, for one coupling g_i
+    (rad/ns) per atom, none negative and not all zero.
 
     chi0 = |1, g..g> and chi1 = |0> (x) sum_i (g_i / g_norm) sigma_i^dag |g..g>;
     the initial photon state exchanges with this single collective atomic
     excitation, which for equal couplings is the N-atom W state.
     """
-    if gv.n_atoms != layout.n_atoms:
-        raise ValueError(
-            f"coupling vector has {gv.n_atoms} atoms, layout has {layout.n_atoms}"
-        )
+    if len(couplings) != layout.n_atoms:
+        raise ValueError(f"{len(couplings)} couplings, layout has {layout.n_atoms} atoms")
+    if any(g < 0 for g in couplings):
+        raise ValueError(f"couplings must be >= 0, got {couplings}")
+    if all(g == 0 for g in couplings):
+        raise ValueError("all couplings are zero; no collective mode exists")
+    g_norm = coupling_norm(couplings)
     ground = "g" * layout.n_atoms
-    chi1 = {layout.basis_index(0, ground[:i] + "e" + ground[i + 1:]): np.complex128(g) / gv.g_norm
-            for i, g in enumerate(gv.g)}
+    chi1 = {layout.basis_index(0, ground[:i] + "e" + ground[i + 1:]): np.complex128(g) / g_norm
+            for i, g in enumerate(couplings)}
     return fs.basis_state(layout, 1, ground), chi1
 
 

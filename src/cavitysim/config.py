@@ -6,22 +6,24 @@ the checks are deliberately strict: unknown keys, sections, sweep axes and
 sweep keys, sweep tables of an axis the scenario does not run (it runs those
 of `default_sweeps`), bad types and out-of-range values are hard errors
 carrying the line number, so a typo in a physics parameter cannot silently
-run with a default.  So is a run that would not fit in physical memory,
-a layout whose basis indices overflow int64, an `observables` list with
+run with a default.  So is a run that would not fit in physical memory, a
+layout whose basis indices overflow int64, an `observables` list with
 `populations` for more than dynamics.POPULATIONS_MAX_DIM basis states, and
 one without a column the plan's summary or sweep reads.  All such problems
-are reported together; a TOML syntax error stops the parse, so syntax
-errors are reported one at a time.  Every omitted key is
-filled from the scenario's defaults at parse time, and `canonical_text`
-emits the fully resolved form as valid TOML; parse(canonical_text(cfg))
-round-trips to an equal config.  The fields of `ExperimentConfig` are the
-one list of keys: each key's type test and its line in `canonical_text`
-follow from them.  `SCENARIOS` holds each scenario's `cavitysim scenarios`
-note, its defaults and its plan: the runs it makes, the summary drawn
-from them and the columns that summary reads, built from the config alone
-with no map read.  The runner executes the plan; the memory gate adds up
-what dynamics.footprint says it allocates.  Nothing here propagates:
-runner.check_fits makes the summary's fits that `cavitysim validate` checks.
+are reported together; a TOML syntax error stops the parse (so syntax errors
+are reported one at a time), and so does an `n_atoms` that overflows int64
+at any photon number.  Every omitted key is filled from the scenario's
+defaults (g_ghz and q_factor from the design's) at parse time, and
+`canonical_text` emits the fully resolved form as valid TOML;
+parse(canonical_text(cfg)) round-trips to an equal config.  The fields of
+`ExperimentConfig` are the one list of keys: each key's type test and its
+line in `canonical_text` follow from them.  `SCENARIOS` holds each
+scenario's `cavitysim scenarios` note, its defaults and its plan: the runs
+it makes, the summary drawn from them and the columns that summary reads,
+built from the config alone with no map read.  The runner executes the plan;
+the memory gate adds up what dynamics.footprint says it allocates.  Nothing
+here propagates: runner.check_fits makes the summary's fits that `cavitysim
+validate` checks.
 
 Example::
 
@@ -47,7 +49,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import analytic, coupling, dynamics as dyn, entanglement as ent, presets
+from . import analytic, coupling, dynamics as dyn, entanglement as ent, fockspace as fs, presets
 from .fockspace import HilbertLayout
 from .units import ghz_to_angular, mhz_to_angular
 
@@ -103,10 +105,10 @@ class ExperimentConfig:
     design: str = "D1"
     n_atoms: int = 1
     n_photons: int = 1
-    g_ghz: float = 0.0          # 0 -> design preset
+    g_ghz: float = 0.0          # absent -> design preset
     alpha: float = 1.0
     couplings_ghz: tuple = ()   # explicit per-atom list; overrides g/alpha
-    q_factor: float = 0.0       # 0 -> design preset
+    q_factor: float = 0.0       # absent -> design preset
     kappa_mhz: float = -1.0     # <0 -> derived from q_factor and lambda
     gamma_mhz: float = presets.GAMMA_RB87_D2_MHZ
     lambda_nm: float = presets.LAMBDA_NM
@@ -157,13 +159,14 @@ class ExperimentConfig:
 
 
 class Run(NamedTuple):
-    """One trajectory: n_atoms atoms with couplings_ghz(), started in
-    |n_photons, g..g> and recorded on the uniform grid of about dt_ns steps
-    up to t_end_ns; `key` is the config key that sizes that grid."""
+    """One trajectory: n_atoms atoms with the tuple couplings_ghz of one
+    coupling per atom, started in |n_photons, g..g> and recorded on the
+    uniform grid of about dt_ns steps up to t_end_ns; `key` is the config
+    key that sizes that grid."""
 
     name: str | None            # written as traj_<name>.csv; None keeps nothing
     n_atoms: int
-    couplings_ghz: Callable     # () -> one coupling per atom, resolved at run time
+    couplings_ghz: tuple        # GHz, one per atom
     n_photons: int
     t_end_ns: float
     dt_ns: float
@@ -199,6 +202,7 @@ class Sweep(NamedTuple):
     peaks: tuple
     table: str
     name: Callable | None = None  # axis indices -> kept trajectory's name
+    n_atoms = 2
     n_photons = 1
 
     def points(self, cfg: ExperimentConfig):
@@ -222,7 +226,7 @@ class Sweep(NamedTuple):
     def run(self, cfg: ExperimentConfig, alpha: float, name: str | None = None) -> Run:
         c, steps = self.grid
         t_end = c * np.pi / (ghz_to_angular(cfg.g_ghz) * np.sqrt(1.0 + alpha**2))
-        return Run(name, 2, lambda: (cfg.g_ghz, alpha * cfg.g_ghz), self.n_photons, t_end,
+        return Run(name, self.n_atoms, _leading(cfg, alpha), self.n_photons, t_end,
                    t_end / steps, self.track,
                    key=("sweep", max(self.axes, key=lambda a: a.steps).name, "steps"))
 
@@ -235,13 +239,12 @@ class Plan(NamedTuple):
 
 
 def _angular(run: Run) -> tuple:
-    return tuple(ghz_to_angular(g) for g in run.couplings_ghz())
+    return tuple(ghz_to_angular(g) for g in run.couplings_ghz)
 
 
 def _chi_states(layout, run: Run) -> dict:
     """P_chi0 and P_chi1: |1, g..g> and the collective atomic excitation."""
-    chi0, chi1 = analytic.single_excitation_states(
-        layout, analytic.CouplingVector(_angular(run)))
+    chi0, chi1 = analytic.single_excitation_states(layout, _angular(run))
     return {"P_chi0": chi0, "P_chi1": chi1}
 
 
@@ -261,13 +264,12 @@ def _fit(fit: Callable, runs: dict, name: str, column: str):
 
 
 def _leading(cfg: ExperimentConfig, *ratios) -> tuple:
-    """Atom 1's coupling, then that coupling times each ratio."""
-    g1 = cfg.resolved_couplings_ghz()[0]
-    return (g1,) + tuple(r * g1 for r in ratios)
+    """Atom 1's coupling g_ghz, then g_ghz times each ratio."""
+    return (cfg.g_ghz,) + tuple(r * cfg.g_ghz for r in ratios)
 
 
 def _fig2_plan(cfg: ExperimentConfig) -> Plan:
-    g = functools.partial(_leading, cfg)
+    g = _leading(cfg)
     return Plan((
         Run("short", 1, g, cfg.n_photons, cfg.t_end_ns, cfg.dt_ns, cfg.observables),
         Run("long", 1, g, cfg.n_photons, cfg.t_long_ns, cfg.dt_long_ns, cfg.observables,
@@ -276,7 +278,7 @@ def _fig2_plan(cfg: ExperimentConfig) -> Plan:
 
 
 def _fig2_summary(cfg, runs, rows) -> dict:
-    g = cfg.resolved_couplings_ghz()[0]
+    g = cfg.g_ghz
     kappa_ang = mhz_to_angular(cfg.resolved_kappa_mhz)
     gamma_ang = mhz_to_angular(cfg.resolved_gamma_mhz)
     summary = {
@@ -301,7 +303,7 @@ def _two_atom_runs(cfg: ExperimentConfig, extra) -> tuple:
     tracking the config's observables and `extra`."""
     track = cfg.observables + tuple(o for o in extra if o not in cfg.observables)
     return tuple(
-        Run(f"{photons}_photon_{kind}", 2, functools.partial(_leading, cfg, ratio), n,
+        Run(f"{photons}_photon_{kind}", 2, _leading(cfg, ratio), n,
             cfg.t_end_ns, cfg.dt_ns, track, _two_atom_states)
         for n, photons in ((1, "one"), (2, "two"))
         for kind, ratio in (("equal", 1.0), ("ratio", cfg.alpha))
@@ -442,7 +444,7 @@ def _trap_peak_concurrence(cfg: ExperimentConfig) -> dict:
 
 
 def _wstate_plan(cfg: ExperimentConfig) -> Plan:
-    return Plan((Run("wstate", cfg.n_atoms, cfg.resolved_couplings_ghz, cfg.n_photons,
+    return Plan((Run("wstate", cfg.n_atoms, cfg.resolved_couplings_ghz(), cfg.n_photons,
                      cfg.t_end_ns, cfg.dt_ns, cfg.observables, _chi_states),), _wstate_summary,
                 reads={"wstate": ("P_chi1",)})
 
@@ -453,8 +455,8 @@ def _wstate_summary(cfg, runs, rows) -> dict:
     freq = _fit(dyn.rabi_frequency, runs, "wstate", "P_chi1")
     return {
         "collective_frequency_ghz": freq,
-        "collective_frequency_expected_ghz": analytic.CouplingVector(
-            tuple(ghz_to_angular(g) for g in gs)).g_norm / np.pi,
+        "collective_frequency_expected_ghz":
+            analytic.coupling_norm(ghz_to_angular(g) for g in gs) / np.pi,
         "enhancement_over_single_atom": freq / (2.0 * gs[0]),
         "peak_p_chi1": float(np.max(traj.series("P_chi1"))),
         "w_fidelity_peak": float(np.sqrt(np.max(traj.series("P_chi1")))),
@@ -462,7 +464,7 @@ def _wstate_summary(cfg, runs, rows) -> dict:
 
 
 def _custom_plan(cfg: ExperimentConfig) -> Plan:
-    return Plan((Run("custom", cfg.n_atoms, cfg.resolved_couplings_ghz, cfg.n_photons,
+    return Plan((Run("custom", cfg.n_atoms, cfg.resolved_couplings_ghz(), cfg.n_photons,
                      cfg.t_end_ns, cfg.dt_ns, cfg.observables),), lambda cfg, runs, rows: {})
 
 
@@ -494,13 +496,15 @@ SCENARIOS = {
     "custom": Scenario("direct parameter run without scenario presets", {}, _custom_plan),
 }
 
-# How each two-atom scenario couples atom 2, atom 1 being at g_ghz: a
+# How each scenario with a fixed atom count couples its atoms: a
 # couplings_ghz list, which none of its runs reads, is an error.
-_BY_ALPHA = "atom 2 at alpha times it; set g_ghz and alpha instead"
-_ATOM2_RULE = {
+_BY_ALPHA = "atom 1 couples at g_ghz and atom 2 at alpha times it; set g_ghz and alpha instead"
+_NO_LIST = {
+    "fig2_single_atom": "its one atom couples at g_ghz; set g_ghz instead",
     "fig3_two_atom": _BY_ALPHA,
     "fig4_correlations": _BY_ALPHA,
-    "fig5_position_map": "atom 2 as the field map gives at each displacement; set g_ghz instead",
+    "fig5_position_map": "atom 1 couples at g_ghz and atom 2 as the field map gives at each "
+                         "displacement; set g_ghz instead",
 }
 
 
@@ -609,8 +613,7 @@ _KEY_TYPES = {
     **{f.name: _TYPE_TESTS[f.type] for f in fields(ExperimentConfig) if f.type in _TYPE_TESTS},
     "couplings_ghz": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
                       "a [list] of finite numbers"),
-    "observables": (lambda v: isinstance(v, str) or _is_str_list(v),
-                    "a [list] of strings"),
+    "observables": (_is_str_list, "a [list] of strings"),
 }
 
 # A table header `[a.b]` or `[[a.b]]` (group 1) or the key of a `key = value`
@@ -677,7 +680,7 @@ def parse_config(text: str) -> ExperimentConfig:
         elif key == "couplings_ghz":
             scalars[key] = tuple(float(g) for g in value)
         elif key == "observables":
-            scalars[key] = (value,) if isinstance(value, str) else tuple(value)
+            scalars[key] = tuple(value)
         else:
             scalars[key] = value
 
@@ -696,6 +699,10 @@ def parse_config(text: str) -> ExperimentConfig:
     merged = dict(SCENARIOS[scenario].defaults)
     merged.update({k: v for k, v in scalars.items() if k != "scenario"})
     cfg = ExperimentConfig(scenario=scenario, **merged)
+    if fs.index_overflow(1, cfg.n_atoms):  # at any photon number: build no plan, as
+        # it holds a coupling per atom
+        raise ConfigError(errors + [f"{at('n_atoms')}: n_atoms: "
+                                    f"{fs.index_overflow(cfg.n_photons + 1, cfg.n_atoms)}"])
 
     bad = [o for o in cfg.observables if o not in dyn.TRACKABLE]
     if bad:
@@ -710,12 +717,9 @@ def parse_config(text: str) -> ExperimentConfig:
             f"{at('design')}: design: unknown design "
             f"{cfg.design!r}; valid: {', '.join(presets.DESIGNS)}"
         )
-    else:
+    else:  # the preset of each key the config does not set
         d = presets.DESIGNS[cfg.design]
-        if cfg.g_ghz <= 0:
-            cfg = replace(cfg, g_ghz=d.g_ghz)
-        if cfg.q_factor <= 0:
-            cfg = replace(cfg, q_factor=d.q_factor)
+        cfg = replace(cfg, **{k: getattr(d, k) for k in ("g_ghz", "q_factor") if k not in scalars})
 
     # sweep assembly, on the axes the scenario runs
     defaults = default_sweeps(scenario, cfg.design)
@@ -761,25 +765,30 @@ def parse_config(text: str) -> ExperimentConfig:
     # an excitation to exchange and an atom that couples.
     read = [run for run in plan.runs if run.projections or run.name in plan.reads]
     check(cfg.n_atoms >= 1, "n_atoms", f"must be >= 1, got {cfg.n_atoms}")
+    # Each run, and each sweep point, runs the config's atoms.
+    counts = {run.n_atoms for run in plan.runs} | ({plan.sweep.n_atoms} if plan.sweep else set())
+    check(counts <= {cfg.n_atoms}, "n_atoms",
+          f"must be {', '.join(map(str, sorted(counts)))} for {scenario}, got {cfg.n_atoms}")
     check(cfg.n_photons >= 0, "n_photons", f"must be >= 0, got {cfg.n_photons}")
     check(all(run.n_photons >= 1 for run in read), "n_photons",
           f"must be >= 1 for {scenario}, whose summary reads an exchange, got {cfg.n_photons}")
-    check(cfg.g_ghz > 0, "g_ghz", f"must be > 0, got {cfg.g_ghz}")
+    check(cfg.g_ghz > 0 or "g_ghz" not in scalars, "g_ghz", f"must be > 0, got {cfg.g_ghz}")
     check(cfg.alpha >= 0, "alpha", f"must be >= 0, got {cfg.alpha}")
-    if cfg.couplings_ghz and scenario in _ATOM2_RULE:
-        errors.append(f"{at('couplings_ghz')}: couplings_ghz: {scenario} reads no list: atom 1 "
-                      f"couples at g_ghz and {_ATOM2_RULE[scenario]}")
+    if cfg.couplings_ghz and scenario in _NO_LIST:
+        errors.append(f"{at('couplings_ghz')}: couplings_ghz: {scenario} reads no list: "
+                      f"{_NO_LIST[scenario]}")
     elif cfg.couplings_ghz:
         check(len(cfg.couplings_ghz) == cfg.n_atoms, "couplings_ghz",
               f"length {len(cfg.couplings_ghz)} != n_atoms {cfg.n_atoms}")
         check(all(g >= 0 for g in cfg.couplings_ghz), "couplings_ghz",
               "entries must be >= 0")
-        idle = [run.name for run in read if not any(run.couplings_ghz())]
+        idle = [run.name for run in read if not any(run.couplings_ghz)]
         check(not idle, "couplings_ghz",
               f"{scenario} would run {', '.join(idle)} with every coupling zero")
         check(idle or scenario != "n_atom_wstate" or cfg.couplings_ghz[0] > 0, "couplings_ghz",
               f"{scenario} compares the collective exchange with atom 1's: atom 1 must couple")
-    check(cfg.q_factor > 0, "q_factor", f"must be > 0, got {cfg.q_factor}")
+    check(cfg.q_factor > 0 or "q_factor" not in scalars, "q_factor",
+          f"must be > 0, got {cfg.q_factor}")
     check(cfg.kappa_mhz >= 0 or "kappa_mhz" not in scalars, "kappa_mhz",
           f"must be >= 0, got {cfg.kappa_mhz}")
     check(cfg.gamma_mhz >= 0, "gamma_mhz", f"must be >= 0, got {cfg.gamma_mhz}")

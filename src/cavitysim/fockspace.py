@@ -41,10 +41,8 @@ class HilbertLayout:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
-        # a basis index is an int64; n_atoms first, so no 2**N is built for a huge N
-        if self.n_atoms >= 63 or self.dim > 2**63:
-            raise ValueError(f"d = {self.n_max + 1} * 2^{self.n_atoms} basis states, more "
-                             "than the 2^63 that an int64 index reaches")
+        if reason := index_overflow(self.n_max, self.n_atoms):
+            raise ValueError(reason)
 
     @property
     def photon_dim(self) -> int:
@@ -58,17 +56,20 @@ class HilbertLayout:
         """Dimensions of the tensor factors, in storage order."""
         return (self.photon_dim,) + (2,) * self.n_atoms
 
-    def basis_index(self, n_photons: int, pattern) -> int:
-        """Index of |n_photons, s_1 ... s_N> under the fixed ordering."""
-        bits = _parse_pattern(pattern, self.n_atoms)
+    def basis_index(self, n_photons: int, pattern: str) -> int:
+        """Index of |n_photons, s_1 ... s_N> under the fixed ordering, for
+        the atom pattern 'ge..' of s_1 ... s_N."""
+        if not isinstance(pattern, str) or set(pattern) - {"g", "e"}:
+            raise ValueError(f"atom pattern must be a string of g/e, got {pattern!r}")
+        if len(pattern) != self.n_atoms:
+            raise ValueError(
+                f"atom pattern length {len(pattern)} does not match n_atoms={self.n_atoms}"
+            )
         if not 0 <= n_photons <= self.n_max:
             raise ValueError(
                 f"photon number {n_photons} outside truncation 0..{self.n_max}"
             )
-        idx = n_photons
-        for b in bits:
-            idx = 2 * idx + b
-        return idx
+        return n_photons * 2**self.n_atoms + int(pattern.replace("g", "0").replace("e", "1"), 2)
 
     def basis_label(self, index: int) -> str:
         """Human-readable label |n,s1..sN> for a basis index."""
@@ -80,22 +81,14 @@ class HilbertLayout:
         return f"{n}," + bits.replace("0", "g").replace("1", "e")
 
 
-def _parse_pattern(pattern, n_atoms: int):
-    """Atom pattern -> tuple of bits (g=0, e=1).  Accepts 'ge..' or ints."""
-    if isinstance(pattern, str):
-        bad = set(pattern) - {"g", "e"}
-        if bad:
-            raise ValueError(f"atom pattern may contain only g/e, got {pattern!r}")
-        bits = tuple(1 if c == "e" else 0 for c in pattern)
-    else:
-        bits = tuple(int(b) for b in pattern)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"atom pattern bits must be 0/1, got {pattern!r}")
-    if len(bits) != n_atoms:
-        raise ValueError(
-            f"atom pattern length {len(bits)} does not match n_atoms={n_atoms}"
-        )
-    return bits
+def index_overflow(n_max: int, n_atoms: int) -> str:
+    """Why a basis index of d = (n_max + 1) 2^N states overflows an int64,
+    or '' where it does not."""
+    # n_atoms first, so no 2**N is built for a huge N
+    if n_atoms >= 63 or (n_max + 1) * 2**n_atoms > 2**63:
+        return (f"d = {n_max + 1} * 2^{n_atoms} basis states, more than the 2^63 that an "
+                "int64 index reaches")
+    return ""
 
 
 def _check_atom_index(layout: HilbertLayout, i: int):
@@ -145,6 +138,6 @@ def factor_index(layout: HilbertLayout, basis, factors) -> np.ndarray:
     return out
 
 
-def basis_state(layout: HilbertLayout, n_photons: int, pattern) -> dict:
+def basis_state(layout: HilbertLayout, n_photons: int, pattern: str) -> dict:
     """Unit computational basis ket |n_photons, s_1 ... s_N>: {index: 1.0}."""
     return {layout.basis_index(n_photons, pattern): 1.0}

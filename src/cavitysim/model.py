@@ -5,7 +5,8 @@ hbar = 1 the Hamiltonian is then also in rad/ns.  It is written in the
 frame rotating at the cavity frequency: simulating bare optical
 frequencies (~2.4e6 rad/ns) is numerically pointless since every observable
 used downstream (bare-state populations, entropies, concurrence) is
-invariant under that frame change.
+invariant under that frame change.  In that frame the two frequencies
+enter only as the detuning Delta = omega_0 - omega_c, `SystemParams.detuning`.
 
 Loss enters in the standard trace-preserving Lindblad form
     kappa (a rho a^dag - 1/2 {a^dag a, rho}) + gamma sum_i (...)
@@ -29,13 +30,12 @@ from .fockspace import HilbertLayout
 class SystemParams:
     """Physical parameters of the atoms-plus-mode system (angular rad/ns).
 
-    couplings holds one g per atom; omega_c / omega_0 are the cavity and
-    atomic transition frequencies (only their difference enters the
-    rotating-frame Hamiltonian), kappa and gamma are energy decay rates.
+    detuning is Delta = omega_0 - omega_c, the atomic transition's offset
+    from the cavity frequency; couplings holds one g per atom; kappa and
+    gamma are energy decay rates.
     """
 
-    omega_c: float
-    omega_0: float
+    detuning: float
     kappa: float
     gamma: float
     couplings: tuple
@@ -48,11 +48,6 @@ class SystemParams:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if any(g < 0 for g in self.couplings):
             raise ValueError(f"couplings must be >= 0, got {self.couplings}")
-
-    @property
-    def detuning(self) -> float:
-        """Delta = omega_0 - omega_c (rad/ns)."""
-        return self.omega_0 - self.omega_c
 
     @property
     def n_atoms(self) -> int:

@@ -83,14 +83,13 @@ def trajectory(cfg: ExperimentConfig, run: Run | list) -> dyn.Trajectory | list:
         raise ValueError("a stack of runs records no projections")
     layout = first.layout()
     cavity = dict(
-        omega_c=0.0,
-        omega_0=ghz_to_angular(cfg.detuning_ghz),
+        detuning=ghz_to_angular(cfg.detuning_ghz),
         kappa=mhz_to_angular(cfg.resolved_kappa_mhz),
         gamma=mhz_to_angular(cfg.resolved_gamma_mhz),
     )
     gens = [
         build_generator(layout, SystemParams(
-            **cavity, couplings=tuple(ghz_to_angular(g) for g in r.couplings_ghz())))
+            **cavity, couplings=tuple(ghz_to_angular(g) for g in r.couplings_ghz)))
         for r in runs
     ]
     trajectories = dyn.integrate(

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import settings
 
 from cavitysim import dynamics, presets, runner
-from cavitysim.analytic import CouplingVector
+from cavitysim.analytic import coupling_norm
 from cavitysim.config import SCENARIOS
 from cavitysim.coupling import (
     FieldMap, ModeVolume, _grid_cell, _synth_axes, _synth_density, _trilinear, local_mode_volume,
@@ -358,14 +358,14 @@ def synth_density_at(design: str, resolution_nm: float, r_nm) -> float:
     return _trilinear(block, frac)
 
 
-def single_excitation_population(gv: CouplingVector, t):
+def single_excitation_population(couplings: tuple, t):
     """P(chi1)(t) = sin^2(g_norm t) for the closed system started in chi0.
 
     Peaks at 1 when t = pi / (2 g_norm)."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    return np.sin(gv.g_norm * t) ** 2
+    return np.sin(coupling_norm(couplings) * t) ** 2
 
 
 @pytest.fixture

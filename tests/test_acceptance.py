@@ -13,7 +13,7 @@ import pytest
 
 from cavitysim import analytic, coupling as cp, dynamics as dyn, entanglement as ent
 from cavitysim import fockspace as fs, model, presets
-from cavitysim.analytic import CouplingVector
+from cavitysim.analytic import coupling_norm
 from cavitysim.config import parse_config
 from cavitysim.fockspace import HilbertLayout
 from cavitysim.model import SystemParams
@@ -34,13 +34,12 @@ def _report(num: int, name: str, ok: bool, detail: str):
 
 
 def _closed_gen(layout, couplings):
-    p = SystemParams(omega_c=0, omega_0=0, kappa=0, gamma=0, couplings=couplings)
+    p = SystemParams(detuning=0, kappa=0, gamma=0, couplings=couplings)
     return model.build_generator(layout, p)
 
 
 def _lossy_gen(layout, couplings):
-    p = SystemParams(omega_c=0, omega_0=0, kappa=KAPPA, gamma=GAMMA,
-                     couplings=couplings)
+    p = SystemParams(detuning=0, kappa=KAPPA, gamma=GAMMA, couplings=couplings)
     return model.build_generator(layout, p)
 
 
@@ -50,8 +49,7 @@ def _measured_frequency(couplings, lossy=False):
     layout = HilbertLayout(n_max=2, n_atoms=len(couplings))
     gen = _lossy_gen(layout, couplings) if lossy else _closed_gen(layout, couplings)
     psi0 = fs.basis_state(layout, 1, "g" * len(couplings))
-    g_norm = float(np.sqrt(sum(g * g for g in couplings)))
-    ts = np.linspace(0.0, 3 * np.pi / g_norm, 1201)
+    ts = np.linspace(0.0, 3 * np.pi / coupling_norm(couplings), 1201)
     traj = dyn.integrate(gen, psi0, ts, track=("n_photon",))
     return dyn.rabi_frequency(traj, "n_photon")
 
@@ -62,14 +60,14 @@ def test_criterion_01_single_excitation_oracle_equivalence():
     for n_atoms in (1, 2, 3):
         t0 = time.perf_counter()
         layout = HilbertLayout(n_max=2, n_atoms=n_atoms)
-        gv = CouplingVector(tuple(G * rng.uniform(0.3, 1.3, n_atoms)))
-        gen = _closed_gen(layout, gv.g)
-        chi0, chi1 = analytic.single_excitation_states(layout, gv)
-        ts = np.linspace(0.0, 3 * np.pi / gv.g_norm, 601)
+        couplings = tuple(G * rng.uniform(0.3, 1.3, n_atoms))
+        gen = _closed_gen(layout, couplings)
+        chi0, chi1 = analytic.single_excitation_states(layout, couplings)
+        ts = np.linspace(0.0, 3 * np.pi / coupling_norm(couplings), 601)
         traj = dyn.integrate(gen, chi0, ts,
                              projections={"P_chi1": chi1})
         err = float(np.max(np.abs(
-            traj.series("P_chi1") - single_excitation_population(gv, ts)
+            traj.series("P_chi1") - single_excitation_population(couplings, ts)
         )))
         elapsed = time.perf_counter() - t0
         worst_err = max(worst_err, err)

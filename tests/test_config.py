@@ -243,7 +243,7 @@ def test_canonical_round_trip(scenario):
 # fig4, the one scenario with an alpha sweep, rejects couplings_ghz, so
 # EVERY_FIELD sets every other field and COUPLINGS sets that one.
 EVERY_FIELD = (
-    'scenario = "fig4_correlations"\ndesign = "D2"\nn_atoms = 3\nn_photons = 2\n'
+    'scenario = "fig4_correlations"\ndesign = "D2"\nn_atoms = 2\nn_photons = 2\n'
     'g_ghz = 7.5\nalpha = 0.62\n'
     'q_factor = 2e6\nkappa_mhz = 12.5\ngamma_mhz = 5.5\nlambda_nm = 800.0\n'
     'detuning_ghz = 0.25\nlossless = true\n'
@@ -358,15 +358,60 @@ def _fig5(design, x, y=(0.0, 0.0)):
     ('scenario = "n_atom_wstate"\ncouplings_ghz = [0.0, 1.0, 0.0]\nt_end_ns = 2.0\n',
      "line 2: couplings_ghz: n_atom_wstate compares the collective exchange with atom 1's: "
      "atom 1 must couple"),
+    # fig2 runs one atom at g_ghz, which a list only restates
+    ('scenario = "fig2_single_atom"\ncouplings_ghz = [9.0]\n',
+     "line 2: couplings_ghz: fig2_single_atom reads no list: its one atom couples at g_ghz; "
+     "set g_ghz instead"),
+    # a scenario that fixes its atom count ran that many and wrote the
+    # config's count to config.txt
+    ('scenario = "fig2_single_atom"\nn_atoms = 3\n',
+     "line 2: n_atoms: must be 1 for fig2_single_atom, got 3"),
+    ('scenario = "fig3_two_atom"\nn_atoms = 5\n',
+     "line 2: n_atoms: must be 2 for fig3_two_atom, got 5"),
+    # a value the file sets is checked, not replaced by the design's preset,
+    # which ran fig5 at 9 GHz and fig2 at Q = 1.3e7
+    ('scenario = "fig5_position_map"\ng_ghz = -1.0\n', "line 2: g_ghz: must be > 0, got -1.0"),
+    ('scenario = "fig2_single_atom"\nq_factor = -3e6\n',
+     "line 2: q_factor: must be > 0, got -3000000.0"),
+    ('scenario = "fig3_two_atom"\ng_ghz = 0.0\n', "line 2: g_ghz: must be > 0, got 0.0"),
+    ('scenario = "custom"\nobservables = "n_photon"\n',
+     "line 2: observables: expected a [list] of strings, got 'n_photon'"),
 ], ids=["fig5_x_max", "fig5_x_min", "fig5_y_max", "wstate_uncoupled", "fig3_uncoupled",
         "fig3_couplings", "fig4_couplings", "fig5_couplings", "wstate_no_photon",
-        "fig2_no_photon", "wstate_two_photons", "wstate_atom_1_uncoupled"])
+        "fig2_no_photon", "wstate_two_photons", "wstate_atom_1_uncoupled", "fig2_couplings",
+        "fig2_atom_count", "fig3_atom_count", "fig5_negative_g", "fig2_negative_q",
+        "fig3_zero_g", "string_observables"])
 def test_configs_that_cannot_run_fail_validate(text, error, tmp_path):
     errors = _errors(text)
     assert len(errors) == 1 and errors[0].startswith(error)
     path = tmp_path / "cfg.toml"
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_design_preset_fills_only_absent_keys():
+    # an unknown design has no preset, and g_ghz and q_factor are unset
+    assert _errors('scenario = "fig2_single_atom"\ndesign = "D9"\n') == [
+        "line 2: design: unknown design 'D9'; valid: D1, D2, D3"]
+    cfg = parse_config('scenario = "fig2_single_atom"\ndesign = "D2"\ng_ghz = 4.5\n')
+    assert (cfg.g_ghz, cfg.q_factor) == (4.5, presets.DESIGNS["D2"].q_factor)
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_plans_hold_coupling_tuples(scenario):
+    # a plan is built from any config, even one that fails validation
+    for n_atoms in (1, 0, -2):
+        for design in ("D1", "D9"):
+            cfg = ExperimentConfig(scenario=scenario, n_atoms=n_atoms, design=design)
+            assert all(isinstance(run.couplings_ghz, tuple)
+                       for run in SCENARIOS[scenario].plan(cfg).runs)
+    cfg = parse_config(f'scenario = "{scenario}"\n')
+    plan = SCENARIOS[scenario].plan(cfg)
+    runs = list(plan.runs) + ([run for _, run in plan.sweep.points(cfg)] if plan.sweep else [])
+    assert runs and all(isinstance(run.couplings_ghz, tuple) for run in runs)
+    assert all(len(run.couplings_ghz) == run.n_atoms == cfg.n_atoms for run in runs)
 
 
 def _validate_errors(text, tmp_path, capsys):

@@ -32,10 +32,9 @@ from conftest import (
 G = ghz_to_angular(9.0)
 
 
-def _gen(n_max, couplings, kappa=0.0, gamma=0.0, omega_0=0.0):
+def _gen(n_max, couplings, kappa=0.0, gamma=0.0, detuning=0.0):
     lay = HilbertLayout(n_max=n_max, n_atoms=len(couplings))
-    p = SystemParams(omega_c=0.0, omega_0=omega_0, kappa=kappa, gamma=gamma,
-                     couplings=couplings)
+    p = SystemParams(detuning=detuning, kappa=kappa, gamma=gamma, couplings=couplings)
     return lay, model.build_generator(lay, p)
 
 
@@ -452,10 +451,9 @@ def test_lossy_three_atoms_match_dense_full_space_reference(rng):
     # a random start with two excitations: integrate keeps the 12 of the
     # d = 24 states with at most two, the reference propagates all of them
     lay = HilbertLayout(n_max=2, n_atoms=3)
-    p = SystemParams(omega_c=0.0, omega_0=0.2 * G, kappa=4.0, gamma=1.5,
-                     couplings=(G, 0.6 * G, 1.3 * G))
+    p = SystemParams(detuning=0.2 * G, kappa=4.0, gamma=1.5, couplings=(G, 0.6 * G, 1.3 * G))
     gen = model.build_generator(lay, p)
-    _, chi1 = analytic.single_excitation_states(lay, analytic.CouplingVector(p.couplings))
+    _, chi1 = analytic.single_excitation_states(lay, p.couplings)
     _assert_matches_dense_reference(gen, random_sector_ket(lay, rng, 2),
                                     np.linspace(0.0, 0.4, 41), 2, {"P_chi1": chi1})
 
@@ -476,7 +474,7 @@ def test_exceptional_point_matches_dense_full_space_reference():
 def test_lossy_two_photons_two_atoms_match_dense_full_space_reference(rng):
     # sector 2 is a ket on |0ee>, |1eg>, |1ge>, |2gg>; x is the Van Loan
     # block's 4 x 4 density on the states below, fed from it
-    lay, gen = _gen(3, (G, 0.6 * G), kappa=3.0, gamma=1.2, omega_0=0.3 * G)
+    lay, gen = _gen(3, (G, 0.6 * G), kappa=3.0, gamma=1.2, detuning=0.3 * G)
     chis = analytic.two_photon_states(lay, G, 0.6 * G)
     _assert_matches_dense_reference(
         gen, random_sector_ket(lay, rng, 2), np.linspace(0.0, 0.5, 201), 2,
@@ -518,7 +516,7 @@ def test_random_systems_match_dense_full_space_reference(n_atoms, n_exc, lossy, 
     # float, so the reference takes one expm of its d^2 x d^2 Liouvillian
     lay = HilbertLayout(n_max=n_exc, n_atoms=n_atoms)
     kappa, gamma = (rate * lossy for rate in rates)
-    p = SystemParams(omega_c=0.0, omega_0=detuning * G, kappa=kappa, gamma=gamma,
+    p = SystemParams(detuning=detuning * G, kappa=kappa, gamma=gamma,
                      couplings=tuple(g * G for g in couplings[:n_atoms]))
     psi0 = random_sector_ket(lay, np.random.default_rng(seed), n_exc)
     _assert_matches_dense_reference(model.build_generator(lay, p), psi0,
@@ -576,8 +574,7 @@ def test_integrate_allocates_nothing_of_length_d():
         tracemalloc.start()
         try:
             psi0 = fs.basis_state(lay, 1, "g" * n_atoms)
-            chi0, chi1 = analytic.single_excitation_states(lay, analytic.CouplingVector(
-                (G,) * n_atoms))
+            chi0, chi1 = analytic.single_excitation_states(lay, (G,) * n_atoms)
             dyn.integrate(gen, psi0, np.linspace(0.0, 0.01, 3), track=("n_photon", "entropies"),
                           projections={"P_chi0": chi0, "P_chi1": chi1})
             _, peak = tracemalloc.get_traced_memory()
@@ -653,8 +650,7 @@ def test_snapshots_remain_valid_states():
 
 def test_projection_observables():
     lay, gen = _gen(2, (G, G))
-    gv = analytic.CouplingVector((G, G))
-    chi0, chi1 = analytic.single_excitation_states(lay, gv)
+    chi0, chi1 = analytic.single_excitation_states(lay, (G, G))
     psi0 = chi0
     ts = np.linspace(0.0, np.pi / (np.sqrt(2) * G), 201)
     traj = dyn.integrate(gen, psi0, ts, projections={"P_chi1": chi1})
@@ -769,8 +765,7 @@ def _two_atom_observables_run(extra_projections=None, runs=((0.6, 0.3),)):
     gens = [_gen(2, (G, r * G), kappa=0.19, gamma=0.04)[1] for r, _ in runs]
     grids = [np.linspace(0.0, t_end, 62) for _, t_end in runs]
     lay = gens[0].layout
-    gv = analytic.CouplingVector((G, 0.6 * G))
-    chi0, chi1 = analytic.single_excitation_states(lay, gv)
+    chi0, chi1 = analytic.single_excitation_states(lay, (G, 0.6 * G))
     psi0 = fs.basis_state(lay, 1, "gg")
     return dyn.integrate(
         gens[0] if len(runs) == 1 else gens, psi0, grids[0] if len(runs) == 1 else grids,

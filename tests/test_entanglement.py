@@ -84,8 +84,7 @@ def test_entropy_of_unbalanced_peak_state_atom():
     # alpha = 0.7 has eigenvalues {alpha^2, 1}/(1+alpha^2)
     alpha = 0.7
     lay = HilbertLayout(n_max=1, n_atoms=2)
-    gv = analytic.CouplingVector((G, alpha * G))
-    _, chi1 = analytic.single_excitation_states(lay, gv)
+    _, chi1 = analytic.single_excitation_states(lay, (G, alpha * G))
     red = ent.partial_trace(pure_state_density(dense(lay, chi1)), lay, (2,))
     evals = np.sort(np.linalg.eigvalsh(red))
     p = alpha**2 / (1 + alpha**2)
@@ -184,7 +183,7 @@ def test_splitting_magnitude_values(alpha, expected):
 def test_splitting_matches_trajectory_measurement():
     alpha = 0.7
     lay = HilbertLayout(n_max=2, n_atoms=2)
-    p = SystemParams(omega_c=0, omega_0=0, kappa=0, gamma=0, couplings=(G, alpha * G))
+    p = SystemParams(detuning=0, kappa=0, gamma=0, couplings=(G, alpha * G))
     gen = model.build_generator(lay, p)
     psi0 = fs.basis_state(lay, 1, "gg")
     omega = G * np.hypot(1, alpha)
@@ -222,7 +221,7 @@ def test_state_fidelity_basics(rng):
 def test_peak_concurrence_matches_closed_form(alpha):
     # lossless run over one period; peak concurrence = 2a/(1+a^2)
     lay = HilbertLayout(n_max=2, n_atoms=2)
-    p = SystemParams(omega_c=0, omega_0=0, kappa=0, gamma=0, couplings=(G, alpha * G))
+    p = SystemParams(detuning=0, kappa=0, gamma=0, couplings=(G, alpha * G))
     gen = model.build_generator(lay, p)
     psi0 = fs.basis_state(lay, 1, "gg")
     omega = G * np.hypot(1, alpha)
@@ -351,7 +350,7 @@ def test_closed_forms_match_stacked_oracles_on_random_block_diagonal_states(
     n_max, n_atoms, top, rng
 ):
     lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
-    p = SystemParams(omega_c=0.0, omega_0=0.2 * G, kappa=4.0, gamma=1.5,
+    p = SystemParams(detuning=0.2 * G, kappa=4.0, gamma=1.5,
                      couplings=tuple(G * rng.uniform(0.3, 1.3, n_atoms)))
     gen = model.build_generator(lay, p)
     norm_dims = {f: dyn.sector_norm_dim(lay, (f,), top) for f in range(n_atoms + 1)}

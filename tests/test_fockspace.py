@@ -114,7 +114,7 @@ def test_basis_state_enumeration_property(n_max, n_atoms, n, atoms):
     n = min(n, n_max)
     atoms %= 2**n_atoms
     bits = [(atoms >> (n_atoms - 1 - k)) & 1 for k in range(n_atoms)]
-    vec = dense(lay, fs.basis_state(lay, n, bits))
+    vec = dense(lay, fs.basis_state(lay, n, "".join("ge"[b] for b in bits)))
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
     assert np.argmax(np.abs(vec)) == _enumerated_index(lay, n, bits)
 
@@ -127,6 +127,9 @@ def test_basis_state_rejects_out_of_range():
         fs.basis_state(lay, 0, "g")      # wrong pattern length
     with pytest.raises(ValueError):
         fs.basis_state(lay, 0, "gx")
+    for pattern in ((0, 1), [1, 0], b"ge"):  # a pattern is a string of g/e only
+        with pytest.raises(ValueError, match="string of g/e"):
+            lay.basis_index(0, pattern)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])

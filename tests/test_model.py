@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,15 @@ G = ghz_to_angular(9.0)  # rad/ns
 
 
 def _params(**kw):
-    base = dict(omega_c=0.0, omega_0=0.0, kappa=0.0, gamma=0.0,
+    base = dict(detuning=0.0, kappa=0.0, gamma=0.0,
                 couplings=(G,))
     base.update(kw)
     return SystemParams(**base)
+
+
+def test_params_hold_the_detuning_not_two_frequencies():
+    # only omega_0 - omega_c enters the rotating-frame Hamiltonian
+    assert [f.name for f in fields(SystemParams)] == ["detuning", "kappa", "gamma", "couplings"]
 
 
 def test_params_validation():
@@ -70,14 +77,14 @@ def test_two_atom_dicke_enhanced_splitting():
 
 def test_hamiltonian_exactly_hermitian():
     lay = HilbertLayout(n_max=2, n_atoms=2)
-    p = _params(couplings=(G, 0.7 * G), omega_0=1.3)
+    p = _params(couplings=(G, 0.7 * G), detuning=1.3)
     h = model.build_hamiltonian(lay, p)
     assert np.array_equal(h, h.conj().T)
 
 
 def test_excitation_number_commutes_with_hamiltonian():
     lay = HilbertLayout(n_max=2, n_atoms=2)
-    h = model.build_hamiltonian(lay, _params(couplings=(G, 0.7 * G), omega_0=2.0))
+    h = model.build_hamiltonian(lay, _params(couplings=(G, 0.7 * G), detuning=2.0))
     n_ex = np.diag(excitations(lay))
     assert np.max(np.abs(h @ n_ex - n_ex @ h)) < 1e-12
 
@@ -116,7 +123,7 @@ def test_builders_match_the_kron_oracle(n_max, n_atoms, rng):
     # them in random order, which no operator maps into themselves
     keeps = [None] + [np.flatnonzero(exc <= top) for top in range(n_max + 1)]
     keeps.append(rng.permutation(lay.dim)[: lay.dim // 2])
-    p = _params(couplings=couplings, omega_c=1.9, omega_0=2.6, kappa=0.3, gamma=0.11)
+    p = _params(couplings=couplings, detuning=0.7, kappa=0.3, gamma=0.11)
     h, collapse = _kron_operators(lay, p)
     gen = model.build_generator(lay, p)
     for keep in keeps:
@@ -149,7 +156,7 @@ def test_rhs_traceless_hermitian_linear(n_max, n_atoms, rng):
     lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
     assert lay.dim <= 24
     p = _params(couplings=tuple(rng.uniform(0.2, 1.5, n_atoms)), kappa=0.3, gamma=0.1,
-                omega_0=0.4)
+                detuning=0.4)
     gen = model.build_generator(lay, p)
     for _ in range(34):  # ~100 random pairs across the three layouts
         rho1 = random_density_matrix(lay.dim, rng)
@@ -165,7 +172,7 @@ def test_rhs_traceless_hermitian_linear(n_max, n_atoms, rng):
 
 def test_liouvillian_matches_rhs(rng):
     lay = HilbertLayout(n_max=2, n_atoms=2)
-    p = _params(couplings=(G, 0.5 * G), kappa=0.2, gamma=0.04, omega_0=0.8)
+    p = _params(couplings=(G, 0.5 * G), kappa=0.2, gamma=0.04, detuning=0.8)
     gen = model.build_generator(lay, p)
     liou = model.liouvillian_matrix(gen)
     for _ in range(5):
@@ -177,7 +184,7 @@ def test_liouvillian_matches_rhs(rng):
 
 def test_liouvillian_on_kept_states_restricts_the_full_one():
     lay = HilbertLayout(n_max=2, n_atoms=2)
-    p = _params(couplings=(G, 0.5 * G), kappa=0.2, gamma=0.04, omega_0=0.8)
+    p = _params(couplings=(G, 0.5 * G), kappa=0.2, gamma=0.04, detuning=0.8)
     gen = model.build_generator(lay, p)
     kept = np.flatnonzero(excitations(lay) <= 1)
     inside = (kept[:, None] * lay.dim + kept).ravel()  # vec index of |k><l|
@@ -215,7 +222,7 @@ def test_photon_decay_matches_closed_form():
 def test_detuned_hamiltonian_shifts_block():
     lay = HilbertLayout(n_max=1, n_atoms=1)
     delta = 2.0
-    h = model.build_hamiltonian(lay, _params(omega_0=delta))
+    h = model.build_hamiltonian(lay, _params(detuning=delta))
     e_state = dense(lay, fs.basis_state(lay, 0, "e"))
     g_state = dense(lay, fs.basis_state(lay, 0, "g"))
     assert e_state.conj() @ h @ e_state == pytest.approx(delta / 2)
@@ -225,8 +232,8 @@ def test_detuned_hamiltonian_shifts_block():
 def test_stacked_hamiltonians_equal_each_alone():
     # a zero coupling, a detuning and a sign of zero, each built as alone
     lay = HilbertLayout(n_max=2, n_atoms=2)
-    stack = [_params(couplings=(G, 0.0)), _params(couplings=(0.3 * G, 1.7 * G), omega_0=-2.5),
-             _params(couplings=(G, G), omega_0=1.0)]
+    stack = [_params(couplings=(G, 0.0)), _params(couplings=(0.3 * G, 1.7 * G), detuning=-2.5),
+             _params(couplings=(G, G), detuning=1.0)]
     keep = np.flatnonzero(excitations(lay) == 1)
     for states in (None, keep):
         h = model.build_hamiltonian(lay, stack, states)

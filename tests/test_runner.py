@@ -136,7 +136,7 @@ def test_rabi_frequency_fft_cross_check():
     g = ghz_to_angular(9.0)
     lay = HilbertLayout(n_max=2, n_atoms=1)
     gen = model.build_generator(
-        lay, SystemParams(omega_c=0, omega_0=0, kappa=0, gamma=0, couplings=(g,))
+        lay, SystemParams(detuning=0, kappa=0, gamma=0, couplings=(g,))
     )
     psi0 = fs.basis_state(lay, 1, "g")
     ts = np.linspace(0.0, 20 * np.pi / g, 4001)
@@ -471,7 +471,7 @@ def test_one_photon_runs_match_the_no_jump_oracle(name):
         traj = runner.trajectory(cfg, run)
         n = run.n_atoms
         h_eff = np.diag([-0.5j * kappa] + [ghz_to_angular(cfg.detuning_ghz) - 0.5j * gamma] * n)
-        h_eff[0, 1:] = h_eff[1:, 0] = [ghz_to_angular(g) for g in run.couplings_ghz()]
+        h_eff[0, 1:] = h_eff[1:, 0] = [ghz_to_angular(g) for g in run.couplings_ghz]
         ground = "g" * n
         block = [(1, ground)] + [(0, ground[:i] + "e" + ground[i + 1:]) for i in range(n)]
         index = [int(np.argmax(dense(traj.layout, fs.basis_state(traj.layout, *s))))
