@@ -6,24 +6,28 @@ the checks are deliberately strict: unknown keys, sections, sweep axes and
 sweep keys, sweep tables of an axis the scenario does not run (it runs those
 of `default_sweeps`), bad types and out-of-range values are hard errors
 carrying the line number, so a typo in a physics parameter cannot silently
-run with a default.  So is a run that would not fit in physical memory, a
-layout whose basis indices overflow int64, an `observables` list with
-`populations` for more than dynamics.POPULATIONS_MAX_DIM basis states, and
-one without a column the plan's summary or sweep reads.  All such problems
-are reported together; a TOML syntax error stops the parse (so syntax errors
-are reported one at a time), and so does an `n_atoms` that overflows int64
+run with a default.  So is a key of a scenario's `fixed` set, one its
+plan and summary do not vary, at any value but the one it takes when
+absent (the scenario's default, else the ExperimentConfig default), so no
+config records a value its run ignored.  So is a run that would not fit
+in physical memory, a layout whose basis indices overflow int64, an
+`observables` list with a repeated entry, with `populations` for more
+than dynamics.POPULATIONS_MAX_DIM basis states, or without a column the
+plan's summary or sweep reads.  All such problems are reported
+together; a TOML syntax error stops the parse (so syntax errors are
+reported one at a time), and so does an `n_atoms` that overflows int64
 at any photon number.  Every omitted key is filled from the scenario's
 defaults (g_ghz and q_factor from the design's) at parse time, and
 `canonical_text` emits the fully resolved form as valid TOML;
 parse(canonical_text(cfg)) round-trips to an equal config.  The fields of
 `ExperimentConfig` are the one list of keys: each key's type test and its
 line in `canonical_text` follow from them.  `SCENARIOS` holds each
-scenario's `cavitysim scenarios` note, its defaults and its plan: the runs
-it makes, the summary drawn from them and the columns that summary reads,
-built from the config alone with no map read.  The runner executes the plan;
-the memory gate adds up what dynamics.footprint says it allocates.  Nothing
-here propagates: runner.check_fits makes the summary's fits that `cavitysim
-validate` checks.
+scenario's `cavitysim scenarios` note, its defaults, its fixed keys and
+its plan: the runs it makes, the summary drawn from them and the columns
+that summary reads, built from the config alone with no map read.  The
+runner executes the plan; the memory gate adds up what dynamics.footprint
+says it allocates.  Nothing here propagates: runner.check_fits makes the
+summary's fits that `cavitysim validate` checks.
 
 Example::
 
@@ -188,9 +192,9 @@ class Run(NamedTuple):
 
 
 class Sweep(NamedTuple):
-    """A run per point of the product of `axes`: two atoms at (g, alpha g)
-    from one photon, over `steps` steps up to c pi / (g sqrt(1 + alpha^2)),
-    grid = (c, steps).  alpha_rule takes each axis's values and gives every
+    """A run per point of the product of `axes`: the config's two atoms at
+    (g, alpha g) from its one photon, over `steps` steps up to
+    c pi / (g sqrt(1 + alpha^2)), grid = (c, steps).  alpha_rule takes each axis's values and gives every
     point's alpha, one array axis per sweep axis, at run time.  Each point
     adds a row to `table`: its axis values, alpha and the maximum of each
     `peaks` column."""
@@ -202,8 +206,6 @@ class Sweep(NamedTuple):
     peaks: tuple
     table: str
     name: Callable | None = None  # axis indices -> kept trajectory's name
-    n_atoms = 2
-    n_photons = 1
 
     def points(self, cfg: ExperimentConfig):
         """(point, run) of each point in order, point mapping each axis and
@@ -221,12 +223,12 @@ class Sweep(NamedTuple):
         output count, so the one at alpha = 0 sizes them."""
         point = self.run(cfg, 0.0)
         return min(math.prod(ax.steps for ax in self.axes),
-                   dyn.stack_runs(point.n_atoms, self.n_photons, cfg.lossy, point.outputs()))
+                   dyn.stack_runs(point.n_atoms, point.n_photons, cfg.lossy, point.outputs()))
 
     def run(self, cfg: ExperimentConfig, alpha: float, name: str | None = None) -> Run:
         c, steps = self.grid
         t_end = c * np.pi / (ghz_to_angular(cfg.g_ghz) * np.sqrt(1.0 + alpha**2))
-        return Run(name, self.n_atoms, _leading(cfg, alpha), self.n_photons, t_end,
+        return Run(name, cfg.n_atoms, _leading(cfg, alpha), cfg.n_photons, t_end,
                    t_end / steps, self.track,
                    key=("sweep", max(self.axes, key=lambda a: a.steps).name, "steps"))
 
@@ -271,9 +273,9 @@ def _leading(cfg: ExperimentConfig, *ratios) -> tuple:
 def _fig2_plan(cfg: ExperimentConfig) -> Plan:
     g = _leading(cfg)
     return Plan((
-        Run("short", 1, g, cfg.n_photons, cfg.t_end_ns, cfg.dt_ns, cfg.observables),
-        Run("long", 1, g, cfg.n_photons, cfg.t_long_ns, cfg.dt_long_ns, cfg.observables,
-            key=("dt_long_ns",)),
+        Run("short", cfg.n_atoms, g, cfg.n_photons, cfg.t_end_ns, cfg.dt_ns, cfg.observables),
+        Run("long", cfg.n_atoms, g, cfg.n_photons, cfg.t_long_ns, cfg.dt_long_ns,
+            cfg.observables, key=("dt_long_ns",)),
     ), _fig2_summary, reads={"short": ("pop_0e",), "long": ("pop_0e",)})
 
 
@@ -303,7 +305,7 @@ def _two_atom_runs(cfg: ExperimentConfig, extra) -> tuple:
     tracking the config's observables and `extra`."""
     track = cfg.observables + tuple(o for o in extra if o not in cfg.observables)
     return tuple(
-        Run(f"{photons}_photon_{kind}", 2, _leading(cfg, ratio), n,
+        Run(f"{photons}_photon_{kind}", cfg.n_atoms, _leading(cfg, ratio), n,
             cfg.t_end_ns, cfg.dt_ns, track, _two_atom_states)
         for n, photons in ((1, "one"), (2, "two"))
         for kind, ratio in (("equal", 1.0), ("ratio", cfg.alpha))
@@ -472,39 +474,42 @@ class Scenario(NamedTuple):
     note: str                 # the line `cavitysim scenarios` prints
     defaults: dict            # applied before the config's own keys
     plan: Callable            # cfg -> Plan
+    # keys the plan and summary do not vary, each held at the value it takes
+    # when absent: set to anything else, they are an error
+    fixed: tuple
 
+
+# fig3 and fig4 run one and two photons and couple atom 2 at alpha g
+_TWO_ATOM_FIXED = ("n_atoms", "n_photons", "couplings_ghz", "t_long_ns", "dt_long_ns",
+                   "resolution_nm")
 
 SCENARIOS = {
     "fig2_single_atom": Scenario(
         "single atom, one photon: Rabi cycles and envelope lifetime",
         dict(n_atoms=1, n_photons=1, t_end_ns=0.1, dt_ns=5e-5,
-             t_long_ns=40.0, dt_long_ns=0.005), _fig2_plan),
+             t_long_ns=40.0, dt_long_ns=0.005), _fig2_plan,
+        ("n_atoms", "n_photons", "alpha", "couplings_ghz", "resolution_nm")),
     "fig3_two_atom": Scenario(
         "two atoms, equal/ratio coupling, one- and two-photon dynamics",
-        dict(n_atoms=2, n_photons=1, alpha=0.7, t_end_ns=0.3, dt_ns=2e-4), _fig3_plan),
+        dict(n_atoms=2, n_photons=1, alpha=0.7, t_end_ns=0.3, dt_ns=2e-4), _fig3_plan,
+        _TWO_ATOM_FIXED),
     "fig4_correlations": Scenario(
         "entropies and concurrence for the two-atom runs + alpha sweep",
         dict(n_atoms=2, n_photons=1, alpha=0.7, t_end_ns=0.3, dt_ns=2e-4,
-             observables=("populations", "n_photon", "entropies", "concurrence")), _fig4_plan),
+             observables=("populations", "n_photon", "entropies", "concurrence")), _fig4_plan,
+        _TWO_ATOM_FIXED),
     "fig5_position_map": Scenario(
         "entanglement vs trap displacement on a synthetic field map",
         dict(n_atoms=2, n_photons=1, lossless=True,
-             observables=("populations", "n_photon", "entropies", "concurrence")), _fig5_plan),
+             observables=("populations", "n_photon", "entropies", "concurrence")), _fig5_plan,
+        ("n_atoms", "n_photons", "alpha", "couplings_ghz", "t_end_ns", "dt_ns", "t_long_ns",
+         "dt_long_ns")),
     "n_atom_wstate": Scenario(
         "N equally coupled atoms generating the shared-excitation state",
-        dict(n_atoms=3, n_photons=1, t_end_ns=0.12, dt_ns=1e-4), _wstate_plan),
-    "custom": Scenario("direct parameter run without scenario presets", {}, _custom_plan),
-}
-
-# How each scenario with a fixed atom count couples its atoms: a
-# couplings_ghz list, which none of its runs reads, is an error.
-_BY_ALPHA = "atom 1 couples at g_ghz and atom 2 at alpha times it; set g_ghz and alpha instead"
-_NO_LIST = {
-    "fig2_single_atom": "its one atom couples at g_ghz; set g_ghz instead",
-    "fig3_two_atom": _BY_ALPHA,
-    "fig4_correlations": _BY_ALPHA,
-    "fig5_position_map": "atom 1 couples at g_ghz and atom 2 as the field map gives at each "
-                         "displacement; set g_ghz instead",
+        dict(n_atoms=3, n_photons=1, t_end_ns=0.12, dt_ns=1e-4), _wstate_plan,
+        ("n_photons", "t_long_ns", "dt_long_ns", "resolution_nm")),
+    "custom": Scenario("direct parameter run without scenario presets", {}, _custom_plan,
+                       ("t_long_ns", "dt_long_ns", "resolution_nm")),
 }
 
 
@@ -696,7 +701,14 @@ def parse_config(text: str) -> ExperimentConfig:
     if errors and scenario is None:
         raise ConfigError(errors)
 
-    merged = dict(SCENARIOS[scenario].defaults)
+    spec = SCENARIOS[scenario]
+    absent = {f.name: f.default for f in fields(ExperimentConfig)} | spec.defaults
+    # a fixed key leaves the config at its default, so no later check names it again
+    for key in [k for k in scalars if k in spec.fixed]:
+        if (value := scalars.pop(key)) != absent[key]:
+            errors.append(f"{at(key)}: {key}: must be {_format_value(absent[key])} for "
+                          f"{scenario}, got {_format_value(value)}")
+    merged = dict(spec.defaults)
     merged.update({k: v for k, v in scalars.items() if k != "scenario"})
     cfg = ExperimentConfig(scenario=scenario, **merged)
     if fs.index_overflow(1, cfg.n_atoms):  # at any photon number: build no plan, as
@@ -705,11 +717,14 @@ def parse_config(text: str) -> ExperimentConfig:
                                     f"{fs.index_overflow(cfg.n_photons + 1, cfg.n_atoms)}"])
 
     bad = [o for o in cfg.observables if o not in dyn.TRACKABLE]
+    repeated = [o for i, o in enumerate(cfg.observables) if o in cfg.observables[:i]]
     if bad:
         errors.append(
             f"{at('observables')}: observables: unknown entries {bad}; "
             f"valid: {', '.join(dyn.TRACKABLE)}"
         )
+    elif repeated:
+        errors.append(f"{at('observables')}: observables: repeated entries {repeated}")
 
     # design / preset resolution
     if cfg.design not in presets.DESIGNS:
@@ -760,29 +775,19 @@ def parse_config(text: str) -> ExperimentConfig:
         if not cond:
             errors.append(f"{at(key)}: {key}: {reason}")
 
-    plan = SCENARIOS[scenario].plan(cfg)
-    # A run the summary reads, or projects onto the collective mode, needs
-    # an excitation to exchange and an atom that couples.
-    read = [run for run in plan.runs if run.projections or run.name in plan.reads]
+    plan = spec.plan(cfg)
     check(cfg.n_atoms >= 1, "n_atoms", f"must be >= 1, got {cfg.n_atoms}")
-    # Each run, and each sweep point, runs the config's atoms.
-    counts = {run.n_atoms for run in plan.runs} | ({plan.sweep.n_atoms} if plan.sweep else set())
-    check(counts <= {cfg.n_atoms}, "n_atoms",
-          f"must be {', '.join(map(str, sorted(counts)))} for {scenario}, got {cfg.n_atoms}")
     check(cfg.n_photons >= 0, "n_photons", f"must be >= 0, got {cfg.n_photons}")
-    check(all(run.n_photons >= 1 for run in read), "n_photons",
-          f"must be >= 1 for {scenario}, whose summary reads an exchange, got {cfg.n_photons}")
     check(cfg.g_ghz > 0 or "g_ghz" not in scalars, "g_ghz", f"must be > 0, got {cfg.g_ghz}")
     check(cfg.alpha >= 0, "alpha", f"must be >= 0, got {cfg.alpha}")
-    if cfg.couplings_ghz and scenario in _NO_LIST:
-        errors.append(f"{at('couplings_ghz')}: couplings_ghz: {scenario} reads no list: "
-                      f"{_NO_LIST[scenario]}")
-    elif cfg.couplings_ghz:
+    if cfg.couplings_ghz:
         check(len(cfg.couplings_ghz) == cfg.n_atoms, "couplings_ghz",
               f"length {len(cfg.couplings_ghz)} != n_atoms {cfg.n_atoms}")
         check(all(g >= 0 for g in cfg.couplings_ghz), "couplings_ghz",
               "entries must be >= 0")
-        idle = [run.name for run in read if not any(run.couplings_ghz)]
+        # a run the summary reads, or projects onto the collective mode, needs an atom that couples
+        idle = [run.name for run in plan.runs
+                if (run.projections or run.name in plan.reads) and not any(run.couplings_ghz)]
         check(not idle, "couplings_ghz",
               f"{scenario} would run {', '.join(idle)} with every coupling zero")
         check(idle or scenario != "n_atom_wstate" or cfg.couplings_ghz[0] > 0, "couplings_ghz",
@@ -796,20 +801,14 @@ def parse_config(text: str) -> ExperimentConfig:
     check(cfg.t_end_ns > 0, "t_end_ns", f"must be > 0, got {cfg.t_end_ns}")
     check(cfg.dt_ns > 0, "dt_ns", f"must be > 0, got {cfg.dt_ns}")
     check(cfg.workers >= 1, "workers", f"must be >= 1, got {cfg.workers}")
-    # fig2's and the W state's summaries compare the exchange with the
-    # one-photon rate, g/pi and |g|/pi; from 0 photons the check above names the key.
-    check(scenario not in ("fig2_single_atom", "n_atom_wstate") or cfg.n_photons <= 1,
-          "n_photons", f"must be 1 for {scenario}, whose summary compares the exchange "
-          f"with the one-photon rate, got {cfg.n_photons}")
-    if cfg.scenario == "fig2_single_atom":  # the only scenario with a long run
-        check(cfg.t_long_ns > 0, "t_long_ns", f"must be > 0, got {cfg.t_long_ns}")
-        check(cfg.dt_long_ns > 0, "dt_long_ns", f"must be > 0, got {cfg.dt_long_ns}")
+    check(cfg.t_long_ns > 0, "t_long_ns", f"must be > 0, got {cfg.t_long_ns}")
+    check(cfg.dt_long_ns > 0, "dt_long_ns", f"must be > 0, got {cfg.dt_long_ns}")
+    lo, hi = coupling.SYNTH_RESOLUTION_RANGE
+    check(lo <= cfg.resolution_nm <= hi, "resolution_nm",
+          f"must be in [{lo:g}, {hi:g}], got {cfg.resolution_nm}")
     if cfg.scenario == "fig5_position_map":  # the only scenario with a field map
         check(cfg.design in ("D1", "D3"), "design",
               "fig5_position_map needs a synthetic map (designs D1 or D3)")
-        lo, hi = coupling.SYNTH_RESOLUTION_RANGE
-        check(lo <= cfg.resolution_nm <= hi, "resolution_nm",
-              f"must be in [{lo:g}, {hi:g}], got {cfg.resolution_nm}")
         if lo <= cfg.resolution_nm <= hi:
             # Atom 2 must stay on the map's grid at both ends of the sweep.
             sweeps = (cfg.sweep("delta_x_nm"), cfg.sweep("delta_y_nm"))

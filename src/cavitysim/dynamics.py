@@ -277,8 +277,8 @@ class Trajectory:
 def population_labels(layout: HilbertLayout) -> list:
     """CSV column names for bare-state populations, in basis-index order:
     pop_<n><s1..sN>, photon number major and the atoms' g/e after it in
-    the order of their bits (g = 0), as HilbertLayout.basis_label names
-    each index."""
+    the order of their bits (g = 0), atom 1 most significant, as
+    fockspace's basis encoding orders them."""
     atoms = ["".join(p) for p in itertools.product("ge", repeat=layout.n_atoms)]
     return [f"pop_{n}{a}" for n in range(layout.photon_dim) for a in atoms]
 

@@ -71,15 +71,6 @@ class HilbertLayout:
             )
         return n_photons * 2**self.n_atoms + int(pattern.replace("g", "0").replace("e", "1"), 2)
 
-    def basis_label(self, index: int) -> str:
-        """Human-readable label |n,s1..sN> for a basis index."""
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} outside 0..{self.dim - 1}")
-        atoms = index % 2**self.n_atoms
-        n = index // 2**self.n_atoms
-        bits = format(atoms, f"0{self.n_atoms}b")
-        return f"{n}," + bits.replace("0", "g").replace("1", "e")
-
 
 def index_overflow(n_max: int, n_atoms: int) -> str:
     """Why a basis index of d = (n_max + 1) 2^N states overflows an int64,

@@ -7,8 +7,8 @@ out) so agreement is meaningful.  The density-matrix helpers live here
 because only tests use them: every run starts from a ket, and a run's
 state is read back through projections (tomography_kets/_states).  So do
 the oracles no run reaches: the global mode volume, an emitter's coupling
-g(r), the one-point map read and the closed-form single-excitation
-population.
+g(r), the one-point map read, the closed-form single-excitation
+population and a basis index's |n,s1..sN> label.
 """
 
 import io
@@ -49,12 +49,22 @@ def random_density_matrix(dim: int, rng, rank: int | None = None) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def basis_label(layout: HilbertLayout, index: int) -> str:
+    """Human-readable label |n,s1..sN> for a basis index."""
+    if not 0 <= index < layout.dim:
+        raise ValueError(f"index {index} outside 0..{layout.dim - 1}")
+    atoms = index % 2**layout.n_atoms
+    n = index // 2**layout.n_atoms
+    bits = format(atoms, f"0{layout.n_atoms}b")
+    return f"{n}," + bits.replace("0", "g").replace("1", "e")
+
+
 def excitations(layout: HilbertLayout) -> np.ndarray:
     """Excitations of each basis state (photons plus excited atoms), read
     off the basis labels."""
     return np.array([
         int(label.split(",")[0]) + label.count("e")
-        for label in (layout.basis_label(k) for k in range(layout.dim))
+        for label in (basis_label(layout, k) for k in range(layout.dim))
     ])
 
 

@@ -1,10 +1,13 @@
 import tomllib
 from dataclasses import MISSING, fields, replace
 
+import functools
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cavitysim import presets
+from cavitysim import presets, runner
 from cavitysim.cli import main
 from cavitysim.config import (
     SCENARIOS,
@@ -57,19 +60,22 @@ def test_negative_rate_is_a_named_range_error(tmp_path):
 
 
 def test_resolution_is_range_checked_only_for_fig5(tmp_path):
-    # no other scenario reads the synthetic map, so its resolution is free
-    text = 'scenario = "custom"\nresolution_nm = 0.4\n'
-    assert parse_config(text).resolution_nm == 0.4
+    # no other scenario reads the synthetic map, and only fig2_single_atom
+    # reads the long run's grid: elsewhere each key keeps its default, and a
+    # value off it is the one error, in range or not
     path = tmp_path / "cfg.toml"
-    path.write_text(text)
-    assert main(["validate", str(path)]) == 0
-    # likewise only fig2_single_atom reads the long run's grid
+    for line, default in (("resolution_nm = 0.4", "5.0"), ("resolution_nm = 1.0", "5.0"),
+                          ("t_long_ns = -1.0", "40.0"), ("dt_long_ns = 0.0", "0.005")):
+        key, value = line.split(" = ")
+        path.write_text(f'scenario = "custom"\n{line}\n')
+        assert _errors(path.read_text()) == [
+            f"line 2: {key}: must be {default} for custom, got {value}"]
+        assert main(["validate", str(path)]) == 1
     for line in ("t_long_ns = -1.0", "dt_long_ns = 0.0"):
         key, value = line.split(" = ")
-        for scenario, code in (("custom", 0), ("fig2_single_atom", 1)):
-            path.write_text(f'scenario = "{scenario}"\n{line}\n')
-            assert main(["validate", str(path)]) == code
+        path.write_text(f'scenario = "fig2_single_atom"\n{line}\n')
         assert _errors(path.read_text()) == [f"line 2: {key}: must be > 0, got {value}"]
+        assert main(["validate", str(path)]) == 1
 
 
 def test_unknown_key_is_hard_error():
@@ -238,37 +244,36 @@ def test_canonical_round_trip(scenario):
     assert tomllib.loads(text)["scenario"] == scenario
 
 
-# A value off the ExperimentConfig default for every field, so that a key
-# missing from the type table or the canonical text breaks the round trip.
-# fig4, the one scenario with an alpha sweep, rejects couplings_ghz, so
-# EVERY_FIELD sets every other field and COUPLINGS sets that one.
+# Between them, a value off the ExperimentConfig default for every field, so
+# that a key missing from the type table or the canonical text breaks the
+# round trip.  Each scenario holds the keys of its `fixed` at their
+# defaults, so no one config sets them all: fig4, the one with an alpha
+# sweep, sets most, and fig2, fig5 and custom the keys only they vary.
 EVERY_FIELD = (
-    'scenario = "fig4_correlations"\ndesign = "D2"\nn_atoms = 2\nn_photons = 2\n'
+    'scenario = "fig4_correlations"\ndesign = "D2"\nn_atoms = 2\n'
     'g_ghz = 7.5\nalpha = 0.62\n'
     'q_factor = 2e6\nkappa_mhz = 12.5\ngamma_mhz = 5.5\nlambda_nm = 800.0\n'
-    'detuning_ghz = 0.25\nlossless = true\n'
-    't_end_ns = 0.2\ndt_ns = 1e-4\nt_long_ns = 20.0\ndt_long_ns = 0.01\n'
-    'observables = ["populations"]\nresolution_nm = 4.0\n'
-    'workers = 2\noutput_dir = "runs/every field"\n'
-    '[sweep.alpha]\nmin = 0.5\nmax = 1.5\nsteps = 3\n'
+    'detuning_ghz = 0.25\nlossless = true\nt_end_ns = 0.2\ndt_ns = 1e-4\n'
+    'observables = ["populations"]\nworkers = 2\noutput_dir = "runs/every field"\n'
+    '[sweep.alpha]\nmin = 0.5\nmax = 1.5\nsteps = 3\n',
+    'scenario = "fig2_single_atom"\nt_long_ns = 20.0\ndt_long_ns = 0.01\n',
+    'scenario = "fig5_position_map"\nresolution_nm = 4.0\n',
+    'scenario = "custom"\nn_atoms = 3\nn_photons = 2\ncouplings_ghz = [1.0, 2.5, 3]\n',
 )
-COUPLINGS = 'scenario = "custom"\nn_atoms = 3\ncouplings_ghz = [1.0, 2.5, 3]\n'
 
 
 def test_round_trip_preserves_overrides():
     cfgs = [parse_config(src) for src in (
         'scenario = "fig3_two_atom"\nalpha = 0.62\ngamma_mhz = 5.5\n'
         'lossless = true\nobservables = ["populations"]\n',
-        EVERY_FIELD,
-        COUPLINGS,
-    )]
+    ) + EVERY_FIELD]
     for cfg in cfgs:
         assert parse_config(canonical_text(cfg)) == cfg
-    # EVERY_FIELD leaves no field but couplings_ghz at its default, and COUPLINGS sets it
-    every, couplings = cfgs[1:]
+    # EVERY_FIELD leaves no field at its default in all of its configs
+    every = cfgs[1:]
     assert [f.name for f in fields(ExperimentConfig) if f.default is not MISSING
-            and getattr(every, f.name) == f.default] == ["couplings_ghz"]
-    assert couplings.couplings_ghz == (1.0, 2.5, 3.0)
+            and all(getattr(cfg, f.name) == f.default for cfg in every)] == []
+    assert every[-1].couplings_ghz == (1.0, 2.5, 3.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -325,6 +330,27 @@ def test_observables_must_record_what_the_scenario_reads(scenario, observables, 
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
 
 
+def _toml(value) -> str:
+    return "[" + ", ".join(map(repr, value)) + "]" if isinstance(value, tuple) else repr(value)
+
+
+def _fixed_cases():
+    """((text, error), id) for each key of each scenario's `fixed`, set off
+    the value it takes when absent."""
+    for scenario, spec in SCENARIOS.items():
+        absent = parse_config(f'scenario = "{scenario}"\n')
+        for key in spec.fixed:
+            default = getattr(absent, key)
+            value = ((1.0,) * absent.n_atoms if isinstance(default, tuple)
+                     else default + 1 if isinstance(default, int) else 2.0 * default)
+            yield ((f'scenario = "{scenario}"\n{key} = {_toml(value)}\n',
+                    f"line 2: {key}: must be {_toml(default)} for {scenario}, got {_toml(value)}"),
+                   f"{scenario}-{key}")
+
+
+FIXED = list(_fixed_cases())
+
+
 def _fig5(design, x, y=(0.0, 0.0)):
     return (f'scenario = "fig5_position_map"\ndesign = "{design}"\n'
             f"[sweep.delta_x_nm]\nmin = {x[0]!r}\nmax = {x[1]!r}\nsteps = 2\n"
@@ -340,28 +366,24 @@ def _fig5(design, x, y=(0.0, 0.0)):
     # fig3, fig4 and fig5 set atom 2 from alpha or the field map: no list
     ('scenario = "fig3_two_atom"\ncouplings_ghz = [0.0, 1.0]\n', "line 2: couplings_ghz: "),
     ('scenario = "fig3_two_atom"\ncouplings_ghz = [5.0, 3.5]\n',
-     "line 2: couplings_ghz: fig3_two_atom reads no list: atom 1 couples at g_ghz and atom 2 "
-     "at alpha times it; set g_ghz and alpha instead"),
+     "line 2: couplings_ghz: must be [] for fig3_two_atom, got [5.0, 3.5]"),
     ('scenario = "fig4_correlations"\ncouplings_ghz = [5.0, 3.5]\n',
-     "line 2: couplings_ghz: fig4_correlations reads no list: "),
+     "line 2: couplings_ghz: must be [] for fig4_correlations, got [5.0, 3.5]"),
     ('scenario = "fig5_position_map"\ncouplings_ghz = [5.0, 3.5]\n',
-     "line 2: couplings_ghz: fig5_position_map reads no list: atom 1 couples at g_ghz and "
-     "atom 2 as the field map gives at each displacement; set g_ghz instead"),
+     "line 2: couplings_ghz: must be [] for fig5_position_map, got [5.0, 3.5]"),
     ('scenario = "n_atom_wstate"\nn_photons = 0\n', "line 2: n_photons: "),
     ('scenario = "fig2_single_atom"\nn_photons = 0\n', "line 2: n_photons: "),
     # the W state's summary expects the one-photon sqrt(N) g/pi: from two
     # photons N = 3 ran and wrote 29.67 GHz against an expected 31.18
     ('scenario = "n_atom_wstate"\nn_photons = 2\n',
-     "line 2: n_photons: must be 1 for n_atom_wstate, whose summary compares the exchange "
-     "with the one-photon rate, got 2"),
+     "line 2: n_photons: must be 1 for n_atom_wstate, got 2"),
     # the W state's enhancement is measured against atom 1's coupling
     ('scenario = "n_atom_wstate"\ncouplings_ghz = [0.0, 1.0, 0.0]\nt_end_ns = 2.0\n',
      "line 2: couplings_ghz: n_atom_wstate compares the collective exchange with atom 1's: "
      "atom 1 must couple"),
     # fig2 runs one atom at g_ghz, which a list only restates
     ('scenario = "fig2_single_atom"\ncouplings_ghz = [9.0]\n',
-     "line 2: couplings_ghz: fig2_single_atom reads no list: its one atom couples at g_ghz; "
-     "set g_ghz instead"),
+     "line 2: couplings_ghz: must be [] for fig2_single_atom, got [9.0]"),
     # a scenario that fixes its atom count ran that many and wrote the
     # config's count to config.txt
     ('scenario = "fig2_single_atom"\nn_atoms = 3\n',
@@ -376,11 +398,26 @@ def _fig5(design, x, y=(0.0, 0.0)):
     ('scenario = "fig3_two_atom"\ng_ghz = 0.0\n', "line 2: g_ghz: must be > 0, got 0.0"),
     ('scenario = "custom"\nobservables = "n_photon"\n',
      "line 2: observables: expected a [list] of strings, got 'n_photon'"),
-], ids=["fig5_x_max", "fig5_x_min", "fig5_y_max", "wstate_uncoupled", "fig3_uncoupled",
-        "fig3_couplings", "fig4_couplings", "fig5_couplings", "wstate_no_photon",
-        "fig2_no_photon", "wstate_two_photons", "wstate_atom_1_uncoupled", "fig2_couplings",
-        "fig2_atom_count", "fig3_atom_count", "fig5_negative_g", "fig2_negative_q",
-        "fig3_zero_g", "string_observables"])
+    # the same columns under another config_sha256
+    ('scenario = "custom"\nobservables = ["n_photon", "n_photon", "populations"]\n',
+     "line 2: observables: repeated entries ['n_photon']"),
+    # each of these ran and recorded in config.txt a value its run ignored
+    ('scenario = "fig3_two_atom"\nn_photons = 7\n',
+     "line 2: n_photons: must be 1 for fig3_two_atom, got 7"),
+    ('scenario = "fig2_single_atom"\nalpha = 0.3\n',
+     "line 2: alpha: must be 1.0 for fig2_single_atom, got 0.3"),
+    ('scenario = "fig5_position_map"\nt_end_ns = 5.0\n',
+     "line 2: t_end_ns: must be 0.3 for fig5_position_map, got 5.0"),
+    ('scenario = "n_atom_wstate"\nresolution_nm = 0.1\n',
+     "line 2: resolution_nm: must be 5.0 for n_atom_wstate, got 0.1"),
+] + [case for case, _ in FIXED], ids=[
+    "fig5_x_max", "fig5_x_min", "fig5_y_max", "wstate_uncoupled", "fig3_uncoupled",
+    "fig3_couplings", "fig4_couplings", "fig5_couplings", "wstate_no_photon",
+    "fig2_no_photon", "wstate_two_photons", "wstate_atom_1_uncoupled", "fig2_couplings",
+    "fig2_atom_count", "fig3_atom_count", "fig5_negative_g", "fig2_negative_q",
+    "fig3_zero_g", "string_observables", "repeated_observables", "fig3_seven_photons",
+    "fig2_alpha", "fig5_window", "wstate_resolution",
+] + [name for _, name in FIXED])
 def test_configs_that_cannot_run_fail_validate(text, error, tmp_path):
     errors = _errors(text)
     assert len(errors) == 1 and errors[0].startswith(error)
@@ -495,3 +532,64 @@ def test_fig5_sweep_may_reach_the_grid_edges(tmp_path):
     path.write_text(_fig5("D1", (-1862.0, 1338.0), (-270.0, 270.0)))
     assert main(["validate", str(path)]) == 0
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+
+
+# A small config of each scenario, as key -> TOML value, and its sweep
+# tables; custom runs two atoms so that alpha moves one, and fig5 has loss
+# so that the loss keys do.
+BASES = {
+    "fig2_single_atom": ({}, ""),
+    "fig3_two_atom": ({}, ""),
+    "fig4_correlations": ({}, "[sweep.alpha]\nmin = 0.0\nmax = 2.0\nsteps = 3\n"),
+    "fig5_position_map": ({"lossless": "false"},
+                          "[sweep.delta_x_nm]\nmin = 0.0\nmax = 20.0\nsteps = 2\n"
+                          "[sweep.delta_y_nm]\nmin = 0.0\nmax = 20.0\nsteps = 2\n"),
+    "n_atom_wstate": ({}, ""),
+    "custom": ({"n_atoms": "2"}, ""),
+}
+# A value of each key other than every base's
+OTHER = {
+    "design": '"D3"', "n_atoms": "4", "n_photons": "2", "g_ghz": "8.0", "alpha": "0.5",
+    "q_factor": "1e7", "kappa_mhz": "40.0", "gamma_mhz": "10.0", "lambda_nm": "800.0",
+    "detuning_ghz": "1.0", "lossless": "true", "t_end_ns": "0.25", "dt_ns": "3e-4",
+    "t_long_ns": "30.0", "dt_long_ns": "0.004", "resolution_nm": "2.5",
+}
+UNSCORED = ("scenario", "sweeps", "workers", "output_dir")  # accepted and ignored: free
+
+
+def _config(scenario: str, keys: dict) -> str:
+    lines = [f'scenario = "{scenario}"'] + [f"{k} = {v}" for k, v in keys.items()]
+    return "\n".join(lines) + "\n" + BASES[scenario][1]
+
+
+@functools.cache
+def _outputs(text: str):
+    """run_plan's summary and each kept trajectory's times and columns."""
+    kept, summary, _ = runner.run_plan(parse_config(text))
+    return summary, {name: [traj.times] + [(c, traj.series(c)) for c in traj.column_order]
+                     for name, traj in kept.items()}
+
+
+def _same(a, b) -> bool:
+    return a[0] == b[0] and a[1].keys() == b[1].keys() and all(
+        len(a[1][n]) == len(b[1][n]) and np.array_equal(a[1][n][0], b[1][n][0])
+        and all(x[0] == y[0] and np.array_equal(x[1], y[1])
+                for x, y in zip(a[1][n][1:], b[1][n][1:]))
+        for n in a[1])
+
+
+@pytest.mark.parametrize("scenario, key", [
+    (scenario, f.name) for scenario, spec in SCENARIOS.items() for f in fields(ExperimentConfig)
+    if f.name not in spec.fixed + UNSCORED])
+def test_every_key_a_scenario_does_not_fix_moves_its_outputs(scenario, key):
+    # so no key is missing from a scenario's fixed set
+    keys = BASES[scenario][0]
+    base = parse_config(_config(scenario, keys))
+    if key == "couplings_ghz":
+        value = _toml(tuple(4.5 * (i + 1) for i in range(base.n_atoms)))
+    elif key == "observables":  # all but n_photon, which no summary reads
+        value = _toml(tuple(o for o in base.observables if o != "n_photon"))
+    else:
+        value = OTHER[key]
+    assert not _same(_outputs(_config(scenario, keys)),
+                     _outputs(_config(scenario, keys | {key: value})))

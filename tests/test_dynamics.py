@@ -15,6 +15,7 @@ from cavitysim.model import SystemParams
 from cavitysim.units import ghz_to_angular
 
 from conftest import (
+    basis_label,
     dense,
     excitations,
     integrate_states,
@@ -189,7 +190,7 @@ def test_envelope_fit_recovers_pure_exponential():
 def test_population_labels_name_each_basis_index(n_atoms, n_max):
     # HilbertLayout holds at least one atom and one photon level above the vacuum
     lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
-    expected = ["pop_" + lay.basis_label(k).replace(",", "") for k in range(lay.dim)]
+    expected = ["pop_" + basis_label(lay, k).replace(",", "") for k in range(lay.dim)]
     assert dyn.population_labels(lay) == expected
 
 
