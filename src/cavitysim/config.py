@@ -10,11 +10,10 @@ run with a default.  So is a key of a scenario's `fixed` set, one its
 plan and summary do not vary, at any value but the one it takes when
 absent (the scenario's default, else the ExperimentConfig default), so no
 config records a value its run ignored.  So is a run that would not fit
-in physical memory, a layout whose basis indices overflow int64, an
-`observables` list with a repeated entry, with `populations` for more
-than dynamics.POPULATIONS_MAX_DIM basis states, or without a column the
-plan's summary or sweep reads.  All such problems are reported
-together; a TOML syntax error stops the parse (so syntax errors are
+in physical memory, a layout whose basis indices overflow int64, or an
+`observables` list with a repeated entry or with `populations` for more
+than dynamics.POPULATIONS_MAX_DIM basis states.  All such problems are
+reported together; a TOML syntax error stops the parse (so syntax errors are
 reported one at a time), and so does an `n_atoms` that overflows int64
 at any photon number.  Every omitted key is filled from the scenario's
 defaults (g_ghz and q_factor from the design's) at parse time, and
@@ -23,9 +22,11 @@ parse(canonical_text(cfg)) round-trips to an equal config.  The fields of
 `ExperimentConfig` are the one list of keys: each key's type test and its
 line in `canonical_text` follow from them.  `SCENARIOS` holds each
 scenario's `cavitysim scenarios` note, its defaults, its fixed keys and
-its plan: the runs it makes, the summary drawn from them and the columns
-that summary reads, built from the config alone with no map read.  The
-runner executes the plan; the memory gate adds up what dynamics.footprint
+its plan: the runs it makes, the summary drawn from them and the runs
+that summary reads, built from the config alone with no map read.  Every
+run records the config's `observables`, then each observable the plan's
+summary or table reads that the list lacks (`_recording`).  The runner
+executes the plan; the memory gate adds up what dynamics.footprint
 says it allocates.  Nothing here propagates: runner.check_fits makes the
 summary's fits that `cavitysim validate` checks.
 
@@ -237,7 +238,7 @@ class Plan(NamedTuple):
     runs: tuple                 # of Run: the fixed runs, each kept
     summarize: Callable         # (cfg, kept trajectories by name, table rows) -> dict
     sweep: Sweep | None = None
-    reads: dict = {}            # run name -> the columns summarize reads from it
+    reads: tuple = ()           # names of the runs summarize reads, which check_fits propagates
 
 
 def _angular(run: Run) -> tuple:
@@ -257,6 +258,12 @@ def _two_atom_states(layout, run: Run) -> dict:
     return _chi_states(layout, run) | {"P_psi_plus": analytic.symmetric_bell_state(layout)}
 
 
+def _recording(cfg: ExperimentConfig, *needed) -> tuple:
+    """What every run of a plan records: the config's observables, then each
+    of `needed`, the observables its summary or table reads, that they lack."""
+    return cfg.observables + tuple(o for o in needed if o not in cfg.observables)
+
+
 def _fit(fit: Callable, runs: dict, name: str, column: str):
     """fit(runs[name], column), raising SummaryFitError where it fails."""
     try:
@@ -271,12 +278,12 @@ def _leading(cfg: ExperimentConfig, *ratios) -> tuple:
 
 
 def _fig2_plan(cfg: ExperimentConfig) -> Plan:
-    g = _leading(cfg)
+    g, track = _leading(cfg), _recording(cfg, "populations")
     return Plan((
-        Run("short", cfg.n_atoms, g, cfg.n_photons, cfg.t_end_ns, cfg.dt_ns, cfg.observables),
-        Run("long", cfg.n_atoms, g, cfg.n_photons, cfg.t_long_ns, cfg.dt_long_ns,
-            cfg.observables, key=("dt_long_ns",)),
-    ), _fig2_summary, reads={"short": ("pop_0e",), "long": ("pop_0e",)})
+        Run("short", cfg.n_atoms, g, cfg.n_photons, cfg.t_end_ns, cfg.dt_ns, track),
+        Run("long", cfg.n_atoms, g, cfg.n_photons, cfg.t_long_ns, cfg.dt_long_ns, track,
+            key=("dt_long_ns",)),
+    ), _fig2_summary, reads=("short", "long"))
 
 
 def _fig2_summary(cfg, runs, rows) -> dict:
@@ -300,10 +307,9 @@ def _fig2_summary(cfg, runs, rows) -> dict:
     return summary
 
 
-def _two_atom_runs(cfg: ExperimentConfig, extra) -> tuple:
+def _two_atom_runs(cfg: ExperimentConfig, track: tuple) -> tuple:
     """The four standard two-atom runs, photon number x coupling ratio, each
-    tracking the config's observables and `extra`."""
-    track = cfg.observables + tuple(o for o in extra if o not in cfg.observables)
+    recording `track`."""
     return tuple(
         Run(f"{photons}_photon_{kind}", cfg.n_atoms, _leading(cfg, ratio), n,
             cfg.t_end_ns, cfg.dt_ns, track, _two_atom_states)
@@ -313,10 +319,8 @@ def _two_atom_runs(cfg: ExperimentConfig, extra) -> tuple:
 
 
 def _fig3_plan(cfg: ExperimentConfig) -> Plan:
-    return Plan(_two_atom_runs(cfg, ("concurrence",)), _fig3_summary, reads={
-        "one_photon_equal": ("P_chi1",),
-        "one_photon_ratio": ("pop_0eg", "pop_0ge", "P_psi_plus", "C_BC"),
-    })
+    return Plan(_two_atom_runs(cfg, _recording(cfg, "populations", "concurrence")),
+                _fig3_summary, reads=("one_photon_equal", "one_photon_ratio"))
 
 
 def _fig3_summary(cfg, runs, rows) -> dict:
@@ -336,11 +340,10 @@ def _fig3_summary(cfg, runs, rows) -> dict:
 
 
 def _fig4_plan(cfg: ExperimentConfig) -> Plan:
-    extra = ("entropies", "concurrence")
-    sweep = Sweep((cfg.sweep("alpha"),), lambda alpha: alpha, (1.2, 300),
-                  ("populations",) + extra, ("S_B", "S_C", "C_BC"), "alpha_map.csv")
-    return Plan(_two_atom_runs(cfg, extra), _fig4_summary, sweep,
-                {"one_photon_equal": ("S_A", "S_B")})
+    track = _recording(cfg, "entropies", "concurrence")
+    sweep = Sweep((cfg.sweep("alpha"),), lambda alpha: alpha, (1.2, 300), track,
+                  ("S_B", "S_C", "C_BC"), "alpha_map.csv")
+    return Plan(_two_atom_runs(cfg, track), _fig4_summary, sweep, ("one_photon_equal",))
 
 
 def _fig4_summary(cfg, runs, rows) -> dict:
@@ -372,7 +375,8 @@ def _fig5_alphas(cfg: ExperimentConfig, dx_nm, dy_nm) -> np.ndarray:
 def _fig5_plan(cfg: ExperimentConfig) -> Plan:
     sweep = Sweep((cfg.sweep("delta_x_nm"), cfg.sweep("delta_y_nm")),
                   functools.partial(_fig5_alphas, cfg), (1.1, 240),
-                  cfg.observables, ("S_C", "C_BC"), "map.csv", "dx{:02d}_dy{:02d}".format)
+                  _recording(cfg, "entropies", "concurrence"), ("S_C", "C_BC"), "map.csv",
+                  "dx{:02d}_dy{:02d}".format)
     return Plan((), _fig5_summary, sweep)
 
 
@@ -448,7 +452,7 @@ def _trap_peak_concurrence(cfg: ExperimentConfig) -> dict:
 def _wstate_plan(cfg: ExperimentConfig) -> Plan:
     return Plan((Run("wstate", cfg.n_atoms, cfg.resolved_couplings_ghz(), cfg.n_photons,
                      cfg.t_end_ns, cfg.dt_ns, cfg.observables, _chi_states),), _wstate_summary,
-                reads={"wstate": ("P_chi1",)})
+                reads=("wstate",))
 
 
 def _wstate_summary(cfg, runs, rows) -> dict:
@@ -663,11 +667,15 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, value in doc.items():
         if key == "sweep" and isinstance(value, dict):
             for axis, table in value.items():
-                if axis not in SWEEP_AXES or not isinstance(table, dict):
+                if axis not in SWEEP_AXES:
                     errors.append(
                         f"{at('sweep', axis)}: unknown sweep axis {axis!r}; "
                         f"valid axes: {', '.join(SWEEP_AXES)}"
                     )
+                    continue
+                if not isinstance(table, dict):
+                    errors.append(f"{at('sweep', axis)}: sweep.{axis}: "
+                                  "expected a table of min, max and steps")
                     continue
                 for k in [k for k in table if k not in SWEEP_KEYS]:
                     errors.append(
@@ -690,9 +698,9 @@ def parse_config(text: str) -> ExperimentConfig:
             scalars[key] = value
 
     scenario = scalars.get("scenario")
-    if scenario is None:
+    if "scenario" not in doc:  # one of the wrong type has its error above
         errors.append("line 0: missing required key 'scenario'")
-    elif scenario not in SCENARIOS:
+    elif "scenario" in scalars and scenario not in SCENARIOS:
         errors.append(
             f"{at('scenario')}: scenario: unknown scenario "
             f"{scenario!r}; valid: {', '.join(SCENARIOS)}"
@@ -765,6 +773,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if mx < mn:
             errors.append(f"{at('sweep', axis, 'max')}: sweep.{axis}.max: {mx} is below min {mn}")
             continue
+        if axis == "alpha" and mn < 0:  # the bound of the alpha key
+            errors.append(f"{at('sweep', axis, 'min')}: sweep.alpha.min: must be >= 0, got {mn}")
+            continue
         axes.append(SweepAxis(axis, mn, mx, st))
     names = {ax.name for ax in axes}
     axes += [ax for ax in defaults if ax.name not in names]
@@ -785,12 +796,7 @@ def parse_config(text: str) -> ExperimentConfig:
               f"length {len(cfg.couplings_ghz)} != n_atoms {cfg.n_atoms}")
         check(all(g >= 0 for g in cfg.couplings_ghz), "couplings_ghz",
               "entries must be >= 0")
-        # a run the summary reads, or projects onto the collective mode, needs an atom that couples
-        idle = [run.name for run in plan.runs
-                if (run.projections or run.name in plan.reads) and not any(run.couplings_ghz)]
-        check(not idle, "couplings_ghz",
-              f"{scenario} would run {', '.join(idle)} with every coupling zero")
-        check(idle or scenario != "n_atom_wstate" or cfg.couplings_ghz[0] > 0, "couplings_ghz",
+        check(scenario != "n_atom_wstate" or cfg.couplings_ghz[0] > 0, "couplings_ghz",
               f"{scenario} compares the collective exchange with atom 1's: atom 1 must couple")
     check(cfg.q_factor > 0 or "q_factor" not in scalars, "q_factor",
           f"must be > 0, got {cfg.q_factor}")
@@ -807,7 +813,7 @@ def parse_config(text: str) -> ExperimentConfig:
     check(lo <= cfg.resolution_nm <= hi, "resolution_nm",
           f"must be in [{lo:g}, {hi:g}], got {cfg.resolution_nm}")
     if cfg.scenario == "fig5_position_map":  # the only scenario with a field map
-        check(cfg.design in ("D1", "D3"), "design",
+        check(cfg.design in ("D1", "D3") or cfg.design not in presets.DESIGNS, "design",
               "fig5_position_map needs a synthetic map (designs D1 or D3)")
         if lo <= cfg.resolution_nm <= hi:
             # Atom 2 must stay on the map's grid at both ends of the sweep.
@@ -842,25 +848,6 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(
                 f"{at(*key)}: {'.'.join(key)}: the run needs about {2.0**need / 1e9:.3g} GB at "
                 f"peak, more than the {memory / 1e9:.3g} GB of physical memory")
-
-    if not errors:
-        # Each column the summary or the sweep's table reads must be recorded.
-        runs = {run.name: run for run in plan.runs}
-        reads = [(f"run {name!r}", runs[name], columns) for name, columns in plan.reads.items()]
-        if plan.sweep:
-            reads.append(("every sweep point", plan.sweep.run(cfg, 0.0), plan.sweep.peaks))
-        for name, run, columns in reads:
-            layout = run.layout()
-            # The observable behind each column it can record (populations by
-            # prefix, unbuilt); the others are projections, which a run always records.
-            source = {c: o for o in dyn.TRACKABLE if o != "populations"
-                      for c in dyn.tracked_columns(layout, (o,))}
-            source |= {c: "populations" for c in columns if c.startswith("pop_")}
-            for column in columns:
-                if column in source and source[column] not in run.track:
-                    errors.append(
-                        f"{at('observables')}: observables: {scenario} reads column "
-                        f"{column!r} of {name}, which needs {source[column]!r} in this list")
 
     if errors:
         raise ConfigError(errors)

@@ -138,10 +138,13 @@ def test_damped_wstate_with_a_short_window_validates_and_runs(tmp_path):
 @st.composite
 def small_configs(draw) -> str:
     """A config of any scenario but fig5's: N <= 4, up to two photons,
-    random coupling, loss and detuning, and at most 2000 outputs a run."""
+    random coupling, loss and detuning, any observables in any order, and
+    at most 2000 outputs a run.  It leaves out the scenario's fixed keys,
+    which take one value only."""
     scenario = draw(st.sampled_from(
         ["fig2_single_atom", "n_atom_wstate", "fig3_two_atom", "fig4_correlations", "custom"]))
     rate = st.one_of(st.just(0.0), st.floats(-3.0, 5.0).map(lambda e: 10.0**e))
+    observables = draw(st.lists(st.sampled_from(dynamics.TRACKABLE), unique=True))
     lines = [
         f'scenario = "{scenario}"',
         f"n_atoms = {draw(st.integers(1, 4))}",
@@ -151,11 +154,13 @@ def small_configs(draw) -> str:
         f"kappa_mhz = {draw(rate)!r}",
         f"gamma_mhz = {draw(rate)!r}",
         f"detuning_ghz = {draw(st.floats(-30.0, 30.0))!r}",
+        f"observables = {json.dumps(observables)}",
     ]
     for t_key, dt_key in (("t_end_ns", "dt_ns"), ("t_long_ns", "dt_long_ns")):
         t_end = draw(st.floats(0.01, 2.0))
         lines += [f"{t_key} = {t_end!r}", f"{dt_key} = {t_end / draw(st.integers(10, 1999))!r}"]
-    return "\n".join(lines) + "\n"
+    fixed = config.SCENARIOS[scenario].fixed
+    return "".join(line + "\n" for line in lines if line.split(" = ")[0] not in fixed)
 
 
 # 2100 random draws found no config that validates and then fails to run;
