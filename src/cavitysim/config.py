@@ -218,14 +218,6 @@ class Sweep(NamedTuple):
             point["alpha"] = alpha = float(alphas[index])
             yield point, self.run(cfg, alpha, self.name and self.name(*index))
 
-    def block(self, cfg: ExperimentConfig) -> int:
-        """Number of points that propagate as one stack: all of them, or
-        as many as dynamics.stack_runs fits.  Every point has the same
-        output count, so the one at alpha = 0 sizes them."""
-        point = self.run(cfg, 0.0)
-        return min(math.prod(ax.steps for ax in self.axes),
-                   dyn.stack_runs(point.n_atoms, point.n_photons, cfg.lossy, point.outputs()))
-
     def run(self, cfg: ExperimentConfig, alpha: float, name: str | None = None) -> Run:
         c, steps = self.grid
         t_end = c * np.pi / (ghz_to_angular(cfg.g_ghz) * np.sqrt(1.0 + alpha**2))
@@ -534,17 +526,20 @@ def default_sweeps(scenario: str, design: str) -> tuple:
 def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     """(log2 of the plan's peak bytes, the key path of its largest part).
 
-    The peak is the largest call of the runner (a fixed run or a block of
-    Sweep.block sweep points, as dynamics.footprint sizes it, or fig5's
-    trap rule) plus what the kept trajectories and the table rows hold
-    until the files are written; each part is keyed by what it grows with.
-    It bounds tracemalloc's traced peak of `run_scenario`.  The interpreter
-    (about 39 MB), freed blocks and the imports and argparse set-up of a
-    process's first `cli.main` come on top: lossless one-atom `custom` with
-    t_end_ns = 1.0 and dt_ns = 0.1 is estimated at 75 658 B and traces
-    about 251 700 B in a fresh process's first `cli.main(["run", ...])`,
-    about 38 900 B in its second.  Where the kept trajectories are written
-    on several processes at once, each holds a writer's text."""
+    The peak is the largest call of the runner (a fixed run or the stack
+    of every sweep point, as dynamics.footprint sizes it, or fig5's trap
+    rule) plus what the kept trajectories and the table rows hold until
+    the files are written; each part is keyed by what it grows with.  A
+    sweep propagates as one stack of all its points, so a sweep too large
+    for memory is rejected at validate, even where its points would fit a
+    few at a time.  The peak bounds tracemalloc's traced peak of
+    `run_scenario`.  The interpreter (about 39 MB), freed blocks and the
+    imports and argparse set-up of a process's first `cli.main` come on
+    top: lossless one-atom `custom` with t_end_ns = 1.0 and dt_ns = 0.1 is
+    estimated at 75 658 B and traces about 251 700 B in a fresh process's
+    first `cli.main(["run", ...])`, about 38 900 B in its second.  Where
+    the kept trajectories are written on several processes at once, each
+    holds a writer's text."""
     points = math.prod(ax.steps for ax in plan.sweep.axes) if plan.sweep else 0
     files = len(plan.runs) + (points if plan.sweep and plan.sweep.name else 0)
     writers = trajectory_writers(files)
@@ -560,12 +555,9 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
         calls.append(list(zip(work, (atoms, run.key))))
         held += zip(keep, (atoms, run.key))
     if plan.sweep:
-        stack = plan.sweep.block(cfg)
         point = plan.sweep.run(cfg, 0.0)  # sized alike at any alpha
-        work, keep = footprint(point, stack)
-        # with no point kept, only the block in flight holds its columns: the
-        # runner frees each block before the next propagates
-        kept = (sum(keep) * (points if plan.sweep.name else stack), point.key)
+        work, keep = footprint(point, points)  # every point in one stack
+        kept = (sum(keep) * points, point.key)
         # a table row: a dict of Python floats, measured at 288 bytes for 4 and 5 values
         rows = (points * 64 * (len(plan.sweep.axes) + 2 + len(plan.sweep.peaks)), point.key)
         calls.append(list(zip(work, (atoms, point.key))) + ([] if plan.sweep.name else [kept]))

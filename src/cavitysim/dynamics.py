@@ -79,7 +79,7 @@ TRACE_TOL = 1e-9
 # integrate() accepts at any output time.
 HERM_TOL = 1e-10
 # Bytes of the feed's outer products and of the observable chunk's output
-# times (chunk_states), and of the kets and x of a stack's runs (stack_runs).
+# times (chunk_states).
 CHUNK_BYTES = 2**20
 # Rows that write_trajectory_csv converts to text together.
 CSV_BLOCK_ROWS = 1024
@@ -138,15 +138,6 @@ def allocations(top: int, low: int, runs: int, outputs, channels: int = 0,
         entropy=Alloc((states, photon_dim), float, 6 * ("entropies" in track)),
         concurrence=Alloc((states, 4), float, 8 * ("concurrence" in track)),
     )
-
-
-def stack_runs(n_atoms: int, n_photons: int, lossy: bool, outputs: int) -> int:
-    """Number of runs to pass integrate() as one stack, as a sweep's points
-    are: as many as fit their psi and, if `lossy`, their x in CHUNK_BYTES at
-    `outputs` output times each (at least 1)."""
-    top, low = fs.sector_sizes(n_atoms, n_photons)
-    run = allocations(top, low * lossy, 1, outputs)
-    return max(1, CHUNK_BYTES // (run["psi"].nbytes + run["x"].nbytes))
 
 
 def footprint(layout: HilbertLayout, n_photons: int, lossy: bool, track,
@@ -347,7 +338,7 @@ def integrate(
     sequence of as many uniform grids, all of one length, and a list of
     trajectories returns, one per generator.  They propagate as one stack:
     each keeps its own H, step and propagators, and is exactly what it
-    would be alone.  stack_runs says how many fit CHUNK_BYTES.
+    would be alone.
 
     track may contain any of TRACKABLE (ValueError on any other entry).
     projections maps extra column names to kets whose population <v|rho|v>
@@ -425,13 +416,6 @@ def integrate(
     top, low = kept[in_top], kept[~in_top] if channels_of else kept[:0]
     d_top, d_low = top.size, low.size
 
-    entropy_factors = list(range(layout.n_atoms + 1)) if "entropies" in track else []
-    norm_dims = {p: sector_norm_dim(layout, (p,), n_exc) for p in entropy_factors}
-    pairs = (
-        tuple(itertools.combinations(range(1, layout.n_atoms + 1), 2))
-        if "concurrence" in track else ()
-    )
-
     # Populations lead, in basis-index order; only those of the propagated
     # states are held, the others are exactly 0.
     order = np.concatenate([top, low])
@@ -473,18 +457,22 @@ def integrate(
     # and the pair's coherence from the elements |.. g_i .. e_j ..><.. e_i
     # .. g_j ..|.  Those pair up inside each block in basis order, since
     # swapping the two atoms' bits moves every basis index by one offset
-    # and keeps its excitation number.
+    # and keeps its excitation number.  Each factor's and pair's maps are
+    # keyed by the column tracked_columns names for it.
     nph_diag = fs.factor_index(layout, order, (0,)).astype(float)
-    entropy_maps = [
-        np.eye(layout.factor_dims()[p])[fs.factor_index(layout, order, (p,))]
-        for p in entropy_factors
-    ]
-    pair_maps = []
-    for pair in pairs:
+    factors = range(layout.n_atoms + 1)
+    entropy_maps = {
+        name: (np.eye(layout.factor_dims()[p])[fs.factor_index(layout, order, (p,))],
+               sector_norm_dim(layout, (p,), n_exc))
+        for name, p in zip(tracked_columns(layout, {"entropies"} & set(track)), factors)
+    }
+    pair_maps = {}
+    for name, pair in zip(tracked_columns(layout, {"concurrence"} & set(track)),
+                          itertools.combinations(factors[1:], 2)):
         index = fs.factor_index(layout, order, pair)
         ge, eg = (np.flatnonzero(index == v) for v in (1, 2))
-        pair_maps.append((np.eye(4)[index], ge[ge < d_top], eg[eg < d_top],
-                          ge[ge >= d_top] - d_top, eg[eg >= d_top] - d_top))
+        pair_maps[name] = (np.eye(4)[index], ge[ge < d_top], eg[eg < d_top],
+                           ge[ge >= d_top] - d_top, eg[eg >= d_top] - d_top)
     vecs_top, vecs_low = (_kets_on(list(projections.values()), states) for states in (top, low))
 
     # Every run's output times in turn, as one series of states, evaluated
@@ -515,19 +503,15 @@ def integrate(
             series[name][ks] = column
         if "n_photon" in track:
             series["n_photon"][ks] = pops @ nph_diag
-        for p, m in zip(entropy_factors, entropy_maps):
-            series[f"S_{subsystem_letter(p)}"][ks] = ent.spectrum_entropy_stack(
-                pops @ m, norm_dims[p]
-            )
-        for (i, j), (m, ge, eg, ge_low, eg_low) in zip(pairs, pair_maps):
-            series[f"C_{subsystem_letter(i)}{subsystem_letter(j)}"][ks] = (
-                ent.x_state_concurrence_stack(
-                    pops @ m,
-                    np.sum(kets[:, ge] * kets[:, eg].conj(), axis=1)
-                    + lower[:, ge_low, eg_low].sum(axis=1),
-                    np.sum(kets[:, eg] * kets[:, ge].conj(), axis=1)
-                    + lower[:, eg_low, ge_low].sum(axis=1),
-                )
+        for name, (m, norm_dim) in entropy_maps.items():
+            series[name][ks] = ent.spectrum_entropy_stack(pops @ m, norm_dim)
+        for name, (m, ge, eg, ge_low, eg_low) in pair_maps.items():
+            series[name][ks] = ent.x_state_concurrence_stack(
+                pops @ m,
+                np.sum(kets[:, ge] * kets[:, eg].conj(), axis=1)
+                + lower[:, ge_low, eg_low].sum(axis=1),
+                np.sum(kets[:, eg] * kets[:, ge].conj(), axis=1)
+                + lower[:, eg_low, ge_low].sum(axis=1),
             )
         if projections:
             amps = kets @ vecs_top.conj().T

@@ -4,9 +4,8 @@ What a scenario computes is its plan (`config.SCENARIOS`): fixed runs, at
 most one sweep with a run per point, and a summary.  Every one of those
 runs comes from trajectory(): the config's cavity and atoms with the run's
 couplings, started in |n, g..g> and propagated over the run's uniform grid.
-A fixed run propagates alone; a sweep's points propagate a block at a
-time, each block as one stack in one `integrate` call (`Sweep.block`: as
-many points as fit in its memory budget, all of a fig5 map).
+A fixed run propagates alone; a sweep's points propagate together, as one
+stack in one `integrate` call.
 
 Output contract (per run directory):
   config.txt    -- canonical config (TOML), execution-only fields normalized
@@ -75,7 +74,7 @@ def trajectory(cfg: ExperimentConfig, run: Run | list) -> dyn.Trajectory | list:
     over run.times(), recording run.track and run.projections.
 
     run may also be a list of runs that differ only in their couplings and
-    grids, without projections, such as a block of sweep points: they
+    grids, without projections, such as a sweep's points: they
     propagate as one stack, and their trajectories return as a list."""
     runs = run if isinstance(run, list) else [run]
     first = runs[0]
@@ -103,23 +102,17 @@ def trajectory(cfg: ExperimentConfig, run: Run | list) -> dyn.Trajectory | list:
 
 def run_plan(cfg: ExperimentConfig):
     """Execute the config's plan: (kept trajectories by name, summary,
-    tables by file name).  The sweep's points propagate a block of
-    Sweep.block at a time, each block as one stack."""
+    tables by file name).  The sweep's points propagate as one stack."""
     plan = SCENARIOS[cfg.scenario].plan(cfg)
     kept = {run.name: trajectory(cfg, run) for run in plan.runs}
     rows = []
     if plan.sweep:
-        points, size = list(plan.sweep.points(cfg)), plan.sweep.block(cfg)
-        for start in range(0, len(points), size):
-            block = points[start:start + size]
-            for (point, run), traj in zip(block, trajectory(cfg, [run for _, run in block])):
-                if run.name:
-                    kept[run.name] = traj
-                rows.append(point | {f"peak_{c}": float(np.max(traj.series(c)))
-                                     for c in plan.sweep.peaks})
-            # its columns are views of the block's arrays: free them before the
-            # next block propagates
-            del traj
+        points = list(plan.sweep.points(cfg))
+        for (point, run), traj in zip(points, trajectory(cfg, [run for _, run in points])):
+            if run.name:
+                kept[run.name] = traj
+            rows.append(point | {f"peak_{c}": float(np.max(traj.series(c)))
+                                 for c in plan.sweep.peaks})
     tables = {plan.sweep.table: rows} if plan.sweep else {}
     return kept, plan.summarize(cfg, kept, rows), tables
 

@@ -331,6 +331,18 @@ def test_validate_counts_output_grid(text, key, reason, tmp_path, capsys, monkey
         assert main(["validate", _write(tmp_path, f'scenario = "{scenario}"\n')]) == 0
 
 
+def test_validate_sizes_a_sweep_as_one_stack(tmp_path, capsys, monkeypatch):
+    # 4001 lossy fig4 points propagate as one stack, about 84 kB of estimate
+    # a point: 0.337 GB, more than a 0.1 GB host has
+    monkeypatch.setattr(config, "_physical_memory", lambda: 10**8)
+    path = _write(tmp_path, 'scenario = "fig4_correlations"\n'
+                            "[sweep.alpha]\nmin = 0.0\nmax = 2.0\nsteps = 4001\n")
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().err.endswith(
+        "line 5: sweep.alpha.steps: the run needs about 0.337 GB at peak, more than the "
+        "0.1 GB of physical memory\n")
+
+
 def test_memory_error_during_run_exits_2(tmp_path, monkeypatch, capsys):
     def exhausted(cfg, output_dir=None):
         raise MemoryError("cannot allocate")

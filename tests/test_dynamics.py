@@ -615,6 +615,25 @@ def test_columns_past_atom_25_are_named_by_the_characters_after_z():
     assert dyn.subsystem_letter(61) == "~"
 
 
+def test_entropy_and_pair_columns_take_the_names_of_tracked_columns(monkeypatch):
+    # the naming rule lives in tracked_columns alone: renamed there, each
+    # entropy and concurrence column is recorded under its new name with the
+    # same values
+    lay, gen = _gen(2, (G, 0.7 * G, 1.3 * G), kappa=0.3, gamma=0.1)
+    psi0, times = fs.basis_state(lay, 1, "ggg"), np.linspace(0.0, 0.05, 11)
+    track = ("n_photon", "entropies", "concurrence")
+    plain = dyn.integrate(gen, psi0, times, track=track)
+    real = dyn.tracked_columns
+    monkeypatch.setattr(dyn, "tracked_columns", lambda layout, track: [
+        name if name == "n_photon" else f"renamed_{name}" for name in real(layout, track)])
+    renamed = dyn.integrate(gen, psi0, times, track=track)
+    assert renamed.column_order == ["n_photon"] + [f"renamed_{name}"
+                                                   for name in plain.column_order[1:]]
+    for name in plain.column_order:
+        new = name if name == "n_photon" else f"renamed_{name}"
+        assert renamed.series(new).tobytes() == plain.series(name).tobytes()
+
+
 @pytest.mark.parametrize("kappa", [0.0, 0.3])
 def test_integrate_allocates_no_full_space_array(kappa):
     # d = 1024, of which 11 states are propagated: nothing may be of size

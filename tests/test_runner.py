@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cavitysim import config, dynamics as dyn, fockspace as fs, model, runner
+from cavitysim import analytic, config, dynamics as dyn, fockspace as fs, model, runner
 from cavitysim.cli import main
 from cavitysim.config import SCENARIOS, parse_config
 from cavitysim.fockspace import HilbertLayout
@@ -117,8 +117,12 @@ def test_fig4_alpha_map_tracks_closed_form(tmp_path):
                          delimiter=",", names=True)
     for row in data:
         alpha = row["alpha"]
-        expected = 2 * alpha / (1 + alpha**2)
-        assert row["peak_C_BC"] == pytest.approx(expected, abs=2e-3)
+        # lossless with alpha <= 1, the peaks are the closed forms' at the
+        # quarter period, the sweep grid's step 125 of 300 (above alpha = 1,
+        # S_C passes 1 before it)
+        metrics = analytic.peak_entanglement_metrics(alpha)
+        assert row["peak_C_BC"] == pytest.approx(metrics.concurrence, abs=1e-9)
+        assert row["peak_S_C"] == pytest.approx(metrics.entropy_atom2, abs=1e-9)
     # S_C collapses toward zero as the second atom decouples
     assert data["peak_S_C"][0] < 0.02 and data["peak_S_C"][-1] > 0.99
 
@@ -213,7 +217,7 @@ def test_every_trajectory_comes_from_the_one_path(scenario, monkeypatch):
     assert sum(len(rows) for rows in tables.values()) == sweep
     kept = 0 if scenario == "fig5_position_map" else len(runs)
     assert len(produced) == kept + sweep
-    # each fixed run alone, the sweep's few points as one block
+    # each fixed run alone, the sweep's few points as one stack
     assert len(calls) == kept + bool(sweep)
 
 
@@ -229,53 +233,34 @@ STACK_CONFIGS = {
 }
 
 
-def _stacked_run(text, out, monkeypatch) -> tuple:
-    """Run the config into `out`; return the integrate calls' stack sizes
-    and the bytes of every array of every trajectory, in the order the
-    runs were made (bytes, so -0.0 differs from 0.0)."""
-    sizes, arrays = [], []
+def _arrays(traj) -> list:
+    """The bytes of every array of a trajectory (bytes, so -0.0 differs from 0.0)."""
+    return [("time_ns", traj.times.tobytes())] + [
+        (name, traj.series(name).tobytes()) for name in traj.column_order]
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CONFIGS))
+def test_sweep_points_propagate_as_one_stack_each_as_alone(name, monkeypatch):
+    cfg = parse_config(STACK_CONFIGS[name])
+    sizes, stacked = [], []
     real = dyn.integrate
 
     def recording(gen, *args, **kwargs):
         trajectories = real(gen, *args, **kwargs)
         sizes.append(len(trajectories))
-        for traj in trajectories:
-            arrays.append(("time_ns", traj.times.tobytes()))
-            arrays.extend((name, traj.series(name).tobytes()) for name in traj.column_order)
+        stacked.extend(map(_arrays, trajectories))
         return trajectories
 
     with monkeypatch.context() as patch:
         patch.setattr(dyn, "integrate", recording)
-        run_scenario(parse_config(text), output_dir=str(out))
-    return sizes, arrays
-
-
-@pytest.mark.parametrize("budget", ["stacks_of_one", "blocks_of_two"])
-@pytest.mark.parametrize("name", sorted(STACK_CONFIGS))
-def test_sweep_blocks_change_no_output(name, budget, tmp_path, monkeypatch):
-    text = STACK_CONFIGS[name]
-    sizes, one = _stacked_run(text, tmp_path / "one", monkeypatch)
-    assert sizes == [1] * (4 if name == "fig4" else 0) + [5]  # the sweep in one stack
-    if budget == "stacks_of_one":  # every point alone, as a fixed run is
-        monkeypatch.setattr(dyn, "stack_runs", lambda *args: 1)
-        blocks = [1] * 5
-    else:  # the budget of two points' kets and x: the last block holds one
-        top, low = 3, 1 if name == "fig4" else 0
-        outputs = 301 if name == "fig4" else 241
-        monkeypatch.setattr(dyn, "CHUNK_BYTES", 2 * 16 * outputs * (top + low**2))
-        assert dyn.chunk_states(top) < 2 * outputs  # chunks straddle the runs too
-        blocks = [2, 2, 1]
-    sizes, many = _stacked_run(text, tmp_path / "many", monkeypatch)
-    assert sizes == [1] * (4 if name == "fig4" else 0) + blocks
-    assert many == one
-    files = sorted(os.listdir(tmp_path / "one"))
-    assert files == sorted(os.listdir(tmp_path / "many"))
-    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "one", tmp_path / "many", files,
-                                               shallow=False)
-    assert not mismatch and not errors
+        runner.run_plan(cfg)
+    assert sizes == [1] * (4 if name == "fig4" else 0) + [5]  # the sweep in one call
+    # each point as one run alone, as a fixed run propagates
+    plan = SCENARIOS[cfg.scenario].plan(cfg)
+    alone = [_arrays(runner.trajectory(cfg, run)) for _, run in plan.sweep.points(cfg)]
+    assert stacked[-5:] == alone
     # the t = 0 entropies are -0.0, and stay so
-    entropy = [value for key, value in one if key == "S_B"]
-    assert np.signbit(np.frombuffer(entropy[-1])[0])
+    assert np.signbit(np.frombuffer(dict(alone[-1])["S_B"])[0])
 
 
 def test_only_trajectory_builds_and_integrates():
@@ -302,6 +287,9 @@ PEAK_CONFIGS = {s: f'scenario = "{s}"\n' + text for s, text in SMALL_CONFIGS.ite
     # 1.3 times the traced peak
     "custom_lossy_two_photon_n6": 'scenario = "custom"\nn_atoms = 6\nn_photons = 2\n'
                                   "t_end_ns = 0.05\n",
+    # lossy D3 map: its 81 points, each with x on the ground state, in one
+    # stack
+    "fig5_lossy_d3": 'scenario = "fig5_position_map"\ndesign = "D3"\nlossless = false\n',
     # 2048 outputs: the CSV writer must free one block of rows before it
     # builds the next, or two are held at once
     "custom_two_csv_blocks": 'scenario = "custom"\nn_atoms = 5\nt_end_ns = 0.2047\n'
@@ -347,13 +335,11 @@ def test_memory_estimate_of_the_readme_example():
     assert quoted in " ".join(config._log2_peak_bytes.__doc__.split())
 
 
-def test_traced_peak_of_sweep_blocks_is_within_the_memory_estimate(tmp_path, monkeypatch):
-    # 21 lossy points of 301 outputs, 10 to a block: 10, 10, 1.  A block
-    # holds ten points' kets, x and columns at once, more than one point's
-    # run, which is what the estimate counted when points ran one by one
-    monkeypatch.setattr(dyn, "CHUNK_BYTES", 10 * 16 * 301 * (3 + 1))
+def test_traced_peak_of_a_large_sweep_is_within_the_memory_estimate(tmp_path, monkeypatch):
+    # 301 lossy points of 301 outputs in one stack: their kets, x and
+    # columns, held at once, outweigh every fixed run
     cfg = parse_config('scenario = "fig4_correlations"\nt_end_ns = 0.02\ndt_ns = 5e-4\n'
-                       "[sweep.alpha]\nmin = 0.0\nmax = 2.0\nsteps = 21\n")
+                       "[sweep.alpha]\nmin = 0.0\nmax = 2.0\nsteps = 301\n")
     sizes = []
     real = dyn.integrate
 
@@ -362,45 +348,16 @@ def test_traced_peak_of_sweep_blocks_is_within_the_memory_estimate(tmp_path, mon
         return real(gens, *args, **kwargs)
 
     monkeypatch.setattr(dyn, "integrate", recording)
-    need, _ = config._log2_peak_bytes(cfg, SCENARIOS[cfg.scenario].plan(cfg))
+    need, key = config._log2_peak_bytes(cfg, SCENARIOS[cfg.scenario].plan(cfg))
     tracemalloc.start()
     try:
         run_scenario(cfg, output_dir=str(tmp_path / "out"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sizes == [1] * 4 + [10, 10, 1]
+    assert sizes == [1] * 4 + [301]
+    assert key == ("sweep", "alpha", "steps")
     assert peak <= 2.0**need
-
-
-def test_a_sweep_block_is_freed_before_the_next_propagates(monkeypatch):
-    # the setup above: 21 points that keep no trajectory, 10 to a block.  When
-    # the second block starts, the first block's columns are gone: what is
-    # traced then is what was at the first block's start, its table rows and
-    # the peaks, less than one point's columns
-    monkeypatch.setattr(dyn, "CHUNK_BYTES", 10 * 16 * 301 * (3 + 1))
-    cfg = parse_config('scenario = "fig4_correlations"\nt_end_ns = 0.02\ndt_ns = 5e-4\n'
-                       "[sweep.alpha]\nmin = 0.0\nmax = 2.0\nsteps = 21\n")
-    entries, point_bytes = [], []
-    real = dyn.integrate
-
-    def recording(gens, *args, **kwargs):
-        if len(gens) == 10:
-            entries.append(tracemalloc.get_traced_memory()[0])
-        trajectories = real(gens, *args, **kwargs)
-        traj = trajectories[0]
-        point_bytes.append(traj.times.nbytes
-                           + sum(column.nbytes for column in traj.observables.values()))
-        return trajectories
-
-    monkeypatch.setattr(dyn, "integrate", recording)
-    tracemalloc.start()
-    try:
-        runner.run_plan(cfg)
-    finally:
-        tracemalloc.stop()
-    assert len(entries) == 2
-    assert entries[1] <= entries[0] + point_bytes[-1]
 
 
 @pytest.mark.parametrize("n_atoms", [13, 14])
