@@ -15,9 +15,14 @@ the block of sector n stays rank one (Dalibard, Castin & Molmer, PRL 68,
   row of expm([[L_low, J], [0, L_top]] dt) (Van Loan, IEEE TAC 23, 395
   (1978)): L_low the Liouvillian of the states below, L_top the action of
   H_eff on psi psi^dag, J = sum rate (L kron L*) the jumps out of sector n.
+  From one photon every jump lands in |0, g..g>: x is its population p_G,
+  and each step adds psi^dag G psi, G = int_0^dt K(s)^dag Gamma K(s) ds
+  the jump Gramian (Gamma = sum rate L^dag L on sector n), from a block
+  of 2 d_n rows (Van Loan 1978).
 
-A lossless run has no x and builds no Liouvillian; a lossy one builds it on
-the d_l states below sector n only, never on all d_l + d_n.  Kets are dicts
+A lossless run has no x and builds no Liouvillian; a lossy one from two
+photons builds it on the d_l states below sector n only, never on all d_l +
+d_n, and one from one photon builds none.  Kets are dicts
 {basis index: amplitude}, and nothing of length d is built on a run's path
 but the names of the populations it tracks: a trajectory holds the arrays
 of the d' propagated states' only, the others being exactly 0.  expm() is
@@ -25,21 +30,22 @@ this module's, in numpy: scaling and squaring with the [13/13] Pade
 approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), one
 function for every generator.  It is not replaced by an eigendecomposition:
 H_eff is defective at an exceptional point (one atom at kappa - gamma =
-4 g).  Trace is never renormalized and x is fed only by psi, so the trace
-check |psi|^2 + tr x = 1 is a real one: a drift of more than TRACE_TOL at
-any output time fails the run.
+4 g).  Trace is never renormalized and x is fed only by psi, through its
+own propagator, so the trace check |psi|^2 + tr x = 1 is a real one: a
+drift of more than TRACE_TOL at any output time fails the run.
 
 Propagation has no Python loop per output step.  Every grid is uniform, so
 a run builds its propagators once, takes its kets by doubling, rows[n:2n]
 = rows[:n] K^n with K^n squared from the last, and x by a log-depth scan
-over the feeds; the feeds' outer products are built a chunk of output
-times at a time.  Observables are then evaluated a chunk at a time,
-straight from (psi, x).  Nor is there a loop per run of a sweep:
-integrate() takes a stack of runs that share a layout, start ket and
-observables, such as a sweep's points, and every step above (expm's solve
-and squarings included) works on a leading run axis, each run with its own
-H, step, propagators and expm scaling, while the layout's tables are built
-once.  A run in a stack is exactly what it would be alone.  The block
+over the feeds (p_G by a cumulative sum); the feeds' outer products (the
+Gramian's forms) are built a chunk of output times at a time.  Observables
+are then evaluated a chunk at a time, straight from (psi, x).  Nor is there
+a loop per run of a sweep: integrate() takes a stack of runs that share a
+layout, start ket and observables, such as a sweep's points, and every step
+above (expm's solve and squarings included) works on a leading run axis,
+each run with its own H, step, propagators and expm scaling, while the
+layout's tables are built once.  A run in a stack is exactly what it would
+be alone.  The block
 structure makes each single-factor reduced state diagonal and each atom
 pair's an X-state, so entropies and concurrence come from marginal
 populations and one coherence per pair, with no eigensolver.  Two gates
@@ -117,9 +123,12 @@ def allocations(top: int, low: int, runs: int, outputs, channels: int = 0,
     without loss), with `channels` collapse channels, `projections` kets
     and `track` on photon_dim photon levels.  integrate() allocates psi, x
     and the Van Loan block, and steps its feed and its observable chunk, by
-    these shapes; footprint() adds them up."""
+    these shapes; footprint() adds them up.  From one photon (low = 1) the
+    block is the jump Gramian's, and no feed is built: the feed's steps
+    take the Gramian's forms, fewer bytes than the chunk's arrays."""
     chunk = chunk_states(top)
-    states, block = min(runs * outputs, chunk), (low**2 + top**2) * bool(low)
+    states = min(runs * outputs, chunk)
+    block = 2 * top if low == 1 else (low**2 + top**2) * bool(low)
     return dict(
         grid=Alloc((runs, outputs), float, 5),  # the caller's, a copy, two steps of its check
         psi=Alloc((runs, outputs, top), complex),
@@ -129,7 +138,7 @@ def allocations(top: int, low: int, runs: int, outputs, channels: int = 0,
         van_loan=Alloc((runs, block, block), complex, 10),
         channels=Alloc((channels, top + low, top + low), complex),
         # the feed's outer products: a few steps of every run at a time
-        feed=Alloc((runs, min(max(1, chunk // runs), outputs), top * top), complex, bool(low)),
+        feed=Alloc((runs, min(max(1, chunk // runs), outputs), top * top), complex, low > 1),
         # per state of the observable chunk: x and its check, the populations,
         # the projections, a factor's spectrum, a pair's populations and checks
         lower=Alloc((states, low, low), complex, 4),
@@ -165,8 +174,12 @@ def footprint(layout: HilbertLayout, n_photons: int, lossy: bool, track,
     name = len(f"pop_{layout.n_max}") + n_atoms + 4  # the longest column name, and its ","
     objects = 192  # of an array of a column: the ndarray (112 B, a view too) and its dict entry
     per_output = arrays.pop("grid") + arrays.pop("psi") + arrays.pop("x")
+    # beside the channels, one at a time: expm's working set of the ket step,
+    # then of the block, the feed, and the observable chunk
+    chunk = sum(arrays.pop(n) for n in ("lower", "pops", "projections", "entropy", "concurrence"))
+    steps = arrays.pop("channels") + max(chunk, *arrays.values())
     # each held column's series view; the list of the population names
-    propagate = sum(arrays.values()) + (propagated + other) * objects + 8 * pops
+    propagate = steps + (propagated + other) * objects + 8 * pops
     write = (
         # each held column's CSV name, piece and bytes key; one block's text
         # of the time and each held column: per row a str of up to 24
@@ -328,10 +341,11 @@ def integrate(
     block x on the d_l states below it; rho = psi psi^dag + x.  The grid's
     step dt = (t[-1] - t[0]) / (len(t) - 1) builds the propagators once:
     K = expm(-i H_eff dt) for psi and, with loss, E and F for x_k = E
-    x_(k-1) + F vec(psi_(k-1) psi_(k-1)^dag).  times must be finite,
-    strictly increasing and uniform, every step within 1e-12 of the span of
-    dt, as a linspace's from 0 are (ValueError otherwise); the trajectory
-    keeps the caller's grid bit for bit.
+    x_(k-1) + F vec(psi_(k-1) psi_(k-1)^dag), or from one photon the jump
+    Gramian G for p_G(t_k) = p_G(t_(k-1)) + psi_(k-1)^dag G psi_(k-1).
+    times must be finite, strictly increasing and uniform, every step
+    within 1e-12 of the span of dt, as a linspace's from 0 are (ValueError
+    otherwise); the trajectory keeps the caller's grid bit for bit.
 
     gen may also be a sequence of generators on one layout with the same
     collapse channels, such as the points of a sweep; times is then a
@@ -435,14 +449,25 @@ def integrate(
     for rate, _, anti in channels:
         h_eff -= 0.5j * rate * np.diag(anti[in_top])
     _power_series(psi, expm(-1j * h_eff * dt[..., None]).swapaxes(-1, -2))
-    if d_low:
+    feed_steps = arrays["feed"].shape[1]
+    if d_low == 1:
+        # x is p_G: each step adds psi^dag G psi = Re sum conj(psi) (G psi)
+        # at its start (on the kets' real and imaginary parts as floats),
+        # for every run a few steps at a time.
+        rates = sum(rate * anti[in_top] for rate, _, anti in channels)
+        gram = _jump_gramian(arrays["van_loan"], h_eff, rates, dt).swapaxes(-1, -2)
+        for k in range(0, n_out - 1, feed_steps):
+            kets = psi[:, k:min(k + feed_steps, n_out - 1)]
+            x[:, k + 1:k + 1 + kets.shape[1], 0] = np.einsum(
+                "rki,rki->rk", kets.view(float), (kets @ gram).view(float))
+        np.cumsum(x, axis=1, out=x)
+    elif d_low:
         # Van Loan (1978): the top rows of expm([[L_low, J], [0, L_top]] dt)
         # are [E, F], the step of x and its feed from psi psi^dag.
-        feed = _van_loan_generator(arrays["van_loan"], gens, channels, in_top, low, h_eff)
-        top_rows = expm(feed * dt[..., None])[:, :d_low**2].copy()
+        top_rows = expm(dt[..., None] * _van_loan_generator(
+            arrays["van_loan"], gens, channels, in_top, low, h_eff))[:, :d_low**2].copy()
         x_step, x_feed = top_rows[..., :d_low**2], top_rows[..., d_low**2:]
         # The feed's outer products are built for every run, a few steps at a time.
-        feed_steps = arrays["feed"].shape[1]
         for k in range(0, n_out - 1, feed_steps):
             kets = psi[:, k:min(k + feed_steps, n_out - 1)]
             rank_one = (kets[..., :, None] * kets[..., None, :].conj()).reshape(
@@ -559,6 +584,23 @@ def _van_loan_generator(block: Alloc, gens: list, channels: list, in_top: np.nda
     eye = np.eye(h_eff.shape[-1])
     out[:, n_low:, n_low:] = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
     return out
+
+
+def _jump_gramian(block: Alloc, h_eff: np.ndarray, rates: np.ndarray,
+                  dt: np.ndarray) -> np.ndarray:
+    """G = int_0^dt K(s)^dag Gamma K(s) ds of each run of a stack, allocated
+    as `block`: K(s) = expm(A s), A = -i H_eff on the top sector, and Gamma
+    = diag(rates) = sum rate L^dag L there, so psi^dag G psi is what the
+    jumps take from psi in one step dt.  With [[P, Q], [0, K]] =
+    expm([[-A^dag, Gamma], [0, A]] dt), G = K^dag Q (Van Loan 1978)."""
+    d = h_eff.shape[-1]
+    out = np.zeros(block.shape, block.dtype)
+    out[:, :d, :d] = -1j * h_eff.conj().swapaxes(-1, -2)
+    out[:, :d, d:] = np.diag(rates)
+    out[:, d:, d:] = -1j * h_eff
+    out *= dt[..., None]
+    step = expm(out)
+    return step[:, d:, d:].conj().swapaxes(-1, -2) @ step[:, :d, d:]
 
 
 def _power_series(rows: np.ndarray, step: np.ndarray):

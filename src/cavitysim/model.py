@@ -182,8 +182,9 @@ def liouvillian_matrix(gen: LindbladGenerator, keep=None) -> np.ndarray:
     keep, if given, lists the basis states of a subspace whose operators the
     generator maps into themselves (such as all states up to an excitation
     number), and L is built for rho on that subspace only, from operators
-    built on it.  A lossy run builds it on the states below the excitation
-    sector it starts in, as the L_low block of its Van Loan generator.
+    built on it.  A lossy run from two photons or more builds it on the
+    states below the excitation sector it starts in, as the L_low block of
+    its Van Loan generator.
     """
     states = _states(gen.layout, keep)
     eye = np.eye(states.size)

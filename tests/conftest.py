@@ -8,7 +8,8 @@ because only tests use them: every run starts from a ket, and a run's
 state is read back through projections (tomography_kets/_states).  So do
 the oracles no run reaches: the global mode volume, an emitter's coupling
 g(r), the one-point map read, the closed-form single-excitation
-population and a basis index's |n,s1..sN> label.
+population, a basis index's |n,s1..sN> label, and the Van Loan block's
+ground population of a lossy run from one photon.
 """
 
 import io
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cavitysim import dynamics, presets, runner
+from cavitysim import dynamics, fockspace as fs, presets, runner
 from cavitysim.analytic import coupling_norm
 from cavitysim.config import SCENARIOS
 from cavitysim.coupling import (
@@ -208,7 +209,7 @@ def integrate_states(gen: LindbladGenerator, psi0: dict, times, projections=None
 
 def skew_x(monkeypatch, first: int, eps: float):
     """Add i eps to every entry of x from output `first` on, in each run of
-    a stack: a 1 x 1 x (one atom from one photon, x on |0g>) then has
+    a stack whose x is propagated (from two photons or more): x then has
     |x - x^dag| = 2 eps there, and the same real trace."""
     scan = dynamics._linear_scan
 
@@ -217,6 +218,37 @@ def skew_x(monkeypatch, first: int, eps: float):
         rows[..., first:, :] += 1j * eps
 
     monkeypatch.setattr(dynamics, "_linear_scan", skewed)
+
+
+def van_loan_one_photon(gens: list, psi0: dict, times) -> tuple:
+    """(psi, x) of a lossy stack from one photon at each output time, one
+    row per run: the ket on the top sector, propagated as integrate
+    propagates it, and the population x of |0, g..g>, propagated as x is
+    from two photons: x_k = E x_(k-1) + F vec(psi_(k-1) psi_(k-1)^dag),
+    with E and F the top row of expm([[L_low, J], [0, L_top]] dt), a block
+    of 1 + d_n^2 rows (Van Loan, IEEE TAC 23, 395 (1978))."""
+    layout, times = gens[0].layout, np.asarray(times, dtype=float)
+    kept, exc = fs.states_up_to(layout, 1)
+    in_top = exc == 1
+    top, low = kept[in_top], kept[~in_top]
+    n_runs, n_out = times.shape
+    dt = (times[:, -1:] - times[:, :1]) / (n_out - 1)
+    h_eff = build_hamiltonian(layout, [g.params for g in gens], top)
+    channels = collapse_operators(gens[0], kept)
+    for rate, _, anti in channels:
+        h_eff -= 0.5j * rate * np.diag(anti[in_top])
+    psi = np.zeros((n_runs, n_out, top.size), dtype=complex)
+    psi[:, 0] = dynamics._kets_on([psi0], top)
+    dynamics._power_series(psi, dynamics.expm(-1j * h_eff * dt[..., None]).swapaxes(-1, -2))
+    rows = 1 + top.size**2
+    block = dynamics._van_loan_generator(dynamics.Alloc((n_runs, rows, rows), complex),
+                                         gens, channels, in_top, low, h_eff)
+    step, feed = np.split(dynamics.expm(block * dt[..., None])[:, :1], [1], axis=-1)
+    rank_one = (psi[:, :-1, :, None] * psi[:, :-1, None, :].conj()).reshape(n_runs, n_out - 1, -1)
+    x = np.zeros((n_runs, n_out, 1), dtype=complex)
+    x[:, 1:] = rank_one @ feed.swapaxes(-1, -2)
+    dynamics._linear_scan(x, step.swapaxes(-1, -2))
+    return psi, x[..., 0].real
 
 
 def plan_runs(plan, cfg):

@@ -94,12 +94,13 @@ def test_criterion_02_rabi_frequency():
 
 def test_criterion_03_dicke_enhancement():
     # the sqrt(N) law at N = 2, and at N = 50: d = 3 * 2^50, of which the 52
-    # states up to one excitation are propagated
+    # states up to one excitation are propagated.  With loss too at N = 50,
+    # where x is the population of |0, g..g>, stepped by the jump Gramian
     f1 = _measured_frequency((G,))
-    for n_atoms in (2, 50):
-        ratio = _measured_frequency((G,) * n_atoms) / f1
+    for n_atoms, lossy in ((2, False), (50, False), (50, True)):
+        ratio = _measured_frequency((G,) * n_atoms, lossy=lossy) / f1
         rel = abs(ratio - np.sqrt(n_atoms)) / np.sqrt(n_atoms)
-        _report(3, f"sqrt({n_atoms}) Dicke enhancement", rel < 1e-3,
+        _report(3, f"sqrt({n_atoms}) Dicke enhancement{' with loss' * lossy}", rel < 1e-3,
                 f"ratio {ratio:.6f} vs sqrt({n_atoms}) = {np.sqrt(n_atoms):.6f}, "
                 f"rel err {rel:.2e}")
 

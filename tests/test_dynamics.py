@@ -28,6 +28,7 @@ from conftest import (
     tomography_states,
     trajectory_csv_text,
     validate_density_matrix,
+    van_loan_one_photon,
 )
 
 G = ghz_to_angular(9.0)
@@ -103,15 +104,17 @@ def test_untracked_populations_cost_nothing_of_size_d(monkeypatch):
 
 
 def _leaky_run(monkeypatch, factor):
-    """A lossy one-atom run whose every propagator, the ket step K and the
-    Van Loan block that holds E and F, is scaled by factor = 1 + eps.
+    """A lossy one-atom run from one photon whose every propagator, the
+    ket step K and the block that holds the jump Gramian G, is scaled by
+    factor = 1 + eps.
 
     At t = k ns the exchange has made whole Rabi cycles, so the no-jump
-    norm n_k = |K^k psi0|^2 is exp(-kappa k / 2); the feed moves n_(k-1) -
-    n_k into |0g>, whose own step E is 1.  Scaled, the ket's norm is
-    factor^(2k) n_k and the step i feed factor^(2i - 1) (n_(i-1) - n_i),
-    carried by factor^(k - i): to first order in eps the trace is off by
-    eps (2 k n_k + sum_(i <= k) (k + i - 1) (n_(i-1) - n_i))."""
+    norm n_k = |K^k psi0|^2 is exp(-kappa k / 2), and step i adds
+    psi_(i-1)^dag G psi_(i-1) = n_(i-1) - n_i to p_G.  Scaled, the ket's
+    norm is factor^(2k) n_k, and G = K^dag Q is scaled by factor^2, so step
+    i adds factor^(2i) (n_(i-1) - n_i).  To first order in eps the trace is
+    off by eps (2 k n_k + sum_(i <= k) 2 i (n_(i-1) - n_i)) = 2 eps
+    sum_(i < k) n_i."""
     exact = dyn.expm
     monkeypatch.setattr(dyn, "expm", lambda a: factor * exact(a))
     lay, gen = _gen(1, (G,), kappa=0.19)
@@ -119,14 +122,13 @@ def _leaky_run(monkeypatch, factor):
 
 
 def test_trace_drift_gate_raises(monkeypatch):
-    # eps = 3e-10: 3e-10 (2 e^-0.095 + (1 - e^-0.095)) = 5.73e-10 off at
-    # t = 1 ns; 3e-10 (4 e^-0.19 + 2 (1 - e^-0.095) + 3 (e^-0.095 - e^-0.19))
-    # = 1.121e-9 at t = 2 ns, the first state past TRACE_TOL
+    # eps = 3e-10: 2 eps = 6.00e-10 off at t = 1 ns; 2 eps (1 + e^-0.095)
+    # = 1.146e-9 at t = 2 ns, the first state past TRACE_TOL
     assert dyn.TRACE_TOL == 1e-9
     run = _leaky_run(monkeypatch, 1.0 + 3e-10)
     with pytest.raises(dyn.IntegrationError) as info:
         run(np.linspace(0.0, 10.0, 11))
-    assert str(info.value) == "trace deviation 1.121e-09 at t=2 ns exceeds tolerance 1e-09"
+    assert str(info.value) == "trace deviation 1.146e-09 at t=2 ns exceeds tolerance 1e-09"
     # the same run, propagated exactly, passes the gate
     monkeypatch.undo()
     _leaky_run(monkeypatch, 1.0)(np.linspace(0.0, 10.0, 11))
@@ -270,7 +272,7 @@ def test_linspace_grids_are_uniform():
 def test_expm_matches_scipy_on_scenario_generators(scenario, lossless, monkeypatch):
     # The generators integrate() exponentiates in each fixed run and the
     # first sweep point: -i H dt without loss; with it -i H_eff dt, then the
-    # Van Loan block where the run has states below its start's sector.
+    # jump Gramian's block from one photon, or the Van Loan block from two.
     # Each call takes a stack, here of one run.
     generators = []
 
@@ -365,15 +367,15 @@ def test_one_propagator_per_distinct_step(monkeypatch):
     psi0 = fs.basis_state(lay, 1, "g")
     # 40 ns at 5 ps.  One photon keeps |0g>, |0e>, |1g> of the d = 6 space.
     # A run builds the 2 x 2 ket step on the top sector |0e>, |1g>, and the
-    # Van Loan block on vec x (1 row for |0g>) and vec psi psi^dag (4 rows):
-    # 5 x 5, each in a stack of one run.
+    # jump Gramian's block [[-A^dag, Gamma], [0, A]] on it: 4 x 4, each in a
+    # stack of one run.
     ts = np.linspace(0.0, 40.0, 8001)
     dyn.integrate(gen, psi0, ts, track=())
-    assert calls == [(1, 2, 2), (1, 5, 5)]
+    assert calls == [(1, 2, 2), (1, 4, 4)]
     # a stack of three runs, each with its own step, builds them in one call
     calls.clear()
     dyn.integrate([gen] * 3, psi0, [ts, 2 * ts, 3 * ts], track=())
-    assert calls == [(3, 2, 2), (3, 5, 5)]
+    assert calls == [(3, 2, 2), (3, 4, 4)]
 
 
 def test_lossless_run_never_builds_the_liouvillian(monkeypatch):
@@ -385,8 +387,12 @@ def test_lossless_run_never_builds_the_liouvillian(monkeypatch):
     assert traj.series("pop_0e")[-1] == pytest.approx(
         np.sin(G * traj.times[-1]) ** 2, abs=1e-12
     )
+    # nor does a lossy one from one photon, whose x is the population of
+    # |0g>; from two photons x is propagated on the three states below
+    _single_atom_run(kappa=0.19, n_points=51)
+    lay, gen = _gen(2, (G,), kappa=0.19)
     with pytest.raises(AssertionError):
-        _single_atom_run(kappa=0.19, n_points=51)
+        dyn.integrate(gen, fs.basis_state(lay, 2, "g"), np.linspace(0.0, 0.1, 51))
 
 
 def test_lossy_run_builds_the_liouvillian_below_the_start_sector_only(monkeypatch):
@@ -522,6 +528,74 @@ def test_random_systems_match_dense_full_space_reference(n_atoms, n_exc, lossy, 
     psi0 = random_sector_ket(lay, np.random.default_rng(seed), n_exc)
     _assert_matches_dense_reference(model.build_generator(lay, p), psi0,
                                     np.arange(9) / 64.0, n_exc)
+
+
+def _binary_entropy(p0, p1):
+    """-(p0 log2 p0 + p1 log2 p1), 0 log 0 = 0: a one-photon factor's
+    normalized entropy, from the populations of its two levels."""
+    return -sum(np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0) for p in (p0, p1))
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 4, 8])
+def test_one_photon_x_matches_the_van_loan_block(n_atoms, rng):
+    # a stack of three lossy sweep points from |1, g..g>, with random loss
+    # rates (shared, as a stack's channels are), random couplings and a
+    # detuning of 0, 5 and 10 GHz: integrate steps p_G by the jump Gramian,
+    # the reference propagates it through the Van Loan block of 1 + (N +
+    # 1)^2 rows.  Every column follows from psi and p_G: pop_1g.. =
+    # n_photon = |psi_1|^2, pop_0..e_i.. = |psi_i|^2, each factor's entropy
+    # from its two marginals (p_G among them), and C_ij = 2 |psi_i psi_j|
+    lay = HilbertLayout(n_max=1, n_atoms=n_atoms)
+    kappa, gamma = rng.uniform(0.5, 8.0), rng.uniform(0.2, 4.0)
+    gens = [model.build_generator(lay, SystemParams(
+        detuning=ghz_to_angular(delta), kappa=kappa, gamma=gamma,
+        couplings=tuple(G * rng.uniform(0.2, 1.5, n_atoms)))) for delta in (0.0, 5.0, 10.0)]
+    psi0 = fs.basis_state(lay, 1, "g" * n_atoms)
+    grids = [np.linspace(0.0, t_end, 401) for t_end in (0.5, 0.8, 1.0)]
+    trajs = dyn.integrate(gens, psi0, grids, track=dyn.TRACKABLE)
+    psi, ground = van_loan_one_photon(gens, psi0, grids)
+    # the top sector in basis order: |0, e_N> .. |0, e_1>, then |1, g..g>
+    photons, atoms = np.abs(psi[..., -1]) ** 2, np.abs(psi[..., -2::-1]) ** 2
+    for traj, photon, atom, p_g in zip(trajs, photons, atoms, ground, strict=True):
+        labels = ["g" * i + "e" + "g" * (n_atoms - 1 - i) for i in range(n_atoms)]
+        expected = {"pop_1" + "g" * n_atoms: photon, "n_photon": photon,
+                    "pop_0" + "g" * n_atoms: p_g,
+                    "S_A": _binary_entropy(atom.sum(axis=1) + p_g, photon)}
+        for i, label in enumerate(labels):
+            expected[f"pop_0{label}"] = atom[:, i]
+            expected[f"S_{dyn.subsystem_letter(i + 1)}"] = _binary_entropy(
+                photon + atom.sum(axis=1) - atom[:, i] + p_g, atom[:, i])
+        for i, j in itertools.combinations(range(n_atoms), 2):
+            name = f"C_{dyn.subsystem_letter(i + 1)}{dyn.subsystem_letter(j + 1)}"
+            expected[name] = 2.0 * np.sqrt(atom[:, i] * atom[:, j])
+        assert set(expected) <= set(traj.column_order)
+        for name in traj.column_order:
+            assert np.max(np.abs(traj.series(name) - expected.get(name, 0.0))) <= 1e-12, name
+
+
+@pytest.mark.parametrize("n_atoms", [1, 4, 50])
+def test_one_photon_equal_couplings_follow_the_bright_mode(n_atoms):
+    # equal couplings g and one gamma: psi = a |1, g..g> + b |0, W> with
+    # i d/dt (a, b) = [[-i kappa / 2, g sqrt(N)], [g sqrt(N), Delta - i
+    # gamma / 2]] (a, b) in the frame of |1, g..g>, so n_photon = |a|^2 and
+    # the population of |0, g..g> is 1 - |a|^2 - |b|^2.  It is read by a
+    # projection: N = 50 has no population columns.  Resonant and detuned
+    # by 4 GHz, in one stack
+    kappa, gamma = 3.0, 1.0
+    lay = HilbertLayout(n_max=1, n_atoms=n_atoms)
+    ground = "g" * n_atoms
+    gens = [model.build_generator(lay, SystemParams(
+        detuning=ghz_to_angular(delta), kappa=kappa, gamma=gamma, couplings=(G,) * n_atoms))
+        for delta in (0.0, 4.0)]
+    ts = np.linspace(0.0, 0.3, 601)
+    trajs = dyn.integrate(gens, fs.basis_state(lay, 1, ground), [ts, ts], track=("n_photon",),
+                          projections={"P_G": fs.basis_state(lay, 0, ground)})
+    for traj, gen in zip(trajs, gens, strict=True):
+        bright = G * np.sqrt(n_atoms)
+        h = np.array([[-0.5j * kappa, bright], [bright, gen.params.detuning - 0.5j * gamma]])
+        a, b = np.abs(np.array([expm(-1j * h * t)[:, 0] for t in ts]).T) ** 2
+        assert np.max(np.abs(traj.series("n_photon") - a)) <= 1e-12
+        assert np.max(np.abs(traj.series("P_G") - (1.0 - a - b))) <= 1e-12
 
 
 def _superposition(lay, *states) -> dict:
@@ -771,6 +845,16 @@ def test_integrate_allocates_by_its_allocation_plan(monkeypatch):
     assert (arrays["psi"].shape, arrays["x"].shape) == ((2, 11, 4), (2, 11, 16))
     assert inputs == [arrays["ket_step"].shape, arrays["van_loan"].shape]
     assert inputs == [(2, 4, 4), (2, 32, 32)]
+    # from one photon: d_n = 3 (|0ge>, |0eg>, |1gg>), x is the population
+    # of |0gg>, the block is the jump Gramian's of 3 + 3 rows, and no feed
+    # is built
+    plans.clear(), inputs.clear()
+    dyn.integrate([gen, gen], fs.basis_state(lay, 1, "gg"), [np.linspace(0.0, 0.1, 11)] * 2)
+    (arrays,) = plans
+    assert (arrays["psi"].shape, arrays["x"].shape) == ((2, 11, 3), (2, 11, 1))
+    assert inputs == [arrays["ket_step"].shape, arrays["van_loan"].shape]
+    assert inputs == [(2, 3, 3), (2, 6, 6)]
+    assert arrays["feed"].copies == 0
 
 
 def test_chunk_holds_about_one_mebibyte():
@@ -818,15 +902,16 @@ def test_chunked_run_equals_one_chunk(runs, monkeypatch):
 
 
 def test_trace_gate_names_first_time_in_a_later_chunk(monkeypatch):
-    # with eps = 8e-11 the trace deviation of _leaky_run first exceeds
-    # TRACE_TOL at k = 8: 9.50e-10 at t = 7 ns, 1.067e-9 at t = 8 ns
+    # with eps = 8e-11 the trace deviation of _leaky_run, 2 eps (1 -
+    # e^(-0.095 k)) / (1 - e^-0.095), first exceeds TRACE_TOL at k = 9:
+    # 9.398e-10 at t = 8 ns, 1.015e-9 at t = 9 ns
     run = _leaky_run(monkeypatch, 1.0 + 8e-11)
     ts = np.linspace(0.0, 50.0, 51)
     with pytest.raises(dyn.IntegrationError) as one:
         run(ts)
-    assert str(one.value) == "trace deviation 1.067e-09 at t=8 ns exceeds tolerance 1e-09"
-    # 5 output times per chunk: t = 8 ns is the fourth of the second chunk
-    # (the chunk holds 2 x 2 outer products of kets on |0e>, |1g>)
+    assert str(one.value) == "trace deviation 1.015e-09 at t=9 ns exceeds tolerance 1e-09"
+    # 5 output times per chunk: t = 9 ns is the last of the second chunk
+    # (the chunk is sized by 2 x 2 outer products of kets on |0e>, |1g>)
     monkeypatch.setattr(dyn, "CHUNK_BYTES", 5 * 16 * 2**2)
     assert dyn.chunk_states(2) == 5
     with pytest.raises(dyn.IntegrationError) as chunked:
@@ -835,9 +920,11 @@ def test_trace_gate_names_first_time_in_a_later_chunk(monkeypatch):
 
 
 def test_hermiticity_gate_names_first_time(monkeypatch):
+    # two photons: x on |0g>, |0e>, |1g> below the sector of |1e>, |2g>
+    # (from one photon x is the real population of |0g>)
     assert dyn.HERM_TOL == 1e-10
-    lay, gen = _gen(1, (G,), kappa=0.19)
-    psi0, ts = fs.basis_state(lay, 1, "g"), np.linspace(0.0, 50.0, 51)
+    lay, gen = _gen(2, (G,), kappa=0.19)
+    psi0, ts = fs.basis_state(lay, 2, "g"), np.linspace(0.0, 50.0, 51)
     skew_x(monkeypatch, 13, 1e-10)
     with pytest.raises(dyn.IntegrationError) as one:
         dyn.integrate(gen, psi0, ts)

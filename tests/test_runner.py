@@ -222,8 +222,9 @@ def test_every_trajectory_comes_from_the_one_path(scenario, monkeypatch):
 
 
 STACK_CONFIGS = {
-    # lossy, so each point also propagates x by its Van Loan block; the
-    # sweep's five points keep no trajectory, only their peaks
+    # lossy, so each point also steps x, the population of |0gg>, by its
+    # jump Gramian; the sweep's five points keep no trajectory, only their
+    # peaks
     "fig4": 'scenario = "fig4_correlations"\nt_end_ns = 0.05\ndt_ns = 5e-4\n'
             "[sweep.alpha]\nmin = 0.0\nmax = 2.0\nsteps = 5\n",
     # lossless; each of the five points is written as a trajectory file
