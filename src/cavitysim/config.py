@@ -180,8 +180,9 @@ class Run(NamedTuple):
     key: tuple = ("dt_ns",)
 
     def outputs(self) -> int:
-        """Number of output times of times()."""
-        return max(1, round(self.t_end_ns / self.dt_ns)) + 1
+        """Number of output times of times(), at most 2^64 + 1: past that,
+        more than any memory holds, the count is not needed exactly."""
+        return max(1, round(min(self.t_end_ns / self.dt_ns, 2.0**64))) + 1
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end_ns, self.outputs())
@@ -536,13 +537,16 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     `run_scenario`.  The interpreter (about 39 MB), freed blocks and the
     imports and argparse set-up of a process's first `cli.main` come on
     top: lossless one-atom `custom` with t_end_ns = 1.0 and dt_ns = 0.1 is
-    estimated at 75 658 B and traces about 251 700 B in a fresh process's
-    first `cli.main(["run", ...])`, about 38 900 B in its second.  Where
-    the kept trajectories are written on several processes at once, each
-    holds a writer's text."""
+    estimated at 74 794 B and traces about 251 300 B in a fresh process's
+    first `cli.main(["run", ...])`, about 40 700 B in its second.  Where
+    the kept trajectories are written on several processes at once, one
+    per block of their rows up to the CPUs, each holds a writer's text."""
     points = math.prod(ax.steps for ax in plan.sweep.axes) if plan.sweep else 0
-    files = len(plan.runs) + (points if plan.sweep and plan.sweep.name else 0)
-    writers = trajectory_writers(files)
+    point = plan.sweep.run(cfg, 0.0) if plan.sweep else None  # sized alike at any alpha
+    blocks = sum(dyn.csv_blocks(run.outputs()) for run in plan.runs)
+    if plan.sweep and plan.sweep.name:
+        blocks += points * dyn.csv_blocks(point.outputs())
+    writers = trajectory_writers(blocks)
 
     def footprint(run: Run, stack: int = 1) -> tuple:  # four projections at most
         return dyn.footprint(run.layout(), run.n_photons, cfg.lossy, run.track,
@@ -555,7 +559,6 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
         calls.append(list(zip(work, (atoms, run.key))))
         held += zip(keep, (atoms, run.key))
     if plan.sweep:
-        point = plan.sweep.run(cfg, 0.0)  # sized alike at any alpha
         work, keep = footprint(point, points)  # every point in one stack
         kept = (sum(keep) * points, point.key)
         # a table row: a dict of Python floats, measured at 288 bytes for 4 and 5 values
@@ -581,11 +584,12 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def trajectory_writers(files: int) -> int:
-    """Number of processes runner.write_trajectories writes `files`
-    trajectory files on: one per file, up to the CPUs this process may run
-    on, and one where it cannot fork."""
-    return max(1, min(files, _usable_cpus())) if hasattr(os, "fork") else 1
+def trajectory_writers(blocks: int) -> int:
+    """Number of processes runner.write_trajectories writes trajectory
+    files of `blocks` blocks of dynamics.CSV_BLOCK_ROWS rows in all on (a
+    file's last block may be short): one per block, up to the CPUs this
+    process may run on, and one where it cannot fork."""
+    return max(1, min(blocks, _usable_cpus())) if hasattr(os, "fork") else 1
 
 
 def _is_int(v) -> bool:

@@ -71,6 +71,7 @@ from .model import (
     LindbladGenerator,
     build_hamiltonian,
     collapse_operators,
+    decay_rates,
     liouvillian_matrix,
 )
 
@@ -95,6 +96,12 @@ CSV_BLOCK_ROWS = 1024
 POPULATIONS_MAX_DIM = 2**19
 MIN_PROMINENCE = 1e-9     # see count_extrema
 MIN_ENVELOPE_MAXIMA = 10  # fewest oscillation maxima envelope_lifetime fits
+
+
+def csv_blocks(rows: int) -> int:
+    """Number of blocks of CSV_BLOCK_ROWS rows that write_trajectory_csv
+    converts a file of `rows` rows in."""
+    return -(-rows // CSV_BLOCK_ROWS)
 
 
 def chunk_states(dim: int) -> int:
@@ -125,7 +132,9 @@ def allocations(top: int, low: int, runs: int, outputs, channels: int = 0,
     and the Van Loan block, and steps its feed and its observable chunk, by
     these shapes; footprint() adds them up.  From one photon (low = 1) the
     block is the jump Gramian's, and no feed is built: the feed's steps
-    take the Gramian's forms, fewer bytes than the chunk's arrays."""
+    take the Gramian's forms, fewer bytes than the chunk's arrays.  Only
+    a Van Loan block (low > 1) reads the channels' dense L; elsewhere
+    integrate() takes their decay rates alone."""
     chunk = chunk_states(top)
     states = min(runs * outputs, chunk)
     block = 2 * top if low == 1 else (low**2 + top**2) * bool(low)
@@ -136,7 +145,8 @@ def allocations(top: int, low: int, runs: int, outputs, channels: int = 0,
         # expm's working set: about ten matrices of the step's size at once
         ket_step=Alloc((runs, top, top), complex, 10),
         van_loan=Alloc((runs, block, block), complex, 10),
-        channels=Alloc((channels, top + low, top + low), complex),
+        # each channel's L on the kept states, only for the Van Loan block
+        channels=Alloc((channels, top + low, top + low), complex, low > 1),
         # the feed's outer products: a few steps of every run at a time
         feed=Alloc((runs, min(max(1, chunk // runs), outputs), top * top), complex, low > 1),
         # per state of the observable chunk: x and its check, the populations,
@@ -153,15 +163,15 @@ def footprint(layout: HilbertLayout, n_photons: int, lossy: bool, track,
               projections: int, outputs, runs: int, writers: int = 1) -> tuple:
     """Bytes of integrate() on a stack of `runs` runs (on `layout` from
     n_photons photons, loss if `lossy`, recording `track` and `projections`
-    kets at `outputs` times), and of write_trajectory_csv on `writers` of
-    them at once, one in each process: (work, keep), the most either
-    allocates beyond the trajectories and what each trajectory holds, each
-    as (what grows with the states and their columns, what grows with the
-    outputs alone).  A writer holds the text of a block of rows, one str
-    per cell, of each held column, counted as if no two were equal.  A
-    trajectory holds an array for the d' propagated populations only, so d
-    grows nothing but the population columns' names, header and cells of
-    constant text."""
+    kets at `outputs` times), and of write_trajectory_csv on `writers`
+    blocks of their rows at once, one in each process: (work, keep), the
+    most either allocates beyond the trajectories and what each trajectory
+    holds, each as (what grows with the states and their columns, what
+    grows with the outputs alone).  A writer holds the text of a block of
+    rows, one str per cell, of each held column, counted as if no two were
+    equal.  A trajectory holds an array for the d' propagated populations
+    only, so d grows nothing but the population columns' names, header and
+    cells of constant text."""
     n_atoms = layout.n_atoms
     top, low = fs.sector_sizes(n_atoms, n_photons)
     low, n_out = low if lossy else 0, min(outputs, 2**64)
@@ -195,8 +205,9 @@ def footprint(layout: HilbertLayout, n_photons: int, lossy: bool, track,
         + pops * (name + 24)
     )
     # the call's small arrays and objects, and the file buffer (30 KiB
-    # measured); integrate frees its arrays before the writers run
-    work = 2**16 + max(propagate, writers * write)
+    # measured); integrate frees its arrays, per_output's too, before the
+    # writers run
+    work = 2**16 + max(propagate, writers * write - per_output)
     column = 8 * n_out + 2 * objects  # its floats, array and view
     return ((work, per_output),
             # each population's name (a str of 49 B and its characters) and
@@ -445,16 +456,14 @@ def integrate(
     psi[:, 0] = _kets_on([psi0], top)
     x = np.zeros(arrays["x"].shape, arrays["x"].dtype)  # row-major vec of x
     h_eff = build_hamiltonian(layout, [g.params for g in gens], top)
-    channels = collapse_operators(gens[0], kept)
-    for rate, _, anti in channels:
-        h_eff -= 0.5j * rate * np.diag(anti[in_top])
+    rates = decay_rates(gens[0], top)  # Gamma = sum rate L^dag L on the top sector
+    h_eff -= 0.5j * np.diag(rates)
     _power_series(psi, expm(-1j * h_eff * dt[..., None]).swapaxes(-1, -2))
     feed_steps = arrays["feed"].shape[1]
     if d_low == 1:
         # x is p_G: each step adds psi^dag G psi = Re sum conj(psi) (G psi)
         # at its start (on the kets' real and imaginary parts as floats),
         # for every run a few steps at a time.
-        rates = sum(rate * anti[in_top] for rate, _, anti in channels)
         gram = _jump_gramian(arrays["van_loan"], h_eff, rates, dt).swapaxes(-1, -2)
         for k in range(0, n_out - 1, feed_steps):
             kets = psi[:, k:min(k + feed_steps, n_out - 1)]
@@ -465,7 +474,7 @@ def integrate(
         # Van Loan (1978): the top rows of expm([[L_low, J], [0, L_top]] dt)
         # are [E, F], the step of x and its feed from psi psi^dag.
         top_rows = expm(dt[..., None] * _van_loan_generator(
-            arrays["van_loan"], gens, channels, in_top, low, h_eff))[:, :d_low**2].copy()
+            arrays["van_loan"], gens, kept, in_top, h_eff))[:, :d_low**2].copy()
         x_step, x_feed = top_rows[..., :d_low**2], top_rows[..., d_low**2:]
         # The feed's outer products are built for every run, a few steps at a time.
         for k in range(0, n_out - 1, feed_steps):
@@ -566,19 +575,20 @@ def _kets_on(kets: list, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def _van_loan_generator(block: Alloc, gens: list, channels: list, in_top: np.ndarray,
-                        low: np.ndarray, h_eff: np.ndarray) -> np.ndarray:
+def _van_loan_generator(block: Alloc, gens: list, kept: np.ndarray, in_top: np.ndarray,
+                        h_eff: np.ndarray) -> np.ndarray:
     """[[L_low, J], [0, L_top]] on (vec x, vec psi psi^dag) of each lossy
     run of a stack, allocated as `block`.
 
-    L_low is the Liouvillian of the states `low` below the top sector,
-    L_top the action of H_eff on psi psi^dag, and J = sum rate (L kron L*)
-    the jumps from the top sector into x, cut from each channel's (rate,
-    L, anti) on the kept states, of which in_top marks the top sector."""
+    L_low is the Liouvillian of the states below the top sector, L_top the
+    action of H_eff on psi psi^dag, and J = sum rate (L kron L*) the jumps
+    from the top sector into x, cut from each channel's L on the `kept`
+    states, of which in_top marks the top sector.  Only here is an L built."""
+    low = kept[~in_top]
     n_low = low.size**2
     out = np.zeros(block.shape, block.dtype)
     out[:, :n_low, :n_low] = [liouvillian_matrix(gen, low) for gen in gens]
-    for rate, L, _ in channels:
+    for rate, L, _ in collapse_operators(gens[0], kept):
         jump = L[np.ix_(~in_top, in_top)]
         out[:, :n_low, n_low:] += rate * np.kron(jump, jump.conj())
     eye = np.eye(h_eff.shape[-1])
@@ -711,7 +721,7 @@ def envelope_lifetime(traj: Trajectory, observable: str) -> EnvelopeFit:
     )
 
 
-def write_trajectory_csv(traj: Trajectory, fh) -> None:
+def write_trajectory_csv(traj: Trajectory, fh, start: int = 0, stop: int | None = None) -> None:
     """Emit `time_ns, <observables>` rows with a schema comment line.
 
     Column order is deterministic: populations in basis-index order, then
@@ -728,10 +738,16 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
     one-photon run) reuses that text.  Rows are joined from the pieces and
     written one by one, so what is held is one block's text of the held
     columns, never a block of rows of the constant pieces.
+
+    Only rows start..stop - 1 (to the last row if stop is None) are
+    written, and the schema line and header only where start is 0: the
+    pieces of a file cut at multiples of CSV_BLOCK_ROWS, written in order,
+    are the bytes of the whole file.
     """
     cols = traj.column_order
-    fh.write(f"# schema: {TRAJECTORY_SCHEMA}\n")
-    fh.write(",".join(["time_ns"] + cols) + "\n")
+    if start == 0:
+        fh.write(f"# schema: {TRAJECTORY_SCHEMA}\n")
+        fh.write(",".join(["time_ns"] + cols) + "\n")
     cells = [traj.times] + [traj.observables.get(c, "0.0") for c in cols]
     # A row is its cells between separators; each run of text, a separator
     # and the constant cells next to it, merges into one piece.
@@ -739,16 +755,16 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
     pieces = []
     for constant, run in itertools.groupby(tokens, key=lambda x: isinstance(x, str)):
         pieces += ["".join(run)] if constant else run
-    n_rows = len(traj.times)
-    for start in range(0, n_rows, CSV_BLOCK_ROWS):
-        size = min(CSV_BLOCK_ROWS, n_rows - start)
+    stop = len(traj.times) if stop is None else stop
+    for first in range(start, stop, CSV_BLOCK_ROWS):
+        size = min(CSV_BLOCK_ROWS, stop - first)
         texts = {}  # the block's text of each distinct column, by its bytes
         columns = []
         for piece in pieces:
             if isinstance(piece, str):
                 columns.append(itertools.repeat(piece, size))
                 continue
-            block = piece[start:start + size]
+            block = piece[first:first + size]
             key = block.tobytes()  # exact bytes: 0.0 and -0.0 never share text
             if key not in texts:
                 texts[key] = list(map(repr, block.tolist()))

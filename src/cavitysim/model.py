@@ -172,6 +172,14 @@ def collapse_operators(gen: LindbladGenerator, keep=None) -> list:
             for rate, factor in gen.collapse_channels]
 
 
+def decay_rates(gen: LindbladGenerator, keep=None) -> np.ndarray:
+    """The diagonal of sum rate L^dag L over the collapse channels, on the
+    basis states `keep` (all of them if None), with no L built."""
+    layout, states = gen.layout, _states(gen.layout, keep)
+    return sum((rate * _lowering(layout, factor, states)[0] ** 2
+                for rate, factor in gen.collapse_channels), np.zeros(states.size))
+
+
 def liouvillian_matrix(gen: LindbladGenerator, keep=None) -> np.ndarray:
     """Dense superoperator L with vec(d rho/dt) = L @ vec(rho).
 

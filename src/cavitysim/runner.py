@@ -22,19 +22,29 @@ and ignored.  What runs where:
   - the plan (every propagation, observable and fit) runs in this process,
     its points and output times in stacks, on one CPU;
   - the traj_*.csv files, most of a default run's time, are written on
-    config.trajectory_writers processes: this one and a child forked for
-    each other share (write_trajectories).  The files of one config are
-    the same bytes on any number of them;
+    config.trajectory_writers processes, one per block of
+    dynamics.CSV_BLOCK_ROWS rows up to the CPUs: this one and a child
+    forked for each other share (write_trajectories).  A share is a run
+    of the files' rows in name order, cut only at a block edge, of about
+    equal rows but for this process's, planned CHILD_BLOCKS blocks longer;
+    so a long file may be written by two, and the piece that starts inside
+    it goes through a temporary file, appended once every share is
+    written.  The files of one config are the same bytes on any number of
+    writers;
   - this process writes config.txt before them, and the tables,
     summary.csv and manifest.json once every trajectory file is written.
 Known limit: Python >= 3.12 warns (DeprecationWarning) on a fork in a
 process that runs threads, such as BLAS's; a writer child calls no BLAS.
 """
 
+import contextlib
 import hashlib
+import itertools
 import json
 import os
 import pickle
+import shutil
+import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,6 +55,11 @@ from .model import SystemParams, build_generator
 from .units import ghz_to_angular, mhz_to_angular
 
 ENV_OUTPUT_ROOT = "CAVITYSIM_OUTPUT_ROOT"
+# Blocks of rows by which a forked writer's share is planned shorter than
+# this process's.  A child starts about 1.2 ms later, and on a 2-core host
+# shared with other load its CPU often writes at half speed; with equal
+# shares, fig2's parent mostly waited for its child.
+CHILD_BLOCKS = 2
 
 
 @dataclass
@@ -134,21 +149,48 @@ def _write_rows_csv(path: str, rows: list):
 
 
 def _shares(runs: dict, writers: int) -> list:
-    """The trajectories' names in `writers` shares of about equal rows:
-    longest first, each to the share with the fewest rows so far."""
-    shares, rows = [[] for _ in range(writers)], [0] * writers
-    for name in sorted(runs, key=lambda name: -runs[name].times.size):
-        i = rows.index(min(rows))
-        shares[i].append(name)
-        rows[i] += runs[name].times.size
+    """The trajectories' rows in `writers` contiguous shares, as lists of
+    pieces (name, start, stop): the files in name order, cut only where a
+    block of dyn.CSV_BLOCK_ROWS rows starts.  The first share, this
+    process's, is planned CHILD_BLOCKS blocks of rows longer than each
+    other, which a forked child writes, and each cut is made at the block
+    edge nearest its planned place (the earlier of two as near), with at
+    least one block in every share."""
+    size = dyn.CSV_BLOCK_ROWS
+    blocks = [(name, start, min(start + size, rows))
+              for name in sorted(runs) for rows in [runs[name].times.size]
+              for start in range(0, max(rows, 1), size)]
+    edges = [0, *itertools.accumulate(stop - start for _, start, stop in blocks)]
+    child = CHILD_BLOCKS * size  # the rows a child's share is planned shorter by
+    own = (edges[-1] + (writers - 1) * child) / writers
+    cuts = [0]
+    for i in range(1, writers):
+        planned = i * own - (i - 1) * child  # the rows before share i
+        cuts.append(min(range(cuts[-1] + 1, len(blocks) - writers + i + 1),
+                        key=lambda k: abs(edges[k] - planned)))
+    shares = []
+    for first, last in zip(cuts, cuts[1:] + [len(blocks)]):
+        share = []
+        for name, start, stop in blocks[first:last]:
+            if share and share[-1][0] == name:
+                start = share.pop()[1]
+            share.append((name, start, stop))
+        shares.append(share)
     return shares
 
 
-def _write_share(out: str, runs: dict, names: list) -> None:
-    for name in names:
-        with open(os.path.join(out, f"traj_{name}.csv"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            dyn.write_trajectory_csv(runs[name], fh)
+def _write_share(out: str, runs: dict, share: list, tails: dict) -> None:
+    """Write each piece of `share`: a file's first to traj_<name>.csv, any
+    other to its temporary file in `tails`, flushed."""
+    for name, start, stop in share:
+        if start:
+            tail = tails[name, start, stop]
+            dyn.write_trajectory_csv(runs[name], tail, start, stop)
+            tail.flush()
+        else:
+            with open(os.path.join(out, f"traj_{name}.csv"), "w", encoding="utf-8",
+                      newline="\n") as fh:
+                dyn.write_trajectory_csv(runs[name], fh, start, stop)
 
 
 def _reap(pid: int, fd: int) -> tuple:
@@ -164,50 +206,62 @@ def _reap(pid: int, fd: int) -> tuple:
 
 def write_trajectories(out: str, runs: dict) -> None:
     """Write traj_<name>.csv in `out` for each trajectory of `runs`, on
-    config.trajectory_writers processes, as many as there are files and
-    CPUs to run them: this one writes the first of _shares, and a child
-    forked for each other share writes that one (with one writer, this one
-    writes every file, and it writes a share whose fork fails).  A child
-    holds the trajectories as forked, so nothing is sent to it; it sends
-    back what it raises, pickled, and leaves by os._exit, so it neither
-    flushes this process's buffers nor returns into its caller.  Every
-    child is reaped before this returns or raises; then what this process
-    raised, or else what a child raised, is raised (an OSError for a child
-    that ended with no word)."""
-    own, *others = _shares(runs, trajectory_writers(len(runs)))
-    children = []  # (pid, read end of its pipe)
-    try:
-        for share in others:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare (ENOMEM under strict overcommit)
-                os.close(read)
-                os.close(write)
-                own += share
-                continue
-            if pid == 0:  # the child: never returns
-                code = 1
+    config.trajectory_writers processes, as many as there are blocks of
+    rows and CPUs to write them: this one writes the first of _shares,
+    and a child forked for each other share writes that one (with one
+    writer, this one writes every file, and it writes a share whose fork
+    fails).  A piece that starts inside a file goes to an unnamed
+    temporary file in `out`, opened here before any fork, and is appended
+    to its file, in order, once every share is written.  A child holds the
+    trajectories as forked, so nothing is sent to it; it sends back what
+    it raises, pickled, and leaves by os._exit, so it neither flushes this
+    process's buffers nor returns into its caller.  Every child is reaped
+    before this returns or raises; then what this process raised, or else
+    what a child raised, is raised (an OSError for a child that ended with
+    no word), and nothing is appended."""
+    blocks = sum(dyn.csv_blocks(traj.times.size) for traj in runs.values())
+    own, *others = _shares(runs, trajectory_writers(blocks))
+    with contextlib.ExitStack() as temporary:
+        tails = {piece: temporary.enter_context(tempfile.TemporaryFile(
+                     "w+", encoding="utf-8", newline="\n", dir=out))
+                 for share in [own, *others] for piece in share if piece[1]}
+        children = []  # (pid, read end of its pipe)
+        try:
+            for share in others:
+                read, write = os.pipe()
                 try:
+                    pid = os.fork()
+                except OSError:  # no process to spare (ENOMEM under strict overcommit)
                     os.close(read)
-                    with os.fdopen(write, "wb") as fh:
-                        try:
-                            _write_share(out, runs, share)
-                            code = 0
-                        except BaseException as exc:  # the parent raises it
-                            fh.write(pickle.dumps(exc))
-                finally:
-                    os._exit(code)
-            os.close(write)  # so that no later child holds a copy of it
-            children.append((pid, read))
-        _write_share(out, runs, own)
-    finally:
-        ends = [(pid, *_reap(pid, read)) for pid, read in children]
-    for pid, sent, code in ends:
-        if sent:
-            raise pickle.loads(sent)
-        if code:
-            raise OSError(f"trajectory writer process {pid} ended with exit code {code}")
+                    os.close(write)
+                    own += share
+                    continue
+                if pid == 0:  # the child: never returns
+                    code = 1
+                    try:
+                        os.close(read)
+                        with os.fdopen(write, "wb") as fh:
+                            try:
+                                _write_share(out, runs, share, tails)
+                                code = 0
+                            except BaseException as exc:  # the parent raises it
+                                fh.write(pickle.dumps(exc))
+                    finally:
+                        os._exit(code)
+                os.close(write)  # so that no later child holds a copy of it
+                children.append((pid, read))
+            _write_share(out, runs, own, tails)
+        finally:
+            ends = [(pid, *_reap(pid, read)) for pid, read in children]
+        for pid, sent, code in ends:
+            if sent:
+                raise pickle.loads(sent)
+            if code:
+                raise OSError(f"trajectory writer process {pid} ended with exit code {code}")
+        for (name, _, _), tail in tails.items():  # in file and row order
+            tail.seek(0)
+            with open(os.path.join(out, f"traj_{name}.csv"), "ab") as fh:
+                shutil.copyfileobj(tail.buffer, fh)
 
 
 def run_scenario(cfg: ExperimentConfig, output_dir: str | None = None) -> RunReport:

@@ -242,7 +242,7 @@ def van_loan_one_photon(gens: list, psi0: dict, times) -> tuple:
     dynamics._power_series(psi, dynamics.expm(-1j * h_eff * dt[..., None]).swapaxes(-1, -2))
     rows = 1 + top.size**2
     block = dynamics._van_loan_generator(dynamics.Alloc((n_runs, rows, rows), complex),
-                                         gens, channels, in_top, low, h_eff)
+                                         gens, kept, in_top, h_eff)
     step, feed = np.split(dynamics.expm(block * dt[..., None])[:, :1], [1], axis=-1)
     rank_one = (psi[:, :-1, :, None] * psi[:, :-1, None, :].conj()).reshape(n_runs, n_out - 1, -1)
     x = np.zeros((n_runs, n_out, 1), dtype=complex)

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import tracemalloc
@@ -995,3 +996,22 @@ def test_csv_matches_per_cell_reference(monkeypatch):
         monkeypatch.setattr(dyn, "CSV_BLOCK_ROWS", block_rows)
         for traj in cases:
             assert trajectory_csv_text(traj) == per_cell_csv(traj)
+
+
+def test_a_file_cut_at_a_block_edge_is_its_head_and_its_tail(monkeypatch):
+    # fig2's `short` from one photon, 1001 rows: n_photon has pop_1g's bytes,
+    # so its text is reused, in a piece as in the whole file.  At 64 rows a
+    # block, the rows before each block edge (after the schema line and the
+    # header) and the rows from it on are the whole file
+    cfg = parse_config('scenario = "fig2_single_atom"\nt_end_ns = 0.05\n')
+    traj = runner.trajectory(cfg, SCENARIOS[cfg.scenario].plan(cfg).runs[0])
+    assert traj.times.size == 1001
+    assert traj.series("n_photon").tobytes() == traj.series("pop_1g").tobytes()
+    monkeypatch.setattr(dyn, "CSV_BLOCK_ROWS", 64)
+    whole = trajectory_csv_text(traj)
+    for edge in range(64, traj.times.size, 64):
+        head, tail = io.StringIO(), io.StringIO()
+        dyn.write_trajectory_csv(traj, head, 0, edge)
+        dyn.write_trajectory_csv(traj, tail, edge)
+        assert len(tail.getvalue().splitlines()) == traj.times.size - edge
+        assert head.getvalue() + tail.getvalue() == whole

@@ -3,6 +3,8 @@ import filecmp
 import importlib.util
 import inspect
 import os
+import re
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -311,7 +313,10 @@ PEAK_CONFIGS = {s: f'scenario = "{s}"\n' + text for s, text in SMALL_CONFIGS.ite
 
 
 @pytest.mark.parametrize("name", sorted(PEAK_CONFIGS))
-def test_traced_peak_is_within_the_memory_estimate(name, tmp_path):
+def test_traced_peak_is_within_the_memory_estimate(name, tmp_path, monkeypatch):
+    # one CPU: tracemalloc sees this process alone, so every block is
+    # written here
+    monkeypatch.setattr(config, "_usable_cpus", lambda: 1)
     cfg = parse_config(PEAK_CONFIGS[name])
     need, _ = config._log2_peak_bytes(cfg, SCENARIOS[cfg.scenario].plan(cfg))
     tracemalloc.start()
@@ -443,14 +448,17 @@ def test_one_photon_runs_match_the_no_jump_oracle(name):
         assert np.max(np.abs(pops - expected)) < 1e-12, run.name
 
 
-# Two and six trajectory files: runner.write_trajectories splits them over
-# as many processes as this process may use CPUs, here set by the tests.
+# Two and five trajectory files: runner.write_trajectories splits their
+# rows over as many processes as this process may use CPUs, here set by the
+# tests.  fig2's `long` (6001 rows) is six blocks of CSV_BLOCK_ROWS and
+# `short` (2001) two; each fig5 file (241 rows) is one.
 SPLIT_CONFIGS = {
-    "fig2": 'scenario = "fig2_single_atom"\nt_long_ns = 2.0\ndt_long_ns = 0.002\n',
+    "fig2": 'scenario = "fig2_single_atom"\nt_long_ns = 12.0\ndt_long_ns = 0.002\n',
     "fig5": 'scenario = "fig5_position_map"\ndesign = "D1"\n'
-            "[sweep.delta_x_nm]\nmin = 0.0\nmax = 53.0\nsteps = 3\n"
-            "[sweep.delta_y_nm]\nmin = 0.0\nmax = 53.0\nsteps = 2\n",
+            "[sweep.delta_x_nm]\nmin = 0.0\nmax = 53.0\nsteps = 5\n"
+            "[sweep.delta_y_nm]\nmin = 0.0\nmax = 0.0\nsteps = 1\n",
 }
+CONTRACT_FILES = {"config.txt", "map.csv", "alpha_map.csv", "summary.csv", "manifest.json"}
 
 
 def _no_child_left():
@@ -458,104 +466,169 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_shares_balance_rows_longest_first(monkeypatch):
-    def runs(*rows):
-        return {f"r{i}": dyn.Trajectory(HilbertLayout(1, 1), np.zeros(n), {})
-                for i, n in enumerate(rows)}
+def _only_contract_files(out, descriptors: int):
+    """`out` holds nothing but files of the output contract (no temporary
+    file), and this process has `descriptors` open file descriptors again."""
+    assert all(name in CONTRACT_FILES or re.fullmatch(r"traj_\w+\.csv", name)
+               for name in os.listdir(out)), os.listdir(out)
+    assert len(os.listdir("/proc/self/fd")) == descriptors
 
-    assert runner._shares(runs(5, 3, 3, 1), 2) == [["r0", "r3"], ["r1", "r2"]]
-    assert [len(share) for share in runner._shares(runs(*[101] * 81), 2)] == [41, 40]
-    assert runner._shares(runs(), 1) == [[]]
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Count the calls of module.name in this process, in the list returned
+    (a child's own copy of the list grows unseen)."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _trajectories(**rows) -> dict:
+    return {name: dyn.Trajectory(HilbertLayout(1, 1), np.zeros(n), {})
+            for name, n in rows.items()}
+
+
+def test_shares_cut_the_files_in_name_order_at_block_edges(monkeypatch):
+    # 10 002 rows in 8 + 2 blocks, this process's share planned two blocks
+    # longer than the child's: (10 002 + 2048) / 2 = 6025 rows, and the
+    # nearest block edge is 6144
+    assert runner.CHILD_BLOCKS * dyn.CSV_BLOCK_ROWS == 2048
+    assert runner._shares(_trajectories(long=8001, short=2001), 2) == [
+        [("long", 0, 6144)], [("long", 6144, 8001), ("short", 0, 2001)]]
+    # files of one block are never cut
+    assert runner._shares(_trajectories(a=1000, b=1000, c=1000), 2) == [
+        [("a", 0, 1000), ("b", 0, 1000)], [("c", 0, 1000)]]
+    # fig5's 81 files of 241 rows: the file edge nearest (19 521 + 2048) / 2
+    assert [len(share) for share in runner._shares(
+        _trajectories(**{f"r{i:02d}": 241 for i in range(81)}), 2)] == [45, 36]
+    # one file cut twice on three writers, at the edges nearest 3032 and
+    # 4016 rows, every share at least one block
+    assert runner._shares(_trajectories(a=5000), 3) == [
+        [("a", 0, 3072)], [("a", 3072, 4096)], [("a", 4096, 5000)]]
+    assert runner._shares(_trajectories(a=1025), 2) == [[("a", 0, 1024)], [("a", 1024, 1025)]]
+    # an empty trajectory is still written, its header alone; no trajectory
+    # is one empty share
+    assert runner._shares(_trajectories(a=0, b=2048), 2) == [
+        [("a", 0, 0), ("b", 0, 1024)], [("b", 1024, 2048)]]
+    assert runner._shares(_trajectories(), 1) == [[]]
+    # one writer per block, up to the CPUs
     monkeypatch.setattr(config, "_usable_cpus", lambda: 4)
     assert [config.trajectory_writers(n) for n in (0, 1, 3, 81)] == [1, 1, 3, 4]
+    assert dyn.csv_blocks(0) == 0 and dyn.csv_blocks(1024) == 1 and dyn.csv_blocks(1025) == 2
     monkeypatch.delattr(os, "fork")
     assert config.trajectory_writers(81) == 1
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_CONFIGS))
 def test_split_writers_write_the_bytes_of_one(name, tmp_path, monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counting():
-        forks.append(1)  # a child's own copy of the list grows unseen
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
+    forks = _counting(monkeypatch, os, "fork")
+    tails = _counting(monkeypatch, tempfile, "TemporaryFile")
     cfg = parse_config(SPLIT_CONFIGS[name])
-    for cpus in (1, 3):
-        monkeypatch.setattr(config, "_usable_cpus", lambda: cpus)
-        run_scenario(cfg, output_dir=str(tmp_path / str(cpus)))
-        _no_child_left()
-    # fig2's two files on two processes, fig5's six on three
-    assert len(forks) == {"fig2": 1, "fig5": 2}[name]
-    files = sorted(os.listdir(tmp_path / "1"))
-    assert files == sorted(os.listdir(tmp_path / "3"))
-    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "1", tmp_path / "3", files,
-                                               shallow=False)
-    assert not mismatch and not errors
+    descriptors = len(os.listdir("/proc/self/fd"))
+    runs = []
+    # at 64 rows a block, fig5's files are cut too
+    for block_rows in (dyn.CSV_BLOCK_ROWS, 64):
+        monkeypatch.setattr(dyn, "CSV_BLOCK_ROWS", block_rows)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(config, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"{block_rows}_{cpus}"
+            run_scenario(cfg, output_dir=str(out))
+            _no_child_left()
+            _only_contract_files(out, descriptors)
+            runs.append(out)
+    # one fork on two CPUs and two on three, at either block size, and a
+    # temporary file for each piece that starts inside a file: fig2 is cut
+    # inside `long` once on two CPUs and on three, and twice on three at 64
+    # rows a block; fig5's files are cut only at 64 rows a block, one file
+    # on two CPUs and on three
+    assert len(forks) == 2 * (1 + 2)
+    assert len(tails) == {"fig2": 1 + 1 + 1 + 2, "fig5": 0 + 0 + 1 + 1}[name]
+    files = sorted(os.listdir(runs[0]))
+    for out in runs[1:]:
+        assert files == sorted(os.listdir(out))
+        match, mismatch, errors = filecmp.cmpfiles(runs[0], out, files, shallow=False)
+        assert not mismatch and not errors
 
 
 def test_a_share_whose_fork_fails_is_written_in_process(tmp_path, monkeypatch):
     def failing():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    cfg = parse_config(SPLIT_CONFIGS["fig5"])
-    monkeypatch.setattr(config, "_usable_cpus", lambda: 1)
-    run_scenario(cfg, output_dir=str(tmp_path / "one"))
-    monkeypatch.setattr(config, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(os, "fork", failing)
-    descriptors = len(os.listdir("/proc/self/fd"))
-    run_scenario(cfg, output_dir=str(tmp_path / "failed"))
-    assert len(os.listdir("/proc/self/fd")) == descriptors  # each pipe closed
-    files = sorted(os.listdir(tmp_path / "one"))
-    assert files == sorted(os.listdir(tmp_path / "failed"))
-    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "one", tmp_path / "failed", files,
-                                               shallow=False)
-    assert not mismatch and not errors
+    fork = os.fork
+    for name, text in SPLIT_CONFIGS.items():
+        cfg = parse_config(text)
+        monkeypatch.setattr(config, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", fork)
+        run_scenario(cfg, output_dir=str(tmp_path / name / "one"))
+        monkeypatch.setattr(config, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", failing)
+        # on three CPUs fig2's second share is the rest of `long`: that piece
+        # goes through a temporary file here too, appended after the third
+        # share is written
+        tails = _counting(monkeypatch, tempfile, "TemporaryFile")
+        descriptors = len(os.listdir("/proc/self/fd"))
+        run_scenario(cfg, output_dir=str(tmp_path / name / "failed"))
+        _only_contract_files(tmp_path / name / "failed", descriptors)  # each pipe closed
+        assert len(tails) == {"fig2": 1, "fig5": 0}[name]
+        files = sorted(os.listdir(tmp_path / name / "one"))
+        assert files == sorted(os.listdir(tmp_path / name / "failed"))
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / name / "one",
+                                                   tmp_path / name / "failed", files,
+                                                   shallow=False)
+        assert not mismatch and not errors
 
 
 def _fig2_on_two_writers(tmp_path, monkeypatch):
     """(config path, output directory, rows of each trajectory) of fig2
-    written on two processes: this one writes `short`, the longer file, and
-    a child `long`."""
+    written on two processes: this one writes `long`'s first 5120 rows,
+    and a child the rest of `long` and all of `short`."""
     monkeypatch.setattr(config, "_usable_cpus", lambda: 2)
     text = SPLIT_CONFIGS["fig2"]
     path = tmp_path / "cfg.toml"
     path.write_text(text)
     cfg = parse_config(text)
     rows = {run.name: run.outputs() for run in SCENARIOS[cfg.scenario].plan(cfg).runs}
-    assert runner._shares({name: dyn.Trajectory(HilbertLayout(1, 1), np.zeros(n), {})
-                           for name, n in rows.items()}, 2) == [["short"], ["long"]]
+    assert runner._shares(_trajectories(**rows), 2) == [
+        [("long", 0, 5120)], [("long", 5120, 6001), ("short", 0, 2001)]]
     return str(path), tmp_path / "out", rows
 
 
-@pytest.mark.parametrize("writer, blocked, written", [("child", "long", "short"),
-                                                      ("parent", "short", "long")])
+@pytest.mark.parametrize("writer, blocked, written", [("parent", "long", "short"),
+                                                      ("child", "short", "long")])
 def test_a_failed_share_exits_2_and_leaves_no_child(writer, blocked, written, tmp_path,
                                                      monkeypatch, capsys):
     # the blocked file's path is a directory: open() raises IsADirectoryError
-    # in the process that writes it, and a child's comes back to this one
+    # in the process that writes its first rows, and a child's comes back to
+    # this one
     path, out, rows = _fig2_on_two_writers(tmp_path, monkeypatch)
     (out / f"traj_{blocked}.csv").mkdir(parents=True)
+    descriptors = len(os.listdir("/proc/self/fd"))
     assert main(["run", path, "--output-dir", str(out)]) == 2
     target = out / f"traj_{blocked}.csv"
     assert (f"error: cannot write outputs: [Errno 21] Is a directory: '{target}'"
             in capsys.readouterr().err)
     _no_child_left()
-    # the other share was written whole before the run ended
+    _only_contract_files(out, descriptors)
+    # the other share's piece of `written`, all of `short` or the first
+    # 5120 rows of `long`, was written whole before the run ended, and no
+    # tail was appended after a writer failed
     text = (out / f"traj_{written}.csv").read_text()
-    assert text.endswith("\n") and len(text.splitlines()) == 2 + rows[written]
+    assert text.endswith("\n")
+    assert len(text.splitlines()) == 2 + {"short": rows["short"], "long": 5120}[written]
 
 
 def test_a_writer_that_ends_without_a_word_exits_2(tmp_path, monkeypatch, capsys):
     path, out, _ = _fig2_on_two_writers(tmp_path, monkeypatch)
     parent, write = os.getpid(), dyn.write_trajectory_csv
 
-    def dying(traj, fh):
+    def dying(traj, fh, *rows):
         if os.getpid() != parent:
             os._exit(7)
-        write(traj, fh)
+        write(traj, fh, *rows)
 
     monkeypatch.setattr(dyn, "write_trajectory_csv", dying)
     assert main(["run", path, "--output-dir", str(out)]) == 2
@@ -564,14 +637,17 @@ def test_a_writer_that_ends_without_a_word_exits_2(tmp_path, monkeypatch, capsys
 
 
 def test_memory_estimate_counts_each_writer(monkeypatch):
-    # fig2 with 2001 and 1001 outputs: writing a file outweighs propagating
-    # either run, so a second writer adds its text
+    # fig2 with 2001 and 1001 outputs, and custom with 1501 in one file of
+    # two blocks: writing outweighs propagating any run, so a second writer
+    # adds its text; a file of one block has one writer
     def need(text, cpus):
         monkeypatch.setattr(config, "_usable_cpus", lambda: cpus)
         cfg = parse_config(text)
         return config._log2_peak_bytes(cfg, SCENARIOS[cfg.scenario].plan(cfg))[0]
 
-    two_files = SPLIT_CONFIGS["fig2"]
-    one_file = 'scenario = "custom"\nn_atoms = 2\n'
+    two_files = 'scenario = "fig2_single_atom"\nt_long_ns = 2.0\ndt_long_ns = 0.002\n'
+    two_blocks = 'scenario = "custom"\nn_atoms = 2\n'
+    one_block = 'scenario = "custom"\nn_atoms = 2\nt_end_ns = 0.1\n'
     assert need(two_files, 2) > need(two_files, 1)
-    assert need(one_file, 2) == need(one_file, 1)
+    assert need(two_blocks, 2) > need(two_blocks, 1)
+    assert need(one_block, 2) == need(one_block, 1)
