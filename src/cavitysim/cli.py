@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import __version__
-from .config import SCENARIOS, ConfigError, SummaryFitError, parse_config
+from .config import SCENARIOS, ConfigError, SummaryFitError, out_of_bounds, parse_config
 from .dynamics import IntegrationError
 from .runner import ENV_OUTPUT_ROOT, check_fits, run_scenario
 
@@ -84,8 +84,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return _invalid(args.config, exc)
 
-    if args.command == "run" and args.workers is not None and args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
+    if args.command == "run" and args.workers is not None and (
+            bound := out_of_bounds(("workers",), args.workers)):
+        print(f"error: --workers {bound}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:

@@ -19,16 +19,19 @@ at any photon number.  Every omitted key is filled from the scenario's
 defaults (g_ghz and q_factor from the design's) at parse time, and
 `canonical_text` emits the fully resolved form as valid TOML;
 parse(canonical_text(cfg)) round-trips to an equal config.  The fields of
-`ExperimentConfig` are the one list of keys: each key's type test and its
-line in `canonical_text` follow from them.  `SCENARIOS` holds each
-scenario's `cavitysim scenarios` note, its defaults, its fixed keys and
-its plan: the runs it makes, the summary drawn from them and the runs
-that summary reads, built from the config alone with no map read.  Every
-run records the config's `observables`, then each observable the plan's
-summary or table reads that the list lacks (`_recording`).  The runner
-executes the plan; the memory gate adds up what dynamics.footprint
-says it allocates.  Nothing here propagates: runner.check_fits makes the
-summary's fits that `cavitysim validate` checks.
+`ExperimentConfig`, and of `SweepAxis` in each `[sweep.<axis>]` table, are
+the one list of keys: each key's type test (`_KEY_TYPES`, by dotted path)
+and its line in `canonical_text` follow from them, and one table,
+`_BOUNDS`, holds the lowest value of each key that has one, checked for
+every value the file sets.  `SCENARIOS` holds each scenario's `cavitysim
+scenarios` note, its defaults, its fixed keys and its plan: the runs it
+makes, the summary drawn from them and the runs that summary reads, built
+from the config alone with no map read.  Every run records the config's
+`observables`, then each observable the plan's summary or table reads that
+the list lacks (`_recording`).  The runner executes the plan; the memory
+gate adds up what dynamics.footprint says it allocates.  Nothing here
+propagates: runner.check_fits makes the summary's fits that `cavitysim
+validate` checks.
 
 Example::
 
@@ -539,14 +542,14 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     top: lossless one-atom `custom` with t_end_ns = 1.0 and dt_ns = 0.1 is
     estimated at 74 794 B and traces about 251 300 B in a fresh process's
     first `cli.main(["run", ...])`, about 40 700 B in its second.  Where
-    the kept trajectories are written on several processes at once, one
-    per block of their rows up to the CPUs, each holds a writer's text."""
+    the kept trajectories are written on several processes at once
+    (trajectory_writers), each holds a writer's text."""
     points = math.prod(ax.steps for ax in plan.sweep.axes) if plan.sweep else 0
     point = plan.sweep.run(cfg, 0.0) if plan.sweep else None  # sized alike at any alpha
-    blocks = sum(dyn.csv_blocks(run.outputs()) for run in plan.runs)
+    rows = sum(run.outputs() for run in plan.runs)
     if plan.sweep and plan.sweep.name:
-        blocks += points * dyn.csv_blocks(point.outputs())
-    writers = trajectory_writers(blocks)
+        rows += points * point.outputs()
+    writers = trajectory_writers(rows)
 
     def footprint(run: Run, stack: int = 1) -> tuple:  # four projections at most
         return dyn.footprint(run.layout(), run.n_photons, cfg.lossy, run.track,
@@ -584,12 +587,21 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def trajectory_writers(blocks: int) -> int:
+# Blocks of dynamics.CSV_BLOCK_ROWS rows by which a forked writer's share
+# is planned shorter than this process's (runner._shares).  A child starts
+# about 1.2 ms later, and on a 2-core host shared with other load its CPU
+# often writes at half speed; with equal shares, fig2's parent mostly
+# waited for its child.
+CHILD_BLOCKS = 2
+
+
+def trajectory_writers(rows: int) -> int:
     """Number of processes runner.write_trajectories writes trajectory
-    files of `blocks` blocks of dynamics.CSV_BLOCK_ROWS rows in all on (a
-    file's last block may be short): one per block, up to the CPUs this
-    process may run on, and one where it cannot fork."""
-    return max(1, min(blocks, _usable_cpus())) if hasattr(os, "fork") else 1
+    files of `rows` rows in all on: one per CPU this process may run on,
+    while runner._shares plans each forked one a block of rows at least,
+    (rows - CHILD_BLOCKS blocks) / writers; one where it cannot fork."""
+    size = dyn.CSV_BLOCK_ROWS
+    return max(1, min(rows // size - CHILD_BLOCKS, _usable_cpus())) if hasattr(os, "fork") else 1
 
 
 def _is_int(v) -> bool:
@@ -600,26 +612,49 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _is_str_list(v) -> bool:
-    return isinstance(v, list) and all(isinstance(x, str) for x in v)
-
-
-# (type test, what the error says was expected) of each field annotation
-_FLOAT = (_is_number, "a finite number")
+# (type test, what the error says was expected) of each field annotation;
+# the annotation converts a value that passes its test
 _TYPE_TESTS = {
     int: (_is_int, "an integer"),
-    float: _FLOAT,
+    float: (_is_number, "a finite number"),
     str: (lambda v: isinstance(v, str), "a quoted string"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
 }
-# key -> (type test, expected): scalar keys by their ExperimentConfig
-# annotation, the two list-valued keys by hand
+# dotted path -> (type test, expected, conversion): the keys by their
+# ExperimentConfig annotation, the sweep keys by their SweepAxis one, and
+# the two list-valued keys by hand
 _KEY_TYPES = {
-    **{f.name: _TYPE_TESTS[f.type] for f in fields(ExperimentConfig) if f.type in _TYPE_TESTS},
-    "couplings_ghz": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
-                      "a [list] of finite numbers"),
-    "observables": (_is_str_list, "a [list] of strings"),
+    **{(f.name,): (*_TYPE_TESTS[f.type], f.type)
+       for f in fields(ExperimentConfig) if f.type in _TYPE_TESTS},
+    ("couplings_ghz",): (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                         "a [list] of finite numbers", lambda v: tuple(map(float, v))),
+    ("observables",): (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                       "a [list] of strings", tuple),
+    **{("sweep", axis, f.name): (*_TYPE_TESTS[f.type], f.type)
+       for axis in SWEEP_AXES for f in fields(SweepAxis) if f.name in SWEEP_KEYS},
 }
+# dotted path -> (lowest value, whether it is allowed) of each bounded key,
+# in the order their errors are listed.  Only a value the file sets is
+# checked: an absent key takes a default in range, or g_ghz and q_factor
+# the design's preset and kappa_mhz its sentinel -1 (derive from q_factor).
+_BOUNDS = {
+    ("n_atoms",): (1, True), ("n_photons",): (0, True), ("g_ghz",): (0, False),
+    ("alpha",): (0, True), ("q_factor",): (0, False), ("kappa_mhz",): (0, True),
+    ("gamma_mhz",): (0, True), ("lambda_nm",): (0, False), ("t_end_ns",): (0, False),
+    ("dt_ns",): (0, False), ("workers",): (1, True), ("t_long_ns",): (0, False),
+    ("dt_long_ns",): (0, False),
+    **{("sweep", axis, "steps"): (1, True) for axis in SWEEP_AXES},
+    ("sweep", "alpha", "min"): (0, True),  # as the alpha key
+}
+
+
+def out_of_bounds(path: tuple, value) -> str:
+    """'must be <op> <lowest>' where `value` breaks the bound of `path` in
+    _BOUNDS, else ''."""
+    low, inclusive = _BOUNDS[path]
+    op = ">=" if inclusive else ">"
+    return "" if value > low or inclusive and value == low else f"must be {op} {low}"
+
 
 # A table header `[a.b]` or `[[a.b]]` (group 1) or the key of a `key = value`
 # line (group 2).
@@ -658,45 +693,41 @@ def parse_config(text: str) -> ExperimentConfig:
     def at(*path):
         return f"line {lines.get(path, 0)}"
 
-    scalars: dict = {}
-    sweeps: dict = {}
+    values: dict = {}  # path -> value of each key the file sets with its type, converted
+    tables: dict = {}  # axis -> its [sweep.<axis>] table
+
+    def take(path, value):
+        if path not in _KEY_TYPES:
+            errors.append(f"{at(*path)}: unknown key {path[0]!r}" if len(path) == 1 else
+                          f"{at(*path)}: unknown sweep key {path[-1]!r} (min/max/steps)")
+        elif not _KEY_TYPES[path][0](value):
+            errors.append(f"{at(*path)}: {'.'.join(path)}: expected {_KEY_TYPES[path][1]}, "
+                          f"got {value!r}")
+        else:
+            values[path] = _KEY_TYPES[path][2](value)
+
     for key, value in doc.items():
         if key == "sweep" and isinstance(value, dict):
             for axis, table in value.items():
                 if axis not in SWEEP_AXES:
-                    errors.append(
-                        f"{at('sweep', axis)}: unknown sweep axis {axis!r}; "
-                        f"valid axes: {', '.join(SWEEP_AXES)}"
-                    )
-                    continue
-                if not isinstance(table, dict):
+                    errors.append(f"{at('sweep', axis)}: unknown sweep axis {axis!r}; "
+                                  f"valid axes: {', '.join(SWEEP_AXES)}")
+                elif not isinstance(table, dict):
                     errors.append(f"{at('sweep', axis)}: sweep.{axis}: "
                                   "expected a table of min, max and steps")
-                    continue
-                for k in [k for k in table if k not in SWEEP_KEYS]:
-                    errors.append(
-                        f"{at('sweep', axis, k)}: unknown sweep key {k!r} (min/max/steps)"
-                    )
-                sweeps[axis] = table
+                else:
+                    tables[axis] = table
+                    for k, v in table.items():
+                        take(("sweep", axis, k), v)
         elif isinstance(value, dict):
             errors.append(f"{at(key)}: unknown section {key!r} (only [sweep.<axis>])")
-        elif key not in _KEY_TYPES:
-            errors.append(f"{at(key)}: unknown key {key!r}")
-        elif not _KEY_TYPES[key][0](value):
-            errors.append(f"{at(key)}: {key}: expected {_KEY_TYPES[key][1]}, got {value!r}")
-        elif _KEY_TYPES[key] is _FLOAT:
-            scalars[key] = float(value)
-        elif key == "couplings_ghz":
-            scalars[key] = tuple(float(g) for g in value)
-        elif key == "observables":
-            scalars[key] = tuple(value)
         else:
-            scalars[key] = value
+            take((key,), value)
 
-    scenario = scalars.get("scenario")
+    scenario = values.get(("scenario",))
     if "scenario" not in doc:  # one of the wrong type has its error above
         errors.append("line 0: missing required key 'scenario'")
-    elif "scenario" in scalars and scenario not in SCENARIOS:
+    elif ("scenario",) in values and scenario not in SCENARIOS:
         errors.append(
             f"{at('scenario')}: scenario: unknown scenario "
             f"{scenario!r}; valid: {', '.join(SCENARIOS)}"
@@ -708,13 +739,11 @@ def parse_config(text: str) -> ExperimentConfig:
     spec = SCENARIOS[scenario]
     absent = {f.name: f.default for f in fields(ExperimentConfig)} | spec.defaults
     # a fixed key leaves the config at its default, so no later check names it again
-    for key in [k for k in scalars if k in spec.fixed]:
-        if (value := scalars.pop(key)) != absent[key]:
+    for key in [p[0] for p in values if p[0] in spec.fixed]:
+        if (value := values.pop((key,))) != absent[key]:
             errors.append(f"{at(key)}: {key}: must be {_format_value(absent[key])} for "
                           f"{scenario}, got {_format_value(value)}")
-    merged = dict(spec.defaults)
-    merged.update({k: v for k, v in scalars.items() if k != "scenario"})
-    cfg = ExperimentConfig(scenario=scenario, **merged)
+    cfg = ExperimentConfig(**spec.defaults | {p[0]: v for p, v in values.items() if len(p) == 1})
     if fs.index_overflow(1, cfg.n_atoms):  # at any photon number: build no plan, as
         # it holds a coupling per atom
         raise ConfigError(errors + [f"{at('n_atoms')}: n_atoms: "
@@ -738,55 +767,35 @@ def parse_config(text: str) -> ExperimentConfig:
         )
     else:  # the preset of each key the config does not set
         d = presets.DESIGNS[cfg.design]
-        cfg = replace(cfg, **{k: getattr(d, k) for k in ("g_ghz", "q_factor") if k not in scalars})
+        cfg = replace(cfg, **{k: getattr(d, k) for k in ("g_ghz", "q_factor")
+                              if (k,) not in values})
 
-    # sweep assembly, on the axes the scenario runs
-    defaults = default_sweeps(scenario, cfg.design)
-    scenario_axes = [ax.name for ax in defaults]
-    axes = []
-    for axis, table in sweeps.items():
-        if axis not in scenario_axes:
+    # the axes the scenario runs, each on its default grid unless a table sets it
+    axes = {ax.name: ax for ax in default_sweeps(scenario, cfg.design)}
+    for axis, table in tables.items():
+        if axis not in axes:
             errors.append(f"{at('sweep', axis)}: sweep.{axis}: {scenario} runs no {axis} "
-                          f"sweep; its axes: {', '.join(scenario_axes) or 'none'}")
-            continue
-        missing = [k for k in SWEEP_KEYS if k not in table]
-        if missing:
+                          f"sweep; its axes: {', '.join(axes) or 'none'}")
+        elif missing := [k for k in SWEEP_KEYS if k not in table]:
             errors.append(f"{at('sweep', axis)}: sweep.{axis}: missing {', '.join(missing)}")
-            continue
-        mn, mx, st = (table[k] for k in SWEEP_KEYS)
-        if not _is_int(st):
-            errors.append(f"{at('sweep', axis, 'steps')}: sweep.{axis}.steps: "
-                          "expected an integer")
-            continue
-        if st < 1:
-            errors.append(f"{at('sweep', axis, 'steps')}: sweep.{axis}.steps: "
-                          f"must be >= 1, got {st}")
-            continue
-        if not (_is_number(mn) and _is_number(mx)):
-            errors.append(f"{at('sweep', axis)}: sweep.{axis}: min/max must be finite numbers")
-            continue
-        mn, mx = float(mn), float(mx)
-        if mx < mn:
-            errors.append(f"{at('sweep', axis, 'max')}: sweep.{axis}.max: {mx} is below min {mn}")
-            continue
-        if axis == "alpha" and mn < 0:  # the bound of the alpha key
-            errors.append(f"{at('sweep', axis, 'min')}: sweep.alpha.min: must be >= 0, got {mn}")
-            continue
-        axes.append(SweepAxis(axis, mn, mx, st))
-    names = {ax.name for ax in axes}
-    axes += [ax for ax in defaults if ax.name not in names]
-    cfg = replace(cfg, sweeps=tuple(sorted(axes, key=lambda ax: ax.name)))
+        elif all(("sweep", axis, k) in values for k in SWEEP_KEYS):  # else a type error above
+            ax = SweepAxis(axis, *(values["sweep", axis, k] for k in SWEEP_KEYS))
+            if ax.max < ax.min:
+                errors.append(f"{at('sweep', axis, 'max')}: sweep.{axis}.max: {ax.max} is "
+                              f"below min {ax.min}")
+            else:
+                axes[axis] = ax
+    cfg = replace(cfg, sweeps=tuple(axes[name] for name in sorted(axes)))
 
-    # range validation (name the key)
+    plan = spec.plan(cfg)
+    for path in _BOUNDS:  # each value the file sets; an absent one is in range
+        if path in values and (bound := out_of_bounds(path, values[path])):
+            errors.append(f"{at(*path)}: {'.'.join(path)}: {bound}, got {values[path]}")
+
     def check(cond, key, reason):
         if not cond:
             errors.append(f"{at(key)}: {key}: {reason}")
 
-    plan = spec.plan(cfg)
-    check(cfg.n_atoms >= 1, "n_atoms", f"must be >= 1, got {cfg.n_atoms}")
-    check(cfg.n_photons >= 0, "n_photons", f"must be >= 0, got {cfg.n_photons}")
-    check(cfg.g_ghz > 0 or "g_ghz" not in scalars, "g_ghz", f"must be > 0, got {cfg.g_ghz}")
-    check(cfg.alpha >= 0, "alpha", f"must be >= 0, got {cfg.alpha}")
     if cfg.couplings_ghz:
         check(len(cfg.couplings_ghz) == cfg.n_atoms, "couplings_ghz",
               f"length {len(cfg.couplings_ghz)} != n_atoms {cfg.n_atoms}")
@@ -794,17 +803,6 @@ def parse_config(text: str) -> ExperimentConfig:
               "entries must be >= 0")
         check(scenario != "n_atom_wstate" or cfg.couplings_ghz[0] > 0, "couplings_ghz",
               f"{scenario} compares the collective exchange with atom 1's: atom 1 must couple")
-    check(cfg.q_factor > 0 or "q_factor" not in scalars, "q_factor",
-          f"must be > 0, got {cfg.q_factor}")
-    check(cfg.kappa_mhz >= 0 or "kappa_mhz" not in scalars, "kappa_mhz",
-          f"must be >= 0, got {cfg.kappa_mhz}")
-    check(cfg.gamma_mhz >= 0, "gamma_mhz", f"must be >= 0, got {cfg.gamma_mhz}")
-    check(cfg.lambda_nm > 0, "lambda_nm", f"must be > 0, got {cfg.lambda_nm}")
-    check(cfg.t_end_ns > 0, "t_end_ns", f"must be > 0, got {cfg.t_end_ns}")
-    check(cfg.dt_ns > 0, "dt_ns", f"must be > 0, got {cfg.dt_ns}")
-    check(cfg.workers >= 1, "workers", f"must be >= 1, got {cfg.workers}")
-    check(cfg.t_long_ns > 0, "t_long_ns", f"must be > 0, got {cfg.t_long_ns}")
-    check(cfg.dt_long_ns > 0, "dt_long_ns", f"must be > 0, got {cfg.dt_long_ns}")
     lo, hi = coupling.SYNTH_RESOLUTION_RANGE
     check(lo <= cfg.resolution_nm <= hi, "resolution_nm",
           f"must be in [{lo:g}, {hi:g}], got {cfg.resolution_nm}")
@@ -875,9 +873,6 @@ def canonical_text(cfg: ExperimentConfig) -> str:
             continue  # sentinel for "derive from q_factor"
         lines.append(f"{f.name} = {_format_value(value)}")
     for ax in cfg.sweeps:
-        lines.append("")
-        lines.append(f"[sweep.{ax.name}]")
-        lines.append(f"min = {_format_value(ax.min)}")
-        lines.append(f"max = {_format_value(ax.max)}")
-        lines.append(f"steps = {ax.steps}")
+        lines += ["", f"[sweep.{ax.name}]"]
+        lines += [f"{k} = {_format_value(getattr(ax, k))}" for k in SWEEP_KEYS]
     return "\n".join(lines) + "\n"

@@ -98,12 +98,6 @@ MIN_PROMINENCE = 1e-9     # see count_extrema
 MIN_ENVELOPE_MAXIMA = 10  # fewest oscillation maxima envelope_lifetime fits
 
 
-def csv_blocks(rows: int) -> int:
-    """Number of blocks of CSV_BLOCK_ROWS rows that write_trajectory_csv
-    converts a file of `rows` rows in."""
-    return -(-rows // CSV_BLOCK_ROWS)
-
-
 def chunk_states(dim: int) -> int:
     """Number of output times whose dim x dim complex outer products fit in
     CHUNK_BYTES (at least 1), with dim the d_n states of the start sector."""

@@ -22,15 +22,15 @@ and ignored.  What runs where:
   - the plan (every propagation, observable and fit) runs in this process,
     its points and output times in stacks, on one CPU;
   - the traj_*.csv files, most of a default run's time, are written on
-    config.trajectory_writers processes, one per block of
-    dynamics.CSV_BLOCK_ROWS rows up to the CPUs: this one and a child
-    forked for each other share (write_trajectories).  A share is a run
-    of the files' rows in name order, cut only at a block edge, of about
-    equal rows but for this process's, planned CHILD_BLOCKS blocks longer;
-    so a long file may be written by two, and the piece that starts inside
-    it goes through a temporary file, appended once every share is
-    written.  The files of one config are the same bytes on any number of
-    writers;
+    config.trajectory_writers processes, up to the CPUs where each child
+    is planned at least a block of dynamics.CSV_BLOCK_ROWS rows: this one
+    and a child forked for each other share (write_trajectories).  A share
+    is a run of the files' rows in name order, cut only at a block edge,
+    of about equal rows but for this process's, planned CHILD_BLOCKS
+    blocks longer; so a long file may be written by two, and the piece
+    that starts inside it goes through a temporary file, appended once
+    every share is written.  The files of one config are the same bytes
+    on any number of writers;
   - this process writes config.txt before them, and the tables,
     summary.csv and manifest.json once every trajectory file is written.
 Known limit: Python >= 3.12 warns (DeprecationWarning) on a fork in a
@@ -50,16 +50,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__, dynamics as dyn, fockspace as fs
-from .config import SCENARIOS, ExperimentConfig, Run, canonical_text, trajectory_writers
+from .config import (CHILD_BLOCKS, SCENARIOS, ExperimentConfig, Run, canonical_text,
+                     trajectory_writers)
 from .model import SystemParams, build_generator
 from .units import ghz_to_angular, mhz_to_angular
 
 ENV_OUTPUT_ROOT = "CAVITYSIM_OUTPUT_ROOT"
-# Blocks of rows by which a forked writer's share is planned shorter than
-# this process's.  A child starts about 1.2 ms later, and on a 2-core host
-# shared with other load its CPU often writes at half speed; with equal
-# shares, fig2's parent mostly waited for its child.
-CHILD_BLOCKS = 2
 
 
 @dataclass
@@ -206,21 +202,21 @@ def _reap(pid: int, fd: int) -> tuple:
 
 def write_trajectories(out: str, runs: dict) -> None:
     """Write traj_<name>.csv in `out` for each trajectory of `runs`, on
-    config.trajectory_writers processes, as many as there are blocks of
-    rows and CPUs to write them: this one writes the first of _shares,
-    and a child forked for each other share writes that one (with one
-    writer, this one writes every file, and it writes a share whose fork
-    fails).  A piece that starts inside a file goes to an unnamed
-    temporary file in `out`, opened here before any fork, and is appended
-    to its file, in order, once every share is written.  A child holds the
-    trajectories as forked, so nothing is sent to it; it sends back what
-    it raises, pickled, and leaves by os._exit, so it neither flushes this
-    process's buffers nor returns into its caller.  Every child is reaped
-    before this returns or raises; then what this process raised, or else
-    what a child raised, is raised (an OSError for a child that ended with
-    no word), and nothing is appended."""
-    blocks = sum(dyn.csv_blocks(traj.times.size) for traj in runs.values())
-    own, *others = _shares(runs, trajectory_writers(blocks))
+    config.trajectory_writers processes, as many as the CPUs and the rows
+    allow: this one writes the first of _shares, and a child forked for
+    each other share writes that one (with one writer, this one writes
+    every file, and it writes a share whose fork fails).  A piece that
+    starts inside a file goes to an unnamed temporary file in `out`,
+    opened here before any fork, and is appended to its file, in order,
+    once every share is written.  A child holds the trajectories as
+    forked, so nothing is sent to it; it sends back what it raises,
+    pickled, and leaves by os._exit, so it neither flushes this process's
+    buffers nor returns into its caller.  Every child is reaped before
+    this returns or raises; then what this process raised, or else what a
+    child raised, is raised (an OSError for a child that ended with no
+    word), and nothing is appended."""
+    rows = sum(traj.times.size for traj in runs.values())
+    own, *others = _shares(runs, trajectory_writers(rows))
     with contextlib.ExitStack() as temporary:
         tails = {piece: temporary.enter_context(tempfile.TemporaryFile(
                      "w+", encoding="utf-8", newline="\n", dir=out))

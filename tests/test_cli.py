@@ -491,9 +491,10 @@ def test_summary_recomputable_from_trajectory_csv(tmp_path):
 def test_validate_and_run_load_no_scipy(tmp_path):
     # scipy is a test-only dependency: importing it costs each cavitysim
     # process about half a second before any work.  Nor is a process pool
-    # imported: the trajectory writers are bare forks (runner.write_trajectories).
+    # imported: the trajectory writers are bare forks (runner.write_trajectories),
+    # two on a 2-CPU host for these 5002 rows.
     cfg_path = _write(tmp_path, 'scenario = "fig2_single_atom"\n'
-                                't_long_ns = 2.0\ndt_long_ns = 0.002\n')
+                                't_long_ns = 6.0\ndt_long_ns = 0.002\n')
     out_dir = str(tmp_path / "out")
     script = (
         "import sys\n"

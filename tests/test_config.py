@@ -2,15 +2,19 @@ import tomllib
 from dataclasses import MISSING, fields, replace
 
 import functools
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cavitysim import presets, runner
+from cavitysim import config, presets, runner
 from cavitysim.cli import main
 from cavitysim.config import (
     SCENARIOS,
+    SWEEP_AXES,
     ConfigError,
     ExperimentConfig,
     SweepAxis,
@@ -141,10 +145,104 @@ def test_non_finite_numbers_are_type_errors(line, error, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("bounds", ["min = nan\nmax = 1.0", "min = 0.0\nmax = inf"])
-def test_non_finite_sweep_bounds_are_errors(bounds):
+# a sweep key is typed as any other key, at its own line
+SWEEP_TYPE_ERRORS = {
+    "min = nan\nmax = 1.0": "line 3: sweep.alpha.min: expected a finite number, got nan",
+    "min = 0.0\nmax = inf": "line 4: sweep.alpha.max: expected a finite number, got inf",
+}
+
+
+@pytest.mark.parametrize("bounds", sorted(SWEEP_TYPE_ERRORS))
+def test_non_finite_sweep_bounds_are_errors(bounds, tmp_path):
     text = f'scenario = "fig4_correlations"\n[sweep.alpha]\n{bounds}\nsteps = 3\n'
-    assert _errors(text) == ["line 2: sweep.alpha: min/max must be finite numbers"]
+    assert _errors(text) == [SWEEP_TYPE_ERRORS[bounds]]
+    path = tmp_path / "cfg.toml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+
+
+def test_sweep_steps_type_error_names_the_value():
+    text = 'scenario = "fig4_correlations"\n[sweep.alpha]\nmin = 0.0\nmax = 1.0\nsteps = 2.0\n'
+    assert _errors(text) == ["line 5: sweep.alpha.steps: expected an integer, got 2.0"]
+
+
+# numeric keys with no lowest value in _BOUNDS: a detuning and a fig5
+# displacement take either sign (the map's grid bounds a displacement),
+# resolution_nm has its own interval (coupling.SYNTH_RESOLUTION_RANGE), and
+# an alpha sweep's max is at least its min
+UNBOUNDED = {("detuning_ghz",), ("resolution_nm",), ("sweep", "alpha", "max")} | {
+    ("sweep", axis, k) for axis in ("delta_x_nm", "delta_y_nm") for k in ("min", "max")}
+
+
+def test_every_numeric_key_is_bounded_or_named_unbounded():
+    numeric = {path for path, (*_, kind) in config._KEY_TYPES.items() if kind in (int, float)}
+    assert {(f.name,) for f in fields(ExperimentConfig) if f.type in (int, float)} <= numeric
+    assert numeric == set(config._BOUNDS) | UNBOUNDED
+    assert not set(config._BOUNDS) & UNBOUNDED
+
+
+def _bounded_config(path: tuple, value) -> tuple:
+    """(config text setting `value` at `path`, line of that key): a scenario
+    that runs the key, every other key valid."""
+    if path[0] == "sweep":
+        scenario = "fig4_correlations" if path[1] == "alpha" else "fig5_position_map"
+        table = {"min": 0.0, "max": 1.0, "steps": 3} | {path[2]: value}
+        return (f'scenario = "{scenario}"\n[sweep.{path[1]}]\n'
+                + "".join(f"{k} = {v!r}\n" for k, v in table.items()),
+                3 + list(table).index(path[2]))
+    scenario = "fig2_single_atom" if path[0] in SCENARIOS["custom"].fixed else "custom"
+    return f'scenario = "{scenario}"\n{path[0]} = {value!r}\n', 2
+
+
+@pytest.mark.parametrize("path", list(config._BOUNDS), ids=".".join)
+def test_each_bound_rejects_a_value_just_outside_it(path, tmp_path):
+    low, inclusive = config._BOUNDS[path]
+    kind = config._KEY_TYPES[path][2]
+    if kind is int:
+        outside = low - 1 if inclusive else low
+    else:
+        outside = math.nextafter(float(low), -math.inf) if inclusive else float(low)
+    text, line = _bounded_config(path, outside)
+    op = ">=" if inclusive else ">"
+    assert _errors(text) == [f"line {line}: {'.'.join(path)}: must be {op} {low}, got {outside}"]
+    cfg_path = tmp_path / "cfg.toml"
+    cfg_path.write_text(text)
+    assert main(["validate", str(cfg_path)]) == 1
+    if inclusive:  # the bound itself is a value the key takes
+        parse_config(_bounded_config(path, kind(low))[0])
+
+
+def _readme_key_table() -> dict:
+    """README's table of keys: dotted path -> (type, bound, default) cells,
+    a `sweep.<axis>` row taken for each axis without a row of its own."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    head = "| key | type | bound | default |\n|---|---|---|---|\n"
+    assert text.count(head) == 1
+    rows = {}
+    for line in text.split(head)[1].split("\n\n")[0].splitlines():
+        key, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[key.strip("`")] = tuple(cells)
+    table = {tuple(key.split(".")): cells for key, cells in rows.items() if "<" not in key}
+    for key, cells in rows.items():
+        for axis in SWEEP_AXES if "<axis>" in key else ():
+            table.setdefault(tuple(key.replace("<axis>", axis).split(".")), cells)
+    return table
+
+
+def test_readme_key_table_restates_the_type_and_bound_tables():
+    table = _readme_key_table()
+    assert set(table) == set(config._KEY_TYPES)
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    for path, (kind, bound, default) in table.items():
+        assert kind == config._KEY_TYPES[path][1], path
+        stated = re.match(r"(>=?) (\S+)", bound)
+        if path in config._BOUNDS:
+            low, inclusive = config._BOUNDS[path]
+            assert stated and stated.groups() == (">=" if inclusive else ">", str(low)), path
+        else:
+            assert not stated, path
+        if default.startswith("`"):  # a literal: the ExperimentConfig default
+            assert default.split("`")[1] == config._format_value(defaults[path[0]]), path
 
 
 def test_malformed_values():

@@ -448,14 +448,15 @@ def test_one_photon_runs_match_the_no_jump_oracle(name):
         assert np.max(np.abs(pops - expected)) < 1e-12, run.name
 
 
-# Two and five trajectory files: runner.write_trajectories splits their
-# rows over as many processes as this process may use CPUs, here set by the
+# Two and 25 trajectory files: runner.write_trajectories splits their rows
+# over as many processes as this process may use CPUs, here set by the
 # tests.  fig2's `long` (6001 rows) is six blocks of CSV_BLOCK_ROWS and
-# `short` (2001) two; each fig5 file (241 rows) is one.
+# `short` (2001) two; each fig5 file (241 rows) is one, and their 6025 rows
+# plan a child a block on three writers (config.trajectory_writers).
 SPLIT_CONFIGS = {
     "fig2": 'scenario = "fig2_single_atom"\nt_long_ns = 12.0\ndt_long_ns = 0.002\n',
     "fig5": 'scenario = "fig5_position_map"\ndesign = "D1"\n'
-            "[sweep.delta_x_nm]\nmin = 0.0\nmax = 53.0\nsteps = 5\n"
+            "[sweep.delta_x_nm]\nmin = 0.0\nmax = 53.0\nsteps = 25\n"
             "[sweep.delta_y_nm]\nmin = 0.0\nmax = 0.0\nsteps = 1\n",
 }
 CONTRACT_FILES = {"config.txt", "map.csv", "alpha_map.csv", "summary.csv", "manifest.json"}
@@ -515,12 +516,15 @@ def test_shares_cut_the_files_in_name_order_at_block_edges(monkeypatch):
     assert runner._shares(_trajectories(a=0, b=2048), 2) == [
         [("a", 0, 0), ("b", 0, 1024)], [("b", 1024, 2048)]]
     assert runner._shares(_trajectories(), 1) == [[]]
-    # one writer per block, up to the CPUs
+    # a writer per CPU while each child is planned a block at least, of
+    # (rows - 2048) / writers: a second from 4096 rows, where the child's
+    # share is one block, and a third from 5120
     monkeypatch.setattr(config, "_usable_cpus", lambda: 4)
-    assert [config.trajectory_writers(n) for n in (0, 1, 3, 81)] == [1, 1, 3, 4]
-    assert dyn.csv_blocks(0) == 0 and dyn.csv_blocks(1024) == 1 and dyn.csv_blocks(1025) == 2
+    assert [config.trajectory_writers(n) for n in (0, 1201, 1501, 4095, 4096, 5119, 5120,
+                                                   6004, 19_521)] == [1, 1, 1, 1, 2, 2, 3, 3, 4]
+    assert runner._shares(_trajectories(a=4096), 2) == [[("a", 0, 3072)], [("a", 3072, 4096)]]
     monkeypatch.delattr(os, "fork")
-    assert config.trajectory_writers(81) == 1
+    assert config.trajectory_writers(19_521) == 1
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_CONFIGS))
@@ -544,9 +548,9 @@ def test_split_writers_write_the_bytes_of_one(name, tmp_path, monkeypatch):
     # temporary file for each piece that starts inside a file: fig2 is cut
     # inside `long` once on two CPUs and on three, and twice on three at 64
     # rows a block; fig5's files are cut only at 64 rows a block, one file
-    # on two CPUs and on three
+    # on two CPUs and two on three
     assert len(forks) == 2 * (1 + 2)
-    assert len(tails) == {"fig2": 1 + 1 + 1 + 2, "fig5": 0 + 0 + 1 + 1}[name]
+    assert len(tails) == {"fig2": 1 + 1 + 1 + 2, "fig5": 0 + 0 + 1 + 2}[name]
     files = sorted(os.listdir(runs[0]))
     for out in runs[1:]:
         assert files == sorted(os.listdir(out))
@@ -637,17 +641,21 @@ def test_a_writer_that_ends_without_a_word_exits_2(tmp_path, monkeypatch, capsys
 
 
 def test_memory_estimate_counts_each_writer(monkeypatch):
-    # fig2 with 2001 and 1001 outputs, and custom with 1501 in one file of
-    # two blocks: writing outweighs propagating any run, so a second writer
-    # adds its text; a file of one block has one writer
+    # fig2 with 2001 outputs and 2095 or 2094, and lossless custom with 4096
+    # or 4095 in one file: writing outweighs propagating any run, so a
+    # second writer adds its text from 4096 rows, the fewest that plan a
+    # child a block (trajectory_writers), and below that there is one
     def need(text, cpus):
         monkeypatch.setattr(config, "_usable_cpus", lambda: cpus)
         cfg = parse_config(text)
         return config._log2_peak_bytes(cfg, SCENARIOS[cfg.scenario].plan(cfg))[0]
 
-    two_files = 'scenario = "fig2_single_atom"\nt_long_ns = 2.0\ndt_long_ns = 0.002\n'
-    two_blocks = 'scenario = "custom"\nn_atoms = 2\n'
-    one_block = 'scenario = "custom"\nn_atoms = 2\nt_end_ns = 0.1\n'
-    assert need(two_files, 2) > need(two_files, 1)
-    assert need(two_blocks, 2) > need(two_blocks, 1)
-    assert need(one_block, 2) == need(one_block, 1)
+    fig2 = 'scenario = "fig2_single_atom"\ndt_long_ns = 0.002\nt_long_ns = '
+    custom = 'scenario = "custom"\nn_atoms = 2\nlossless = true\nt_end_ns = '
+    for two_files, one_file, writers in ((4.188, 0.819, 2), (4.186, 0.8188, 1)):
+        for text in (f"{fig2}{two_files}\n", f"{custom}{one_file}\n"):
+            cfg = parse_config(text)
+            rows = sum(run.outputs() for run in SCENARIOS[cfg.scenario].plan(cfg).runs)
+            assert rows == 4094 + writers
+            assert (need(text, 2) > need(text, 1)) == (writers == 2)
+            assert need(text, 2) >= need(text, 1)
