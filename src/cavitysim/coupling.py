@@ -15,23 +15,23 @@ g(r2) / g(r1) = sqrt(V(r1) / V(r2)) that follows from
 No solver export ships with the package, so a calibrated synthetic
 generator (`synth_fieldmap`) provides stand-in maps for the two nanobeam
 designs: an analytic standing-wave/envelope profile whose shape
-parameters are solved so that the published scalar targets
+parameters are literals, calibrated so that the published scalar targets
 (global mode volume, trap-site coupling, and the coupling-ratio extremes
-under displacement) are reproduced.  The generator is calibration, not
-prediction; tests treat it accordingly.  A coupling ratio needs only
-densities at two points, so `synth_density_plane` computes only the nodes
-of the cells a grid of points on z = 0 lies in: the runs build no map at
-all.
+under displacement) are reproduced; the tests re-derive each literal from
+`presets` to the bit.  The generator is calibration, not prediction;
+tests treat it accordingly.  A coupling ratio needs only densities at two
+points, so `synth_density_plane` computes only the z = 0 nodes of the
+cells a grid of points on z = 0 lies in: the runs build no map at all.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from . import presets
-from .units import EPSILON_0, HBAR, SPEED_OF_LIGHT, TWO_PI
+from .units import HBAR, SPEED_OF_LIGHT, TWO_PI
 
 SYNTH_RESOLUTION_RANGE = (0.5, 5.0)  # nm
 
@@ -173,56 +173,11 @@ def _axis_ticks(half_extent_nm: float, resolution_nm: float) -> np.ndarray:
     return np.arange(-n, n + 1) * resolution_nm
 
 
-@dataclass(frozen=True)
-class MapDesignTargets:
-    """Published scalar targets a synthetic map is calibrated against."""
-
-    name: str
-    trap_site_nm: tuple        # atom trap position used for g calibration
-    v_global_m3: float         # global mode volume
-    v_trap_m3: float           # local mode volume at the trap site
-    alpha_x: tuple             # (displacement nm, g-ratio) along x from the trap hole
-    alpha_y: tuple             # (displacement nm, g-ratio) along y
-
-
-def map_design_targets(design: str) -> MapDesignTargets:
-    if design not in ("D1", "D3"):
-        raise ValueError(f"synthetic maps exist for designs D1 and D3, got {design!r}")
-    d = presets.DESIGNS[design]
-    lam_m = presets.LAMBDA_NM * 1e-9
-    unit = (lam_m / presets.REFRACTIVE_INDEX) ** 3
-    omega_c = TWO_PI * SPEED_OF_LIGHT / lam_m
-    g_ang = TWO_PI * d.g_ghz * 1e9
-    # Trap-site volume implied by the design coupling when the permittivity
-    # in g(r) is read as the bulk dielectric value.
-    v_trap = omega_c * presets.RB87_D2_DIPOLE_CM**2 / (
-        HBAR * EPSILON_0 * presets.EPS_DIELECTRIC * g_ang**2
-    )
-    if design == "D1":
-        return MapDesignTargets(
-            name="D1",
-            trap_site_nm=(0.0, 0.0, 0.0),
-            v_global_m3=d.v_global_lambda_n3 * unit,
-            v_trap_m3=v_trap,
-            alpha_x=(presets.HOLE_RADIUS_NM, 0.95),
-            alpha_y=(presets.HOLE_RADIUS_NM, 1.06),
-        )
-    return MapDesignTargets(
-        name="D3",
-        trap_site_nm=(presets.LATTICE_NM, 0.0, 0.0),
-        v_global_m3=d.v_global_lambda_n3 * unit,
-        v_trap_m3=v_trap,
-        alpha_x=(presets.HOLE_RADIUS_NM, 0.52),
-        alpha_y=(presets.TIP_GAP_NM, 0.8),
-    )
-
-
 # Domain half-extents (nm); shared by both designs so maps are comparable.
 _HALF_X = 1600.0
 _HALF_Y = 270.0
 _HALF_Z = 170.0
 _HALF_EXTENTS = (_HALF_X, _HALF_Y, _HALF_Z)
-_FINE = 0.5  # nm; 1-D quadrature step used during shape calibration
 
 # D1 profile geometry (y plateau band and z slab, nm)
 _D1_Y_SAT = 140.0
@@ -244,63 +199,19 @@ _D3_RIDGE_Z = 14.0
 _D3_RIDGE_HALF = (6.0, 3.0, 3.0)
 _D3_RIDGE_SIGMA = 2.0
 
-
-def brentq(f, a: float, b: float, xtol: float = 2e-12,
-           rtol: float = 4 * np.finfo(float).eps, maxiter: int = 100) -> float:
-    """A root of f in [a, b], whose ends must bracket one, by Brent's method
-    (Algorithms for Minimization Without Derivatives, 1973).  Each step and
-    each default follows the common C `brentq`, so the calibration constants
-    come out the same to the bit (the tests compare the two).  ValueError if
-    f(a) and f(b) have the same sign, RuntimeError if maxiter steps do not
-    converge."""
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations, "
-                       f"value is {xcur}")
+# Shape constants calibrated against each design's published targets in
+# `presets` (global mode volume, trap-site coupling and the coupling-ratio
+# extremes under displacement); tests/calibration.py re-derives them to the
+# bit.
+# D1: (c_y, plateau_ratio, beta, sigma_x_env)
+_D1_SHAPE = (67.38890415302878, 1.9651610101230934, 0.13941837327416315, 541.1446358489997)
+# D3: (pedestal, lobe_sx, lobe_sy, ridge_value)
+_D3_SHAPE = (0.2577859521872238, 21.582228295614094, 17.35973911510074, 2.0859403311569817)
 
 
 def _s8(y, c):
     y8 = np.abs(y) ** 8
     return y8 / (y8 + c**8)
-
-
-def _trapz_fine(f, half_extent):
-    x = np.arange(-half_extent, half_extent + _FINE / 2, _FINE)
-    return float(np.trapezoid(f(x), x)), x
 
 
 def _standing_x(x, beta, sx):
@@ -325,85 +236,8 @@ def _d3_xb(x):
 _D3_XB_TRAP = float(_d3_xb(np.array([presets.LATTICE_NM]))[0])
 
 
-@lru_cache(maxsize=None)
-def _d1_shape():
-    """Solve the D1 profile constants against the design targets.
-
-    Returns (c_y, plateau_ratio, beta, sigma_x_env).
-    """
-    tgt = map_design_targets("D1")
-    a = presets.LATTICE_NM
-    ratio_m = tgt.v_trap_m3 / tgt.v_global_m3  # u_max / u(trap)
-    t_ax = tgt.alpha_x[1] ** 2
-    t_ay = tgt.alpha_y[1] ** 2
-    dx_probe = tgt.alpha_x[0]
-    dy_probe = tgt.alpha_y[0]
-
-    c_y = brentq(lambda c: _d1_y_profile(dy_probe, c, ratio_m) - t_ay,
-                 20.0, _D1_Y_SAT - 1.0)
-
-    def beta_for(sx):
-        def f(beta):
-            return _standing_x(a + dx_probe, beta, sx) / _standing_x(a, beta, sx) - t_ax
-        return brentq(f, 1e-9, 0.999)
-
-    iy, _ = _trapz_fine(lambda y: _d1_y_profile(y, c_y, ratio_m), _HALF_Y)
-    iz, _ = _trapz_fine(lambda z: _flat_top(z, _D1_Z_HALF, _D1_Z_TAIL), _HALF_Z)
-    v_trap_nm3 = tgt.v_trap_m3 * 1e27
-
-    def volume_gap(sx):
-        beta = beta_for(sx)
-        ix, _ = _trapz_fine(lambda x: _standing_x(x, beta, sx), _HALF_X)
-        return 2.0 * ix * iy * iz - v_trap_nm3
-
-    sx = brentq(volume_gap, 420.0, 3000.0, xtol=1e-6)
-    beta = beta_for(sx)
-    return c_y, ratio_m, beta, sx
-
-
-@lru_cache(maxsize=None)
-def _d3_shape():
-    """Solve the D3 profile constants: (pedestal, lobe_sx, lobe_sy, ridge_value)."""
-    tgt = map_design_targets("D3")
-    a = presets.LATTICE_NM
-    ratio_m = tgt.v_trap_m3 / tgt.v_global_m3
-    t_ax = tgt.alpha_x[1] ** 2
-    t_ay = tgt.alpha_y[1] ** 2
-    dx_probe = tgt.alpha_x[0]
-    dy_probe = tgt.alpha_y[0]
-
-    xb_ratio = float(_d3_xb(np.array([a + dx_probe]))[0]) / _D3_XB_TRAP
-
-    def lobe_widths(p):
-        rx = (t_ax - p * xb_ratio) / (1.0 - p)
-        ry = (t_ay - p) / (1.0 - p)
-        if rx <= 0 or ry <= 0:
-            raise ValueError("pedestal too large for the coupling-ratio targets")
-        lx = dx_probe / math.sqrt(-2.0 * math.log(rx))
-        ly = dy_probe / math.sqrt(-2.0 * math.log(ry))
-        return lx, ly
-
-    ixb, _ = _trapz_fine(_d3_xb, _HALF_X)
-    iyb, _ = _trapz_fine(lambda y: _flat_top(y, _D3_YB_HALF, _D3_YB_TAIL), _HALF_Y)
-    izb, _ = _trapz_fine(lambda z: _flat_top(z, _D3_ZB_HALF, _D3_ZB_TAIL), _HALF_Z)
-    v_trap_nm3 = tgt.v_trap_m3 * 1e27
-
-    def volume_gap(p):
-        lx, ly = lobe_widths(p)
-        ib = p * (ixb / _D3_XB_TRAP) * iyb * izb
-        ilx, _ = _trapz_fine(lambda x: np.exp(-0.5 * ((x - a) / lx) ** 2), _HALF_X)
-        ily, _ = _trapz_fine(lambda y: np.exp(-0.5 * (y / ly) ** 2), _HALF_Y)
-        ilz, _ = _trapz_fine(lambda z: np.exp(-0.5 * (z / _D3_LOBE_LZ) ** 2), _HALF_Z)
-        ilobes = 2.0 * (1.0 - p) * ilx * ily * ilz
-        return 2.0 * (ib + ilobes) - v_trap_nm3
-
-    p = brentq(volume_gap, 0.01, 0.28, xtol=1e-9)
-    lx, ly = lobe_widths(p)
-    return p, lx, ly, ratio_m
-
-
 def _d1_density(xs, ys, zs):
-    c_y, ratio_m, beta, sx = _d1_shape()
+    c_y, ratio_m, beta, sx = _D1_SHAPE
     x_prof = _standing_x(xs, beta, sx)
     y_prof = _d1_y_profile(ys, c_y, ratio_m)
     z_prof = _flat_top(zs, _D1_Z_HALF, _D1_Z_TAIL)
@@ -413,7 +247,7 @@ def _d1_density(xs, ys, zs):
 
 
 def _d3_density(xs, ys, zs):
-    p, lx, ly, ratio_m = _d3_shape()
+    p, lx, ly, ratio_m = _D3_SHAPE
     a = presets.LATTICE_NM
     # Built in place: u holds the first lobe, and one temporary takes the
     # second lobe and then the background.  The sum is bg + (lobe1 + lobe2)
@@ -481,12 +315,12 @@ def _synth_density(design: str, xs, ys, zs) -> np.ndarray:
 def synth_fieldmap(design: str, resolution_nm: float = 5.0) -> FieldMap:
     """Calibrated synthetic map for design D1 or D3.
 
-    Shape constants are solved once per design on fine 1-D grids and are
-    independent of the sampling resolution, so the coupling-ratio targets
-    hold at any resolution; the gridded mode-volume integrals agree with
-    the calibration targets to well under the generator tolerance used in
-    tests.  Total energy density is taken as twice the electric part
-    (equipartition).
+    Shape constants are literals, calibrated on fine 1-D grids (the tests
+    re-derive them), and are independent of the sampling resolution, so
+    the coupling-ratio targets hold at any resolution; the gridded
+    mode-volume integrals agree with the calibration targets to well under
+    the generator tolerance used in tests.  Total energy density is taken
+    as twice the electric part (equipartition).
 
     The map is built in place: the density grid is scaled into `de`, and
     each of D3's tip ridges is applied only on its support, the index box
@@ -516,12 +350,16 @@ def synth_density_plane(design: str, resolution_nm: float, x_nm, y_nm) -> np.nda
     Normalization and total energy cancel in a coupling ratio, so
     sqrt(rho(r2) / rho(r1)) = coupling_ratio(r1, r2) on the full map.
 
-    Only the nodes of the cells the points lie in are computed.  Each point
-    takes its cell as `_grid_cell` does and sums the cell's corners in
-    `_trilinear`'s order, so it reads the full map's interpolation to the bit.
+    Only the z = 0 nodes of the cells the points lie in are computed: each
+    point takes its x and y cell as `_grid_cell` does and sums the cell's
+    four z = 0 corners in `_trilinear`'s order.  Where `_grid_cell` puts
+    z = 0 on its node (fraction 0), this is the full map's interpolation to
+    the bit; at the resolutions where its arithmetic misses that node by an
+    ulp, the full map's read also weighs the z = -resolution plane, by
+    about 3e-14.
     """
     cells, nodes = [], []
-    for ax, pts in zip(_synth_axes(resolution_nm), (x_nm, y_nm, [0.0])):
+    for ax, pts in zip(_synth_axes(resolution_nm), (x_nm, y_nm)):
         pts = np.asarray(pts, dtype=float)
         lo, hi = ax[0], ax[0] + resolution_nm * (ax.size - 1)
         if pts.min() < lo or pts.max() > hi:
@@ -533,13 +371,13 @@ def synth_density_plane(design: str, resolution_nm: float, x_nm, y_nm) -> np.nda
         # each cell's lower node, counted among the computed nodes
         cells.append((np.cumsum(used)[i] - 1, f - i))
         nodes.append(ax[used])
-    block = _synth_density(design, *nodes)
+    block = _synth_density(design, *nodes, np.zeros(1))[:, :, 0]
     out = 0.0
-    for corner in range(8):
-        bits = [(corner >> k) & 1 for k in range(3)]
-        wx, wy, wz = np.ix_(*(f if bit else 1.0 - f for (_, f), bit in zip(cells, bits)))
-        out = out + wx * wy * wz * block[np.ix_(*(i + bit for (i, _), bit in zip(cells, bits)))]
-    return out[:, :, 0]
+    for corner in range(4):
+        bits = [(corner >> k) & 1 for k in range(2)]
+        wx, wy = np.ix_(*(f if bit else 1.0 - f for (_, f), bit in zip(cells, bits)))
+        out = out + wx * wy * block[np.ix_(*(i + bit for (i, _), bit in zip(cells, bits)))]
+    return out
 
 
 def synth_grid_bounds(resolution_nm: float) -> tuple:

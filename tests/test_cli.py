@@ -492,15 +492,24 @@ def test_validate_and_run_load_no_scipy(tmp_path):
     # scipy is a test-only dependency: importing it costs each cavitysim
     # process about half a second before any work.  Nor is a process pool
     # imported: the trajectory writers are bare forks (runner.write_trajectories),
-    # two on a 2-CPU host for these 5002 rows.
-    cfg_path = _write(tmp_path, 'scenario = "fig2_single_atom"\n'
-                                't_long_ns = 6.0\ndt_long_ns = 0.002\n')
-    out_dir = str(tmp_path / "out")
-    script = (
-        "import sys\n"
-        "import cavitysim, cavitysim.cli\n"
-        f"assert cavitysim.cli.main(['validate', {cfg_path!r}]) == 0\n"
-        f"assert cavitysim.cli.main(['run', {cfg_path!r}, '--output-dir', {out_dir!r}]) == 0\n"
+    # two on a 2-CPU host for these 5002 rows.  The one-point fig5 map is the
+    # run path of `coupling`, whose shape constants are calibrated with scipy
+    # in the tests only.
+    configs = [
+        ('scenario = "fig2_single_atom"\nt_long_ns = 6.0\ndt_long_ns = 0.002\n', "fig2"),
+        ('scenario = "fig5_position_map"\n'
+         "[sweep.delta_x_nm]\nmin = 0.0\nmax = 0.0\nsteps = 1\n"
+         "[sweep.delta_y_nm]\nmin = 0.0\nmax = 0.0\nsteps = 1\n", "fig5"),
+    ]
+    script = "import sys\nimport cavitysim, cavitysim.cli\n"
+    for text, name in configs:
+        cfg_path = _write(tmp_path, text, f"{name}.txt")
+        out_dir = str(tmp_path / name)
+        script += (
+            f"assert cavitysim.cli.main(['validate', {cfg_path!r}]) == 0\n"
+            f"assert cavitysim.cli.main(['run', {cfg_path!r}, '--output-dir', {out_dir!r}]) == 0\n"
+        )
+    script += (
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[0] in ('scipy', 'multiprocessing')\n"
         "             or m.startswith('concurrent.futures')))\n"

@@ -8,6 +8,7 @@ from cavitysim import config, coupling as cp, presets, runner
 from cavitysim.config import default_sweeps, parse_config
 from cavitysim.units import EPSILON_0, HBAR, SPEED_OF_LIGHT, TWO_PI
 
+import calibration
 from conftest import EmitterSpec, coupling_at, global_mode_volume, rb87_d2_emitter, synth_density_at
 
 
@@ -86,36 +87,15 @@ def test_gaussian_map_convergence_under_halving():
     assert abs(v4 - v2) / v2 < 0.005
 
 
-def test_brentq_matches_scipy_bit_for_bit(monkeypatch):
-    from scipy.optimize import brentq
-
-    shapes = (cp._d1_shape, cp._d3_shape)
-    ours = []
-    for shape in shapes:
-        shape.cache_clear()
-        ours.append(shape())
-    monkeypatch.setattr(cp, "brentq", brentq)
-    for shape, constants in zip(shapes, ours):
-        shape.cache_clear()
-        assert shape() == constants
-    monkeypatch.undo()
-    for shape in shapes:
-        shape.cache_clear()
-    cases = [
-        (math.cos, 0.0, 3.0, {}),
-        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, {}),
-        (lambda x: math.exp(x) - 10.0, 0.0, 5.0, {"xtol": 1e-6}),
-        (lambda x: np.tanh(x - 0.3), -5.0, 7.0, {}),
-        (lambda x: 1.0 / x - 3.0, 0.01, 5.0, {"rtol": 1e-10}),
-    ]
-    for f, a, b, kw in cases:
-        assert cp.brentq(f, a, b, **kw) == brentq(f, a, b, **kw)
-    with pytest.raises(ValueError):
-        cp.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+def test_shape_literals_are_the_calibration_to_the_bit():
+    # the run path reads literals; re-derived from presets with scipy's
+    # brentq, every one of the eight comes back the same float
+    assert calibration._d1_shape() == cp._D1_SHAPE
+    assert calibration._d3_shape() == cp._D3_SHAPE
 
 
 def test_d1_map_hits_calibration_targets(d1_map):
-    tgt = cp.map_design_targets("D1")
+    tgt = calibration.map_design_targets("D1")
     n = presets.REFRACTIVE_INDEX
     vg = global_mode_volume(d1_map, n)
     assert vg.lambda_n_cubed == pytest.approx(2.2, rel=0.02)
@@ -271,14 +251,14 @@ def test_synth_fieldmap_resolution_range():
 
 def test_map_design_targets_consistent_with_formula():
     # V_trap target must invert the coupling formula at eps = bulk value
-    tgt = cp.map_design_targets("D1")
+    tgt = calibration.map_design_targets("D1")
     omega_c = TWO_PI * SPEED_OF_LIGHT / 780e-9
     g = presets.RB87_D2_DIPOLE_CM * math.sqrt(
         omega_c / (HBAR * EPSILON_0 * presets.EPS_DIELECTRIC * tgt.v_trap_m3)
     )
     assert g == pytest.approx(TWO_PI * 9e9, rel=1e-12)
     with pytest.raises(ValueError):
-        cp.map_design_targets("D9")
+        calibration.map_design_targets("D9")
 
 
 def test_total_sum_is_cached_and_exact(d1_map):
@@ -292,7 +272,7 @@ def test_total_sum_is_cached_and_exact(d1_map):
 
 def _d3_density_reference(xs, ys, zs):
     """The full-grid D3 construction the in-place one must reproduce bit for bit."""
-    p, lx, ly, ratio_m = cp._d3_shape()
+    p, lx, ly, ratio_m = cp._D3_SHAPE
     a = presets.LATTICE_NM
 
     def xb(x):
@@ -352,7 +332,6 @@ def test_ridge_support_is_the_nonzero_range():
 
 
 def test_synth_fieldmap_peaks_near_two_grid_arrays():
-    cp.synth_fieldmap("D3", 5.0)  # solve the cached shape constants first
     tracemalloc.start()
     try:
         fmap = cp.synth_fieldmap("D3", 5.0)
@@ -389,8 +368,22 @@ def test_synth_density_at_rejects_a_point_outside_the_grid():
         synth_density_at("D1", 5.0, (0.0, 0.0, 175.0))
 
 
+def _read_on_z0_node(design, resolution, r_nm):
+    """synth_density_at's 8-node read with z's cell forced onto z = 0's
+    node, at fraction 0."""
+    axes = cp._synth_axes(resolution)
+    origin = tuple(float(ax[0]) for ax in axes)
+    (i, j, _), (fx, fy, _) = cp._grid_cell(origin, (resolution,) * 3,
+                                           [ax.size for ax in axes], r_nm)
+    k = axes[2].size // 2
+    assert axes[2][k] == 0.0
+    block = cp._synth_density(design, axes[0][i:i + 2], axes[1][j:j + 2], axes[2][k:k + 2])
+    return cp._trilinear(block, (fx, fy, 0.0))
+
+
 # at 0.6673 nm, (0 - z_lo) / resolution misses z = 0's node index by an ulp,
-# so the point read weighs the z = -resolution nodes by about 3e-14
+# so the point read weighs the z = -resolution nodes by about 3e-14; the
+# plane reads the z = 0 nodes alone
 @pytest.mark.parametrize("resolution", [5.0, 4.0, 0.5, 0.6673])
 @pytest.mark.parametrize("design", ["D1", "D3"])
 def test_synth_density_plane_is_synth_density_at_on_z0(design, resolution):
@@ -404,10 +397,20 @@ def test_synth_density_plane_is_synth_density_at_on_z0(design, resolution):
         (np.concatenate((rng.uniform(180.0, 340.0, 7), [255.0, 1600.0])),
          np.concatenate((rng.uniform(-60.0, 60.0, 7), [0.0, -270.0]))),
     ]
+    axes = cp._synth_axes(resolution)
+    _, (_, _, z_frac) = cp._grid_cell(tuple(float(ax[0]) for ax in axes), (resolution,) * 3,
+                                      [ax.size for ax in axes], (0.0, 0.0, 0.0))
+    assert (z_frac == 0.0) == (resolution != 0.6673)
     for xs, ys in cases:
         plane = cp.synth_density_plane(design, resolution, xs, ys)
         at = [[synth_density_at(design, resolution, (x, y, 0.0)) for y in ys] for x in xs]
-        assert np.array_equal(plane, at)
+        if resolution == 0.6673:
+            on_node = [[_read_on_z0_node(design, resolution, (x, y, 0.0)) for y in ys]
+                       for x in xs]
+            assert np.array_equal(plane, on_node)
+            assert np.allclose(plane, at, rtol=1e-13, atol=0.0)
+        else:
+            assert np.array_equal(plane, at)
     with pytest.raises(ValueError, match="outside the map grid"):
         cp.synth_density_plane(design, resolution, xs, [0.0, 275.0])
 
