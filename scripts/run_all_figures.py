@@ -4,13 +4,12 @@
 Usage: python scripts/run_all_figures.py [output_root]
 
 Writes one directory per scenario under output_root (default ./runs) and
-prints each scenario's summary scalars.  Medians of 11 fresh processes
-on a noisy 2-core host (Python 3.11.7, numpy 2.4.6): 0.33 s of run time
-with OMP_NUM_THREADS=1 and 0.36 s with two BLAS threads, of which writing
-the trajectory CSVs, on both cores, is 0.25-0.26 s, and 0.18-0.20 s is
-the two fig5 maps (0.09-0.10 s each, with all 81 points of a map
-propagated as one stack); the whole process takes 0.52 and 0.53 s, of
-which about 0.2 s is start-up.
+prints each scenario's run time in ms and its summary scalars.  Medians
+of 11 fresh processes, in two sets, on a noisy 2-core host (Python
+3.11.7, numpy 2.4.6): 0.40 s of run time with OMP_NUM_THREADS=1 and
+0.32-0.35 s with two BLAS threads, of which the two fig5 maps take
+0.23 and 0.17-0.19 s (all 81 points of a map propagate as one stack) and
+wstate_n3 9-11 ms; the whole process takes 0.60-0.63 and 0.50-0.55 s.
 """
 
 import sys
@@ -36,7 +35,7 @@ def main() -> int:
         t0 = time.perf_counter()
         report = run_scenario(cfg, output_dir=f"{root}/{name}")
         dt = time.perf_counter() - t0
-        print(f"== {name} ({dt:.1f} s) -> {report.output_dir}")
+        print(f"== {name} ({1e3 * dt:.1f} ms) -> {report.output_dir}")
         for key in sorted(report.summary):
             print(f"   {key} = {report.summary[key]:.6g}")
     return 0

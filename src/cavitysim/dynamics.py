@@ -332,32 +332,32 @@ def sector_norm_dim(layout: HilbertLayout, keep, n_exc: int) -> int:
 
 
 def integrate(
-    gen: LindbladGenerator,
+    gens: list,
     psi0: dict,
     times,
     track: tuple = ("populations", "n_photon"),
     projections: dict | None = None,
-) -> Trajectory:
-    """Propagate |psi0><psi0| exactly over a uniform time grid and record
-    observables.
+) -> list:
+    """Propagate |psi0><psi0| exactly over a uniform time grid with each
+    generator of a stack and record observables: a list of one Trajectory
+    per generator.
+
+    gens is a non-empty sequence of generators on one layout with the same
+    collapse channels, such as a sweep's points ([gen] for one run), and
+    times a 2-D stack of as many uniform grids of one length (ValueError
+    for a bare generator or a 1-D times).  Each run keeps its own H, step
+    and propagators, and is exactly what it would be alone.
 
     The state at each output time is held as (psi, x): the ket psi on the
     d_n states of psi0's excitation sector n, and, with loss, the density
     block x on the d_l states below it; rho = psi psi^dag + x.  The grid's
-    step dt = (t[-1] - t[0]) / (len(t) - 1) builds the propagators once:
+    step dt = (t[-1] - t[0]) / (len(t) - 1) builds its propagators once:
     K = expm(-i H_eff dt) for psi and, with loss, E and F for x_k = E
     x_(k-1) + F vec(psi_(k-1) psi_(k-1)^dag), or from one photon the jump
     Gramian G for p_G(t_k) = p_G(t_(k-1)) + psi_(k-1)^dag G psi_(k-1).
-    times must be finite, strictly increasing and uniform, every step
+    Each grid must be finite, strictly increasing and uniform, every step
     within 1e-12 of the span of dt, as a linspace's from 0 are (ValueError
-    otherwise); the trajectory keeps the caller's grid bit for bit.
-
-    gen may also be a sequence of generators on one layout with the same
-    collapse channels, such as the points of a sweep; times is then a
-    sequence of as many uniform grids, all of one length, and a list of
-    trajectories returns, one per generator.  They propagate as one stack:
-    each keeps its own H, step and propagators, and is exactly what it
-    would be alone.
+    otherwise); each trajectory keeps the caller's grid bit for bit.
 
     track may contain any of TRACKABLE (ValueError on any other entry).
     projections maps extra column names to kets whose population <v|rho|v>
@@ -382,22 +382,18 @@ def integrate(
     """
     unknown = [t for t in track if t not in TRACKABLE]
     if unknown:
-        raise ValueError(
-            f"track has unknown entries {unknown}; valid: {', '.join(TRACKABLE)}"
-        )
-    stacked = not isinstance(gen, LindbladGenerator)
-    gens = list(gen) if stacked else [gen]
-    if not gens:
-        raise ValueError("integrate needs at least one generator")
+        raise ValueError(f"track has unknown entries {unknown}; valid: {', '.join(TRACKABLE)}")
+    if isinstance(gens, LindbladGenerator) or not len(gens):
+        raise ValueError("integrate takes a stack of at least one generator, "
+                         "[gen] for one run")
     layout, channels_of = gens[0].layout, gens[0].collapse_channels
     if any(g.layout != layout or g.collapse_channels != channels_of for g in gens):
         raise ValueError("a stack of generators must share one layout and its "
                          "collapse channels")
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 + stacked or times.shape[-1] == 0:
-        raise ValueError("times must be a non-empty 1-D grid" if not stacked else
-                         "times must hold one non-empty grid per generator, all of one length")
-    times = times.reshape(-1, times.shape[-1])
+    if times.ndim != 2 or times.shape[-1] == 0:
+        raise ValueError("times must be a 2-D stack: one non-empty grid per generator, "
+                         "all of one length, [times] for one run")
     if len(times) != len(gens):
         raise ValueError(f"{len(gens)} generators but {len(times)} time grids")
     if not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
@@ -418,10 +414,8 @@ def integrate(
     sectors = (nonzero >> layout.n_atoms) + np.bitwise_count(
         nonzero & (2**layout.n_atoms - 1))
     if np.any(sectors != sectors[:1]):
-        raise ValueError(
-            "psi0 spans several excitation sectors; integrate needs a state "
-            "inside one excitation sector"
-        )
+        raise ValueError("psi0 spans several excitation sectors; integrate needs a state "
+                         "inside one excitation sector")
     norm2 = float(np.vdot(amplitudes, amplitudes).real)
     if abs(norm2 - 1.0) > 1e-9:
         raise ValueError(f"psi0 has squared norm {norm2!r}, not 1 within 1e-09")
@@ -548,13 +542,12 @@ def integrate(
             for name, column in zip(projections, values.T):
                 series[name][ks] = column
 
-    trajectories = [
+    return [
         Trajectory(layout=layout, times=times[r],
                    observables={name: column[r] for name, column in obs.items()},
                    column_order=column_order)
         for r in range(n_runs)
     ]
-    return trajectories if stacked else trajectories[0]
 
 
 def _kets_on(kets: list, states: np.ndarray) -> np.ndarray:
@@ -633,14 +626,19 @@ def _linear_scan(rows: np.ndarray, step: np.ndarray):
             power = power @ power
 
 
+def _interior_extrema(y: np.ndarray) -> tuple:
+    """(i, d = diff(y)): each i where the steps into and out of y[i] have opposite signs."""
+    d = np.diff(y)
+    return np.flatnonzero(d[:-1] * d[1:] < 0) + 1, d
+
+
 def _refined_extrema(times: np.ndarray, series: np.ndarray):
     """Interior extrema with parabolic sub-sample refinement.
 
     Returns (t_ext, v_ext, is_max) arrays.
     """
     y = np.asarray(series, dtype=float)
-    d = np.diff(y)
-    i = np.flatnonzero(d[:-1] * d[1:] < 0) + 1
+    i, d = _interior_extrema(y)
     before, here, after = y[i - 1], y[i], y[i + 1]
     denom = before - 2.0 * here + after
     offset = np.divide(0.5 * (before - after), denom, out=np.zeros_like(denom),
@@ -655,10 +653,8 @@ def count_extrema(series) -> int:
     genuine but doubly-flat extrema (e.g. entropy maxima, where both the
     entropy derivative and the population rate vanish) sit just a few
     orders above it on realistic grids."""
-    y = np.asarray(series, dtype=float)
-    left, right = y[1:-1] - y[:-2], y[1:-1] - y[2:]
-    return int(np.count_nonzero((left * right > 0) & (
-        (np.abs(left) > MIN_PROMINENCE) | (np.abs(right) > MIN_PROMINENCE))))
+    i, d = _interior_extrema(np.asarray(series, dtype=float))
+    return int(np.count_nonzero(np.maximum(np.abs(d[i - 1]), np.abs(d[i])) > MIN_PROMINENCE))
 
 
 def rabi_frequency(traj: Trajectory, observable: str) -> float:

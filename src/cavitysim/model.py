@@ -13,9 +13,10 @@ Loss enters in the standard trace-preserving Lindblad form
 (Lindblad, Commun. Math. Phys. 48, 119 (1976)).
 
 Every operator is built by index arithmetic on `fockspace`'s basis
-encoding, on the basis states a caller passes as `keep` (all d of them if
-None): a run passes the d' states it propagates, so no d x d operator is
-built on its path.  The generator itself holds only what defines it.
+encoding, on the basis states a caller names as `keep`, an array of basis
+indices: a run passes the d' states it propagates, so no d x d operator
+is built on its path, and none is built unasked.  The generator itself
+holds only what defines it.
 """
 
 from dataclasses import dataclass
@@ -88,10 +89,6 @@ def _check_match(layout: HilbertLayout, params: SystemParams):
         )
 
 
-def _states(layout: HilbertLayout, keep) -> np.ndarray:
-    return np.arange(layout.dim) if keep is None else np.asarray(keep)
-
-
 def _lowering(layout: HilbertLayout, factor: int, states: np.ndarray) -> tuple:
     """Amplitude of L|k> for each basis state k, and how far L moves the
     index down.  L is a (factor 0) or sigma_i (factor i): it lowers the
@@ -113,17 +110,17 @@ def _on_states(states: np.ndarray, amplitudes: np.ndarray, targets: np.ndarray) 
     return out
 
 
-def lowering_operator(layout: HilbertLayout, factor: int, keep=None) -> np.ndarray:
-    """a (factor 0) or sigma_i (factor i) on the basis states `keep` (all of
-    them if None): a|n, s> = sqrt(n)|n-1, s>, sigma_i takes atom i from e to g."""
-    states = _states(layout, keep)
-    amplitudes, shift = _lowering(layout, factor, states)
-    return _on_states(states, amplitudes, states - shift)
+def lowering_operator(layout: HilbertLayout, factor: int, keep: np.ndarray) -> np.ndarray:
+    """a (factor 0) or sigma_i (factor i) on the basis states `keep`:
+    a|n, s> = sqrt(n)|n-1, s>, sigma_i takes atom i from e to g."""
+    amplitudes, shift = _lowering(layout, factor, keep)
+    return _on_states(keep, amplitudes, keep - shift)
 
 
-def build_hamiltonian(layout: HilbertLayout, params: SystemParams | list, keep=None) -> np.ndarray:
+def build_hamiltonian(layout: HilbertLayout, params: list, keep: np.ndarray) -> np.ndarray:
     """Assemble H (hbar=1) in the frame rotating at the cavity frequency,
-    on the basis states `keep` (all of them if None):
+    on the basis states `keep`, for each SystemParams of the sequence
+    `params`: the stack (len(params), d', d') of their Hamiltonians,
 
         H = (Delta/2) sum sigma^z + sum g_i (a sig_i^dag + a^dag sig_i)
 
@@ -131,30 +128,25 @@ def build_hamiltonian(layout: HilbertLayout, params: SystemParams | list, keep=N
     |n, s> with atom i in g to sqrt(n)|n-1, s + e_i>, which moves the index
     down by 2^N and up by 2^(N-i).  The interaction is assembled as
     T + T^dag so the result is Hermitian exactly (entrywise), not merely to
-    tolerance.  params may be a sequence of SystemParams, for which the
-    stack of their Hamiltonians returns, each as its own SystemParams
-    builds it.
+    tolerance.  Each Hamiltonian of the stack is what its SystemParams
+    builds alone.
     """
-    stacked = not isinstance(params, SystemParams)
-    stack = list(params) if stacked else [params]
-    for p in stack:
+    for p in params:
         _check_match(layout, p)
-    states = _states(layout, keep)
-    half_sz = np.array([[0.5 * p.detuning] for p in stack])
-    couplings = np.array([p.couplings for p in stack])
-    diag = np.zeros((len(stack), states.size))
-    photons, down = _lowering(layout, 0, states)
-    h = np.zeros((len(stack), states.size, states.size), dtype=complex)
+    half_sz = np.array([[0.5 * p.detuning] for p in params])
+    couplings = np.array([p.couplings for p in params])
+    diag = np.zeros((len(params), keep.size))
+    photons, down = _lowering(layout, 0, keep)
+    h = np.zeros((len(params), keep.size, keep.size), dtype=complex)
     for i in range(1, layout.n_atoms + 1):
-        excited, up = _lowering(layout, i, states)
+        excited, up = _lowering(layout, i, keep)
         diag = diag + half_sz * (2.0 * excited - 1.0)  # sigma^z: +1 on e, -1 on g
         g = couplings[:, i - 1, None]
-        t = _on_states(states, g * photons * (1.0 - excited), states - down + up)
+        t = _on_states(keep, g * photons * (1.0 - excited), keep - down + up)
         h += t + t.conj().swapaxes(-1, -2)
     on_diagonal = np.zeros(h.shape)
     np.einsum("...ii->...i", on_diagonal)[...] = diag
-    h = h + on_diagonal
-    return h if stacked else h[0]
+    return h + on_diagonal
 
 
 def build_generator(layout: HilbertLayout, params: SystemParams) -> LindbladGenerator:
@@ -162,43 +154,40 @@ def build_generator(layout: HilbertLayout, params: SystemParams) -> LindbladGene
     return LindbladGenerator(layout, params)
 
 
-def collapse_operators(gen: LindbladGenerator, keep=None) -> list:
+def collapse_operators(gen: LindbladGenerator, keep: np.ndarray) -> list:
     """(rate, L, diagonal of L^dag L) per collapse channel, on the basis
-    states `keep` (all of them if None).  L^dag L is diagonal: at |k> it is
-    the squared amplitude of L there."""
-    layout, states = gen.layout, _states(gen.layout, keep)
-    return [(rate, lowering_operator(layout, factor, states),
-             _lowering(layout, factor, states)[0] ** 2)
+    states `keep`.  L^dag L is diagonal: at |k> it is the squared amplitude
+    of L there."""
+    return [(rate, lowering_operator(gen.layout, factor, keep),
+             _lowering(gen.layout, factor, keep)[0] ** 2)
             for rate, factor in gen.collapse_channels]
 
 
-def decay_rates(gen: LindbladGenerator, keep=None) -> np.ndarray:
+def decay_rates(gen: LindbladGenerator, keep: np.ndarray) -> np.ndarray:
     """The diagonal of sum rate L^dag L over the collapse channels, on the
-    basis states `keep` (all of them if None), with no L built."""
-    layout, states = gen.layout, _states(gen.layout, keep)
-    return sum((rate * _lowering(layout, factor, states)[0] ** 2
-                for rate, factor in gen.collapse_channels), np.zeros(states.size))
+    basis states `keep`, with no L built."""
+    return sum((rate * _lowering(gen.layout, factor, keep)[0] ** 2
+                for rate, factor in gen.collapse_channels), np.zeros(keep.size))
 
 
-def liouvillian_matrix(gen: LindbladGenerator, keep=None) -> np.ndarray:
+def liouvillian_matrix(gen: LindbladGenerator, keep: np.ndarray) -> np.ndarray:
     """Dense superoperator L with vec(d rho/dt) = L @ vec(rho).
 
     vec() is row-major (C-order) flattening, for which
     vec(A rho B) = (A kron B^T) vec(rho).  Tests check it against the
     right-hand side written out directly.
 
-    keep, if given, lists the basis states of a subspace whose operators the
-    generator maps into themselves (such as all states up to an excitation
-    number), and L is built for rho on that subspace only, from operators
-    built on it.  A lossy run from two photons or more builds it on the
-    states below the excitation sector it starts in, as the L_low block of
-    its Van Loan generator.
+    keep lists the basis states of a subspace whose operators the generator
+    maps into themselves (such as all states up to an excitation number, or
+    np.arange(gen.dim) for the whole space), and L is built for rho on that
+    subspace only, from operators built on it.  A lossy run from two
+    photons or more builds it on the states below the excitation sector it
+    starts in, as the L_low block of its Van Loan generator.
     """
-    states = _states(gen.layout, keep)
-    eye = np.eye(states.size)
-    h = build_hamiltonian(gen.layout, gen.params, states)
+    eye = np.eye(keep.size)
+    h = build_hamiltonian(gen.layout, [gen.params], keep)[0]
     liou = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for rate, L, anti in collapse_operators(gen, states):
+    for rate, L, anti in collapse_operators(gen, keep):
         anti = np.diag(anti)
         liou += rate * (
             np.kron(L, L.conj())

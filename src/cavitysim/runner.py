@@ -14,6 +14,8 @@ Output contract (per run directory):
   alpha_map.csv -- fig4 only: peak correlations vs coupling ratio
   summary.csv   -- name,value rows of derived scalars
   manifest.json -- tool version, scenario, config hash
+Before it writes, a run removes each traj_*.csv and TABLES file in its
+directory that it will not write (an earlier run's), and nothing else.
 
 The same config produces byte-identical files: sweep points are computed
 in order, each exactly as it would be alone, floats are written with
@@ -38,6 +40,7 @@ process that runs threads, such as BLAS's; a writer child calls no BLAS.
 """
 
 import contextlib
+import fnmatch
 import hashlib
 import itertools
 import json
@@ -50,12 +53,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__, dynamics as dyn, fockspace as fs
-from .config import (CHILD_BLOCKS, SCENARIOS, ExperimentConfig, Run, canonical_text,
-                     trajectory_writers)
+from .config import CHILD_BLOCKS, SCENARIOS, ExperimentConfig, canonical_text, trajectory_writers
 from .model import SystemParams, build_generator
 from .units import ghz_to_angular, mhz_to_angular
 
 ENV_OUTPUT_ROOT = "CAVITYSIM_OUTPUT_ROOT"
+# The scenario tables of the output contract, each written by a sweep.
+TABLES = ("map.csv", "alpha_map.csv")
 
 
 @dataclass
@@ -80,14 +84,14 @@ def physics_canonical_text(cfg: ExperimentConfig) -> str:
     return canonical_text(replace(cfg, workers=1, output_dir=""))
 
 
-def trajectory(cfg: ExperimentConfig, run: Run | list) -> dyn.Trajectory | list:
+def trajectory(cfg: ExperimentConfig, runs: list) -> list:
     """Propagate |run.n_photons, g..g> with the config's cavity and atoms
-    over run.times(), recording run.track and run.projections.
+    over run.times() for each run of `runs`, recording run.track and
+    run.projections: one trajectory per run, in a list.
 
-    run may also be a list of runs that differ only in their couplings and
-    grids, without projections, such as a sweep's points: they
-    propagate as one stack, and their trajectories return as a list."""
-    runs = run if isinstance(run, list) else [run]
+    The runs propagate as one stack, so more than one must differ only in
+    their couplings and grids and record no projections, as a sweep's
+    points do; a fixed run is a list of one."""
     first = runs[0]
     if len(runs) > 1 and any(r.projections for r in runs):
         raise ValueError("a stack of runs records no projections")
@@ -102,20 +106,19 @@ def trajectory(cfg: ExperimentConfig, run: Run | list) -> dyn.Trajectory | list:
             **cavity, couplings=tuple(ghz_to_angular(g) for g in r.couplings_ghz)))
         for r in runs
     ]
-    trajectories = dyn.integrate(
+    return dyn.integrate(
         gens, fs.basis_state(layout, first.n_photons, "g" * layout.n_atoms),
         [r.times() for r in runs],
         track=first.track,
         projections=first.projections(layout, first) if first.projections else None,
     )
-    return trajectories if isinstance(run, list) else trajectories[0]
 
 
 def run_plan(cfg: ExperimentConfig):
     """Execute the config's plan: (kept trajectories by name, summary,
     tables by file name).  The sweep's points propagate as one stack."""
     plan = SCENARIOS[cfg.scenario].plan(cfg)
-    kept = {run.name: trajectory(cfg, run) for run in plan.runs}
+    kept = {run.name: trajectory(cfg, [run])[0] for run in plan.runs}
     rows = []
     if plan.sweep:
         points = list(plan.sweep.points(cfg))
@@ -132,7 +135,7 @@ def check_fits(cfg: ExperimentConfig) -> None:
     """Make the summary's fits as run_plan does; raises SummaryFitError where one fails."""
     plan = SCENARIOS[cfg.scenario].plan(cfg)
     if plan.reads:
-        plan.summarize(cfg, {run.name: trajectory(cfg, run)
+        plan.summarize(cfg, {run.name: trajectory(cfg, [run])[0]
                              for run in plan.runs if run.name in plan.reads}, [])
 
 
@@ -260,16 +263,26 @@ def write_trajectories(out: str, runs: dict) -> None:
                 shutil.copyfileobj(tail.buffer, fh)
 
 
+def _remove_stale(out: str, written: set) -> None:
+    """Remove each traj_*.csv and TABLES file in `out` not in `written`, in one scan."""
+    with os.scandir(out) as entries:
+        for entry in entries:
+            name = entry.name
+            if name not in written and (name in TABLES or fnmatch.fnmatchcase(name, "traj_*.csv")):
+                os.remove(entry.path)
+
+
 def run_scenario(cfg: ExperimentConfig, output_dir: str | None = None) -> RunReport:
     runs, summary, extra_tables = run_plan(cfg)
     out = resolve_output_dir(cfg, output_dir)
     os.makedirs(out, exist_ok=True)
+    traj_files = [f"traj_{name}.csv" for name in sorted(runs)]
+    _remove_stale(out, {*traj_files, *extra_tables})
 
     canon = physics_canonical_text(cfg)
     with open(os.path.join(out, "config.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(canon)
 
-    traj_files = [f"traj_{name}.csv" for name in sorted(runs)]
     write_trajectories(out, runs)
 
     for fname, rows in extra_tables.items():

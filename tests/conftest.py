@@ -141,9 +141,10 @@ def lindblad_rhs(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"rho has shape {rho.shape}, generator dimension is {gen.dim}"
         )
-    h = build_hamiltonian(gen.layout, gen.params)
+    everything = np.arange(gen.dim)
+    [h] = build_hamiltonian(gen.layout, [gen.params], everything)
     out = -1j * (h @ rho - rho @ h)
-    for rate, L, anti in collapse_operators(gen):
+    for rate, L, anti in collapse_operators(gen, everything):
         out += rate * (L @ rho @ L.conj().T - 0.5 * (anti[:, None] * rho + rho * anti))
     return out
 
@@ -203,7 +204,7 @@ def integrate_states(gen: LindbladGenerator, psi0: dict, times, projections=None
     output time are rebuilt from them."""
     n_exc = int(excitations(gen.layout)[np.flatnonzero(dense(gen.layout, psi0))[0]])
     projections = {**(projections or {}), **tomography_kets(gen.layout, n_exc)}
-    traj = dynamics.integrate(gen, psi0, times, projections=projections, **kwargs)
+    [traj] = dynamics.integrate([gen], psi0, [times], projections=projections, **kwargs)
     return traj, tomography_states(traj, n_exc)
 
 
@@ -266,7 +267,7 @@ def plan_trajectories(cfg, stride: int) -> list:
     out = []
     for run in plan_runs(plan, cfg):
         kets = run._replace(projections=lambda layout, r: tomography_kets(layout, r.n_photons))
-        traj = runner.trajectory(cfg, kets)
+        [traj] = runner.trajectory(cfg, [kets])
         out.append((run, traj, tomography_states(traj, run.n_photons)[::stride]))
     return out
 

@@ -50,7 +50,7 @@ def _measured_frequency(couplings, lossy=False):
     gen = _lossy_gen(layout, couplings) if lossy else _closed_gen(layout, couplings)
     psi0 = fs.basis_state(layout, 1, "g" * len(couplings))
     ts = np.linspace(0.0, 3 * np.pi / coupling_norm(couplings), 1201)
-    traj = dyn.integrate(gen, psi0, ts, track=("n_photon",))
+    [traj] = dyn.integrate([gen], psi0, [ts], track=("n_photon",))
     return dyn.rabi_frequency(traj, "n_photon")
 
 
@@ -64,8 +64,8 @@ def test_criterion_01_single_excitation_oracle_equivalence():
         gen = _closed_gen(layout, couplings)
         chi0, chi1 = analytic.single_excitation_states(layout, couplings)
         ts = np.linspace(0.0, 3 * np.pi / coupling_norm(couplings), 601)
-        traj = dyn.integrate(gen, chi0, ts,
-                             projections={"P_chi1": chi1})
+        [traj] = dyn.integrate([gen], chi0, [ts],
+                               projections={"P_chi1": chi1})
         err = float(np.max(np.abs(
             traj.series("P_chi1") - single_excitation_population(couplings, ts)
         )))
@@ -84,7 +84,7 @@ def test_criterion_02_rabi_frequency():
     layout = HilbertLayout(n_max=2, n_atoms=1)
     gen = _lossy_gen(layout, (G,))
     psi0 = fs.basis_state(layout, 1, "g")
-    traj = dyn.integrate(gen, psi0, np.linspace(0.0, 0.1, 2001))
+    [traj] = dyn.integrate([gen], psi0, [np.linspace(0.0, 0.1, 2001)])
     measured = dyn.rabi_frequency(traj, "pop_0e")
     expected = G / np.pi
     rel = abs(measured - expected) / expected
@@ -110,7 +110,7 @@ def test_criterion_04_envelope_lifetime():
     layout = HilbertLayout(n_max=2, n_atoms=1)
     gen = _lossy_gen(layout, (G,))
     psi0 = fs.basis_state(layout, 1, "g")
-    traj = dyn.integrate(gen, psi0, np.linspace(0.0, 40.0, 8001))
+    [traj] = dyn.integrate([gen], psi0, [np.linspace(0.0, 40.0, 8001)])
     fit = dyn.envelope_lifetime(traj, "pop_0e")
     elapsed = time.perf_counter() - t0
     tau_closed = 2.0 / (KAPPA + GAMMA)
@@ -152,7 +152,7 @@ def test_criterion_07_splitting():
     gen = _closed_gen(layout, (G, alpha * G))
     psi0 = fs.basis_state(layout, 1, "gg")
     omega = G * np.hypot(1, alpha)
-    traj = dyn.integrate(gen, psi0, np.linspace(0.0, 1.2 * np.pi / omega, 1201))
+    [traj] = dyn.integrate([gen], psi0, [np.linspace(0.0, 1.2 * np.pi / omega, 1201)])
     measured = ent.trajectory_splitting(traj.series("pop_0eg"), traj.series("pop_0ge"))
     ok = abs(measured - 0.34228) < 1e-3
     _report(7, "population splitting", ok,
@@ -166,8 +166,8 @@ def test_criterion_08_peak_fidelity_and_concurrence():
     psi0 = fs.basis_state(layout, 1, "gg")
     omega = G * np.hypot(1, alpha)
     psi_plus = analytic.symmetric_bell_state(layout)
-    traj = dyn.integrate(
-        gen, psi0, np.linspace(0.0, 1.1 * np.pi / omega, 2401),
+    [traj] = dyn.integrate(
+        [gen], psi0, [np.linspace(0.0, 1.1 * np.pi / omega, 2401)],
         track=("populations", "concurrence"),
         projections={"P_psi_plus": psi_plus},
     )
@@ -187,8 +187,8 @@ def test_criterion_09_two_photon_decoupling():
         chi0, _, _, chi3 = analytic.two_photon_states(layout, g1, g2)
         omega = np.hypot(g1, g2)
         ts = np.linspace(0.0, 3 * np.pi / omega, 901)
-        traj = dyn.integrate(gen, chi0, ts,
-                             projections={"P_chi3": chi3})
+        [traj] = dyn.integrate([gen], chi0, [ts],
+                               projections={"P_chi3": chi3})
         results[alpha] = float(np.max(traj.series("P_chi3")))
     ok = results[1.0] < 1e-8 and results[0.7] > 1e-3
     _report(9, "two-photon dark-state decoupling", ok,
@@ -201,7 +201,7 @@ def test_criterion_10_entropy_oscillation_structure():
     psi0 = fs.basis_state(layout, 1, "gg")
     period = np.pi / (np.sqrt(2.0) * G)
     ts = np.linspace(0.0, 5 * period, 1501)
-    traj = dyn.integrate(gen, psi0, ts, track=("populations", "entropies"))
+    [traj] = dyn.integrate([gen], psi0, [ts], track=("populations", "entropies"))
     n_a = dyn.count_extrema(traj.series("S_A"))
     n_b = dyn.count_extrema(traj.series("S_B"))
     ok = abs(n_a - 2 * n_b) <= 1

@@ -81,8 +81,8 @@ def test_integrator_matches_sin_squared_oracle(n_atoms, rng):
     gen = _closed_gen(lay, couplings)
     chi0, chi1 = analytic.single_excitation_states(lay, couplings)
     ts = np.linspace(0.0, 3 * np.pi / coupling_norm(couplings), 451)
-    traj = dyn.integrate(gen, chi0, ts,
-                         projections={"P_chi1": chi1})
+    [traj] = dyn.integrate([gen], chi0, [ts],
+                           projections={"P_chi1": chi1})
     expected = single_excitation_population(couplings, ts)
     assert np.max(np.abs(traj.series("P_chi1") - expected)) < 1e-6
 
@@ -101,9 +101,9 @@ def test_two_photon_dark_state_matrix_elements():
     lay = HilbertLayout(n_max=3, n_atoms=2)
     for alpha in (1.0, 0.7):
         g1, g2 = G, alpha * G
-        h = model.build_hamiltonian(
-            lay, SystemParams(detuning=0, kappa=0, gamma=0, couplings=(g1, g2))
-        )
+        [h] = model.build_hamiltonian(
+            lay, [SystemParams(detuning=0, kappa=0, gamma=0, couplings=(g1, g2))],
+            np.arange(lay.dim))
         chi0, chi1, chi2, chi3 = (dense(lay, chi)
                                   for chi in analytic.two_photon_states(lay, g1, g2))
         assert abs(chi3.conj() @ h @ chi0) < 1e-12
@@ -119,8 +119,8 @@ def test_two_photon_decoupling_at_equal_coupling():
     chi0, chi1, chi2, chi3 = analytic.two_photon_states(lay, g1, g2)
     omega = np.hypot(g1, g2)
     ts = np.linspace(0.0, 3 * np.pi / omega, 601)
-    traj = dyn.integrate(gen, chi0, ts,
-                         projections={"P_chi3": chi3})
+    [traj] = dyn.integrate([gen], chi0, [ts],
+                           projections={"P_chi3": chi3})
     assert np.max(traj.series("P_chi3")) < 1e-8
 
 
@@ -131,8 +131,8 @@ def test_two_photon_coupling_opens_at_unequal_coupling():
     chi0, _, _, chi3 = analytic.two_photon_states(lay, g1, g2)
     omega = np.hypot(g1, g2)
     ts = np.linspace(0.0, 3 * np.pi / omega, 601)
-    traj = dyn.integrate(gen, chi0, ts,
-                         projections={"P_chi3": chi3})
+    [traj] = dyn.integrate([gen], chi0, [ts],
+                           projections={"P_chi3": chi3})
     assert np.max(traj.series("P_chi3")) > 1e-3
 
 
@@ -180,7 +180,7 @@ def test_peak_state_fidelity_cross_checked_against_trajectory():
     omega = G * np.hypot(1, alpha)
     ts = np.linspace(0.0, 1.1 * np.pi / omega, 1201)
     psi_plus = analytic.symmetric_bell_state(lay)
-    traj = dyn.integrate(gen, psi0, ts, projections={"P_psi_plus": psi_plus})
+    [traj] = dyn.integrate([gen], psi0, [ts], projections={"P_psi_plus": psi_plus})
     fidelity_peak = np.sqrt(np.max(traj.series("P_psi_plus")))
     assert fidelity_peak == pytest.approx(
         analytic.peak_entanglement_metrics(alpha).fidelity, abs=1e-4

@@ -46,7 +46,7 @@ def _single_atom_run(kappa=0.0, gamma=0.0, t_end=None, n_points=301):
     psi0 = fs.basis_state(lay, 1, "g")
     t_end = t_end if t_end is not None else 3 * np.pi / G
     ts = np.linspace(0.0, t_end, n_points)
-    return lay, dyn.integrate(gen, psi0, ts)
+    return lay, dyn.integrate([gen], psi0, [ts])[0]
 
 
 def test_closed_jaynes_cummings_thirty_periods():
@@ -71,16 +71,16 @@ def test_times_must_increase():
     lay, gen = _gen(1, (G,))
     psi0 = fs.basis_state(lay, 1, "g")
     with pytest.raises(ValueError):
-        dyn.integrate(gen, psi0, np.array([0.0, 0.0, 1.0]))
+        dyn.integrate([gen], psi0, [np.array([0.0, 0.0, 1.0])])
     with pytest.raises(ValueError):
-        dyn.integrate(gen, psi0, np.array([]))
+        dyn.integrate([gen], psi0, [np.array([])])
 
 
 def test_unknown_track_entries_are_rejected():
     lay, gen = _gen(1, (G,))
     psi0 = fs.basis_state(lay, 1, "g")
     with pytest.raises(ValueError) as info:
-        dyn.integrate(gen, psi0, np.linspace(0.0, 0.1, 3),
+        dyn.integrate([gen], psi0, [np.linspace(0.0, 0.1, 3)],
                       track=("entropies", "entropy", "concurence"))
     msg = str(info.value)
     assert "['entropy', 'concurence']" in msg
@@ -95,8 +95,8 @@ def test_untracked_populations_cost_nothing_of_size_d(monkeypatch):
 
     monkeypatch.setattr(dyn, "population_labels", forbidden)
     lay, gen = _gen(1, (G,) * 10, kappa=0.19, gamma=0.04)
-    traj = dyn.integrate(gen, fs.basis_state(lay, 1, "g" * 10), np.linspace(0.0, 0.05, 11),
-                         track=("n_photon",))
+    [traj] = dyn.integrate([gen], fs.basis_state(lay, 1, "g" * 10),
+                           [np.linspace(0.0, 0.05, 11)], track=("n_photon",))
     assert traj.column_order == ["n_photon"]
     assert traj.series("n_photon")[0] == 1.0
     # nor does the memory gate count d = 196608 population columns at N = 16
@@ -119,7 +119,7 @@ def _leaky_run(monkeypatch, factor):
     exact = dyn.expm
     monkeypatch.setattr(dyn, "expm", lambda a: factor * exact(a))
     lay, gen = _gen(1, (G,), kappa=0.19)
-    return lambda ts: dyn.integrate(gen, fs.basis_state(lay, 1, "g"), ts)
+    return lambda ts: dyn.integrate([gen], fs.basis_state(lay, 1, "g"), [ts])[0]
 
 
 def test_trace_drift_gate_raises(monkeypatch):
@@ -146,7 +146,7 @@ def test_rabi_frequency_dicke_ratio():
     lay2, gen2 = _gen(2, (G, G))
     psi0 = fs.basis_state(lay2, 1, "gg")
     ts = np.linspace(0.0, 3 * np.pi / (np.sqrt(2) * G), 601)
-    traj2 = dyn.integrate(gen2, psi0, ts)
+    [traj2] = dyn.integrate([gen2], psi0, [ts])
     ratio = dyn.rabi_frequency(traj2, "pop_1gg") / dyn.rabi_frequency(traj1, "pop_1g")
     assert ratio == pytest.approx(np.sqrt(2.0), rel=1e-3)
 
@@ -154,7 +154,7 @@ def test_rabi_frequency_dicke_ratio():
 def test_rabi_frequency_too_few_extrema():
     lay, gen = _gen(1, (0.0,))
     psi0 = fs.basis_state(lay, 1, "g")
-    traj = dyn.integrate(gen, psi0, np.linspace(0, 1.0, 50))
+    [traj] = dyn.integrate([gen], psi0, [np.linspace(0, 1.0, 50)])
     with pytest.raises(dyn.TooFewExtremaError):
         dyn.rabi_frequency(traj, "pop_1g")  # constant series
 
@@ -201,7 +201,7 @@ def test_bare_populations_delta_state_and_sum():
     lay, gen = _gen(2, (G, 0.7 * G), kappa=0.19, gamma=0.04)
     psi0 = fs.basis_state(lay, 1, "gg")
     ts = np.linspace(0.0, 0.2, 501)
-    traj = dyn.integrate(gen, psi0, ts)
+    [traj] = dyn.integrate([gen], psi0, [ts])
     pops = {name: traj.series(name) for name in dyn.population_labels(lay)}
     assert pops["pop_1gg"][0] == pytest.approx(1.0, abs=1e-12)
     total = sum(pops.values())
@@ -217,7 +217,7 @@ def test_unequal_coupling_population_amplitude_ratio():
     psi0 = fs.basis_state(lay, 1, "gg")
     omega = G * np.hypot(1, alpha)
     ts = np.linspace(0.0, 1.2 * np.pi / omega, 601)
-    traj = dyn.integrate(gen, psi0, ts)
+    [traj] = dyn.integrate([gen], psi0, [ts])
     p_eg = traj.series("pop_0eg")
     p_ge = traj.series("pop_0ge")
     assert np.max(p_ge) / np.max(p_eg) == pytest.approx(alpha**2, rel=1e-6)
@@ -241,15 +241,15 @@ def test_non_uniform_grid_is_rejected():
     uniform = np.linspace(0.0, 2.0, 15)
     joined = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.0, 2.0, 5)[1:]])
     with pytest.raises(ValueError, match="times must be uniform"):
-        dyn.integrate(gen, psi0, joined)
+        dyn.integrate([gen], psi0, [joined])
     with pytest.raises(ValueError, match="times must be uniform"):
         dyn.integrate([gen] * 3, psi0, [uniform, joined, 2 * uniform])
     with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
-        dyn.integrate(gen, psi0, np.append(uniform[:-1], np.inf))
+        dyn.integrate([gen], psi0, [np.append(uniform[:-1], np.inf)])
     with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
         dyn.integrate([gen] * 2, psi0, [uniform, np.append(uniform[:-1], np.nan)])
     with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
-        dyn.integrate(gen, psi0, uniform[::-1])
+        dyn.integrate([gen], psi0, [uniform[::-1]])
     with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
         dyn.integrate([gen] * 2, psi0, [uniform, uniform[::-1]])
 
@@ -265,7 +265,7 @@ def test_linspace_grids_are_uniform():
     trajs = dyn.integrate([gen] * 3, psi0, grids, track=())
     for grid, traj in zip(grids, trajs, strict=True):
         assert traj.times.tobytes() == grid.tobytes()
-        assert dyn.integrate(gen, psi0, grid, track=()).times.tobytes() == grid.tobytes()
+        assert dyn.integrate([gen], psi0, [grid], track=())[0].times.tobytes() == grid.tobytes()
 
 
 @pytest.mark.parametrize("lossless", [False, True])
@@ -286,7 +286,7 @@ def test_expm_matches_scipy_on_scenario_generators(scenario, lossless, monkeypat
     cfg = parse_config(f'scenario = "{scenario}"\nlossless = {str(lossless).lower()}\n')
     plan = SCENARIOS[scenario].plan(cfg)
     for run in itertools.islice(plan_runs(plan, cfg), len(plan.runs) + 1):
-        runner.trajectory(cfg, run)
+        runner.trajectory(cfg, [run])
     monkeypatch.undo()
     assert generators
     for m in generators:
@@ -352,8 +352,19 @@ def test_stack_needs_one_layout_and_its_channels():
     with pytest.raises(ValueError, match="at least one generator"):
         dyn.integrate([], psi0, [ts])
     [alone] = dyn.integrate([gen], psi0, [ts])
-    assert alone.series("pop_1g").tobytes() == dyn.integrate(gen, psi0, ts).series(
-        "pop_1g").tobytes()
+    stacked = dyn.integrate([gen, gen], psi0, [2 * ts, ts])[1]
+    assert alone.series("pop_1g").tobytes() == stacked.series("pop_1g").tobytes()
+
+
+def test_integrate_takes_the_stack_form_only():
+    # one run is a stack of one: [gen] and [times]; the bare generator and
+    # a 1-D grid are refused by name
+    lay, gen = _gen(1, (G,))
+    psi0, ts = fs.basis_state(lay, 1, "g"), np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match=r"integrate takes a stack .*\[gen\] for one run"):
+        dyn.integrate(gen, psi0, [ts])
+    with pytest.raises(ValueError, match=r"times must be a 2-D stack.*\[times\] for one run"):
+        dyn.integrate([gen], psi0, ts)
 
 
 def test_one_propagator_per_distinct_step(monkeypatch):
@@ -371,7 +382,7 @@ def test_one_propagator_per_distinct_step(monkeypatch):
     # jump Gramian's block [[-A^dag, Gamma], [0, A]] on it: 4 x 4, each in a
     # stack of one run.
     ts = np.linspace(0.0, 40.0, 8001)
-    dyn.integrate(gen, psi0, ts, track=())
+    dyn.integrate([gen], psi0, [ts], track=())
     assert calls == [(1, 2, 2), (1, 4, 4)]
     # a stack of three runs, each with its own step, builds them in one call
     calls.clear()
@@ -380,7 +391,7 @@ def test_one_propagator_per_distinct_step(monkeypatch):
 
 
 def test_lossless_run_never_builds_the_liouvillian(monkeypatch):
-    def forbidden(gen, keep=None):
+    def forbidden(gen, keep):
         raise AssertionError("liouvillian_matrix called on a lossless run")
 
     monkeypatch.setattr(dyn, "liouvillian_matrix", forbidden)
@@ -393,13 +404,13 @@ def test_lossless_run_never_builds_the_liouvillian(monkeypatch):
     _single_atom_run(kappa=0.19, n_points=51)
     lay, gen = _gen(2, (G,), kappa=0.19)
     with pytest.raises(AssertionError):
-        dyn.integrate(gen, fs.basis_state(lay, 2, "g"), np.linspace(0.0, 0.1, 51))
+        dyn.integrate([gen], fs.basis_state(lay, 2, "g"), [np.linspace(0.0, 0.1, 51)])
 
 
 def test_lossy_run_builds_the_liouvillian_below_the_start_sector_only(monkeypatch):
     keeps = []
 
-    def recording(gen, keep=None):
+    def recording(gen, keep):
         keeps.append(keep)
         return model.liouvillian_matrix(gen, keep)
 
@@ -407,7 +418,7 @@ def test_lossy_run_builds_the_liouvillian_below_the_start_sector_only(monkeypatc
     # two photons, two atoms: sector 2 is propagated as a ket, and the
     # Liouvillian is built on the 4 states with at most one excitation
     lay, gen = _gen(3, (G, 0.6 * G), kappa=0.19, gamma=0.04)
-    dyn.integrate(gen, fs.basis_state(lay, 2, "gg"), np.linspace(0.0, 0.1, 11))
+    dyn.integrate([gen], fs.basis_state(lay, 2, "gg"), [np.linspace(0.0, 0.1, 11)])
     below = [lay.basis_index(0, "gg"), lay.basis_index(0, "ge"),
              lay.basis_index(0, "eg"), lay.basis_index(1, "gg")]
     assert len(keeps) == 1 and keeps[0].tolist() == sorted(below)
@@ -422,8 +433,8 @@ def _assert_matches_dense_reference(gen, psi0, ts, n_exc, projections=None, stri
     integrate's run (every stride-th output) within 1e-12."""
     lay = gen.layout
     projections = {**(projections or {}), **tomography_kets(lay, n_exc)}
-    traj = dyn.integrate(gen, psi0, ts, track=track, projections=projections)
-    liou = model.liouvillian_matrix(gen)
+    [traj] = dyn.integrate([gen], psi0, [ts], track=track, projections=projections)
+    liou = model.liouvillian_matrix(gen, np.arange(lay.dim))
     steps = {dt: expm(liou * dt) for dt in set(np.diff(ts).tolist())}
     vec = dense(lay, psi0)
     state = np.outer(vec, vec.conj()).reshape(-1)
@@ -475,7 +486,7 @@ def test_exceptional_point_matches_dense_full_space_reference():
     assert gen.params.kappa - gen.params.gamma == 4 * g
     ts = np.linspace(0.0, 3.0, 301)
     _assert_matches_dense_reference(gen, fs.basis_state(lay, 1, "g"), ts, 1)
-    traj = dyn.integrate(gen, fs.basis_state(lay, 1, "g"), ts)
+    [traj] = dyn.integrate([gen], fs.basis_state(lay, 1, "g"), [ts])
     assert np.max(np.abs(traj.series("pop_0e") - (g * ts) ** 2 * np.exp(-4.5 * ts))) < 1e-12
 
 
@@ -609,13 +620,13 @@ def test_rho0_with_coherence_between_excitation_sectors_is_rejected():
     ts = np.linspace(0.0, 0.1, 11)
     across = _superposition(lay, (0, "g"), (1, "g"))
     with pytest.raises(ValueError, match="excitation"):
-        dyn.integrate(gen, across, ts)
+        dyn.integrate([gen], across, [ts])
     # coherence inside one sector (|0e> and |1g> both hold one excitation)
     within = _superposition(lay, (0, "e"), (1, "g"))
-    traj = dyn.integrate(gen, within, ts)
+    [traj] = dyn.integrate([gen], within, [ts])
     assert np.max(np.abs(traj.series("pop_0g"))) == 0.0
     # a zero amplitude in another sector is no amplitude, as a dense ket's zeros
-    traj = dyn.integrate(gen, {**within, lay.basis_index(2, "e"): 0.0}, ts)
+    [traj] = dyn.integrate([gen], {**within, lay.basis_index(2, "e"): 0.0}, [ts])
     assert np.max(np.abs(traj.series("pop_0g"))) == 0.0
 
 
@@ -625,18 +636,18 @@ def test_rho0_is_validated_on_its_kept_block():
     lay, gen = _gen(2, (G,))
     ts = np.linspace(0.0, 0.1, 11)
     with pytest.raises(ValueError, match=r"^psi0 has squared norm 0\.0, not 1 within 1e-09$"):
-        dyn.integrate(gen, {}, ts)
+        dyn.integrate([gen], {}, [ts])
     with pytest.raises(ValueError, match="squared norm 1.21"):
-        dyn.integrate(gen, {lay.basis_index(0, "e"): 1.1}, ts)
+        dyn.integrate([gen], {lay.basis_index(0, "e"): 1.1}, [ts])
     for index in (-1, lay.dim):
         with pytest.raises(ValueError, match=r"^psi0 has a basis index outside 0\.\.5$"):
-            dyn.integrate(gen, {index: 1.0}, ts)
+            dyn.integrate([gen], {index: 1.0}, [ts])
         with pytest.raises(ValueError, match=r"^P_out has a basis index outside 0\.\.5$"):
-            dyn.integrate(gen, fs.basis_state(lay, 1, "g"), ts, projections={
+            dyn.integrate([gen], fs.basis_state(lay, 1, "g"), [ts], projections={
                 "P_in": fs.basis_state(lay, 0, "e"), "P_out": {index: 1.0}})
     spanning = _superposition(lay, (0, "e"), (2, "e"))
     with pytest.raises(ValueError, match="excitation sectors"):
-        dyn.integrate(gen, spanning, ts)
+        dyn.integrate([gen], spanning, [ts])
 
 
 def test_integrate_allocates_nothing_of_length_d():
@@ -651,7 +662,8 @@ def test_integrate_allocates_nothing_of_length_d():
         try:
             psi0 = fs.basis_state(lay, 1, "g" * n_atoms)
             chi0, chi1 = analytic.single_excitation_states(lay, (G,) * n_atoms)
-            dyn.integrate(gen, psi0, np.linspace(0.0, 0.01, 3), track=("n_photon", "entropies"),
+            dyn.integrate([gen], psi0, [np.linspace(0.0, 0.01, 3)],
+                          track=("n_photon", "entropies"),
                           projections={"P_chi0": chi0, "P_chi1": chi1})
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -664,8 +676,8 @@ def test_integrate_allocates_nothing_of_length_d():
     lay, gen = _gen(2, (G,) * 13)
     tracemalloc.start()
     try:
-        traj = dyn.integrate(gen, fs.basis_state(lay, 1, "g" * 13), np.linspace(0.0, 0.01, 1001),
-                             track=("populations",))
+        [traj] = dyn.integrate([gen], fs.basis_state(lay, 1, "g" * 13),
+                               [np.linspace(0.0, 0.01, 1001)], track=("populations",))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -681,8 +693,8 @@ def test_columns_past_atom_25_are_named_by_the_characters_after_z():
     # subsystem_letter is chr(ord("A") + factor): from atom 26 on, the names
     # run on through ASCII, [ \ ] ^ _ ` a..z { | }, and end at ~ at N = 61
     lay, gen = _gen(2, (G,) * 30)
-    traj = dyn.integrate(gen, fs.basis_state(lay, 1, "g" * 30), np.linspace(0.0, 0.01, 3),
-                         track=("entropies", "concurrence"))
+    [traj] = dyn.integrate([gen], fs.basis_state(lay, 1, "g" * 30),
+                           [np.linspace(0.0, 0.01, 3)], track=("entropies", "concurrence"))
     assert traj.column_order == dyn.tracked_columns(lay, ("entropies", "concurrence"))
     entropies, pairs = traj.column_order[:31], traj.column_order[31:]
     assert entropies == [f"S_{c}" for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_"]
@@ -697,11 +709,11 @@ def test_entropy_and_pair_columns_take_the_names_of_tracked_columns(monkeypatch)
     lay, gen = _gen(2, (G, 0.7 * G, 1.3 * G), kappa=0.3, gamma=0.1)
     psi0, times = fs.basis_state(lay, 1, "ggg"), np.linspace(0.0, 0.05, 11)
     track = ("n_photon", "entropies", "concurrence")
-    plain = dyn.integrate(gen, psi0, times, track=track)
+    [plain] = dyn.integrate([gen], psi0, [times], track=track)
     real = dyn.tracked_columns
     monkeypatch.setattr(dyn, "tracked_columns", lambda layout, track: [
         name if name == "n_photon" else f"renamed_{name}" for name in real(layout, track)])
-    renamed = dyn.integrate(gen, psi0, times, track=track)
+    [renamed] = dyn.integrate([gen], psi0, [times], track=track)
     assert renamed.column_order == ["n_photon"] + [f"renamed_{name}"
                                                    for name in plain.column_order[1:]]
     for name in plain.column_order:
@@ -717,7 +729,7 @@ def test_integrate_allocates_no_full_space_array(kappa):
     psi0 = fs.basis_state(lay, 1, "g" * 9)
     tracemalloc.start()
     try:
-        dyn.integrate(gen, psi0, np.linspace(0.0, 0.01, 3), track=("n_photon",))
+        dyn.integrate([gen], psi0, [np.linspace(0.0, 0.01, 3)], track=("n_photon",))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -748,7 +760,7 @@ def test_projection_observables():
     chi0, chi1 = analytic.single_excitation_states(lay, (G, G))
     psi0 = chi0
     ts = np.linspace(0.0, np.pi / (np.sqrt(2) * G), 201)
-    traj = dyn.integrate(gen, psi0, ts, projections={"P_chi1": chi1})
+    [traj] = dyn.integrate([gen], psi0, [ts], projections={"P_chi1": chi1})
     expected = np.sin(np.sqrt(2) * G * ts) ** 2
     assert np.max(np.abs(traj.series("P_chi1") - expected)) < 1e-6
 
@@ -811,8 +823,8 @@ def test_observable_column_order_with_entropies_and_concurrence():
     lay, gen = _gen(2, (G, G))
     psi0 = fs.basis_state(lay, 1, "gg")
     ts = np.linspace(0.0, 0.05, 21)
-    traj = dyn.integrate(
-        gen, psi0, ts,
+    [traj] = dyn.integrate(
+        [gen], psi0, [ts],
         track=("populations", "n_photon", "entropies", "concurrence"),
         projections={"P_extra": fs.basis_state(lay, 0, "gg")},
     )
@@ -865,15 +877,15 @@ def test_chunk_holds_about_one_mebibyte():
 
 def _two_atom_observables_run(extra_projections=None, runs=((0.6, 0.3),)):
     """The run at couplings (G, r G) over 62 outputs up to t_end for each
-    (r, t_end) of runs: one trajectory for one run, else the list of a
-    stack."""
+    (r, t_end) of runs, propagated as one stack: the list of their
+    trajectories."""
     gens = [_gen(2, (G, r * G), kappa=0.19, gamma=0.04)[1] for r, _ in runs]
     grids = [np.linspace(0.0, t_end, 62) for _, t_end in runs]
     lay = gens[0].layout
     chi0, chi1 = analytic.single_excitation_states(lay, (G, 0.6 * G))
     psi0 = fs.basis_state(lay, 1, "gg")
     return dyn.integrate(
-        gens[0] if len(runs) == 1 else gens, psi0, grids[0] if len(runs) == 1 else grids,
+        gens, psi0, grids,
         track=("populations", "n_photon", "entropies", "concurrence"),
         projections={"P_chi0": chi0, "P_chi1": chi1, **(extra_projections or {})},
     )
@@ -885,7 +897,7 @@ def test_chunked_run_equals_one_chunk(runs, monkeypatch):
     # the tomography columns fix the state, so equal columns mean equal states
     tomography = tomography_kets(HilbertLayout(n_max=2, n_atoms=2), 1)
     # each run alone, in one chunk
-    one = [_two_atom_observables_run(tomography, (run,)) for run in runs]
+    one = [_two_atom_observables_run(tomography, (run,))[0] for run in runs]
     # one photon from |1gg>: the chunk holds 3 x 3 outer products of kets on
     # |0ge>, |0eg>, |1gg> of the d = 12 space
     assert dyn.chunk_states(3) >= 62  # the reference fits one chunk
@@ -894,7 +906,6 @@ def test_chunked_run_equals_one_chunk(runs, monkeypatch):
     monkeypatch.setattr(dyn, "CHUNK_BYTES", 7 * 16 * 3 * 3)
     assert dyn.chunk_states(3) == 7
     many = _two_atom_observables_run(tomography, runs)
-    many = [many] if len(runs) == 1 else many
     for alone, chunked in zip(one, many, strict=True):
         assert chunked.column_order == alone.column_order
         assert chunked.times.tobytes() == alone.times.tobytes()
@@ -928,23 +939,23 @@ def test_hermiticity_gate_names_first_time(monkeypatch):
     psi0, ts = fs.basis_state(lay, 2, "g"), np.linspace(0.0, 50.0, 51)
     skew_x(monkeypatch, 13, 1e-10)
     with pytest.raises(dyn.IntegrationError) as one:
-        dyn.integrate(gen, psi0, ts)
+        dyn.integrate([gen], psi0, [ts])
     assert str(one.value) == (
         "Hermiticity deviation 2.000e-10 of x at t=13 ns exceeds tolerance 1e-10")
     # 5 output times per chunk: t = 13 ns is the fourth of the third chunk
     monkeypatch.setattr(dyn, "CHUNK_BYTES", 5 * 16 * 2**2)
     with pytest.raises(dyn.IntegrationError) as chunked:
-        dyn.integrate(gen, psi0, ts)
+        dyn.integrate([gen], psi0, [ts])
     assert str(chunked.value) == str(one.value)
     # a deviation below HERM_TOL passes
     monkeypatch.undo()
     skew_x(monkeypatch, 13, 4e-11)
-    dyn.integrate(gen, psi0, ts)
+    dyn.integrate([gen], psi0, [ts])
 
 
 def _csv_cases() -> list:
     """Trajectories whose CSVs test the writer's pieces and blocks."""
-    traj = _two_atom_observables_run()
+    [traj] = _two_atom_observables_run()
     # the populations above one excitation are not held: they read +0.0
     # throughout and are written as a constant.  Added columns are held and
     # converted: one of +0.0, one of -0.0, whose repr is "-0.0", and one with
@@ -1004,7 +1015,7 @@ def test_a_file_cut_at_a_block_edge_is_its_head_and_its_tail(monkeypatch):
     # block, the rows before each block edge (after the schema line and the
     # header) and the rows from it on are the whole file
     cfg = parse_config('scenario = "fig2_single_atom"\nt_end_ns = 0.05\n')
-    traj = runner.trajectory(cfg, SCENARIOS[cfg.scenario].plan(cfg).runs[0])
+    [traj] = runner.trajectory(cfg, [SCENARIOS[cfg.scenario].plan(cfg).runs[0]])
     assert traj.times.size == 1001
     assert traj.series("n_photon").tobytes() == traj.series("pop_1g").tobytes()
     monkeypatch.setattr(dyn, "CSV_BLOCK_ROWS", 64)

@@ -188,7 +188,7 @@ def test_splitting_matches_trajectory_measurement():
     psi0 = fs.basis_state(lay, 1, "gg")
     omega = G * np.hypot(1, alpha)
     ts = np.linspace(0, 1.2 * np.pi / omega, 601)
-    traj = dyn.integrate(gen, psi0, ts)
+    [traj] = dyn.integrate([gen], psi0, [ts])
     measured = ent.trajectory_splitting(traj.series("pop_0eg"), traj.series("pop_0ge"))
     assert measured == pytest.approx(ent.splitting_magnitude(alpha), abs=1e-6)
 
@@ -226,7 +226,7 @@ def test_peak_concurrence_matches_closed_form(alpha):
     psi0 = fs.basis_state(lay, 1, "gg")
     omega = G * np.hypot(1, alpha)
     ts = np.linspace(0, 1.1 * np.pi / omega, 1201)
-    traj = dyn.integrate(gen, psi0, ts, track=("populations", "concurrence"))
+    [traj] = dyn.integrate([gen], psi0, [ts], track=("populations", "concurrence"))
     peak = np.max(traj.series("C_BC"))
     assert peak == pytest.approx(2 * alpha / (1 + alpha**2), abs=1e-4)
 

@@ -30,7 +30,7 @@ def test_layout_basis_indices_fit_int64():
 
 def test_annihilation_ladder_action():
     lay = HilbertLayout(n_max=1, n_atoms=1)
-    a = model.lowering_operator(lay, 0)
+    a = model.lowering_operator(lay, 0, np.arange(lay.dim))
     one = dense(lay, fs.basis_state(lay, 1, "g"))
     zero = dense(lay, fs.basis_state(lay, 0, "g"))
     assert np.allclose(a @ one, zero)        # a|1> = |0>, amplitude sqrt(1)=1
@@ -40,7 +40,7 @@ def test_annihilation_ladder_action():
 def test_annihilation_matrix_element_sqrt3():
     # ladder rule oracle: <2|a|3> = sqrt(3)
     lay = HilbertLayout(n_max=3, n_atoms=1)
-    a = model.lowering_operator(lay, 0)
+    a = model.lowering_operator(lay, 0, np.arange(lay.dim))
     bra = dense(lay, fs.basis_state(lay, 2, "g"))
     ket = dense(lay, fs.basis_state(lay, 3, "g"))
     assert bra.conj() @ a @ ket == pytest.approx(np.sqrt(3.0), abs=1e-15)
@@ -48,7 +48,7 @@ def test_annihilation_matrix_element_sqrt3():
 
 def test_atom_lowering_single_atom():
     lay = HilbertLayout(n_max=1, n_atoms=1)
-    sm = model.lowering_operator(lay, 1)
+    sm = model.lowering_operator(lay, 1, np.arange(lay.dim))
     assert np.allclose(sm @ dense(lay, fs.basis_state(lay, 0, "e")),
                        dense(lay, fs.basis_state(lay, 0, "g")))
     assert np.allclose(sm @ dense(lay, fs.basis_state(lay, 0, "g")), 0.0)
@@ -56,7 +56,7 @@ def test_atom_lowering_single_atom():
 
 def test_atom_lowering_acts_only_on_its_atom():
     lay = HilbertLayout(n_max=1, n_atoms=2)
-    s2 = model.lowering_operator(lay, 2)
+    s2 = model.lowering_operator(lay, 2, np.arange(lay.dim))
     assert np.allclose(s2 @ dense(lay, fs.basis_state(lay, 0, "ge")),
                        dense(lay, fs.basis_state(lay, 0, "gg")))
     assert np.allclose(s2 @ dense(lay, fs.basis_state(lay, 0, "eg")), 0.0)
@@ -68,7 +68,7 @@ def test_lowering_projector_spectrum(n_max, n_atoms):
     # full eigendecomposition oracle: sigma^dag sigma has eigenvalues in {0,1}
     lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
     for i in range(1, n_atoms + 1):
-        sm = model.lowering_operator(lay, i)
+        sm = model.lowering_operator(lay, i, np.arange(lay.dim))
         evals = np.linalg.eigvalsh(sm.conj().T @ sm)
         assert np.all((np.abs(evals) < 1e-12) | (np.abs(evals - 1) < 1e-12))
 
@@ -78,7 +78,7 @@ def test_atom_index_out_of_range():
     lay = HilbertLayout(n_max=1, n_atoms=2)
     for bad in (3, -1):
         with pytest.raises(ValueError):
-            model.lowering_operator(lay, bad)
+            model.lowering_operator(lay, bad, np.arange(lay.dim))
         with pytest.raises(ValueError):
             fs.factor_index(lay, np.arange(lay.dim), (bad,))
 
@@ -137,7 +137,7 @@ def test_basis_state_rejects_out_of_range():
 def test_truncated_commutator_identity(n_max, n_atoms):
     # [a, a^dag] = I - (n_max+1)|n_max><n_max| on the photon factor
     lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
-    a = model.lowering_operator(lay, 0)
+    a = model.lowering_operator(lay, 0, np.arange(lay.dim))
     ad = a.conj().T
     comm = a @ ad - ad @ a
     top = np.zeros((n_max + 1, n_max + 1), dtype=complex)
@@ -148,7 +148,7 @@ def test_truncated_commutator_identity(n_max, n_atoms):
 
 def test_atom_operators_commute_across_atoms():
     lay = HilbertLayout(n_max=2, n_atoms=3)
-    ops = [model.lowering_operator(lay, i) for i in (1, 2, 3)]
+    ops = [model.lowering_operator(lay, i, np.arange(lay.dim)) for i in (1, 2, 3)]
     for i in range(3):
         for j in range(i + 1, 3):
             assert np.max(np.abs(ops[i] @ ops[j] - ops[j] @ ops[i])) == 0.0
@@ -159,10 +159,10 @@ def test_embedding_against_kron_oracle(n_max, n_atoms):
     lay = HilbertLayout(n_max=n_max, n_atoms=n_atoms)
     assert lay.dim <= 64
     a = embed_oracle(lay, 0, ladder_block(n_max))
-    assert np.max(np.abs(model.lowering_operator(lay, 0) - a)) == 0.0
+    assert np.max(np.abs(model.lowering_operator(lay, 0, np.arange(lay.dim)) - a)) == 0.0
     for i in range(1, n_atoms + 1):
         sm = embed_oracle(lay, i, SIGMA_MINUS_BLOCK)
-        assert np.max(np.abs(model.lowering_operator(lay, i) - sm)) == 0.0
+        assert np.max(np.abs(model.lowering_operator(lay, i, np.arange(lay.dim)) - sm)) == 0.0
 
 
 def test_excitation_number_diagonal():

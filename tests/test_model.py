@@ -44,14 +44,14 @@ def test_params_validation():
 
 def test_zero_coupling_resonant_rotating_hamiltonian_is_zero():
     lay = HilbertLayout(n_max=1, n_atoms=1)
-    h = model.build_hamiltonian(lay, _params(couplings=(0.0,)))
+    [h] = model.build_hamiltonian(lay, [_params(couplings=(0.0,))], np.arange(lay.dim))
     assert np.max(np.abs(h)) == 0.0
 
 
 def test_single_atom_polariton_splitting():
     # 2x2 eigendecomposition oracle on the single-excitation block
     lay = HilbertLayout(n_max=1, n_atoms=1)
-    h = model.build_hamiltonian(lay, _params())
+    [h] = model.build_hamiltonian(lay, [_params()], np.arange(lay.dim))
     block_idx = [lay.basis_index(1, "g"), lay.basis_index(0, "e")]
     block = h[np.ix_(block_idx, block_idx)]
     oracle = np.linalg.eigvalsh(np.array([[0.0, G], [G, 0.0]]))
@@ -62,7 +62,7 @@ def test_single_atom_polariton_splitting():
 def test_two_atom_dicke_enhanced_splitting():
     # 3x3 eigendecomposition oracle: eigenvalues {0, +-sqrt(2) g}
     lay = HilbertLayout(n_max=1, n_atoms=2)
-    h = model.build_hamiltonian(lay, _params(couplings=(G, G)))
+    [h] = model.build_hamiltonian(lay, [_params(couplings=(G, G))], np.arange(lay.dim))
     idx = [lay.basis_index(1, "gg"), lay.basis_index(0, "eg"), lay.basis_index(0, "ge")]
     block = h[np.ix_(idx, idx)]
     oracle = np.array([[0, G, G], [G, 0, 0], [G, 0, 0]])
@@ -78,13 +78,14 @@ def test_two_atom_dicke_enhanced_splitting():
 def test_hamiltonian_exactly_hermitian():
     lay = HilbertLayout(n_max=2, n_atoms=2)
     p = _params(couplings=(G, 0.7 * G), detuning=1.3)
-    h = model.build_hamiltonian(lay, p)
+    [h] = model.build_hamiltonian(lay, [p], np.arange(lay.dim))
     assert np.array_equal(h, h.conj().T)
 
 
 def test_excitation_number_commutes_with_hamiltonian():
     lay = HilbertLayout(n_max=2, n_atoms=2)
-    h = model.build_hamiltonian(lay, _params(couplings=(G, 0.7 * G), detuning=2.0))
+    p = _params(couplings=(G, 0.7 * G), detuning=2.0)
+    [h] = model.build_hamiltonian(lay, [p], np.arange(lay.dim))
     n_ex = np.diag(excitations(lay))
     assert np.max(np.abs(h @ n_ex - n_ex @ h)) < 1e-12
 
@@ -121,14 +122,14 @@ def test_builders_match_the_kron_oracle(n_max, n_atoms, rng):
     couplings = tuple(G * (0.4 + 0.37 * i) for i in range(n_atoms))  # unequal
     # all states, the states up to each excitation number, and half of
     # them in random order, which no operator maps into themselves
-    keeps = [None] + [np.flatnonzero(exc <= top) for top in range(n_max + 1)]
+    keeps = [np.arange(lay.dim)] + [np.flatnonzero(exc <= top) for top in range(n_max + 1)]
     keeps.append(rng.permutation(lay.dim)[: lay.dim // 2])
     p = _params(couplings=couplings, detuning=0.7, kappa=0.3, gamma=0.11)
     h, collapse = _kron_operators(lay, p)
     gen = model.build_generator(lay, p)
     for keep in keeps:
-        block = np.s_[:, :] if keep is None else np.ix_(keep, keep)
-        assert np.max(np.abs(model.build_hamiltonian(lay, p, keep) - h[block])) == 0.0
+        block = np.ix_(keep, keep)
+        assert np.max(np.abs(model.build_hamiltonian(lay, [p], keep)[0] - h[block])) == 0.0
         built = model.collapse_operators(gen, keep)
         assert [r for r, _, _ in built] == [r for r, _ in collapse]
         for (_, op, anti), (_, L) in zip(built, collapse):
@@ -141,7 +142,7 @@ def test_builders_match_the_kron_oracle(n_max, n_atoms, rng):
 def test_generator_layout_mismatch():
     lay = HilbertLayout(n_max=1, n_atoms=2)
     with pytest.raises(ValueError):
-        model.build_hamiltonian(lay, _params(couplings=(G,)))
+        model.build_hamiltonian(lay, [_params(couplings=(G,))], np.arange(lay.dim))
 
 
 def test_rhs_zero_for_maximally_mixed_unitary():
@@ -174,7 +175,7 @@ def test_liouvillian_matches_rhs(rng):
     lay = HilbertLayout(n_max=2, n_atoms=2)
     p = _params(couplings=(G, 0.5 * G), kappa=0.2, gamma=0.04, detuning=0.8)
     gen = model.build_generator(lay, p)
-    liou = model.liouvillian_matrix(gen)
+    liou = model.liouvillian_matrix(gen, np.arange(lay.dim))
     for _ in range(5):
         rho = random_density_matrix(lay.dim, rng)
         direct = lindblad_rhs(gen, rho)
@@ -189,7 +190,7 @@ def test_liouvillian_on_kept_states_restricts_the_full_one():
     kept = np.flatnonzero(excitations(lay) <= 1)
     inside = (kept[:, None] * lay.dim + kept).ravel()  # vec index of |k><l|
     outside = np.setdiff1d(np.arange(lay.dim**2), inside)
-    full = model.liouvillian_matrix(gen)
+    full = model.liouvillian_matrix(gen, np.arange(lay.dim))
     # operators on the kept states are mapped into themselves ...
     assert not np.any(full[np.ix_(outside, inside)])
     # ... by the full generator's block
@@ -204,7 +205,7 @@ def test_atom_decay_matches_closed_form():
     gen = model.build_generator(lay, _params(couplings=(0.0,), gamma=gamma))
     psi0 = fs.basis_state(lay, 0, "e")
     ts = np.linspace(0.0, 20.0, 201)
-    traj = dyn.integrate(gen, psi0, ts)
+    [traj] = dyn.integrate([gen], psi0, [ts])
     assert np.max(np.abs(traj.series("pop_0e") - np.exp(-gamma * ts))) < 1e-8
 
 
@@ -215,14 +216,14 @@ def test_photon_decay_matches_closed_form():
     gen = model.build_generator(lay, _params(couplings=(0.0,), kappa=kappa))
     psi0 = fs.basis_state(lay, 2, "g")
     ts = np.linspace(0.0, 10.0, 201)
-    traj = dyn.integrate(gen, psi0, ts)
+    [traj] = dyn.integrate([gen], psi0, [ts])
     assert np.max(np.abs(traj.series("n_photon") - 2.0 * np.exp(-kappa * ts))) < 1e-8
 
 
 def test_detuned_hamiltonian_shifts_block():
     lay = HilbertLayout(n_max=1, n_atoms=1)
     delta = 2.0
-    h = model.build_hamiltonian(lay, _params(detuning=delta))
+    [h] = model.build_hamiltonian(lay, [_params(detuning=delta)], np.arange(lay.dim))
     e_state = dense(lay, fs.basis_state(lay, 0, "e"))
     g_state = dense(lay, fs.basis_state(lay, 0, "g"))
     assert e_state.conj() @ h @ e_state == pytest.approx(delta / 2)
@@ -235,8 +236,8 @@ def test_stacked_hamiltonians_equal_each_alone():
     stack = [_params(couplings=(G, 0.0)), _params(couplings=(0.3 * G, 1.7 * G), detuning=-2.5),
              _params(couplings=(G, G), detuning=1.0)]
     keep = np.flatnonzero(excitations(lay) == 1)
-    for states in (None, keep):
+    for states in (np.arange(lay.dim), keep):
         h = model.build_hamiltonian(lay, stack, states)
         assert h.shape[0] == len(stack)
         for p, each in zip(stack, h, strict=True):
-            assert each.tobytes() == model.build_hamiltonian(lay, p, states).tobytes()
+            assert each.tobytes() == model.build_hamiltonian(lay, [p], states)[0].tobytes()

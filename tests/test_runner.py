@@ -78,6 +78,31 @@ def test_fig5_single_point_sweep_gives_one_trajectory(tmp_path):
     assert report.summary["max_reduction_pct"] < 0.05
 
 
+def test_rerun_into_a_directory_leaves_what_a_fresh_run_writes(tmp_path):
+    # the trajectory files and tables of an earlier run that this one does
+    # not write are removed, and no other file: a 3-point fig5 map, then a
+    # 1-point one; fig4, whose alpha_map.csv fig2 does not write, then fig2
+    sweep = ('scenario = "fig5_position_map"\n'
+             "[sweep.delta_x_nm]\nmin = 0.0\nmax = {}\nsteps = {}\n"
+             "[sweep.delta_y_nm]\nmin = 0.0\nmax = 0.0\nsteps = 1\n")
+    fig2, fig4 = ('scenario = "fig2_single_atom"\n', 'scenario = "fig4_correlations"\n')
+    for name, (earlier, later) in {"fig5": (sweep.format(20.0, 3), sweep.format(0.0, 1)),
+                                   "fig4_fig2": (fig4, fig2)}.items():
+        reused = tmp_path / name
+        run_scenario(parse_config(earlier), output_dir=str(reused))
+        (reused / "notes.csv").write_text("not an output\n")
+        run_scenario(parse_config(later), output_dir=str(reused))
+        assert (reused / "notes.csv").read_text() == "not an output\n"
+        (reused / "notes.csv").unlink()
+        fresh = tmp_path / f"{name}_fresh"
+        run_scenario(parse_config(later), output_dir=str(fresh))
+        names = sorted(os.listdir(reused))
+        assert names == sorted(os.listdir(fresh))
+        assert filecmp.cmpfiles(reused, fresh, names, shallow=False)[0] == names
+    assert not (tmp_path / "fig4_fig2" / "alpha_map.csv").exists()
+    assert len(list((tmp_path / "fig5").glob("traj_*.csv"))) == 1
+
+
 TRAP_ROWS = {"trap_mean_peak_concurrence", "trap_min_peak_concurrence_2sigma"}
 
 
@@ -146,7 +171,7 @@ def test_rabi_frequency_fft_cross_check():
     )
     psi0 = fs.basis_state(lay, 1, "g")
     ts = np.linspace(0.0, 20 * np.pi / g, 4001)
-    traj = dyn.integrate(gen, psi0, ts)
+    [traj] = dyn.integrate([gen], psi0, [ts])
     series = traj.series("pop_0e")
     freqs = np.fft.rfftfreq(len(ts), d=ts[1] - ts[0])
     spectrum = np.abs(np.fft.rfft(series - series.mean()))
@@ -260,7 +285,7 @@ def test_sweep_points_propagate_as_one_stack_each_as_alone(name, monkeypatch):
     assert sizes == [1] * (4 if name == "fig4" else 0) + [5]  # the sweep in one call
     # each point as one run alone, as a fixed run propagates
     plan = SCENARIOS[cfg.scenario].plan(cfg)
-    alone = [_arrays(runner.trajectory(cfg, run)) for _, run in plan.sweep.points(cfg)]
+    alone = [_arrays(runner.trajectory(cfg, [run])[0]) for _, run in plan.sweep.points(cfg)]
     assert stacked[-5:] == alone
     # the t = 0 entropies are -0.0, and stay so
     assert np.signbit(np.frombuffer(dict(alone[-1])["S_B"])[0])
@@ -431,7 +456,7 @@ def test_one_photon_runs_match_the_no_jump_oracle(name):
     runs = [run for run in plan_runs(plan, cfg) if run.n_photons == 1]
     assert len(runs) == {"detuned_fig3": 2, "fig5_2x2": 4}.get(name, len(plan.runs))
     for run in runs:
-        traj = runner.trajectory(cfg, run)
+        [traj] = runner.trajectory(cfg, [run])
         n = run.n_atoms
         h_eff = np.diag([-0.5j * kappa] + [ghz_to_angular(cfg.detuning_ghz) - 0.5j * gamma] * n)
         h_eff[0, 1:] = h_eff[1:, 0] = [ghz_to_angular(g) for g in run.couplings_ghz]
