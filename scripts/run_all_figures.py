@@ -5,11 +5,12 @@ Usage: python scripts/run_all_figures.py [output_root]
 
 Writes one directory per scenario under output_root (default ./runs) and
 prints each scenario's run time in ms and its summary scalars.  Medians
-of 11 fresh processes, in two sets, on a noisy 2-core host (Python
-3.11.7, numpy 2.4.6): 0.40 s of run time with OMP_NUM_THREADS=1 and
-0.32-0.35 s with two BLAS threads, of which the two fig5 maps take
-0.23 and 0.17-0.19 s (all 81 points of a map propagate as one stack) and
-wstate_n3 9-11 ms; the whole process takes 0.60-0.63 and 0.50-0.55 s.
+of 11 fresh processes at each BLAS thread count, alternated, on a noisy
+2-core host (Python 3.11.7, numpy 2.4.6): 0.63 s of run time with
+OMP_NUM_THREADS=1 and with two threads, of which the two fig5 maps take
+0.18 s each (all 81 points of a map propagate as one stack) and
+wstate_n3 19 ms; the whole process takes 0.95 and 0.94 s.  The outputs
+are the same bytes at either count.
 """
 
 import sys

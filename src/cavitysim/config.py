@@ -44,6 +44,7 @@ Example::
     steps = 9
 """
 
+import bisect
 import functools
 import itertools
 import json
@@ -543,13 +544,13 @@ def _log2_peak_bytes(cfg: ExperimentConfig, plan: Plan) -> tuple:
     estimated at 74 794 B and traces about 251 300 B in a fresh process's
     first `cli.main(["run", ...])`, about 40 700 B in its second.  Where
     the kept trajectories are written on several processes at once
-    (trajectory_writers), each holds a writer's text."""
+    (writer_shares), each holds a writer's text."""
     points = math.prod(ax.steps for ax in plan.sweep.axes) if plan.sweep else 0
     point = plan.sweep.run(cfg, 0.0) if plan.sweep else None  # sized alike at any alpha
-    rows = sum(run.outputs() for run in plan.runs)
-    if plan.sweep and plan.sweep.name:
-        rows += points * point.outputs()
-    writers = trajectory_writers(rows)
+    rows = {run.name: run.outputs() for run in plan.runs}
+    if plan.sweep and plan.sweep.name:  # its files as one: their total sets the count
+        rows["sweep points"] = points * point.outputs()
+    writers = len(writer_shares(rows))
 
     def footprint(run: Run, stack: int = 1) -> tuple:  # four projections at most
         return dyn.footprint(run.layout(), run.n_photons, cfg.lossy, run.track,
@@ -588,20 +589,41 @@ def _usable_cpus() -> int:
 
 
 # Blocks of dynamics.CSV_BLOCK_ROWS rows by which a forked writer's share
-# is planned shorter than this process's (runner._shares).  A child starts
+# is planned shorter than this process's (writer_shares).  A child starts
 # about 1.2 ms later, and on a 2-core host shared with other load its CPU
 # often writes at half speed; with equal shares, fig2's parent mostly
 # waited for its child.
 CHILD_BLOCKS = 2
 
 
-def trajectory_writers(rows: int) -> int:
-    """Number of processes runner.write_trajectories writes trajectory
-    files of `rows` rows in all on: one per CPU this process may run on,
-    while runner._shares plans each forked one a block of rows at least,
-    (rows - CHILD_BLOCKS blocks) / writers; one where it cannot fork."""
-    size = dyn.CSV_BLOCK_ROWS
-    return max(1, min(rows // size - CHILD_BLOCKS, _usable_cpus())) if hasattr(os, "fork") else 1
+def writer_shares(rows: dict) -> list:
+    """The shares, one per writer process, in which runner.write_trajectories
+    writes files of rows[name] rows: lists of pieces (name, start, stop),
+    the files in name order cut only where a block of CSV_BLOCK_ROWS rows
+    starts.  A share per CPU while each child's is planned a block at
+    least, (total - CHILD_BLOCKS blocks) / shares, so the total alone sets
+    the count; one where the OS cannot fork.  The first, this process's,
+    is planned CHILD_BLOCKS blocks longer than each other; each cut is at
+    the block edge nearest its planned row (the earlier of two as near),
+    and an empty file there starts the later share."""
+    size, child = dyn.CSV_BLOCK_ROWS, CHILD_BLOCKS * dyn.CSV_BLOCK_ROWS
+    names = sorted(rows)
+    starts = [0, *itertools.accumulate(rows[name] for name in names)]
+    count = max(1, min(starts[-1] // size - CHILD_BLOCKS, _usable_cpus())) if hasattr(os, "fork") else 1
+    own = (starts[-1] + (count - 1) * child) / count
+    cuts = []
+    for i in range(1, count):
+        planned = i * own - (i - 1) * child  # the rows before share i
+        f = bisect.bisect_right(starts, planned, hi=len(names)) - 1  # the file it falls in
+        below = starts[f] + int(planned - starts[f]) // size * size
+        above = min(below + size, starts[f + 1])
+        cuts.append(below if planned - below <= above - planned else above)
+    shares = [[] for _ in range(count)]
+    for name, start, stop in zip(names, starts, starts[1:]):
+        edges = [start, *(cut for cut in cuts if start < cut < stop), stop]
+        for first, last in zip(edges, edges[1:]):
+            shares[bisect.bisect_right(cuts, first)].append((name, first - start, last - start))
+    return shares
 
 
 def _is_int(v) -> bool:

@@ -23,16 +23,16 @@ repr(), and nothing records wall time.  The `workers` field is accepted
 and ignored.  What runs where:
   - the plan (every propagation, observable and fit) runs in this process,
     its points and output times in stacks, on one CPU;
-  - the traj_*.csv files, most of a default run's time, are written on
-    config.trajectory_writers processes, up to the CPUs where each child
-    is planned at least a block of dynamics.CSV_BLOCK_ROWS rows: this one
-    and a child forked for each other share (write_trajectories).  A share
-    is a run of the files' rows in name order, cut only at a block edge,
-    of about equal rows but for this process's, planned CHILD_BLOCKS
-    blocks longer; so a long file may be written by two, and the piece
-    that starts inside it goes through a temporary file, appended once
-    every share is written.  The files of one config are the same bytes
-    on any number of writers;
+  - the traj_*.csv files, most of a default run's time, are written in
+    the shares of config.writer_shares, one per CPU while each child is
+    planned at least a block of dynamics.CSV_BLOCK_ROWS rows: this process
+    writes the first, and a child forked for each other share writes that
+    one (write_trajectories).  A share is a run of the files' rows in name
+    order, cut only at a block edge, of about equal rows but for this
+    process's, planned CHILD_BLOCKS blocks longer; so a long file may be
+    written by two, and the piece that starts inside it goes through a
+    temporary file, appended once every share is written.  The files of
+    one config are the same bytes on any number of writers;
   - this process writes config.txt before them, and the tables,
     summary.csv and manifest.json once every trajectory file is written.
 Known limit: Python >= 3.12 warns (DeprecationWarning) on a fork in a
@@ -42,7 +42,6 @@ process that runs threads, such as BLAS's; a writer child calls no BLAS.
 import contextlib
 import fnmatch
 import hashlib
-import itertools
 import json
 import os
 import pickle
@@ -53,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__, dynamics as dyn, fockspace as fs
-from .config import CHILD_BLOCKS, SCENARIOS, ExperimentConfig, canonical_text, trajectory_writers
+from .config import SCENARIOS, ExperimentConfig, canonical_text, writer_shares
 from .model import SystemParams, build_generator
 from .units import ghz_to_angular, mhz_to_angular
 
@@ -147,37 +146,6 @@ def _write_rows_csv(path: str, rows: list):
             fh.write(",".join(repr(float(row[c])) for c in cols) + "\n")
 
 
-def _shares(runs: dict, writers: int) -> list:
-    """The trajectories' rows in `writers` contiguous shares, as lists of
-    pieces (name, start, stop): the files in name order, cut only where a
-    block of dyn.CSV_BLOCK_ROWS rows starts.  The first share, this
-    process's, is planned CHILD_BLOCKS blocks of rows longer than each
-    other, which a forked child writes, and each cut is made at the block
-    edge nearest its planned place (the earlier of two as near), with at
-    least one block in every share."""
-    size = dyn.CSV_BLOCK_ROWS
-    blocks = [(name, start, min(start + size, rows))
-              for name in sorted(runs) for rows in [runs[name].times.size]
-              for start in range(0, max(rows, 1), size)]
-    edges = [0, *itertools.accumulate(stop - start for _, start, stop in blocks)]
-    child = CHILD_BLOCKS * size  # the rows a child's share is planned shorter by
-    own = (edges[-1] + (writers - 1) * child) / writers
-    cuts = [0]
-    for i in range(1, writers):
-        planned = i * own - (i - 1) * child  # the rows before share i
-        cuts.append(min(range(cuts[-1] + 1, len(blocks) - writers + i + 1),
-                        key=lambda k: abs(edges[k] - planned)))
-    shares = []
-    for first, last in zip(cuts, cuts[1:] + [len(blocks)]):
-        share = []
-        for name, start, stop in blocks[first:last]:
-            if share and share[-1][0] == name:
-                start = share.pop()[1]
-            share.append((name, start, stop))
-        shares.append(share)
-    return shares
-
-
 def _write_share(out: str, runs: dict, share: list, tails: dict) -> None:
     """Write each piece of `share`: a file's first to traj_<name>.csv, any
     other to its temporary file in `tails`, flushed."""
@@ -204,10 +172,10 @@ def _reap(pid: int, fd: int) -> tuple:
 
 
 def write_trajectories(out: str, runs: dict) -> None:
-    """Write traj_<name>.csv in `out` for each trajectory of `runs`, on
-    config.trajectory_writers processes, as many as the CPUs and the rows
-    allow: this one writes the first of _shares, and a child forked for
-    each other share writes that one (with one writer, this one writes
+    """Write traj_<name>.csv in `out` for each trajectory of `runs`, a
+    process for each of config.writer_shares, as many as the CPUs and the
+    rows allow: this one writes the first share, and a child forked for
+    each other share writes that one (with one share, this one writes
     every file, and it writes a share whose fork fails).  A piece that
     starts inside a file goes to an unnamed temporary file in `out`,
     opened here before any fork, and is appended to its file, in order,
@@ -218,8 +186,7 @@ def write_trajectories(out: str, runs: dict) -> None:
     this returns or raises; then what this process raised, or else what a
     child raised, is raised (an OSError for a child that ended with no
     word), and nothing is appended."""
-    rows = sum(traj.times.size for traj in runs.values())
-    own, *others = _shares(runs, trajectory_writers(rows))
+    own, *others = writer_shares({name: traj.times.size for name, traj in runs.items()})
     with contextlib.ExitStack() as temporary:
         tails = {piece: temporary.enter_context(tempfile.TemporaryFile(
                      "w+", encoding="utf-8", newline="\n", dir=out))

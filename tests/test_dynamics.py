@@ -849,9 +849,7 @@ def test_integrate_allocates_by_its_allocation_plan(monkeypatch):
     # for one plan, and expm's two inputs, the ket step's generator and the
     # block, have its shapes
     lay, gen = _gen(3, (G, 0.6 * G), kappa=0.19, gamma=0.04)
-    plans, inputs = [], []
-    plan, exact = dyn.allocations, dyn.expm
-    monkeypatch.setattr(dyn, "allocations", lambda *args: plans.append(plan(*args)) or plans[-1])
+    plans, inputs, exact = _recorded_plans(monkeypatch), [], dyn.expm
     monkeypatch.setattr(dyn, "expm", lambda a: inputs.append(a.shape) or exact(a))
     dyn.integrate([gen, gen], fs.basis_state(lay, 2, "gg"), [np.linspace(0.0, 0.1, 11)] * 2)
     (arrays,) = plans
@@ -870,9 +868,63 @@ def test_integrate_allocates_by_its_allocation_plan(monkeypatch):
     assert arrays["feed"].copies == 0
 
 
-def test_chunk_holds_about_one_mebibyte():
-    assert dyn.chunk_states(12) == 2**20 // (16 * 144)
-    assert dyn.chunk_states(4096) == 1
+CHUNK_ARRAYS = ("lower", "pops", "projections", "entropy", "concurrence")
+
+
+def _state_bytes(arrays) -> int:
+    """Bytes of a plan's observable chunk arrays per state of the chunk."""
+    return sum(arrays[n].nbytes * arrays[n].copies for n in CHUNK_ARRAYS) // arrays["pops"].shape[0]
+
+
+def _chunks(arrays) -> int:
+    """Number of chunks that a plan's observables are evaluated in."""
+    return math.ceil(math.prod(arrays["grid"].shape) / arrays["pops"].shape[0])
+
+
+def _recorded_plans(monkeypatch) -> list:
+    """Record the allocation plan of each integrate call, in the list returned."""
+    plans, plan = [], dyn.allocations
+    monkeypatch.setattr(dyn, "allocations",
+                        lambda *args, **kwargs: plans.append(plan(*args, **kwargs)) or plans[-1])
+    return plans
+
+
+def test_chunk_holds_its_own_arrays_in_chunk_bytes():
+    # lossless N = 50 from one photon, with entropies and concurrence: per
+    # state, 3 copies of the 51 populations, 6 of the photon's spectrum on
+    # 3 levels and 8 of a pair's 4 populations, 1624 B; 2582 of them fit
+    # in CHUNK_BYTES, so the 1201 outputs are one chunk and 4 runs of them 2
+    assert dyn.CHUNK_BYTES == 2**22
+    track = ("entropies", "concurrence")
+    one = dyn.allocations(51, 0, 1, 1201, track=track, photon_dim=3)
+    assert _state_bytes(one) == 8 * (3 * 51 + 6 * 3 + 8 * 4) == 1624
+    assert (one["pops"].shape, _chunks(one)) == ((1201, 51), 1)
+    four = dyn.allocations(51, 0, 4, 1201, track=track, photon_dim=3)
+    assert (four["pops"].shape, _chunks(four)) == ((2**22 // 1624, 51), 2)
+    # x's check and the projections count too: from two photons with four
+    # projections, 3 copies of x's 4 x 4 entries and 2 of each projection's
+    # 1 + 4 amplitudes; the tracked columns alone
+    lossy = dyn.allocations(10, 4, 1, 10**5, projections=4)
+    assert _state_bytes(lossy) == 3 * 16 * 16 + 3 * 8 * 14 + 2 * 16 * 4 * 5 == 1744
+    # a state larger than CHUNK_BYTES is a chunk of its own
+    assert dyn.allocations(2**18, 0, 1, 10)["pops"].shape == (1, 2**18)
+    # the feed is sized by its outer products alone: as many steps of the
+    # two runs as their 10 x 10 forms fit in CHUNK_BYTES
+    feed = dyn.allocations(10, 4, 2, 10**5)["feed"]
+    assert feed.shape == (2, 2**22 // (16 * 100 * 2), 100)
+    assert dyn.allocations(10, 4, 2, 11)["feed"].shape == (2, 11, 100)
+
+
+def test_lossless_fifty_atoms_evaluate_in_at_most_two_chunks(monkeypatch):
+    # 1201 outputs of 51 populations, 51 entropies and 1225 concurrences:
+    # sized by their d_n^2 outer products, they took 49 chunks
+    cfg = parse_config('scenario = "n_atom_wstate"\nn_atoms = 50\nlossless = true\n'
+                       'observables = ["entropies", "concurrence"]\n')
+    plans = _recorded_plans(monkeypatch)
+    runner.run_plan(cfg)
+    (arrays,) = plans
+    assert arrays["psi"].shape == (1, 1201, 51)
+    assert _chunks(arrays) <= 2
 
 
 def _two_atom_observables_run(extra_projections=None, runs=((0.6, 0.3),)):
@@ -896,16 +948,16 @@ def _two_atom_observables_run(extra_projections=None, runs=((0.6, 0.3),)):
 def test_chunked_run_equals_one_chunk(runs, monkeypatch):
     # the tomography columns fix the state, so equal columns mean equal states
     tomography = tomography_kets(HilbertLayout(n_max=2, n_atoms=2), 1)
+    plans = _recorded_plans(monkeypatch)
     # each run alone, in one chunk
     one = [_two_atom_observables_run(tomography, (run,))[0] for run in runs]
-    # one photon from |1gg>: the chunk holds 3 x 3 outer products of kets on
-    # |0ge>, |0eg>, |1gg> of the d = 12 space
-    assert dyn.chunk_states(3) >= 62  # the reference fits one chunk
-    # 7 output times per chunk: 62 outputs span 9 chunks, the last one
-    # partial; a stack's 186 outputs span 27, some across two runs
-    monkeypatch.setattr(dyn, "CHUNK_BYTES", 7 * 16 * 3 * 3)
-    assert dyn.chunk_states(3) == 7
+    assert [_chunks(arrays) for arrays in plans] == [1] * len(runs)
+    # 7 states per chunk: 62 outputs span 9 chunks, the last one partial; a
+    # stack's 186 outputs span 27, some across two runs
+    monkeypatch.setattr(dyn, "CHUNK_BYTES", 7 * _state_bytes(plans[0]))
     many = _two_atom_observables_run(tomography, runs)
+    assert plans[-1]["pops"].shape[0] == 7
+    assert _chunks(plans[-1]) == {1: 9, 3: 27}[len(runs)]
     for alone, chunked in zip(one, many, strict=True):
         assert chunked.column_order == alone.column_order
         assert chunked.times.tobytes() == alone.times.tobytes()
@@ -918,17 +970,18 @@ def test_trace_gate_names_first_time_in_a_later_chunk(monkeypatch):
     # e^(-0.095 k)) / (1 - e^-0.095), first exceeds TRACE_TOL at k = 9:
     # 9.398e-10 at t = 8 ns, 1.015e-9 at t = 9 ns
     run = _leaky_run(monkeypatch, 1.0 + 8e-11)
+    plans = _recorded_plans(monkeypatch)
     ts = np.linspace(0.0, 50.0, 51)
     with pytest.raises(dyn.IntegrationError) as one:
         run(ts)
     assert str(one.value) == "trace deviation 1.015e-09 at t=9 ns exceeds tolerance 1e-09"
+    assert _chunks(plans[-1]) == 1
     # 5 output times per chunk: t = 9 ns is the last of the second chunk
-    # (the chunk is sized by 2 x 2 outer products of kets on |0e>, |1g>)
-    monkeypatch.setattr(dyn, "CHUNK_BYTES", 5 * 16 * 2**2)
-    assert dyn.chunk_states(2) == 5
+    monkeypatch.setattr(dyn, "CHUNK_BYTES", 5 * _state_bytes(plans[-1]))
     with pytest.raises(dyn.IntegrationError) as chunked:
         run(ts)
     assert str(chunked.value) == str(one.value)
+    assert _chunks(plans[-1]) == 11
 
 
 def test_hermiticity_gate_names_first_time(monkeypatch):
@@ -938,15 +991,18 @@ def test_hermiticity_gate_names_first_time(monkeypatch):
     lay, gen = _gen(2, (G,), kappa=0.19)
     psi0, ts = fs.basis_state(lay, 2, "g"), np.linspace(0.0, 50.0, 51)
     skew_x(monkeypatch, 13, 1e-10)
+    plans = _recorded_plans(monkeypatch)
     with pytest.raises(dyn.IntegrationError) as one:
         dyn.integrate([gen], psi0, [ts])
     assert str(one.value) == (
         "Hermiticity deviation 2.000e-10 of x at t=13 ns exceeds tolerance 1e-10")
+    assert _chunks(plans[-1]) == 1
     # 5 output times per chunk: t = 13 ns is the fourth of the third chunk
-    monkeypatch.setattr(dyn, "CHUNK_BYTES", 5 * 16 * 2**2)
+    monkeypatch.setattr(dyn, "CHUNK_BYTES", 5 * _state_bytes(plans[-1]))
     with pytest.raises(dyn.IntegrationError) as chunked:
         dyn.integrate([gen], psi0, [ts])
     assert str(chunked.value) == str(one.value)
+    assert _chunks(plans[-1]) == 11
     # a deviation below HERM_TOL passes
     monkeypatch.undo()
     skew_x(monkeypatch, 13, 4e-11)

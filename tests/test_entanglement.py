@@ -364,6 +364,22 @@ def test_closed_forms_match_stacked_oracles_on_random_block_diagonal_states(
         assert _check_against_stacked_oracles(traj, states, norm_dims) == n_atoms + 1 + n_pairs
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_spectrum_entropies_of_a_stack_are_those_of_each_spectrum(k, rng):
+    # the stack is reduced over its columns, one spectrum along its entries:
+    # numpy adds fewer than 8 entries in order, so up to 7 the bits agree,
+    # and from 8 on only within a sum's rounding, k ulp of log2(k)
+    evals = rng.random((500, k))
+    evals /= evals.sum(axis=1, keepdims=True)
+    evals[::5, 0] = 0.0
+    stacked = ent.spectrum_entropy_stack(evals, 2)
+    alone = np.array([ent.spectrum_entropy_stack(spectrum, 2) for spectrum in evals])
+    if k < 8:
+        assert stacked.tobytes() == alone.tobytes()
+    else:
+        assert np.max(np.abs(stacked - alone)) <= k * np.spacing(np.log2(k))
+
+
 def test_closed_form_diagnostics_keep_their_checks():
     # eigenvalue floor on a diagonal state's populations
     assert ent.spectrum_entropy_stack(np.array([[0.5, 0.5 + 1e-9, -1e-9]]), 2)[0] == (

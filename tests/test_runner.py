@@ -477,7 +477,7 @@ def test_one_photon_runs_match_the_no_jump_oracle(name):
 # over as many processes as this process may use CPUs, here set by the
 # tests.  fig2's `long` (6001 rows) is six blocks of CSV_BLOCK_ROWS and
 # `short` (2001) two; each fig5 file (241 rows) is one, and their 6025 rows
-# plan a child a block on three writers (config.trajectory_writers).
+# plan a child a block on three writers (config.writer_shares).
 SPLIT_CONFIGS = {
     "fig2": 'scenario = "fig2_single_atom"\nt_long_ns = 12.0\ndt_long_ns = 0.002\n',
     "fig5": 'scenario = "fig5_position_map"\ndesign = "D1"\n'
@@ -513,43 +513,42 @@ def _counting(monkeypatch, module, name: str) -> list:
     return calls
 
 
-def _trajectories(**rows) -> dict:
-    return {name: dyn.Trajectory(HilbertLayout(1, 1), np.zeros(n), {})
-            for name, n in rows.items()}
-
-
 def test_shares_cut_the_files_in_name_order_at_block_edges(monkeypatch):
+    def shares(cpus, **rows):
+        monkeypatch.setattr(config, "_usable_cpus", lambda: cpus)
+        return config.writer_shares(rows)
+
     # 10 002 rows in 8 + 2 blocks, this process's share planned two blocks
     # longer than the child's: (10 002 + 2048) / 2 = 6025 rows, and the
     # nearest block edge is 6144
-    assert runner.CHILD_BLOCKS * dyn.CSV_BLOCK_ROWS == 2048
-    assert runner._shares(_trajectories(long=8001, short=2001), 2) == [
+    assert config.CHILD_BLOCKS * dyn.CSV_BLOCK_ROWS == 2048
+    assert shares(2, long=8001, short=2001) == [
         [("long", 0, 6144)], [("long", 6144, 8001), ("short", 0, 2001)]]
-    # files of one block are never cut
-    assert runner._shares(_trajectories(a=1000, b=1000, c=1000), 2) == [
-        [("a", 0, 1000), ("b", 0, 1000)], [("c", 0, 1000)]]
+    # files of one block are never cut: (5000 + 2048) / 2 = 3524 is nearest
+    # the start of e
+    assert shares(2, a=1000, b=1000, c=1000, d=1000, e=1000) == [
+        [("a", 0, 1000), ("b", 0, 1000), ("c", 0, 1000), ("d", 0, 1000)], [("e", 0, 1000)]]
     # fig5's 81 files of 241 rows: the file edge nearest (19 521 + 2048) / 2
-    assert [len(share) for share in runner._shares(
-        _trajectories(**{f"r{i:02d}": 241 for i in range(81)}), 2)] == [45, 36]
-    # one file cut twice on three writers, at the edges nearest 3032 and
-    # 4016 rows, every share at least one block
-    assert runner._shares(_trajectories(a=5000), 3) == [
-        [("a", 0, 3072)], [("a", 3072, 4096)], [("a", 4096, 5000)]]
-    assert runner._shares(_trajectories(a=1025), 2) == [[("a", 0, 1024)], [("a", 1024, 1025)]]
-    # an empty trajectory is still written, its header alone; no trajectory
-    # is one empty share
-    assert runner._shares(_trajectories(a=0, b=2048), 2) == [
-        [("a", 0, 0), ("b", 0, 1024)], [("b", 1024, 2048)]]
-    assert runner._shares(_trajectories(), 1) == [[]]
+    assert [len(share) for share in shares(2, **{f"r{i:02d}": 241 for i in range(81)})] == [
+        45, 36]
+    # one file cut twice on three writers, at the edges nearest 3365 and
+    # 4683 rows, every share at least one block
+    assert shares(3, a=6000) == [[("a", 0, 3072)], [("a", 3072, 5120)], [("a", 5120, 6000)]]
+    # an empty trajectory is still written, its header alone; one at a cut
+    # starts the later share, and no trajectory is one empty share
+    assert shares(2, a=0, b=4096) == [[("a", 0, 0), ("b", 0, 3072)], [("b", 3072, 4096)]]
+    assert shares(2, a=3072, b=0, c=1024) == [[("a", 0, 3072)], [("b", 0, 0), ("c", 0, 1024)]]
+    assert shares(4) == [[]]
     # a writer per CPU while each child is planned a block at least, of
     # (rows - 2048) / writers: a second from 4096 rows, where the child's
     # share is one block, and a third from 5120
-    monkeypatch.setattr(config, "_usable_cpus", lambda: 4)
-    assert [config.trajectory_writers(n) for n in (0, 1201, 1501, 4095, 4096, 5119, 5120,
-                                                   6004, 19_521)] == [1, 1, 1, 1, 2, 2, 3, 3, 4]
-    assert runner._shares(_trajectories(a=4096), 2) == [[("a", 0, 3072)], [("a", 3072, 4096)]]
+    assert [len(shares(4, a=n)) for n in (0, 1201, 1501, 4095, 4096, 5119, 5120, 6004,
+                                          19_521)] == [1, 1, 1, 1, 2, 2, 3, 3, 4]
+    assert shares(4, a=4096) == [[("a", 0, 3072)], [("a", 3072, 4096)]]
+    # the count follows the total alone
+    assert len(shares(4, **{f"r{i:02d}": 241 for i in range(81)})) == len(shares(4, a=19_521))
     monkeypatch.delattr(os, "fork")
-    assert config.trajectory_writers(19_521) == 1
+    assert shares(4, a=19_521) == [[("a", 0, 19_521)]]
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_CONFIGS))
@@ -621,7 +620,7 @@ def _fig2_on_two_writers(tmp_path, monkeypatch):
     path.write_text(text)
     cfg = parse_config(text)
     rows = {run.name: run.outputs() for run in SCENARIOS[cfg.scenario].plan(cfg).runs}
-    assert runner._shares(_trajectories(**rows), 2) == [
+    assert config.writer_shares(rows) == [
         [("long", 0, 5120)], [("long", 5120, 6001), ("short", 0, 2001)]]
     return str(path), tmp_path / "out", rows
 
@@ -669,7 +668,7 @@ def test_memory_estimate_counts_each_writer(monkeypatch):
     # fig2 with 2001 outputs and 2095 or 2094, and lossless custom with 4096
     # or 4095 in one file: writing outweighs propagating any run, so a
     # second writer adds its text from 4096 rows, the fewest that plan a
-    # child a block (trajectory_writers), and below that there is one
+    # child a block (writer_shares), and below that there is one
     def need(text, cpus):
         monkeypatch.setattr(config, "_usable_cpus", lambda: cpus)
         cfg = parse_config(text)
